@@ -17,7 +17,7 @@ import numpy as np
 from .config import MHZ, RunConfig, parse_config
 from .constants import YB171
 from .coupling import DriveConfig, coupling_error, coupling_matrix
-from .crystal import length_scale, make_lattice, solve_equilibrium
+from .crystal import solve_equilibrium, triangular_start
 from .errors import ConvergenceError, InvalidArgumentError, TweezerIsingError
 from .experiment import (
     YB_PLUS_LINES,
@@ -30,10 +30,9 @@ from .experiment import (
     stark_homogenize,
     tweezer_trap_frequency,
 )
-from .feasibility import build_sign_constraints, feasibility_test
-from .iofmt import load_result, read_summary, save_result, write_matrix_csv, write_summary, write_table_csv
-from .modes import TweezerPattern, build_hessian, lamb_dicke, mode_spectrum
-from .optimizer import run_pipeline, untweezed_baseline
+from .iofmt import load_result, save_result, write_matrix_csv, write_summary, write_table_csv
+from .modes import TweezerPattern, build_hessian, mode_spectrum
+from .optimizer import PinProblem, run_pipeline, sign_feasibility, untweezed_baseline
 from .scenarios import (
     SCENARIO_TOKENS,
     frustrated_ladder_12,
@@ -44,7 +43,6 @@ from .scenarios import (
     run_scenario,
     triangular_af_19,
 )
-from .sensitivity import coupling_jacobian_diag
 from .targets import build_target
 
 
@@ -103,10 +101,7 @@ def _outdir(args, default: str) -> Path:
 def _crystal_from_config(cfg: RunConfig):
     guess = None
     if cfg.geometry == "triangular":
-        spacing = 1.5 * length_scale(min(cfg.trap.omegas), cfg.species)
-        weak = np.argsort(cfg.trap.omegas, kind="stable")[:2]
-        plane = tuple(sorted(int(a) for a in weak))
-        guess = make_lattice("triangular", cfg.trap.n_ions, spacing, plane=plane)
+        guess, _ = triangular_start(cfg.trap, cfg.species, min(cfg.trap.omegas))
     return solve_equilibrium(cfg.trap, cfg.species, cfg.trap.n_ions, guess)
 
 
@@ -116,7 +111,7 @@ def _pattern_from_config(cfg: RunConfig):
     return TweezerPattern.from_frequencies(cfg.pinning, axes=cfg.space.pin_axes)
 
 
-def _drive_from_config(cfg: RunConfig, spectrum=None) -> DriveConfig:
+def _drive_from_config(cfg: RunConfig) -> DriveConfig:
     if cfg.mu is None:
         raise InvalidArgumentError("this command needs [drive] mu_mhz")
     return DriveConfig(
@@ -125,6 +120,21 @@ def _drive_from_config(cfg: RunConfig, spectrum=None) -> DriveConfig:
         g=cfg.g,
         k_eff=cfg.k_eff,
         resonance_guard=cfg.resonance_guard,
+    )
+
+
+def _design_from_config(cfg: RunConfig):
+    return run_pipeline(
+        cfg.target,
+        cfg.space,
+        cfg.trap,
+        cfg.species,
+        symmetry=cfg.symmetry,
+        drive_axis=cfg.drive_axis,
+        geometry_mode=cfg.stage1_geometry,
+        final_geometry=cfg.final_geometry,
+        seed=cfg.seed,
+        threads=cfg.threads,
     )
 
 
@@ -172,17 +182,8 @@ def _cmd_feasibility(args) -> int:
     crystal = _crystal_from_config(cfg)
     drive = _drive_from_config(cfg)
     target = build_target(cfg.target, crystal)
-    from .optimizer import PinProblem, _per_ion_gradient, _selection_pairs
-
     problem = PinProblem(crystal, target, drive.drive_axis, cfg.space.pin_axes)
-    native = problem.native_spectrum()
-    grads = _per_ion_gradient(coupling_jacobian_diag(native, drive, cfg.species), problem)
-    pairs = _selection_pairs(cfg.space, crystal)
-    system = build_sign_constraints(
-        target, coupling_matrix(native, drive, cfg.species), grads,
-        selection=pairs, rows=cfg.space.feasibility_rows,
-    )
-    verdict = feasibility_test(system, pinning_sign=cfg.space.pinning_sign)
+    system, verdict = sign_feasibility(problem, drive, cfg.species, cfg.space)
     sections = {
         "feasibility": {
             "verdict": "feasible" if verdict.feasible else "infeasible",
@@ -213,18 +214,7 @@ def _cmd_feasibility(args) -> int:
 def _cmd_optimize(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args, "runs/optimize")
-    result = run_pipeline(
-        cfg.target,
-        cfg.space,
-        cfg.trap,
-        cfg.species,
-        symmetry=cfg.symmetry,
-        drive_axis=cfg.drive_axis,
-        geometry_mode=cfg.stage1_geometry,
-        final_geometry=cfg.final_geometry,
-        seed=cfg.seed,
-        threads=cfg.threads,
-    )
+    result = _design_from_config(cfg)
     save_result(result, out, cfg.species_name)
     print(
         f"epsilon = {result.epsilon:.6f} at mu/2pi = {result.mu / MHZ:.4f} MHz, "
@@ -239,27 +229,12 @@ def _cmd_misalign(args) -> int:
     if args.in_dir:
         result = load_result(args.in_dir)
     else:
-        result = run_pipeline(
-            cfg.target, cfg.space, cfg.trap, cfg.species,
-            symmetry=cfg.symmetry, drive_axis=cfg.drive_axis,
-            geometry_mode=cfg.stage1_geometry, final_geometry=cfg.final_geometry,
-            seed=cfg.seed, threads=cfg.threads,
-        )
+        result = _design_from_config(cfg)
         save_result(result, out / "aligned", cfg.species_name)
     scan = misalignment_scan(
         result, cfg.misalign_scales, cfg.misalign_samples, cfg.seed, axes=cfg.misalign_axes
     )
-    write_table_csv(
-        out / "misalignment.csv",
-        ["average_misalignment_nm", "epsilon"],
-        [(avg * 1e9, eps) for avg, eps in scan.records],
-        {
-            "name": "misalignment_scan",
-            "aligned_epsilon": repr(float(scan.aligned_epsilon)),
-            "samples": cfg.misalign_samples,
-            "failed": scan.n_failed,
-        },
-    )
+    _write_misalignment(out / "misalignment.csv", scan, cfg.misalign_samples)
     print(
         f"{len(scan.records)} samples ({scan.n_failed} failed), aligned epsilon "
         f"{scan.aligned_epsilon:.6f}; files in {out}"
@@ -306,31 +281,26 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _write_misalignment(path: Path, scan, samples: int) -> None:
+    write_table_csv(
+        path,
+        ["average_misalignment_nm", "epsilon"],
+        [(avg * 1e9, eps) for avg, eps in scan.records],
+        {
+            "name": "misalignment_scan",
+            "aligned_epsilon": repr(float(scan.aligned_epsilon)),
+            "samples": samples,
+            "failed": scan.n_failed,
+        },
+    )
+
+
 def _cmd_reproduce(args) -> int:
     token = args.token
     fast = args.fast
     threads = args.threads or 1
     out = _outdir(args, f"runs/{token}")
-    if token in ("fig3", "table1"):
-        nn = run_scenario(nn_chain_12(fast), threads)
-        save_result(nn, out / "nn_chain_12")
-        rows = [("nn_chain_12", nn.omega_scan / MHZ, nn.mu / MHZ,
-                 np.abs(nn.pin_frequencies).max() / MHZ, nn.epsilon)]
-        if token == "table1":
-            for xi in (3.5, 1.5):
-                for even in (True, False):
-                    sc = power_law_chain_12(xi, even, fast)
-                    res = run_scenario(sc, threads)
-                    save_result(res, out / sc.name)
-                    rows.append((sc.name, res.omega_scan / MHZ, res.mu / MHZ,
-                                 np.abs(res.pin_frequencies).max() / MHZ, res.epsilon))
-        write_table_csv(
-            out / "summary_table.csv",
-            ["scenario", "omega_scan_mhz", "mu_mhz", "max_pin_mhz", "epsilon"],
-            rows,
-            {"name": token},
-        )
-    elif token == "fig4":
+    if token == "fig4":
         rows = []
         for xi in power_law_exponents(fast):
             entry = [xi]
@@ -351,13 +321,22 @@ def _cmd_reproduce(args) -> int:
             rows,
             {"name": "power_law_error_sweep"},
         )
-    elif token in ("fig5", "fig6", "table2"):
-        rows = []
+    elif token == "fig7":
+        nn = run_scenario(nn_chain_12(fast), threads)
+        save_result(nn, out / "nn_chain_12")
+        scales, samples, seed = misalignment_settings(fast)
+        _write_misalignment(out / "misalignment.csv", misalignment_scan(nn, scales, samples, seed), samples)
+    else:
         scenarios = []
+        if token in ("fig3", "table1"):
+            scenarios.append(nn_chain_12(fast))
+        if token == "table1":
+            scenarios += [power_law_chain_12(xi, even, fast) for xi in (3.5, 1.5) for even in (True, False)]
         if token in ("fig5", "table2"):
             scenarios.append(frustrated_ladder_12(fast))
         if token in ("fig6", "table2"):
             scenarios.append(triangular_af_19(fast))
+        rows = []
         for sc in scenarios:
             res = run_scenario(sc, threads)
             save_result(res, out / sc.name)
@@ -368,22 +347,6 @@ def _cmd_reproduce(args) -> int:
             ["scenario", "omega_scan_mhz", "mu_mhz", "max_pin_mhz", "epsilon"],
             rows,
             {"name": token},
-        )
-    elif token == "fig7":
-        nn = run_scenario(nn_chain_12(fast), threads)
-        save_result(nn, out / "nn_chain_12")
-        scales, samples, seed = misalignment_settings(fast)
-        scan = misalignment_scan(nn, scales, samples, seed)
-        write_table_csv(
-            out / "misalignment.csv",
-            ["average_misalignment_nm", "epsilon"],
-            [(avg * 1e9, eps) for avg, eps in scan.records],
-            {
-                "name": "misalignment_scan",
-                "aligned_epsilon": repr(float(scan.aligned_epsilon)),
-                "samples": samples,
-                "failed": scan.n_failed,
-            },
         )
     print(f"scenario {token} written to {out}")
     return 0

@@ -159,9 +159,6 @@ def _get(values, section, key, default=None, cast=str):
         raise InvalidArgumentError(f"bad value for [{section}] {key}: {raw!r}") from None
 
 
-_MISSING = object()
-
-
 def _opt(values, section, key, cast=float):
     raw = values.get(section, {}).get(key)
     if raw is None or str(raw).strip() == "":

@@ -14,7 +14,7 @@ g^2 hbar k^2 / 2M; the normalized error metric is unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +24,17 @@ from .errors import (
     ResonanceError,
     UndefinedNormalizationError,
 )
-from .modes import ModeSpectrum, axis_vector, lamb_dicke, mode_projections
+from .modes import (
+    ModeSpectrum,
+    axis_vector,
+    lamb_dicke,
+    mass_scaled_hessian,
+    mode_projections,
+    mode_spectrum,
+)
+
+if TYPE_CHECKING:
+    from .crystal import TrapConfig
 
 DEFAULT_RESONANCE_GUARD = 2.0 * np.pi * 1e3  # rad/s
 
@@ -129,7 +139,7 @@ def residual_displacement(
     check_resonance(spectrum, drive)
     g = drive.g if drive.g is not None else 1.0
     k = drive.k_eff if drive.k_eff is not None else 1.0
-    eta = _eta_or_projection(spectrum, drive, species, k)
+    eta = lamb_dicke(spectrum, k, drive.drive_axis, species)
     mask = drive.mask_for(spectrum)
     w = spectrum.frequencies[mask]
     mu = drive.mu
@@ -159,7 +169,7 @@ def ising_phase(
     check_resonance(spectrum, drive)
     g = drive.g if drive.g is not None else 1.0
     keff = drive.k_eff if drive.k_eff is not None else 1.0
-    eta = _eta_or_projection(spectrum, drive, species, keff)
+    eta = lamb_dicke(spectrum, keff, drive.drive_axis, species)
     mask = drive.mask_for(spectrum)
     w = spectrum.frequencies[mask]
     mu = drive.mu
@@ -173,11 +183,6 @@ def ising_phase(
     coeff = eta[j, mask] * eta[k, mask] / (mu**2 - w**2)
     out = -(g**2) * np.sum(coeff * terms, axis=-1)
     return float(out) if np.isscalar(t) else out
-
-
-def _eta_or_projection(spectrum, drive, species, k_eff):
-    # for diagnostics eta always uses a concrete wavevector; 1.0 when symbolic
-    return lamb_dicke(spectrum, k_eff, drive.drive_axis, species)
 
 
 def max_abs_offdiag(matrix: np.ndarray) -> tuple[float, tuple[int, int]]:
@@ -210,3 +215,30 @@ def coupling_error(
     jtilde = jm * scale
     eps = float(np.linalg.norm(jt - jtilde) / np.linalg.norm(jt))
     return eps, CouplingMatrix(jtilde, scale=scale)
+
+
+def realized_coupling(
+    positions: np.ndarray,
+    trap: TrapConfig,
+    species: SpeciesConstants,
+    curvatures: np.ndarray,
+    mu: float,
+    drive_axis: np.ndarray,
+    resonance_guard: float,
+    target: Union[CouplingMatrix, np.ndarray],
+) -> tuple[float, CouplingMatrix, ModeSpectrum, DriveConfig]:
+    """Error, rescaled coupling, spectrum and drive of a pinned configuration.
+
+    The full Hessian spectrum at the given positions and pinning drives
+    the beatnote; modes orthogonal to the drive axis are masked out so the
+    resonance guard only applies to modes that enter the coupling.
+    Returns (eps, J rescaled to the target, spectrum, drive).
+    """
+    a = mass_scaled_hessian(positions, trap, species, curvatures)
+    spectrum = mode_spectrum(a, freq_scale=trap.omega_bar)
+    coupled = np.any(np.abs(mode_projections(spectrum, drive_axis)) > 1e-10, axis=0)
+    drive = DriveConfig(
+        mu=mu, drive_axis=drive_axis, mode_mask=coupled, resonance_guard=resonance_guard
+    )
+    eps, realized = coupling_error(target, coupling_matrix(spectrum, drive, species))
+    return eps, realized, spectrum, drive

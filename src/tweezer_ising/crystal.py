@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .constants import SpeciesConstants
 from .errors import (
@@ -20,9 +21,7 @@ from .errors import (
     NonPlanarError,
     SingularGeometryError,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .modes import TweezerPattern
+from .modes import TOL_PSD_REL, TweezerPattern, mass_scaled_hessian
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -209,6 +208,19 @@ def _hex_shells(n_ions: int) -> int:
     return k
 
 
+def triangular_start(
+    trap: TrapConfig, species: SpeciesConstants, omega: float
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """Triangular-lattice guess in the plane of the two weakest trap axes.
+
+    The lattice constant is 1.5 length scales at `omega`.  Returns the
+    positions and the plane (sorted axis indices).
+    """
+    weak = np.argsort(trap.omegas, kind="stable")[:2]
+    plane = tuple(sorted(int(a) for a in weak))
+    return make_lattice("triangular", trap.n_ions, 1.5 * length_scale(omega, species), plane=plane), plane
+
+
 def default_chain_guess(trap: TrapConfig, species: SpeciesConstants) -> np.ndarray:
     """Equidistant chain along the weakest trap axis, a robust Newton guess."""
     weakest = int(np.argmin(trap.omegas))
@@ -258,8 +270,6 @@ def solve_equilibrium(
     # descents can stall at saddles (a collinear chain past the zigzag
     # transition); kick deterministically and re-descend until a stable
     # stationary point is reached
-    from .modes import TOL_PSD_REL, mass_scaled_hessian
-
     curv = tweezers.curvatures if tweezers is not None else None
     floor = TOL_PSD_REL * trap.omega_bar**2
     lbar = length_scale(trap.omega_bar, species)
@@ -286,11 +296,6 @@ def solve_equilibrium(
 
 
 def _newton_descent(pos, trap, species, tweezers, centers, max_iter):
-    import scipy.linalg
-
-    # late import: the Hessian assembly lives with the mode analysis
-    from .modes import mass_scaled_hessian
-
     m = species.mass
     wbar = trap.omega_bar
     lbar = length_scale(wbar, species)

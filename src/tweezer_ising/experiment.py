@@ -15,7 +15,7 @@ import numpy as np
 import scipy.constants as const
 
 from .constants import SpeciesConstants
-from .coupling import DriveConfig, coupling_error, coupling_matrix
+from .coupling import realized_coupling
 from .crystal import solve_equilibrium
 from .errors import (
     ConvergenceError,
@@ -23,7 +23,7 @@ from .errors import (
     UnstableCrystalError,
     ValidityError,
 )
-from .modes import AXIS_INDEX, mass_scaled_hessian, mode_projections, mode_spectrum
+from .modes import AXIS_INDEX
 
 #: minimum detuning from any transition, in linewidths
 MIN_DETUNING_LINEWIDTHS = 10.0
@@ -164,6 +164,7 @@ def differential_stark_shift(beam: TweezerBeam, lines: AtomicLines) -> float:
     detuning: |U0|/hbar * w_hf / D_eff, with 1/D_eff the depth-weighted
     mean of the inverse co-rotating detunings.  Scales as P / w^2.
     """
+    _check_detuning(beam, lines)
     w = beam.omega
     depth_total = 0.0
     inv_detuning = 0.0
@@ -174,7 +175,6 @@ def differential_stark_shift(beam: TweezerBeam, lines: AtomicLines) -> float:
         ) * beam.peak_intensity
         depth_total += abs(depth)
         inv_detuning += abs(depth) / abs(w0 - w)
-    _check_detuning(beam, lines)
     return depth_total / const.hbar * lines.hyperfine_splitting * (inv_detuning / depth_total)
 
 
@@ -250,9 +250,14 @@ def misalignment_scan(
     n = crystal.n_ions
     dim = len(axis_idx)
 
-    aligned_eps = _configuration_epsilon(
-        crystal.positions, crystal.trap, crystal.species, pattern.curvatures, result
-    )
+    def epsilon_at(positions):
+        eps, _, _, _ = realized_coupling(
+            positions, crystal.trap, crystal.species, pattern.curvatures,
+            result.mu, result.drive.drive_axis, result.drive.resonance_guard, result.target,
+        )
+        return eps
+
+    aligned_eps = epsilon_at(crystal.positions)
 
     records = []
     failed = []
@@ -276,26 +281,10 @@ def misalignment_scan(
                 tweezers=pattern.with_offsets(offsets),
                 tweezer_reference=crystal.positions,
             )
-            eps = _configuration_epsilon(
-                shifted.positions, crystal.trap, crystal.species, pattern.curvatures, result
-            )
+            eps = epsilon_at(shifted.positions)
         except (ConvergenceError, UnstableCrystalError) as err:
             failed.append((i, type(err).__name__))
             continue
         records.append((avg, eps))
     return MisalignmentScan(records, aligned_eps, len(failed), failed)
 
-
-def _configuration_epsilon(positions, trap, species, curvatures, result) -> float:
-    a = mass_scaled_hessian(positions, trap, species, curvatures)
-    spectrum = mode_spectrum(a, freq_scale=trap.omega_bar)
-    coupled = np.any(np.abs(mode_projections(spectrum, result.drive.drive_axis)) > 1e-10, axis=0)
-    drive = DriveConfig(
-        mu=result.mu,
-        drive_axis=result.drive.drive_axis,
-        mode_mask=coupled,
-        resonance_guard=result.drive.resonance_guard,
-    )
-    j = coupling_matrix(spectrum, drive, species)
-    eps, _ = coupling_error(result.target, j)
-    return eps

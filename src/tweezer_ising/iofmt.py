@@ -13,7 +13,12 @@ from typing import Union
 
 import numpy as np
 
+from .constants import species_by_name
+from .coupling import CouplingMatrix, realized_coupling
+from .crystal import IonCrystal, TrapConfig, _classify_geometry
 from .errors import InvalidArgumentError
+from .modes import TweezerPattern
+from .optimizer import CellDiagnostics, OptimizationResult
 
 
 def _fmt(x) -> str:
@@ -186,12 +191,6 @@ def load_result(outdir: Union[str, Path]):
     positions, pattern, and drive; the recomputed error must match the
     stored one, which guards against tampered or mismatched files.
     """
-    from .constants import species_by_name
-    from .coupling import DriveConfig, coupling_error, coupling_matrix
-    from .crystal import IonCrystal, TrapConfig
-    from .modes import TweezerPattern, mass_scaled_hessian, mode_projections, mode_spectrum
-    from .optimizer import CellDiagnostics, OptimizationResult
-
     out = Path(outdir)
     summary = read_summary(out / "summary.txt")
     species = species_by_name(summary["run"]["species"])
@@ -211,16 +210,12 @@ def load_result(outdir: Union[str, Path]):
     guard = float(summary["drive"]["resonance_guard_khz"]) * 2.0 * np.pi * 1e3
     mu = float(summary["result"]["mu_mhz"]) * MHZ
 
-    from .crystal import _classify_geometry
-
     dimensionality, extended = _classify_geometry(positions, trap, species)
     crystal = IonCrystal(trap, species, positions, dimensionality, extended)
     pattern = TweezerPattern.from_frequencies(pin_freqs, axes=pin_axes)
-    a = mass_scaled_hessian(positions, trap, species, pattern.curvatures)
-    spectrum = mode_spectrum(a, freq_scale=trap.omega_bar)
-    coupled = np.any(np.abs(mode_projections(spectrum, axis)) > 1e-10, axis=0)
-    drive = DriveConfig(mu=mu, drive_axis=axis, mode_mask=coupled, resonance_guard=guard)
-    eps, realized = coupling_error(target, coupling_matrix(spectrum, drive, species))
+    eps, realized, spectrum, drive = realized_coupling(
+        positions, trap, species, pattern.curvatures, mu, axis, guard, target
+    )
     if abs(eps - float(summary["result"]["epsilon"])) > 1e-9 * max(eps, 1e-12):
         raise InvalidArgumentError(
             f"{outdir}: stored epsilon {summary['result']['epsilon']} does not match recomputed {eps}"
@@ -246,8 +241,6 @@ def load_result(outdir: Union[str, Path]):
         for key, value in summary["result"].items()
         if key.startswith("epsilon_")
     }
-    from .coupling import CouplingMatrix
-
     return OptimizationResult(
         omega_scan=float(summary["result"]["omega_scan_mhz"]) * MHZ,
         mu=mu,

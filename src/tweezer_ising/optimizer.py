@@ -23,14 +23,22 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .constants import SpeciesConstants
-from .coupling import CouplingMatrix, DriveConfig, DEFAULT_RESONANCE_GUARD, coupling_matrix, coupling_error, max_abs_offdiag
+from .coupling import (
+    DEFAULT_RESONANCE_GUARD,
+    CouplingMatrix,
+    DriveConfig,
+    coupling_matrix,
+    max_abs_offdiag,
+    realized_coupling,
+)
 from .crystal import (
     IonCrystal,
     TrapConfig,
     equidistant_spacing,
-    length_scale,
     make_lattice,
+    pairwise_distances,
     solve_equilibrium,
+    triangular_start,
 )
 from .errors import (
     ConvergenceError,
@@ -38,7 +46,7 @@ from .errors import (
     ResonanceError,
     UnstableCrystalError,
 )
-from .feasibility import build_sign_constraints, feasibility_test
+from .feasibility import FeasibilityVerdict, SignConstraintSystem, build_sign_constraints, feasibility_test
 from .modes import (
     AXIS_INDEX,
     TOL_PSD_REL,
@@ -314,7 +322,6 @@ class PinProblem:
                 if (c // 3) in orbit and (c % 3) in pin_axis_idx
             ]
             self.param_rows.append(np.array(rows, dtype=int))
-        self.pin_axis_idx = sorted(pin_axis_idx)
 
         t = target.matrix if isinstance(target, CouplingMatrix) else np.asarray(target, dtype=float)
         self.target = t
@@ -444,9 +451,7 @@ def stage1_geometry(
     if geometry_mode == "harmonic":
         guess = None
         if target_spec.geometry == "triangular":
-            weak = np.argsort(trap.omegas, kind="stable")[:2]
-            plane = tuple(sorted(int(a) for a in weak))
-            guess = make_lattice("triangular", n, 1.5 * length_scale(omega_value, species), plane=plane)
+            guess, _ = triangular_start(trap, species, omega_value)
         return solve_equilibrium(trap, species, n, guess)
     if target_spec.geometry == "chain":
         d0 = equidistant_spacing(omega_value, n, species)
@@ -455,12 +460,8 @@ def stage1_geometry(
     if target_spec.geometry == "triangular":
         # the chain spacing formula badly misjudges 2D lattices; anchor the
         # idealized lattice constant to the solved crystal's closest pair
-        weak = np.argsort(trap.omegas, kind="stable")[:2]
-        plane = tuple(sorted(int(a) for a in weak))
-        guess = make_lattice("triangular", n, 1.5 * length_scale(omega_value, species), plane=plane)
+        guess, plane = triangular_start(trap, species, omega_value)
         solved = solve_equilibrium(trap, species, n, guess, require="planar")
-        from .crystal import pairwise_distances
-
         d = pairwise_distances(solved.positions)
         spacing = float(d[np.triu_indices(n, 1)].min())
         pos = make_lattice("triangular", n, spacing, plane=plane)
@@ -500,7 +501,8 @@ def stage1_search(
     """Feasibility-filtered grid search; returns (candidates, cell diagnostics).
 
     Candidates are sorted by (epsilon, omega, mu); an empty list means no
-    grid cell passed the feasibility test (see the diagnostics).
+    grid cell passed the feasibility test (see the diagnostics).  Cells run
+    serially; `threads` is accepted and ignored.
     """
     axis = default_drive_axis(space.pin_axes) if drive_axis is None else axis_vector(drive_axis)
     omegas = _grid(space.omega_scan, space.omega_grid)
@@ -514,23 +516,14 @@ def stage1_search(
         target = build_target(target_spec, crystal)
         problem = PinProblem(crystal, target, axis, space.pin_axes, None, space.resonance_guard)
         problem.set_scales(space.pin_curvature_bounds, space.mu)
-        pairs = _selection_pairs(space, crystal)
         for mu in mus:
-            jobs.append((omega, mu, crystal, target, problem, pairs))
+            jobs.append((omega, mu, problem))
 
-    def run_cell(args):
-        cell_index, (omega, mu, crystal, target, problem, pairs) = args
+    def run_cell(cell_index, omega, mu, problem):
         diag = CellDiagnostics(omega, mu, "infeasible")
         try:
-            native = problem.native_spectrum()
             drive = DriveConfig(mu=mu, drive_axis=axis, resonance_guard=space.resonance_guard)
-            jac = coupling_jacobian_diag(native, drive, species)
-            grads = _per_ion_gradient(jac, problem)
-            j0 = coupling_matrix(native, drive, species)
-            system = build_sign_constraints(
-                target, j0, grads, selection=pairs, rows=space.feasibility_rows
-            )
-            verdict = feasibility_test(system, pinning_sign=space.pinning_sign)
+            _, verdict = sign_feasibility(problem, drive, species, space)
         except ResonanceError:
             diag.verdict = "resonant"
             return diag, None
@@ -562,14 +555,14 @@ def stage1_search(
             mu=mu,
             pin_curvature=problem.expand(best.x * problem.k_scale),
             epsilon=float(best.fun),
-            crystal=crystal,
+            crystal=problem.crystal,
             history=list(best.history),
             converged=best.converged,
         )
         return diag, cand
 
-    results = _parallel_map(run_cell, list(enumerate(jobs)), threads)
-    for diag, cand in results:
+    for cell_index, job in enumerate(jobs):
+        diag, cand = run_cell(cell_index, *job)
         cells.append(diag)
         if cand is not None:
             candidates.append(cand)
@@ -577,31 +570,44 @@ def stage1_search(
     return candidates, cells
 
 
-def _selection_pairs(space: SearchSpace, crystal: IonCrystal):
-    if space.feasibility_pairs == "all":
-        return all_pairs(crystal.n_ions)
-    adj = crystal_adjacency(crystal)
-    return tuple((k, l) for k, l in all_pairs(crystal.n_ions) if adj[k, l])
+def sign_feasibility(
+    problem: PinProblem,
+    drive: DriveConfig,
+    species: SpeciesConstants,
+    space: SearchSpace,
+) -> tuple[SignConstraintSystem, FeasibilityVerdict]:
+    """Sign-structure feasibility of pinning the problem's native geometry.
+
+    Builds the constraint rows against the problem's target from the
+    unpinned coupling and its per-ion pinning gradient, over the pairs
+    `space.feasibility_pairs` selects, and tests them under
+    `space.pinning_sign`.  `problem` has one orbit per ion.
+    """
+    crystal = problem.crystal
+    pairs = all_pairs(crystal.n_ions)
+    if space.feasibility_pairs == "nearest_neighbor":
+        adj = crystal_adjacency(crystal)
+        pairs = tuple((k, l) for k, l in pairs if adj[k, l])
+    native = problem.native_spectrum()
+    grads = _per_ion_gradient(coupling_jacobian_diag(native, drive, species), problem)
+    system = build_sign_constraints(
+        problem.target, coupling_matrix(native, drive, species), grads,
+        selection=pairs, rows=space.feasibility_rows,
+    )
+    return system, feasibility_test(system, pinning_sign=space.pinning_sign)
 
 
 def _per_ion_gradient(jac: np.ndarray, problem: PinProblem) -> CouplingGradient:
     """Collapse the per-coordinate Jacobian to one column per ion.
 
     One pinning value per ion acts on every configured axis, so the
-    per-ion derivative sums the touched diagonal coordinates.
+    per-ion derivative sums the touched diagonal coordinates, which are
+    the problem's parameter rows for per-ion orbits.
     """
     n = problem.n_ions
-    cols = np.zeros((n, n, n))
-    for i in range(n):
-        rows = [
-            r
-            for r, c in enumerate(problem.coords)
-            if c // 3 == i and (c % 3) in problem.pin_axis_idx
-        ]
-        cols[:, :, i] = jac[:, :, rows].sum(axis=2)
-    pairs = all_pairs(n)
-    values = np.array([[cols[k, l, i] for i in range(n)] for (k, l) in pairs])
-    return CouplingGradient(pairs, np.arange(n), values)
+    cols = np.stack([jac[:, :, rows].sum(axis=2) for rows in problem.param_rows], axis=2)
+    k, l = np.triu_indices(n, 1)
+    return CouplingGradient(all_pairs(n), np.arange(n), cols[k, l])
 
 
 def _random_start(space: SearchSpace, n_params: int, seed: int, cell: int, restart: int) -> np.ndarray:
@@ -612,15 +618,6 @@ def _random_start(space: SearchSpace, n_params: int, seed: int, cell: int, resta
     else:
         w = rng.uniform(space.start_fraction * lo, 0.0, size=n_params)
     return np.sign(w) * w**2
-
-
-def _parallel_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def stage2_refine(
@@ -716,18 +713,10 @@ def stage3_finalize(
     pin_w = np.sign(pin_k) * np.sqrt(np.abs(pin_k))
     pattern = TweezerPattern.from_frequencies(pin_w, axes=space.pin_axes)
 
-    a_full = mass_scaled_hessian(crystal.positions, crystal.trap, species, pattern.curvatures)
-    spectrum = mode_spectrum(a_full, freq_scale=crystal.trap.omega_bar)
-    # mask out modes orthogonal to the drive so the resonance guard only
-    # applies to modes that actually enter the coupling
-    from .modes import mode_projections
-
-    coupled = np.any(np.abs(mode_projections(spectrum, axis)) > 1e-10, axis=0)
-    drive = DriveConfig(
-        mu=mu_final, drive_axis=axis, mode_mask=coupled, resonance_guard=space.resonance_guard
+    eps, realized, spectrum, drive = realized_coupling(
+        crystal.positions, crystal.trap, species, pattern.curvatures,
+        mu_final, axis, space.resonance_guard, target,
     )
-    realized_raw = coupling_matrix(spectrum, drive, species)
-    eps, realized = coupling_error(target, realized_raw)
 
     histories = dict(histories or {})
     histories["stage3"] = list(res.history)
@@ -765,7 +754,10 @@ def run_pipeline(
     seed: int = 0,
     threads: int = 1,
 ) -> OptimizationResult:
-    """stage 1 -> stage 2 -> stage 3; deterministic for fixed inputs and seed."""
+    """stage 1 -> stage 2 -> stage 3; deterministic for fixed inputs and seed.
+
+    Stage-1 cells run serially; `threads` is accepted and ignored.
+    """
     t0 = time.perf_counter()
     candidates, cell_diags = stage1_search(
         target_spec, space, trap_template, species, drive_axis, geometry_mode, seed, threads

@@ -9,14 +9,14 @@ mode shrinks grids, restarts, and sample counts for smoke runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .constants import YB171
 from .crystal import TrapConfig
-from .optimizer import SearchSpace
+from .optimizer import SearchSpace, run_pipeline
 from .targets import TargetSpec
 
 MHZ = 2.0 * np.pi * 1e6
@@ -150,8 +150,6 @@ SCENARIO_TOKENS = ("fig3", "fig4", "fig5", "fig6", "fig7", "table1", "table2")
 
 
 def run_scenario(scenario: Scenario, threads: int = 1, seed: Optional[int] = None):
-    from .optimizer import run_pipeline
-
     return run_pipeline(
         scenario.target,
         scenario.space,
@@ -164,7 +162,3 @@ def run_scenario(scenario: Scenario, threads: int = 1, seed: Optional[int] = Non
         seed=scenario.seed if seed is None else seed,
         threads=threads,
     )
-
-
-def with_fewer_restarts(scenario: Scenario, restarts: int) -> Scenario:
-    return replace(scenario, space=replace(scenario.space, restarts=restarts))

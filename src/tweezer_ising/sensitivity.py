@@ -1,17 +1,16 @@
 """Gradients of coupling entries with respect to diagonal Hessian elements.
 
-Two independent routes are provided:
+One analytic kernel computes them: `coupling_jacobian_diag`.  The
+coupling matrix is a projected resolvent, so the first-order
+eigen-perturbation of the detuned mode sum collapses to Theta_m * Theta_n
+over every mode pair, and the Jacobian is an outer product of resolvent
+rows that stays finite for degenerate spectra.  Masked drives use the
+per-mode-pair kernel, which needs a non-degenerate mask boundary.
 
-* an adjoint of the eigendecomposition (the fast analytic path), with the
-  gradient defined as the first-order eigen-perturbation of the detuned
-  mode sum;
-* a central finite-difference oracle over a caller-supplied builder.
-
-Because the coupling matrix is a projected resolvent, the summed
-mode-pair kernel collapses to Theta_m * Theta_n, so the same derivative is
-also available in a form that stays finite for degenerate spectra
-(`coupling_jacobian_diag`).  The strict adjoint entry point keeps the
-documented refusal on degenerate spectra.
+`coupling_gradient_adjoint` is the strict wrapper over that kernel: it
+refuses spectra with eigenvalue pairs inside the degeneracy tolerance and
+returns the requested pairs.  `coupling_gradient_fd`, central finite
+differences over a caller-supplied builder, is the independent check.
 """
 
 from __future__ import annotations
@@ -43,13 +42,9 @@ def all_pairs(n_ions: int) -> tuple:
     return tuple((k, l) for k in range(n_ions) for l in range(k + 1, n_ions))
 
 
-def _degeneracy_gaps(spectrum: ModeSpectrum) -> np.ndarray:
-    return np.diff(spectrum.eigenvalues)
-
-
 def assert_nondegenerate(spectrum: ModeSpectrum) -> None:
     tol = TOL_DEGENERACY_REL * spectrum.freq_scale**2
-    gaps = _degeneracy_gaps(spectrum)
+    gaps = np.diff(spectrum.eigenvalues)
     if gaps.size and np.min(gaps) < tol:
         m = int(np.argmin(gaps))
         raise DegenerateSpectrumError(
@@ -116,50 +111,18 @@ def coupling_gradient_adjoint(
     species: SpeciesConstants,
     coords: Optional[np.ndarray] = None,
 ) -> CouplingGradient:
-    """Eigendecomposition-adjoint gradient for the requested pairs.
+    """Gradient of the requested pairs' couplings over diagonal coordinates.
 
     Refuses spectra with eigenvalue pairs inside the degeneracy tolerance;
     callers may perturb the pinning slightly and retry, or use
-    coupling_jacobian_diag for unmasked drives.
+    coupling_jacobian_diag for unmasked drives.  `hessian` is not read;
+    the spectrum carries everything the gradient needs.
     """
     assert_nondegenerate(spectrum)
-    check_resonance(spectrum, drive)
-    rows = _coord_rows(spectrum, coords)
-    pref = coupling_prefactor(drive, species)
-    proj = mode_projections(spectrum, drive.drive_axis)
-    mask = drive.mask_for(spectrum)
-    lam = spectrum.eigenvalues
-    u = spectrum.eigenvectors
-    theta = np.zeros(spectrum.n_modes)
-    theta[mask] = 1.0 / (drive.mu**2 - lam[mask])
-
-    gap = lam[None, :] - lam[:, None]
-    with np.errstate(divide="ignore"):
-        f = 1.0 / gap  # antisymmetric; diagonal unused
-    np.fill_diagonal(f, 0.0)
-
-    # drive-axis projector rows: p[k, b] = axis component if b belongs to ion k
-    p = _projection_matrix(spectrum, drive)
-    u_rows = u[rows, :]
-    values = np.empty((len(pairs), rows.size))
-    for r, (k, l) in enumerate(pairs):
-        lam_bar = theta**2 * proj[k] * proj[l]
-        # dJ/dU for J = sum_m Theta_m (P U)_km (P U)_lm, consistent with the mode sum
-        u_bar = theta[None, :] * (np.outer(p[k], proj[l]) + np.outer(p[l], proj[k]))
-        c = f * (u.T @ u_bar)  # C[n, m] = (U^T Ubar)[n, m] / (lam_m - lam_n)
-        np.fill_diagonal(c, lam_bar)
-        # diag of U C U^T restricted to the requested coordinates
-        values[r] = pref * np.sum((u_rows @ c) * u_rows, axis=1)
-    return CouplingGradient(tuple(tuple(pq) for pq in pairs), rows, values)
-
-
-def _projection_matrix(spectrum: ModeSpectrum, drive: DriveConfig) -> np.ndarray:
-    axis = drive.drive_axis
-    p = np.zeros((spectrum.n_ions, spectrum.n_modes))
-    ions = spectrum.coords // 3
-    axes = spectrum.coords % 3
-    p[ions, np.arange(spectrum.coords.size)] = axis[axes]
-    return p
+    jac = coupling_jacobian_diag(spectrum, drive, species, coords)
+    pairs = tuple(tuple(pq) for pq in pairs)
+    k, l = np.array(pairs, dtype=int).reshape(-1, 2).T
+    return CouplingGradient(pairs, _coord_rows(spectrum, coords), jac[k, l])
 
 
 def _coord_rows(spectrum: ModeSpectrum, coords) -> np.ndarray:

@@ -76,6 +76,10 @@ class TestDifferentialStark:
         s2 = differential_stark_shift(TweezerBeam(1.0, 2e-6, 1070e-9), YB_PLUS_LINES)
         assert s2 == pytest.approx(s1 / 4.0, rel=1e-9)
 
+    def test_resonant_beam_rejected(self):
+        with pytest.raises(ValidityError):
+            differential_stark_shift(TweezerBeam(1.0, 1e-6, 369.5e-9), YB_PLUS_LINES)
+
 
 class TestStarkHomogenize:
     def test_fixed_point(self):
@@ -148,7 +152,7 @@ class TestMisalignmentScan:
         for avg, eps in scan.records:
             assert avg == 0.0
             assert eps == pytest.approx(scan.aligned_epsilon, rel=1e-12)
-        assert scan.aligned_epsilon == pytest.approx(small_result.epsilon, rel=1e-9)
+        assert scan.aligned_epsilon == small_result.epsilon
 
     def test_seed_determinism(self, small_result):
         s1 = misalignment_scan(small_result, 50e-9, samples=6, seed=3)

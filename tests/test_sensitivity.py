@@ -15,7 +15,7 @@ from tweezer_ising import (
     solve_equilibrium,
 )
 from tweezer_ising.errors import DegenerateSpectrumError
-from tweezer_ising.modes import TweezerPattern, block_coords
+from tweezer_ising.modes import TweezerPattern, block_coords, mode_projections
 from tweezer_ising.sensitivity import all_pairs
 
 from conftest import MHZ
@@ -151,6 +151,23 @@ class TestAdjointGradient:
             hess, spec, DriveConfig(mu=mu, drive_axis="y"), pairs, species, coords=yc
         ).values
         assert np.allclose(parts[0] + parts[1], full, rtol=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_masked_drive_matches_finite_differences(self, species, n):
+        # a random half of the drive-coupled modes: exercises the masked
+        # kernel's cross-boundary terms against the independent oracle
+        crystal, pattern, spec = _pinned_chain(species, n, pin_mhz=0.3, seed=40 + n)
+        rng = np.random.default_rng(n)
+        coupled = np.flatnonzero(np.any(np.abs(mode_projections(spec, "y")) > 1e-10, axis=0))
+        mask = np.zeros(spec.n_modes, dtype=bool)
+        mask[rng.choice(coupled, coupled.size // 2, replace=False)] = True
+        drive = DriveConfig(mu=1.07 * spec.frequencies.max(), drive_axis="y", mode_mask=mask)
+        yc = block_coords(n, ["y"])
+        pairs = all_pairs(n)
+        adj = coupling_gradient_adjoint(build_hessian(crystal, pattern), spec, drive, pairs, species, coords=yc)
+        builder = _builder(crystal, pattern, drive, species, yc)
+        fd = coupling_gradient_fd(builder, np.zeros(n), step=1e-4 * crystal.trap.omega_bar**2, pairs=pairs)
+        assert np.abs(adj.values - fd.values).max() < 1e-5 * np.abs(adj.values).max()
 
     def test_twelve_ion_chain_cross_check(self, species):
         crystal, pattern, spec = _pinned_chain(species, 12, pin_mhz=0.4, seed=13, wz=0.07)
