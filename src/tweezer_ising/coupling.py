@@ -186,12 +186,16 @@ def ising_phase(
 
 
 def max_abs_offdiag(matrix: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Largest |entry| off the diagonal and its first (row, col) in row-major order."""
-    a = np.abs(np.asarray(matrix, dtype=float)).copy()
-    np.fill_diagonal(a, -1.0)
-    flat = int(np.argmax(a))
-    p, q = divmod(flat, a.shape[1])
-    return float(a[p, q]), (p, q)
+    """Largest |entry| off the diagonal of a square matrix and its first
+    (row, col) in row-major order.
+
+    A 1x1 matrix has no off-diagonal entry; its magnitude is 0.0 at (0, 0).
+    """
+    a = np.abs(np.asarray(matrix, dtype=float), order="C")
+    n = a.shape[1]
+    a.reshape(-1)[:: n + 1] = -1.0
+    p, q = divmod(int(a.argmax()), n)
+    return max(float(a[p, q]), 0.0), (p, q)
 
 
 def coupling_error(

@@ -44,6 +44,7 @@ from .errors import (
     ConvergenceError,
     InvalidArgumentError,
     ResonanceError,
+    UndefinedNormalizationError,
     UnstableCrystalError,
 )
 from .feasibility import FeasibilityVerdict, SignConstraintSystem, build_sign_constraints, feasibility_test
@@ -274,8 +275,14 @@ def _orbits_from_permutations(n, perms):
 class PinProblem:
     """Normalized coupling error over pinning curvatures at fixed geometry.
 
-    Precomputes the drive-relevant Hessian block and target quantities;
-    evaluations cost one eigendecomposition of the block.
+    Precomputes the drive-relevant Hessian block, the target quantities and
+    two index arrays between the P orbit parameters and the block rows:
+    `row_param[r]` is the parameter that pins row r, or P for an unpinned
+    row (the pinning vector gets a trailing 0.0), and `row_groups` holds,
+    per orbit row count w, the parameters with w rows and their (count, w)
+    row indices.  An evaluation costs one eigendecomposition of the block,
+    a few matrix products and one gather per index array; no Python loop
+    runs over orbits.  Orbits must be disjoint.
     """
 
     def __init__(
@@ -322,11 +329,27 @@ class PinProblem:
                 if (c // 3) in orbit and (c % 3) in pin_axis_idx
             ]
             self.param_rows.append(np.array(rows, dtype=int))
+        n_params = len(self.orbits)
+        self.row_param = np.full(self.b, n_params)
+        by_width: dict[int, list[int]] = {}
+        for i, rows in enumerate(self.param_rows):
+            if np.any(self.row_param[rows] != n_params):
+                raise InvalidArgumentError(f"orbit {self.orbits[i]} overlaps an earlier orbit")
+            self.row_param[rows] = i
+            by_width.setdefault(rows.size, []).append(i)
+        # equal-width buckets keep each orbit's row sum in numpy's 1-D order;
+        # zero padding to a common width would regroup sums of 9+ rows
+        self.row_groups = tuple(
+            (np.array(params), np.stack([self.param_rows[i] for i in params]))
+            for _, params in sorted(by_width.items())
+        )
 
         t = target.matrix if isinstance(target, CouplingMatrix) else np.asarray(target, dtype=float)
         self.target = t
         self.t_norm = float(np.linalg.norm(t))
         self.max_t, _ = max_abs_offdiag(t)
+        if self.max_t <= 0.0:
+            raise UndefinedNormalizationError("target has no nonzero off-diagonal coupling")
         self.floor = TOL_PSD_REL * self.wbar**2
         self.k_scale = self.wbar**2  # overridden by set_scales
         self.mu_scale = self.wbar
@@ -348,11 +371,8 @@ class PinProblem:
         return out
 
     def _decompose(self, k_params):
-        diag_add = np.zeros(self.b)
-        for rows, k in zip(self.param_rows, k_params):
-            diag_add[rows] += k
         a = self.a0.copy()
-        a[np.diag_indices_from(a)] += diag_add
+        a.reshape(-1)[:: self.b + 1] += np.concatenate((k_params, (0.0,)))[self.row_param]
         lam, u = np.linalg.eigh(a)
         return lam, u
 
@@ -360,15 +380,16 @@ class PinProblem:
         lam, u = self._decompose(k_params)
         if lam[0] < -self.floor:
             return None
-        freqs = np.sqrt(np.clip(lam, 0.0, None))
-        if np.min(np.abs(mu - freqs)) <= self.guard:
+        freqs = np.sqrt(np.maximum(lam, 0.0))
+        if np.abs(mu - freqs).min() <= self.guard:
             return None
+        n, b = self.n_ions, self.b
         theta = 1.0 / (mu**2 - lam)
         w = self.proj @ u
         wt = w * theta
         j = wt @ w.T
         j = 0.5 * (j + j.T)
-        np.fill_diagonal(j, 0.0)
+        j.reshape(-1)[:: n + 1] = 0.0
         max_j, (p, q) = max_abs_offdiag(j)
         if max_j <= 0.0:
             return None
@@ -380,16 +401,21 @@ class PinProblem:
         if eps == 0.0:
             return eps, np.zeros(len(self.orbits)), 0.0
         g_mat = r.copy()
-        g_mat[p, q] -= float(np.sum(r * j)) / j[p, q]
+        g_mat[p, q] -= float((r * j).sum()) / j[p, q]
         g_mat *= -s / (eps * self.t_norm**2)
         # dJ/dA_bb is the outer product of resolvent rows
         y = wt @ u.T  # (N, B)
-        per_row = np.einsum("kb,kl,lb->b", y, g_mat, y, optimize=True)
-        grad_k = np.array([per_row[rows].sum() for rows in self.param_rows])
+        # the two matmuls numpy's einsum("kb,kl,lb->b", y, g_mat, y,
+        # optimize=True) lowers to, operand for operand: same bits, no path search
+        z = g_mat.T @ y
+        per_row = np.matmul(z.T.reshape(b, 1, n), y.T.reshape(b, n, 1)).reshape(b)
+        grad_k = np.empty(len(self.orbits))
+        for params, rows in self.row_groups:
+            grad_k[params] = per_row[rows].sum(axis=1)
         dtheta = -2.0 * mu * theta**2
         dj_dmu = (w * dtheta) @ w.T
-        np.fill_diagonal(dj_dmu, 0.0)
-        grad_mu = float(np.sum(g_mat * dj_dmu))
+        dj_dmu.reshape(-1)[:: n + 1] = 0.0
+        grad_mu = float((g_mat * dj_dmu).sum())
         return eps, grad_k, grad_mu
 
     # -- objectives over scaled variables -----------------------------------

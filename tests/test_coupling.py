@@ -18,6 +18,7 @@ from tweezer_ising import (
     residual_displacement,
     solve_equilibrium,
 )
+from tweezer_ising.coupling import max_abs_offdiag
 from tweezer_ising.errors import ResonanceError, UndefinedNormalizationError
 
 from conftest import MHZ
@@ -197,6 +198,23 @@ class TestIsingPhase:
             total += -2.0 * g**2 * eta[0, m] * eta[1, m] * d
         beta = ising_phase(spec, drive, 0, 1, t, species)
         assert beta == pytest.approx(total, rel=1e-5)
+
+
+class TestMaxAbsOffdiag:
+    def test_first_largest_entry_in_row_major_order(self):
+        m = np.array([[9.0, -2.0, 1.0], [0.5, 9.0, 2.0], [2.0, 0.0, 9.0]])
+        assert max_abs_offdiag(m) == (2.0, (0, 1))
+        assert max_abs_offdiag(m.T) == (2.0, (0, 2))
+
+    def test_no_offdiagonal_entry_is_zero(self):
+        # a 1x1 matrix has no off-diagonal entry: magnitude 0, never negative
+        assert max_abs_offdiag(np.array([[3.0]])) == (0.0, (0, 0))
+        assert max_abs_offdiag(np.diag([1.0, -4.0]))[0] == 0.0
+
+    def test_input_unchanged(self):
+        m = np.array([[1.0, -3.0], [-3.0, 2.0]])
+        max_abs_offdiag(m)
+        assert np.array_equal(m, [[1.0, -3.0], [-3.0, 2.0]])
 
 
 class TestCouplingError:

@@ -12,13 +12,14 @@ from tweezer_ising import (
 )
 from tweezer_ising.coupling import max_abs_offdiag
 from tweezer_ising.crystal import IonCrystal, make_lattice
-from tweezer_ising.errors import InvalidArgumentError
+from tweezer_ising.errors import InvalidArgumentError, UndefinedNormalizationError
 from tweezer_ising.optimizer import (
     PinProblem,
     stage1_geometry,
     stage1_search,
     stage2_refine,
 )
+from tweezer_ising.targets import build_target
 
 from conftest import MHZ
 
@@ -77,28 +78,220 @@ class TestSymmetryOrbits:
             symmetry_orbits(chain5, "dihedral")
 
 
+def _chain12(species):
+    trap = TrapConfig(2.0 * MHZ, 0.6 * MHZ, 0.07 * MHZ, n_ions=12)
+    return solve_equilibrium(trap, species, 12)
+
+
+def _triangle19(species):
+    trap = TrapConfig(2.4 * MHZ, 0.16 * MHZ, 0.16 * MHZ, n_ions=19)
+    return IonCrystal(trap, species, make_lattice("triangular", 19, 12e-6), "planar", (1, 2))
+
+
+def _ladder12(species):
+    trap = TrapConfig(0.6 * MHZ, 0.4 * MHZ, 0.14 * MHZ, n_ions=12)
+    return solve_equilibrium(trap, species, 12)
+
+
+def _fd_check(problem, k, mu, h_rel):
+    """Analytic grad_k and grad_mu against central differences."""
+    eps, grad_k, grad_mu = problem.epsilon_parts(k, mu, need_grad=True)
+    h = h_rel * problem.k_scale
+    for i in range(k.size):
+        d = np.zeros(k.size)
+        d[i] = h
+        fd = (problem.epsilon(k + d, mu) - problem.epsilon(k - d, mu)) / (2 * h)
+        assert grad_k[i] == pytest.approx(fd, rel=1e-5, abs=1e-12 / problem.k_scale)
+    hmu = 1e-7 * mu
+    fd_mu = (problem.epsilon(k, mu + hmu) - problem.epsilon(k, mu - hmu)) / (2 * hmu)
+    assert grad_mu == pytest.approx(fd_mu, rel=1e-5)
+
+
 class TestObjectiveGradient:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_pin_gradient_matches_fd(self, species, chain5, seed):
-        target = TargetSpec("nearest_neighbor", "chain")
-        from tweezer_ising.targets import build_target
-
-        t = build_target(target, chain5)
+    def test_pin_gradient_matches_fd(self, chain5, seed):
+        t = build_target(TargetSpec("nearest_neighbor", "chain"), chain5)
         problem = PinProblem(chain5, t, "y", ("y",))
         problem.set_scales((0.0, (0.4 * MHZ) ** 2), (0.6 * MHZ, 0.75 * MHZ))
         rng = np.random.default_rng(seed)
         k = rng.uniform(0.0, (0.2 * MHZ) ** 2, 5)
-        mu = 0.68 * MHZ
-        eps, grad_k, grad_mu = problem.epsilon_parts(k, mu, need_grad=True)
-        h = 1e-6 * problem.k_scale
-        for i in range(5):
-            d = np.zeros(5)
-            d[i] = h
-            fd = (problem.epsilon(k + d, mu) - problem.epsilon(k - d, mu)) / (2 * h)
-            assert grad_k[i] == pytest.approx(fd, rel=1e-5, abs=1e-12 / problem.k_scale)
-        hmu = 1e-7 * mu
-        fd_mu = (problem.epsilon(k, mu + hmu) - problem.epsilon(k, mu - hmu)) / (2 * hmu)
-        assert grad_mu == pytest.approx(fd_mu, rel=1e-5)
+        _fd_check(problem, k, 0.68 * MHZ, 1e-6)
+
+    # orbits that pin several block rows each, so grad_k sums per-row terms
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reflection_orbits_match_fd(self, species, seed):
+        crystal = _chain12(species)
+        t = build_target(TargetSpec("nearest_neighbor", "chain"), crystal)
+        problem = PinProblem(crystal, t, "y", ("y",), symmetry_orbits(crystal, "reflection_z").orbits)
+        assert {rows.size for rows in problem.param_rows} == {2}
+        problem.set_scales((0.0, (0.5 * MHZ) ** 2), (0.40 * MHZ, 0.55 * MHZ))
+        k = np.random.default_rng(seed).uniform(0.0, (0.25 * MHZ) ** 2, len(problem.orbits))
+        _fd_check(problem, k, 0.47 * MHZ, 1e-6)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_c6_orbits_match_fd(self, species, seed):
+        crystal = _triangle19(species)
+        t = build_target(TargetSpec("triangular_af", "triangular"), crystal)
+        problem = PinProblem(crystal, t, "x", ("x",), symmetry_orbits(crystal, "C6").orbits)
+        assert sorted(rows.size for rows in problem.param_rows) == [1, 6, 6, 6]
+        problem.set_scales((0.0, (0.29 * MHZ) ** 2), (2.3 * MHZ, 2.45 * MHZ))
+        k = np.random.default_rng(seed).uniform(0.0, (0.15 * MHZ) ** 2, len(problem.orbits))
+        # the eigendecomposition's rounding needs a wider step on this block
+        _fd_check(problem, k, 2.42 * MHZ, 1e-5)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_two_pin_axes_match_fd(self, chain5, seed):
+        t = build_target(TargetSpec("nearest_neighbor", "chain"), chain5)
+        problem = PinProblem(chain5, t, "y", ("y", "z"), symmetry_orbits(chain5, "reflection_z").orbits)
+        assert sorted(rows.size for rows in problem.param_rows) == [2, 4, 4]
+        problem.set_scales((0.0, (0.4 * MHZ) ** 2), (0.6 * MHZ, 0.75 * MHZ))
+        k = np.random.default_rng(seed).uniform(0.0, (0.2 * MHZ) ** 2, len(problem.orbits))
+        _fd_check(problem, k, 0.68 * MHZ, 1e-6)
+
+
+def _reference_coupling(problem, k_params, mu):
+    """The objective kernel's spectrum and J as first written, loop for loop."""
+    diag_add = np.zeros(problem.b)
+    for rows, k in zip(problem.param_rows, k_params):
+        diag_add[rows] += k
+    a = problem.a0.copy()
+    a[np.diag_indices_from(a)] += diag_add
+    lam, u = np.linalg.eigh(a)
+    if lam[0] < -problem.floor:
+        return None
+    freqs = np.sqrt(np.clip(lam, 0.0, None))
+    if np.min(np.abs(mu - freqs)) <= problem.guard:
+        return None
+    theta = 1.0 / (mu**2 - lam)
+    w = problem.proj @ u
+    wt = w * theta
+    j = wt @ w.T
+    j = 0.5 * (j + j.T)
+    np.fill_diagonal(j, 0.0)
+    return u, theta, w, wt, j
+
+
+def _reference_parts(problem, k_params, mu, need_grad):
+    """`PinProblem.epsilon_parts` as first written, loop for loop."""
+    spectrum = _reference_coupling(problem, k_params, mu)
+    if spectrum is None:
+        return None
+    u, theta, w, wt, j = spectrum
+    max_j, (p, q) = max_abs_offdiag(j)
+    if max_j <= 0.0:
+        return None
+    s = problem.max_t / max_j
+    r = problem.target - s * j
+    eps = float(np.linalg.norm(r) / problem.t_norm)
+    if not need_grad:
+        return eps, None, None
+    if eps == 0.0:
+        return eps, np.zeros(len(problem.orbits)), 0.0
+    g_mat = r.copy()
+    g_mat[p, q] -= float(np.sum(r * j)) / j[p, q]
+    g_mat *= -s / (eps * problem.t_norm**2)
+    y = wt @ u.T
+    per_row = np.einsum("kb,kl,lb->b", y, g_mat, y, optimize=True)
+    grad_k = np.array([per_row[rows].sum() for rows in problem.param_rows])
+    dtheta = -2.0 * mu * theta**2
+    dj_dmu = (w * dtheta) @ w.T
+    np.fill_diagonal(dj_dmu, 0.0)
+    grad_mu = float(np.sum(g_mat * dj_dmu))
+    return eps, grad_k, grad_mu
+
+
+def _assert_same_bits(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    if want[1] is None:
+        assert got[1] is None and got[2] is None
+        return
+    assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes()
+    assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+
+
+class TestKernelBitIdentity:
+    """`epsilon_parts` gives the same bits as the kernel's first formula.
+
+    A stage-1 cell keeps the restart with the lowest ε, so the last bits
+    of ε, grad_k and grad_mu decide which pattern a design returns, and
+    the pinned ε values of `perfbench` and `tests/test_scenario_bits.py`
+    depend on them.  The reference below contracts the gradient with
+    `np.einsum(..., optimize=True)`; the kernel writes out the matmuls
+    numpy lowers that einsum to, so these bits depend on numpy's einsum
+    lowering as well as on the BLAS.
+    """
+
+    @pytest.mark.parametrize(
+        "case", ["chain5_per_ion", "chain12_reflection", "triangle19_c6_xy", "ladder12_yz"]
+    )
+    def test_random_points(self, species, chain5, case):
+        if case == "chain5_per_ion":
+            crystal, drive, axes, orbits = chain5, "y", ("y",), None
+            t = build_target(TargetSpec("nearest_neighbor", "chain"), crystal)
+        elif case == "chain12_reflection":
+            crystal, drive, axes = _chain12(species), "y", ("y",)
+            orbits = symmetry_orbits(crystal, "reflection_z").orbits
+            t = build_target(TargetSpec("nearest_neighbor", "chain"), crystal)
+        elif case == "triangle19_c6_xy":
+            crystal, drive, axes = _triangle19(species), "x", ("x", "y")
+            orbits = symmetry_orbits(crystal, "C6").orbits
+            t = build_target(TargetSpec("triangular_af", "triangular"), crystal)
+        else:
+            crystal, drive, axes = _ladder12(species), "y", ("y", "z")
+            orbits = symmetry_orbits(crystal, "ladder_translation").orbits
+            t = build_target(TargetSpec("spin_ladder", "ladder"), crystal)
+        problem = PinProblem(crystal, t, drive, axes, orbits)
+        if case == "triangle19_c6_xy":
+            assert sorted(rows.size for rows in problem.param_rows) == [2, 12, 12, 12]
+        lam = np.linalg.eigvalsh(problem.a0)
+        w_hi = np.sqrt(lam[-1])
+        rng = np.random.default_rng(7)
+        verdicts = {"none": 0, "value": 0}
+        for i in range(100):
+            k = rng.uniform(-0.2, 1.0, len(problem.orbits)) * (0.4 * w_hi) ** 2 * 10.0 ** -rng.integers(0, 3)
+            mu = rng.uniform(0.3, 1.3) * w_hi
+            need_grad = i % 4 != 3
+            want = _reference_parts(problem, k, mu, need_grad)
+            _assert_same_bits(problem.epsilon_parts(k, mu, need_grad), want)
+            verdicts["none" if want is None else "value"] += 1
+        assert verdicts["value"] >= 50
+
+    def test_none_and_zero_paths(self, chain5):
+        t = build_target(TargetSpec("nearest_neighbor", "chain"), chain5)
+        problem = PinProblem(chain5, t, "y", ("y",))
+        k = np.full(5, (0.1 * MHZ) ** 2)
+        # unstable: anti-pinning pulls the lowest block eigenvalue below zero
+        unstable = np.full(5, -((1.0 * MHZ) ** 2))
+        assert np.linalg.eigvalsh(problem.a0 + np.diag(unstable))[0] < -problem.floor
+        # resonant: the beatnote sits on a pinned mode
+        mu_res = float(np.sqrt(np.linalg.eigvalsh(problem.a0 + np.diag(k))[2]))
+        for kk, mu in ((unstable, 0.68 * MHZ), (k, mu_res)):
+            for need_grad in (True, False):
+                assert _reference_parts(problem, kk, mu, need_grad) is None
+                assert problem.epsilon_parts(kk, mu, need_grad) is None
+        # eps == 0: the target is the kernel's own J at (k, mu)
+        j = _reference_coupling(problem, k, 0.68 * MHZ)[-1]
+        exact = PinProblem(chain5, j, "y", ("y",))
+        for need_grad in (True, False):
+            want = _reference_parts(exact, k, 0.68 * MHZ, need_grad)
+            assert want[0] == 0.0
+            _assert_same_bits(exact.epsilon_parts(k, 0.68 * MHZ, need_grad), want)
+
+    def test_zero_target_rejected(self, chain5):
+        with pytest.raises(UndefinedNormalizationError):
+            PinProblem(chain5, np.zeros((5, 5)), "y", ("y",))
+        with pytest.raises(UndefinedNormalizationError):
+            PinProblem(chain5, np.diag(np.arange(1.0, 6.0)), "y", ("y",))
+
+    def test_overlapping_orbits_rejected(self, chain5):
+        t = build_target(TargetSpec("nearest_neighbor", "chain"), chain5)
+        with pytest.raises(InvalidArgumentError):
+            PinProblem(chain5, t, "y", ("y",), [(0, 4), (1, 3), (2, 4)])
 
 
 class TestStage1:
