@@ -105,6 +105,16 @@ class SearchSpace:
             )
         if self.restarts < 1 or self.omega_grid < 1 or self.mu_grid < 1:
             raise InvalidArgumentError("grid sizes and restarts must be at least 1")
+        if self.line_search not in ("backtracking", "wolfe"):
+            raise InvalidArgumentError(
+                f"line_search must be 'backtracking' or 'wolfe', got {self.line_search!r}"
+            )
+        if self.max_iter < 1:
+            raise InvalidArgumentError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not (self.tol_df >= 0.0 and self.tol_grad >= 0.0):
+            raise InvalidArgumentError(
+                f"tolerances must be nonnegative (tol_df={self.tol_df}, tol_grad={self.tol_grad})"
+            )
         for ax in self.pin_axes:
             if ax not in AXIS_INDEX:
                 raise InvalidArgumentError(f"unknown pin axis {ax!r}")
@@ -281,8 +291,9 @@ class PinProblem:
     row (the pinning vector gets a trailing 0.0), and `row_groups` holds,
     per orbit row count w, the parameters with w rows and their (count, w)
     row indices.  An evaluation costs one eigendecomposition of the block,
-    a few matrix products and one gather per index array; no Python loop
-    runs over orbits.  Orbits must be disjoint.
+    a few matrix products and one gather per index array, its gradient
+    only when asked for; no Python loop runs over orbits.  Orbits must be
+    disjoint.
     """
 
     def __init__(
@@ -376,7 +387,14 @@ class PinProblem:
         lam, u = np.linalg.eigh(a)
         return lam, u
 
-    def epsilon_parts(self, k_params, mu, need_grad):
+    def epsilon_parts(self, k_params, mu):
+        """ε at (k_params, mu) now and its gradient on demand.
+
+        Returns None where ε is undefined (an unstable or resonant
+        spectrum, or J = 0), else ``(eps, gradient)``: ``gradient()``
+        returns ``(grad_k, grad_mu)`` from this evaluation's spectrum and
+        residual.  A line search that rejects the point never pays for it.
+        """
         lam, u = self._decompose(k_params)
         if lam[0] < -self.floor:
             return None
@@ -396,56 +414,63 @@ class PinProblem:
         s = self.max_t / max_j
         r = self.target - s * j
         eps = float(np.linalg.norm(r) / self.t_norm)
-        if not need_grad:
-            return eps, None, None
-        if eps == 0.0:
-            return eps, np.zeros(len(self.orbits)), 0.0
-        g_mat = r.copy()
-        g_mat[p, q] -= float((r * j).sum()) / j[p, q]
-        g_mat *= -s / (eps * self.t_norm**2)
-        # dJ/dA_bb is the outer product of resolvent rows
-        y = wt @ u.T  # (N, B)
-        # the two matmuls numpy's einsum("kb,kl,lb->b", y, g_mat, y,
-        # optimize=True) lowers to, operand for operand: same bits, no path search
-        z = g_mat.T @ y
-        per_row = np.matmul(z.T.reshape(b, 1, n), y.T.reshape(b, n, 1)).reshape(b)
-        grad_k = np.empty(len(self.orbits))
-        for params, rows in self.row_groups:
-            grad_k[params] = per_row[rows].sum(axis=1)
-        dtheta = -2.0 * mu * theta**2
-        dj_dmu = (w * dtheta) @ w.T
-        dj_dmu.reshape(-1)[:: n + 1] = 0.0
-        grad_mu = float((g_mat * dj_dmu).sum())
-        return eps, grad_k, grad_mu
 
-    # -- objectives over scaled variables -----------------------------------
+        def gradient():
+            if eps == 0.0:
+                return np.zeros(len(self.orbits)), 0.0
+            g_mat = r.copy()
+            g_mat[p, q] -= float((r * j).sum()) / j[p, q]
+            g_mat *= -s / (eps * self.t_norm**2)
+            # dJ/dA_bb is the outer product of resolvent rows
+            y = wt @ u.T  # (N, B)
+            # the two matmuls numpy's einsum("kb,kl,lb->b", y, g_mat, y,
+            # optimize=True) lowers to, operand for operand: same bits, no path search
+            z = g_mat.T @ y
+            per_row = np.matmul(z.T.reshape(b, 1, n), y.T.reshape(b, n, 1)).reshape(b)
+            grad_k = np.empty(len(self.orbits))
+            for params, rows in self.row_groups:
+                grad_k[params] = per_row[rows].sum(axis=1)
+            dtheta = -2.0 * mu * theta**2
+            dj_dmu = (w * dtheta) @ w.T
+            dj_dmu.reshape(-1)[:: n + 1] = 0.0
+            grad_mu = float((g_mat * dj_dmu).sum())
+            return grad_k, grad_mu
+
+        return eps, gradient
+
+    # -- objectives over scaled variables (see quasinewton.Objective) --------
 
     def objective_pin(self, mu):
         def fg(x):
-            parts = self.epsilon_parts(x * self.k_scale, mu, need_grad=True)
+            parts = self.epsilon_parts(x * self.k_scale, mu)
             if parts is None:
-                return np.inf, np.zeros_like(x)
-            eps, grad_k, _ = parts
-            return eps, grad_k * self.k_scale
+                return np.inf, lambda: np.zeros_like(x)
+            eps, gradient = parts
+            return eps, lambda: gradient()[0] * self.k_scale
 
         return fg
 
     def objective_pin_mu(self):
         def fg(x):
             mu = x[0] * self.mu_scale
-            parts = self.epsilon_parts(x[1:] * self.k_scale, mu, need_grad=True)
+            parts = self.epsilon_parts(x[1:] * self.k_scale, mu)
             if parts is None:
-                return np.inf, np.zeros_like(x)
-            eps, grad_k, grad_mu = parts
-            g = np.empty_like(x)
-            g[0] = grad_mu * self.mu_scale
-            g[1:] = grad_k * self.k_scale
-            return eps, g
+                return np.inf, lambda: np.zeros_like(x)
+            eps, gradient = parts
+
+            def grad():
+                grad_k, grad_mu = gradient()
+                g = np.empty_like(x)
+                g[0] = grad_mu * self.mu_scale
+                g[1:] = grad_k * self.k_scale
+                return g
+
+            return eps, grad
 
         return fg
 
     def epsilon(self, k_params, mu) -> float:
-        parts = self.epsilon_parts(np.asarray(k_params, dtype=float), mu, need_grad=False)
+        parts = self.epsilon_parts(np.asarray(k_params, dtype=float), mu)
         return np.inf if parts is None else parts[0]
 
     def native_spectrum(self) -> ModeSpectrum:

@@ -5,10 +5,19 @@ Projected-gradient L-BFGS with a monotone backtracking line search
 forbidden regions (resonance guard bands, unstable spectra); the line
 search treats such points as rejected trials and shortens the step, so
 iterates never settle in a forbidden region.
+
+An objective gives its value now and its gradient on demand: it returns
+``(f, grad)``, where ``grad()`` computes the gradient at the same point.
+The minimizer asks for the gradient of the start point once.  The
+backtracking search asks for it only for the trial it accepts, so a
+rejected or +inf trial costs one value and nothing more.  The strong-Wolfe
+search needs the slope of every finite trial and asks for each of those.
+Neither search asks for the gradient of a +inf trial.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -17,7 +26,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
+#: ``objective(x) -> (f, grad)``: the value at x now, and a zero-argument
+#: callable that returns the gradient at x when the minimizer needs it
+Objective = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
 
 
 @dataclass
@@ -42,39 +53,47 @@ def minimize_box(
     tol_df: float = 1e-10,
     tol_grad: float = 1e-8,
 ) -> MinimizeResult:
-    """Minimize objective(x) -> (f, grad) subject to lower <= x <= upper."""
+    """Minimize objective(x) -> (f, grad) subject to lower <= x <= upper.
+
+    ``grad`` is the gradient on demand (see `Objective`).  Raises
+    InvalidArgumentError for reversed bounds, an unknown line search,
+    ``memory`` or ``max_iter`` below 1, a negative tolerance, or a start
+    point where the objective is not finite.
+    """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if np.any(lower > upper):
         raise InvalidArgumentError("lower bound exceeds upper bound")
     if line_search not in ("backtracking", "wolfe"):
         raise InvalidArgumentError(f"unknown line search {line_search!r}")
-    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    f, g = objective(x)
+    if memory < 1 or max_iter < 1:
+        raise InvalidArgumentError(f"memory ({memory}) and max_iter ({max_iter}) must be at least 1")
+    if not (tol_df >= 0.0 and tol_grad >= 0.0):
+        raise InvalidArgumentError(f"tolerances must be nonnegative (tol_df={tol_df}, tol_grad={tol_grad})")
+    search = _backtrack if line_search == "backtracking" else _strong_wolfe
+    x = _project(np.asarray(x0, dtype=float), lower, upper)
+    f, grad = objective(x)
     n_eval = 1
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise InvalidArgumentError("objective is not finite at the starting point")
+    g = grad()
     history = [f]
-    s_mem: deque = deque(maxlen=memory)
-    y_mem: deque = deque(maxlen=memory)
-    rho_mem: deque = deque(maxlen=memory)
+    pairs: deque = deque(maxlen=memory)  # curvature pairs (s, y, 1/(s·y)), oldest first
+    gamma = 1.0  # (s·y)/(y·y) of the newest pair: the initial inverse-Hessian scale
 
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         pg = _projected_gradient(x, g, lower, upper)
-        if np.max(np.abs(pg)) < tol_grad:
+        if np.abs(pg).max() < tol_grad:
             converged = True
             break
-        d = -_two_loop(pg, s_mem, y_mem, rho_mem)
-        if float(d @ pg) > -1e-12 * (np.linalg.norm(d) * np.linalg.norm(pg) + 1e-300):
+        d = -_two_loop(pg, pairs, gamma)
+        if d.dot(pg) > -1e-12 * (_norm(d) * _norm(pg) + 1e-300):
             d = -pg  # stale curvature; fall back to steepest descent
 
-        if line_search == "backtracking":
-            step = _backtrack(objective, x, f, g, d, lower, upper)
-        else:
-            step = _strong_wolfe(objective, x, f, g, d, lower, upper)
-        if step is None and not np.array_equal(d, -pg):
+        step = search(objective, x, f, g, d, lower, upper)
+        if step is None and not (d == -pg).all():
             d = -pg
             step = _backtrack(objective, x, f, g, d, lower, upper)
         if step is None:
@@ -83,11 +102,10 @@ def minimize_box(
         n_eval += evals
         s = x_new - x
         y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            s_mem.append(s)
-            y_mem.append(y)
-            rho_mem.append(1.0 / sy)
+        sy = float(s.dot(y))
+        if sy > 1e-10 * _norm(s) * _norm(y):
+            pairs.append((s, y, 1.0 / sy))
+            gamma = sy / float(y.dot(y))
         df = f - f_new
         x, f, g = x_new, f_new, g_new
         history.append(f)
@@ -97,6 +115,16 @@ def minimize_box(
     return MinimizeResult(x, f, g, it, n_eval, converged, history)
 
 
+def _norm(v):
+    """np.linalg.norm of a 1-D float vector, without its dispatch: sqrt(v·v)."""
+    return math.sqrt(v.dot(v))
+
+
+def _project(x, lower, upper):
+    """np.clip(x, lower, upper) without its dispatch: the same max, then min."""
+    return np.minimum(np.maximum(x, lower), upper)
+
+
 def _projected_gradient(x, g, lower, upper):
     pg = g.copy()
     pg[(x <= lower) & (g > 0)] = 0.0
@@ -104,36 +132,38 @@ def _projected_gradient(x, g, lower, upper):
     return pg
 
 
-def _two_loop(q, s_mem, y_mem, rho_mem):
-    if not s_mem:
+def _two_loop(q, pairs, gamma):
+    """The L-BFGS inverse-Hessian estimate applied to q (two-loop recursion)."""
+    if not pairs:
         return q
     q = q.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_mem), reversed(y_mem), reversed(rho_mem)):
-        a = rho * float(s @ q)
+    for s, y, rho in reversed(pairs):
+        a = rho * s.dot(q)
         alphas.append(a)
         q -= a * y
-    s, y = s_mem[-1], y_mem[-1]
-    q *= float(s @ y) / float(y @ y)
-    for (s, y, rho), a in zip(zip(s_mem, y_mem, rho_mem), reversed(alphas)):
-        b = rho * float(y @ q)
-        q += (a - b) * s
+    q *= gamma
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * y.dot(q)) * s
     return q
 
 
 def _backtrack(objective, x, f, g, d, lower, upper, c1=1e-4, max_halvings=60):
+    """Halve the step until the Armijo condition holds; the gradient of the
+    accepted trial is the only one computed."""
     alpha = 1.0
     evals = 0
     for _ in range(max_halvings):
-        x_t = np.clip(x + alpha * d, lower, upper)
-        if np.array_equal(x_t, x):
+        x_t = _project(x + alpha * d, lower, upper)
+        if (x_t == x).all():
             return None
-        f_t, g_t = objective(x_t)
+        f_t, grad_t = objective(x_t)
         evals += 1
-        slope = float(g @ (x_t - x))
-        sufficient = f + c1 * slope if slope < 0 else np.nextafter(f, -np.inf)
-        if np.isfinite(f_t) and f_t <= sufficient:
-            return x_t, f_t, g_t, evals
+        if math.isfinite(f_t):
+            slope = g.dot(x_t - x)
+            sufficient = f + c1 * slope if slope < 0 else math.nextafter(f, -math.inf)
+            if f_t <= sufficient:
+                return x_t, f_t, grad_t(), evals
         alpha *= 0.5
     return None
 
@@ -142,11 +172,14 @@ def _strong_wolfe(objective, x, f, g, d, lower, upper, c1=1e-4, c2=0.9, max_step
     """Bracket/zoom on phi(a) = f(clip(x + a d)); falls back on barriers."""
 
     def phi(a):
-        x_t = np.clip(x + a * d, lower, upper)
-        f_t, g_t = objective(x_t)
-        return x_t, f_t, g_t, float(g_t @ d)
+        x_t = _project(x + a * d, lower, upper)
+        f_t, grad_t = objective(x_t)
+        if not math.isfinite(f_t):
+            return x_t, f_t, None, None  # a barrier: neither search reads its slope
+        g_t = grad_t()
+        return x_t, f_t, g_t, float(g_t.dot(d))
 
-    phi0, dphi0 = f, float(g @ d)
+    phi0, dphi0 = f, float(g.dot(d))
     if dphi0 >= 0:
         return None
     a_prev, f_prev, dphi_prev = 0.0, phi0, dphi0
@@ -156,7 +189,7 @@ def _strong_wolfe(objective, x, f, g, d, lower, upper, c1=1e-4, c2=0.9, max_step
     for i in range(max_steps):
         x_t, f_t, g_t, dphi_t = phi(a)
         evals += 1
-        if not np.isfinite(f_t):
+        if not math.isfinite(f_t):
             a = 0.5 * (a_prev + a)  # barrier: shrink toward the last good point
             continue
         if f_t > phi0 + c1 * a * dphi0 or (f_t >= f_prev and i > 0):
@@ -185,7 +218,7 @@ def _zoom(phi, phi0, dphi0, a_lo, f_lo, a_hi, f_hi, c1, c2, max_iter=30):
         a = 0.5 * (a_lo + a_hi)
         x_t, f_t, g_t, dphi_t = phi(a)
         evals += 1
-        if not np.isfinite(f_t) or f_t > phi0 + c1 * a * dphi0 or f_t >= f_lo:
+        if not math.isfinite(f_t) or f_t > phi0 + c1 * a * dphi0 or f_t >= f_lo:
             a_hi, f_hi = a, f_t
         else:
             if abs(dphi_t) <= -c2 * dphi0:

@@ -115,6 +115,13 @@ class TestExitCodes:
         assert main(["feasibility", "--config", str(bad)]) == 1
         assert "plotting" in capsys.readouterr().err
 
+    def test_zero_max_iter_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CONFIG.replace("restarts = 2", "restarts = 2\nmax_iter = 0"))
+        assert main(["optimize", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "invalid-argument" in err and "max_iter" in err
+
     def test_missing_token_is_validation_error(self, capsys):
         assert main(["reproduce", "nonexistent-token"]) == 1
 

@@ -95,7 +95,7 @@ def _ladder12(species):
 
 def _fd_check(problem, k, mu, h_rel):
     """Analytic grad_k and grad_mu against central differences."""
-    eps, grad_k, grad_mu = problem.epsilon_parts(k, mu, need_grad=True)
+    grad_k, grad_mu = problem.epsilon_parts(k, mu)[1]()
     h = h_rel * problem.k_scale
     for i in range(k.size):
         d = np.zeros(k.size)
@@ -201,6 +201,15 @@ def _reference_parts(problem, k_params, mu, need_grad):
     return eps, grad_k, grad_mu
 
 
+def _parts(problem, k_params, mu, need_grad):
+    """`epsilon_parts` in `_reference_parts`' form; the gradient only if asked for."""
+    parts = problem.epsilon_parts(k_params, mu)
+    if parts is None:
+        return None
+    eps, gradient = parts
+    return (eps, *gradient()) if need_grad else (eps, None, None)
+
+
 def _assert_same_bits(got, want):
     if want is None:
         assert got is None
@@ -257,7 +266,7 @@ class TestKernelBitIdentity:
             mu = rng.uniform(0.3, 1.3) * w_hi
             need_grad = i % 4 != 3
             want = _reference_parts(problem, k, mu, need_grad)
-            _assert_same_bits(problem.epsilon_parts(k, mu, need_grad), want)
+            _assert_same_bits(_parts(problem, k, mu, need_grad), want)
             verdicts["none" if want is None else "value"] += 1
         assert verdicts["value"] >= 50
 
@@ -273,14 +282,14 @@ class TestKernelBitIdentity:
         for kk, mu in ((unstable, 0.68 * MHZ), (k, mu_res)):
             for need_grad in (True, False):
                 assert _reference_parts(problem, kk, mu, need_grad) is None
-                assert problem.epsilon_parts(kk, mu, need_grad) is None
+            assert problem.epsilon_parts(kk, mu) is None
         # eps == 0: the target is the kernel's own J at (k, mu)
         j = _reference_coupling(problem, k, 0.68 * MHZ)[-1]
         exact = PinProblem(chain5, j, "y", ("y",))
         for need_grad in (True, False):
             want = _reference_parts(exact, k, 0.68 * MHZ, need_grad)
             assert want[0] == 0.0
-            _assert_same_bits(exact.epsilon_parts(k, 0.68 * MHZ, need_grad), want)
+            _assert_same_bits(_parts(exact, k, 0.68 * MHZ, need_grad), want)
 
     def test_zero_target_rejected(self, chain5):
         with pytest.raises(UndefinedNormalizationError):
@@ -431,6 +440,22 @@ class TestSearchSpaceValidation:
     def test_rejects_reversed_bounds(self):
         with pytest.raises(InvalidArgumentError):
             _space(mu=(0.8 * MHZ, 0.6 * MHZ))
+
+    @pytest.mark.parametrize(
+        "controls",
+        [
+            {"max_iter": 0},
+            {"max_iter": -1},
+            {"tol_df": -1e-10},
+            {"tol_grad": -1.0},
+            {"line_search": "golden"},
+        ],
+    )
+    def test_rejects_bad_search_controls(self, controls):
+        # max_iter=0 used to return the start point of every search as the
+        # design; an unknown line search passed until the first feasible cell
+        with pytest.raises(InvalidArgumentError):
+            _space(**controls)
 
     def test_anticonfinement_needs_flag(self):
         with pytest.raises(InvalidArgumentError):

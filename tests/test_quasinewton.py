@@ -1,8 +1,17 @@
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 
+from tweezer_ising import TargetSpec, TrapConfig, solve_equilibrium, symmetry_orbits
+from tweezer_ising.crystal import IonCrystal, make_lattice
 from tweezer_ising.errors import InvalidArgumentError
-from tweezer_ising.quasinewton import minimize_box
+from tweezer_ising.optimizer import PinProblem
+from tweezer_ising.quasinewton import MinimizeResult, minimize_box
+from tweezer_ising.targets import build_target
+
+from conftest import MHZ
 
 
 def quadratic(center, scales):
@@ -11,17 +20,28 @@ def quadratic(center, scales):
 
     def fg(x):
         d = x - center
-        return float(np.sum(scales * d**2)), 2.0 * scales * d
+        return float(np.sum(scales * d**2)), lambda: 2.0 * scales * d
 
     return fg
 
 
 def rosenbrock(x):
     f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
-    g = np.array(
-        [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1 - x[0]), 200.0 * (x[1] - x[0] ** 2)]
-    )
-    return f, g
+
+    def grad():
+        return np.array(
+            [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1 - x[0]), 200.0 * (x[1] - x[0] ** 2)]
+        )
+
+    return f, grad
+
+
+def barrier(x):
+    # +inf region beyond x0 = 0.6; the optimum sits just inside it
+    if x[0] > 0.6:
+        return np.inf, lambda: np.zeros_like(x)
+    d = x - np.array([0.55, 0.0])
+    return float(d @ d), lambda: 2.0 * d
 
 
 @pytest.mark.parametrize("line_search", ["backtracking", "wolfe"])
@@ -69,19 +89,10 @@ def test_deterministic():
 
 
 def test_barrier_region_avoided():
-    # +inf region beyond x0 = 0.6; the optimum sits just inside it, so
     # overshooting trials must be rejected and shortened, never accepted
-    target = np.array([0.55, 0.0])
-
-    def fg(x):
-        if x[0] > 0.6:
-            return np.inf, np.zeros_like(x)
-        d = x - target
-        return float(d @ d), 2.0 * d
-
-    res = minimize_box(fg, np.array([0.0, 1.0]), np.full(2, -2.0), np.full(2, 2.0))
+    res = minimize_box(barrier, np.array([0.0, 1.0]), np.full(2, -2.0), np.full(2, 2.0))
     assert res.x[0] <= 0.6
-    assert np.allclose(res.x, target, atol=1e-6)
+    assert np.allclose(res.x, [0.55, 0.0], atol=1e-6)
     assert np.all(np.isfinite(res.history))
 
 
@@ -92,7 +103,335 @@ def test_rejects_bad_inputs():
         minimize_box(rosenbrock, np.zeros(2), np.zeros(2), np.ones(2), line_search="golden")
 
     def bad(x):
-        return np.inf, np.zeros_like(x)
+        return np.inf, lambda: np.zeros_like(x)
 
     with pytest.raises(InvalidArgumentError):
         minimize_box(bad, np.zeros(2), np.zeros(2), np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "controls",
+    [
+        {"memory": 0},
+        {"memory": -1},
+        {"max_iter": 0},
+        {"max_iter": -5},
+        {"tol_df": -1e-10},
+        {"tol_grad": -1.0},
+        {"tol_grad": float("nan")},
+    ],
+)
+def test_rejects_bad_controls(controls):
+    # memory=-1 used to raise a bare ValueError from deque, and max_iter=0
+    # returned the start point as an unconverged result
+    with pytest.raises(InvalidArgumentError):
+        minimize_box(rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0), **controls)
+
+
+# ---------------------------------------------------------------------------
+# the eager minimizer the lazy one replaced, kept verbatim as the oracle of
+# its path: every value, every accepted point and every stopping decision
+
+
+def _oracle_minimize_box(
+    objective,
+    x0: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    line_search: str = "backtracking",
+    memory: int = 8,
+    max_iter: int = 2000,
+    tol_df: float = 1e-10,
+    tol_grad: float = 1e-8,
+) -> MinimizeResult:
+    """Minimize objective(x) -> (f, grad) subject to lower <= x <= upper."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if np.any(lower > upper):
+        raise InvalidArgumentError("lower bound exceeds upper bound")
+    if line_search not in ("backtracking", "wolfe"):
+        raise InvalidArgumentError(f"unknown line search {line_search!r}")
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    f, g = objective(x)
+    n_eval = 1
+    if not np.isfinite(f):
+        raise InvalidArgumentError("objective is not finite at the starting point")
+    history = [f]
+    s_mem: deque = deque(maxlen=memory)
+    y_mem: deque = deque(maxlen=memory)
+    rho_mem: deque = deque(maxlen=memory)
+
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        pg = _oracle_projected_gradient(x, g, lower, upper)
+        if np.max(np.abs(pg)) < tol_grad:
+            converged = True
+            break
+        d = -_oracle_two_loop(pg, s_mem, y_mem, rho_mem)
+        if float(d @ pg) > -1e-12 * (np.linalg.norm(d) * np.linalg.norm(pg) + 1e-300):
+            d = -pg  # stale curvature; fall back to steepest descent
+
+        if line_search == "backtracking":
+            step = _oracle_backtrack(objective, x, f, g, d, lower, upper)
+        else:
+            step = _oracle_strong_wolfe(objective, x, f, g, d, lower, upper)
+        if step is None and not np.array_equal(d, -pg):
+            d = -pg
+            step = _oracle_backtrack(objective, x, f, g, d, lower, upper)
+        if step is None:
+            break  # no acceptable step along the projected gradient either
+        x_new, f_new, g_new, evals = step
+        n_eval += evals
+        s = x_new - x
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            s_mem.append(s)
+            y_mem.append(y)
+            rho_mem.append(1.0 / sy)
+        df = f - f_new
+        x, f, g = x_new, f_new, g_new
+        history.append(f)
+        if df < tol_df:
+            converged = True
+            break
+    return MinimizeResult(x, f, g, it, n_eval, converged, history)
+
+
+def _oracle_projected_gradient(x, g, lower, upper):
+    pg = g.copy()
+    pg[(x <= lower) & (g > 0)] = 0.0
+    pg[(x >= upper) & (g < 0)] = 0.0
+    return pg
+
+
+def _oracle_two_loop(q, s_mem, y_mem, rho_mem):
+    if not s_mem:
+        return q
+    q = q.copy()
+    alphas = []
+    for s, y, rho in zip(reversed(s_mem), reversed(y_mem), reversed(rho_mem)):
+        a = rho * float(s @ q)
+        alphas.append(a)
+        q -= a * y
+    s, y = s_mem[-1], y_mem[-1]
+    q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), a in zip(zip(s_mem, y_mem, rho_mem), reversed(alphas)):
+        b = rho * float(y @ q)
+        q += (a - b) * s
+    return q
+
+
+def _oracle_backtrack(objective, x, f, g, d, lower, upper, c1=1e-4, max_halvings=60):
+    alpha = 1.0
+    evals = 0
+    for _ in range(max_halvings):
+        x_t = np.clip(x + alpha * d, lower, upper)
+        if np.array_equal(x_t, x):
+            return None
+        f_t, g_t = objective(x_t)
+        evals += 1
+        slope = float(g @ (x_t - x))
+        sufficient = f + c1 * slope if slope < 0 else np.nextafter(f, -np.inf)
+        if np.isfinite(f_t) and f_t <= sufficient:
+            return x_t, f_t, g_t, evals
+        alpha *= 0.5
+    return None
+
+
+def _oracle_strong_wolfe(objective, x, f, g, d, lower, upper, c1=1e-4, c2=0.9, max_steps=25):
+    """Bracket/zoom on phi(a) = f(clip(x + a d)); falls back on barriers."""
+
+    def phi(a):
+        x_t = np.clip(x + a * d, lower, upper)
+        f_t, g_t = objective(x_t)
+        return x_t, f_t, g_t, float(g_t @ d)
+
+    phi0, dphi0 = f, float(g @ d)
+    if dphi0 >= 0:
+        return None
+    a_prev, f_prev, dphi_prev = 0.0, phi0, dphi0
+    a = 1.0
+    evals = 0
+    best = None
+    for i in range(max_steps):
+        x_t, f_t, g_t, dphi_t = phi(a)
+        evals += 1
+        if not np.isfinite(f_t):
+            a = 0.5 * (a_prev + a)  # barrier: shrink toward the last good point
+            continue
+        if f_t > phi0 + c1 * a * dphi0 or (f_t >= f_prev and i > 0):
+            best = _oracle_zoom(phi, phi0, dphi0, a_prev, f_prev, a, f_t, c1, c2)
+            break
+        if abs(dphi_t) <= -c2 * dphi0:
+            best = (x_t, f_t, g_t, 0)
+            break
+        if dphi_t >= 0:
+            best = _oracle_zoom(phi, phi0, dphi0, a, f_t, a_prev, f_prev, c1, c2)
+            break
+        a_prev, f_prev, dphi_prev = a, f_t, dphi_t
+        a *= 2.0
+    if best is None:
+        return None
+    x_t, f_t, g_t, extra = best
+    if f_t >= phi0:
+        return None
+    return x_t, f_t, g_t, evals + extra
+
+
+def _oracle_zoom(phi, phi0, dphi0, a_lo, f_lo, a_hi, f_hi, c1, c2, max_iter=30):
+    evals = 0
+    result = None
+    for _ in range(max_iter):
+        a = 0.5 * (a_lo + a_hi)
+        x_t, f_t, g_t, dphi_t = phi(a)
+        evals += 1
+        if not np.isfinite(f_t) or f_t > phi0 + c1 * a * dphi0 or f_t >= f_lo:
+            a_hi, f_hi = a, f_t
+        else:
+            if abs(dphi_t) <= -c2 * dphi0:
+                result = (x_t, f_t, g_t, evals)
+                break
+            if dphi_t * (a_hi - a_lo) >= 0:
+                a_hi, f_hi = a_lo, f_lo
+            a_lo, f_lo = a, f_t
+            result = (x_t, f_t, g_t, evals)
+        if abs(a_hi - a_lo) < 1e-14:
+            break
+    return result
+
+
+def _eager(objective):
+    """The oracle's objective protocol: the gradient with every finite value,
+    zeros with +inf, as `PinProblem`'s objectives returned them."""
+
+    def fg(x):
+        f, grad = objective(x)
+        return f, (grad() if math.isfinite(f) else np.zeros_like(x))
+
+    return fg
+
+
+class _Counted:
+    """An objective that counts its values, +inf values and gradient calls,
+    and records the value of each point whose gradient was asked for."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.values = 0
+        self.infs = 0
+        self.graded = []
+
+    def __call__(self, x):
+        f, grad = self.objective(x)
+        self.values += 1
+        self.infs += not math.isfinite(f)
+
+        def counted():
+            self.graded.append(f)
+            return grad()
+
+        return f, counted
+
+
+def _pin_case(name, species):
+    """(objective, x0 sampler, lower, upper) on a seeded `PinProblem`."""
+    if name.startswith("chain5"):
+        trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=5)
+        crystal = solve_equilibrium(trap, species, 5)
+        target = build_target(TargetSpec("nearest_neighbor", "chain"), crystal)
+        problem = PinProblem(crystal, target, "y", ("y",))
+        problem.set_scales((0.0, (0.4 * MHZ) ** 2), (0.6 * MHZ, 0.75 * MHZ))
+        mu = 0.68 * MHZ
+    else:
+        trap = TrapConfig(2.4 * MHZ, 0.16 * MHZ, 0.16 * MHZ, n_ions=19)
+        crystal = IonCrystal(trap, species, make_lattice("triangular", 19, 12e-6), "planar", (1, 2))
+        orbits = symmetry_orbits(crystal, "C6").orbits
+        target = build_target(TargetSpec("triangular_af", "triangular"), crystal)
+        problem = PinProblem(crystal, target, "x", ("x",), orbits)
+        problem.set_scales((0.0, (0.29 * MHZ) ** 2), (2.3 * MHZ, 2.45 * MHZ))
+        mu = 2.42 * MHZ
+    p = len(problem.orbits)
+    k_lo, k_hi = np.full(p, problem.k_bounds[0]), np.full(p, problem.k_bounds[1])
+    if name == "chain5_pin_mu":
+        mu_lo, mu_hi = problem.mu_bounds
+        lower, upper = np.concatenate(([mu_lo], k_lo)), np.concatenate(([mu_hi], k_hi))
+        return problem.objective_pin_mu(), lower, upper
+    return problem.objective_pin(mu), k_lo, k_hi
+
+
+PIN_CASES = ["chain5_per_ion", "triangle19_c6", "chain5_pin_mu"]
+
+
+def _assert_same_run(got, want):
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+    assert got.grad.tobytes() == want.grad.tobytes()
+    assert (got.n_iter, got.n_eval, got.converged) == (want.n_iter, want.n_eval, want.converged)
+    assert np.array(got.history).tobytes() == np.array(want.history).tobytes()
+
+
+class TestOraclePath:
+    """The lazy minimizer walks the eager one's path, bit for bit.
+
+    A stage-1 cell keeps its lowest-ε restart, so a minimizer that takes
+    another path to a nearby point can change the design.
+    """
+
+    @pytest.mark.parametrize("line_search", ["backtracking", "wolfe"])
+    @pytest.mark.parametrize("case", PIN_CASES)
+    def test_pin_problem_runs(self, species, case, line_search):
+        objective, lower, upper = _pin_case(case, species)
+        rng = np.random.default_rng(11)
+        counted = _Counted(objective)
+        runs, accepted = 0, 0
+        while runs < 4:
+            x0 = lower + rng.uniform(0.0, 1.0, lower.size) * (upper - lower)
+            if not math.isfinite(objective(x0)[0]):
+                continue  # both minimizers refuse a +inf start
+            want = _oracle_minimize_box(_eager(objective), x0, lower, upper, line_search=line_search)
+            got = minimize_box(counted, x0, lower, upper, line_search=line_search)
+            _assert_same_run(got, want)
+            runs += 1
+            accepted += len(got.history)
+        assert counted.values > accepted  # the runs rejected trials
+
+    @pytest.mark.parametrize("line_search", ["backtracking", "wolfe"])
+    def test_analytic_runs(self, line_search):
+        runs = [
+            (rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0)),
+            (barrier, np.array([0.0, 1.0]), np.full(2, -2.0), np.full(2, 2.0)),
+            (quadratic([1.0, -2.0], [1.0, 1.0]), np.array([0.5, 0.5]),
+             np.array([-5.0, 0.0]), np.full(2, 5.0)),
+        ]
+        for objective, x0, lower, upper in runs:
+            want = _oracle_minimize_box(_eager(objective), x0, lower, upper, line_search=line_search)
+            got = minimize_box(objective, x0, lower, upper, line_search=line_search)
+            _assert_same_run(got, want)
+        for memory in (1, 3):
+            want = _oracle_minimize_box(_eager(rosenbrock), runs[0][1], *runs[0][2:], memory=memory)
+            got = minimize_box(rosenbrock, runs[0][1], *runs[0][2:], memory=memory)
+            _assert_same_run(got, want)
+
+
+class TestGradientOnDemand:
+    @pytest.mark.parametrize("case", ["chain5_per_ion", "chain5_pin_mu"])
+    def test_backtracking_grades_only_accepted_points(self, species, case):
+        objective, lower, upper = _pin_case(case, species)
+        x0 = lower + 0.3 * (upper - lower)
+        counted = _Counted(objective)
+        res = minimize_box(counted, x0, lower, upper)
+        # the start point, then each accepted trial, in order: never a
+        # rejected or +inf trial
+        assert counted.graded == res.history
+        assert counted.values == res.n_eval
+        assert counted.infs > 0 and counted.values - counted.infs > len(res.history)
+
+    def test_wolfe_grades_every_finite_trial(self):
+        counted = _Counted(barrier)
+        x0, lower, upper = np.array([0.0, 1.0]), np.full(2, -2.0), np.full(2, 2.0)
+        minimize_box(counted, x0, lower, upper, line_search="wolfe")
+        assert counted.infs > 0
+        assert len(counted.graded) == counted.values - counted.infs
+        assert all(math.isfinite(f) for f in counted.graded)

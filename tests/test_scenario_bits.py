@@ -6,6 +6,11 @@ move the final ε by far more than rounding.  These values were measured
 with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64 and are tied to that numpy
 and BLAS.  A change that moves ε on purpose updates them in the same
 commit, together with the ε values `perfbench` pins at its default seeds.
+
+The optimizer's path is pinned too: the stage-3 iteration and evaluation
+counts, the stage-1 cell count and the number of accepted points in each
+stage's history.  A minimizer change that reaches the same ε by another
+path fails here.
 """
 
 import pytest
@@ -13,13 +18,31 @@ import pytest
 from tweezer_ising.scenarios import frustrated_ladder_12, nn_chain_12, run_scenario, triangular_af_19
 
 EXPECTED = {
-    "nn_chain_12": (nn_chain_12, "0.028544842579508123"),
-    "triangular_af_19": (triangular_af_19, "0.18750803552224882"),
-    "frustrated_ladder_12": (frustrated_ladder_12, "0.3510061491719684"),
+    "nn_chain_12": (
+        nn_chain_12,
+        "0.028544842579508123",
+        {"stage3": 62, "stage3_evals": 168, "stage1_cells": 8},
+        {"stage1": 172, "stage2": 5, "stage3": 63},
+    ),
+    "triangular_af_19": (
+        triangular_af_19,
+        "0.18750803552224882",
+        {"stage3": 20, "stage3_evals": 77, "stage1_cells": 6},
+        {"stage1": 422, "stage2": 41, "stage3": 21},
+    ),
+    "frustrated_ladder_12": (
+        frustrated_ladder_12,
+        "0.3510061491719684",
+        {"stage3": 7, "stage3_evals": 64, "stage1_cells": 4},
+        {"stage1": 12, "stage2": 9, "stage3": 8},
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_fast_scenario_epsilon_bits(name):
-    factory, expected = EXPECTED[name]
-    assert repr(run_scenario(factory(fast=True)).epsilon) == expected
+    factory, expected, iterations, accepted = EXPECTED[name]
+    result = run_scenario(factory(fast=True))
+    assert repr(result.epsilon) == expected
+    assert result.iterations == iterations
+    assert {stage: len(h) for stage, h in result.histories.items()} == accepted
