@@ -16,6 +16,7 @@ its gradient is analytic as well.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -58,7 +59,7 @@ from .modes import (
     mass_scaled_hessian,
     mode_spectrum,
 )
-from .quasinewton import minimize_box
+from .quasinewton import minimize_box, minimize_box_steps, minimize_lockstep
 from .sensitivity import CouplingGradient, all_pairs, coupling_jacobian_diag
 from .targets import TargetSpec, build_target, crystal_adjacency
 
@@ -286,14 +287,15 @@ class PinProblem:
     """Normalized coupling error over pinning curvatures at fixed geometry.
 
     Precomputes the drive-relevant Hessian block, the target quantities and
-    two index arrays between the P orbit parameters and the block rows:
-    `row_param[r]` is the parameter that pins row r, or P for an unpinned
-    row (the pinning vector gets a trailing 0.0), and `row_groups` holds,
-    per orbit row count w, the parameters with w rows and their (count, w)
-    row indices.  An evaluation costs one eigendecomposition of the block,
-    a few matrix products and one gather per index array, its gradient
-    only when asked for; no Python loop runs over orbits.  Orbits must be
-    disjoint.
+    index arrays between the P orbit parameters and the block rows:
+    `pin_diag` holds the flat positions of the pinned diagonal entries of
+    the block and `pin_param` the parameter that pins each, and
+    `row_groups` holds, per orbit row count w, the parameters with w rows
+    and their (count, w) row indices.  An evaluation costs one
+    eigendecomposition of the block, a few matrix products and one gather
+    per index array, its gradient only when asked for; no Python loop runs
+    over orbits.  A batch of evaluations stacks the eigendecompositions
+    and the products.  Orbits must be disjoint.
     """
 
     def __init__(
@@ -341,13 +343,18 @@ class PinProblem:
             ]
             self.param_rows.append(np.array(rows, dtype=int))
         n_params = len(self.orbits)
-        self.row_param = np.full(self.b, n_params)
+        row_param = np.full(self.b, n_params)
         by_width: dict[int, list[int]] = {}
         for i, rows in enumerate(self.param_rows):
-            if np.any(self.row_param[rows] != n_params):
+            if np.any(row_param[rows] != n_params):
                 raise InvalidArgumentError(f"orbit {self.orbits[i]} overlaps an earlier orbit")
-            self.row_param[rows] = i
+            row_param[rows] = i
             by_width.setdefault(rows.size, []).append(i)
+        # an unpinned diagonal entry is left as it is, as adding 0.0 would;
+        # a basic slice where every row is pinned
+        pinned = np.flatnonzero(row_param < n_params)
+        self.pin_diag = slice(None, None, self.b + 1) if pinned.size == self.b else pinned * (self.b + 1)
+        self.pin_param = row_param[pinned]
         # equal-width buckets keep each orbit's row sum in numpy's 1-D order;
         # zero padding to a common width would regroup sums of 9+ rows
         self.row_groups = tuple(
@@ -381,12 +388,6 @@ class PinProblem:
                 out[i] = k
         return out
 
-    def _decompose(self, k_params):
-        a = self.a0.copy()
-        a.reshape(-1)[:: self.b + 1] += np.concatenate((k_params, (0.0,)))[self.row_param]
-        lam, u = np.linalg.eigh(a)
-        return lam, u
-
     def epsilon_parts(self, k_params, mu):
         """ε at (k_params, mu) now and its gradient on demand.
 
@@ -394,35 +395,75 @@ class PinProblem:
         spectrum, or J = 0), else ``(eps, gradient)``: ``gradient()``
         returns ``(grad_k, grad_mu)`` from this evaluation's spectrum and
         residual.  A line search that rejects the point never pays for it.
+        The one-lane case of `epsilon_parts_batch`.
         """
-        lam, u = self._decompose(k_params)
-        if lam[0] < -self.floor:
-            return None
-        freqs = np.sqrt(np.maximum(lam, 0.0))
-        if np.abs(mu - freqs).min() <= self.guard:
-            return None
+        return self._lanes(np.asarray(k_params, dtype=float)[None], (mu,), mu, mu**2)[0]
+
+    def epsilon_parts_batch(self, k_stack, mus) -> list:
+        """`epsilon_parts` for K lanes at once, one entry per lane.
+
+        ``k_stack`` holds one pinning vector per lane, shape (K, P), and
+        ``mus`` the K beatnotes.  One stacked eigendecomposition and stacked
+        matrix products serve every lane, and each lane gets the bits
+        `epsilon_parts` gives it alone.  The largest coupling, the norm and
+        the gradient run per lane: a reduction over the stack would sum in
+        another order.
+        """
+        # each lane's scalar mu**2: an array square (x * x) differs from the
+        # scalar power in the last bit for some beatnotes
+        return self._lanes(k_stack, mus, np.array(mus)[:, None], np.array([[mu**2] for mu in mus]))
+
+    def _lanes(self, k_stack, mus, mu_col, mu_sq):
+        """The kernel of `epsilon_parts_batch`; ``mu_col`` and ``mu_sq`` are
+        the beatnotes and their squares as (K, 1) columns, or scalars for
+        one lane."""
         n, b = self.n_ions, self.b
-        theta = 1.0 / (mu**2 - lam)
+        count = len(mus)
+        a = self.a0[None].repeat(count, 0)
+        a.reshape(count, -1)[:, self.pin_diag] += k_stack.take(self.pin_param, 1)
+        lam, u = np.linalg.eigh(a)
+        gap = np.abs(mu_col - np.sqrt(np.maximum(lam, 0.0))).min(1).tolist()
+        low = lam[:, 0].tolist()
+        floor, guard = -self.floor, self.guard
+        # unstable (a negative curvature) or resonant (mu in a mode's guard band)
+        live = [i for i in range(count) if not (low[i] < floor or gap[i] <= guard)]
+        out = [None] * count
+        if not live:
+            return out
+        if len(live) < count:  # two or more lanes, so the columns are arrays
+            lam, u, mu_sq = lam[live], u[live], mu_sq[live]
+        theta = 1.0 / (mu_sq - lam)
         w = self.proj @ u
-        wt = w * theta
-        j = wt @ w.T
-        j = 0.5 * (j + j.T)
-        j.reshape(-1)[:: n + 1] = 0.0
-        max_j, (p, q) = max_abs_offdiag(j)
-        if max_j <= 0.0:
-            return None
-        s = self.max_t / max_j
-        r = self.target - s * j
-        eps = float(np.linalg.norm(r) / self.t_norm)
+        wt = w * theta[:, None, :]
+        j = wt @ w.transpose(0, 2, 1)
+        j = 0.5 * (j + j.transpose(0, 2, 1))
+        j.reshape(len(live), -1)[:, :: n + 1] = 0.0
+        for lane, i in enumerate(live):
+            j_l = j[lane]
+            max_j, (p, q) = max_abs_offdiag(j_l)
+            if max_j <= 0.0:
+                continue
+            s = self.max_t / max_j
+            r = self.target - s * j_l
+            r_flat = r.reshape(-1)
+            # np.linalg.norm(r) without its dispatch: sqrt(r·r) over the flat array
+            eps = math.sqrt(r_flat.dot(r_flat)) / self.t_norm
+            out[i] = eps, self._gradient(eps, r, j_l, s, p, q, w, wt, u, theta, lane, mus[i])
+        return out
+
+    def _gradient(self, eps, r, j, s, p, q, w, wt, u, theta, lane, mu):
+        """The ``gradient()`` of lane ``lane`` of a batch, over its intermediates."""
 
         def gradient():
             if eps == 0.0:
                 return np.zeros(len(self.orbits)), 0.0
+            n, b = self.n_ions, self.b
+            w_l, wt_l, u_l, theta_l = w[lane], wt[lane], u[lane], theta[lane]
             g_mat = r.copy()
             g_mat[p, q] -= float((r * j).sum()) / j[p, q]
             g_mat *= -s / (eps * self.t_norm**2)
             # dJ/dA_bb is the outer product of resolvent rows
-            y = wt @ u.T  # (N, B)
+            y = wt_l @ u_l.T  # (N, B)
             # the two matmuls numpy's einsum("kb,kl,lb->b", y, g_mat, y,
             # optimize=True) lowers to, operand for operand: same bits, no path search
             z = g_mat.T @ y
@@ -430,25 +471,38 @@ class PinProblem:
             grad_k = np.empty(len(self.orbits))
             for params, rows in self.row_groups:
                 grad_k[params] = per_row[rows].sum(axis=1)
-            dtheta = -2.0 * mu * theta**2
-            dj_dmu = (w * dtheta) @ w.T
+            dtheta = -2.0 * mu * theta_l**2
+            dj_dmu = (w_l * dtheta) @ w_l.T
             dj_dmu.reshape(-1)[:: n + 1] = 0.0
             grad_mu = float((g_mat * dj_dmu).sum())
             return grad_k, grad_mu
 
-        return eps, gradient
+        return gradient
 
     # -- objectives over scaled variables (see quasinewton.Objective) --------
 
     def objective_pin(self, mu):
         def fg(x):
-            parts = self.epsilon_parts(x * self.k_scale, mu)
-            if parts is None:
-                return np.inf, lambda: np.zeros_like(x)
-            eps, gradient = parts
-            return eps, lambda: gradient()[0] * self.k_scale
+            return self._scaled_pin(self.epsilon_parts(x * self.k_scale, mu), x)
 
         return fg
+
+    def objective_pin_lanes(self, mus):
+        """`objective_pin` for `quasinewton.minimize_lockstep`, lane i at beatnote
+        ``mus[i]``: one `epsilon_parts_batch` call per round."""
+
+        def evaluate(points, active):
+            parts = self.epsilon_parts_batch(np.stack(points) * self.k_scale, [mus[i] for i in active])
+            return [self._scaled_pin(lane, x) for lane, x in zip(parts, points)]
+
+        return evaluate
+
+    def _scaled_pin(self, parts, x):
+        """`objective_pin`'s ``(f, grad)`` at scaled point x from `epsilon_parts`' entry."""
+        if parts is None:
+            return np.inf, lambda: np.zeros_like(x)
+        eps, gradient = parts
+        return eps, lambda: gradient()[0] * self.k_scale
 
     def objective_pin_mu(self):
         def fg(x):
@@ -547,13 +601,16 @@ def stage1_search(
     drive_axis=None,
     geometry_mode: str = "auto",
     seed: int = 0,
-    threads: int = 1,
 ):
     """Feasibility-filtered grid search; returns (candidates, cell diagnostics).
 
     Candidates are sorted by (epsilon, omega, mu); an empty list means no
-    grid cell passed the feasibility test (see the diagnostics).  Cells run
-    serially; `threads` is accepted and ignored.
+    grid cell passed the feasibility test (see the diagnostics).  Each
+    trap-frequency row shares one `PinProblem`: its cells are tested first,
+    then every restart of every feasible cell runs in lockstep, one batched
+    objective call per round (`quasinewton.minimize_lockstep`).  Each lane
+    walks the path a lone `minimize_box` run takes, and each cell keeps its
+    lowest-ε restart, the earliest on a tie.
     """
     axis = default_drive_axis(space.pin_axes) if drive_axis is None else axis_vector(drive_axis)
     omegas = _grid(space.omega_scan, space.omega_grid)
@@ -561,64 +618,63 @@ def stage1_search(
 
     candidates: list[Candidate] = []
     cells: list[CellDiagnostics] = []
-    jobs = []
-    for omega in omegas:
+    for row, omega in enumerate(omegas):
         crystal = stage1_geometry(target_spec, trap_template, species, omega, space.scan_axis, geometry_mode)
         target = build_target(target_spec, crystal)
         problem = PinProblem(crystal, target, axis, space.pin_axes, None, space.resonance_guard)
         problem.set_scales(space.pin_curvature_bounds, space.mu)
-        for mu in mus:
-            jobs.append((omega, mu, problem))
-
-    def run_cell(cell_index, omega, mu, problem):
-        diag = CellDiagnostics(omega, mu, "infeasible")
-        try:
-            drive = DriveConfig(mu=mu, drive_axis=axis, resonance_guard=space.resonance_guard)
-            _, verdict = sign_feasibility(problem, drive, species, space)
-        except ResonanceError:
-            diag.verdict = "resonant"
-            return diag, None
-        except UnstableCrystalError:
-            diag.verdict = "unstable"
-            return diag, None
-        diag.margin = None if np.isinf(verdict.margin) else float(verdict.margin)
-        if not verdict.feasible:
-            return diag, None
-        diag.verdict = "feasible"
-        best = None
-        for r in range(space.restarts):
-            x0 = _random_start(space, len(problem.orbits), seed, cell_index, r) / problem.k_scale
-            res = minimize_box(
-                problem.objective_pin(mu),
-                x0,
-                np.full(x0.size, problem.k_bounds[0]),
-                np.full(x0.size, problem.k_bounds[1]),
-                line_search=space.line_search,
-                max_iter=space.max_iter,
-                tol_df=space.tol_df,
-                tol_grad=space.tol_grad,
-            )
-            if best is None or res.fun < best.fun:
-                best = res
-        diag.epsilon = float(best.fun)
-        cand = Candidate(
-            omega_scan=omega,
-            mu=mu,
-            pin_curvature=problem.expand(best.x * problem.k_scale),
-            epsilon=float(best.fun),
-            crystal=problem.crystal,
-            history=list(best.history),
-            converged=best.converged,
-        )
-        return diag, cand
-
-    for cell_index, job in enumerate(jobs):
-        diag, cand = run_cell(cell_index, *job)
-        cells.append(diag)
-        if cand is not None:
-            candidates.append(cand)
+        n_params = len(problem.orbits)
+        lower = np.full(n_params, problem.k_bounds[0])
+        upper = np.full(n_params, problem.k_bounds[1])
+        feasible, lanes, lane_mus = [], [], []
+        for col, mu in enumerate(mus):
+            cell_index = row * len(mus) + col
+            diag = _cell_verdict(problem, omega, mu, axis, species, space)
+            cells.append(diag)
+            if diag.verdict != "feasible":
+                continue
+            feasible.append(diag)
+            for r in range(space.restarts):
+                x0 = _random_start(space, n_params, seed, cell_index, r) / problem.k_scale
+                lanes.append(minimize_box_steps(
+                    x0, lower, upper, line_search=space.line_search, max_iter=space.max_iter,
+                    tol_df=space.tol_df, tol_grad=space.tol_grad,
+                ))
+                lane_mus.append(mu)
+        runs = minimize_lockstep(problem.objective_pin_lanes(lane_mus), lanes)
+        for c, diag in enumerate(feasible):
+            # min keeps the first of equal values: the earliest restart
+            best = min(runs[c * space.restarts : (c + 1) * space.restarts], key=lambda res: res.fun)
+            diag.epsilon = float(best.fun)
+            candidates.append(Candidate(
+                omega_scan=omega,
+                mu=diag.mu,
+                pin_curvature=problem.expand(best.x * problem.k_scale),
+                epsilon=float(best.fun),
+                crystal=crystal,
+                history=list(best.history),
+                converged=best.converged,
+            ))
     candidates.sort(key=lambda c: (c.epsilon, c.omega_scan, c.mu))
     return candidates, cells
+
+
+def _cell_verdict(problem: PinProblem, omega, mu, axis, species: SpeciesConstants, space: SearchSpace):
+    """One grid cell's diagnostics from its feasibility test."""
+    diag = CellDiagnostics(omega, mu, "infeasible")
+    try:
+        drive = DriveConfig(mu=mu, drive_axis=axis, resonance_guard=space.resonance_guard)
+        _, verdict = sign_feasibility(problem, drive, species, space)
+    except ResonanceError:
+        diag.verdict = "resonant"
+        return diag
+    except UnstableCrystalError:
+        diag.verdict = "unstable"
+        return diag
+    diag.margin = None if np.isinf(verdict.margin) else float(verdict.margin)
+    if verdict.feasible:
+        diag.verdict = "feasible"
+    return diag
 
 
 def sign_feasibility(
@@ -807,12 +863,10 @@ def run_pipeline(
 ) -> OptimizationResult:
     """stage 1 -> stage 2 -> stage 3; deterministic for fixed inputs and seed.
 
-    Stage-1 cells run serially; `threads` is accepted and ignored.
+    `threads` is accepted and ignored: the result never depended on it.
     """
     t0 = time.perf_counter()
-    candidates, cell_diags = stage1_search(
-        target_spec, space, trap_template, species, drive_axis, geometry_mode, seed, threads
-    )
+    candidates, cell_diags = stage1_search(target_spec, space, trap_template, species, drive_axis, geometry_mode, seed)
     if not candidates:
         summary = {}
         for c in cell_diags:

@@ -13,6 +13,16 @@ backtracking search asks for it only for the trial it accepts, so a
 rejected or +inf trial costs one value and nothing more.  The strong-Wolfe
 search needs the slope of every finite trial and asks for each of those.
 Neither search asks for the gradient of a +inf trial.
+
+The minimizer is a generator, `minimize_box_steps`: it yields each point
+it wants evaluated (the start point, then every line-search trial) and
+expects ``(f, grad)`` for that point to be sent back; its return value,
+carried by ``StopIteration``, is the `MinimizeResult`.  It never calls an
+objective itself, so its caller decides how points are evaluated:
+`minimize_box` drives one run with one objective, and `minimize_lockstep`
+advances many runs together with one batched evaluation per round.  Each
+run walks the same path either way, and ``n_eval`` counts every point it
+yielded.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -29,6 +39,9 @@ from .errors import InvalidArgumentError
 #: ``objective(x) -> (f, grad)``: the value at x now, and a zero-argument
 #: callable that returns the gradient at x when the minimizer needs it
 Objective = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
+#: ``evaluate(points, active) -> [(f, grad), ...]``: an `Objective` over the
+#: pending points of the lanes ``active`` of `minimize_lockstep`, one pair per point
+LaneEvaluator = Callable[[list, list], Sequence[tuple[float, Callable[[], np.ndarray]]]]
 
 
 @dataclass
@@ -60,6 +73,58 @@ def minimize_box(
     ``memory`` or ``max_iter`` below 1, a negative tolerance, or a start
     point where the objective is not finite.
     """
+    steps = minimize_box_steps(x0, lower, upper, line_search, memory, max_iter, tol_df, tol_grad)
+    x = next(steps)
+    try:
+        while True:
+            x = steps.send(objective(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def minimize_lockstep(evaluate: LaneEvaluator, lanes: Sequence[Generator]) -> list[MinimizeResult]:
+    """Run `minimize_box_steps` generators together; one result per lane, in order.
+
+    Each round hands the pending point of every unfinished lane to one
+    ``evaluate(points, active)`` call, where ``active`` lists those lanes'
+    indices in ascending order, and sends each lane its ``(f, grad)``.  A
+    lane that finishes drops out of later rounds.  Lanes are started and
+    sent their values in lane order, so the first lane to raise (a bad
+    control, or a start point that is not finite) raises here, as it would
+    if the lanes ran one after another.
+    """
+    results: list = [None] * len(lanes)
+    active = list(range(len(lanes)))
+    points = [next(lane) for lane in lanes]
+    while active:
+        values = evaluate(points, active)
+        still, points = [], []
+        for i, value in zip(active, values):
+            try:
+                points.append(lanes[i].send(value))
+            except StopIteration as stop:
+                results[i] = stop.value
+            else:
+                still.append(i)
+        active = still
+    return results
+
+
+def minimize_box_steps(
+    x0: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    line_search: str = "backtracking",
+    memory: int = 8,
+    max_iter: int = 2000,
+    tol_df: float = 1e-10,
+    tol_grad: float = 1e-8,
+) -> Generator[np.ndarray, tuple, MinimizeResult]:
+    """`minimize_box` as a generator: yields points, receives ``(f, grad)``.
+
+    See the module docstring for the protocol.  Its arguments are checked
+    when the first point is asked for.
+    """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if np.any(lower > upper):
@@ -72,11 +137,12 @@ def minimize_box(
         raise InvalidArgumentError(f"tolerances must be nonnegative (tol_df={tol_df}, tol_grad={tol_grad})")
     search = _backtrack if line_search == "backtracking" else _strong_wolfe
     x = _project(np.asarray(x0, dtype=float), lower, upper)
-    f, grad = objective(x)
+    f, grad = yield x
     n_eval = 1
     if not math.isfinite(f):
         raise InvalidArgumentError("objective is not finite at the starting point")
     g = grad()
+    del grad  # a batched evaluation's thunk holds the whole batch
     history = [f]
     pairs: deque = deque(maxlen=memory)  # curvature pairs (s, y, 1/(s·y)), oldest first
     gamma = 1.0  # (s·y)/(y·y) of the newest pair: the initial inverse-Hessian scale
@@ -92,14 +158,15 @@ def minimize_box(
         if d.dot(pg) > -1e-12 * (_norm(d) * _norm(pg) + 1e-300):
             d = -pg  # stale curvature; fall back to steepest descent
 
-        step = search(objective, x, f, g, d, lower, upper)
+        step, evals = yield from search(x, f, g, d, lower, upper)
+        n_eval += evals
         if step is None and not (d == -pg).all():
             d = -pg
-            step = _backtrack(objective, x, f, g, d, lower, upper)
+            step, evals = yield from _backtrack(x, f, g, d, lower, upper)
+            n_eval += evals
         if step is None:
             break  # no acceptable step along the projected gradient either
-        x_new, f_new, g_new, evals = step
-        n_eval += evals
+        x_new, f_new, g_new = step
         s = x_new - x
         y = g_new - g
         sy = float(s.dot(y))
@@ -148,32 +215,40 @@ def _two_loop(q, pairs, gamma):
     return q
 
 
-def _backtrack(objective, x, f, g, d, lower, upper, c1=1e-4, max_halvings=60):
+def _backtrack(x, f, g, d, lower, upper, c1=1e-4, max_halvings=60):
     """Halve the step until the Armijo condition holds; the gradient of the
-    accepted trial is the only one computed."""
+    accepted trial is the only one computed.
+
+    A generator over trial points; returns ``(step, evals)`` with ``step``
+    the accepted ``(x, f, g)`` or None.
+    """
     alpha = 1.0
     evals = 0
     for _ in range(max_halvings):
         x_t = _project(x + alpha * d, lower, upper)
         if (x_t == x).all():
-            return None
-        f_t, grad_t = objective(x_t)
+            return None, evals
+        f_t, grad_t = yield x_t
         evals += 1
         if math.isfinite(f_t):
             slope = g.dot(x_t - x)
             sufficient = f + c1 * slope if slope < 0 else math.nextafter(f, -math.inf)
             if f_t <= sufficient:
-                return x_t, f_t, grad_t(), evals
+                return (x_t, f_t, grad_t()), evals
         alpha *= 0.5
-    return None
+    return None, evals
 
 
-def _strong_wolfe(objective, x, f, g, d, lower, upper, c1=1e-4, c2=0.9, max_steps=25):
-    """Bracket/zoom on phi(a) = f(clip(x + a d)); falls back on barriers."""
+def _strong_wolfe(x, f, g, d, lower, upper, c1=1e-4, c2=0.9, max_steps=25):
+    """Bracket/zoom on phi(a) = f(clip(x + a d)); falls back on barriers.
+
+    A generator like `_backtrack`; ``evals`` counts the trials of a failed
+    search too.
+    """
 
     def phi(a):
         x_t = _project(x + a * d, lower, upper)
-        f_t, grad_t = objective(x_t)
+        f_t, grad_t = yield x_t
         if not math.isfinite(f_t):
             return x_t, f_t, None, None  # a barrier: neither search reads its slope
         g_t = grad_t()
@@ -181,34 +256,33 @@ def _strong_wolfe(objective, x, f, g, d, lower, upper, c1=1e-4, c2=0.9, max_step
 
     phi0, dphi0 = f, float(g.dot(d))
     if dphi0 >= 0:
-        return None
+        return None, 0
     a_prev, f_prev, dphi_prev = 0.0, phi0, dphi0
     a = 1.0
     evals = 0
     best = None
     for i in range(max_steps):
-        x_t, f_t, g_t, dphi_t = phi(a)
+        x_t, f_t, g_t, dphi_t = yield from phi(a)
         evals += 1
         if not math.isfinite(f_t):
             a = 0.5 * (a_prev + a)  # barrier: shrink toward the last good point
             continue
         if f_t > phi0 + c1 * a * dphi0 or (f_t >= f_prev and i > 0):
-            best = _zoom(phi, phi0, dphi0, a_prev, f_prev, a, f_t, c1, c2)
+            best, extra = yield from _zoom(phi, phi0, dphi0, a_prev, f_prev, a, f_t, c1, c2)
+            evals += extra
             break
         if abs(dphi_t) <= -c2 * dphi0:
-            best = (x_t, f_t, g_t, 0)
+            best = (x_t, f_t, g_t)
             break
         if dphi_t >= 0:
-            best = _zoom(phi, phi0, dphi0, a, f_t, a_prev, f_prev, c1, c2)
+            best, extra = yield from _zoom(phi, phi0, dphi0, a, f_t, a_prev, f_prev, c1, c2)
+            evals += extra
             break
         a_prev, f_prev, dphi_prev = a, f_t, dphi_t
         a *= 2.0
-    if best is None:
-        return None
-    x_t, f_t, g_t, extra = best
-    if f_t >= phi0:
-        return None
-    return x_t, f_t, g_t, evals + extra
+    if best is None or best[1] >= phi0:
+        return None, evals
+    return best, evals
 
 
 def _zoom(phi, phi0, dphi0, a_lo, f_lo, a_hi, f_hi, c1, c2, max_iter=30):
@@ -216,18 +290,18 @@ def _zoom(phi, phi0, dphi0, a_lo, f_lo, a_hi, f_hi, c1, c2, max_iter=30):
     result = None
     for _ in range(max_iter):
         a = 0.5 * (a_lo + a_hi)
-        x_t, f_t, g_t, dphi_t = phi(a)
+        x_t, f_t, g_t, dphi_t = yield from phi(a)
         evals += 1
         if not math.isfinite(f_t) or f_t > phi0 + c1 * a * dphi0 or f_t >= f_lo:
             a_hi, f_hi = a, f_t
         else:
             if abs(dphi_t) <= -c2 * dphi0:
-                result = (x_t, f_t, g_t, evals)
+                result = (x_t, f_t, g_t)
                 break
             if dphi_t * (a_hi - a_lo) >= 0:
                 a_hi, f_hi = a_lo, f_lo
             a_lo, f_lo = a, f_t
-            result = (x_t, f_t, g_t, evals)
+            result = (x_t, f_t, g_t)
         if abs(a_hi - a_lo) < 1e-14:
             break
-    return result
+    return result, evals

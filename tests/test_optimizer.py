@@ -13,12 +13,15 @@ from tweezer_ising import (
 from tweezer_ising.coupling import max_abs_offdiag
 from tweezer_ising.crystal import IonCrystal, make_lattice
 from tweezer_ising.errors import InvalidArgumentError, UndefinedNormalizationError
+from tweezer_ising import optimizer
 from tweezer_ising.optimizer import (
     PinProblem,
+    default_drive_axis,
     stage1_geometry,
     stage1_search,
     stage2_refine,
 )
+from tweezer_ising.quasinewton import minimize_box
 from tweezer_ising.targets import build_target
 
 from conftest import MHZ
@@ -303,6 +306,104 @@ class TestKernelBitIdentity:
             PinProblem(chain5, t, "y", ("y",), [(0, 4), (1, 3), (2, 4)])
 
 
+def _batch_problem(species, case):
+    """`PinProblem`s with blocks of 12 (chain) and 19 (triangle) rows, all
+    pinned in order; of 57 (the triangle's full Hessian pinned on x and y,
+    so its z rows are unpinned); and of 24 (the ladder, two orbit widths)."""
+    if case == "chain12_per_ion":
+        crystal = _chain12(species)
+        t = build_target(TargetSpec("nearest_neighbor", "chain"), crystal)
+        return PinProblem(crystal, t, "y", ("y",))
+    if case == "triangle19_per_ion":
+        crystal = _triangle19(species)
+        t = build_target(TargetSpec("triangular_af", "triangular"), crystal)
+        return PinProblem(crystal, t, "x", ("x",))
+    if case == "triangle19_c6_xy":
+        crystal = _triangle19(species)
+        t = build_target(TargetSpec("triangular_af", "triangular"), crystal)
+        return PinProblem(crystal, t, "x", ("x", "y"), symmetry_orbits(crystal, "C6").orbits)
+    crystal = _ladder12(species)
+    t = build_target(TargetSpec("spin_ladder", "ladder"), crystal)
+    return PinProblem(crystal, t, "y", ("y", "z"), symmetry_orbits(crystal, "ladder_translation").orbits)
+
+
+def _pow_square_differs(rng, lo, hi, count):
+    """Beatnotes in [lo, hi] whose scalar ``mu**2`` (C pow) is not the
+    array square ``mu * mu``."""
+    found = []
+    while len(found) < count:
+        cand = rng.uniform(lo, hi, 100000)
+        found += [mu for mu, sq in zip(cand.tolist(), (cand**2).tolist()) if mu**2 != sq]
+    return found[:count]
+
+
+class TestBatchBitIdentity:
+    """Each lane of `epsilon_parts_batch` has the bits of a lone `epsilon_parts`.
+
+    Stage 1 evaluates the restarts of a trap-frequency row as one stack, so
+    its designs depend on this.  Lanes mix beatnotes, good points with
+    unstable, resonant and J = 0 ones (μ = ∞ makes every resolvent
+    weight 0), and beatnotes whose scalar square differs from the array
+    square: the batch squares each lane's μ as a scalar, as a lone call does.
+    """
+
+    @pytest.mark.parametrize(
+        "case", ["chain12_per_ion", "triangle19_per_ion", "triangle19_c6_xy", "ladder12_yz"]
+    )
+    def test_lanes_match_lone_calls(self, species, case):
+        problem = _batch_problem(species, case)
+        assert problem.b == {"chain12_per_ion": 12, "triangle19_per_ion": 19,
+                             "triangle19_c6_xy": 57, "ladder12_yz": 24}[case]
+        lam = np.linalg.eigvalsh(problem.a0)
+        w_hi = np.sqrt(lam[-1])
+        p = len(problem.orbits)
+        rng = np.random.default_rng(17)
+        odd_mus = _pow_square_differs(rng, 0.3 * w_hi, 1.3 * w_hi, 60)
+
+        def lane(kind):
+            k = rng.uniform(-0.2, 1.0, p) * (0.4 * w_hi) ** 2 * 10.0 ** -rng.integers(0, 3)
+            if kind == "unstable":
+                return np.full(p, -((1.5 * w_hi) ** 2)), rng.uniform(0.3, 1.3) * w_hi
+            if kind == "resonant":
+                grid = np.zeros(problem.b)
+                for rows, kk in zip(problem.param_rows, k):
+                    grid[rows] += kk
+                modes = np.sqrt(np.clip(np.linalg.eigvalsh(problem.a0 + np.diag(grid)), 0.0, None))
+                return k, float(modes[rng.integers(0, modes.size)])
+            if kind == "zero_j":
+                return k, np.inf
+            if kind == "odd_mu":
+                return k, odd_mus.pop()
+            return k, rng.uniform(0.3, 1.3) * w_hi
+
+        kinds = ["good", "odd_mu", "unstable", "resonant", "zero_j"]
+        weights = [0.35, 0.35, 0.1, 0.1, 0.1]
+        verdicts = {"none": 0, "value": 0, "odd_mu value": 0}
+        for count in (1, 2, 3, 8, 57):
+            for _ in range(3 if count < 57 else 1):
+                kind = rng.choice(kinds, size=count, p=weights).tolist()
+                if count == 57:
+                    kind[:5] = kinds
+                lanes = [lane(one) for one in kind]
+                k_stack = np.stack([k for k, _ in lanes])
+                got = problem.epsilon_parts_batch(k_stack, [mu for _, mu in lanes])
+                assert len(got) == count
+                for one, (k, mu), parts in zip(kind, lanes, got):
+                    want = _parts(problem, k, mu, True)
+                    _assert_same_bits(None if parts is None else (parts[0], *parts[1]()), want)
+                    verdicts["none" if want is None else "value"] += 1
+                    verdicts["odd_mu value"] += one == "odd_mu" and want is not None
+        assert verdicts["none"] >= 15 and verdicts["value"] >= 30 and verdicts["odd_mu value"] >= 10
+
+    def test_zero_j_lane_is_none(self, chain5):
+        t = build_target(TargetSpec("nearest_neighbor", "chain"), chain5)
+        problem = PinProblem(chain5, t, "y", ("y",))
+        k = np.full(5, (0.1 * MHZ) ** 2)
+        assert problem.epsilon_parts(k, np.inf) is None
+        got = problem.epsilon_parts_batch(np.stack([k, k]), [np.inf, 0.68 * MHZ])
+        assert got[0] is None and got[1] is not None
+
+
 class TestStage1:
     def test_identity_target_reaches_zero(self, species):
         # the normalized native couplings of one grid cell are trivially
@@ -360,6 +461,92 @@ class TestStage1:
             assert np.all(c.pin_frequencies <= space.pin[1] + 1e-12)
             assert space.mu[0] <= c.mu <= space.mu[1]
             assert all(h2 <= h1 + 1e-15 for h1, h2 in zip(c.history, c.history[1:]))
+
+
+def _row_problems(target_spec, space, trap, species):
+    """Stage 1's `PinProblem` of each trap frequency, keyed by it."""
+    problems = {}
+    for omega in np.linspace(space.omega_scan[0], space.omega_scan[1], space.omega_grid):
+        crystal = stage1_geometry(target_spec, trap, species, omega, space.scan_axis, "auto")
+        problem = PinProblem(crystal, build_target(target_spec, crystal), default_drive_axis(space.pin_axes),
+                             space.pin_axes, None, space.resonance_guard)
+        problem.set_scales(space.pin_curvature_bounds, space.mu)
+        problems[omega] = problem
+    return problems
+
+
+def _lone_restarts(problem, space, seed, cell, mu):
+    """One cell's restarts run one after another with `minimize_box`."""
+    p = len(problem.orbits)
+    lower, upper = np.full(p, problem.k_bounds[0]), np.full(p, problem.k_bounds[1])
+    return [
+        minimize_box(
+            problem.objective_pin(mu), optimizer._random_start(space, p, seed, cell, r) / problem.k_scale,
+            lower, upper, line_search=space.line_search, max_iter=space.max_iter,
+            tol_df=space.tol_df, tol_grad=space.tol_grad,
+        )
+        for r in range(space.restarts)
+    ]
+
+
+class TestStage1Lockstep:
+    """Stage 1 runs a row's restarts in lockstep; each cell keeps what the
+    restarts run one by one would have given it, bit for bit."""
+
+    @pytest.mark.parametrize("line_search", ["backtracking", "wolfe"])
+    def test_matches_lone_restarts(self, species, line_search):
+        trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=4)
+        # rows of infeasible, resonant and feasible cells
+        space = _space(omega_scan=(0.22 * MHZ, 0.25 * MHZ), omega_grid=2, mu=(0.7 * MHZ, 0.9 * MHZ),
+                       mu_grid=5, restarts=3, line_search=line_search)
+        tspec = TargetSpec("nearest_neighbor", "chain")
+        candidates, cells = stage1_search(tspec, space, trap, species, seed=1)
+        problems = _row_problems(tspec, space, trap, species)
+        by_cell = {(c.omega_scan, c.mu): c for c in candidates}
+        assert len(by_cell) == len(candidates)
+        rows = set()
+        for index, diag in enumerate(cells):
+            if diag.verdict != "feasible":
+                assert (diag.omega_scan, diag.mu) not in by_cell
+                continue
+            problem = problems[diag.omega_scan]
+            runs = _lone_restarts(problem, space, 1, index, diag.mu)
+            best = min(runs, key=lambda res: res.fun)  # the first on a tie
+            cand = by_cell[diag.omega_scan, diag.mu]
+            assert cand.pin_curvature.tobytes() == problem.expand(best.x * problem.k_scale).tobytes()
+            assert np.float64(cand.epsilon).tobytes() == np.float64(best.fun).tobytes()
+            assert np.array(cand.history).tobytes() == np.array(best.history).tobytes()
+            assert cand.converged == best.converged and diag.epsilon == cand.epsilon
+            assert cand.crystal.positions.tobytes() == problem.crystal.positions.tobytes()
+            rows.add(diag.omega_scan)
+        assert len(rows) == 2  # both rows ran restarts
+
+    def test_nonfinite_start_raises_as_lone_restarts_do(self, species, monkeypatch):
+        trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=4)
+        space = _space(mu=(0.7 * MHZ, 0.9 * MHZ), pin=(0.0, 0.5 * MHZ), mu_grid=5, restarts=3)
+        tspec = TargetSpec("nearest_neighbor", "chain")
+        _, cells = stage1_search(tspec, space, trap, species, seed=1)
+        feasible = [i for i, diag in enumerate(cells) if diag.verdict == "feasible"]
+        assert len(feasible) >= 2
+        bad, diag = feasible[1], cells[feasible[1]]
+        (problem,) = _row_problems(tspec, space, trap, species).values()
+        # a uniform pinning c lifts every mode of this all-pinned block by c:
+        # put the highest mode below the beatnote onto it
+        lam = np.linalg.eigvalsh(problem.a0)
+        c = diag.mu**2 - lam[lam < diag.mu**2].max()
+        assert 0.0 < c < space.pin_curvature_bounds[1]
+        real_start = optimizer._random_start
+
+        def start(space_, n_params, seed, cell, restart):
+            if (cell, restart) == (bad, 1):
+                return np.full(n_params, c)
+            return real_start(space_, n_params, seed, cell, restart)
+
+        monkeypatch.setattr(optimizer, "_random_start", start)
+        with pytest.raises(InvalidArgumentError, match="not finite at the starting point"):
+            _lone_restarts(problem, space, 1, bad, diag.mu)
+        with pytest.raises(InvalidArgumentError, match="not finite at the starting point"):
+            stage1_search(tspec, space, trap, species, seed=1)
 
 
 class TestStage2:

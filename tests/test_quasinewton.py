@@ -1,3 +1,4 @@
+import inspect
 import math
 from collections import deque
 
@@ -8,7 +9,7 @@ from tweezer_ising import TargetSpec, TrapConfig, solve_equilibrium, symmetry_or
 from tweezer_ising.crystal import IonCrystal, make_lattice
 from tweezer_ising.errors import InvalidArgumentError
 from tweezer_ising.optimizer import PinProblem
-from tweezer_ising.quasinewton import MinimizeResult, minimize_box
+from tweezer_ising.quasinewton import MinimizeResult, minimize_box, minimize_box_steps, minimize_lockstep
 from tweezer_ising.targets import build_target
 
 from conftest import MHZ
@@ -364,6 +365,39 @@ def _pin_case(name, species):
 PIN_CASES = ["chain5_per_ion", "triangle19_c6", "chain5_pin_mu"]
 
 
+def _pin_starts(objective, lower, upper, count=4):
+    """Seeded start points in the box where the objective is finite."""
+    rng = np.random.default_rng(11)
+    starts = []
+    while len(starts) < count:
+        x0 = lower + rng.uniform(0.0, 1.0, lower.size) * (upper - lower)
+        if math.isfinite(objective(x0)[0]):
+            starts.append(x0)  # both minimizers refuse a +inf start
+    return starts
+
+
+def _analytic_runs():
+    return [
+        (rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0)),
+        (barrier, np.array([0.0, 1.0]), np.full(2, -2.0), np.full(2, 2.0)),
+        (quadratic([1.0, -2.0], [1.0, 1.0]), np.array([0.5, 0.5]), np.array([-5.0, 0.0]), np.full(2, 5.0)),
+    ]
+
+
+def _oracle_run(objective, x0, lower, upper, **controls):
+    """The oracle's run, its ``n_eval`` the number of objective calls it made.
+
+    The eager copy leaves out of ``n_eval`` the trials of a line search
+    that finds no step, and those a strong-Wolfe zoom makes after its last
+    bracketed point; the minimizer counts every call.  Everything else is
+    compared as the copy returns it.
+    """
+    counted = _Counted(objective)
+    want = _oracle_minimize_box(_eager(counted), x0, lower, upper, **controls)
+    want.n_eval = counted.values
+    return want
+
+
 def _assert_same_run(got, want):
     assert got.x.tobytes() == want.x.tobytes()
     assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
@@ -383,36 +417,46 @@ class TestOraclePath:
     @pytest.mark.parametrize("case", PIN_CASES)
     def test_pin_problem_runs(self, species, case, line_search):
         objective, lower, upper = _pin_case(case, species)
-        rng = np.random.default_rng(11)
         counted = _Counted(objective)
-        runs, accepted = 0, 0
-        while runs < 4:
-            x0 = lower + rng.uniform(0.0, 1.0, lower.size) * (upper - lower)
-            if not math.isfinite(objective(x0)[0]):
-                continue  # both minimizers refuse a +inf start
-            want = _oracle_minimize_box(_eager(objective), x0, lower, upper, line_search=line_search)
+        accepted = 0
+        for x0 in _pin_starts(objective, lower, upper):
+            want = _oracle_run(objective, x0, lower, upper, line_search=line_search)
             got = minimize_box(counted, x0, lower, upper, line_search=line_search)
             _assert_same_run(got, want)
-            runs += 1
             accepted += len(got.history)
         assert counted.values > accepted  # the runs rejected trials
 
     @pytest.mark.parametrize("line_search", ["backtracking", "wolfe"])
     def test_analytic_runs(self, line_search):
-        runs = [
-            (rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0)),
-            (barrier, np.array([0.0, 1.0]), np.full(2, -2.0), np.full(2, 2.0)),
-            (quadratic([1.0, -2.0], [1.0, 1.0]), np.array([0.5, 0.5]),
-             np.array([-5.0, 0.0]), np.full(2, 5.0)),
-        ]
+        runs = _analytic_runs()
         for objective, x0, lower, upper in runs:
-            want = _oracle_minimize_box(_eager(objective), x0, lower, upper, line_search=line_search)
+            want = _oracle_run(objective, x0, lower, upper, line_search=line_search)
             got = minimize_box(objective, x0, lower, upper, line_search=line_search)
             _assert_same_run(got, want)
         for memory in (1, 3):
-            want = _oracle_minimize_box(_eager(rosenbrock), runs[0][1], *runs[0][2:], memory=memory)
+            want = _oracle_run(rosenbrock, runs[0][1], *runs[0][2:], memory=memory)
             got = minimize_box(rosenbrock, runs[0][1], *runs[0][2:], memory=memory)
             _assert_same_run(got, want)
+
+
+class TestEvaluationCount:
+    """``n_eval`` is the number of objective calls, whichever search runs."""
+
+    @pytest.mark.parametrize("line_search", ["backtracking", "wolfe"])
+    @pytest.mark.parametrize("case", PIN_CASES)
+    def test_pin_problem_runs(self, species, case, line_search):
+        objective, lower, upper = _pin_case(case, species)
+        for x0 in _pin_starts(objective, lower, upper):
+            counted = _Counted(objective)
+            res = minimize_box(counted, x0, lower, upper, line_search=line_search)
+            assert res.n_eval == counted.values
+
+    @pytest.mark.parametrize("line_search", ["backtracking", "wolfe"])
+    def test_analytic_runs(self, line_search):
+        for objective, x0, lower, upper in _analytic_runs():
+            counted = _Counted(objective)
+            res = minimize_box(counted, x0, lower, upper, line_search=line_search)
+            assert res.n_eval == counted.values
 
 
 class TestGradientOnDemand:
@@ -435,3 +479,81 @@ class TestGradientOnDemand:
         assert counted.infs > 0
         assert len(counted.graded) == counted.values - counted.infs
         assert all(math.isfinite(f) for f in counted.graded)
+
+
+def _per_lane(objectives, log=None):
+    """A `minimize_lockstep` evaluator that calls lane i's own objective;
+    ``log`` collects each round's lanes and values."""
+
+    def evaluate(points, active):
+        values = [objectives[i](x) for i, x in zip(active, points)]
+        if log is not None:
+            log.append((list(active), [f for f, _ in values]))
+        return values
+
+    return evaluate
+
+
+class TestLockstep:
+    """`minimize_lockstep` gives each lane the result of a lone `minimize_box`."""
+
+    def test_lanes_finish_in_different_rounds(self):
+        runs = _analytic_runs() + [
+            (rosenbrock, np.array([0.5, 2.0]), np.full(2, -5.0), np.full(2, 5.0)),
+            (quadratic([0.3, 0.1, -0.2], [2.0, 1.0, 5.0]), np.zeros(3), np.full(3, -1.0), np.full(3, 1.0)),
+        ]
+        for line_search in ("backtracking", "wolfe"):
+            log = []
+            lanes = [minimize_box_steps(x0, lo, hi, line_search=line_search) for _, x0, lo, hi in runs]
+            got = minimize_lockstep(_per_lane([run[0] for run in runs], log), lanes)
+            for (objective, x0, lo, hi), res in zip(runs, got):
+                _assert_same_run(res, minimize_box(objective, x0, lo, hi, line_search=line_search))
+            rounds = [len(active) for active, _ in log]
+            assert rounds[0] == len(runs) and rounds[-1] < len(runs)
+            assert len({res.n_eval for res in got}) > 1
+            # one evaluation per lane per round, and each lane's rounds are its evaluations
+            assert sum(rounds) == sum(res.n_eval for res in got)
+
+    def test_single_lane(self):
+        x0, lo, hi = np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0)
+        (got,) = minimize_lockstep(_per_lane([rosenbrock]), [minimize_box_steps(x0, lo, hi)])
+        _assert_same_run(got, minimize_box(rosenbrock, x0, lo, hi))
+
+    def test_no_lanes(self):
+        def evaluate(points, active):
+            raise AssertionError("no lane, no round")
+
+        assert minimize_lockstep(evaluate, []) == []
+
+    def test_round_where_every_lane_is_inf(self):
+        # each start's first full step lands past the barrier at x0 = 0.6
+        starts = [np.array([0.0, 1.0]), np.array([0.2, -0.5]), np.array([-0.4, 0.3])]
+        lo, hi = np.full(2, -2.0), np.full(2, 2.0)
+        log = []
+        lanes = [minimize_box_steps(x0, lo, hi) for x0 in starts]
+        got = minimize_lockstep(_per_lane([barrier] * len(starts), log), lanes)
+        assert log[1] == ([0, 1, 2], [np.inf] * 3)
+        for x0, res in zip(starts, got):
+            _assert_same_run(res, minimize_box(barrier, x0, lo, hi))
+
+    def test_first_nonfinite_start_raises(self):
+        # lanes 1 and 3 start in the barrier; lane 1 raises, as it would
+        # first if the lanes ran one after another, and lane 3 never does
+        starts = [np.array([0.0, 1.0]), np.array([0.7, 0.0]), np.array([0.1, 0.0]), np.array([0.9, 0.0])]
+        lo, hi = np.full(2, -2.0), np.full(2, 2.0)
+        lanes = [minimize_box_steps(x0, lo, hi) for x0 in starts]
+        with pytest.raises(InvalidArgumentError, match="not finite at the starting point"):
+            minimize_lockstep(_per_lane([barrier] * len(starts)), lanes)
+        states = [inspect.getgeneratorstate(lane) for lane in lanes]
+        assert states == [inspect.GEN_SUSPENDED, inspect.GEN_CLOSED, inspect.GEN_SUSPENDED, inspect.GEN_SUSPENDED]
+        with pytest.raises(InvalidArgumentError, match="not finite at the starting point"):
+            minimize_box(barrier, starts[1], lo, hi)
+
+    def test_bad_controls_raise_before_any_round(self):
+        def evaluate(points, active):
+            raise AssertionError("no round runs")
+
+        lanes = [minimize_box_steps(np.zeros(2), np.zeros(2), np.ones(2)),
+                 minimize_box_steps(np.zeros(2), np.ones(2), np.zeros(2))]
+        with pytest.raises(InvalidArgumentError, match="lower bound exceeds upper bound"):
+            minimize_lockstep(evaluate, lanes)
