@@ -27,6 +27,7 @@ from .errors import (
 from .modes import (
     ModeSpectrum,
     axis_vector,
+    euclidean_norm,
     lamb_dicke,
     mass_scaled_hessian,
     mode_projections,
@@ -82,7 +83,7 @@ class CouplingMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError("coupling matrix must be square")
         m = 0.5 * (m + m.T)
-        np.fill_diagonal(m, 0.0)
+        m.reshape(-1)[:: m.shape[0] + 1] = 0.0
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -217,7 +218,8 @@ def coupling_error(
         raise UndefinedNormalizationError("cannot normalize an identically zero coupling matrix")
     scale = max_t / max_j
     jtilde = jm * scale
-    eps = float(np.linalg.norm(jt - jtilde) / np.linalg.norm(jt))
+    # numpy's division: a norm that underflows to 0 gives NaN, not an exception
+    eps = float(np.divide(euclidean_norm(jt - jtilde), euclidean_norm(jt)))
     return eps, CouplingMatrix(jtilde, scale=scale)
 
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .constants import SpeciesConstants
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     NonPlanarError,
     SingularGeometryError,
 )
-from .modes import TOL_PSD_REL, TweezerPattern, mass_scaled_hessian
+from .modes import TOL_PSD_REL, TweezerPattern, euclidean_norm, mass_scaled_hessian
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -85,10 +86,8 @@ class IonCrystal:
             raise InvalidArgumentError(
                 f"positions must have shape ({self.trap.n_ions}, 3), got {pos.shape}"
             )
-        if self.trap.n_ions > 1:
-            d = pairwise_distances(pos)
-            if np.min(d[np.triu_indices(self.trap.n_ions, 1)]) <= 0:
-                raise SingularGeometryError("crystal has coincident ions")
+        if self.trap.n_ions > 1 and _pair_terms(pos)[2].min() <= 0:
+            raise SingularGeometryError("crystal has coincident ions")
         object.__setattr__(self, "positions", pos)
 
     @property
@@ -120,8 +119,26 @@ def equidistant_spacing(omega_z_eff: float, n_ions: int, species: SpeciesConstan
 
 
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.linalg.norm(diff, axis=-1)
+    return _pair_terms(positions)[1]
+
+
+@lru_cache(maxsize=16)
+def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the pairs i < j (np.triu_indices order) and of the
+    pairs i != j (row-major) in an (n, n) array, built once per ion count."""
+    upper = np.ravel_multi_index(np.triu_indices(n, 1), (n, n))
+    off = np.flatnonzero(~np.eye(n, dtype=bool))
+    upper.flags.writeable = off.flags.writeable = False
+    return upper, off
+
+
+def _pair_terms(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Differences (N, N, 3) and distances (N, N) of every ion pair, and the
+    distances of the pairs i < j."""
+    diff = pos[:, None, :] - pos[None, :, :]
+    # np.linalg.norm(diff, axis=-1), as numpy computes it
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    return diff, dist, dist.take(_pair_tables(pos.shape[0])[0])
 
 
 def potential_and_gradient(
@@ -138,24 +155,29 @@ def potential_and_gradient(
     aligned equilibrium plus the pattern offsets).
     """
     pos = np.asarray(positions, dtype=float).reshape(trap.n_ions, 3)
+    pairs = _pair_terms(pos) if trap.n_ions > 1 else None
+    return _potential_and_gradient(pos, pairs, trap, species, tweezers, tweezer_centers)
+
+
+def _potential_and_gradient(pos, pairs, trap, species, tweezers, tweezer_centers):
+    """`potential_and_gradient` at (N, 3) float positions whose `_pair_terms`
+    are ``pairs`` (None for one ion)."""
     m = species.mass
     w2 = trap.omegas**2
 
-    energy = 0.5 * m * np.sum(w2 * pos**2)
+    energy = 0.5 * m * (w2 * pos**2).sum()
     grad = m * w2 * pos
 
-    if trap.n_ions > 1:
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        iu = np.triu_indices(trap.n_ions, 1)
-        if np.min(dist[iu]) <= 0.0:
+    if pairs is not None:
+        diff, dist, upper = pairs
+        if upper.min() <= 0.0:
             raise SingularGeometryError("coincident ions in potential evaluation")
         ke2 = species.coulomb_coefficient
-        energy += ke2 * np.sum(1.0 / dist[iu])
-        inv3 = np.zeros_like(dist)
-        mask = ~np.eye(trap.n_ions, dtype=bool)
-        inv3[mask] = dist[mask] ** -3
-        grad += -ke2 * np.sum(diff * inv3[:, :, None], axis=1)
+        energy += ke2 * (1.0 / upper).sum()
+        off = _pair_tables(trap.n_ions)[1]
+        inv3 = np.zeros(dist.shape)
+        inv3.put(off, dist.take(off) ** -3)
+        grad += -ke2 * (diff * inv3[:, :, None]).sum(axis=1)
 
     if tweezers is not None:
         if tweezer_centers is None:
@@ -255,10 +277,8 @@ def solve_equilibrium(
     if initial_guess is None:
         initial_guess = default_chain_guess(trap, species)
     guess = np.asarray(initial_guess, dtype=float).reshape(n_ions, 3)
-    if n_ions > 1:
-        d = pairwise_distances(guess)
-        if np.min(d[np.triu_indices(n_ions, 1)]) <= 0:
-            raise InvalidArgumentError("initial guess has coincident ions")
+    if n_ions > 1 and _pair_terms(guess)[2].min() <= 0:
+        raise InvalidArgumentError("initial guess has coincident ions")
 
     centers = None
     if tweezers is not None:
@@ -306,46 +326,47 @@ def _newton_descent(pos, trap, species, tweezers, centers, max_iter):
     curv = tweezers.curvatures if tweezers is not None else None
     energy, grad = potential_and_gradient(pos, trap, species, tweezers, centers)
     for _ in range(max_iter):
-        residual = np.linalg.norm(grad) / force_scale
+        grad_norm = euclidean_norm(grad)
+        residual = grad_norm / force_scale
         if residual < TOL_EQUILIBRIUM:
             return pos, residual
         hess = m * mass_scaled_hessian(pos, trap, species, curv)
-        try:
-            factor = scipy.linalg.cho_factor(hess, lower=True, check_finite=False)
-            step = scipy.linalg.cho_solve(factor, -grad.ravel(), check_finite=False)
-            step = step.reshape(n, 3)
-        except np.linalg.LinAlgError:
+        # cho_factor and cho_solve's LAPACK calls, without their wrappers
+        factor, info = dpotrf(hess, lower=1, clean=0)
+        if info == 0:
+            step = dpotrs(factor, -grad.ravel(), lower=1)[0].reshape(n, 3)
+        else:
             step = -grad / (m * wbar**2)  # indefinite Hessian: gradient descent
-        g_dot_step = float(np.sum(grad * step))
+        g_dot_step = float((grad * step).sum())
         if g_dot_step >= 0:  # not a descent direction; fall back
             step = -grad / (m * wbar**2)
-            g_dot_step = float(np.sum(grad * step))
+            g_dot_step = float((grad * step).sum())
         alpha = 1.0
         accepted = False
-        grad_norm = np.linalg.norm(grad)
         while alpha > 1e-18:
             trial = pos + alpha * step
+            pairs = None
             if n > 1:
-                d = pairwise_distances(trial)
-                if np.min(d[np.triu_indices(n, 1)]) < dist_floor:
+                pairs = _pair_terms(trial)
+                if pairs[2].min() < dist_floor:
                     alpha *= 0.5
                     continue
-            e_t, g_t = potential_and_gradient(trial, trap, species, tweezers, centers)
+            e_t, g_t = _potential_and_gradient(trial, pairs, trap, species, tweezers, centers)
             # near the minimum the energy decrease drowns in rounding; a
             # shrinking force is the reliable acceptance signal there
-            if e_t <= energy + 1e-4 * alpha * g_dot_step or np.linalg.norm(g_t) < 0.9 * grad_norm:
+            if e_t <= energy + 1e-4 * alpha * g_dot_step or euclidean_norm(g_t) < 0.9 * grad_norm:
                 pos, energy, grad = trial, e_t, g_t
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             break
-    return pos, np.linalg.norm(grad) / force_scale
+    return pos, euclidean_norm(grad) / force_scale
 
 
 def _classify_geometry(pos, trap, species):
     lbar = length_scale(trap.omega_bar, species)
-    extents = np.max(np.abs(pos), axis=0)
+    extents = np.abs(pos).max(axis=0)
     extended = tuple(int(a) for a in np.flatnonzero(extents > TOL_EXTENT * lbar))
     if len(extended) <= 1:
         axis = extended if extended else (int(np.argmin(trap.omegas)),)

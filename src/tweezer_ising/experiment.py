@@ -239,12 +239,20 @@ def misalignment_scan(
     error are recomputed.  Samples whose equilibrium solve fails are
     excluded and counted.  Streams are per-sample seeded, so the output is
     independent of evaluation order.
+
+    Raises InvalidArgumentError, before any solve, when the scales are
+    empty, not finite or negative, when `samples` is negative, or when
+    `axes` is empty or names an axis other than x, y, z (or 0, 1, 2).
     """
     scales = np.atleast_1d(np.asarray(displacement_scale, dtype=float))
-    if np.any(scales < 0):
-        raise InvalidArgumentError("displacement scale must be nonnegative")
+    if scales.size == 0 or not np.all(np.isfinite(scales)) or np.any(scales < 0):
+        raise InvalidArgumentError("displacement scales must be a nonempty set of finite, nonnegative lengths")
+    if samples < 0:
+        raise InvalidArgumentError("samples must be nonnegative")
     axes = tuple(axes if axes is not None else result.pin_axes)
-    axis_idx = [AXIS_INDEX[a] if isinstance(a, str) else int(a) for a in axes]
+    axis_idx = [AXIS_INDEX.get(a) if isinstance(a, str) else int(a) for a in axes]
+    if not axis_idx or any(a not in (0, 1, 2) for a in axis_idx):
+        raise InvalidArgumentError(f"misalignment axes must be among x, y, z; got {axes!r}")
     crystal = result.crystal
     pattern = result.tweezers
     n = crystal.n_ions
@@ -267,11 +275,12 @@ def misalignment_scan(
         offsets = np.zeros((n, 3))
         if scale > 0:
             direction = rng.standard_normal((n, dim))
-            norms = np.linalg.norm(direction, axis=1, keepdims=True)
+            # np.linalg.norm(..., axis=1) here and below, as numpy computes it
+            norms = np.sqrt(np.add.reduce(direction * direction, axis=1, keepdims=True))
             norms[norms == 0] = 1.0
             radius = scale * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / dim)
             offsets[:, axis_idx] = radius * direction / norms
-        avg = float(np.mean(np.linalg.norm(offsets, axis=1)))
+        avg = float(np.sqrt(np.add.reduce(offsets * offsets, axis=1)).mean())
         try:
             shifted = solve_equilibrium(
                 crystal.trap,

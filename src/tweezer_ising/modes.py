@@ -8,6 +8,7 @@ tensor directly on the corresponding ion block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -32,6 +33,26 @@ TOL_DEGENERACY_REL = 1e-9
 #: fraction of squared norm on one axis set for direction classification
 DIRECTION_PURITY = 0.99
 
+_EYE3 = np.eye(3)
+
+
+def euclidean_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a float array without its dispatch: the square
+    root of the dot product of its flattened self, as numpy computes it."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def symmetric_within(a: np.ndarray, atol: float) -> bool:
+    """np.allclose(a, a.T, rtol=0, atol=atol).
+
+    For finite entries and a finite atol that is |a - a.T| <= atol
+    everywhere, checked in one pass; anything else goes to np.allclose
+    itself, which also decides infinities."""
+    if np.abs(a - a.T).max() <= atol < np.inf:
+        return True
+    return bool(np.allclose(a, a.T, rtol=0, atol=atol))
+
 
 def axis_vector(axis: Union[str, Sequence[float]]) -> np.ndarray:
     """Unit vector from an axis name ('y'), a name list ('yz'), or a 3-vector."""
@@ -45,7 +66,7 @@ def axis_vector(axis: Union[str, Sequence[float]]) -> np.ndarray:
         v = np.asarray(axis, dtype=float)
         if v.shape != (3,):
             raise InvalidArgumentError("drive axis must be a 3-vector or axis name")
-    norm = np.linalg.norm(v)
+    norm = euclidean_norm(v)
     if norm == 0:
         raise InvalidArgumentError("drive axis must be nonzero")
     return v / norm
@@ -90,7 +111,20 @@ class TweezerPattern:
         return tuple(int(a) for a in np.flatnonzero(on))
 
     def with_offsets(self, offsets: np.ndarray) -> "TweezerPattern":
-        return TweezerPattern(self.curvatures, np.asarray(offsets, dtype=float))
+        """This pattern's curvatures with new offsets.
+
+        Only the offsets are checked: the curvatures passed the full check
+        when this pattern was made.
+        """
+        off = np.asarray(offsets, dtype=float)
+        if off.shape != (self.n_ions, 3):
+            raise InvalidArgumentError("offsets must have shape (N, 3)")
+        if not np.isfinite(off).all():
+            raise InvalidArgumentError("pattern entries must be finite")
+        moved = object.__new__(TweezerPattern)
+        object.__setattr__(moved, "curvatures", self.curvatures)
+        object.__setattr__(moved, "offsets", off)
+        return moved
 
     @classmethod
     def zero(cls, n_ions: int) -> "TweezerPattern":
@@ -127,7 +161,7 @@ class HessianMatrix:
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=float)
         scale = np.abs(a).max() or 1.0
-        if not np.allclose(a, a.T, rtol=0, atol=1e-12 * scale):
+        if not symmetric_within(a, 1e-12 * scale):
             raise InvalidArgumentError("Hessian must be symmetric")
         object.__setattr__(self, "matrix", 0.5 * (a + a.T))
 
@@ -146,24 +180,27 @@ def mass_scaled_hessian(
     """
     pos = np.asarray(positions, dtype=float)
     n = pos.shape[0]
-    a = np.zeros((n, n, 3, 3))
     if n > 1:
         diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        np.fill_diagonal(dist, 1.0)
+        # np.linalg.norm(diff, axis=-1), as numpy computes it
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+        dist.reshape(-1)[:: n + 1] = 1.0
         unit = diff / dist[:, :, None]
         ke2_m = species.coulomb_coefficient / species.mass
-        t = 3.0 * unit[:, :, :, None] * unit[:, :, None, :] - np.eye(3)
+        t = 3.0 * unit[:, :, :, None] * unit[:, :, None, :] - _EYE3
         t *= (ke2_m / dist**3)[:, :, None, None]
-        mask = np.eye(n, dtype=bool)
-        t[mask] = 0.0
-        a -= t
-        a[np.arange(n), np.arange(n)] = t.sum(axis=1)
-    idx = np.arange(n)
+        # the (i, i) blocks, as a strided view of the flat ion pairs
+        t.reshape(n * n, 3, 3)[:: n + 1] = 0.0
+        a = 0.0 - t
+        a.reshape(n * n, 3, 3)[:: n + 1] = t.sum(axis=1)
+    else:
+        a = np.zeros((n, n, 3, 3))
+    blocks = a.reshape(n * n, 3, 3)[:: n + 1]
+    omegas = trap.omegas
     for ax in range(3):
-        a[idx, idx, ax, ax] += trap.omegas[ax] ** 2
+        blocks[:, ax, ax] += omegas[ax] ** 2
     if curvatures is not None:
-        a[idx, idx] += curvatures
+        blocks += curvatures
     return a.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
 
 
@@ -205,12 +242,18 @@ class ModeSpectrum:
 
     def __post_init__(self):
         if self.direction_weights is None:
-            axes = np.asarray(self.coords) % 3
-            w = np.zeros((len(self.frequencies), 3))
-            for a in range(3):
-                rows = axes == a
-                if np.any(rows):
-                    w[:, a] = np.sum(self.eigenvectors[rows, :] ** 2, axis=0)
+            coords = np.asarray(self.coords)
+            if _all_coords(coords, self.n_ions):
+                # one sum over the ions gives each axis's weight, row order kept
+                sq = (self.eigenvectors**2).reshape(self.n_ions, 3, -1)
+                w = np.ascontiguousarray(sq.sum(axis=0).T)
+            else:
+                axes = coords % 3
+                w = np.zeros((len(self.frequencies), 3))
+                for a in range(3):
+                    rows = axes == a
+                    if np.any(rows):
+                        w[:, a] = np.sum(self.eigenvectors[rows, :] ** 2, axis=0)
             object.__setattr__(self, "direction_weights", w)
 
     @property
@@ -244,7 +287,7 @@ def mode_spectrum(
     else:
         a = np.asarray(hessian, dtype=float)
         scale = np.abs(a).max() or 1.0
-        if not np.allclose(a, a.T, rtol=0, atol=1e-10 * scale):
+        if not symmetric_within(a, 1e-10 * scale):
             raise InvalidArgumentError("Hessian must be symmetric")
         a = 0.5 * (a + a.T)
     if coords is None:
@@ -270,16 +313,17 @@ def mode_spectrum(
 
 
 def _deterministic_eigenvectors(lam, vec, tol):
-    vec = vec.copy()
     b = vec.shape[0]
-    start = 0
-    while start < b:
-        stop = start + 1
-        while stop < b and lam[stop] - lam[stop - 1] < tol:
-            stop += 1
-        if stop - start > 1:
-            vec[:, start:stop] = _canonical_subspace_basis(vec[:, start:stop])
-        start = stop
+    if (np.diff(lam) < tol).any():
+        vec = vec.copy()
+        start = 0
+        while start < b:
+            stop = start + 1
+            while stop < b and lam[stop] - lam[stop - 1] < tol:
+                stop += 1
+            if stop - start > 1:
+                vec[:, start:stop] = _canonical_subspace_basis(vec[:, start:stop])
+            start = stop
     # sign convention: the largest-magnitude component of each mode is positive
     pick = np.argmax(np.abs(vec), axis=0)
     signs = np.sign(vec[pick, np.arange(b)])
@@ -336,11 +380,20 @@ def lamb_dicke(
 def mode_projections(spectrum: ModeSpectrum, drive_axis: Union[str, Sequence[float]]) -> np.ndarray:
     """Drive-axis amplitude of each mode at each ion, shape (N, B)."""
     v = axis_vector(drive_axis)
-    ions = spectrum.coords // 3
-    axes = spectrum.coords % 3
-    proj = np.zeros((spectrum.n_ions, spectrum.n_modes))
-    np.add.at(proj, ions, v[axes][:, None] * spectrum.eigenvectors)
+    coords = spectrum.coords
+    amplitude = v[coords % 3][:, None] * spectrum.eigenvectors
+    n = spectrum.n_ions
+    if _all_coords(coords, n):
+        # rows 3i, 3i + 1, 3i + 2 summed from zero in order, as add.at does
+        return amplitude.reshape(n, 3, -1).sum(axis=1)
+    proj = np.zeros((n, spectrum.n_modes))
+    np.add.at(proj, coords // 3, amplitude)
     return proj
+
+
+def _all_coords(coords: np.ndarray, n_ions: int) -> bool:
+    """Whether coords are 0, 1, ..., 3N - 1: every axis of every ion, row 3i + a."""
+    return coords.size == 3 * n_ions and bool((coords == np.arange(3 * n_ions)).all())
 
 
 def block_coords(n_ions: int, axes: Sequence[Union[str, int]]) -> np.ndarray:

@@ -437,18 +437,25 @@ class PinProblem:
         wt = w * theta[:, None, :]
         j = wt @ w.transpose(0, 2, 1)
         j = 0.5 * (j + j.transpose(0, 2, 1))
-        j.reshape(len(live), -1)[:, :: n + 1] = 0.0
-        for lane, i in enumerate(live):
-            j_l = j[lane]
-            max_j, (p, q) = max_abs_offdiag(j_l)
-            if max_j <= 0.0:
-                continue
-            s = self.max_t / max_j
-            r = self.target - s * j_l
-            r_flat = r.reshape(-1)
+        flat = j.reshape(len(live), -1)
+        flat[:, :: n + 1] = 0.0
+        # max_abs_offdiag of every lane at once: |J| with the diagonal at -1
+        # and each lane's first row-major argmax; nothing here rounds
+        mag = np.abs(flat)
+        mag[:, :: n + 1] = -1.0
+        at = mag.argmax(1)
+        max_j = np.maximum(mag[np.arange(len(live)), at], 0.0)
+        # a lane with J = 0 has no ε; NaN passes on, as in a lone call
+        keep = np.flatnonzero(~(max_j <= 0.0))
+        s = self.max_t / max_j[keep]
+        r = self.target - s[:, None, None] * j[keep]
+        for lane, s_l, r_l in zip(keep.tolist(), s.tolist(), r):
+            p, q = divmod(int(at[lane]), n)
+            r_flat = r_l.reshape(-1)
             # np.linalg.norm(r) without its dispatch: sqrt(r·r) over the flat array
             eps = math.sqrt(r_flat.dot(r_flat)) / self.t_norm
-            out[i] = eps, self._gradient(eps, r, j_l, s, p, q, w, wt, u, theta, lane, mus[i])
+            i = live[lane]
+            out[i] = eps, self._gradient(eps, r_l, j[lane], s_l, p, q, w, wt, u, theta, lane, mus[i])
         return out
 
     def _gradient(self, eps, r, j, s, p, q, w, wt, u, theta, lane, mu):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.constants as const
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,13 +14,19 @@ from tweezer_ising import (
     potential_and_gradient,
     solve_equilibrium,
 )
-from tweezer_ising.crystal import pairwise_distances
+from tweezer_ising.crystal import (
+    DIST_FLOOR,
+    TOL_EQUILIBRIUM,
+    default_chain_guess,
+    pairwise_distances,
+    triangular_start,
+)
 from tweezer_ising.errors import (
     ConvergenceError,
     InvalidArgumentError,
     SingularGeometryError,
 )
-from tweezer_ising.modes import TweezerPattern
+from tweezer_ising.modes import TOL_PSD_REL, TweezerPattern
 
 from conftest import MHZ, fd_gradient
 
@@ -199,3 +206,199 @@ class TestLattices:
             make_lattice("triangular", 10, 1e-6)
         with pytest.raises(InvalidArgumentError):
             make_lattice("ring", 5, 1e-6)
+
+
+class TestWithOffsets:
+    def test_rejects_wrong_shape_and_non_finite_offsets(self):
+        pattern = TweezerPattern.from_frequencies(np.full(4, 0.3 * MHZ), axes="y")
+        with pytest.raises(InvalidArgumentError):
+            pattern.with_offsets(np.zeros((3, 3)))
+        with pytest.raises(InvalidArgumentError):
+            pattern.with_offsets(np.zeros(12))
+        for bad in (np.nan, np.inf, -np.inf):
+            offsets = np.zeros((4, 3))
+            offsets[2, 1] = bad
+            with pytest.raises(InvalidArgumentError):
+                pattern.with_offsets(offsets)
+
+    def test_keeps_curvatures_and_takes_offsets(self):
+        pattern = TweezerPattern.from_frequencies(np.full(4, 0.3 * MHZ), axes="yz")
+        offsets = np.arange(12.0).reshape(4, 3) * 1e-9
+        moved = pattern.with_offsets(offsets)
+        assert moved.curvatures is pattern.curvatures
+        assert np.array_equal(moved.offsets, offsets)
+        assert moved.offsets.dtype == float
+
+
+# Reference equilibrium solver: `potential_and_gradient`,
+# `mass_scaled_hessian` and `_newton_descent` written with np.linalg.norm,
+# np.triu_indices, boolean masks and scipy's Cholesky wrappers, driven by
+# `solve_equilibrium`'s descend-and-kick loop.  The package solver must
+# give the same position bytes.
+
+
+def _oracle_pairwise_distances(positions):
+    diff = positions[:, None, :] - positions[None, :, :]
+    return np.linalg.norm(diff, axis=-1)
+
+
+def _oracle_potential_and_gradient(positions, trap, species, tweezers=None, tweezer_centers=None):
+    pos = np.asarray(positions, dtype=float).reshape(trap.n_ions, 3)
+    m = species.mass
+    w2 = trap.omegas**2
+
+    energy = 0.5 * m * np.sum(w2 * pos**2)
+    grad = m * w2 * pos
+
+    if trap.n_ions > 1:
+        diff = pos[:, None, :] - pos[None, :, :]
+        dist = np.linalg.norm(diff, axis=-1)
+        iu = np.triu_indices(trap.n_ions, 1)
+        if np.min(dist[iu]) <= 0.0:
+            raise SingularGeometryError("coincident ions in potential evaluation")
+        ke2 = species.coulomb_coefficient
+        energy += ke2 * np.sum(1.0 / dist[iu])
+        inv3 = np.zeros_like(dist)
+        mask = ~np.eye(trap.n_ions, dtype=bool)
+        inv3[mask] = dist[mask] ** -3
+        grad += -ke2 * np.sum(diff * inv3[:, :, None], axis=1)
+
+    if tweezers is not None:
+        if tweezer_centers is None:
+            raise InvalidArgumentError("tweezer_centers required when tweezers are present")
+        u = pos - np.asarray(tweezer_centers, dtype=float)
+        curv = tweezers.curvatures  # (N, 3, 3), rad^2/s^2
+        energy += 0.5 * m * np.einsum("ia,iab,ib->", u, curv, u)
+        grad += m * np.einsum("iab,ib->ia", curv, u)
+
+    return energy, grad
+
+
+def _oracle_mass_scaled_hessian(positions, trap, species, curvatures=None):
+    pos = np.asarray(positions, dtype=float)
+    n = pos.shape[0]
+    a = np.zeros((n, n, 3, 3))
+    if n > 1:
+        diff = pos[:, None, :] - pos[None, :, :]
+        dist = np.linalg.norm(diff, axis=-1)
+        np.fill_diagonal(dist, 1.0)
+        unit = diff / dist[:, :, None]
+        ke2_m = species.coulomb_coefficient / species.mass
+        t = 3.0 * unit[:, :, :, None] * unit[:, :, None, :] - np.eye(3)
+        t *= (ke2_m / dist**3)[:, :, None, None]
+        mask = np.eye(n, dtype=bool)
+        t[mask] = 0.0
+        a -= t
+        a[np.arange(n), np.arange(n)] = t.sum(axis=1)
+    idx = np.arange(n)
+    for ax in range(3):
+        a[idx, idx, ax, ax] += trap.omegas[ax] ** 2
+    if curvatures is not None:
+        a[idx, idx] += curvatures
+    return a.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+
+
+def _oracle_newton_descent(pos, trap, species, tweezers, centers, max_iter):
+    m = species.mass
+    wbar = trap.omega_bar
+    lbar = length_scale(wbar, species)
+    force_scale = m * wbar**2 * lbar
+    dist_floor = DIST_FLOOR * lbar
+    n = trap.n_ions
+
+    curv = tweezers.curvatures if tweezers is not None else None
+    energy, grad = _oracle_potential_and_gradient(pos, trap, species, tweezers, centers)
+    for _ in range(max_iter):
+        residual = np.linalg.norm(grad) / force_scale
+        if residual < TOL_EQUILIBRIUM:
+            return pos, residual
+        hess = m * _oracle_mass_scaled_hessian(pos, trap, species, curv)
+        try:
+            factor = scipy.linalg.cho_factor(hess, lower=True, check_finite=False)
+            step = scipy.linalg.cho_solve(factor, -grad.ravel(), check_finite=False)
+            step = step.reshape(n, 3)
+        except np.linalg.LinAlgError:
+            step = -grad / (m * wbar**2)  # indefinite Hessian: gradient descent
+        g_dot_step = float(np.sum(grad * step))
+        if g_dot_step >= 0:  # not a descent direction; fall back
+            step = -grad / (m * wbar**2)
+            g_dot_step = float(np.sum(grad * step))
+        alpha = 1.0
+        accepted = False
+        grad_norm = np.linalg.norm(grad)
+        while alpha > 1e-18:
+            trial = pos + alpha * step
+            if n > 1:
+                d = _oracle_pairwise_distances(trial)
+                if np.min(d[np.triu_indices(n, 1)]) < dist_floor:
+                    alpha *= 0.5
+                    continue
+            e_t, g_t = _oracle_potential_and_gradient(trial, trap, species, tweezers, centers)
+            # near the minimum the energy decrease drowns in rounding; a
+            # shrinking force is the reliable acceptance signal there
+            if e_t <= energy + 1e-4 * alpha * g_dot_step or np.linalg.norm(g_t) < 0.9 * grad_norm:
+                pos, energy, grad = trial, e_t, g_t
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            break
+    return pos, np.linalg.norm(grad) / force_scale
+
+
+def _oracle_equilibrium(trap, species, guess, tweezers=None, centers=None, max_iter=200):
+    """Positions and the number of kicks of `solve_equilibrium`'s loop."""
+    curv = tweezers.curvatures if tweezers is not None else None
+    floor = TOL_PSD_REL * trap.omega_bar**2
+    lbar = length_scale(trap.omega_bar, species)
+    pos = np.asarray(guess, dtype=float).reshape(trap.n_ions, 3)
+    for attempt in range(5):
+        pos, residual = _oracle_newton_descent(pos, trap, species, tweezers, centers, max_iter)
+        lam_min = np.linalg.eigvalsh(_oracle_mass_scaled_hessian(pos, trap, species, curv))[0]
+        if residual < TOL_EQUILIBRIUM and lam_min >= -floor:
+            return pos, attempt
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1905, spawn_key=(attempt,))))
+        pos = pos + min(1e-3 * 4.0**attempt, 3e-2) * lbar * rng.standard_normal(pos.shape)
+    raise AssertionError("oracle did not converge")
+
+
+class TestEquilibriumOracle:
+    """`solve_equilibrium` gives the oracle's position bytes."""
+
+    def test_chain_with_offset_tweezers(self, species):
+        trap = TrapConfig(2.0 * MHZ, 0.6 * MHZ, 0.07 * MHZ, n_ions=12)
+        aligned = solve_equilibrium(trap, species, 12)
+        rng = np.random.default_rng(21)
+        pattern = TweezerPattern.from_frequencies(
+            rng.uniform(0.05, 0.3, 12) * MHZ, axes="y", offsets=np.zeros((12, 3))
+        )
+        offsets = np.zeros((12, 3))
+        offsets[:, 1] = rng.uniform(-200e-9, 200e-9, 12)
+        moved = pattern.with_offsets(offsets)
+        shifted = solve_equilibrium(
+            trap, species, 12, aligned.positions, tweezers=moved, tweezer_reference=aligned.positions
+        )
+        expected, kicks = _oracle_equilibrium(
+            trap, species, aligned.positions, moved, aligned.positions + offsets
+        )
+        assert kicks == 0
+        assert np.abs(shifted.positions - aligned.positions).max() > 0
+        assert shifted.positions.tobytes() == expected.tobytes()
+
+    def test_planar_triangle(self, species):
+        trap = TrapConfig(2.4 * MHZ, 0.16 * MHZ, 0.16 * MHZ, n_ions=19)
+        guess, _ = triangular_start(trap, species, 0.16 * MHZ)
+        crystal = solve_equilibrium(trap, species, 19, guess, require="planar")
+        expected, _ = _oracle_equilibrium(trap, species, guess)
+        assert crystal.dimensionality == "planar"
+        assert crystal.positions.tobytes() == expected.tobytes()
+
+    def test_kicked_off_a_saddle(self, species):
+        # radial confinement below the zigzag transition: the collinear
+        # guess descends to a saddle and needs a kick
+        trap = TrapConfig(0.6 * MHZ, 0.4 * MHZ, 0.14 * MHZ, n_ions=12)
+        guess = default_chain_guess(trap, species)
+        crystal = solve_equilibrium(trap, species, 12, guess)
+        expected, kicks = _oracle_equilibrium(trap, species, guess)
+        assert kicks >= 1
+        assert crystal.positions.tobytes() == expected.tobytes()

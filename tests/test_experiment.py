@@ -190,3 +190,41 @@ class TestMisalignmentScan:
         scan = misalignment_scan(small_result, [10e-9, 100e-9], samples=8, seed=2)
         avgs = np.array([r[0] for r in scan.records])
         assert (avgs[::2] < avgs[1::2]).all()  # alternating small/large scales
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"displacement_scale": []},
+            {"displacement_scale": [10e-9, np.nan]},
+            {"displacement_scale": np.nan},
+            {"displacement_scale": [np.inf]},
+            {"displacement_scale": -1e-9},
+            {"samples": -3},
+            {"axes": ("q",)},
+            {"axes": (5,)},
+            {"axes": ()},
+        ],
+        ids=["empty", "nan_in_list", "nan", "inf", "negative", "negative_samples",
+             "unknown_axis", "axis_index", "no_axes"],
+    )
+    def test_rejects_bad_inputs(self, small_result, kwargs):
+        args = {"displacement_scale": 10e-9, "samples": 4, "seed": 1, **kwargs}
+        with pytest.raises(InvalidArgumentError):
+            misalignment_scan(small_result, **args)
+
+    def test_inputs_checked_before_the_aligned_solve(self, monkeypatch, small_result):
+        import tweezer_ising.experiment as experiment_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("aligned solve ran before the input check")
+
+        monkeypatch.setattr(experiment_mod, "realized_coupling", fail)
+        with pytest.raises(InvalidArgumentError):
+            misalignment_scan(small_result, [np.inf], samples=4, seed=1)
+        with pytest.raises(InvalidArgumentError):
+            misalignment_scan(small_result, 10e-9, samples=-1, seed=1)
+
+    def test_zero_samples_give_an_empty_scan(self, small_result):
+        scan = misalignment_scan(small_result, 10e-9, samples=0, seed=1)
+        assert scan.records == [] and scan.n_failed == 0
+        assert scan.aligned_epsilon == small_result.epsilon

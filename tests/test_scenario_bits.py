@@ -17,14 +17,25 @@ out of its count.
 
 `power_law_chain_12(1.5, even=True)` is the one pin whose stage 1 scans
 more than one trap frequency: 2 rows of 8 feasible cells each.
+
+The fig7 path is pinned as well: the misalignment scan of the fast
+`nn_chain_12` design at the fast scan settings (60 samples, seed 123).
+Each sample re-solves the equilibrium with offset tweezers and re-grades
+ε from the full spectrum, so an edit to the equilibrium solve, the
+Hessian, the spectrum or the realized coupling that moves a bit of any
+record changes the hash of the records.  The same numpy/BLAS caveat
+holds.
 """
 
+import hashlib
 from functools import partial
 
 import pytest
 
+from tweezer_ising.experiment import misalignment_scan
 from tweezer_ising.scenarios import (
     frustrated_ladder_12,
+    misalignment_settings,
     nn_chain_12,
     power_law_chain_12,
     run_scenario,
@@ -66,3 +77,20 @@ def test_fast_scenario_epsilon_bits(name):
     assert repr(result.epsilon) == expected
     assert result.iterations == iterations
     assert {stage: len(h) for stage, h in result.histories.items()} == accepted
+
+
+#: repr of the aligned ε, failed samples, and sha256 of repr(records)
+MISALIGNMENT = (
+    "0.028544842579508123",
+    0,
+    "f4bd43a3e39a432b0566248053a8d84c256d4f08690e9d91f7995d660a5b4724",
+)
+
+
+def test_fast_misalignment_scan_bits():
+    design = run_scenario(nn_chain_12(fast=True))
+    scales, samples, seed = misalignment_settings(True)
+    scan = misalignment_scan(design, scales, samples, seed)
+    assert len(scan.records) == samples
+    digest = hashlib.sha256(repr(scan.records).encode()).hexdigest()
+    assert (repr(scan.aligned_epsilon), scan.n_failed, digest) == MISALIGNMENT
