@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MHZ, RunConfig, parse_config
-from .constants import YB171
+from .config import RunConfig, parse_config
+from .constants import KHZ, MHZ, YB171
 from .coupling import DriveConfig, coupling_error, coupling_matrix
 from .crystal import solve_equilibrium, triangular_start
 from .errors import ConvergenceError, InvalidArgumentError, TweezerIsingError
@@ -30,7 +30,7 @@ from .experiment import (
     stark_homogenize,
     tweezer_trap_frequency,
 )
-from .iofmt import load_result, save_result, write_matrix_csv, write_summary, write_table_csv
+from .iofmt import _write_modes, load_result, save_result, write_matrix_csv, write_summary, write_table_csv
 from .modes import TweezerPattern, build_hessian, mode_spectrum
 from .optimizer import PinProblem, run_pipeline, sign_feasibility, untweezed_baseline
 from .scenarios import (
@@ -143,17 +143,8 @@ def _cmd_modes(args) -> int:
     out = _outdir(args, "runs/modes")
     crystal = _crystal_from_config(cfg)
     spectrum = mode_spectrum(build_hessian(crystal, _pattern_from_config(cfg)))
-    write_matrix_csv(out / "positions.csv", crystal.positions * 1e6, "positions", "um")
+    _write_modes(out, crystal.positions, spectrum)
     write_matrix_csv(out / "eigenvectors.csv", spectrum.eigenvectors, "eigenvectors", "columns_are_modes")
-    write_table_csv(
-        out / "spectrum.csv",
-        ["mode", "frequency_mhz", "weight_x", "weight_y", "weight_z"],
-        [
-            (m, spectrum.frequencies[m] / MHZ, *spectrum.direction_weights[m])
-            for m in range(spectrum.n_modes)
-        ],
-        {"name": "mode_spectrum"},
-    )
     print(f"wrote spectrum of {crystal.n_ions} ions to {out}")
     return 0
 
@@ -260,8 +251,8 @@ def _cmd_experiment(args) -> int:
         },
         "estimates": {
             "scattering_rate_per_s": rate,
-            "tweezer_frequency_khz": omega_p / (2 * np.pi * 1e3),
-            "differential_stark_khz": stark / (2 * np.pi * 1e3),
+            "tweezer_frequency_khz": omega_p / KHZ,
+            "differential_stark_khz": stark / KHZ,
         },
     }
     if cfg.pinning is not None:
@@ -275,8 +266,8 @@ def _cmd_experiment(args) -> int:
         )
     write_summary(out / "estimators.txt", sections)
     print(
-        f"scattering {rate:.2f} /s, pinning {omega_p / (2 * np.pi * 1e3):.0f} kHz, "
-        f"stark {stark / (2 * np.pi * 1e3):.1f} kHz; files in {out}"
+        f"scattering {rate:.2f} /s, pinning {omega_p / KHZ:.0f} kHz, "
+        f"stark {stark / KHZ:.1f} kHz; files in {out}"
     )
     return 0
 

@@ -17,14 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import SpeciesConstants, species_by_name
+from .constants import KHZ, MHZ, SpeciesConstants, species_by_name
 from .crystal import TrapConfig
 from .errors import InvalidArgumentError
 from .optimizer import SearchSpace
 from .targets import TargetSpec, load_target_edges, load_target_matrix
 
-MHZ = 2.0 * np.pi * 1e6
-KHZ = 2.0 * np.pi * 1e3
 ENV_PREFIX = "TWEEZER_ISING__"
 
 #: every accepted key, per section

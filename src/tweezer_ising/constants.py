@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import scipy.constants as _const
 
 from .errors import InvalidArgumentError
+
+#: angular frequency of 1 MHz and of 1 kHz, rad/s; config files and outputs use w / 2pi
+MHZ = 2.0 * math.pi * 1e6
+KHZ = 2.0 * math.pi * 1e3
 
 
 @dataclass(frozen=True)

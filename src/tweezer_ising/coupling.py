@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from .constants import SpeciesConstants
+from .constants import KHZ, SpeciesConstants
 from .errors import (
     InvalidArgumentError,
     ResonanceError,
@@ -37,7 +37,7 @@ from .modes import (
 if TYPE_CHECKING:
     from .crystal import TrapConfig
 
-DEFAULT_RESONANCE_GUARD = 2.0 * np.pi * 1e3  # rad/s
+DEFAULT_RESONANCE_GUARD = KHZ  # rad/s
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,15 @@ class DriveConfig:
     drive_axis: Union[str, Sequence[float]] = "y"
     g: Optional[float] = None  # rad/s
     k_eff: Optional[float] = None  # rad/m
-    mode_mask: Optional[np.ndarray] = None  # boolean over modes, None = all
+    # boolean over modes, or the indices of the included modes (integral
+    # values in [0, n_modes)); None = all
+    mode_mask: Optional[np.ndarray] = None
     resonance_guard: float = DEFAULT_RESONANCE_GUARD
 
     def __post_init__(self):
         if not self.mu > 0:
             raise InvalidArgumentError("beatnote frequency must be positive")
-        if self.resonance_guard < 0:
+        if not self.resonance_guard >= 0:
             raise InvalidArgumentError("resonance guard must be nonnegative")
         object.__setattr__(self, "drive_axis", axis_vector(self.drive_axis))
 
@@ -63,8 +65,12 @@ class DriveConfig:
             return np.ones(spectrum.n_modes, dtype=bool)
         mask = np.asarray(self.mode_mask)
         if mask.dtype != bool:
-            out = np.zeros(spectrum.n_modes, dtype=bool)
-            out[np.asarray(mask, dtype=int)] = True
+            n = spectrum.n_modes
+            indices = mask.reshape(-1).tolist()
+            if not all(float(i).is_integer() and 0 <= i < n for i in indices):
+                raise InvalidArgumentError(f"mode indices must be integers in [0, {n}), got {indices}")
+            out = np.zeros(n, dtype=bool)
+            out[np.asarray(indices, dtype=int)] = True
             return out
         if mask.size != spectrum.n_modes:
             raise InvalidArgumentError("mode mask length disagrees with spectrum")
@@ -89,6 +95,11 @@ class CouplingMatrix:
     @property
     def n_ions(self) -> int:
         return self.matrix.shape[0]
+
+
+def _as_matrix(j: Union[CouplingMatrix, np.ndarray]) -> np.ndarray:
+    """The array of a coupling argument given as a CouplingMatrix or array-like."""
+    return j.matrix if isinstance(j, CouplingMatrix) else np.asarray(j, dtype=float)
 
 
 def check_resonance(spectrum: ModeSpectrum, drive: DriveConfig) -> None:
@@ -208,8 +219,8 @@ def coupling_error(
     J is rescaled so its largest off-diagonal magnitude matches the
     target's, then eps = ||J_T - J~||_F / ||J_T||_F.
     """
-    jt = j_target.matrix if isinstance(j_target, CouplingMatrix) else np.asarray(j_target, dtype=float)
-    jm = j.matrix if isinstance(j, CouplingMatrix) else np.asarray(j, dtype=float)
+    jt = _as_matrix(j_target)
+    jm = _as_matrix(j)
     if jt.shape != jm.shape:
         raise InvalidArgumentError("coupling matrices must have equal shape")
     max_t, _ = max_abs_offdiag(jt)

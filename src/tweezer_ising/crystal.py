@@ -206,7 +206,7 @@ def make_lattice(kind: str, n_ions: int, spacing: float, plane: tuple[int, int] 
         pos[:, 2] = (np.arange(n_ions) - (n_ions - 1) / 2.0) * spacing
         return pos
     if kind == "triangular":
-        shells = _hex_shells(n_ions)
+        shells = hex_shells(n_ions)
         a, b = np.meshgrid(np.arange(-shells, shells + 1), np.arange(-shells, shells + 1))
         a, b = a.ravel(), b.ravel()
         keep = np.abs(a + b) <= shells
@@ -220,8 +220,8 @@ def make_lattice(kind: str, n_ions: int, spacing: float, plane: tuple[int, int] 
     raise InvalidArgumentError(f"unsupported lattice kind {kind!r}")
 
 
-def _hex_shells(n_ions: int) -> int:
-    # n = 1 + 3 k (k + 1) for a centered hexagonal lattice with k shells
+def hex_shells(n_ions: int) -> int:
+    """Shell count k of a centered hexagonal lattice of n = 1 + 3 k (k + 1) ions."""
     k = round((-3 + math.sqrt(12 * n_ions - 3)) / 6)
     if 1 + 3 * k * (k + 1) != n_ions:
         raise InvalidArgumentError(

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .coupling import CouplingMatrix, max_abs_offdiag
+from .coupling import CouplingMatrix, _as_matrix, max_abs_offdiag
 from .errors import InvalidArgumentError
 from .sensitivity import CouplingGradient
 
@@ -69,8 +69,8 @@ def build_sign_constraints(
     """
     if rows not in ("magnitude", "sign_mismatch"):
         raise InvalidArgumentError(f"unknown row policy {rows!r}")
-    jt = j_target.matrix if isinstance(j_target, CouplingMatrix) else np.asarray(j_target, dtype=float)
-    j0 = j_native.matrix if isinstance(j_native, CouplingMatrix) else np.asarray(j_native, dtype=float)
+    jt = _as_matrix(j_target)
+    j0 = _as_matrix(j_native)
     max_t, _ = max_abs_offdiag(jt)
     max_0, _ = max_abs_offdiag(j0)
     if max_0 <= 0 or max_t <= 0:

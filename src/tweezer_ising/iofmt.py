@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .constants import species_by_name
+from .constants import KHZ, MHZ, species_by_name
 from .coupling import CouplingMatrix, realized_coupling
 from .crystal import IonCrystal, TrapConfig, _classify_geometry
 from .errors import InvalidArgumentError
@@ -32,19 +32,22 @@ def write_matrix_csv(path: Union[str, Path], matrix: np.ndarray, name: str, unit
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_matrix_csv(path: Union[str, Path]):
-    meta = {}
-    rows = []
+def _read_csv(path: Union[str, Path]):
+    """A CSV file's `# key = value` header entries and its other non-blank lines."""
+    meta, lines = {}, []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             key, _, value = line.lstrip("# ").partition("=")
             meta[key.strip()] = value.strip()
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    matrix = np.array(rows)
+        elif line:
+            lines.append(line)
+    return meta, lines
+
+
+def read_matrix_csv(path: Union[str, Path]):
+    meta, lines = _read_csv(path)
+    matrix = np.array([[float(v) for v in line.split(",")] for line in lines])
     if "n" in meta and matrix.shape[0] != int(meta["n"]):
         raise InvalidArgumentError(f"{path}: row count disagrees with header n = {meta['n']}")
     return matrix, meta
@@ -59,28 +62,27 @@ def write_table_csv(path: Union[str, Path], columns: list, rows, meta: dict = No
 
 
 def read_table_csv(path: Union[str, Path]):
-    meta = {}
-    columns = None
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line.lstrip("# ").partition("=")
-            meta[key.strip()] = value.strip()
-            continue
-        if columns is None:
-            columns = line.split(",")
-            continue
-        values = []
-        for v in line.split(","):
-            try:
-                values.append(float(v))
-            except ValueError:
-                values.append(v)
-        rows.append(values)
-    return columns or [], rows, meta
+    meta, lines = _read_csv(path)
+    rows = [[_cell(v) for v in line.split(",")] for line in lines[1:]]
+    return (lines[0].split(",") if lines else []), rows, meta
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _write_modes(out: Path, positions: np.ndarray, spectrum) -> None:
+    """positions.csv and spectrum.csv of a crystal and its mode spectrum."""
+    write_matrix_csv(out / "positions.csv", positions * 1e6, "positions", "um")
+    write_table_csv(
+        out / "spectrum.csv",
+        ["mode", "frequency_mhz", "weight_x", "weight_y", "weight_z"],
+        [(m, spectrum.frequencies[m] / MHZ, *spectrum.direction_weights[m]) for m in range(spectrum.n_modes)],
+        {"name": "mode_spectrum"},
+    )
 
 
 def write_summary(path: Union[str, Path], sections: dict) -> None:
@@ -112,8 +114,6 @@ def read_summary(path: Union[str, Path]) -> dict:
 # ---------------------------------------------------------------------------
 # optimization result persistence
 
-MHZ = 2.0 * np.pi * 1e6
-
 
 def save_result(result, outdir: Union[str, Path], species_name: str = "Yb171") -> None:
     """Write an optimization result as a directory of plain-text files.
@@ -126,16 +126,7 @@ def save_result(result, outdir: Union[str, Path], species_name: str = "Yb171") -
     out.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out / "target_matrix.csv", result.target.matrix, "target_matrix", "normalized")
     write_matrix_csv(out / "realized_matrix.csv", result.realized.matrix, "realized_matrix", "normalized")
-    write_matrix_csv(out / "positions.csv", result.crystal.positions * 1e6, "positions", "um")
-    write_table_csv(
-        out / "spectrum.csv",
-        ["mode", "frequency_mhz", "weight_x", "weight_y", "weight_z"],
-        [
-            (m, result.spectrum.frequencies[m] / MHZ, *result.spectrum.direction_weights[m])
-            for m in range(result.spectrum.n_modes)
-        ],
-        {"name": "mode_spectrum"},
-    )
+    _write_modes(out, result.crystal.positions, result.spectrum)
     write_table_csv(
         out / "tweezer_pattern.csv",
         ["ion", "pin_frequency_mhz"],
@@ -175,7 +166,7 @@ def save_result(result, outdir: Union[str, Path], species_name: str = "Yb171") -
         },
         "drive": {
             "axis": list(result.drive.drive_axis),
-            "resonance_guard_khz": result.drive.resonance_guard / (2.0 * np.pi * 1e3),
+            "resonance_guard_khz": result.drive.resonance_guard / KHZ,
         },
     }
     write_summary(out / "summary.txt", sections)
@@ -204,10 +195,11 @@ def load_result(outdir: Union[str, Path]):
     positions = positions / 1e6
     target, _ = read_matrix_csv(out / "target_matrix.csv")
     realized_stored, _ = read_matrix_csv(out / "realized_matrix.csv")
-    pin_axes = tuple(read_table_csv(out / "tweezer_pattern.csv")[2]["axes"])
-    pin_freqs = np.array([row[1] for row in read_table_csv(out / "tweezer_pattern.csv")[1]]) * MHZ
+    _, pin_rows, pin_meta = read_table_csv(out / "tweezer_pattern.csv")
+    pin_axes = tuple(pin_meta["axes"])
+    pin_freqs = np.array([row[1] for row in pin_rows]) * MHZ
     axis = np.array([float(v) for v in summary["drive"]["axis"].split(",")])
-    guard = float(summary["drive"]["resonance_guard_khz"]) * 2.0 * np.pi * 1e3
+    guard = float(summary["drive"]["resonance_guard_khz"]) * KHZ
     mu = float(summary["result"]["mu_mhz"]) * MHZ
 
     dimensionality, extended = _classify_geometry(positions, trap, species)

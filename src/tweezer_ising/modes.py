@@ -104,12 +104,6 @@ class TweezerPattern:
     def n_ions(self) -> int:
         return self.curvatures.shape[0]
 
-    @property
-    def active_axes(self) -> tuple[int, ...]:
-        nonzero = np.any(np.abs(self.curvatures) > 0, axis=0)  # (3, 3)
-        on = nonzero.any(axis=0) | nonzero.any(axis=1)
-        return tuple(int(a) for a in np.flatnonzero(on))
-
     def with_offsets(self, offsets: np.ndarray) -> "TweezerPattern":
         """This pattern's curvatures with new offsets.
 

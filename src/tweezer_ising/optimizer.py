@@ -28,6 +28,7 @@ from .coupling import (
     DEFAULT_RESONANCE_GUARD,
     CouplingMatrix,
     DriveConfig,
+    _as_matrix,
     coupling_matrix,
     max_abs_offdiag,
     realized_coupling,
@@ -69,7 +70,13 @@ TOL_ORBIT = 1e-6
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Box bounds and search controls for the pipeline."""
+    """Box bounds and search controls for the pipeline.
+
+    Every bound of `omega_scan`, `mu` and `pin` is finite, each pair is
+    ordered, the frequency lower bounds are positive, and a negative pin
+    bound needs `allow_anticonfinement`.  `resonance_guard` and
+    `start_fraction` are finite and nonnegative.
+    """
 
     omega_scan: tuple[float, float]  # rad/s, bounds of the scanned trap axis
     mu: tuple[float, float]  # rad/s
@@ -96,6 +103,8 @@ class SearchSpace:
     def __post_init__(self):
         for name in ("omega_scan", "mu", "pin"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise InvalidArgumentError(f"{name} bounds must be finite, got ({lo}, {hi})")
             if lo > hi:
                 raise InvalidArgumentError(f"{name} bounds reversed: {lo} > {hi}")
         if self.omega_scan[0] <= 0 or self.mu[0] <= 0:
@@ -104,6 +113,10 @@ class SearchSpace:
             raise InvalidArgumentError(
                 "negative pinning bound requires allow_anticonfinement"
             )
+        for name in ("resonance_guard", "start_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise InvalidArgumentError(f"{name} must be finite and nonnegative, got {value}")
         if self.restarts < 1 or self.omega_grid < 1 or self.mu_grid < 1:
             raise InvalidArgumentError("grid sizes and restarts must be at least 1")
         if self.line_search not in ("backtracking", "wolfe"):
@@ -193,10 +206,6 @@ class OptimizationResult:
     converged: bool
     histories: dict = field(default_factory=dict)
 
-    @property
-    def pattern(self) -> TweezerPattern:
-        return self.tweezers
-
 
 # ---------------------------------------------------------------------------
 # symmetry orbits
@@ -217,7 +226,6 @@ def symmetry_orbits(crystal: IonCrystal, group: str) -> SymmetryCells:
     tol = TOL_ORBIT * crystal.length_scale
     if group == "reflection_z":
         mapped = pos * np.array([1.0, 1.0, -1.0])
-        perms = [_match_permutation(pos, mapped, tol, group)]
     elif group == "C6":
         if crystal.dimensionality != "planar":
             raise InvalidArgumentError("C6 orbits need a planar crystal")
@@ -226,7 +234,6 @@ def symmetry_orbits(crystal: IonCrystal, group: str) -> SymmetryCells:
         mapped = pos.copy()
         mapped[:, a] = c * pos[:, a] - s * pos[:, b]
         mapped[:, b] = s * pos[:, a] + c * pos[:, b]
-        perms = [_match_permutation(pos, mapped, tol, group)]
     elif group == "ladder_translation":
         if crystal.dimensionality != "planar":
             raise InvalidArgumentError("ladder orbits need a planar crystal")
@@ -234,13 +241,20 @@ def symmetry_orbits(crystal: IonCrystal, group: str) -> SymmetryCells:
         mapped = pos.copy()
         mapped[:, a] = -pos[:, a]
         mapped[:, b] = -pos[:, b]
-        perms = [_match_permutation(pos, mapped, tol, group)]
     else:
         raise InvalidArgumentError(f"unknown symmetry group {group!r}")
 
-    orbits = _orbits_from_permutations(n, perms)
-    reps = tuple(min(o) for o in orbits)
-    return SymmetryCells(orbits, reps, group)
+    # the orbits are the cycles of the one generating permutation, each
+    # kept from its smallest ion
+    perm = _match_permutation(pos, mapped, tol, group).tolist()
+    orbits = []
+    for i in range(n):
+        cycle = [i]
+        while perm[cycle[-1]] != i:
+            cycle.append(perm[cycle[-1]])
+        if min(cycle) == i:
+            orbits.append(tuple(sorted(cycle)))
+    return SymmetryCells(tuple(orbits), tuple(o[0] for o in orbits), group)
 
 
 def _match_permutation(pos, mapped, tol, group):
@@ -257,26 +271,6 @@ def _match_permutation(pos, mapped, tol, group):
     if len(set(perm.tolist())) != n:
         raise InvalidArgumentError(f"geometry lacks {group} symmetry: mapping not a permutation")
     return perm
-
-
-def _orbits_from_permutations(n, perms):
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for perm in perms:
-        for i in range(n):
-            a, b = find(i), find(int(perm[i]))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +356,7 @@ class PinProblem:
             for _, params in sorted(by_width.items())
         )
 
-        t = target.matrix if isinstance(target, CouplingMatrix) else np.asarray(target, dtype=float)
+        t = _as_matrix(target)
         self.target = t
         self.t_norm = float(np.linalg.norm(t))
         self.max_t, _ = max_abs_offdiag(t)
@@ -395,9 +389,9 @@ class PinProblem:
         spectrum, or J = 0), else ``(eps, gradient)``: ``gradient()``
         returns ``(grad_k, grad_mu)`` from this evaluation's spectrum and
         residual.  A line search that rejects the point never pays for it.
-        The one-lane case of `epsilon_parts_batch`.
+        The one-lane call of `epsilon_parts_batch`.
         """
-        return self._lanes(np.asarray(k_params, dtype=float)[None], (mu,), mu, mu**2)[0]
+        return self.epsilon_parts_batch(np.asarray(k_params, dtype=float)[None], (mu,))[0]
 
     def epsilon_parts_batch(self, k_stack, mus) -> list:
         """`epsilon_parts` for K lanes at once, one entry per lane.
@@ -409,20 +403,15 @@ class PinProblem:
         the gradient run per lane: a reduction over the stack would sum in
         another order.
         """
+        n = self.n_ions
+        count = len(mus)
         # each lane's scalar mu**2: an array square (x * x) differs from the
         # scalar power in the last bit for some beatnotes
-        return self._lanes(k_stack, mus, np.array(mus)[:, None], np.array([[mu**2] for mu in mus]))
-
-    def _lanes(self, k_stack, mus, mu_col, mu_sq):
-        """The kernel of `epsilon_parts_batch`; ``mu_col`` and ``mu_sq`` are
-        the beatnotes and their squares as (K, 1) columns, or scalars for
-        one lane."""
-        n, b = self.n_ions, self.b
-        count = len(mus)
+        mu_sq = np.array([[mu**2] for mu in mus])
         a = self.a0[None].repeat(count, 0)
         a.reshape(count, -1)[:, self.pin_diag] += k_stack.take(self.pin_param, 1)
         lam, u = np.linalg.eigh(a)
-        gap = np.abs(mu_col - np.sqrt(np.maximum(lam, 0.0))).min(1).tolist()
+        gap = np.abs(np.array(mus)[:, None] - np.sqrt(np.maximum(lam, 0.0))).min(1).tolist()
         low = lam[:, 0].tolist()
         floor, guard = -self.floor, self.guard
         # unstable (a negative curvature) or resonant (mu in a mode's guard band)
@@ -430,7 +419,7 @@ class PinProblem:
         out = [None] * count
         if not live:
             return out
-        if len(live) < count:  # two or more lanes, so the columns are arrays
+        if len(live) < count:
             lam, u, mu_sq = lam[live], u[live], mu_sq[live]
         theta = 1.0 / (mu_sq - lam)
         w = self.proj @ u
@@ -600,6 +589,29 @@ def _grid(bounds: tuple[float, float], n: int) -> np.ndarray:
     return np.linspace(bounds[0], bounds[1], n)
 
 
+def _stage_problem(crystal: IonCrystal, target, axis, space: SearchSpace, orbits) -> PinProblem:
+    """A stage's `PinProblem`, scaled to the search space's bounds."""
+    problem = PinProblem(crystal, target, axis, space.pin_axes, orbits, space.resonance_guard)
+    problem.set_scales(space.pin_curvature_bounds, space.mu)
+    return problem
+
+
+def _controls(space: SearchSpace) -> dict:
+    """The minimizer controls every stage takes from the search space."""
+    return dict(line_search=space.line_search, max_iter=space.max_iter, tol_df=space.tol_df, tol_grad=space.tol_grad)
+
+
+def _candidate(omega, mu, problem: PinProblem, run) -> Candidate:
+    """The candidate a pinning-only minimizer run over `problem` reached."""
+    pin = problem.expand(run.x * problem.k_scale)
+    return Candidate(omega, mu, pin, float(run.fun), problem.crystal, list(run.history), run.converged)
+
+
+def _orbit_means(pin_curvature: np.ndarray, orbits) -> np.ndarray:
+    """Per-orbit start: the mean of the orbit's per-ion curvatures."""
+    return np.array([np.mean(pin_curvature[list(o)]) for o in orbits])
+
+
 def stage1_search(
     target_spec: TargetSpec,
     space: SearchSpace,
@@ -627,9 +639,7 @@ def stage1_search(
     cells: list[CellDiagnostics] = []
     for row, omega in enumerate(omegas):
         crystal = stage1_geometry(target_spec, trap_template, species, omega, space.scan_axis, geometry_mode)
-        target = build_target(target_spec, crystal)
-        problem = PinProblem(crystal, target, axis, space.pin_axes, None, space.resonance_guard)
-        problem.set_scales(space.pin_curvature_bounds, space.mu)
+        problem = _stage_problem(crystal, build_target(target_spec, crystal), axis, space, None)
         n_params = len(problem.orbits)
         lower = np.full(n_params, problem.k_bounds[0])
         upper = np.full(n_params, problem.k_bounds[1])
@@ -643,25 +653,14 @@ def stage1_search(
             feasible.append(diag)
             for r in range(space.restarts):
                 x0 = _random_start(space, n_params, seed, cell_index, r) / problem.k_scale
-                lanes.append(minimize_box_steps(
-                    x0, lower, upper, line_search=space.line_search, max_iter=space.max_iter,
-                    tol_df=space.tol_df, tol_grad=space.tol_grad,
-                ))
+                lanes.append(minimize_box_steps(x0, lower, upper, **_controls(space)))
                 lane_mus.append(mu)
         runs = minimize_lockstep(problem.objective_pin_lanes(lane_mus), lanes)
         for c, diag in enumerate(feasible):
             # min keeps the first of equal values: the earliest restart
             best = min(runs[c * space.restarts : (c + 1) * space.restarts], key=lambda res: res.fun)
             diag.epsilon = float(best.fun)
-            candidates.append(Candidate(
-                omega_scan=omega,
-                mu=diag.mu,
-                pin_curvature=problem.expand(best.x * problem.k_scale),
-                epsilon=float(best.fun),
-                crystal=crystal,
-                history=list(best.history),
-                converged=best.converged,
-            ))
+            candidates.append(_candidate(omega, diag.mu, problem, best))
     candidates.sort(key=lambda c: (c.epsilon, c.omega_scan, c.mu))
     return candidates, cells
 
@@ -750,29 +749,16 @@ def stage2_refine(
     """
     axis = default_drive_axis(space.pin_axes) if drive_axis is None else axis_vector(drive_axis)
     crystal = candidate.crystal
-    target = build_target(target_spec, crystal)
-    problem = PinProblem(crystal, target, axis, space.pin_axes, cells.orbits, space.resonance_guard)
-    problem.set_scales(space.pin_curvature_bounds, space.mu)
-    k0 = np.array([np.mean(candidate.pin_curvature[list(o)]) for o in cells.orbits])
+    problem = _stage_problem(crystal, build_target(target_spec, crystal), axis, space, cells.orbits)
+    k0 = _orbit_means(candidate.pin_curvature, cells.orbits)
     res = minimize_box(
         problem.objective_pin(candidate.mu),
         k0 / problem.k_scale,
         np.full(k0.size, problem.k_bounds[0]),
         np.full(k0.size, problem.k_bounds[1]),
-        line_search=space.line_search,
-        max_iter=space.max_iter,
-        tol_df=space.tol_df,
-        tol_grad=space.tol_grad,
+        **_controls(space),
     )
-    return Candidate(
-        omega_scan=candidate.omega_scan,
-        mu=candidate.mu,
-        pin_curvature=problem.expand(res.x * problem.k_scale),
-        epsilon=float(res.fun),
-        crystal=crystal,
-        history=list(res.history),
-        converged=res.converged,
-    )
+    return _candidate(candidate.omega_scan, candidate.mu, problem, res)
 
 
 def stage3_finalize(
@@ -804,24 +790,14 @@ def stage3_finalize(
     else:
         raise InvalidArgumentError(f"unknown final_geometry {final_geometry!r}")
     target = build_target(target_spec, crystal)
-    orbits = symmetry_orbits(crystal, symmetry)
-    problem = PinProblem(crystal, target, axis, space.pin_axes, orbits.orbits, space.resonance_guard)
-    problem.set_scales(space.pin_curvature_bounds, space.mu)
+    orbits = symmetry_orbits(crystal, symmetry).orbits
+    problem = _stage_problem(crystal, target, axis, space, orbits)
 
-    k0 = np.array([np.mean(candidate.pin_curvature[list(o)]) for o in orbits.orbits])
+    k0 = _orbit_means(candidate.pin_curvature, orbits)
     x0 = np.concatenate([[candidate.mu / problem.mu_scale], k0 / problem.k_scale])
     lower = np.concatenate([[problem.mu_bounds[0]], np.full(k0.size, problem.k_bounds[0])])
     upper = np.concatenate([[problem.mu_bounds[1]], np.full(k0.size, problem.k_bounds[1])])
-    res = minimize_box(
-        problem.objective_pin_mu(),
-        x0,
-        lower,
-        upper,
-        line_search=space.line_search,
-        max_iter=space.max_iter,
-        tol_df=space.tol_df,
-        tol_grad=space.tol_grad,
-    )
+    res = minimize_box(problem.objective_pin_mu(), x0, lower, upper, **_controls(space))
     mu_final = float(res.x[0] * problem.mu_scale)
     pin_k = problem.expand(res.x[1:] * problem.k_scale)
     pin_w = np.sign(pin_k) * np.sqrt(np.abs(pin_k))
@@ -918,6 +894,8 @@ def untweezed_baseline(
     Returns (best_epsilon, best_mu, curve) with curve a list of (mu, eps)
     over the scanned range, resonant points skipped.
     """
+    if n_scan < 1:
+        raise InvalidArgumentError(f"n_scan must be at least 1, got {n_scan}")
     axis = default_drive_axis(pin_axes) if drive_axis is None else axis_vector(drive_axis)
     if crystal is None:
         crystal = solve_equilibrium(trap, species, trap.n_ions)

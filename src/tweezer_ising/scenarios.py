@@ -14,12 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import YB171
+from .constants import MHZ, YB171
 from .crystal import TrapConfig
 from .optimizer import SearchSpace, run_pipeline
 from .targets import TargetSpec
-
-MHZ = 2.0 * np.pi * 1e6
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .constants import SpeciesConstants
-from .coupling import CouplingMatrix, DriveConfig, check_resonance, coupling_prefactor
+from .coupling import CouplingMatrix, DriveConfig, _as_matrix, check_resonance, coupling_prefactor
 from .errors import DegenerateSpectrumError, InvalidArgumentError
 from .modes import TOL_DEGENERACY_REL, ModeSpectrum, mode_projections
 
@@ -163,7 +163,3 @@ def coupling_gradient_fd(
         d = (jp - jm) / (2.0 * step)
         values[:, i] = [d[k, l] for (k, l) in pairs]
     return CouplingGradient(tuple(tuple(pq) for pq in pairs), np.arange(base.size), values)
-
-
-def _as_matrix(j) -> np.ndarray:
-    return j.matrix if isinstance(j, CouplingMatrix) else np.asarray(j, dtype=float)

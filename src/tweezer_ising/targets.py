@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .coupling import CouplingMatrix
-from .crystal import IonCrystal, pairwise_distances
+from .crystal import IonCrystal, hex_shells, pairwise_distances
 from .errors import InvalidArgumentError
 
 #: pairs closer than this multiple of the minimum distance are nearest neighbors
@@ -128,10 +128,9 @@ def build_target(spec: TargetSpec, crystal: IonCrystal) -> CouplingMatrix:
         j = np.where(d_rung > d_leg, spec.rung_sign, spec.leg_sign) * adj
         return _normalized(j)
     if spec.variant == "triangular_af":
-        _check_hexagonal(n)
+        k = hex_shells(n)
         adj = neighbor_adjacency(pos, spec.neighbor_factor)
         edges = int(adj.sum()) // 2
-        k = round((-3 + np.sqrt(12 * n - 3)) / 6)
         expected = 3 * k * (3 * k + 1)
         if edges != expected:
             raise InvalidArgumentError(
@@ -167,12 +166,6 @@ def ladder_legs(crystal: IonCrystal) -> np.ndarray:
     if len(set(legs)) != 2:
         raise InvalidArgumentError("crystal does not split into two legs")
     return legs
-
-
-def _check_hexagonal(n: int) -> None:
-    k = round((-3 + np.sqrt(12 * n - 3)) / 6)
-    if 1 + 3 * k * (k + 1) != n:
-        raise InvalidArgumentError(f"{n} ions cannot form a centered hexagonal crystal")
 
 
 def _normalized(j: np.ndarray) -> CouplingMatrix:

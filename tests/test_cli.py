@@ -122,6 +122,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "invalid-argument" in err and "max_iter" in err
 
+    @pytest.mark.parametrize("key", ["DRIVE__RESONANCE_GUARD_KHZ", "SEARCH__PIN_MAX_MHZ"])
+    def test_nan_control_rejected(self, config_path, tmp_path, capsys, monkeypatch, key):
+        # a NaN guard used to run with the guard off and write "nan" to
+        # summary.txt; a NaN pin bound ended in a numpy traceback
+        monkeypatch.setenv(f"TWEEZER_ISING__{key}", "nan")
+        out = tmp_path / "o"
+        assert main(["optimize", "--config", str(config_path), "--out", str(out)]) == 1
+        assert "invalid-argument" in capsys.readouterr().err
+        assert not (out / "summary.txt").exists()
+
     def test_missing_token_is_validation_error(self, capsys):
         assert main(["reproduce", "nonexistent-token"]) == 1
 

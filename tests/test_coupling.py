@@ -19,7 +19,7 @@ from tweezer_ising import (
     solve_equilibrium,
 )
 from tweezer_ising.coupling import max_abs_offdiag
-from tweezer_ising.errors import ResonanceError, UndefinedNormalizationError
+from tweezer_ising.errors import InvalidArgumentError, ResonanceError, UndefinedNormalizationError
 
 from conftest import MHZ
 
@@ -117,6 +117,32 @@ class TestCouplingMatrix:
         mu = spec.frequencies[3] + 0.5 * 2 * np.pi * 1e3  # inside the 1 kHz guard
         with pytest.raises(ResonanceError):
             coupling_matrix(spec, DriveConfig(mu=mu, drive_axis="y"), species)
+
+
+class TestDriveConfig:
+    def test_nan_guard_rejected(self):
+        # NaN < 0 is false, so a NaN guard used to pass and switch the guard off
+        with pytest.raises(InvalidArgumentError, match="guard"):
+            DriveConfig(mu=0.65 * MHZ, resonance_guard=np.nan)
+
+    @pytest.mark.parametrize("indices", [[-1], [0.7], [12], [99]])
+    def test_integer_mask_must_index_a_mode(self, species, indices):
+        # [-1] used to pick the last mode, [0.7] mode 0, [99] a bare IndexError
+        _, spec = _chain(species, 4)
+        assert spec.n_modes == 12
+        drive = DriveConfig(mu=0.65 * MHZ, drive_axis="y", mode_mask=np.array(indices))
+        with pytest.raises(InvalidArgumentError, match="mode indices"):
+            drive.mask_for(spec)
+
+    def test_integer_mask_selects_listed_modes(self, species):
+        _, spec = _chain(species, 4)
+        want = np.zeros(spec.n_modes, dtype=bool)
+        want[[1, 3]] = True
+        for indices in ([1, 3], [1.0, 3.0], [3, 1, 3]):
+            mask = DriveConfig(mu=0.65 * MHZ, mode_mask=np.array(indices)).mask_for(spec)
+            assert np.array_equal(mask, want)
+        with pytest.raises(InvalidArgumentError, match="length"):
+            DriveConfig(mu=0.65 * MHZ, mode_mask=want[:-1]).mask_for(spec)
 
 
 class TestResidualDisplacement:

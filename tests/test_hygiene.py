@@ -1,8 +1,10 @@
 """Static checks on the package source.
 
-Every import a module makes is used, and package-relative imports sit at
+Every import a module makes is used, package-relative imports sit at
 module top (a function-level import hides a dependency and is re-run on
-every call).  No linter runs on this code, so these checks stand in.
+every call), and every private definition is used somewhere in the
+package (a copy left behind by a fold reads as live code).  No linter
+runs on this code, so these checks stand in.
 """
 
 import ast
@@ -73,3 +75,51 @@ def test_no_relative_import_inside_a_function(path):
 
 def test_checks_see_the_package():
     assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "coupling.py", "optimizer.py"}
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants, and private methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if _private(node.name):
+                yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and _private(item.name):
+                        yield f"{node.name}.{item.name}", item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and _private(target.id):
+                    yield target.id, node
+
+
+def _references(trees):
+    """name -> ids of the nodes that read it: names, attributes and imports."""
+    refs = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                refs.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, set()).add(id(node))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    refs.setdefault(alias.name, set()).add(id(alias))
+    return refs
+
+
+def test_every_private_definition_is_used():
+    trees = {path.name: _parse(path) for path in MODULES}
+    refs = _references(trees.values())
+    unused = []
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            own = {id(n) for n in ast.walk(node)}
+            if not refs.get(name.rpartition(".")[2], set()) - own:
+                unused.append(f"{module}: {name} (line {node.lineno})")
+    assert not unused, f"private definitions nothing in the package uses: {', '.join(unused)}"

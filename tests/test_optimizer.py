@@ -644,6 +644,31 @@ class TestSearchSpaceValidation:
         with pytest.raises(InvalidArgumentError):
             _space(**controls)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"pin": (0.0, np.nan)},
+            {"pin": (0.0, np.inf)},
+            {"pin": (-np.inf, 0.4 * MHZ), "allow_anticonfinement": True},
+            {"mu": (np.nan, 0.75 * MHZ)},
+            {"mu": (0.6 * MHZ, np.inf)},
+            {"omega_scan": (0.25 * MHZ, np.nan)},
+            {"omega_scan": (0.25 * MHZ, np.inf)},
+        ],
+    )
+    def test_rejects_nonfinite_bounds(self, bounds):
+        # pin=(0, nan) used to end in numpy's "Eigenvalues did not converge"
+        # and pin=(0, inf) in an OverflowError
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            _space(**bounds)
+
+    @pytest.mark.parametrize("name", ["resonance_guard", "start_fraction"])
+    @pytest.mark.parametrize("value", [np.nan, -1.0, np.inf])
+    def test_rejects_bad_guard_and_start_fraction(self, name, value):
+        # a NaN guard used to switch the guard off without a word
+        with pytest.raises(InvalidArgumentError, match=name):
+            _space(**{name: value})
+
     def test_anticonfinement_needs_flag(self):
         with pytest.raises(InvalidArgumentError):
             _space(pin=(-0.2 * MHZ, 0.4 * MHZ))
@@ -652,3 +677,18 @@ class TestSearchSpaceValidation:
         lo, hi = space.pin_curvature_bounds
         assert lo == pytest.approx(-((0.2 * MHZ) ** 2))
         assert hi == pytest.approx((0.4 * MHZ) ** 2)
+
+
+class TestUntweezedBaseline:
+    @pytest.mark.parametrize("n_scan", [0, -2])
+    def test_rejects_empty_scan_before_solving(self, n_scan, monkeypatch):
+        # n_scan=0 used to blame the resonance guard; -2 ended in numpy's ValueError
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved an equilibrium for an empty scan")
+
+        monkeypatch.setattr(optimizer, "solve_equilibrium", no_solve)
+        trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=5)
+        with pytest.raises(InvalidArgumentError, match="n_scan"):
+            optimizer.untweezed_baseline(
+                TargetSpec("nearest_neighbor", "chain"), trap, YB171, (0.6 * MHZ, 0.75 * MHZ), n_scan=n_scan
+            )
