@@ -67,7 +67,6 @@ def _build_parser() -> _Parser:
         if needs_config:
             p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--allow-anticonfinement", action="store_true")
         p.add_argument("--pin-axes", default=None, metavar="x|y|z|yz|...")
@@ -81,8 +80,6 @@ def _build_parser() -> _Parser:
 
 def _load_config(args) -> RunConfig:
     overrides: dict = {}
-    if args.threads is not None:
-        overrides.setdefault("run", {})["threads"] = str(args.threads)
     if args.seed is not None:
         overrides.setdefault("run", {})["seed"] = str(args.seed)
     if args.pin_axes is not None:
@@ -131,10 +128,8 @@ def _design_from_config(cfg: RunConfig):
         cfg.species,
         symmetry=cfg.symmetry,
         drive_axis=cfg.drive_axis,
-        geometry_mode=cfg.stage1_geometry,
         final_geometry=cfg.final_geometry,
         seed=cfg.seed,
-        threads=cfg.threads,
     )
 
 
@@ -289,14 +284,13 @@ def _write_misalignment(path: Path, scan, samples: int) -> None:
 def _cmd_reproduce(args) -> int:
     token = args.token
     fast = args.fast
-    threads = args.threads or 1
     out = _outdir(args, f"runs/{token}")
     if token == "fig4":
         rows = []
         for xi in power_law_exponents(fast):
             entry = [xi]
             for even in (True, False):
-                res = run_scenario(power_law_chain_12(xi, even, fast), threads)
+                res = run_scenario(power_law_chain_12(xi, even, fast))
                 entry.append(res.epsilon)
             sc = power_law_chain_12(xi, even=False, fast=fast)
             crystal = solve_equilibrium(sc.trap, YB171, sc.trap.n_ions)
@@ -313,7 +307,7 @@ def _cmd_reproduce(args) -> int:
             {"name": "power_law_error_sweep"},
         )
     elif token == "fig7":
-        nn = run_scenario(nn_chain_12(fast), threads)
+        nn = run_scenario(nn_chain_12(fast))
         save_result(nn, out / "nn_chain_12")
         scales, samples, seed = misalignment_settings(fast)
         _write_misalignment(out / "misalignment.csv", misalignment_scan(nn, scales, samples, seed), samples)
@@ -329,7 +323,7 @@ def _cmd_reproduce(args) -> int:
             scenarios.append(triangular_af_19(fast))
         rows = []
         for sc in scenarios:
-            res = run_scenario(sc, threads)
+            res = run_scenario(sc)
             save_result(res, out / sc.name)
             rows.append((sc.name, res.omega_scan / MHZ, res.mu / MHZ,
                          np.abs(res.pin_frequencies).max() / MHZ, res.epsilon))

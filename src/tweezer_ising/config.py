@@ -27,7 +27,7 @@ ENV_PREFIX = "TWEEZER_ISING__"
 
 #: every accepted key, per section
 SCHEMA = {
-    "run": {"species", "seed", "threads"},
+    "run": {"species", "seed"},
     "trap": {"omega_x_mhz", "omega_y_mhz", "omega_z_mhz", "n_ions", "geometry"},
     "target": {
         "variant",
@@ -54,12 +54,8 @@ SCHEMA = {
         "mu_grid",
         "restarts",
         "start_fraction",
-        "line_search",
         "max_iter",
-        "feasibility_pairs",
-        "feasibility_rows",
         "symmetry",
-        "stage1_geometry",
         "final_geometry",
         "allow_anticonfinement",
     },
@@ -76,7 +72,6 @@ class RunConfig:
     species_name: str
     species: SpeciesConstants
     seed: int
-    threads: int
     trap: TrapConfig
     geometry: str
     target: TargetSpec
@@ -87,7 +82,6 @@ class RunConfig:
     resonance_guard: float
     space: SearchSpace
     symmetry: str
-    stage1_geometry: str
     final_geometry: str
     pinning: Optional[np.ndarray]
     misalign_scales: np.ndarray  # meters
@@ -233,10 +227,7 @@ def _typed(values: dict, base_dir: Path) -> RunConfig:
         restarts=_get(values, "search", "restarts", 8, int),
         start_fraction=_get(values, "search", "start_fraction", 0.1, float),
         allow_anticonfinement=_get(values, "search", "allow_anticonfinement", False, bool),
-        line_search=_get(values, "search", "line_search", "backtracking"),
         max_iter=_get(values, "search", "max_iter", 2000, int),
-        feasibility_pairs=_get(values, "search", "feasibility_pairs", "all"),
-        feasibility_rows=_get(values, "search", "feasibility_rows", "sign_mismatch"),
     )
 
     pinning = None
@@ -254,7 +245,6 @@ def _typed(values: dict, base_dir: Path) -> RunConfig:
         species_name=species_name,
         species=species,
         seed=_get(values, "run", "seed", 0, int),
-        threads=_get(values, "run", "threads", 1, int),
         trap=trap,
         geometry=geometry,
         target=target,
@@ -265,7 +255,6 @@ def _typed(values: dict, base_dir: Path) -> RunConfig:
         resonance_guard=guard,
         space=space,
         symmetry=_get(values, "search", "symmetry", "none"),
-        stage1_geometry=_get(values, "search", "stage1_geometry", "auto"),
         final_geometry=_get(values, "search", "final_geometry", "harmonic"),
         pinning=pinning,
         misalign_scales=scales,

@@ -222,7 +222,8 @@ def make_lattice(kind: str, n_ions: int, spacing: float, plane: tuple[int, int] 
 
 def hex_shells(n_ions: int) -> int:
     """Shell count k of a centered hexagonal lattice of n = 1 + 3 k (k + 1) ions."""
-    k = round((-3 + math.sqrt(12 * n_ions - 3)) / 6)
+    # below one ion the root is undefined; k = 0 then fails the count check
+    k = round((-3 + math.sqrt(12 * n_ions - 3)) / 6) if n_ions >= 1 else 0
     if 1 + 3 * k * (k + 1) != n_ions:
         raise InvalidArgumentError(
             f"{n_ions} is not a centered hexagonal count (1, 7, 19, 37, ...)"

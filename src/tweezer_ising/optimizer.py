@@ -62,10 +62,31 @@ from .modes import (
 )
 from .quasinewton import minimize_box, minimize_box_steps, minimize_lockstep
 from .sensitivity import CouplingGradient, all_pairs, coupling_jacobian_diag
-from .targets import TargetSpec, build_target, crystal_adjacency
+from .targets import TargetSpec, build_target
 
 #: positions match under a symmetry operation within this multiple of the length scale
 TOL_ORBIT = 1e-6
+#: the point groups `symmetry_orbits` partitions ions by
+SYMMETRY_GROUPS = ("none", "reflection_z", "C6", "ladder_translation")
+#: stage 3's crystal: the solved trap equilibrium, or stage 1's idealized lattice kept
+FINAL_GEOMETRIES = ("harmonic", "fixed_lattice")
+
+
+def _check_choice(option: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise InvalidArgumentError(f"unknown {option} {value!r}; expected one of {', '.join(choices)}")
+
+
+def _check_bounds(name: str, bounds, positive: bool = False) -> None:
+    """Raise InvalidArgumentError unless `bounds` is a finite, ordered pair
+    whose lower bound is positive when `positive` is set."""
+    lo, hi = bounds
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidArgumentError(f"{name} bounds must be finite, got ({lo}, {hi})")
+    if lo > hi:
+        raise InvalidArgumentError(f"{name} bounds reversed: {lo} > {hi}")
+    if positive and lo <= 0:
+        raise InvalidArgumentError(f"{name} bounds must be positive, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -89,26 +110,14 @@ class SearchSpace:
     restarts: int = 8
     start_fraction: float = 0.1
     allow_anticonfinement: bool = False
-    line_search: str = "backtracking"
     max_iter: int = 2000
     tol_df: float = 1e-10
     tol_grad: float = 1e-8
-    feasibility_pairs: str = "all"  # or "nearest_neighbor"
-    # "sign_mismatch" passes cells whose native sign structure can be
-    # corrected; "magnitude" (the strict variant) also demands first-order
-    # progress on every magnitude deviation, which rejects almost every
-    # cell for sparse targets
-    feasibility_rows: str = "sign_mismatch"
 
     def __post_init__(self):
-        for name in ("omega_scan", "mu", "pin"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise InvalidArgumentError(f"{name} bounds must be finite, got ({lo}, {hi})")
-            if lo > hi:
-                raise InvalidArgumentError(f"{name} bounds reversed: {lo} > {hi}")
-        if self.omega_scan[0] <= 0 or self.mu[0] <= 0:
-            raise InvalidArgumentError("frequency bounds must be positive")
+        _check_bounds("omega_scan", self.omega_scan, positive=True)
+        _check_bounds("mu", self.mu, positive=True)
+        _check_bounds("pin", self.pin)
         if self.pin[0] < 0 and not self.allow_anticonfinement:
             raise InvalidArgumentError(
                 "negative pinning bound requires allow_anticonfinement"
@@ -119,10 +128,6 @@ class SearchSpace:
                 raise InvalidArgumentError(f"{name} must be finite and nonnegative, got {value}")
         if self.restarts < 1 or self.omega_grid < 1 or self.mu_grid < 1:
             raise InvalidArgumentError("grid sizes and restarts must be at least 1")
-        if self.line_search not in ("backtracking", "wolfe"):
-            raise InvalidArgumentError(
-                f"line_search must be 'backtracking' or 'wolfe', got {self.line_search!r}"
-            )
         if self.max_iter < 1:
             raise InvalidArgumentError(f"max_iter must be at least 1, got {self.max_iter}")
         if not (self.tol_df >= 0.0 and self.tol_grad >= 0.0):
@@ -134,10 +139,6 @@ class SearchSpace:
                 raise InvalidArgumentError(f"unknown pin axis {ax!r}")
         if self.scan_axis not in AXIS_INDEX:
             raise InvalidArgumentError(f"unknown scan axis {self.scan_axis!r}")
-        if self.feasibility_pairs not in ("all", "nearest_neighbor"):
-            raise InvalidArgumentError("feasibility_pairs must be 'all' or 'nearest_neighbor'")
-        if self.feasibility_rows not in ("sign_mismatch", "magnitude"):
-            raise InvalidArgumentError("feasibility_rows must be 'sign_mismatch' or 'magnitude'")
 
     @property
     def pin_curvature_bounds(self) -> tuple[float, float]:
@@ -154,7 +155,6 @@ class SymmetryCells:
     """Partition of ion indices into orbits of a declared symmetry group."""
 
     orbits: tuple  # ((i, j, ...), ...)
-    representatives: tuple
     group: str
 
     @property
@@ -219,9 +219,10 @@ def symmetry_orbits(crystal: IonCrystal, group: str) -> SymmetryCells:
     axis (p, q) -> (-p, -q) of a finite ladder, the point remnant of its
     translation symmetry.
     """
+    _check_choice("symmetry group", group, SYMMETRY_GROUPS)
     n = crystal.n_ions
     if group == "none":
-        return SymmetryCells(tuple((i,) for i in range(n)), tuple(range(n)), group)
+        return SymmetryCells(tuple((i,) for i in range(n)), group)
     pos = crystal.positions
     tol = TOL_ORBIT * crystal.length_scale
     if group == "reflection_z":
@@ -234,15 +235,13 @@ def symmetry_orbits(crystal: IonCrystal, group: str) -> SymmetryCells:
         mapped = pos.copy()
         mapped[:, a] = c * pos[:, a] - s * pos[:, b]
         mapped[:, b] = s * pos[:, a] + c * pos[:, b]
-    elif group == "ladder_translation":
+    else:  # ladder_translation
         if crystal.dimensionality != "planar":
             raise InvalidArgumentError("ladder orbits need a planar crystal")
         a, b = crystal.extended_axes
         mapped = pos.copy()
         mapped[:, a] = -pos[:, a]
         mapped[:, b] = -pos[:, b]
-    else:
-        raise InvalidArgumentError(f"unknown symmetry group {group!r}")
 
     # the orbits are the cycles of the one generating permutation, each
     # kept from its smallest ion
@@ -254,7 +253,7 @@ def symmetry_orbits(crystal: IonCrystal, group: str) -> SymmetryCells:
             cycle.append(perm[cycle[-1]])
         if min(cycle) == i:
             orbits.append(tuple(sorted(cycle)))
-    return SymmetryCells(tuple(orbits), tuple(o[0] for o in orbits), group)
+    return SymmetryCells(tuple(orbits), group)
 
 
 def _match_permutation(pos, mapped, tol, group):
@@ -537,23 +536,17 @@ def stage1_geometry(
     species: SpeciesConstants,
     omega_value: float,
     scan_axis: str,
-    geometry_mode: str,
 ) -> IonCrystal:
     """Idealized crystal of the first optimization stage.
 
     Chains and triangular lattices are laid out exactly equidistant with
-    the spacing set by the scanned frequency; geometries without an ideal
-    lattice (the ladder) solve the harmonic equilibrium instead.
+    the spacing set by the scanned frequency; the ladder, which has no
+    ideal lattice, solves the harmonic equilibrium instead.
     """
     n = trap_template.n_ions
     trap = trap_template.replace_axis(scan_axis, omega_value)
-    if geometry_mode == "auto":
-        geometry_mode = "harmonic" if target_spec.geometry == "ladder" else "fixed_lattice"
-    if geometry_mode == "harmonic":
-        guess = None
-        if target_spec.geometry == "triangular":
-            guess, _ = triangular_start(trap, species, omega_value)
-        return solve_equilibrium(trap, species, n, guess)
+    if target_spec.geometry == "ladder":
+        return solve_equilibrium(trap, species, n)
     if target_spec.geometry == "chain":
         d0 = equidistant_spacing(omega_value, n, species)
         pos = make_lattice("chain", n, d0)
@@ -567,9 +560,7 @@ def stage1_geometry(
         spacing = float(d[np.triu_indices(n, 1)].min())
         pos = make_lattice("triangular", n, spacing, plane=plane)
         return IonCrystal(trap, species, pos, "planar", plane)
-    raise InvalidArgumentError(
-        f"no ideal lattice for geometry {target_spec.geometry!r}; use harmonic mode"
-    )
+    raise InvalidArgumentError(f"no stage-1 geometry for {target_spec.geometry!r}")
 
 
 def default_drive_axis(pin_axes: Sequence[str]) -> np.ndarray:
@@ -598,7 +589,7 @@ def _stage_problem(crystal: IonCrystal, target, axis, space: SearchSpace, orbits
 
 def _controls(space: SearchSpace) -> dict:
     """The minimizer controls every stage takes from the search space."""
-    return dict(line_search=space.line_search, max_iter=space.max_iter, tol_df=space.tol_df, tol_grad=space.tol_grad)
+    return dict(max_iter=space.max_iter, tol_df=space.tol_df, tol_grad=space.tol_grad)
 
 
 def _candidate(omega, mu, problem: PinProblem, run) -> Candidate:
@@ -618,7 +609,6 @@ def stage1_search(
     trap_template: TrapConfig,
     species: SpeciesConstants,
     drive_axis=None,
-    geometry_mode: str = "auto",
     seed: int = 0,
 ):
     """Feasibility-filtered grid search; returns (candidates, cell diagnostics).
@@ -638,7 +628,7 @@ def stage1_search(
     candidates: list[Candidate] = []
     cells: list[CellDiagnostics] = []
     for row, omega in enumerate(omegas):
-        crystal = stage1_geometry(target_spec, trap_template, species, omega, space.scan_axis, geometry_mode)
+        crystal = stage1_geometry(target_spec, trap_template, species, omega, space.scan_axis)
         problem = _stage_problem(crystal, build_target(target_spec, crystal), axis, space, None)
         n_params = len(problem.orbits)
         lower = np.full(n_params, problem.k_bounds[0])
@@ -692,20 +682,16 @@ def sign_feasibility(
     """Sign-structure feasibility of pinning the problem's native geometry.
 
     Builds the constraint rows against the problem's target from the
-    unpinned coupling and its per-ion pinning gradient, over the pairs
-    `space.feasibility_pairs` selects, and tests them under
-    `space.pinning_sign`.  `problem` has one orbit per ion.
+    unpinned coupling and its per-ion pinning gradient, one row per pair
+    whose native sign disagrees with the target (``rows="sign_mismatch"``;
+    the strict "magnitude" rows reject almost every cell of a sparse
+    target), and tests them under `space.pinning_sign`.  `problem` has one
+    orbit per ion.
     """
-    crystal = problem.crystal
-    pairs = all_pairs(crystal.n_ions)
-    if space.feasibility_pairs == "nearest_neighbor":
-        adj = crystal_adjacency(crystal)
-        pairs = tuple((k, l) for k, l in pairs if adj[k, l])
     native = problem.native_spectrum()
     grads = _per_ion_gradient(coupling_jacobian_diag(native, drive, species), problem)
     system = build_sign_constraints(
-        problem.target, coupling_matrix(native, drive, species), grads,
-        selection=pairs, rows=space.feasibility_rows,
+        problem.target, coupling_matrix(native, drive, species), grads, rows="sign_mismatch"
     )
     return system, feasibility_test(system, pinning_sign=space.pinning_sign)
 
@@ -738,7 +724,6 @@ def stage2_refine(
     cells: SymmetryCells,
     space: SearchSpace,
     target_spec: TargetSpec,
-    species: SpeciesConstants,
     drive_axis=None,
 ) -> Candidate:
     """Pinning-only refinement with one value per symmetry orbit.
@@ -781,14 +766,13 @@ def stage3_finalize(
     held equidistant by a segmented trap.
     """
     t0 = time.perf_counter()
+    _check_choice("final_geometry", final_geometry, FINAL_GEOMETRIES)
     axis = default_drive_axis(space.pin_axes) if drive_axis is None else axis_vector(drive_axis)
     if final_geometry == "harmonic":
         trap = trap_template.replace_axis(space.scan_axis, candidate.omega_scan)
         crystal = solve_equilibrium(trap, species, trap_template.n_ions, candidate.crystal.positions)
-    elif final_geometry == "fixed_lattice":
-        crystal = candidate.crystal
     else:
-        raise InvalidArgumentError(f"unknown final_geometry {final_geometry!r}")
+        crystal = candidate.crystal
     target = build_target(target_spec, crystal)
     orbits = symmetry_orbits(crystal, symmetry).orbits
     problem = _stage_problem(crystal, target, axis, space, orbits)
@@ -839,17 +823,18 @@ def run_pipeline(
     species: SpeciesConstants,
     symmetry: str = "none",
     drive_axis=None,
-    geometry_mode: str = "auto",
     final_geometry: str = "harmonic",
     seed: int = 0,
-    threads: int = 1,
 ) -> OptimizationResult:
     """stage 1 -> stage 2 -> stage 3; deterministic for fixed inputs and seed.
 
-    `threads` is accepted and ignored: the result never depended on it.
+    An unknown `symmetry` or `final_geometry` raises InvalidArgumentError
+    before stage 1 runs.
     """
     t0 = time.perf_counter()
-    candidates, cell_diags = stage1_search(target_spec, space, trap_template, species, drive_axis, geometry_mode, seed)
+    _check_choice("symmetry group", symmetry, SYMMETRY_GROUPS)
+    _check_choice("final_geometry", final_geometry, FINAL_GEOMETRIES)
+    candidates, cell_diags = stage1_search(target_spec, space, trap_template, species, drive_axis, seed)
     if not candidates:
         summary = {}
         for c in cell_diags:
@@ -857,7 +842,7 @@ def run_pipeline(
         raise ConvergenceError(f"stage1: no feasible grid cell ({summary})")
     best = candidates[0]
     orbits = symmetry_orbits(best.crystal, symmetry)
-    refined = stage2_refine(best, orbits, space, target_spec, species, drive_axis)
+    refined = stage2_refine(best, orbits, space, target_spec, drive_axis)
     histories = {"stage1": best.history, "stage2": refined.history}
     result = stage3_finalize(
         refined,
@@ -892,8 +877,10 @@ def untweezed_baseline(
     """Best error reachable by scanning the beatnote only, no tweezers.
 
     Returns (best_epsilon, best_mu, curve) with curve a list of (mu, eps)
-    over the scanned range, resonant points skipped.
+    over the scanned range, resonant points skipped.  `mu_range` must be
+    finite, positive and ordered, and `n_scan` at least 1.
     """
+    _check_bounds("mu_range", mu_range, positive=True)
     if n_scan < 1:
         raise InvalidArgumentError(f"n_scan must be at least 1, got {n_scan}")
     axis = default_drive_axis(pin_axes) if drive_axis is None else axis_vector(drive_axis)

@@ -1,18 +1,16 @@
 """Box-constrained limited-memory quasi-Newton minimizer.
 
-Projected-gradient L-BFGS with a monotone backtracking line search
-(default) or a strong-Wolfe search.  Objectives may return +inf to mark
-forbidden regions (resonance guard bands, unstable spectra); the line
-search treats such points as rejected trials and shortens the step, so
-iterates never settle in a forbidden region.
+Projected-gradient L-BFGS with a monotone backtracking (Armijo) line
+search.  Objectives may return +inf to mark forbidden regions (resonance
+guard bands, unstable spectra); the line search treats such points as
+rejected trials and halves the step, so iterates never settle in a
+forbidden region.
 
 An objective gives its value now and its gradient on demand: it returns
 ``(f, grad)``, where ``grad()`` computes the gradient at the same point.
-The minimizer asks for the gradient of the start point once.  The
-backtracking search asks for it only for the trial it accepts, so a
-rejected or +inf trial costs one value and nothing more.  The strong-Wolfe
-search needs the slope of every finite trial and asks for each of those.
-Neither search asks for the gradient of a +inf trial.
+The minimizer asks for the gradient of the start point once and then only
+for the trial the line search accepts, so a rejected or +inf trial costs
+one value and nothing more.
 
 The minimizer is a generator, `minimize_box_steps`: it yields each point
 it wants evaluated (the start point, then every line-search trial) and
@@ -60,7 +58,6 @@ def minimize_box(
     x0: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    line_search: str = "backtracking",
     memory: int = 8,
     max_iter: int = 2000,
     tol_df: float = 1e-10,
@@ -69,11 +66,11 @@ def minimize_box(
     """Minimize objective(x) -> (f, grad) subject to lower <= x <= upper.
 
     ``grad`` is the gradient on demand (see `Objective`).  Raises
-    InvalidArgumentError for reversed bounds, an unknown line search,
-    ``memory`` or ``max_iter`` below 1, a negative tolerance, or a start
-    point where the objective is not finite.
+    InvalidArgumentError for reversed bounds, ``memory`` or ``max_iter``
+    below 1, a negative tolerance, or a start point where the objective is
+    not finite.
     """
-    steps = minimize_box_steps(x0, lower, upper, line_search, memory, max_iter, tol_df, tol_grad)
+    steps = minimize_box_steps(x0, lower, upper, memory, max_iter, tol_df, tol_grad)
     x = next(steps)
     try:
         while True:
@@ -114,7 +111,6 @@ def minimize_box_steps(
     x0: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    line_search: str = "backtracking",
     memory: int = 8,
     max_iter: int = 2000,
     tol_df: float = 1e-10,
@@ -129,13 +125,10 @@ def minimize_box_steps(
     upper = np.asarray(upper, dtype=float)
     if np.any(lower > upper):
         raise InvalidArgumentError("lower bound exceeds upper bound")
-    if line_search not in ("backtracking", "wolfe"):
-        raise InvalidArgumentError(f"unknown line search {line_search!r}")
     if memory < 1 or max_iter < 1:
         raise InvalidArgumentError(f"memory ({memory}) and max_iter ({max_iter}) must be at least 1")
     if not (tol_df >= 0.0 and tol_grad >= 0.0):
         raise InvalidArgumentError(f"tolerances must be nonnegative (tol_df={tol_df}, tol_grad={tol_grad})")
-    search = _backtrack if line_search == "backtracking" else _strong_wolfe
     x = _project(np.asarray(x0, dtype=float), lower, upper)
     f, grad = yield x
     n_eval = 1
@@ -158,7 +151,7 @@ def minimize_box_steps(
         if d.dot(pg) > -1e-12 * (_norm(d) * _norm(pg) + 1e-300):
             d = -pg  # stale curvature; fall back to steepest descent
 
-        step, evals = yield from search(x, f, g, d, lower, upper)
+        step, evals = yield from _backtrack(x, f, g, d, lower, upper)
         n_eval += evals
         if step is None and not (d == -pg).all():
             d = -pg
@@ -238,70 +231,3 @@ def _backtrack(x, f, g, d, lower, upper, c1=1e-4, max_halvings=60):
         alpha *= 0.5
     return None, evals
 
-
-def _strong_wolfe(x, f, g, d, lower, upper, c1=1e-4, c2=0.9, max_steps=25):
-    """Bracket/zoom on phi(a) = f(clip(x + a d)); falls back on barriers.
-
-    A generator like `_backtrack`; ``evals`` counts the trials of a failed
-    search too.
-    """
-
-    def phi(a):
-        x_t = _project(x + a * d, lower, upper)
-        f_t, grad_t = yield x_t
-        if not math.isfinite(f_t):
-            return x_t, f_t, None, None  # a barrier: neither search reads its slope
-        g_t = grad_t()
-        return x_t, f_t, g_t, float(g_t.dot(d))
-
-    phi0, dphi0 = f, float(g.dot(d))
-    if dphi0 >= 0:
-        return None, 0
-    a_prev, f_prev, dphi_prev = 0.0, phi0, dphi0
-    a = 1.0
-    evals = 0
-    best = None
-    for i in range(max_steps):
-        x_t, f_t, g_t, dphi_t = yield from phi(a)
-        evals += 1
-        if not math.isfinite(f_t):
-            a = 0.5 * (a_prev + a)  # barrier: shrink toward the last good point
-            continue
-        if f_t > phi0 + c1 * a * dphi0 or (f_t >= f_prev and i > 0):
-            best, extra = yield from _zoom(phi, phi0, dphi0, a_prev, f_prev, a, f_t, c1, c2)
-            evals += extra
-            break
-        if abs(dphi_t) <= -c2 * dphi0:
-            best = (x_t, f_t, g_t)
-            break
-        if dphi_t >= 0:
-            best, extra = yield from _zoom(phi, phi0, dphi0, a, f_t, a_prev, f_prev, c1, c2)
-            evals += extra
-            break
-        a_prev, f_prev, dphi_prev = a, f_t, dphi_t
-        a *= 2.0
-    if best is None or best[1] >= phi0:
-        return None, evals
-    return best, evals
-
-
-def _zoom(phi, phi0, dphi0, a_lo, f_lo, a_hi, f_hi, c1, c2, max_iter=30):
-    evals = 0
-    result = None
-    for _ in range(max_iter):
-        a = 0.5 * (a_lo + a_hi)
-        x_t, f_t, g_t, dphi_t = yield from phi(a)
-        evals += 1
-        if not math.isfinite(f_t) or f_t > phi0 + c1 * a * dphi0 or f_t >= f_lo:
-            a_hi, f_hi = a, f_t
-        else:
-            if abs(dphi_t) <= -c2 * dphi0:
-                result = (x_t, f_t, g_t)
-                break
-            if dphi_t * (a_hi - a_lo) >= 0:
-                a_hi, f_hi = a_lo, f_lo
-            a_lo, f_lo = a, f_t
-            result = (x_t, f_t, g_t)
-        if abs(a_hi - a_lo) < 1e-14:
-            break
-    return result, evals

@@ -28,7 +28,6 @@ class Scenario:
     space: SearchSpace
     symmetry: str
     drive_axis: str
-    stage1_geometry: str = "auto"
     final_geometry: str = "harmonic"
     seed: int = 0
 
@@ -147,7 +146,7 @@ def misalignment_settings(fast: bool = False):
 SCENARIO_TOKENS = ("fig3", "fig4", "fig5", "fig6", "fig7", "table1", "table2")
 
 
-def run_scenario(scenario: Scenario, threads: int = 1, seed: Optional[int] = None):
+def run_scenario(scenario: Scenario, seed: Optional[int] = None):
     return run_pipeline(
         scenario.target,
         scenario.space,
@@ -155,8 +154,6 @@ def run_scenario(scenario: Scenario, threads: int = 1, seed: Optional[int] = Non
         YB171,
         symmetry=scenario.symmetry,
         drive_axis=scenario.drive_axis,
-        geometry_mode=scenario.stage1_geometry,
         final_geometry=scenario.final_geometry,
         seed=scenario.seed if seed is None else seed,
-        threads=threads,
     )

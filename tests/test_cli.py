@@ -16,7 +16,6 @@ SMALL_CONFIG = """
 [run]
 species = Yb171
 seed = 5
-threads = 1
 
 [trap]
 omega_x_mhz = 2.0
@@ -102,6 +101,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "invalid-argument" in err
         assert "bogus_key" in err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("run", "threads", "1"),
+            ("search", "line_search", "backtracking"),
+            ("search", "stage1_geometry", "auto"),
+            ("search", "feasibility_pairs", "all"),
+            ("search", "feasibility_rows", "sign_mismatch"),
+        ],
+    )
+    def test_retired_key_is_unknown(self, tmp_path, capsys, section, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CONFIG.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n", 1))
+        assert main(["feasibility", "--config", str(bad)]) == 1
+        assert f"unknown config key [{section}] {key}" in capsys.readouterr().err
+
+    def test_retired_threads_flag_is_usage_error(self, config_path, capsys):
+        assert main(["feasibility", "--config", str(config_path), "--threads", "2"]) == 1
+        assert "--threads" in capsys.readouterr().err
 
     def test_duplicate_section_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "dup.cfg"

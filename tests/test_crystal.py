@@ -18,6 +18,7 @@ from tweezer_ising.crystal import (
     DIST_FLOOR,
     TOL_EQUILIBRIUM,
     default_chain_guess,
+    hex_shells,
     pairwise_distances,
     triangular_start,
 )
@@ -204,6 +205,12 @@ class TestLattices:
     def test_unsupported_counts(self):
         with pytest.raises(InvalidArgumentError):
             make_lattice("triangular", 10, 1e-6)
+        # below one ion the shell formula used to end in "math domain error"
+        for n in (0, -4):
+            with pytest.raises(InvalidArgumentError, match="not a centered hexagonal count"):
+                hex_shells(n)
+            with pytest.raises(InvalidArgumentError, match="not a centered hexagonal count"):
+                make_lattice("triangular", n, 1e-6)
         with pytest.raises(InvalidArgumentError):
             make_lattice("ring", 5, 1e-6)
 

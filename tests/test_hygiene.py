@@ -3,8 +3,10 @@
 Every import a module makes is used, package-relative imports sit at
 module top (a function-level import hides a dependency and is re-run on
 every call), and every private definition is used somewhere in the
-package (a copy left behind by a fold reads as live code).  No linter
-runs on this code, so these checks stand in.
+package (a copy left behind by a fold reads as live code), and every
+parameter of a package function is read in its body (an argument that is
+accepted and ignored reads as a choice the caller makes).  No linter runs
+on this code, so these checks stand in.
 """
 
 import ast
@@ -123,3 +125,37 @@ def test_every_private_definition_is_used():
             if not refs.get(name.rpartition(".")[2], set()) - own:
                 unused.append(f"{module}: {name} (line {node.lineno})")
     assert not unused, f"private definitions nothing in the package uses: {', '.join(unused)}"
+
+
+#: parameters kept although their function never reads them: public, and
+#: documented as unread
+UNREAD_PARAMETERS = {"sensitivity.py: coupling_gradient_adjoint(hessian)"}
+
+
+def _unread_parameters(tree):
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        read = {
+            node.id
+            for stmt in fn.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        for param in params:
+            # a method's receiver is fixed by the call protocol, not chosen
+            if param.arg not in read and param.arg not in ("self", "cls"):
+                yield f"{fn.name}({param.arg})"
+
+
+def test_every_parameter_is_read():
+    unread = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name in _unread_parameters(_parse(path))
+    ]
+    unexpected = sorted(set(unread) - UNREAD_PARAMETERS)
+    assert not unexpected, f"parameters their function never reads: {', '.join(unexpected)}"
+    assert set(unread) >= UNREAD_PARAMETERS, "an exempt parameter is read now; drop its exemption"

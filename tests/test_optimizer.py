@@ -410,9 +410,7 @@ class TestStage1:
         # attainable with zero pinning
         trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=4)
         space = _space(mu_grid=4, restarts=2, omega_scan=(0.25 * MHZ, 0.25 * MHZ))
-        crystal = stage1_geometry(
-            TargetSpec("nearest_neighbor", "chain"), trap, species, 0.25 * MHZ, "z", "fixed_lattice"
-        )
+        crystal = stage1_geometry(TargetSpec("nearest_neighbor", "chain"), trap, species, 0.25 * MHZ, "z")
         from tweezer_ising import DriveConfig, coupling_matrix
         from tweezer_ising.modes import build_hessian, mode_spectrum
 
@@ -437,9 +435,7 @@ class TestStage1:
         # a sign flip of the single coupling cannot be reached with purely
         # confining pinning far above the band
         trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=2)
-        crystal = stage1_geometry(
-            TargetSpec("nearest_neighbor", "chain"), trap, species, 0.25 * MHZ, "z", "fixed_lattice"
-        )
+        crystal = stage1_geometry(TargetSpec("nearest_neighbor", "chain"), trap, species, 0.25 * MHZ, "z")
         target = TargetSpec("explicit", "chain", matrix=np.array([[0.0, -1.0], [-1.0, 0.0]]))
         space = _space(mu=(2.0 * MHZ, 2.2 * MHZ), mu_grid=5, pin=(0.0, 0.3 * MHZ))
         candidates, cells = stage1_search(target, space, trap, species, seed=0)
@@ -467,7 +463,7 @@ def _row_problems(target_spec, space, trap, species):
     """Stage 1's `PinProblem` of each trap frequency, keyed by it."""
     problems = {}
     for omega in np.linspace(space.omega_scan[0], space.omega_scan[1], space.omega_grid):
-        crystal = stage1_geometry(target_spec, trap, species, omega, space.scan_axis, "auto")
+        crystal = stage1_geometry(target_spec, trap, species, omega, space.scan_axis)
         problem = PinProblem(crystal, build_target(target_spec, crystal), default_drive_axis(space.pin_axes),
                              space.pin_axes, None, space.resonance_guard)
         problem.set_scales(space.pin_curvature_bounds, space.mu)
@@ -482,8 +478,7 @@ def _lone_restarts(problem, space, seed, cell, mu):
     return [
         minimize_box(
             problem.objective_pin(mu), optimizer._random_start(space, p, seed, cell, r) / problem.k_scale,
-            lower, upper, line_search=space.line_search, max_iter=space.max_iter,
-            tol_df=space.tol_df, tol_grad=space.tol_grad,
+            lower, upper, max_iter=space.max_iter, tol_df=space.tol_df, tol_grad=space.tol_grad,
         )
         for r in range(space.restarts)
     ]
@@ -493,12 +488,13 @@ class TestStage1Lockstep:
     """Stage 1 runs a row's restarts in lockstep; each cell keeps what the
     restarts run one by one would have given it, bit for bit."""
 
-    @pytest.mark.parametrize("line_search", ["backtracking", "wolfe"])
-    def test_matches_lone_restarts(self, species, line_search):
+    # the minimizer's one line search, kept in the id so that it matches earlier runs
+    @pytest.mark.parametrize("search", ["backtracking"])
+    def test_matches_lone_restarts(self, species, search):
         trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=4)
         # rows of infeasible, resonant and feasible cells
         space = _space(omega_scan=(0.22 * MHZ, 0.25 * MHZ), omega_grid=2, mu=(0.7 * MHZ, 0.9 * MHZ),
-                       mu_grid=5, restarts=3, line_search=line_search)
+                       mu_grid=5, restarts=3)
         tspec = TargetSpec("nearest_neighbor", "chain")
         candidates, cells = stage1_search(tspec, space, trap, species, seed=1)
         problems = _row_problems(tspec, space, trap, species)
@@ -557,7 +553,7 @@ class TestStage2:
         candidates, _ = stage1_search(tspec, space, trap, species, seed=2)
         best = candidates[0]
         cells_none = symmetry_orbits(best.crystal, "none")
-        refined = stage2_refine(best, cells_none, space, tspec, species)
+        refined = stage2_refine(best, cells_none, space, tspec)
         # reparametrization identity: same search space, same start point
         assert refined.epsilon <= best.epsilon + 1e-8
 
@@ -568,7 +564,7 @@ class TestStage2:
         candidates, _ = stage1_search(tspec, space, trap, species, seed=2)
         best = candidates[0]
         cells = symmetry_orbits(best.crystal, "reflection_z")
-        refined = stage2_refine(best, cells, space, tspec, species)
+        refined = stage2_refine(best, cells, space, tspec)
         for orbit in cells.orbits:
             vals = refined.pin_curvature[list(orbit)]
             assert np.ptp(vals) == 0.0
@@ -586,15 +582,6 @@ class TestPipeline:
         assert r1.mu == r2.mu
         assert np.array_equal(r1.pin_frequencies, r2.pin_frequencies)
         assert r1.epsilon == r2.epsilon
-
-    def test_threads_do_not_change_result(self, species):
-        trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=4)
-        space = _space(mu_grid=4, restarts=2)
-        tspec = TargetSpec("nearest_neighbor", "chain")
-        r1 = run_pipeline(tspec, space, trap, species, seed=6, threads=1)
-        r2 = run_pipeline(tspec, space, trap, species, seed=6, threads=4)
-        assert r1.mu == r2.mu
-        assert np.array_equal(r1.pin_frequencies, r2.pin_frequencies)
 
     def test_result_respects_bounds_and_guard(self, species):
         trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=4)
@@ -623,6 +610,19 @@ class TestPipeline:
             assert np.ptp(res.pin_frequencies[list(orbit)]) == 0.0
 
 
+    @pytest.mark.parametrize("choice", [{"symmetry": "C7"}, {"final_geometry": "bogus"}])
+    def test_unknown_choice_raises_before_stage1(self, species, monkeypatch, choice):
+        # both used to raise only after the whole stage-1 grid had run
+        def no_stage1(*args, **kwargs):
+            raise AssertionError("ran stage 1 for an unknown choice")
+
+        monkeypatch.setattr(optimizer, "stage1_search", no_stage1)
+        trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=4)
+        (value,) = choice.values()
+        with pytest.raises(InvalidArgumentError, match=f"unknown .*{value!r}"):
+            run_pipeline(TargetSpec("nearest_neighbor", "chain"), _space(), trap, species, **choice)
+
+
 class TestSearchSpaceValidation:
     def test_rejects_reversed_bounds(self):
         with pytest.raises(InvalidArgumentError):
@@ -635,12 +635,11 @@ class TestSearchSpaceValidation:
             {"max_iter": -1},
             {"tol_df": -1e-10},
             {"tol_grad": -1.0},
-            {"line_search": "golden"},
         ],
     )
     def test_rejects_bad_search_controls(self, controls):
         # max_iter=0 used to return the start point of every search as the
-        # design; an unknown line search passed until the first feasible cell
+        # design
         with pytest.raises(InvalidArgumentError):
             _space(**controls)
 
@@ -692,3 +691,19 @@ class TestUntweezedBaseline:
             optimizer.untweezed_baseline(
                 TargetSpec("nearest_neighbor", "chain"), trap, YB171, (0.6 * MHZ, 0.75 * MHZ), n_scan=n_scan
             )
+
+    @pytest.mark.parametrize(
+        "mu_range",
+        [(-1.0, 0.7 * MHZ), (np.nan, 0.75 * MHZ), (0.6 * MHZ, np.inf), (0.75 * MHZ, 0.6 * MHZ)],
+        ids=["negative", "nan", "inf", "reversed"],
+    )
+    def test_rejects_bad_mu_range_before_solving(self, mu_range, monkeypatch):
+        # (-1, 0.7 MHz) used to return best mu = -1 rad/s, (nan, 0.75 MHz) an
+        # epsilon with only a RuntimeWarning, (0.6 MHz, inf) a ResonanceError
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved an equilibrium for a bad beatnote range")
+
+        monkeypatch.setattr(optimizer, "solve_equilibrium", no_solve)
+        trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=5)
+        with pytest.raises(InvalidArgumentError, match="mu_range"):
+            optimizer.untweezed_baseline(TargetSpec("nearest_neighbor", "chain"), trap, YB171, mu_range, n_scan=20)

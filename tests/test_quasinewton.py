@@ -45,24 +45,26 @@ def barrier(x):
     return float(d @ d), lambda: 2.0 * d
 
 
-@pytest.mark.parametrize("line_search", ["backtracking", "wolfe"])
-def test_unconstrained_quadratic(line_search):
+#: the minimizer's one line search, kept in these tests' ids so that
+#: their names match earlier runs of the suite
+BACKTRACKING = pytest.mark.parametrize("search", ["backtracking"])
+
+
+@BACKTRACKING
+def test_unconstrained_quadratic(search):
     res = minimize_box(
         quadratic([1.0, -2.0, 0.5], [1.0, 10.0, 0.1]),
         np.zeros(3),
         np.full(3, -10.0),
         np.full(3, 10.0),
-        line_search=line_search,
     )
     assert res.converged
     assert np.allclose(res.x, [1.0, -2.0, 0.5], atol=1e-6)
 
 
-@pytest.mark.parametrize("line_search", ["backtracking", "wolfe"])
-def test_rosenbrock_inside_box(line_search):
-    res = minimize_box(
-        rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0), line_search=line_search
-    )
+@BACKTRACKING
+def test_rosenbrock_inside_box(search):
+    res = minimize_box(rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0))
     assert res.fun < 1e-12
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-5)
 
@@ -100,8 +102,6 @@ def test_barrier_region_avoided():
 def test_rejects_bad_inputs():
     with pytest.raises(InvalidArgumentError):
         minimize_box(rosenbrock, np.zeros(2), np.ones(2), np.zeros(2))
-    with pytest.raises(InvalidArgumentError):
-        minimize_box(rosenbrock, np.zeros(2), np.zeros(2), np.ones(2), line_search="golden")
 
     def bad(x):
         return np.inf, lambda: np.zeros_like(x)
@@ -139,7 +139,6 @@ def _oracle_minimize_box(
     x0: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    line_search: str = "backtracking",
     memory: int = 8,
     max_iter: int = 2000,
     tol_df: float = 1e-10,
@@ -150,8 +149,6 @@ def _oracle_minimize_box(
     upper = np.asarray(upper, dtype=float)
     if np.any(lower > upper):
         raise InvalidArgumentError("lower bound exceeds upper bound")
-    if line_search not in ("backtracking", "wolfe"):
-        raise InvalidArgumentError(f"unknown line search {line_search!r}")
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     f, g = objective(x)
     n_eval = 1
@@ -173,10 +170,7 @@ def _oracle_minimize_box(
         if float(d @ pg) > -1e-12 * (np.linalg.norm(d) * np.linalg.norm(pg) + 1e-300):
             d = -pg  # stale curvature; fall back to steepest descent
 
-        if line_search == "backtracking":
-            step = _oracle_backtrack(objective, x, f, g, d, lower, upper)
-        else:
-            step = _oracle_strong_wolfe(objective, x, f, g, d, lower, upper)
+        step = _oracle_backtrack(objective, x, f, g, d, lower, upper)
         if step is None and not np.array_equal(d, -pg):
             d = -pg
             step = _oracle_backtrack(objective, x, f, g, d, lower, upper)
@@ -239,68 +233,6 @@ def _oracle_backtrack(objective, x, f, g, d, lower, upper, c1=1e-4, max_halvings
             return x_t, f_t, g_t, evals
         alpha *= 0.5
     return None
-
-
-def _oracle_strong_wolfe(objective, x, f, g, d, lower, upper, c1=1e-4, c2=0.9, max_steps=25):
-    """Bracket/zoom on phi(a) = f(clip(x + a d)); falls back on barriers."""
-
-    def phi(a):
-        x_t = np.clip(x + a * d, lower, upper)
-        f_t, g_t = objective(x_t)
-        return x_t, f_t, g_t, float(g_t @ d)
-
-    phi0, dphi0 = f, float(g @ d)
-    if dphi0 >= 0:
-        return None
-    a_prev, f_prev, dphi_prev = 0.0, phi0, dphi0
-    a = 1.0
-    evals = 0
-    best = None
-    for i in range(max_steps):
-        x_t, f_t, g_t, dphi_t = phi(a)
-        evals += 1
-        if not np.isfinite(f_t):
-            a = 0.5 * (a_prev + a)  # barrier: shrink toward the last good point
-            continue
-        if f_t > phi0 + c1 * a * dphi0 or (f_t >= f_prev and i > 0):
-            best = _oracle_zoom(phi, phi0, dphi0, a_prev, f_prev, a, f_t, c1, c2)
-            break
-        if abs(dphi_t) <= -c2 * dphi0:
-            best = (x_t, f_t, g_t, 0)
-            break
-        if dphi_t >= 0:
-            best = _oracle_zoom(phi, phi0, dphi0, a, f_t, a_prev, f_prev, c1, c2)
-            break
-        a_prev, f_prev, dphi_prev = a, f_t, dphi_t
-        a *= 2.0
-    if best is None:
-        return None
-    x_t, f_t, g_t, extra = best
-    if f_t >= phi0:
-        return None
-    return x_t, f_t, g_t, evals + extra
-
-
-def _oracle_zoom(phi, phi0, dphi0, a_lo, f_lo, a_hi, f_hi, c1, c2, max_iter=30):
-    evals = 0
-    result = None
-    for _ in range(max_iter):
-        a = 0.5 * (a_lo + a_hi)
-        x_t, f_t, g_t, dphi_t = phi(a)
-        evals += 1
-        if not np.isfinite(f_t) or f_t > phi0 + c1 * a * dphi0 or f_t >= f_lo:
-            a_hi, f_hi = a, f_t
-        else:
-            if abs(dphi_t) <= -c2 * dphi0:
-                result = (x_t, f_t, g_t, evals)
-                break
-            if dphi_t * (a_hi - a_lo) >= 0:
-                a_hi, f_hi = a_lo, f_lo
-            a_lo, f_lo = a, f_t
-            result = (x_t, f_t, g_t, evals)
-        if abs(a_hi - a_lo) < 1e-14:
-            break
-    return result
 
 
 def _eager(objective):
@@ -388,8 +320,7 @@ def _oracle_run(objective, x0, lower, upper, **controls):
     """The oracle's run, its ``n_eval`` the number of objective calls it made.
 
     The eager copy leaves out of ``n_eval`` the trials of a line search
-    that finds no step, and those a strong-Wolfe zoom makes after its last
-    bracketed point; the minimizer counts every call.  Everything else is
+    that finds no step; the minimizer counts every call.  Everything else is
     compared as the copy returns it.
     """
     counted = _Counted(objective)
@@ -413,25 +344,25 @@ class TestOraclePath:
     another path to a nearby point can change the design.
     """
 
-    @pytest.mark.parametrize("line_search", ["backtracking", "wolfe"])
+    @BACKTRACKING
     @pytest.mark.parametrize("case", PIN_CASES)
-    def test_pin_problem_runs(self, species, case, line_search):
+    def test_pin_problem_runs(self, species, case, search):
         objective, lower, upper = _pin_case(case, species)
         counted = _Counted(objective)
         accepted = 0
         for x0 in _pin_starts(objective, lower, upper):
-            want = _oracle_run(objective, x0, lower, upper, line_search=line_search)
-            got = minimize_box(counted, x0, lower, upper, line_search=line_search)
+            want = _oracle_run(objective, x0, lower, upper)
+            got = minimize_box(counted, x0, lower, upper)
             _assert_same_run(got, want)
             accepted += len(got.history)
         assert counted.values > accepted  # the runs rejected trials
 
-    @pytest.mark.parametrize("line_search", ["backtracking", "wolfe"])
-    def test_analytic_runs(self, line_search):
+    @BACKTRACKING
+    def test_analytic_runs(self, search):
         runs = _analytic_runs()
         for objective, x0, lower, upper in runs:
-            want = _oracle_run(objective, x0, lower, upper, line_search=line_search)
-            got = minimize_box(objective, x0, lower, upper, line_search=line_search)
+            want = _oracle_run(objective, x0, lower, upper)
+            got = minimize_box(objective, x0, lower, upper)
             _assert_same_run(got, want)
         for memory in (1, 3):
             want = _oracle_run(rosenbrock, runs[0][1], *runs[0][2:], memory=memory)
@@ -440,22 +371,22 @@ class TestOraclePath:
 
 
 class TestEvaluationCount:
-    """``n_eval`` is the number of objective calls, whichever search runs."""
+    """``n_eval`` is the number of objective calls."""
 
-    @pytest.mark.parametrize("line_search", ["backtracking", "wolfe"])
+    @BACKTRACKING
     @pytest.mark.parametrize("case", PIN_CASES)
-    def test_pin_problem_runs(self, species, case, line_search):
+    def test_pin_problem_runs(self, species, case, search):
         objective, lower, upper = _pin_case(case, species)
         for x0 in _pin_starts(objective, lower, upper):
             counted = _Counted(objective)
-            res = minimize_box(counted, x0, lower, upper, line_search=line_search)
+            res = minimize_box(counted, x0, lower, upper)
             assert res.n_eval == counted.values
 
-    @pytest.mark.parametrize("line_search", ["backtracking", "wolfe"])
-    def test_analytic_runs(self, line_search):
+    @BACKTRACKING
+    def test_analytic_runs(self, search):
         for objective, x0, lower, upper in _analytic_runs():
             counted = _Counted(objective)
-            res = minimize_box(counted, x0, lower, upper, line_search=line_search)
+            res = minimize_box(counted, x0, lower, upper)
             assert res.n_eval == counted.values
 
 
@@ -471,14 +402,6 @@ class TestGradientOnDemand:
         assert counted.graded == res.history
         assert counted.values == res.n_eval
         assert counted.infs > 0 and counted.values - counted.infs > len(res.history)
-
-    def test_wolfe_grades_every_finite_trial(self):
-        counted = _Counted(barrier)
-        x0, lower, upper = np.array([0.0, 1.0]), np.full(2, -2.0), np.full(2, 2.0)
-        minimize_box(counted, x0, lower, upper, line_search="wolfe")
-        assert counted.infs > 0
-        assert len(counted.graded) == counted.values - counted.infs
-        assert all(math.isfinite(f) for f in counted.graded)
 
 
 def _per_lane(objectives, log=None):
@@ -502,17 +425,16 @@ class TestLockstep:
             (rosenbrock, np.array([0.5, 2.0]), np.full(2, -5.0), np.full(2, 5.0)),
             (quadratic([0.3, 0.1, -0.2], [2.0, 1.0, 5.0]), np.zeros(3), np.full(3, -1.0), np.full(3, 1.0)),
         ]
-        for line_search in ("backtracking", "wolfe"):
-            log = []
-            lanes = [minimize_box_steps(x0, lo, hi, line_search=line_search) for _, x0, lo, hi in runs]
-            got = minimize_lockstep(_per_lane([run[0] for run in runs], log), lanes)
-            for (objective, x0, lo, hi), res in zip(runs, got):
-                _assert_same_run(res, minimize_box(objective, x0, lo, hi, line_search=line_search))
-            rounds = [len(active) for active, _ in log]
-            assert rounds[0] == len(runs) and rounds[-1] < len(runs)
-            assert len({res.n_eval for res in got}) > 1
-            # one evaluation per lane per round, and each lane's rounds are its evaluations
-            assert sum(rounds) == sum(res.n_eval for res in got)
+        log = []
+        lanes = [minimize_box_steps(x0, lo, hi) for _, x0, lo, hi in runs]
+        got = minimize_lockstep(_per_lane([run[0] for run in runs], log), lanes)
+        for (objective, x0, lo, hi), res in zip(runs, got):
+            _assert_same_run(res, minimize_box(objective, x0, lo, hi))
+        rounds = [len(active) for active, _ in log]
+        assert rounds[0] == len(runs) and rounds[-1] < len(runs)
+        assert len({res.n_eval for res in got}) > 1
+        # one evaluation per lane per round, and each lane's rounds are its evaluations
+        assert sum(rounds) == sum(res.n_eval for res in got)
 
     def test_single_lane(self):
         x0, lo, hi = np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0)
