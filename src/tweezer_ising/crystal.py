@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -133,12 +133,13 @@ def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_terms(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Differences (N, N, 3) and distances (N, N) of every ion pair, and the
-    distances of the pairs i < j."""
-    diff = pos[:, None, :] - pos[None, :, :]
+    """Differences (..., N, N, 3) and distances (..., N, N) of every ion
+    pair, and the distances of the pairs i < j, for positions (..., N, 3)."""
+    diff = pos[..., :, None, :] - pos[..., None, :, :]
     # np.linalg.norm(diff, axis=-1), as numpy computes it
     dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
-    return diff, dist, dist.take(_pair_tables(pos.shape[0])[0])
+    upper = _pair_tables(pos.shape[-2])[0]
+    return diff, dist, dist.reshape(dist.shape[:-2] + (-1,)).take(upper, axis=-1)
 
 
 def potential_and_gradient(
@@ -154,40 +155,58 @@ def potential_and_gradient(
     providing a pattern must also provide the centers (typically the
     aligned equilibrium plus the pattern offsets).
     """
-    pos = np.asarray(positions, dtype=float).reshape(trap.n_ions, 3)
+    pos = np.asarray(positions, dtype=float).reshape(1, trap.n_ions, 3)
     pairs = _pair_terms(pos) if trap.n_ions > 1 else None
-    return _potential_and_gradient(pos, pairs, trap, species, tweezers, tweezer_centers)
-
-
-def _potential_and_gradient(pos, pairs, trap, species, tweezers, tweezer_centers):
-    """`potential_and_gradient` at (N, 3) float positions whose `_pair_terms`
-    are ``pairs`` (None for one ion)."""
-    m = species.mass
-    w2 = trap.omegas**2
-
-    energy = 0.5 * m * (w2 * pos**2).sum()
-    grad = m * w2 * pos
-
-    if pairs is not None:
-        diff, dist, upper = pairs
-        if upper.min() <= 0.0:
-            raise SingularGeometryError("coincident ions in potential evaluation")
-        ke2 = species.coulomb_coefficient
-        energy += ke2 * (1.0 / upper).sum()
-        off = _pair_tables(trap.n_ions)[1]
-        inv3 = np.zeros(dist.shape)
-        inv3.put(off, dist.take(off) ** -3)
-        grad += -ke2 * (diff * inv3[:, :, None]).sum(axis=1)
-
+    if pairs is not None and pairs[2].min() <= 0.0:
+        raise SingularGeometryError("coincident ions in potential evaluation")
+    curv = centers = None
     if tweezers is not None:
         if tweezer_centers is None:
             raise InvalidArgumentError("tweezer_centers required when tweezers are present")
-        u = pos - np.asarray(tweezer_centers, dtype=float)
-        curv = tweezers.curvatures  # (N, 3, 3), rad^2/s^2
-        energy += 0.5 * m * np.einsum("ia,iab,ib->", u, curv, u)
-        grad += m * np.einsum("iab,ib->ia", curv, u)
+        curv = tweezers.curvatures
+        centers = np.asarray(tweezer_centers, dtype=float)
+    energy_of, grads = _potentials_and_gradients(pos, pairs, trap, species, curv, centers)
+    return energy_of(0), grads[0]
 
-    return energy, grad
+
+def _potentials_and_gradients(pos, pairs, trap, species, curv, centers):
+    """Energies and gradients (K, N, 3) at a (K, N, 3) stack of
+    distinct-ion positions whose `_pair_terms` are ``pairs`` (None for one
+    ion), with tweezer curvatures (N, 3, 3) around centers broadcasting to
+    the positions, or without tweezers when ``curv`` is None.
+
+    The energies come as a function of the lane, so a caller pays only for
+    those it reads.  Every lane has the bits of its lone evaluation: the
+    gradient is stacked and each energy is summed on its own, because
+    numpy's row sums of a stack do not add in the order of a lone sum.
+    """
+    m = species.mass
+    w2 = trap.omegas**2
+
+    harmonic = w2 * pos**2
+    grad = m * w2 * pos
+    if pairs is not None:
+        diff, dist, upper = pairs
+        ke2 = species.coulomb_coefficient
+        inverse = 1.0 / upper
+        off = _pair_tables(trap.n_ions)[1]
+        inv3 = np.zeros(dist.shape)
+        flat = inv3.reshape(len(pos), -1)
+        flat[:, off] = dist.reshape(len(pos), -1)[:, off] ** -3
+        grad += -ke2 * (diff * inv3[..., None]).sum(axis=2)
+    if curv is not None:
+        u = pos - centers
+        grad += m * np.einsum("iab,kib->kia", curv, u)
+
+    def energy_of(k):
+        energy = 0.5 * m * harmonic[k].sum()
+        if pairs is not None:
+            energy += ke2 * inverse[k].sum()
+        if curv is not None:
+            energy += 0.5 * m * np.einsum("ia,iab,ib->", u[k], curv, u[k])
+        return energy
+
+    return energy_of, grad
 
 
 def make_lattice(kind: str, n_ions: int, spacing: float, plane: tuple[int, int] = (1, 2)) -> np.ndarray:
@@ -271,7 +290,8 @@ def solve_equilibrium(
     offsets the pattern is anchored at `tweezer_reference` (defaulting to
     the tweezer-free solution from the same guess) and the crystal shifts.
     `require` optionally asserts the resulting dimensionality
-    ("chain" or "planar").
+    ("chain" or "planar").  This is the one-lane call of
+    `solve_equilibria`.
     """
     if n_ions != trap.n_ions:
         raise InvalidArgumentError("n_ions disagrees with trap.n_ions")
@@ -281,88 +301,232 @@ def solve_equilibrium(
     if n_ions > 1 and _pair_terms(guess)[2].min() <= 0:
         raise InvalidArgumentError("initial guess has coincident ions")
 
-    centers = None
+    curv = centers = None
     if tweezers is not None:
         if tweezer_reference is None:
             ref = solve_equilibrium(trap, species, n_ions, guess, max_iter=max_iter)
             tweezer_reference = ref.positions
-        centers = np.asarray(tweezer_reference, dtype=float) + tweezers.offsets
+        curv = tweezers.curvatures
+        centers = (np.asarray(tweezer_reference, dtype=float) + tweezers.offsets)[None]
 
-    # descents can stall at saddles (a collinear chain past the zigzag
-    # transition); kick deterministically and re-descend until a stable
-    # stationary point is reached
-    curv = tweezers.curvatures if tweezers is not None else None
-    floor = TOL_PSD_REL * trap.omega_bar**2
-    lbar = length_scale(trap.omega_bar, species)
-    pos, residual = guess, np.inf
-    for attempt in range(5):
-        pos, residual = _newton_descent(pos, trap, species, tweezers, centers, max_iter)
-        lam_min = np.linalg.eigvalsh(mass_scaled_hessian(pos, trap, species, curv))[0]
-        if residual < TOL_EQUILIBRIUM and lam_min >= -floor:
-            break
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1905, spawn_key=(attempt,))))
-        pos = pos + min(1e-3 * 4.0**attempt, 3e-2) * lbar * rng.standard_normal(pos.shape)
-    else:
-        raise ConvergenceError(
-            f"equilibrium solve stalled at scaled residual {residual:.3e}"
-            + (" on an unstable stationary point" if lam_min < -floor else ""),
-            residual=float(residual),
-        )
-    dimensionality, extended = _classify_geometry(pos, trap, species)
-    if require is not None and dimensionality != require:
+    (outcome,) = solve_equilibria(trap, species, guess[None], curv, centers, max_iter)
+    if isinstance(outcome, Exception):
+        raise outcome
+    crystal = outcome[0]
+    if require is not None and crystal.dimensionality != require:
         raise NonPlanarError(
-            f"crystal relaxed to {dimensionality!r}, required {require!r}"
+            f"crystal relaxed to {crystal.dimensionality!r}, required {require!r}"
         )
-    return IonCrystal(trap, species, pos, dimensionality, extended)
+    return crystal
 
 
-def _newton_descent(pos, trap, species, tweezers, centers, max_iter):
-    m = species.mass
-    wbar = trap.omega_bar
-    lbar = length_scale(wbar, species)
-    force_scale = m * wbar**2 * lbar
-    dist_floor = DIST_FLOOR * lbar
-    n = trap.n_ions
+# what a lane of `solve_equilibria` asks for: the potential and gradient at
+# the start of a descent or at a line-search trial (which must keep the
+# distance floor), or the mass-scaled Hessian for a Newton step or for the
+# stability check (which also decomposes it)
+_START, _TRIAL, _NEWTON, _CHECK = range(4)
 
-    curv = tweezers.curvatures if tweezers is not None else None
-    energy, grad = potential_and_gradient(pos, trap, species, tweezers, centers)
+
+@dataclass(frozen=True)
+class _Scales:
+    """The constants of one trap and species that every lane shares."""
+
+    m: float
+    m_wbar2: float
+    lbar: float
+    force_scale: float
+    dist_floor: float
+    psd_floor: float
+
+    @classmethod
+    def of(cls, trap: TrapConfig, species: SpeciesConstants) -> "_Scales":
+        m, wbar = species.mass, trap.omega_bar
+        lbar = length_scale(wbar, species)
+        return cls(m, m * wbar**2, lbar, m * wbar**2 * lbar, DIST_FLOOR * lbar, TOL_PSD_REL * wbar**2)
+
+
+def solve_equilibria(
+    trap: TrapConfig,
+    species: SpeciesConstants,
+    guesses: np.ndarray,
+    curvatures: Optional[np.ndarray] = None,
+    centers: Optional[np.ndarray] = None,
+    max_iter: int = 200,
+) -> list:
+    """`solve_equilibrium` of K lanes in lockstep, from distinct-ion guesses.
+
+    ``guesses`` and the tweezer ``centers`` are (K, N, 3) stacks; the
+    tweezer ``curvatures`` (N, 3, 3), or None for no tweezers, are shared.
+    Each round makes one stacked potential-and-gradient call for the lanes
+    that need one and one stacked `mass_scaled_hessian` for the lanes that
+    take a Newton step or check stability, whose verdicts come from one
+    stacked `eigvalsh`.  Cholesky solves, norms, line-search decisions and
+    kicks stay per lane, so every lane has the bits of its lone solve.
+
+    Returns, per lane, ``(crystal, hessian)`` with the mass-scaled Hessian
+    that the stability check decomposed at the crystal's positions, or the
+    exception that the lane's solve raised.
+    """
+    scales = _Scales.of(trap, species)
+    lanes = [_lane(guess, scales, max_iter) for guess in guesses]
+    outcomes: list = [None] * len(lanes)
+    requests: dict = {}
+
+    def advance(k, value=None, error=None):
+        try:
+            requests[k] = lanes[k].send(value) if error is None else lanes[k].throw(error)
+        except StopIteration as done:
+            pos, hessian = done.value
+            try:
+                dimensionality, extended = _classify_geometry(pos, trap, species)
+                outcomes[k] = IonCrystal(trap, species, pos, dimensionality, extended), hessian
+            except Exception as err:
+                outcomes[k] = err
+        except Exception as err:
+            outcomes[k] = err
+
+    for k in range(len(lanes)):
+        advance(k)
+    while requests:
+        evals, hessians = [], []
+        for k, (kind, pos) in requests.items():
+            (evals if kind <= _TRIAL else hessians).append((k, kind, pos))
+        requests.clear()
+        if evals:
+            _evaluate(evals, trap, species, curvatures, centers, scales, advance)
+        if hessians:
+            _hessians(hessians, trap, species, curvatures, advance)
+    return outcomes
+
+
+def _evaluate(evals, trap, species, curvatures, centers, scales, advance):
+    """One stacked potential-and-gradient call for the lanes that asked."""
+    pos = evals[0][2][None] if len(evals) == 1 else np.stack([p for _, _, p in evals])
+    pairs = None
+    if trap.n_ions > 1:
+        pairs = _pair_terms(pos)
+        nearest = pairs[2].min(axis=1)
+        keep = []
+        for j, (k, kind, _) in enumerate(evals):
+            if kind == _TRIAL and nearest[j] < scales.dist_floor:
+                advance(k, None)
+            elif nearest[j] <= 0.0:
+                advance(k, error=SingularGeometryError("coincident ions in potential evaluation"))
+            else:
+                keep.append(j)
+        if not keep:
+            return
+        if len(keep) < len(evals):
+            evals = [evals[j] for j in keep]
+            pos = pos[keep]
+            pairs = tuple(a[keep] for a in pairs)
+    lane_centers = None if curvatures is None else centers[[k for k, _, _ in evals]]
+    energy_of, grads = _potentials_and_gradients(pos, pairs, trap, species, curvatures, lane_centers)
+    for j, (k, _, _) in enumerate(evals):
+        advance(k, (partial(energy_of, j), grads[j]))
+
+
+def _hessians(requests, trap, species, curvatures, advance):
+    """One stacked Hessian for the lanes that asked, and one stacked
+    `eigvalsh` of those that check stability."""
+    if len(requests) == 1:  # numpy runs the lone array's fewer dimensions faster
+        hess = mass_scaled_hessian(requests[0][2], trap, species, curvatures)[None]
+    else:
+        hess = mass_scaled_hessian(np.stack([p for _, _, p in requests]), trap, species, curvatures)
+    checks = []
+    for j, (k, kind, _) in enumerate(requests):
+        if kind == _NEWTON:
+            advance(k, hess[j])
+        else:
+            checks.append((j, k))
+    if not checks:
+        return
+    # a copy, so a finished lane keeps only its own Hessian alive
+    stack = hess[[j for j, _ in checks]]
+    try:
+        lowest = np.linalg.eigvalsh(stack)[:, 0]
+    except np.linalg.LinAlgError:
+        lowest = None  # find the lanes that fail, one by one
+    for i, (_, k) in enumerate(checks):
+        try:
+            lam_min = lowest[i] if lowest is not None else np.linalg.eigvalsh(stack[i])[0]
+        except np.linalg.LinAlgError as err:
+            advance(k, error=err)
+        else:
+            advance(k, (lam_min, stack[i]))
+
+
+def _lane(pos, scales, max_iter):
+    """One lane of `solve_equilibria`: descend, check stability, and kick
+    and re-descend until a stable stationary point is reached.
+
+    A generator: it yields ``(kind, positions)`` requests and receives the
+    potential (as a function to call for its value) and gradient, None for
+    a trial below the distance floor, a Hessian, or the lowest eigenvalue
+    with its Hessian.  It returns the positions and their Hessian, or
+    raises ConvergenceError.
+    """
+    # descents can stall at saddles (a collinear chain past the zigzag
+    # transition); kick deterministically and re-descend
+    for attempt in range(5):
+        energy, grad = yield _START, pos
+        pos, residual = yield from _descent(pos, energy, grad, scales, max_iter)
+        lam_min, hessian = yield _CHECK, pos
+        if residual < TOL_EQUILIBRIUM and lam_min >= -scales.psd_floor:
+            return pos, hessian
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1905, spawn_key=(attempt,))))
+        pos = pos + min(1e-3 * 4.0**attempt, 3e-2) * scales.lbar * rng.standard_normal(pos.shape)
+    raise ConvergenceError(
+        f"equilibrium solve stalled at scaled residual {residual:.3e}"
+        + (" on an unstable stationary point" if lam_min < -scales.psd_floor else ""),
+        residual=float(residual),
+    )
+
+
+def _descent(pos, energy, grad, scales, max_iter):
+    """Damped Newton descent from ``pos``, where the potential is ``energy``
+    (a value, or a function giving it) and its gradient ``grad``; returns
+    the positions and scaled residual."""
+    n = pos.shape[0]
     for _ in range(max_iter):
         grad_norm = euclidean_norm(grad)
-        residual = grad_norm / force_scale
+        residual = grad_norm / scales.force_scale
         if residual < TOL_EQUILIBRIUM:
             return pos, residual
-        hess = m * mass_scaled_hessian(pos, trap, species, curv)
+        hess = scales.m * (yield _NEWTON, pos)
         # cho_factor and cho_solve's LAPACK calls, without their wrappers
         factor, info = dpotrf(hess, lower=1, clean=0)
         if info == 0:
             step = dpotrs(factor, -grad.ravel(), lower=1)[0].reshape(n, 3)
         else:
-            step = -grad / (m * wbar**2)  # indefinite Hessian: gradient descent
+            step = -grad / scales.m_wbar2  # indefinite Hessian: gradient descent
         g_dot_step = float((grad * step).sum())
         if g_dot_step >= 0:  # not a descent direction; fall back
-            step = -grad / (m * wbar**2)
+            step = -grad / scales.m_wbar2
             g_dot_step = float((grad * step).sum())
         alpha = 1.0
         accepted = False
         while alpha > 1e-18:
             trial = pos + alpha * step
-            pairs = None
-            if n > 1:
-                pairs = _pair_terms(trial)
-                if pairs[2].min() < dist_floor:
-                    alpha *= 0.5
-                    continue
-            e_t, g_t = _potential_and_gradient(trial, pairs, trap, species, tweezers, centers)
+            evaluated = yield _TRIAL, trial
+            if evaluated is None:  # closer than the distance floor
+                alpha *= 0.5
+                continue
+            e_t, g_t = evaluated
             # near the minimum the energy decrease drowns in rounding; a
-            # shrinking force is the reliable acceptance signal there
-            if e_t <= energy + 1e-4 * alpha * g_dot_step or euclidean_norm(g_t) < 0.9 * grad_norm:
+            # shrinking force is the reliable acceptance signal there, and
+            # when it holds, neither energy is needed
+            shrinks = euclidean_norm(g_t) < 0.9 * grad_norm
+            if not shrinks:
+                energy, e_t = energy() if callable(energy) else energy, e_t()
+            if shrinks or e_t <= energy + 1e-4 * alpha * g_dot_step:
                 pos, energy, grad = trial, e_t, g_t
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             break
-    return pos, euclidean_norm(grad) / force_scale
+    return pos, euclidean_norm(grad) / scales.force_scale
 
 
 def _classify_geometry(pos, trap, species):

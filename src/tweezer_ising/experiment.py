@@ -7,6 +7,7 @@ package accepts them within a factor of two of the reference values.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -15,8 +16,8 @@ import numpy as np
 import scipy.constants as const
 
 from .constants import SpeciesConstants
-from .coupling import realized_coupling
-from .crystal import solve_equilibrium
+from .coupling import realized_coupling, realized_couplings
+from .crystal import solve_equilibria
 from .errors import (
     ConvergenceError,
     InvalidArgumentError,
@@ -27,6 +28,8 @@ from .modes import AXIS_INDEX
 
 #: minimum detuning from any transition, in linewidths
 MIN_DETUNING_LINEWIDTHS = 10.0
+#: misalignment samples solved and graded together; bounds the stacked arrays
+SCAN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -236,64 +239,86 @@ def misalignment_scan(
     sample's radius restricted to the given axes (default: the pinning
     axes).  Offsets shift the equilibrium, so positions are re-solved with
     the offset tweezers in the potential before the spectrum and coupling
-    error are recomputed.  Samples whose equilibrium solve fails are
-    excluded and counted.  Streams are per-sample seeded, so the output is
+    error are recomputed.  Streams are per-sample seeded, so the output is
     independent of evaluation order.
 
+    Samples run in lockstep blocks of `SCAN_BLOCK`: one block's solves
+    advance together (`solve_equilibria`) and their spectra come from one
+    stacked decomposition (`realized_couplings`), with the bits of
+    one-at-a-time solves.  Records and failures are kept in sample order:
+    samples whose equilibrium solve fails to converge, or whose crystal is
+    unstable, are excluded and counted; any other error is raised from the
+    first sample that raises it.
+
     Raises InvalidArgumentError, before any solve, when the scales are
-    empty, not finite or negative, when `samples` is negative, or when
-    `axes` is empty or names an axis other than x, y, z (or 0, 1, 2).
+    empty, not finite or negative, when `samples` is not a nonnegative
+    integer, or when `axes` is empty, names an axis other than x, y, z
+    (or 0, 1, 2), or names one axis twice.
     """
     scales = np.atleast_1d(np.asarray(displacement_scale, dtype=float))
     if scales.size == 0 or not np.all(np.isfinite(scales)) or np.any(scales < 0):
         raise InvalidArgumentError("displacement scales must be a nonempty set of finite, nonnegative lengths")
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise InvalidArgumentError(f"samples must be an integer, got {samples!r}") from None
     if samples < 0:
         raise InvalidArgumentError("samples must be nonnegative")
     axes = tuple(axes if axes is not None else result.pin_axes)
     axis_idx = [AXIS_INDEX.get(a) if isinstance(a, str) else int(a) for a in axes]
     if not axis_idx or any(a not in (0, 1, 2) for a in axis_idx):
         raise InvalidArgumentError(f"misalignment axes must be among x, y, z; got {axes!r}")
+    if len(set(axis_idx)) != len(axis_idx):
+        raise InvalidArgumentError(f"misalignment axes must be distinct; got {axes!r}")
     crystal = result.crystal
     pattern = result.tweezers
-    n = crystal.n_ions
-    dim = len(axis_idx)
+    grade = (result.mu, result.drive.drive_axis, result.drive.resonance_guard, result.target)
 
-    def epsilon_at(positions):
-        eps, _, _, _ = realized_coupling(
-            positions, crystal.trap, crystal.species, pattern.curvatures,
-            result.mu, result.drive.drive_axis, result.drive.resonance_guard, result.target,
-        )
-        return eps
-
-    aligned_eps = epsilon_at(crystal.positions)
+    aligned_eps = realized_coupling(
+        crystal.positions, crystal.trap, crystal.species, pattern.curvatures, *grade
+    )[0]
 
     records = []
     failed = []
-    for i in range(samples):
-        scale = float(scales[i % scales.size])
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
-        offsets = np.zeros((n, 3))
-        if scale > 0:
-            direction = rng.standard_normal((n, dim))
-            # np.linalg.norm(..., axis=1) here and below, as numpy computes it
-            norms = np.sqrt(np.add.reduce(direction * direction, axis=1, keepdims=True))
-            norms[norms == 0] = 1.0
-            radius = scale * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / dim)
-            offsets[:, axis_idx] = radius * direction / norms
-        avg = float(np.sqrt(np.add.reduce(offsets * offsets, axis=1)).mean())
-        try:
-            shifted = solve_equilibrium(
-                crystal.trap,
-                crystal.species,
-                n,
-                crystal.positions,
-                tweezers=pattern.with_offsets(offsets),
-                tweezer_reference=crystal.positions,
-            )
-            eps = epsilon_at(shifted.positions)
-        except (ConvergenceError, UnstableCrystalError) as err:
-            failed.append((i, type(err).__name__))
-            continue
-        records.append((avg, eps))
+    for start in range(0, samples, SCAN_BLOCK):
+        block = range(start, min(start + SCAN_BLOCK, samples))
+        offsets = np.stack([_sample_offsets(crystal.n_ions, axis_idx, scales, seed, i) for i in block])
+        solved = solve_equilibria(
+            crystal.trap,
+            crystal.species,
+            np.broadcast_to(crystal.positions, offsets.shape),
+            pattern.curvatures,
+            crystal.positions + offsets,
+        )
+        hessians = [lane[1] for lane in solved if not isinstance(lane, Exception)]
+        graded = iter(
+            realized_couplings(np.stack(hessians), crystal.trap, crystal.species, *grade) if hessians else ()
+        )
+        for i, off, lane in zip(block, offsets, solved):
+            outcome = lane if isinstance(lane, Exception) else next(graded)
+            if isinstance(outcome, (ConvergenceError, UnstableCrystalError)):
+                failed.append((i, type(outcome).__name__))
+            elif isinstance(outcome, Exception):
+                raise outcome
+            else:
+                # np.linalg.norm(..., axis=1), as numpy computes it
+                avg = float(np.sqrt(np.add.reduce(off * off, axis=1)).mean())
+                records.append((avg, outcome[0]))
     return MisalignmentScan(records, aligned_eps, len(failed), failed)
 
+
+def _sample_offsets(n, axis_idx, scales, seed, i):
+    """Sample i's tweezer offsets (n, 3): per ion, uniform in a ball of the
+    sample's radius on the given axes, from the sample's own stream."""
+    scale = float(scales[i % scales.size])
+    offsets = np.zeros((n, 3))
+    if scale > 0:
+        dim = len(axis_idx)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+        direction = rng.standard_normal((n, dim))
+        # np.linalg.norm(..., axis=1), as numpy computes it
+        norms = np.sqrt(np.add.reduce(direction * direction, axis=1, keepdims=True))
+        norms[norms == 0] = 1.0
+        radius = scale * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / dim)
+        offsets[:, axis_idx] = radius * direction / norms
+    return offsets

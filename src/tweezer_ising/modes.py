@@ -171,31 +171,35 @@ def mass_scaled_hessian(
     Valid at any distinct-ion configuration; physical normal modes require
     an equilibrium.  The pinning contribution is block diagonal and does
     not depend on tweezer centers.
+
+    A stack of configurations, positions of shape (K, N, 3), gives a
+    (K, 3N, 3N) stack whose every matrix has the bits of its lone call;
+    the curvatures, (N, 3, 3) or (K, N, 3, 3), are shared or per matrix.
     """
     pos = np.asarray(positions, dtype=float)
-    n = pos.shape[0]
+    lead, n = pos.shape[:-2], pos.shape[-2]
     if n > 1:
-        diff = pos[:, None, :] - pos[None, :, :]
+        diff = pos[..., :, None, :] - pos[..., None, :, :]
         # np.linalg.norm(diff, axis=-1), as numpy computes it
         dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
-        dist.reshape(-1)[:: n + 1] = 1.0
-        unit = diff / dist[:, :, None]
+        dist.reshape(lead + (n * n,))[..., :: n + 1] = 1.0
+        unit = diff / dist[..., None]
         ke2_m = species.coulomb_coefficient / species.mass
-        t = 3.0 * unit[:, :, :, None] * unit[:, :, None, :] - _EYE3
-        t *= (ke2_m / dist**3)[:, :, None, None]
+        t = 3.0 * unit[..., :, None] * unit[..., None, :] - _EYE3
+        t *= (ke2_m / dist**3)[..., None, None]
         # the (i, i) blocks, as a strided view of the flat ion pairs
-        t.reshape(n * n, 3, 3)[:: n + 1] = 0.0
+        t.reshape(lead + (n * n, 3, 3))[..., :: n + 1, :, :] = 0.0
         a = 0.0 - t
-        a.reshape(n * n, 3, 3)[:: n + 1] = t.sum(axis=1)
+        a.reshape(lead + (n * n, 3, 3))[..., :: n + 1, :, :] = t.sum(axis=-3)
     else:
-        a = np.zeros((n, n, 3, 3))
-    blocks = a.reshape(n * n, 3, 3)[:: n + 1]
+        a = np.zeros(lead + (n, n, 3, 3))
+    blocks = a.reshape(lead + (n * n, 3, 3))[..., :: n + 1, :, :]
     omegas = trap.omegas
     for ax in range(3):
-        blocks[:, ax, ax] += omegas[ax] ** 2
+        blocks[..., ax, ax] += omegas[ax] ** 2
     if curvatures is not None:
         blocks += curvatures
-    return a.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+    return a.swapaxes(-3, -2).reshape(lead + (3 * n, 3 * n))
 
 
 def build_hessian(crystal: "IonCrystal", tweezers: Optional[TweezerPattern] = None) -> HessianMatrix:
@@ -295,6 +299,46 @@ def mode_spectrum(
         freq_scale = float(np.sqrt(np.mean(np.abs(np.diag(a))))) or 1.0
 
     lam, vec = np.linalg.eigh(a)
+    return _spectrum(lam, vec, coords, n_ions, freq_scale)
+
+
+def full_spectra(hessians: np.ndarray, freq_scale: float) -> list:
+    """`mode_spectrum(a, freq_scale)` of each matrix of a (K, 3N, 3N) stack.
+
+    One stacked `eigh` decomposes every matrix with the bits of its lone
+    call.  Returns, per matrix, its ModeSpectrum or the exception that
+    `mode_spectrum` raises for it.
+    """
+    a = np.asarray(hessians, dtype=float)
+    out: list = [None] * len(a)
+    # mode_spectrum's symmetry check, stacked where it passes at once
+    scale = np.abs(a).max(axis=(1, 2))
+    scale[scale == 0.0] = 1.0
+    atol = 1e-10 * scale
+    swapped = a.transpose(0, 2, 1)
+    quick = (np.abs(a - swapped).max(axis=(1, 2)) <= atol) & (atol < np.inf)
+    for k in np.flatnonzero(~quick):
+        if not symmetric_within(a[k], atol[k]):
+            out[k] = InvalidArgumentError("Hessian must be symmetric")
+    a = 0.5 * (a + swapped)
+    try:
+        lam, vec = np.linalg.eigh(a)
+    except np.linalg.LinAlgError:
+        lam = vec = None  # find the matrices that fail, one by one
+    for k in range(len(a)):
+        if out[k] is not None:
+            continue
+        try:
+            lam_k, vec_k = (lam[k], vec[k]) if lam is not None else np.linalg.eigh(a[k])
+            out[k] = _spectrum(lam_k, vec_k, np.arange(a.shape[1]), a.shape[1] // 3, freq_scale)
+        except Exception as err:
+            out[k] = err
+    return out
+
+
+def _spectrum(lam, vec, coords, n_ions, freq_scale) -> ModeSpectrum:
+    """The stability check, clipping and deterministic eigenvectors of one
+    decomposition, shared by `mode_spectrum` and `full_spectra`."""
     floor = TOL_PSD_REL * freq_scale**2
     if lam[0] < -floor:
         raise UnstableCrystalError(

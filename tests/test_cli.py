@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from tweezer_ising import scenarios
 from tweezer_ising.cli import main
 from tweezer_ising.iofmt import (
     load_result,
     read_matrix_csv,
     read_summary,
     read_table_csv,
+    save_result,
     write_matrix_csv,
     write_summary,
     write_table_csv,
@@ -90,6 +92,28 @@ class TestFileFormats:
         loaded = read_summary(path)
         assert loaded["result"]["epsilon"] == "0.125"
         assert loaded["result"]["list"] == "1.0,2.5"
+
+    # repr of ε after save_result and load_result, and whether the reload is
+    # bit for bit: the triangle's positions lose their last bits in the
+    # micrometre text of positions.csv
+    RELOADED = {
+        "nn_chain_12": ("0.028544842579508123", True),
+        "triangular_af_19": ("0.18750803552233697", False),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RELOADED))
+    def test_saved_design_reloads(self, tmp_path, name):
+        result = scenarios.run_scenario(getattr(scenarios, name)(fast=True))
+        save_result(result, tmp_path)
+        loaded = load_result(tmp_path)
+        expected, exact = self.RELOADED[name]
+        assert repr(loaded.epsilon) == expected
+        if exact:
+            assert repr(result.epsilon) == expected
+            assert loaded.crystal.positions.tobytes() == result.crystal.positions.tobytes()
+            assert loaded.realized.matrix.tobytes() == result.realized.matrix.tobytes()
+        else:
+            np.testing.assert_allclose(loaded.realized.matrix, result.realized.matrix, rtol=1e-9, atol=1e-12)
 
 
 class TestExitCodes:

@@ -20,6 +20,7 @@ from tweezer_ising.crystal import (
     default_chain_guess,
     hex_shells,
     pairwise_distances,
+    solve_equilibria,
     triangular_start,
 )
 from tweezer_ising.errors import (
@@ -27,7 +28,7 @@ from tweezer_ising.errors import (
     InvalidArgumentError,
     SingularGeometryError,
 )
-from tweezer_ising.modes import TOL_PSD_REL, TweezerPattern
+from tweezer_ising.modes import TOL_PSD_REL, TweezerPattern, mass_scaled_hessian
 
 from conftest import MHZ, fd_gradient
 
@@ -409,3 +410,102 @@ class TestEquilibriumOracle:
         expected, kicks = _oracle_equilibrium(trap, species, guess)
         assert kicks >= 1
         assert crystal.positions.tobytes() == expected.tobytes()
+
+
+class TestEquilibriumLockstep:
+    """Each lane of `solve_equilibria` has the bits of its lone
+    `solve_equilibrium`, and a failing lane keeps its own error."""
+
+    @staticmethod
+    def _assert_lanes_match(trap, species, guesses, pattern=None, reference=None, offsets=None, max_iter=200):
+        curv = centers = None
+        if pattern is not None:
+            curv, centers = pattern.curvatures, reference + offsets
+        outcomes = solve_equilibria(trap, species, guesses, curv, centers, max_iter)
+        assert len(outcomes) == len(guesses)
+        for k, outcome in enumerate(outcomes):
+            kwargs = {} if pattern is None else {
+                "tweezers": pattern.with_offsets(offsets[k]), "tweezer_reference": reference,
+            }
+            try:
+                lone = solve_equilibrium(trap, species, trap.n_ions, guesses[k], max_iter=max_iter, **kwargs)
+            except Exception as err:
+                assert type(outcome) is type(err) and str(outcome) == str(err)
+                continue
+            crystal, hessian = outcome
+            assert crystal.positions.tobytes() == lone.positions.tobytes()
+            assert crystal.dimensionality == lone.dimensionality
+            assert hessian.tobytes() == mass_scaled_hessian(lone.positions, trap, species, curv).tobytes()
+        return outcomes
+
+    def test_lanes_converge_in_different_rounds(self, species, monkeypatch):
+        import tweezer_ising.crystal as crystal_mod
+
+        trap = TrapConfig(2.0 * MHZ, 0.6 * MHZ, 0.07 * MHZ, n_ions=12)
+        aligned = solve_equilibrium(trap, species, 12)
+        rng = np.random.default_rng(3)
+        pattern = TweezerPattern.from_frequencies(rng.uniform(0.05, 0.3, 12) * MHZ, axes="y")
+        offsets = np.zeros((6, 12, 3))
+        for k, scale in enumerate([0.0, 1e-9, 1e-8, 1e-7, 3e-7, 1e-6]):
+            offsets[k, :, 1:] = scale * rng.standard_normal((12, 2))
+        guesses = np.broadcast_to(aligned.positions, offsets.shape)
+        self._assert_lanes_match(trap, species, guesses, pattern, aligned.positions, offsets)
+
+        # the lone solves take different numbers of Newton steps
+        steps = []
+        real = crystal_mod.mass_scaled_hessian
+        for k in range(len(offsets)):
+            calls = []
+            monkeypatch.setattr(crystal_mod, "mass_scaled_hessian", lambda *a: calls.append(1) or real(*a))
+            solve_equilibrium(
+                trap, species, 12, aligned.positions,
+                tweezers=pattern.with_offsets(offsets[k]), tweezer_reference=aligned.positions,
+            )
+            steps.append(len(calls))
+        assert len(set(steps)) >= 3
+
+    def test_kicked_lane_beside_direct_ones(self, species):
+        # below the zigzag transition the collinear guess needs a kick;
+        # the solved crystal and a nudge of it do not
+        trap = TrapConfig(0.6 * MHZ, 0.4 * MHZ, 0.14 * MHZ, n_ions=12)
+        collinear = default_chain_guess(trap, species)
+        zigzag = solve_equilibrium(trap, species, 12, collinear).positions
+        _, kicks = _oracle_equilibrium(trap, species, collinear)
+        assert kicks >= 1
+        nudge = 1e-3 * length_scale(trap.omega_bar, species) * np.random.default_rng(0).standard_normal((12, 3))
+        guesses = np.stack([zigzag, collinear, zigzag + nudge])
+        outcomes = self._assert_lanes_match(trap, species, guesses)
+        assert outcomes[0][0].positions.tobytes() == zigzag.tobytes()
+
+    def test_lane_at_the_distance_floor(self, species, monkeypatch):
+        import tweezer_ising.crystal as crystal_mod
+
+        # stiff tweezers centred 8e-4 length scales apart pull two far ions
+        # into one Newton step that lands inside the distance floor
+        trap = TrapConfig(2.0 * MHZ, 1.7 * MHZ, 0.2 * MHZ, n_ions=2)
+        lbar = length_scale(trap.omega_bar, species)
+        pattern = TweezerPattern.from_frequencies(np.full(2, 0.3 * MHZ), axes="z")
+        reference = np.array([[0.0, 0.0, -4e-4], [0.0, 0.0, 4e-4]]) * lbar
+        guesses = np.array([[[0.0, 0.0, -g], [0.0, 0.0, g]] for g in (3.0, 5.0)]) * lbar
+        nearest = []
+        real = crystal_mod._pair_terms
+        monkeypatch.setattr(crystal_mod, "_pair_terms", lambda pos: nearest.append(real(pos)[2].min()) or real(pos))
+        outcomes = self._assert_lanes_match(trap, species, guesses, pattern, reference, np.zeros((2, 2, 3)))
+        assert min(nearest) < DIST_FLOOR * lbar
+        assert not isinstance(outcomes[0], Exception)
+        assert isinstance(outcomes[1], ConvergenceError)
+
+    def test_failing_lanes_keep_their_errors(self, species):
+        trap = TrapConfig(1.2 * MHZ, 1.0 * MHZ, 0.2 * MHZ, n_ions=6)
+        solved = solve_equilibrium(trap, species, 6).positions
+        guesses = np.stack([default_chain_guess(trap, species), solved, default_chain_guess(trap, species)])
+        outcomes = self._assert_lanes_match(trap, species, guesses, max_iter=1)
+        assert [type(o).__name__ for o in outcomes] == ["ConvergenceError", "tuple", "ConvergenceError"]
+        with pytest.raises(ConvergenceError) as err:
+            solve_equilibrium(trap, species, 6, max_iter=1)
+        assert outcomes[0].residual == err.value.residual
+
+    def test_one_lane_and_no_lanes(self, species, chain_trap):
+        guess = default_chain_guess(chain_trap, species)
+        self._assert_lanes_match(chain_trap, species, guess[None])
+        assert solve_equilibria(chain_trap, species, np.zeros((0, 5, 3))) == []

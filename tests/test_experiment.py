@@ -200,12 +200,17 @@ class TestMisalignmentScan:
             {"displacement_scale": [np.inf]},
             {"displacement_scale": -1e-9},
             {"samples": -3},
+            {"samples": 2.5},
+            {"samples": "3"},
             {"axes": ("q",)},
             {"axes": (5,)},
             {"axes": ()},
+            {"axes": ("y", "y")},
+            {"axes": ("y", 1)},
         ],
         ids=["empty", "nan_in_list", "nan", "inf", "negative", "negative_samples",
-             "unknown_axis", "axis_index", "no_axes"],
+             "fractional_samples", "string_samples", "unknown_axis", "axis_index", "no_axes",
+             "repeated_axis", "repeated_axis_index"],
     )
     def test_rejects_bad_inputs(self, small_result, kwargs):
         args = {"displacement_scale": 10e-9, "samples": 4, "seed": 1, **kwargs}
@@ -223,8 +228,178 @@ class TestMisalignmentScan:
             misalignment_scan(small_result, [np.inf], samples=4, seed=1)
         with pytest.raises(InvalidArgumentError):
             misalignment_scan(small_result, 10e-9, samples=-1, seed=1)
+        with pytest.raises(InvalidArgumentError):
+            misalignment_scan(small_result, 10e-9, samples=2.5, seed=1)
+        with pytest.raises(InvalidArgumentError):
+            misalignment_scan(small_result, 10e-9, samples=4, seed=1, axes=("z", 2))
 
     def test_zero_samples_give_an_empty_scan(self, small_result):
         scan = misalignment_scan(small_result, 10e-9, samples=0, seed=1)
         assert scan.records == [] and scan.n_failed == 0
         assert scan.aligned_epsilon == small_result.epsilon
+
+
+# The scan as it ran before lockstep blocks: one `solve_equilibrium` and one
+# `realized_coupling` per sample, in sample order.
+
+
+def _oracle_scan(result, scales, samples, seed, axes):
+    from tweezer_ising.coupling import realized_coupling
+    from tweezer_ising.crystal import solve_equilibrium
+    from tweezer_ising.errors import ConvergenceError, UnstableCrystalError
+    from tweezer_ising.modes import AXIS_INDEX
+
+    scales = np.atleast_1d(np.asarray(scales, dtype=float))
+    axis_idx = [AXIS_INDEX.get(a) if isinstance(a, str) else int(a) for a in axes]
+    crystal, pattern, n, dim = result.crystal, result.tweezers, result.crystal.n_ions, len(axis_idx)
+
+    def epsilon_at(positions):
+        return realized_coupling(
+            positions, crystal.trap, crystal.species, pattern.curvatures,
+            result.mu, result.drive.drive_axis, result.drive.resonance_guard, result.target,
+        )[0]
+
+    aligned_eps = epsilon_at(crystal.positions)
+    records, failed = [], []
+    for i in range(samples):
+        scale = float(scales[i % scales.size])
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+        offsets = np.zeros((n, 3))
+        if scale > 0:
+            direction = rng.standard_normal((n, dim))
+            norms = np.linalg.norm(direction, axis=1, keepdims=True)
+            norms[norms == 0] = 1.0
+            radius = scale * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / dim)
+            offsets[:, axis_idx] = radius * direction / norms
+        avg = float(np.linalg.norm(offsets, axis=1).mean())
+        try:
+            shifted = solve_equilibrium(
+                crystal.trap, crystal.species, n, crystal.positions,
+                tweezers=pattern.with_offsets(offsets), tweezer_reference=crystal.positions,
+            )
+            eps = epsilon_at(shifted.positions)
+        except (ConvergenceError, UnstableCrystalError) as err:
+            failed.append((i, type(err).__name__))
+            continue
+        records.append((avg, eps))
+    return aligned_eps, records, failed
+
+
+def _design(trap, guess, curvatures, mu, axis):
+    """What the scan reads of a design, around a solved crystal."""
+    from types import SimpleNamespace
+
+    from tweezer_ising.coupling import DriveConfig
+    from tweezer_ising.crystal import solve_equilibrium
+    from tweezer_ising.modes import TweezerPattern
+
+    n = trap.n_ions
+    target = np.diag(np.ones(n - 1), 1)
+    return SimpleNamespace(
+        crystal=solve_equilibrium(trap, YB171, n, guess),
+        tweezers=TweezerPattern(curvatures),
+        mu=mu,
+        pin_axes=(axis,),
+        drive=DriveConfig(mu=mu, drive_axis=axis),
+        target=target + target.T,
+    )
+
+
+@pytest.fixture(scope="module")
+def leaky_chain():
+    """A 5-ion chain whose end ions are anti-confined along the axis more
+    strongly than the trap confines them: the Coulomb push of their
+    neighbours holds them, and large offsets let them run away."""
+    trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=5)
+    curv = np.zeros((5, 3, 3))
+    curv[:, 1, 1] = (0.3 * MHZ) ** 2
+    curv[[0, 4], 2, 2] = -1.7 * trap.omega_z**2
+    return _design(trap, None, curv, 1.3 * MHZ, "y")
+
+
+@pytest.fixture(scope="module")
+def planar_triangle():
+    """A 7-ion triangle in the y-z plane, pinned along x."""
+    from tweezer_ising.crystal import triangular_start
+
+    trap = TrapConfig(2.4 * MHZ, 0.3 * MHZ, 0.3 * MHZ, n_ions=7)
+    guess, _ = triangular_start(trap, YB171, 0.3 * MHZ)
+    curv = np.zeros((7, 3, 3))
+    curv[:, 0, 0] = np.array([0.2, 0.1, 0.3, 0.1, 0.2, 0.1, 0.1]) ** 2 * MHZ**2
+    return _design(trap, guess, curv, 2.7 * MHZ, "x")
+
+
+class TestLockstepScan:
+    """Lockstep blocks give the records and failures of the per-sample loop."""
+
+    @pytest.mark.parametrize("block", [16, 5])
+    def test_chain_with_failing_samples(self, leaky_chain, monkeypatch, block):
+        import tweezer_ising.experiment as experiment_mod
+
+        monkeypatch.setattr(experiment_mod, "SCAN_BLOCK", block)
+        args = ([1e-7, 1e-6, 3e-6], 12, 5, ("y", "z"))
+        aligned, records, failed = _oracle_scan(leaky_chain, *args)
+        scan = misalignment_scan(leaky_chain, *args[:3], axes=args[3])
+        assert failed and records
+        assert repr(scan.aligned_epsilon) == repr(aligned)
+        assert scan.records == records
+        assert scan.failed_samples == failed and scan.n_failed == len(failed)
+
+    def test_planar_triangle_offsets_on_two_axes(self, planar_triangle, monkeypatch):
+        import tweezer_ising.experiment as experiment_mod
+
+        monkeypatch.setattr(experiment_mod, "SCAN_BLOCK", 4)
+        args = ([1e-8, 1e-7, 1e-6, 3e-6], 10, 9, ("y", "z"))
+        aligned, records, failed = _oracle_scan(planar_triangle, *args)
+        scan = misalignment_scan(planar_triangle, *args[:3], axes=args[3])
+        assert len(records) == 10
+        assert scan.records == records and scan.failed_samples == failed
+
+    def test_other_errors_come_from_the_first_sample(self, planar_triangle, monkeypatch):
+        # an offset along x lifts the triangle out of its plane; the scale-0
+        # sample before it succeeds
+        import tweezer_ising.experiment as experiment_mod
+        from tweezer_ising.errors import NonPlanarError
+
+        monkeypatch.setattr(experiment_mod, "SCAN_BLOCK", 8)
+        with pytest.raises(NonPlanarError) as expected:
+            _oracle_scan(planar_triangle, [0.0, 1e-7], 6, 2, ("x", "y"))
+        with pytest.raises(NonPlanarError) as got:
+            misalignment_scan(planar_triangle, [0.0, 1e-7], 6, 2, axes=("x", "y"))
+        assert str(got.value) == str(expected.value)
+
+
+class TestRealizedCouplingLanes:
+    """`realized_couplings` grades each Hessian of a stack as
+    `realized_coupling` grades it alone."""
+
+    def test_lanes_match_lone_calls(self, leaky_chain):
+        from tweezer_ising.coupling import realized_coupling, realized_couplings
+        from tweezer_ising.modes import mass_scaled_hessian
+
+        crystal = leaky_chain.crystal
+        stable = leaky_chain.tweezers.curvatures
+        unstable = stable.copy()
+        unstable[[0, 4], 2, 2] *= 2.0
+        asymmetric = stable.copy()
+        asymmetric[2, 0, 1] = 1e-3 * np.abs(stable).max()
+        grade = (leaky_chain.mu, leaky_chain.drive.drive_axis, leaky_chain.drive.resonance_guard,
+                 leaky_chain.target)
+        stack = [(crystal.positions, stable), (crystal.positions, unstable),
+                 (crystal.positions * 1.01, stable), (crystal.positions, asymmetric)]
+        hessians = np.stack([mass_scaled_hessian(p, crystal.trap, YB171, c) for p, c in stack])
+        outcomes = realized_couplings(hessians, crystal.trap, YB171, *grade)
+        kinds = []
+        for (positions, curv), outcome in zip(stack, outcomes):
+            try:
+                eps, realized, spectrum, _ = realized_coupling(positions, crystal.trap, YB171, curv, *grade)
+            except Exception as err:
+                assert type(outcome) is type(err) and str(outcome) == str(err)
+                kinds.append(type(err).__name__)
+                continue
+            assert repr(outcome[0]) == repr(eps)
+            assert outcome[1].matrix.tobytes() == realized.matrix.tobytes()
+            assert outcome[2].eigenvectors.tobytes() == spectrum.eigenvectors.tobytes()
+            kinds.append("ok")
+        assert kinds == ["ok", "UnstableCrystalError", "ok", "InvalidArgumentError"]
+        assert realized_couplings(hessians[:0], crystal.trap, YB171, *grade) == []
