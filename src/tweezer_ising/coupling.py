@@ -28,10 +28,10 @@ from .modes import (
     ModeSpectrum,
     axis_vector,
     euclidean_norm,
-    full_spectra,
     lamb_dicke,
     mass_scaled_hessian,
     mode_projections,
+    mode_spectrum,
 )
 
 if TYPE_CHECKING:
@@ -249,44 +249,13 @@ def realized_coupling(
     The full Hessian spectrum at the given positions and pinning drives
     the beatnote; modes orthogonal to the drive axis are masked out so the
     resonance guard only applies to modes that enter the coupling.
-    Returns (eps, J rescaled to the target, spectrum, drive).  This is the
-    one-lane call of `realized_couplings`.
+    Returns (eps, J rescaled to the target, spectrum, drive).
     """
     a = mass_scaled_hessian(positions, trap, species, curvatures)
-    (outcome,) = realized_couplings(a[None], trap, species, mu, drive_axis, resonance_guard, target)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def realized_couplings(
-    hessians: np.ndarray,
-    trap: TrapConfig,
-    species: SpeciesConstants,
-    mu: float,
-    drive_axis: np.ndarray,
-    resonance_guard: float,
-    target: Union[CouplingMatrix, np.ndarray],
-) -> list:
-    """`realized_coupling` of each matrix of a (K, 3N, 3N) stack of
-    mass-scaled Hessians, the pinning included.
-
-    The spectra come from one stacked `eigh`; the coupling and its error
-    are graded per matrix.  Returns, per matrix, the tuple that
-    `realized_coupling` returns or the exception it raises.
-    """
-    out = []
-    for spectrum in full_spectra(hessians, trap.omega_bar):
-        if isinstance(spectrum, Exception):
-            out.append(spectrum)
-            continue
-        try:
-            coupled = np.any(np.abs(mode_projections(spectrum, drive_axis)) > 1e-10, axis=0)
-            drive = DriveConfig(
-                mu=mu, drive_axis=drive_axis, mode_mask=coupled, resonance_guard=resonance_guard
-            )
-            eps, realized = coupling_error(target, coupling_matrix(spectrum, drive, species))
-            out.append((eps, realized, spectrum, drive))
-        except Exception as err:
-            out.append(err)
-    return out
+    spectrum = mode_spectrum(a, freq_scale=trap.omega_bar)
+    coupled = np.any(np.abs(mode_projections(spectrum, drive_axis)) > 1e-10, axis=0)
+    drive = DriveConfig(
+        mu=mu, drive_axis=drive_axis, mode_mask=coupled, resonance_guard=resonance_guard
+    )
+    eps, realized = coupling_error(target, coupling_matrix(spectrum, drive, species))
+    return eps, realized, spectrum, drive

@@ -290,8 +290,8 @@ def solve_equilibrium(
     offsets the pattern is anchored at `tweezer_reference` (defaulting to
     the tweezer-free solution from the same guess) and the crystal shifts.
     `require` optionally asserts the resulting dimensionality
-    ("chain" or "planar").  This is the one-lane call of
-    `solve_equilibria`.
+    ("chain" or "planar").  Its descents are those of `relax_equilibria`,
+    run for one lane.
     """
     if n_ions != trap.n_ions:
         raise InvalidArgumentError("n_ions disagrees with trap.n_ions")
@@ -309,21 +309,50 @@ def solve_equilibrium(
         curv = tweezers.curvatures
         centers = (np.asarray(tweezer_reference, dtype=float) + tweezers.offsets)[None]
 
-    (outcome,) = solve_equilibria(trap, species, guess[None], curv, centers, max_iter)
-    if isinstance(outcome, Exception):
-        raise outcome
-    crystal = outcome[0]
-    if require is not None and crystal.dimensionality != require:
-        raise NonPlanarError(
-            f"crystal relaxed to {crystal.dimensionality!r}, required {require!r}"
-        )
-    return crystal
+    scales = _Scales.of(trap, species)
+    (pos,) = _run_lanes([_lane(guess, scales, max_iter)], trap, species, curv, centers, scales)
+    if isinstance(pos, Exception):
+        raise pos
+    dimensionality, extended = _classify_geometry(pos, trap, species)
+    if require is not None and dimensionality != require:
+        raise NonPlanarError(f"crystal relaxed to {dimensionality!r}, required {require!r}")
+    return IonCrystal(trap, species, pos, dimensionality, extended)
 
 
-# what a lane of `solve_equilibria` asks for: the potential and gradient at
-# the start of a descent or at a line-search trial (which must keep the
-# distance floor), or the mass-scaled Hessian for a Newton step or for the
-# stability check (which also decomposes it)
+def relax_equilibria(
+    trap: TrapConfig,
+    species: SpeciesConstants,
+    guesses: np.ndarray,
+    curvatures: Optional[np.ndarray] = None,
+    centers: Optional[np.ndarray] = None,
+    max_iter: int = 200,
+) -> list:
+    """The first Newton descent of `solve_equilibrium` for K lanes in lockstep.
+
+    ``guesses`` and the tweezer ``centers`` are (K, N, 3) stacks of
+    distinct-ion positions; the tweezer ``curvatures`` (N, 3, 3), or None
+    for no tweezers, are shared.  Each round makes one stacked
+    potential-and-gradient call for the lanes that need one and one
+    stacked `mass_scaled_hessian` for the lanes that take a Newton step.
+    Cholesky solves, norms and line-search decisions stay per lane, so
+    every lane has the bits of its lone descent.
+
+    Returns, per lane, the positions where its descent converged, or None
+    where it stalled or ran out of iterations.  A `solve_equilibrium` with
+    the same tweezers and `max_iter` from converged positions takes no
+    Newton step before its stability check, so it gives the bits of the
+    solve from the lane's guess.
+    """
+    scales = _Scales.of(trap, species)
+    lanes = [_relax(guess, scales, max_iter) for guess in guesses]
+    outcomes = _run_lanes(lanes, trap, species, curvatures, centers, scales)
+    return [None if isinstance(pos, Exception) else pos for pos in outcomes]
+
+
+# what a lane asks for: the potential and gradient at the start of a
+# descent or at a line-search trial (which must keep the distance floor),
+# or the mass-scaled Hessian for a Newton step or for the stability check
+# (which also decomposes it)
 _START, _TRIAL, _NEWTON, _CHECK = range(4)
 
 
@@ -345,30 +374,14 @@ class _Scales:
         return cls(m, m * wbar**2, lbar, m * wbar**2 * lbar, DIST_FLOOR * lbar, TOL_PSD_REL * wbar**2)
 
 
-def solve_equilibria(
-    trap: TrapConfig,
-    species: SpeciesConstants,
-    guesses: np.ndarray,
-    curvatures: Optional[np.ndarray] = None,
-    centers: Optional[np.ndarray] = None,
-    max_iter: int = 200,
-) -> list:
-    """`solve_equilibrium` of K lanes in lockstep, from distinct-ion guesses.
+def _run_lanes(lanes, trap, species, curvatures, centers, scales) -> list:
+    """Advance lane generators in rounds until each returns or raises.
 
-    ``guesses`` and the tweezer ``centers`` are (K, N, 3) stacks; the
-    tweezer ``curvatures`` (N, 3, 3), or None for no tweezers, are shared.
-    Each round makes one stacked potential-and-gradient call for the lanes
-    that need one and one stacked `mass_scaled_hessian` for the lanes that
-    take a Newton step or check stability, whose verdicts come from one
-    stacked `eigvalsh`.  Cholesky solves, norms, line-search decisions and
-    kicks stay per lane, so every lane has the bits of its lone solve.
-
-    Returns, per lane, ``(crystal, hessian)`` with the mass-scaled Hessian
-    that the stability check decomposed at the crystal's positions, or the
-    exception that the lane's solve raised.
+    Each round serves every pending request with one stacked
+    potential-and-gradient call and one stacked `mass_scaled_hessian`.
+    ``centers`` is the (K, N, 3) stack of the lanes' tweezer centers.
+    Returns, per lane, what it returned or the exception it raised.
     """
-    scales = _Scales.of(trap, species)
-    lanes = [_lane(guess, scales, max_iter) for guess in guesses]
     outcomes: list = [None] * len(lanes)
     requests: dict = {}
 
@@ -376,12 +389,7 @@ def solve_equilibria(
         try:
             requests[k] = lanes[k].send(value) if error is None else lanes[k].throw(error)
         except StopIteration as done:
-            pos, hessian = done.value
-            try:
-                dimensionality, extended = _classify_geometry(pos, trap, species)
-                outcomes[k] = IonCrystal(trap, species, pos, dimensionality, extended), hessian
-            except Exception as err:
-                outcomes[k] = err
+            outcomes[k] = done.value
         except Exception as err:
             outcomes[k] = err
 
@@ -427,53 +435,40 @@ def _evaluate(evals, trap, species, curvatures, centers, scales, advance):
 
 
 def _hessians(requests, trap, species, curvatures, advance):
-    """One stacked Hessian for the lanes that asked, and one stacked
-    `eigvalsh` of those that check stability."""
+    """One stacked Hessian for the lanes that asked; a stability check
+    gets the lowest eigenvalue of its lane's matrix."""
     if len(requests) == 1:  # numpy runs the lone array's fewer dimensions faster
         hess = mass_scaled_hessian(requests[0][2], trap, species, curvatures)[None]
     else:
         hess = mass_scaled_hessian(np.stack([p for _, _, p in requests]), trap, species, curvatures)
-    checks = []
     for j, (k, kind, _) in enumerate(requests):
         if kind == _NEWTON:
             advance(k, hess[j])
-        else:
-            checks.append((j, k))
-    if not checks:
-        return
-    # a copy, so a finished lane keeps only its own Hessian alive
-    stack = hess[[j for j, _ in checks]]
-    try:
-        lowest = np.linalg.eigvalsh(stack)[:, 0]
-    except np.linalg.LinAlgError:
-        lowest = None  # find the lanes that fail, one by one
-    for i, (_, k) in enumerate(checks):
+            continue
         try:
-            lam_min = lowest[i] if lowest is not None else np.linalg.eigvalsh(stack[i])[0]
+            lam_min = np.linalg.eigvalsh(hess[j])[0]
         except np.linalg.LinAlgError as err:
             advance(k, error=err)
         else:
-            advance(k, (lam_min, stack[i]))
+            advance(k, lam_min)
 
 
 def _lane(pos, scales, max_iter):
-    """One lane of `solve_equilibria`: descend, check stability, and kick
+    """`solve_equilibrium` as a lane: descend, check stability, and kick
     and re-descend until a stable stationary point is reached.
 
     A generator: it yields ``(kind, positions)`` requests and receives the
     potential (as a function to call for its value) and gradient, None for
-    a trial below the distance floor, a Hessian, or the lowest eigenvalue
-    with its Hessian.  It returns the positions and their Hessian, or
-    raises ConvergenceError.
+    a trial below the distance floor, a Hessian, or the lowest eigenvalue.
+    It returns the positions, or raises ConvergenceError.
     """
     # descents can stall at saddles (a collinear chain past the zigzag
     # transition); kick deterministically and re-descend
     for attempt in range(5):
-        energy, grad = yield _START, pos
-        pos, residual = yield from _descent(pos, energy, grad, scales, max_iter)
-        lam_min, hessian = yield _CHECK, pos
+        pos, residual = yield from _descent(pos, scales, max_iter)
+        lam_min = yield _CHECK, pos
         if residual < TOL_EQUILIBRIUM and lam_min >= -scales.psd_floor:
-            return pos, hessian
+            return pos
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1905, spawn_key=(attempt,))))
         pos = pos + min(1e-3 * 4.0**attempt, 3e-2) * scales.lbar * rng.standard_normal(pos.shape)
     raise ConvergenceError(
@@ -483,10 +478,17 @@ def _lane(pos, scales, max_iter):
     )
 
 
-def _descent(pos, energy, grad, scales, max_iter):
-    """Damped Newton descent from ``pos``, where the potential is ``energy``
-    (a value, or a function giving it) and its gradient ``grad``; returns
-    the positions and scaled residual."""
+def _relax(pos, scales, max_iter):
+    """A lane of `relax_equilibria`: one descent, returning its positions
+    if it converged and None otherwise."""
+    pos, residual = yield from _descent(pos, scales, max_iter)
+    return pos if residual < TOL_EQUILIBRIUM else None
+
+
+def _descent(pos, scales, max_iter):
+    """Damped Newton descent from ``pos``; returns the positions and the
+    scaled residual."""
+    energy, grad = yield _START, pos
     n = pos.shape[0]
     for _ in range(max_iter):
         grad_norm = euclidean_norm(grad)

@@ -16,8 +16,8 @@ import numpy as np
 import scipy.constants as const
 
 from .constants import SpeciesConstants
-from .coupling import realized_coupling, realized_couplings
-from .crystal import solve_equilibria
+from .coupling import realized_coupling
+from .crystal import relax_equilibria, solve_equilibrium
 from .errors import (
     ConvergenceError,
     InvalidArgumentError,
@@ -28,7 +28,7 @@ from .modes import AXIS_INDEX
 
 #: minimum detuning from any transition, in linewidths
 MIN_DETUNING_LINEWIDTHS = 10.0
-#: misalignment samples solved and graded together; bounds the stacked arrays
+#: misalignment samples whose Newton descents run together; bounds the stacked arrays
 SCAN_BLOCK = 16
 
 
@@ -242,13 +242,14 @@ def misalignment_scan(
     error are recomputed.  Streams are per-sample seeded, so the output is
     independent of evaluation order.
 
-    Samples run in lockstep blocks of `SCAN_BLOCK`: one block's solves
-    advance together (`solve_equilibria`) and their spectra come from one
-    stacked decomposition (`realized_couplings`), with the bits of
-    one-at-a-time solves.  Records and failures are kept in sample order:
-    samples whose equilibrium solve fails to converge, or whose crystal is
-    unstable, are excluded and counted; any other error is raised from the
-    first sample that raises it.
+    Samples run in blocks of `SCAN_BLOCK`: one block's Newton descents
+    advance together (`relax_equilibria`), then each sample finishes with
+    `solve_equilibrium` from its descended positions (or from the aligned
+    crystal, where its descent did not converge) and is graded with
+    `realized_coupling`, with the bits of one-at-a-time solves.  Samples
+    whose equilibrium solve fails to converge, or whose crystal is
+    unstable, are excluded and counted in sample order; any other error
+    is raised from the first sample that raises it.
 
     Raises InvalidArgumentError, before any solve, when the scales are
     empty, not finite or negative, when `samples` is not a nonnegative
@@ -283,27 +284,32 @@ def misalignment_scan(
     for start in range(0, samples, SCAN_BLOCK):
         block = range(start, min(start + SCAN_BLOCK, samples))
         offsets = np.stack([_sample_offsets(crystal.n_ions, axis_idx, scales, seed, i) for i in block])
-        solved = solve_equilibria(
+        relaxed = relax_equilibria(
             crystal.trap,
             crystal.species,
             np.broadcast_to(crystal.positions, offsets.shape),
             pattern.curvatures,
             crystal.positions + offsets,
         )
-        hessians = [lane[1] for lane in solved if not isinstance(lane, Exception)]
-        graded = iter(
-            realized_couplings(np.stack(hessians), crystal.trap, crystal.species, *grade) if hessians else ()
-        )
-        for i, off, lane in zip(block, offsets, solved):
-            outcome = lane if isinstance(lane, Exception) else next(graded)
-            if isinstance(outcome, (ConvergenceError, UnstableCrystalError)):
-                failed.append((i, type(outcome).__name__))
-            elif isinstance(outcome, Exception):
-                raise outcome
-            else:
-                # np.linalg.norm(..., axis=1), as numpy computes it
-                avg = float(np.sqrt(np.add.reduce(off * off, axis=1)).mean())
-                records.append((avg, outcome[0]))
+        for i, off, guess in zip(block, offsets, relaxed):
+            try:
+                shifted = solve_equilibrium(
+                    crystal.trap,
+                    crystal.species,
+                    crystal.n_ions,
+                    crystal.positions if guess is None else guess,
+                    tweezers=pattern.with_offsets(off),
+                    tweezer_reference=crystal.positions,
+                )
+                eps = realized_coupling(
+                    shifted.positions, crystal.trap, crystal.species, pattern.curvatures, *grade
+                )[0]
+            except (ConvergenceError, UnstableCrystalError) as err:
+                failed.append((i, type(err).__name__))
+                continue
+            # np.linalg.norm(..., axis=1), as numpy computes it
+            avg = float(np.sqrt(np.add.reduce(off * off, axis=1)).mean())
+            records.append((avg, eps))
     return MisalignmentScan(records, aligned_eps, len(failed), failed)
 
 

@@ -299,46 +299,6 @@ def mode_spectrum(
         freq_scale = float(np.sqrt(np.mean(np.abs(np.diag(a))))) or 1.0
 
     lam, vec = np.linalg.eigh(a)
-    return _spectrum(lam, vec, coords, n_ions, freq_scale)
-
-
-def full_spectra(hessians: np.ndarray, freq_scale: float) -> list:
-    """`mode_spectrum(a, freq_scale)` of each matrix of a (K, 3N, 3N) stack.
-
-    One stacked `eigh` decomposes every matrix with the bits of its lone
-    call.  Returns, per matrix, its ModeSpectrum or the exception that
-    `mode_spectrum` raises for it.
-    """
-    a = np.asarray(hessians, dtype=float)
-    out: list = [None] * len(a)
-    # mode_spectrum's symmetry check, stacked where it passes at once
-    scale = np.abs(a).max(axis=(1, 2))
-    scale[scale == 0.0] = 1.0
-    atol = 1e-10 * scale
-    swapped = a.transpose(0, 2, 1)
-    quick = (np.abs(a - swapped).max(axis=(1, 2)) <= atol) & (atol < np.inf)
-    for k in np.flatnonzero(~quick):
-        if not symmetric_within(a[k], atol[k]):
-            out[k] = InvalidArgumentError("Hessian must be symmetric")
-    a = 0.5 * (a + swapped)
-    try:
-        lam, vec = np.linalg.eigh(a)
-    except np.linalg.LinAlgError:
-        lam = vec = None  # find the matrices that fail, one by one
-    for k in range(len(a)):
-        if out[k] is not None:
-            continue
-        try:
-            lam_k, vec_k = (lam[k], vec[k]) if lam is not None else np.linalg.eigh(a[k])
-            out[k] = _spectrum(lam_k, vec_k, np.arange(a.shape[1]), a.shape[1] // 3, freq_scale)
-        except Exception as err:
-            out[k] = err
-    return out
-
-
-def _spectrum(lam, vec, coords, n_ions, freq_scale) -> ModeSpectrum:
-    """The stability check, clipping and deterministic eigenvectors of one
-    decomposition, shared by `mode_spectrum` and `full_spectra`."""
     floor = TOL_PSD_REL * freq_scale**2
     if lam[0] < -floor:
         raise UnstableCrystalError(

@@ -367,39 +367,3 @@ class TestLockstepScan:
         with pytest.raises(NonPlanarError) as got:
             misalignment_scan(planar_triangle, [0.0, 1e-7], 6, 2, axes=("x", "y"))
         assert str(got.value) == str(expected.value)
-
-
-class TestRealizedCouplingLanes:
-    """`realized_couplings` grades each Hessian of a stack as
-    `realized_coupling` grades it alone."""
-
-    def test_lanes_match_lone_calls(self, leaky_chain):
-        from tweezer_ising.coupling import realized_coupling, realized_couplings
-        from tweezer_ising.modes import mass_scaled_hessian
-
-        crystal = leaky_chain.crystal
-        stable = leaky_chain.tweezers.curvatures
-        unstable = stable.copy()
-        unstable[[0, 4], 2, 2] *= 2.0
-        asymmetric = stable.copy()
-        asymmetric[2, 0, 1] = 1e-3 * np.abs(stable).max()
-        grade = (leaky_chain.mu, leaky_chain.drive.drive_axis, leaky_chain.drive.resonance_guard,
-                 leaky_chain.target)
-        stack = [(crystal.positions, stable), (crystal.positions, unstable),
-                 (crystal.positions * 1.01, stable), (crystal.positions, asymmetric)]
-        hessians = np.stack([mass_scaled_hessian(p, crystal.trap, YB171, c) for p, c in stack])
-        outcomes = realized_couplings(hessians, crystal.trap, YB171, *grade)
-        kinds = []
-        for (positions, curv), outcome in zip(stack, outcomes):
-            try:
-                eps, realized, spectrum, _ = realized_coupling(positions, crystal.trap, YB171, curv, *grade)
-            except Exception as err:
-                assert type(outcome) is type(err) and str(outcome) == str(err)
-                kinds.append(type(err).__name__)
-                continue
-            assert repr(outcome[0]) == repr(eps)
-            assert outcome[1].matrix.tobytes() == realized.matrix.tobytes()
-            assert outcome[2].eigenvectors.tobytes() == spectrum.eigenvectors.tobytes()
-            kinds.append("ok")
-        assert kinds == ["ok", "UnstableCrystalError", "ok", "InvalidArgumentError"]
-        assert realized_couplings(hessians[:0], crystal.trap, YB171, *grade) == []
