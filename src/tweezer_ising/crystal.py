@@ -22,6 +22,7 @@ from .errors import (
     NonPlanarError,
     SingularGeometryError,
 )
+from .lanes import run_lanes
 from .modes import TOL_PSD_REL, TweezerPattern, euclidean_norm, mass_scaled_hessian
 
 AXIS_NAMES = ("x", "y", "z")
@@ -310,9 +311,7 @@ def solve_equilibrium(
         centers = (np.asarray(tweezer_reference, dtype=float) + tweezers.offsets)[None]
 
     scales = _Scales.of(trap, species)
-    (pos,) = _run_lanes([_lane(guess, scales, max_iter)], trap, species, curv, centers, scales)
-    if isinstance(pos, Exception):
-        raise pos
+    (pos,) = run_lanes([_lane(guess, scales, max_iter)], partial(_serve, trap, species, curv, centers, scales))
     dimensionality, extended = _classify_geometry(pos, trap, species)
     if require is not None and dimensionality != require:
         raise NonPlanarError(f"crystal relaxed to {dimensionality!r}, required {require!r}")
@@ -331,22 +330,21 @@ def relax_equilibria(
 
     ``guesses`` and the tweezer ``centers`` are (K, N, 3) stacks of
     distinct-ion positions; the tweezer ``curvatures`` (N, 3, 3), or None
-    for no tweezers, are shared.  Each round makes one stacked
-    potential-and-gradient call for the lanes that need one and one
-    stacked `mass_scaled_hessian` for the lanes that take a Newton step.
-    Cholesky solves, norms and line-search decisions stay per lane, so
-    every lane has the bits of its lone descent.
+    for no tweezers, are shared.  Each round of `lanes.run_lanes` makes one
+    stacked potential-and-gradient call and one stacked
+    `mass_scaled_hessian` for the lanes that take a Newton step.  Cholesky
+    solves, norms and line-search decisions stay per lane, so every lane
+    has the bits of its lone descent.
 
     Returns, per lane, the positions where its descent converged, or None
-    where it stalled or ran out of iterations.  A `solve_equilibrium` with
-    the same tweezers and `max_iter` from converged positions takes no
-    Newton step before its stability check, so it gives the bits of the
-    solve from the lane's guess.
+    where it stalled, ran out of iterations or started from coincident
+    ions.  A `solve_equilibrium` with the same tweezers and `max_iter` from
+    converged positions takes no Newton step before its stability check,
+    so it gives the bits of the solve from the lane's guess.
     """
     scales = _Scales.of(trap, species)
     lanes = [_relax(guess, scales, max_iter) for guess in guesses]
-    outcomes = _run_lanes(lanes, trap, species, curvatures, centers, scales)
-    return [None if isinstance(pos, Exception) else pos for pos in outcomes]
+    return run_lanes(lanes, partial(_serve, trap, species, curvatures, centers, scales))
 
 
 # what a lane asks for: the potential and gradient at the start of a
@@ -374,83 +372,64 @@ class _Scales:
         return cls(m, m * wbar**2, lbar, m * wbar**2 * lbar, DIST_FLOOR * lbar, TOL_PSD_REL * wbar**2)
 
 
-def _run_lanes(lanes, trap, species, curvatures, centers, scales) -> list:
-    """Advance lane generators in rounds until each returns or raises.
-
-    Each round serves every pending request with one stacked
-    potential-and-gradient call and one stacked `mass_scaled_hessian`.
-    ``centers`` is the (K, N, 3) stack of the lanes' tweezer centers.
-    Returns, per lane, what it returned or the exception it raised.
-    """
-    outcomes: list = [None] * len(lanes)
-    requests: dict = {}
-
-    def advance(k, value=None, error=None):
-        try:
-            requests[k] = lanes[k].send(value) if error is None else lanes[k].throw(error)
-        except StopIteration as done:
-            outcomes[k] = done.value
-        except Exception as err:
-            outcomes[k] = err
-
-    for k in range(len(lanes)):
-        advance(k)
-    while requests:
-        evals, hessians = [], []
-        for k, (kind, pos) in requests.items():
-            (evals if kind <= _TRIAL else hessians).append((k, kind, pos))
-        requests.clear()
-        if evals:
-            _evaluate(evals, trap, species, curvatures, centers, scales, advance)
-        if hessians:
-            _hessians(hessians, trap, species, curvatures, advance)
-    return outcomes
+def _serve(trap, species, curvatures, centers, scales, pending) -> list:
+    """One round's answers: a stacked potential-and-gradient call and a
+    stacked `mass_scaled_hessian`; ``centers`` is the lanes' (K, N, 3) stack."""
+    evals = [r for r in pending if r[1][0] <= _TRIAL]
+    hessians = [r for r in pending if r[1][0] > _TRIAL]
+    answers = _evaluate(evals, trap, species, curvatures, centers, scales) if evals else {}
+    if hessians:
+        answers.update(_hessians(hessians, trap, species, curvatures))
+    return [answers[k] for k, _ in pending]
 
 
-def _evaluate(evals, trap, species, curvatures, centers, scales, advance):
-    """One stacked potential-and-gradient call for the lanes that asked."""
-    pos = evals[0][2][None] if len(evals) == 1 else np.stack([p for _, _, p in evals])
+def _evaluate(requests, trap, species, curvatures, centers, scales) -> dict:
+    """One stacked potential-and-gradient call for the lanes that asked;
+    a trial below the distance floor gets None."""
+    answers = {}
+    pos = requests[0][1][1][None] if len(requests) == 1 else np.stack([p for _, (_, p) in requests])
     pairs = None
+    keep = range(len(requests))
     if trap.n_ions > 1:
         pairs = _pair_terms(pos)
         nearest = pairs[2].min(axis=1)
         keep = []
-        for j, (k, kind, _) in enumerate(evals):
+        for j, (k, (kind, _)) in enumerate(requests):
             if kind == _TRIAL and nearest[j] < scales.dist_floor:
-                advance(k, None)
+                answers[k] = None
             elif nearest[j] <= 0.0:
-                advance(k, error=SingularGeometryError("coincident ions in potential evaluation"))
+                answers[k] = SingularGeometryError("coincident ions in potential evaluation")
             else:
                 keep.append(j)
         if not keep:
-            return
-        if len(keep) < len(evals):
-            evals = [evals[j] for j in keep]
+            return answers
+        if len(keep) < len(requests):
             pos = pos[keep]
             pairs = tuple(a[keep] for a in pairs)
-    lane_centers = None if curvatures is None else centers[[k for k, _, _ in evals]]
+    lane_centers = None if curvatures is None else centers[[requests[j][0] for j in keep]]
     energy_of, grads = _potentials_and_gradients(pos, pairs, trap, species, curvatures, lane_centers)
-    for j, (k, _, _) in enumerate(evals):
-        advance(k, (partial(energy_of, j), grads[j]))
+    for i, j in enumerate(keep):
+        answers[requests[j][0]] = partial(energy_of, i), grads[i]
+    return answers
 
 
-def _hessians(requests, trap, species, curvatures, advance):
+def _hessians(requests, trap, species, curvatures) -> dict:
     """One stacked Hessian for the lanes that asked; a stability check
     gets the lowest eigenvalue of its lane's matrix."""
     if len(requests) == 1:  # numpy runs the lone array's fewer dimensions faster
-        hess = mass_scaled_hessian(requests[0][2], trap, species, curvatures)[None]
+        hess = mass_scaled_hessian(requests[0][1][1], trap, species, curvatures)[None]
     else:
-        hess = mass_scaled_hessian(np.stack([p for _, _, p in requests]), trap, species, curvatures)
-    for j, (k, kind, _) in enumerate(requests):
+        hess = mass_scaled_hessian(np.stack([p for _, (_, p) in requests]), trap, species, curvatures)
+    answers = {}
+    for j, (k, (kind, _)) in enumerate(requests):
         if kind == _NEWTON:
-            advance(k, hess[j])
+            answers[k] = hess[j]
             continue
         try:
-            lam_min = np.linalg.eigvalsh(hess[j])[0]
+            answers[k] = np.linalg.eigvalsh(hess[j])[0]
         except np.linalg.LinAlgError as err:
-            advance(k, error=err)
-        else:
-            advance(k, lam_min)
+            answers[k] = err
+    return answers
 
 
 def _lane(pos, scales, max_iter):
@@ -481,7 +460,10 @@ def _lane(pos, scales, max_iter):
 def _relax(pos, scales, max_iter):
     """A lane of `relax_equilibria`: one descent, returning its positions
     if it converged and None otherwise."""
-    pos, residual = yield from _descent(pos, scales, max_iter)
+    try:
+        pos, residual = yield from _descent(pos, scales, max_iter)
+    except SingularGeometryError:  # coincident ions: the one error served to a descent
+        return None
     return pos if residual < TOL_EQUILIBRIUM else None
 
 

@@ -242,8 +242,9 @@ def misalignment_scan(
     error are recomputed.  Streams are per-sample seeded, so the output is
     independent of evaluation order.
 
-    Samples run in blocks of `SCAN_BLOCK`: one block's Newton descents
-    advance together (`relax_equilibria`), then each sample finishes with
+    Samples run in blocks of `SCAN_BLOCK`, not refilled as lanes finish:
+    one block's Newton descents run as lanes of `lanes.run_lanes`
+    (`relax_equilibria`), then each sample finishes with
     `solve_equilibrium` from its descended positions (or from the aligned
     crystal, where its descent did not converge) and is graded with
     `realized_coupling`, with the bits of one-at-a-time solves.  Samples

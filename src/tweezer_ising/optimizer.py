@@ -396,11 +396,10 @@ class PinProblem:
         """`epsilon_parts` for K lanes at once, one entry per lane.
 
         ``k_stack`` holds one pinning vector per lane, shape (K, P), and
-        ``mus`` the K beatnotes.  One stacked eigendecomposition and stacked
-        matrix products serve every lane, and each lane gets the bits
-        `epsilon_parts` gives it alone.  The largest coupling, the norm and
-        the gradient run per lane: a reduction over the stack would sum in
-        another order.
+        ``mus`` the K beatnotes.  One stacked eigendecomposition, stacked
+        matrix products and one stacked search for the largest coupling
+        serve every lane, and each lane gets the bits `epsilon_parts` gives
+        it alone.  The norm of the residual and the gradient run per lane.
         """
         n = self.n_ions
         count = len(mus)
@@ -484,7 +483,7 @@ class PinProblem:
 
     def objective_pin_lanes(self, mus):
         """`objective_pin` for `quasinewton.minimize_lockstep`, lane i at beatnote
-        ``mus[i]``: one `epsilon_parts_batch` call per round."""
+        ``mus[i]``: one `epsilon_parts_batch` call per round of `lanes.run_lanes`."""
 
         def evaluate(points, active):
             parts = self.epsilon_parts_batch(np.stack(points) * self.k_scale, [mus[i] for i in active])
@@ -564,10 +563,13 @@ def stage1_geometry(
 
 
 def default_drive_axis(pin_axes: Sequence[str]) -> np.ndarray:
-    v = np.zeros(3)
-    for ax in pin_axes:
-        v[AXIS_INDEX[ax]] = 1.0
-    return v / np.linalg.norm(v)
+    """The unit vector along the sum of the pinning axes."""
+    return axis_vector("".join(pin_axes))
+
+
+def _drive_axis(drive_axis, pin_axes: Sequence[str]) -> np.ndarray:
+    """The unit drive axis: ``drive_axis``, or the pinning axes' default if None."""
+    return default_drive_axis(pin_axes) if drive_axis is None else axis_vector(drive_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +618,12 @@ def stage1_search(
     Candidates are sorted by (epsilon, omega, mu); an empty list means no
     grid cell passed the feasibility test (see the diagnostics).  Each
     trap-frequency row shares one `PinProblem`: its cells are tested first,
-    then every restart of every feasible cell runs in lockstep, one batched
+    then every restart of every feasible cell runs as a lane, one batched
     objective call per round (`quasinewton.minimize_lockstep`).  Each lane
     walks the path a lone `minimize_box` run takes, and each cell keeps its
     lowest-ε restart, the earliest on a tie.
     """
-    axis = default_drive_axis(space.pin_axes) if drive_axis is None else axis_vector(drive_axis)
+    axis = _drive_axis(drive_axis, space.pin_axes)
     omegas = _grid(space.omega_scan, space.omega_grid)
     mus = _grid(space.mu, space.mu_grid)
 
@@ -732,7 +734,7 @@ def stage2_refine(
     orbit-averaged stage-1 pattern, so the refined error never exceeds the
     symmetrized input error.
     """
-    axis = default_drive_axis(space.pin_axes) if drive_axis is None else axis_vector(drive_axis)
+    axis = _drive_axis(drive_axis, space.pin_axes)
     crystal = candidate.crystal
     problem = _stage_problem(crystal, build_target(target_spec, crystal), axis, space, cells.orbits)
     k0 = _orbit_means(candidate.pin_curvature, cells.orbits)
@@ -767,7 +769,7 @@ def stage3_finalize(
     """
     t0 = time.perf_counter()
     _check_choice("final_geometry", final_geometry, FINAL_GEOMETRIES)
-    axis = default_drive_axis(space.pin_axes) if drive_axis is None else axis_vector(drive_axis)
+    axis = _drive_axis(drive_axis, space.pin_axes)
     if final_geometry == "harmonic":
         trap = trap_template.replace_axis(space.scan_axis, candidate.omega_scan)
         crystal = solve_equilibrium(trap, species, trap_template.n_ions, candidate.crystal.positions)
@@ -883,7 +885,7 @@ def untweezed_baseline(
     _check_bounds("mu_range", mu_range, positive=True)
     if n_scan < 1:
         raise InvalidArgumentError(f"n_scan must be at least 1, got {n_scan}")
-    axis = default_drive_axis(pin_axes) if drive_axis is None else axis_vector(drive_axis)
+    axis = _drive_axis(drive_axis, pin_axes)
     if crystal is None:
         crystal = solve_equilibrium(trap, species, trap.n_ions)
     target = build_target(target_spec, crystal)

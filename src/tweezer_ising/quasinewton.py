@@ -12,15 +12,14 @@ The minimizer asks for the gradient of the start point once and then only
 for the trial the line search accepts, so a rejected or +inf trial costs
 one value and nothing more.
 
-The minimizer is a generator, `minimize_box_steps`: it yields each point
-it wants evaluated (the start point, then every line-search trial) and
-expects ``(f, grad)`` for that point to be sent back; its return value,
-carried by ``StopIteration``, is the `MinimizeResult`.  It never calls an
-objective itself, so its caller decides how points are evaluated:
-`minimize_box` drives one run with one objective, and `minimize_lockstep`
-advances many runs together with one batched evaluation per round.  Each
-run walks the same path either way, and ``n_eval`` counts every point it
-yielded.
+The minimizer, `minimize_box_steps`, is a lane of `lanes.run_lanes`: it
+requests each point it wants evaluated (the start point, then every
+line-search trial), receives ``(f, grad)`` for it, and returns the
+`MinimizeResult`.  It never calls an objective itself, so its caller
+decides how points are evaluated: `minimize_lockstep` serves many runs
+together with one batched evaluation per round, and `minimize_box` is its
+one-lane call.  Each run walks the same path either way, and ``n_eval``
+counts every point it requested.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from typing import Callable, Generator, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .lanes import run_lanes
 
 #: ``objective(x) -> (f, grad)``: the value at x now, and a zero-argument
 #: callable that returns the gradient at x when the minimizer needs it
@@ -71,40 +71,17 @@ def minimize_box(
     not finite.
     """
     steps = minimize_box_steps(x0, lower, upper, memory, max_iter, tol_df, tol_grad)
-    x = next(steps)
-    try:
-        while True:
-            x = steps.send(objective(x))
-    except StopIteration as stop:
-        return stop.value
+    return minimize_lockstep(lambda points, _: [objective(points[0])], [steps])[0]
 
 
 def minimize_lockstep(evaluate: LaneEvaluator, lanes: Sequence[Generator]) -> list[MinimizeResult]:
-    """Run `minimize_box_steps` generators together; one result per lane, in order.
+    """Run `minimize_box_steps` lanes together; one result per lane, in order.
 
-    Each round hands the pending point of every unfinished lane to one
-    ``evaluate(points, active)`` call, where ``active`` lists those lanes'
-    indices in ascending order, and sends each lane its ``(f, grad)``.  A
-    lane that finishes drops out of later rounds.  Lanes are started and
-    sent their values in lane order, so the first lane to raise (a bad
-    control, or a start point that is not finite) raises here, as it would
-    if the lanes ran one after another.
+    Each round of `lanes.run_lanes` is one ``evaluate(points, active)`` call,
+    ``active`` listing the pending lanes in ascending order; the first lane
+    to raise (a bad control, or a start point that is not finite) raises.
     """
-    results: list = [None] * len(lanes)
-    active = list(range(len(lanes)))
-    points = [next(lane) for lane in lanes]
-    while active:
-        values = evaluate(points, active)
-        still, points = [], []
-        for i, value in zip(active, values):
-            try:
-                points.append(lanes[i].send(value))
-            except StopIteration as stop:
-                results[i] = stop.value
-            else:
-                still.append(i)
-        active = still
-    return results
+    return run_lanes(lanes, lambda pending: evaluate([x for _, x in pending], [i for i, _ in pending]))
 
 
 def minimize_box_steps(

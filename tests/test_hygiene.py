@@ -5,8 +5,9 @@ module top (a function-level import hides a dependency and is re-run on
 every call), and every private definition is used somewhere in the
 package (a copy left behind by a fold reads as live code), and every
 parameter of a package function is read in its body (an argument that is
-accepted and ignored reads as a choice the caller makes).  No linter runs
-on this code, so these checks stand in.
+accepted and ignored reads as a choice the caller makes), and only
+`lanes.run_lanes` advances generators (a second round loop would drift
+from the first).  No linter runs on this code, so these checks stand in.
 """
 
 import ast
@@ -159,3 +160,30 @@ def test_every_parameter_is_read():
     unexpected = sorted(set(unread) - UNREAD_PARAMETERS)
     assert not unexpected, f"parameters their function never reads: {', '.join(unexpected)}"
     assert set(unread) >= UNREAD_PARAMETERS, "an exempt parameter is read now; drop its exemption"
+
+
+#: the one module that may advance a generator by hand
+LANE_DRIVER = "lanes.py"
+
+
+def _generator_advances(tree):
+    """Calls that advance a generator by hand: ``.send(``, ``.throw(``, ``next(``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("send", "throw"):
+            yield f".{func.attr}( (line {node.lineno})"
+        elif isinstance(func, ast.Name) and func.id == "next":
+            yield f"next( (line {node.lineno})"
+
+
+def test_only_the_lane_driver_advances_generators():
+    assert any(_generator_advances(_parse(PACKAGE / LANE_DRIVER))), "the check no longer sees the driver"
+    found = [
+        f"{path.name}: {call}"
+        for path in MODULES
+        if path.name != LANE_DRIVER
+        for call in _generator_advances(_parse(path))
+    ]
+    assert not found, f"generators advanced outside lanes.run_lanes: {', '.join(found)}"

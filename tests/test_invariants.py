@@ -9,17 +9,23 @@
     Hessian scales by c^2 and the normalized coupling does not move.
 
 Each holds up to rounding; the tolerance is a relative 1e-10.
+
+(d) A degenerate radial trap (wx = wy) fails loudly, never with NaN: a
+    beatnote inside the guard band of the top mode gives an infinite ε
+    and a ResonanceError, the strict gradient refuses the degenerate
+    spectrum, and the resolvent Jacobian and a small design stay finite.
 """
 
 import numpy as np
 import pytest
 
 from tweezer_ising import YB171, TargetSpec, TrapConfig, build_target, solve_equilibrium, symmetry_orbits
-from tweezer_ising.coupling import DEFAULT_RESONANCE_GUARD, realized_coupling
+from tweezer_ising.coupling import DEFAULT_RESONANCE_GUARD, DriveConfig, realized_coupling
 from tweezer_ising.crystal import IonCrystal, triangular_start
-from tweezer_ising.errors import TweezerIsingError
-from tweezer_ising.modes import AXIS_INDEX, axis_vector
-from tweezer_ising.optimizer import PinProblem
+from tweezer_ising.errors import DegenerateSpectrumError, ResonanceError, TweezerIsingError
+from tweezer_ising.modes import AXIS_INDEX, axis_vector, mass_scaled_hessian, mode_spectrum
+from tweezer_ising.optimizer import PinProblem, SearchSpace, run_pipeline
+from tweezer_ising.sensitivity import all_pairs, coupling_gradient_adjoint, coupling_jacobian_diag
 
 from conftest import MHZ
 
@@ -115,3 +121,54 @@ def test_frequency_scaling_leaves_epsilon(case):
         assert scaled.epsilon(c**2 * k, c * mu) == pytest.approx(eps, rel=RTOL)
         defined += bool(np.isfinite(eps))
     assert defined >= POINTS // 2
+
+
+#: drive axis -> pinning axes on the degenerate radial trap
+DEGENERATE_DRIVES = {"y": ("y",), "x": ("x",), "xy": ("x", "y")}
+
+
+@pytest.fixture(scope="module")
+def degenerate_chain():
+    """A 5-ion chain in a trap with equal radial frequencies, and its full spectrum."""
+    trap = TrapConfig(1.0 * MHZ, 1.0 * MHZ, 0.2 * MHZ, n_ions=5)
+    crystal = solve_equilibrium(trap, YB171, trap.n_ions)
+    spectrum = mode_spectrum(mass_scaled_hessian(crystal.positions, trap, YB171), freq_scale=trap.omega_bar)
+    return crystal, spectrum
+
+
+@pytest.mark.parametrize("drive", sorted(DEGENERATE_DRIVES))
+def test_degenerate_radial_trap_fails_loudly(degenerate_chain, drive):
+    crystal, spectrum = degenerate_chain
+    target = build_target(TargetSpec("nearest_neighbor", "chain"), crystal).matrix
+    problem = PinProblem(crystal, target, drive, DEGENERATE_DRIVES[drive])
+    unpinned = np.zeros(len(problem.orbits))
+    top = spectrum.frequencies[-1]
+    # the x and y centre-of-mass modes share the top frequency
+    assert spectrum.eigenvalues[-1] - spectrum.eigenvalues[-2] < 1e-9 * crystal.trap.omega_bar**2
+    for detuning in (-0.9, -0.5, 0.0, 0.5, 0.9):
+        mu = top + detuning * DEFAULT_RESONANCE_GUARD
+        assert problem.epsilon(unpinned, mu) == np.inf
+        with pytest.raises(ResonanceError):
+            realized_coupling(
+                crystal.positions, crystal.trap, YB171, np.zeros((crystal.n_ions, 3, 3)), mu,
+                axis_vector(drive), DEFAULT_RESONANCE_GUARD, target,
+            )
+    drive_config = DriveConfig(mu=top + 50 * DEFAULT_RESONANCE_GUARD, drive_axis=drive)
+    with pytest.raises(DegenerateSpectrumError):
+        coupling_gradient_adjoint(None, spectrum, drive_config, all_pairs(crystal.n_ions), YB171)
+    jacobian = coupling_jacobian_diag(spectrum, drive_config, YB171)
+    assert np.isfinite(jacobian).all() and np.abs(jacobian).max() > 0
+    assert np.isfinite(problem.epsilon(unpinned, drive_config.mu))
+
+
+@pytest.mark.parametrize("drive", sorted(DEGENERATE_DRIVES))
+def test_degenerate_radial_trap_design_stays_finite(degenerate_chain, drive):
+    crystal, _ = degenerate_chain
+    space = SearchSpace(
+        omega_scan=(0.2 * MHZ, 0.2 * MHZ), mu=(1.02 * MHZ, 1.1 * MHZ), pin=(0.0, 0.3 * MHZ),
+        pin_axes=DEGENERATE_DRIVES[drive], mu_grid=4, restarts=2,
+    )
+    result = run_pipeline(TargetSpec("nearest_neighbor", "chain"), space, crystal.trap, YB171, drive_axis=drive)
+    assert all(np.isfinite(eps) for eps in result.stage_epsilons.values())
+    assert np.isfinite(result.realized.matrix).all() and np.isfinite(result.spectrum.frequencies).all()
+    assert result.epsilon < 1.0
