@@ -1,9 +1,10 @@
 """One round loop for lanes: generators that yield requests and return values.
 
 `run_lanes` hands each round's requests to one ``serve`` call, so the caller
-can answer them with one stacked computation.  The L-BFGS runs of
-`quasinewton` and the Newton descents of `crystal` are lanes, and a lone
-`minimize_box` or `solve_equilibrium` is a run of one lane.
+can answer them with one stacked computation.  The Newton descents of
+`crystal` are lanes, and a lone `solve_equilibrium` is a run of one lane.
+The L-BFGS runs of `quasinewton` do not need it: their state is arrays
+with one row per lane, and one function advances them all.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ from .modes import (
     mass_scaled_hessian,
     mode_spectrum,
 )
-from .quasinewton import minimize_box, minimize_box_steps, minimize_lockstep
+from .quasinewton import minimize_box, minimize_lockstep
 from .sensitivity import CouplingGradient, all_pairs, coupling_jacobian_diag
 from .targets import TargetSpec, build_target
 
@@ -87,6 +87,13 @@ def _check_bounds(name: str, bounds, positive: bool = False) -> None:
         raise InvalidArgumentError(f"{name} bounds reversed: {lo} > {hi}")
     if positive and lo <= 0:
         raise InvalidArgumentError(f"{name} bounds must be positive, got ({lo}, {hi})")
+
+
+def _check_pin_axes(pin_axes) -> None:
+    """Raise InvalidArgumentError for a pinning axis that is not x, y or z."""
+    for ax in pin_axes:
+        if ax not in AXIS_INDEX:
+            raise InvalidArgumentError(f"unknown pin axis {ax!r}")
 
 
 @dataclass(frozen=True)
@@ -134,9 +141,7 @@ class SearchSpace:
             raise InvalidArgumentError(
                 f"tolerances must be nonnegative (tol_df={self.tol_df}, tol_grad={self.tol_grad})"
             )
-        for ax in self.pin_axes:
-            if ax not in AXIS_INDEX:
-                raise InvalidArgumentError(f"unknown pin axis {ax!r}")
+        _check_pin_axes(self.pin_axes)
         if self.scan_axis not in AXIS_INDEX:
             raise InvalidArgumentError(f"unknown scan axis {self.scan_axis!r}")
 
@@ -276,6 +281,16 @@ def _match_permutation(pos, mapped, tol, group):
 # objective machinery
 
 
+def beatnote_columns(mus) -> np.ndarray:
+    """The (K, 2) rows ``(mu, mu**2)`` of `PinProblem.epsilon_parts_batch`,
+    one per beatnote.
+
+    Each square is the beatnote's own scalar power: an array square
+    (x * x) differs from it in the last bit for some beatnotes.
+    """
+    return np.array([(mu, mu**2) for mu in mus], dtype=float).reshape(-1, 2)
+
+
 class PinProblem:
     """Normalized coupling error over pinning curvatures at fixed geometry.
 
@@ -300,6 +315,7 @@ class PinProblem:
         orbits: Optional[Sequence[Sequence[int]]] = None,
         resonance_guard: float = DEFAULT_RESONANCE_GUARD,
     ):
+        _check_pin_axes(pin_axes)
         self.crystal = crystal
         n = crystal.n_ions
         self.n_ions = n
@@ -381,127 +397,141 @@ class PinProblem:
                 out[i] = k
         return out
 
-    def epsilon_parts(self, k_params, mu):
+    def epsilon_parts(self, k_params, mu, with_mu=False):
         """ε at (k_params, mu) now and its gradient on demand.
 
         Returns None where ε is undefined (an unstable or resonant
         spectrum, or J = 0), else ``(eps, gradient)``: ``gradient()``
         returns ``(grad_k, grad_mu)`` from this evaluation's spectrum and
-        residual.  A line search that rejects the point never pays for it.
-        The one-lane call of `epsilon_parts_batch`.
+        residual, ``grad_mu`` None unless ``with_mu``.  A line search that
+        rejects the point never pays for it.  The one-lane call of
+        `epsilon_parts_batch`.
         """
-        return self.epsilon_parts_batch(np.asarray(k_params, dtype=float)[None], (mu,))[0]
+        eps, gradient = self.epsilon_parts_batch(
+            np.asarray(k_params, dtype=float)[None], beatnote_columns((mu,)), with_mu
+        )
+        if eps[0] == np.inf:
+            return None
 
-    def epsilon_parts_batch(self, k_stack, mus) -> list:
-        """`epsilon_parts` for K lanes at once, one entry per lane.
+        def lone_gradient():
+            grad_k, grad_mu = gradient(np.zeros(1, dtype=int))
+            return grad_k[0], None if grad_mu is None else float(grad_mu[0])
+
+        return float(eps[0]), lone_gradient
+
+    def epsilon_parts_batch(self, k_stack, beat, with_mu=False):
+        """`epsilon_parts` for K lanes at once: ``(eps, gradient)``.
 
         ``k_stack`` holds one pinning vector per lane, shape (K, P), and
-        ``mus`` the K beatnotes.  One stacked eigendecomposition, stacked
-        matrix products and one stacked search for the largest coupling
-        serve every lane, and each lane gets the bits `epsilon_parts` gives
-        it alone.  The norm of the residual and the gradient run per lane.
+        ``beat`` each lane's beatnote row of `beatnote_columns`.  ``eps``
+        holds each lane's ε, +inf where it is undefined.  ``gradient(rows)``
+        returns ``(grad_k, grad_mu)`` of the lanes ``rows``, each of which
+        has an ε: grad_k is (len(rows), P) and grad_mu (len(rows),), or None
+        unless ``with_mu``.  One stacked eigendecomposition, stacked matrix
+        products, one stacked search for the largest coupling and one
+        stacked norm (a row-wise `np.vecdot`) serve every lane, and one
+        stacked gradient serves the lanes asked for; each lane gets the bits
+        `epsilon_parts` gives it alone.
         """
         n = self.n_ions
-        count = len(mus)
-        # each lane's scalar mu**2: an array square (x * x) differs from the
-        # scalar power in the last bit for some beatnotes
-        mu_sq = np.array([[mu**2] for mu in mus])
+        count = len(beat)
         a = self.a0[None].repeat(count, 0)
         a.reshape(count, -1)[:, self.pin_diag] += k_stack.take(self.pin_param, 1)
         lam, u = np.linalg.eigh(a)
-        gap = np.abs(np.array(mus)[:, None] - np.sqrt(np.maximum(lam, 0.0))).min(1).tolist()
-        low = lam[:, 0].tolist()
-        floor, guard = -self.floor, self.guard
+        gap = np.abs(beat[:, :1] - np.sqrt(np.maximum(lam, 0.0))).min(1)
+        eps = np.full(count, np.inf)
         # unstable (a negative curvature) or resonant (mu in a mode's guard band)
-        live = [i for i in range(count) if not (low[i] < floor or gap[i] <= guard)]
-        out = [None] * count
-        if not live:
-            return out
-        if len(live) < count:
-            lam, u, mu_sq = lam[live], u[live], mu_sq[live]
-        theta = 1.0 / (mu_sq - lam)
+        live = (~((lam[:, 0] < -self.floor) | (gap <= self.guard))).nonzero()[0]
+        if live.size < count:
+            lam, u = lam[live], u[live]
+        theta = 1.0 / (beat[live, 1:] - lam)
         w = self.proj @ u
         wt = w * theta[:, None, :]
         j = wt @ w.transpose(0, 2, 1)
         j = 0.5 * (j + j.transpose(0, 2, 1))
-        flat = j.reshape(len(live), -1)
+        flat = j.reshape(live.size, n * n)
         flat[:, :: n + 1] = 0.0
         # max_abs_offdiag of every lane at once: |J| with the diagonal at -1
         # and each lane's first row-major argmax; nothing here rounds
         mag = np.abs(flat)
         mag[:, :: n + 1] = -1.0
         at = mag.argmax(1)
-        max_j = np.maximum(mag[np.arange(len(live)), at], 0.0)
+        max_j = np.maximum(mag[np.arange(live.size), at], 0.0)
         # a lane with J = 0 has no ε; NaN passes on, as in a lone call
-        keep = np.flatnonzero(~(max_j <= 0.0))
+        keep = (~(max_j <= 0.0)).nonzero()[0]
         s = self.max_t / max_j[keep]
         r = self.target - s[:, None, None] * j[keep]
-        for lane, s_l, r_l in zip(keep.tolist(), s.tolist(), r):
-            p, q = divmod(int(at[lane]), n)
-            r_flat = r_l.reshape(-1)
-            # np.linalg.norm(r) without its dispatch: sqrt(r·r) over the flat array
-            eps = math.sqrt(r_flat.dot(r_flat)) / self.t_norm
-            i = live[lane]
-            out[i] = eps, self._gradient(eps, r_l, j[lane], s_l, p, q, w, wt, u, theta, lane, mus[i])
-        return out
+        r_flat = r.reshape(keep.size, n * n)
+        # np.linalg.norm(r) without its dispatch: sqrt(r·r) over each flat lane
+        eps_keep = np.sqrt(np.vecdot(r_flat, r_flat)) / self.t_norm
+        lanes = live[keep]
+        eps[lanes] = eps_keep
+        # each lane's position among the lanes with an ε
+        position = np.zeros(count, dtype=int)
+        position[lanes] = np.arange(lanes.size)
 
-    def _gradient(self, eps, r, j, s, p, q, w, wt, u, theta, lane, mu):
-        """The ``gradient()`` of lane ``lane`` of a batch, over its intermediates."""
-
-        def gradient():
-            if eps == 0.0:
-                return np.zeros(len(self.orbits)), 0.0
-            n, b = self.n_ions, self.b
-            w_l, wt_l, u_l, theta_l = w[lane], wt[lane], u[lane], theta[lane]
-            g_mat = r.copy()
-            g_mat[p, q] -= float((r * j).sum()) / j[p, q]
-            g_mat *= -s / (eps * self.t_norm**2)
+        def stacked(kept):
+            """(grad_k, grad_mu) of the kept lanes ``kept``, whose ε is not 0."""
+            c, b, ll = kept.size, self.b, keep[kept]
+            j_k, at_k, rows = j[ll], at[ll], np.arange(c)
+            g_mat = r[kept]
+            correction = (g_mat * j_k).reshape(c, n * n).sum(1) / flat[ll, at_k]
+            g_mat.reshape(c, n * n)[rows, at_k] -= correction
+            g_mat *= (-s[kept] / (eps_keep[kept] * self.t_norm**2))[:, None, None]
             # dJ/dA_bb is the outer product of resolvent rows
-            y = wt_l @ u_l.T  # (N, B)
+            y = wt[ll] @ u[ll].transpose(0, 2, 1)  # (c, N, B)
             # the two matmuls numpy's einsum("kb,kl,lb->b", y, g_mat, y,
             # optimize=True) lowers to, operand for operand: same bits, no path search
-            z = g_mat.T @ y
-            per_row = np.matmul(z.T.reshape(b, 1, n), y.T.reshape(b, n, 1)).reshape(b)
-            grad_k = np.empty(len(self.orbits))
-            for params, rows in self.row_groups:
-                grad_k[params] = per_row[rows].sum(axis=1)
-            dtheta = -2.0 * mu * theta_l**2
-            dj_dmu = (w_l * dtheta) @ w_l.T
-            dj_dmu.reshape(-1)[:: n + 1] = 0.0
-            grad_mu = float((g_mat * dj_dmu).sum())
+            z = g_mat.transpose(0, 2, 1) @ y
+            per_row = np.matmul(
+                z.transpose(0, 2, 1).reshape(c, b, 1, n), y.transpose(0, 2, 1).reshape(c, b, n, 1)
+            ).reshape(c, b)
+            grad_k = np.empty((c, len(self.orbits)))
+            for params, param_rows in self.row_groups:
+                # take, not per_row[:, param_rows]: that result is laid out
+                # lane-innermost, and numpy then sums each orbit in another order
+                grad_k[:, params] = per_row.take(param_rows, axis=1).sum(axis=2)
+            if not with_mu:
+                return grad_k, None
+            w_k = w[ll]
+            dtheta = (-2.0 * beat[lanes[kept], 0])[:, None] * theta[ll] ** 2
+            dj_dmu = (w_k * dtheta[:, None, :]) @ w_k.transpose(0, 2, 1)
+            dj_dmu.reshape(c, n * n)[:, :: n + 1] = 0.0
+            return grad_k, (g_mat * dj_dmu).reshape(c, n * n).sum(1)
+
+        def gradient(rows):
+            kept = position[rows]
+            nonzero = eps_keep[kept] != 0.0
+            if nonzero.all():
+                return stacked(kept)
+            # ε = 0 is a minimum: its gradient is zero
+            grad_k = np.zeros((kept.size, len(self.orbits)))
+            grad_mu = np.zeros(kept.size) if with_mu else None
+            if nonzero.any():
+                part_k, part_mu = stacked(kept[nonzero])
+                grad_k[nonzero] = part_k
+                if with_mu:
+                    grad_mu[nonzero] = part_mu
             return grad_k, grad_mu
 
-        return gradient
+        return eps, gradient
 
     # -- objectives over scaled variables (see quasinewton.Objective) --------
 
     def objective_pin(self, mu):
         def fg(x):
-            return self._scaled_pin(self.epsilon_parts(x * self.k_scale, mu), x)
+            parts = self.epsilon_parts(x * self.k_scale, mu)
+            if parts is None:
+                return np.inf, lambda: np.zeros_like(x)
+            eps, gradient = parts
+            return eps, lambda: gradient()[0] * self.k_scale
 
         return fg
-
-    def objective_pin_lanes(self, mus):
-        """`objective_pin` for `quasinewton.minimize_lockstep`, lane i at beatnote
-        ``mus[i]``: one `epsilon_parts_batch` call per round of `lanes.run_lanes`."""
-
-        def evaluate(points, active):
-            parts = self.epsilon_parts_batch(np.stack(points) * self.k_scale, [mus[i] for i in active])
-            return [self._scaled_pin(lane, x) for lane, x in zip(parts, points)]
-
-        return evaluate
-
-    def _scaled_pin(self, parts, x):
-        """`objective_pin`'s ``(f, grad)`` at scaled point x from `epsilon_parts`' entry."""
-        if parts is None:
-            return np.inf, lambda: np.zeros_like(x)
-        eps, gradient = parts
-        return eps, lambda: gradient()[0] * self.k_scale
 
     def objective_pin_mu(self):
         def fg(x):
             mu = x[0] * self.mu_scale
-            parts = self.epsilon_parts(x[1:] * self.k_scale, mu)
+            parts = self.epsilon_parts(x[1:] * self.k_scale, mu, with_mu=True)
             if parts is None:
                 return np.inf, lambda: np.zeros_like(x)
             eps, gradient = parts
@@ -618,9 +648,12 @@ def stage1_search(
     Candidates are sorted by (epsilon, omega, mu); an empty list means no
     grid cell passed the feasibility test (see the diagnostics).  Each
     trap-frequency row shares one `PinProblem`: its cells are tested first,
-    then every restart of every feasible cell runs as a lane, one batched
-    objective call per round (`quasinewton.minimize_lockstep`).  Each lane
-    walks the path a lone `minimize_box` run takes, and each cell keeps its
+    then every restart of every feasible cell runs as a lane of one
+    `quasinewton.minimize_lockstep` call.  The row's restarts iterate as
+    (lanes, P) arrays, and each round makes one `epsilon_parts_batch` call
+    for their trial points and one stacked gradient call for the trials it
+    accepted; the beatnote rows are built once per row.  Each lane walks
+    the path a lone `minimize_box` run takes, and each cell keeps its
     lowest-ε restart, the earliest on a tie.
     """
     axis = _drive_axis(drive_axis, space.pin_axes)
@@ -633,9 +666,7 @@ def stage1_search(
         crystal = stage1_geometry(target_spec, trap_template, species, omega, space.scan_axis)
         problem = _stage_problem(crystal, build_target(target_spec, crystal), axis, space, None)
         n_params = len(problem.orbits)
-        lower = np.full(n_params, problem.k_bounds[0])
-        upper = np.full(n_params, problem.k_bounds[1])
-        feasible, lanes, lane_mus = [], [], []
+        feasible, starts, lane_mus = [], [], []
         for col, mu in enumerate(mus):
             cell_index = row * len(mus) + col
             diag = _cell_verdict(problem, omega, mu, axis, species, space)
@@ -644,10 +675,15 @@ def stage1_search(
                 continue
             feasible.append(diag)
             for r in range(space.restarts):
-                x0 = _random_start(space, n_params, seed, cell_index, r) / problem.k_scale
-                lanes.append(minimize_box_steps(x0, lower, upper, **_controls(space)))
+                starts.append(_random_start(space, n_params, seed, cell_index, r) / problem.k_scale)
                 lane_mus.append(mu)
-        runs = minimize_lockstep(problem.objective_pin_lanes(lane_mus), lanes)
+        runs = minimize_lockstep(
+            _row_objective(problem, beatnote_columns(lane_mus)),
+            np.array(starts).reshape(-1, n_params),
+            problem.k_bounds[0],
+            problem.k_bounds[1],
+            **_controls(space),
+        )
         for c, diag in enumerate(feasible):
             # min keeps the first of equal values: the earliest restart
             best = min(runs[c * space.restarts : (c + 1) * space.restarts], key=lambda res: res.fun)
@@ -655,6 +691,17 @@ def stage1_search(
             candidates.append(_candidate(omega, diag.mu, problem, best))
     candidates.sort(key=lambda c: (c.epsilon, c.omega_scan, c.mu))
     return candidates, cells
+
+
+def _row_objective(problem: PinProblem, beat: np.ndarray):
+    """`PinProblem.objective_pin` of every restart of a row as a
+    `quasinewton.LaneEvaluator`, lane i at the beatnote row ``beat[i]``."""
+
+    def evaluate(points, lanes):
+        eps, gradient = problem.epsilon_parts_batch(points * problem.k_scale, beat[lanes])
+        return eps, lambda rows: gradient(rows)[0] * problem.k_scale
+
+    return evaluate
 
 
 def _cell_verdict(problem: PinProblem, omega, mu, axis, species: SpeciesConstants, space: SearchSpace):
@@ -885,6 +932,7 @@ def untweezed_baseline(
     _check_bounds("mu_range", mu_range, positive=True)
     if n_scan < 1:
         raise InvalidArgumentError(f"n_scan must be at least 1, got {n_scan}")
+    _check_pin_axes(pin_axes)
     axis = _drive_axis(drive_axis, pin_axes)
     if crystal is None:
         crystal = solve_equilibrium(trap, species, trap.n_ions)

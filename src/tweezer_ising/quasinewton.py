@@ -1,4 +1,4 @@
-"""Box-constrained limited-memory quasi-Newton minimizer.
+"""Box-constrained limited-memory quasi-Newton minimizer over arrays of lanes.
 
 Projected-gradient L-BFGS with a monotone backtracking (Armijo) line
 search.  Objectives may return +inf to mark forbidden regions (resonance
@@ -6,40 +6,49 @@ guard bands, unstable spectra); the line search treats such points as
 rejected trials and halves the step, so iterates never settle in a
 forbidden region.
 
-An objective gives its value now and its gradient on demand: it returns
-``(f, grad)``, where ``grad()`` computes the gradient at the same point.
-The minimizer asks for the gradient of the start point once and then only
-for the trial the line search accepts, so a rejected or +inf trial costs
-one value and nothing more.
+`minimize_lockstep` runs K minimizations of one dimension P, the lanes,
+together.  Its state is arrays: iterates, gradients and search
+directions are (K, P) and the curvature memory is (K, m, P), newest pair
+first, with each lane's own pair count, scale γ, iteration count and
+step length.  A round evaluates one line-search trial per running lane
+with one ``evaluate`` call; the Armijo and curvature tests, the projected
+gradient, the two-loop recursion, the descent check and the next trials
+then run stacked over the lanes.  Every reduction is a per-row dot
+product (`np.vecdot`), which gives the bits of the 1-D `ndarray.dot` a
+lone run takes on the pinned numpy and BLAS (`tests/test_bit_pins.py`),
+so each lane walks the path it would walk alone.  A lane whose memory is
+not yet full takes part only in the steps of the recursion it has pairs
+for: nothing is zero-padded, as padding can flip a signed zero.
 
-The minimizer, `minimize_box_steps`, is a lane of `lanes.run_lanes`: it
-requests each point it wants evaluated (the start point, then every
-line-search trial), receives ``(f, grad)`` for it, and returns the
-`MinimizeResult`.  It never calls an objective itself, so its caller
-decides how points are evaluated: `minimize_lockstep` serves many runs
-together with one batched evaluation per round, and `minimize_box` is its
-one-lane call.  Each run walks the same path either way, and ``n_eval``
-counts every point it requested.
+An evaluator gives values now and gradients on demand (`LaneEvaluator`):
+the minimizer asks for the gradients of the start points once, then in
+each round only for the trials the line search accepted, so a rejected
+or +inf trial costs one value and nothing more.  `minimize_box` is the
+one-lane call, for an `Objective`.  ``n_eval`` counts every point a lane
+had evaluated.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .lanes import run_lanes
 
 #: ``objective(x) -> (f, grad)``: the value at x now, and a zero-argument
 #: callable that returns the gradient at x when the minimizer needs it
 Objective = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
-#: ``evaluate(points, active) -> [(f, grad), ...]``: an `Objective` over the
-#: pending points of the lanes ``active`` of `minimize_lockstep`, one pair per point
-LaneEvaluator = Callable[[list, list], Sequence[tuple[float, Callable[[], np.ndarray]]]]
+#: ``evaluate(points, lanes) -> (f, gradient)``: the values at the (k, P)
+#: trial points of the running ``lanes`` (their indices, ascending), +inf
+#: where forbidden, and ``gradient(rows)``, the (len(rows), P) gradients at
+#: ``points[rows]``
+LaneEvaluator = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
+
+#: the Armijo constant and the most trials one line search evaluates
+C1 = 1e-4
+MAX_HALVINGS = 60
 
 
 @dataclass
@@ -70,21 +79,20 @@ def minimize_box(
     below 1, a negative tolerance, or a start point where the objective is
     not finite.
     """
-    steps = minimize_box_steps(x0, lower, upper, memory, max_iter, tol_df, tol_grad)
-    return minimize_lockstep(lambda points, _: [objective(points[0])], [steps])[0]
+    x0 = np.asarray(x0, dtype=float)[None]
+    runs = minimize_lockstep(
+        lambda points, _: _one_lane(*objective(points[0])), x0, lower, upper, memory, max_iter, tol_df, tol_grad
+    )
+    return runs[0]
 
 
-def minimize_lockstep(evaluate: LaneEvaluator, lanes: Sequence[Generator]) -> list[MinimizeResult]:
-    """Run `minimize_box_steps` lanes together; one result per lane, in order.
-
-    Each round of `lanes.run_lanes` is one ``evaluate(points, active)`` call,
-    ``active`` listing the pending lanes in ascending order; the first lane
-    to raise (a bad control, or a start point that is not finite) raises.
-    """
-    return run_lanes(lanes, lambda pending: evaluate([x for _, x in pending], [i for i, _ in pending]))
+def _one_lane(f, grad):
+    """An `Objective`'s ``(f, grad)`` as a one-lane evaluator's answer."""
+    return np.array([f], dtype=float), lambda rows: grad()[None]
 
 
-def minimize_box_steps(
+def minimize_lockstep(
+    evaluate: LaneEvaluator,
     x0: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
@@ -92,69 +100,112 @@ def minimize_box_steps(
     max_iter: int = 2000,
     tol_df: float = 1e-10,
     tol_grad: float = 1e-8,
-) -> Generator[np.ndarray, tuple, MinimizeResult]:
-    """`minimize_box` as a generator: yields points, receives ``(f, grad)``.
+) -> list[MinimizeResult]:
+    """Minimize K lanes together; one result per lane, in lane order.
 
-    See the module docstring for the protocol.  Its arguments are checked
-    when the first point is asked for.
+    Lane k starts at ``x0[k]`` of the (K, P) ``x0`` and stays within the
+    bounds, which broadcast to (K, P).  Each round is one
+    ``evaluate(points, lanes)`` call (see `LaneEvaluator`), and each lane
+    gets the result a lone `minimize_box` run gives it.  Raises
+    InvalidArgumentError before any round for reversed bounds in any lane,
+    ``memory`` or ``max_iter`` below 1 or a negative tolerance, and after
+    the first round if any start point's value is not finite.  No lanes
+    means no round.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    lower = np.broadcast_to(np.asarray(lower, dtype=float), x0.shape)
+    upper = np.broadcast_to(np.asarray(upper, dtype=float), x0.shape)
     if np.any(lower > upper):
         raise InvalidArgumentError("lower bound exceeds upper bound")
     if memory < 1 or max_iter < 1:
         raise InvalidArgumentError(f"memory ({memory}) and max_iter ({max_iter}) must be at least 1")
     if not (tol_df >= 0.0 and tol_grad >= 0.0):
         raise InvalidArgumentError(f"tolerances must be nonnegative (tol_df={tol_df}, tol_grad={tol_grad})")
-    x = _project(np.asarray(x0, dtype=float), lower, upper)
-    f, grad = yield x
-    n_eval = 1
-    if not math.isfinite(f):
+    count, p = x0.shape
+    if count == 0:
+        return []
+    everyone = np.arange(count)
+    x = _project(x0, lower, upper)
+    f, gradient = evaluate(x, everyone)
+    if not np.isfinite(f).all():
         raise InvalidArgumentError("objective is not finite at the starting point")
-    g = grad()
-    del grad  # a batched evaluation's thunk holds the whole batch
-    history = [f]
-    pairs: deque = deque(maxlen=memory)  # curvature pairs (s, y, 1/(s·y)), oldest first
-    gamma = 1.0  # (s·y)/(y·y) of the newest pair: the initial inverse-Hessian scale
+    # the state is updated in place, so it holds copies of what the evaluator saw and gave
+    st = _Lanes(
+        ids=everyone, x=x.copy(), f=np.array(f, dtype=float), g=np.array(gradient(everyone), dtype=float),
+        lower=lower, upper=upper,
+        pg=np.zeros_like(x), d=np.zeros_like(x), alpha=np.ones(count), halvings=np.zeros(count, int),
+        retried=np.zeros(count, bool), it=np.ones(count, int), n_eval=np.ones(count, int),
+        s=np.zeros((count, memory, p)), y=np.zeros((count, memory, p)), rho=np.zeros((count, memory)),
+        pairs=np.zeros(count, int), gamma=np.ones(count), stop=np.zeros(count, bool),
+        converged=np.zeros(count, bool),
+    )
+    del gradient  # a batched evaluation's gradient holds the whole batch
+    history = [[value] for value in st.f.tolist()]
+    # each lane's result, written when it stops
+    out = _Lanes(x=np.empty_like(x), f=np.empty(count), g=np.empty_like(x), it=np.empty(count, int),
+                 n_eval=np.empty(count, int), converged=np.empty(count, bool))
+    _begin(st, everyone, tol_grad)
+    while True:
+        t = _trials(st)
+        if st.stop.any():
+            t = t[~st.stop]
+            _retire(st, out)
+            if not st.ids.size:
+                break
+        f_t, gradient = evaluate(t, st.ids)
+        st.n_eval += 1
+        # every lane halves its step; `_begin` starts the accepted ones afresh
+        st.alpha *= 0.5
+        st.halvings += 1
 
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        pg = _projected_gradient(x, g, lower, upper)
-        if np.abs(pg).max() < tol_grad:
-            converged = True
-            break
-        d = -_two_loop(pg, pairs, gamma)
-        if d.dot(pg) > -1e-12 * (_norm(d) * _norm(pg) + 1e-300):
-            d = -pg  # stale curvature; fall back to steepest descent
+        step = t - st.x
+        slope = np.vecdot(st.g, step)
+        sufficient = np.where(slope < 0, st.f + C1 * slope, np.nextafter(st.f, -np.inf))
+        accepted = np.isfinite(f_t) & (f_t <= sufficient)
+        acc = accepted.nonzero()[0]
+        if acc.size:
+            rows = _rows(acc, st)
+            f_new, g_new = f_t[rows], gradient(acc)
+            _remember(st, acc, step[rows], g_new - st.g[rows], memory)
+            df = st.f[rows] - f_new
+            st.x[rows], st.f[rows], st.g[rows] = t[rows], f_new, g_new
+            for lane, value in zip(st.ids[rows].tolist(), f_new.tolist()):
+                history[lane].append(value)
+            done = df < tol_df
+            ended = done | (st.it[rows] == max_iter)
+            if ended.any():
+                st.stop[acc[ended]] = True
+                st.converged[acc[done]] = True
+                acc = acc[~ended]
+            st.it[acc] += 1
+            _begin(st, acc, tol_grad)
+        del gradient
+        _fall_back(st, (~accepted & (st.halvings == MAX_HALVINGS)).nonzero()[0])
 
-        step, evals = yield from _backtrack(x, f, g, d, lower, upper)
-        n_eval += evals
-        if step is None and not (d == -pg).all():
-            d = -pg
-            step, evals = yield from _backtrack(x, f, g, d, lower, upper)
-            n_eval += evals
-        if step is None:
-            break  # no acceptable step along the projected gradient either
-        x_new, f_new, g_new = step
-        s = x_new - x
-        y = g_new - g
-        sy = float(s.dot(y))
-        if sy > 1e-10 * _norm(s) * _norm(y):
-            pairs.append((s, y, 1.0 / sy))
-            gamma = sy / float(y.dot(y))
-        df = f - f_new
-        x, f, g = x_new, f_new, g_new
-        history.append(f)
-        if df < tol_df:
-            converged = True
-            break
-    return MinimizeResult(x, f, g, it, n_eval, converged, history)
+    return [
+        MinimizeResult(np.array(x_k), f_k, np.array(g_k), it_k, n_eval_k, converged_k, history_k)
+        for x_k, f_k, g_k, it_k, n_eval_k, converged_k, history_k in zip(
+            out.x, out.f.tolist(), out.g, out.it.tolist(), out.n_eval.tolist(), out.converged.tolist(), history
+        )
+    ]
 
 
-def _norm(v):
-    """np.linalg.norm of a 1-D float vector, without its dispatch: sqrt(v·v)."""
-    return math.sqrt(v.dot(v))
+class _Lanes:
+    """Arrays with one row per lane, held as attributes."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def keep(self, rows):
+        """Keep the given rows of every array, in order."""
+        for name in list(self.__dict__):
+            setattr(self, name, getattr(self, name)[rows])
+
+
+def _rows(index, st):
+    """``index`` of the running lanes, as a basic slice when it is all of
+    them: a view, not a copy."""
+    return slice(None) if index.size == st.ids.size else index
 
 
 def _project(x, lower, upper):
@@ -162,49 +213,98 @@ def _project(x, lower, upper):
     return np.minimum(np.maximum(x, lower), upper)
 
 
-def _projected_gradient(x, g, lower, upper):
+def _begin(st, index, tol_grad):
+    """Start an iteration in lanes ``index``: stop those whose projected
+    gradient has converged, give the rest a direction and a unit step."""
+    if not index.size:
+        return
+    rows = _rows(index, st)
+    x, g = st.x[rows], st.g[rows]
     pg = g.copy()
-    pg[(x <= lower) & (g > 0)] = 0.0
-    pg[(x >= upper) & (g < 0)] = 0.0
-    return pg
+    pg[(x <= st.lower[rows]) & (g > 0)] = 0.0
+    pg[(x >= st.upper[rows]) & (g < 0)] = 0.0
+    done = np.abs(pg).max(1) < tol_grad
+    if done.any():
+        st.stop[index[done]] = st.converged[index[done]] = True
+        index, pg = index[~done], pg[~done]
+        if not index.size:
+            return
+        rows = index
+    d = -_two_loop_rows(pg, st.s[rows], st.y[rows], st.rho[rows], st.pairs[rows], st.gamma[rows])
+    norms = np.sqrt(np.vecdot(d, d)) * np.sqrt(np.vecdot(pg, pg))
+    stale = np.vecdot(d, pg) > -1e-12 * (norms + 1e-300)
+    if stale.any():
+        d[stale] = -pg[stale]  # stale curvature; fall back to steepest descent
+    st.pg[rows], st.d[rows] = pg, d
+    st.alpha[rows], st.halvings[rows], st.retried[rows] = 1.0, 0, False
 
 
-def _two_loop(q, pairs, gamma):
-    """The L-BFGS inverse-Hessian estimate applied to q (two-loop recursion)."""
-    if not pairs:
-        return q
+def _two_loop_rows(q, s, y, rho, pairs, gamma):
+    """The L-BFGS inverse-Hessian estimate applied to each row of q.
+
+    Row i holds ``pairs[i]`` curvature pairs ``(s, y, rho = 1/(s·y))``,
+    newest first, and the scale ``gamma[i]`` (1 with no pair).  Step j of
+    each loop writes only the rows with more than j pairs (``where``); the
+    others keep their bits, and their unused memory is never read into them.
+    """
     q = q.copy()
+    s, y, rho = s.transpose(1, 0, 2), y.transpose(1, 0, 2), rho.T[:, :, None]  # pair-major views
+    full = pairs.min()
+    live = [True if j < full else (pairs > j)[:, None] for j in range(pairs.max())]
     alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * s.dot(q)
+    for j, rows in enumerate(live):  # newest pair first
+        a = rho[j] * np.vecdot(s[j], q, keepdims=True)
+        np.subtract(q, a * y[j], out=q, where=rows)
         alphas.append(a)
-        q -= a * y
-    q *= gamma
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        q += (a - rho * y.dot(q)) * s
+    q *= gamma[:, None]
+    for j in reversed(range(len(live))):  # oldest pair first
+        np.add(q, (alphas[j] - rho[j] * np.vecdot(y[j], q, keepdims=True)) * s[j], out=q, where=live[j])
     return q
 
 
-def _backtrack(x, f, g, d, lower, upper, c1=1e-4, max_halvings=60):
-    """Halve the step until the Armijo condition holds; the gradient of the
-    accepted trial is the only one computed.
+def _remember(st, index, s, y, memory):
+    """Push the step s and gradient change y of lanes ``index`` as their
+    newest curvature pair where s·y is safely positive."""
+    sy, yy = np.vecdot(s, y), np.vecdot(y, y)
+    good = sy > 1e-10 * np.sqrt(np.vecdot(s, s)) * np.sqrt(yy)
+    rows = _rows(index, st)
+    if not good.all():
+        rows, s, y, sy, yy = index[good], s[good], y[good], sy[good], yy[good]
+    st.s[rows, 1:], st.y[rows, 1:], st.rho[rows, 1:] = st.s[rows, :-1], st.y[rows, :-1], st.rho[rows, :-1]
+    st.s[rows, 0], st.y[rows, 0], st.rho[rows, 0] = s, y, 1.0 / sy
+    st.pairs[rows] = np.minimum(st.pairs[rows] + 1, memory)
+    st.gamma[rows] = sy / yy
 
-    A generator over trial points; returns ``(step, evals)`` with ``step``
-    the accepted ``(x, f, g)`` or None.
-    """
-    alpha = 1.0
-    evals = 0
-    for _ in range(max_halvings):
-        x_t = _project(x + alpha * d, lower, upper)
-        if (x_t == x).all():
-            return None, evals
-        f_t, grad_t = yield x_t
-        evals += 1
-        if math.isfinite(f_t):
-            slope = g.dot(x_t - x)
-            sufficient = f + c1 * slope if slope < 0 else math.nextafter(f, -math.inf)
-            if f_t <= sufficient:
-                return (x_t, f_t, grad_t()), evals
-        alpha *= 0.5
-    return None, evals
 
+def _fall_back(st, rows):
+    """Lanes ``rows`` found no step: retry once along the projected
+    gradient unless they already searched along it; stop the others.
+    Returns the lanes that retry."""
+    if not rows.size:
+        return rows
+    retry = ~st.retried[rows] & ~(st.d[rows] == -st.pg[rows]).all(1)
+    st.stop[rows[~retry]] = True
+    rows = rows[retry]
+    st.d[rows] = -st.pg[rows]
+    st.alpha[rows], st.halvings[rows], st.retried[rows] = 1.0, 0, True
+    return rows
+
+
+def _trials(st):
+    """Every lane's next trial point; a lane whose trial does not move
+    falls back or stops, as a failed line search does."""
+    t = _project(st.x + st.alpha[:, None] * st.d, st.lower, st.upper)
+    still = ((t == st.x).all(1) & ~st.stop).nonzero()[0]
+    while still.size:
+        rows = _fall_back(st, still)
+        t[rows] = _project(st.x[rows] + st.alpha[rows, None] * st.d[rows], st.lower[rows], st.upper[rows])
+        still = rows[(t[rows] == st.x[rows]).all(1)]
+    return t
+
+
+def _retire(st, out):
+    """Write the stopped lanes' results to ``out`` and drop their rows."""
+    rows = st.stop.nonzero()[0]
+    for name, results in vars(out).items():
+        results[st.ids[rows]] = getattr(st, name)[rows]
+    st.keep(~st.stop)

@@ -1,0 +1,121 @@
+"""The stacked numpy forms the minimizer and the objective rely on give the
+bits of their one-lane forms.
+
+`quasinewton.minimize_lockstep` and `PinProblem.epsilon_parts_batch` run
+many lanes with one call each, and every stage-1 design depends on each
+lane getting the bits a lone run would give it.  That holds because, on
+the pinned numpy 2.4.6 with its OpenBLAS 0.3.31, each stacked form below
+reduces each row with the same kernel and in the same order as the lone
+form.  Nothing in numpy promises it, so these tests assert it: a numpy or
+BLAS change that breaks it fails here, by name, instead of moving ε
+silently.  They assert; they do not skip.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+SEED = 20261019
+
+
+def _rows(rng, count, p):
+    """count rows of length p, each at its own scale from 1e-30 to 1e5."""
+    scales = 10.0 ** rng.uniform(-30, 5, (count, 1))
+    return rng.standard_normal((count, p)) * scales
+
+
+def _same(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestRowDots:
+    """`np.vecdot` over rows against one `ndarray.dot` per row, as the
+    two-loop recursion, the descent, Armijo and curvature tests use it."""
+
+    @pytest.mark.parametrize("p", range(1, 80))
+    def test_contiguous_rows(self, p):
+        rng = np.random.default_rng([SEED, p])
+        a, b = _rows(rng, 24, p), _rows(rng, 24, p)
+        got = np.vecdot(a, b)
+        assert all(_same(got[i], a[i].dot(b[i])) for i in range(24))
+        kept = np.vecdot(a, b, keepdims=True)
+        assert kept.shape == (24, 1) and _same(kept[:, 0], got)
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 12, 19, 33, 57, 79])
+    def test_rows_of_a_curvature_memory(self, p):
+        # the recursion reads pair j of every lane from a (K, m, P) memory:
+        # rows with a stride of m * P between them
+        rng = np.random.default_rng([SEED, 100 + p])
+        memory = _rows(rng, 21 * 8, p).reshape(21, 8, p)
+        q = _rows(rng, 21, p)
+        pair_major = memory.transpose(1, 0, 2)
+        for j in range(8):
+            got = np.vecdot(pair_major[j], q, keepdims=True)[:, 0]
+            assert all(_same(got[i], memory[i, j].copy().dot(q[i])) for i in range(21))
+
+
+class TestLaneReductions:
+    """The objective's per-lane reductions, stacked."""
+
+    @pytest.mark.parametrize("n", [12, 19])
+    def test_flat_residual_norm(self, n):
+        # ε's norm: sqrt(r·r) over each lane's flat N² residual
+        rng = np.random.default_rng([SEED, n])
+        r = rng.standard_normal((84, n, n)) * 10.0 ** rng.uniform(-3, 3, (84, 1, 1))
+        flat = r.reshape(84, n * n)
+        got = np.sqrt(np.vecdot(flat, flat))
+        for i in range(84):
+            lone = math.sqrt(r[i].reshape(-1).dot(r[i].reshape(-1)))
+            assert _same(got[i], lone) and _same(got[i], np.linalg.norm(r[i]))
+
+    @pytest.mark.parametrize("n", [5, 12, 19, 24])
+    def test_flat_lane_sums(self, n):
+        # the gradient's (r * J).sum() and (G * dJ/dmu).sum() of each lane
+        rng = np.random.default_rng([SEED, 200 + n])
+        a = rng.standard_normal((84, n, n)) * 10.0 ** rng.uniform(-20, 5, (84, 1, 1))
+        got = a.reshape(84, -1).sum(1)
+        assert all(_same(got[i], a[i].sum()) for i in range(84))
+
+    @pytest.mark.parametrize("width", [1, 2, 6, 8, 9, 12, 16])
+    def test_orbit_sums(self, width):
+        # each orbit's sum of its per-row terms: `take` keeps the (lanes,
+        # orbits, width) result row-major, and each orbit sums in 1-D order
+        rng = np.random.default_rng([SEED, 300 + width])
+        per_row = rng.standard_normal((21, 57)) * 10.0 ** rng.uniform(-20, 5, (21, 57))
+        rows = np.stack([rng.permutation(57)[:width] for _ in range(3)])
+        got = per_row.take(rows, axis=1).sum(axis=2)
+        assert all(_same(got[i], per_row[i][rows].sum(axis=1)) for i in range(21))
+
+
+class TestStackedMatmuls:
+    """The batch's and the gradient's stacked matmuls against one lone call
+    per lane, for every lane count stage 1 reaches (up to 84)."""
+
+    @pytest.mark.parametrize("shape", [(12, 12), (19, 19), (12, 24), (19, 57)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_lane_counts(self, shape):
+        n, b = shape
+        rng = np.random.default_rng([SEED, n, b])
+        proj = rng.standard_normal((n, b))
+        for k in range(1, 85):
+            u = rng.standard_normal((k, b, b))
+            theta = 1.0 / rng.standard_normal((k, b))
+            g_mat = rng.standard_normal((k, n, n))
+            mu = rng.uniform(0.5, 2.0, k)
+            w = proj @ u
+            wt = w * theta[:, None, :]
+            j = wt @ w.transpose(0, 2, 1)
+            y = wt @ u.transpose(0, 2, 1)
+            z = g_mat.transpose(0, 2, 1) @ y
+            per_row = np.matmul(z.transpose(0, 2, 1).reshape(k, b, 1, n), y.transpose(0, 2, 1).reshape(k, b, n, 1))
+            dtheta = (-2.0 * mu)[:, None] * theta**2
+            dj = (w * dtheta[:, None, :]) @ w.transpose(0, 2, 1)
+            for i in range(k):
+                w_i = proj @ u[i]
+                y_i = wt[i] @ u[i].T
+                z_i = g_mat[i].T @ y_i
+                assert _same(w[i], w_i)
+                assert _same(j[i], wt[i] @ w[i].T)
+                assert _same(y[i], y_i) and _same(z[i], z_i)
+                assert _same(per_row[i], np.matmul(z_i.T.reshape(b, 1, n), y_i.T.reshape(b, n, 1)))
+                assert _same(dj[i], (w[i] * (-2.0 * float(mu[i]) * theta[i] ** 2)) @ w[i].T)

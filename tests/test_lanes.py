@@ -1,4 +1,4 @@
-"""`lanes.run_lanes`, the one round loop every lockstep driver runs on."""
+"""`lanes.run_lanes`, the round loop of the equilibrium lanes."""
 
 import inspect
 

@@ -16,6 +16,7 @@ from tweezer_ising.errors import InvalidArgumentError, UndefinedNormalizationErr
 from tweezer_ising import optimizer
 from tweezer_ising.optimizer import (
     PinProblem,
+    beatnote_columns,
     default_drive_axis,
     stage1_geometry,
     stage1_search,
@@ -98,7 +99,7 @@ def _ladder12(species):
 
 def _fd_check(problem, k, mu, h_rel):
     """Analytic grad_k and grad_mu against central differences."""
-    grad_k, grad_mu = problem.epsilon_parts(k, mu)[1]()
+    grad_k, grad_mu = problem.epsilon_parts(k, mu, with_mu=True)[1]()
     h = h_rel * problem.k_scale
     for i in range(k.size):
         d = np.zeros(k.size)
@@ -206,7 +207,7 @@ def _reference_parts(problem, k_params, mu, need_grad):
 
 def _parts(problem, k_params, mu, need_grad):
     """`epsilon_parts` in `_reference_parts`' form; the gradient only if asked for."""
-    parts = problem.epsilon_parts(k_params, mu)
+    parts = problem.epsilon_parts(k_params, mu, with_mu=True)
     if parts is None:
         return None
     eps, gradient = parts
@@ -338,10 +339,12 @@ def _pow_square_differs(rng, lo, hi, count):
 
 
 class TestBatchBitIdentity:
-    """Each lane of `epsilon_parts_batch` has the bits of a lone `epsilon_parts`.
+    """Each lane of `epsilon_parts_batch` has the bits of a lone `epsilon_parts`
+    and of the kernel's first formula.
 
-    Stage 1 evaluates the restarts of a trap-frequency row as one stack, so
-    its designs depend on this.  Lanes mix beatnotes, good points with
+    Stage 1 evaluates the restarts of a trap-frequency row as one stack,
+    with one stacked norm and one stacked gradient, so its designs depend
+    on this.  Lanes mix beatnotes, good points with
     unstable, resonant and J = 0 ones (μ = ∞ makes every resolvent
     weight 0), and beatnotes whose scalar square differs from the array
     square: the batch squares each lane's μ as a scalar, as a lone call does.
@@ -386,11 +389,25 @@ class TestBatchBitIdentity:
                     kind[:5] = kinds
                 lanes = [lane(one) for one in kind]
                 k_stack = np.stack([k for k, _ in lanes])
-                got = problem.epsilon_parts_batch(k_stack, [mu for _, mu in lanes])
-                assert len(got) == count
-                for one, (k, mu), parts in zip(kind, lanes, got):
-                    want = _parts(problem, k, mu, True)
-                    _assert_same_bits(None if parts is None else (parts[0], *parts[1]()), want)
+                beat = beatnote_columns([mu for _, mu in lanes])
+                eps, gradient = problem.epsilon_parts_batch(k_stack, beat, with_mu=True)
+                assert eps.shape == (count,)
+                graded = np.flatnonzero(eps != np.inf)
+                if graded.size:
+                    # one stacked gradient for every lane with an ε; a subset
+                    # and the pinning-only gradient give those lanes' bits too
+                    grad_k, grad_mu = gradient(graded)
+                    half_k, half_mu = gradient(graded[::2])
+                    assert half_k.tobytes() == grad_k[::2].tobytes()
+                    assert half_mu.tobytes() == grad_mu[::2].tobytes()
+                    pin_k, no_mu = problem.epsilon_parts_batch(k_stack, beat)[1](graded)
+                    assert no_mu is None and pin_k.tobytes() == grad_k.tobytes()
+                row = dict(zip(graded.tolist(), range(graded.size)))
+                for i, (one, (k, mu)) in enumerate(zip(kind, lanes)):
+                    want = _reference_parts(problem, k, mu, True)
+                    _assert_same_bits(_parts(problem, k, mu, True), want)
+                    got = None if i not in row else (eps[i], grad_k[row[i]], grad_mu[row[i]])
+                    _assert_same_bits(got, want)
                     verdicts["none" if want is None else "value"] += 1
                     verdicts["odd_mu value"] += one == "odd_mu" and want is not None
         assert verdicts["none"] >= 15 and verdicts["value"] >= 30 and verdicts["odd_mu value"] >= 10
@@ -400,8 +417,8 @@ class TestBatchBitIdentity:
         problem = PinProblem(chain5, t, "y", ("y",))
         k = np.full(5, (0.1 * MHZ) ** 2)
         assert problem.epsilon_parts(k, np.inf) is None
-        got = problem.epsilon_parts_batch(np.stack([k, k]), [np.inf, 0.68 * MHZ])
-        assert got[0] is None and got[1] is not None
+        eps, _ = problem.epsilon_parts_batch(np.stack([k, k]), beatnote_columns([np.inf, 0.68 * MHZ]))
+        assert eps[0] == np.inf and np.isfinite(eps[1])
 
 
 class TestStage1:
@@ -707,3 +724,27 @@ class TestUntweezedBaseline:
         trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=5)
         with pytest.raises(InvalidArgumentError, match="mu_range"):
             optimizer.untweezed_baseline(TargetSpec("nearest_neighbor", "chain"), trap, YB171, mu_range, n_scan=20)
+
+    @pytest.mark.parametrize("drive_axis", [None, "y"], ids=["default_drive", "explicit_drive"])
+    def test_rejects_unknown_pin_axis_before_solving(self, drive_axis, monkeypatch):
+        # with an explicit drive axis this used to solve the crystal and then
+        # raise a bare KeyError: 'q' from PinProblem
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved an equilibrium for an unknown pinning axis")
+
+        monkeypatch.setattr(optimizer, "solve_equilibrium", no_solve)
+        trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=5)
+        with pytest.raises(InvalidArgumentError, match="unknown pin axis 'q'"):
+            optimizer.untweezed_baseline(
+                TargetSpec("nearest_neighbor", "chain"), trap, YB171, (0.6 * MHZ, 0.75 * MHZ),
+                drive_axis=drive_axis, pin_axes=("q",), n_scan=20,
+            )
+
+    def test_pin_problem_rejects_unknown_pin_axis_first(self, chain5, monkeypatch):
+        def no_hessian(*args, **kwargs):
+            raise AssertionError("built a Hessian for an unknown pinning axis")
+
+        t = build_target(TargetSpec("nearest_neighbor", "chain"), chain5)
+        monkeypatch.setattr(optimizer, "mass_scaled_hessian", no_hessian)
+        with pytest.raises(InvalidArgumentError, match="unknown pin axis 'q'"):
+            PinProblem(chain5, t, "y", ("y", "q"))

@@ -1,4 +1,3 @@
-import inspect
 import math
 from collections import deque
 
@@ -9,7 +8,8 @@ from tweezer_ising import TargetSpec, TrapConfig, solve_equilibrium, symmetry_or
 from tweezer_ising.crystal import IonCrystal, make_lattice
 from tweezer_ising.errors import InvalidArgumentError
 from tweezer_ising.optimizer import PinProblem
-from tweezer_ising.quasinewton import MinimizeResult, minimize_box, minimize_box_steps, minimize_lockstep
+from tweezer_ising import quasinewton
+from tweezer_ising.quasinewton import MinimizeResult, minimize_box, minimize_lockstep
 from tweezer_ising.targets import build_target
 
 from conftest import MHZ
@@ -408,74 +408,227 @@ def _per_lane(objectives, log=None):
     """A `minimize_lockstep` evaluator that calls lane i's own objective;
     ``log`` collects each round's lanes and values."""
 
-    def evaluate(points, active):
-        values = [objectives[i](x) for i, x in zip(active, points)]
+    def evaluate(points, lanes):
+        values = [objectives[i](x) for i, x in zip(lanes.tolist(), points)]
+        f = np.array([v for v, _ in values], dtype=float)
         if log is not None:
-            log.append((list(active), [f for f, _ in values]))
-        return values
+            log.append((lanes.tolist(), f.tolist()))
+        return f, lambda rows: np.array([values[r][1]() for r in rows.tolist()])
 
     return evaluate
 
 
+def _lockstep(runs, log=None, **controls):
+    """`minimize_lockstep` over runs ``(objective, x0, lower, upper)`` of one dimension."""
+    objectives, x0, lower, upper = zip(*runs)
+    return minimize_lockstep(_per_lane(objectives, log), np.stack(x0), np.stack(lower), np.stack(upper), **controls)
+
+
+def _assert_lanes_match_oracle(runs, got, **controls):
+    assert len(got) == len(runs)
+    for (objective, x0, lower, upper), res in zip(runs, got):
+        _assert_same_run(res, _oracle_run(objective, x0, lower, upper, **controls))
+
+
+class _Detour:
+    """Rosenbrock with a detour at ``base``, a point of the lane's path.
+
+    After the run has evaluated ``base``, every point off the
+    steepest-descent ray from it is +inf until a point on the ray meets the
+    Armijo condition: the quasi-Newton search from ``base`` fails, and the
+    lane must fall back to the projected gradient (no bound is active on
+    this path).  The detour follows the points evaluated, which the eager
+    oracle and the minimizer share.
+    """
+
+    def __init__(self, base):
+        self.f_base, grad = rosenbrock(base)
+        self.base, self.g_base = base, grad()
+        self.state, self.infs = "before", 0
+
+    def __call__(self, x):
+        f, grad = rosenbrock(x)
+        if self.state == "before" and np.array_equal(x, self.base):
+            self.state = "detour"
+        elif self.state == "detour":
+            v = x - self.base
+            if not v @ -self.g_base > (1.0 - 1e-9) * np.linalg.norm(v) * np.linalg.norm(self.g_base):
+                self.infs += 1
+                return np.inf, lambda: np.zeros_like(x)
+            if f <= self.f_base + 1e-4 * (self.g_base @ v):
+                self.state = "after"
+        return f, grad
+
+
+def _graded_points(objective, x0, lower, upper):
+    """The points a lone run asked gradients for: its start and accepted points."""
+    points = []
+
+    def recording(x):
+        f, grad = objective(x)
+
+        def graded():
+            points.append(x.copy())
+            return grad()
+
+        return f, graded
+
+    minimize_box(recording, x0, lower, upper)
+    return points
+
+
 class TestLockstep:
-    """`minimize_lockstep` gives each lane the result of a lone `minimize_box`."""
+    """Each lane of `minimize_lockstep` gets the eager oracle's run, bit for
+    bit: the point, value, gradient, counts and history."""
 
     def test_lanes_finish_in_different_rounds(self):
-        runs = _analytic_runs() + [
-            (rosenbrock, np.array([0.5, 2.0]), np.full(2, -5.0), np.full(2, 5.0)),
-            (quadratic([0.3, 0.1, -0.2], [2.0, 1.0, 5.0]), np.zeros(3), np.full(3, -1.0), np.full(3, 1.0)),
-        ]
+        runs = _analytic_runs() + [(rosenbrock, np.array([0.5, 2.0]), np.full(2, -5.0), np.full(2, 5.0))]
         log = []
-        lanes = [minimize_box_steps(x0, lo, hi) for _, x0, lo, hi in runs]
-        got = minimize_lockstep(_per_lane([run[0] for run in runs], log), lanes)
-        for (objective, x0, lo, hi), res in zip(runs, got):
-            _assert_same_run(res, minimize_box(objective, x0, lo, hi))
-        rounds = [len(active) for active, _ in log]
+        got = _lockstep(runs, log)
+        _assert_lanes_match_oracle(runs, got)
+        rounds = [len(lanes) for lanes, _ in log]
         assert rounds[0] == len(runs) and rounds[-1] < len(runs)
         assert len({res.n_eval for res in got}) > 1
         # one evaluation per lane per round, and each lane's rounds are its evaluations
         assert sum(rounds) == sum(res.n_eval for res in got)
 
+    def test_each_dimension_is_its_own_call(self):
+        # lanes of one call share P: 3-D lanes run beside each other, not beside 2-D ones
+        runs = [
+            (quadratic([0.3, 0.1, -0.2], [2.0, 1.0, 5.0]), np.zeros(3), np.full(3, -1.0), np.full(3, 1.0)),
+            (quadratic([1.0, -2.0, 0.5], [1.0, 10.0, 0.1]), np.zeros(3), np.full(3, -10.0), np.full(3, 10.0)),
+        ]
+        _assert_lanes_match_oracle(runs, _lockstep(runs))
+
     def test_single_lane(self):
-        x0, lo, hi = np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0)
-        (got,) = minimize_lockstep(_per_lane([rosenbrock]), [minimize_box_steps(x0, lo, hi)])
-        _assert_same_run(got, minimize_box(rosenbrock, x0, lo, hi))
+        runs = [(rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0))]
+        _assert_lanes_match_oracle(runs, _lockstep(runs))
 
     def test_no_lanes(self):
-        def evaluate(points, active):
+        def evaluate(points, lanes):
             raise AssertionError("no lane, no round")
 
-        assert minimize_lockstep(evaluate, []) == []
+        assert minimize_lockstep(evaluate, np.zeros((0, 2)), np.zeros(2), np.ones(2)) == []
 
     def test_round_where_every_lane_is_inf(self):
         # each start's first full step lands past the barrier at x0 = 0.6
         starts = [np.array([0.0, 1.0]), np.array([0.2, -0.5]), np.array([-0.4, 0.3])]
-        lo, hi = np.full(2, -2.0), np.full(2, 2.0)
+        runs = [(barrier, x0, np.full(2, -2.0), np.full(2, 2.0)) for x0 in starts]
         log = []
-        lanes = [minimize_box_steps(x0, lo, hi) for x0 in starts]
-        got = minimize_lockstep(_per_lane([barrier] * len(starts), log), lanes)
+        got = _lockstep(runs, log)
         assert log[1] == ([0, 1, 2], [np.inf] * 3)
-        for x0, res in zip(starts, got):
-            _assert_same_run(res, minimize_box(barrier, x0, lo, hi))
+        _assert_lanes_match_oracle(runs, got)
 
     def test_first_nonfinite_start_raises(self):
-        # lanes 1 and 3 start in the barrier; lane 1 raises, as it would
-        # first if the lanes ran one after another, and lane 3 never does
+        # lanes 1 and 3 start in the barrier: the start round raises, and no
+        # second round runs
         starts = [np.array([0.0, 1.0]), np.array([0.7, 0.0]), np.array([0.1, 0.0]), np.array([0.9, 0.0])]
-        lo, hi = np.full(2, -2.0), np.full(2, 2.0)
-        lanes = [minimize_box_steps(x0, lo, hi) for x0 in starts]
+        runs = [(barrier, x0, np.full(2, -2.0), np.full(2, 2.0)) for x0 in starts]
+        log = []
         with pytest.raises(InvalidArgumentError, match="not finite at the starting point"):
-            minimize_lockstep(_per_lane([barrier] * len(starts)), lanes)
-        states = [inspect.getgeneratorstate(lane) for lane in lanes]
-        assert states == [inspect.GEN_SUSPENDED, inspect.GEN_CLOSED, inspect.GEN_SUSPENDED, inspect.GEN_SUSPENDED]
+            _lockstep(runs, log)
+        assert [lanes for lanes, _ in log] == [[0, 1, 2, 3]]
         with pytest.raises(InvalidArgumentError, match="not finite at the starting point"):
-            minimize_box(barrier, starts[1], lo, hi)
+            minimize_box(barrier, starts[1], np.full(2, -2.0), np.full(2, 2.0))
 
     def test_bad_controls_raise_before_any_round(self):
-        def evaluate(points, active):
+        def evaluate(points, lanes):
             raise AssertionError("no round runs")
 
-        lanes = [minimize_box_steps(np.zeros(2), np.zeros(2), np.ones(2)),
-                 minimize_box_steps(np.zeros(2), np.ones(2), np.zeros(2))]
+        lower, upper = np.zeros((2, 2)), np.ones((2, 2))
+        for controls in ({"memory": 0}, {"max_iter": 0}, {"tol_df": -1.0}, {"tol_grad": float("nan")}):
+            with pytest.raises(InvalidArgumentError):
+                minimize_lockstep(evaluate, np.zeros((2, 2)), lower, upper, **controls)
+        lower[1], upper[1] = 1.0, 0.0  # lane 1's bounds are reversed
         with pytest.raises(InvalidArgumentError, match="lower bound exceeds upper bound"):
-            minimize_lockstep(evaluate, lanes)
+            minimize_lockstep(evaluate, np.zeros((2, 2)), lower, upper)
+
+    def test_memory_fills_in_different_rounds(self, monkeypatch):
+        # starts whose first steps take different numbers of halvings
+        runs = [
+            (rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0)),
+            (quadratic([1.0, -2.0], [1e4, 1.0]), np.array([0.5, 0.5]), np.full(2, -5.0), np.full(2, 5.0)),
+            (rosenbrock, np.array([-3.0, -3.0]), np.full(2, -5.0), np.full(2, 5.0)),
+            (rosenbrock, np.array([4.0, -4.0]), np.full(2, -5.0), np.full(2, 5.0)),
+        ]
+        counts = []
+        two_loop = quasinewton._two_loop_rows
+
+        def recording(q, s, y, rho, pairs, gamma):
+            counts.append(pairs.tolist())
+            return two_loop(q, s, y, rho, pairs, gamma)
+
+        monkeypatch.setattr(quasinewton, "_two_loop_rows", recording)
+        got = _lockstep(runs, memory=3)
+        _assert_lanes_match_oracle(runs, got, memory=3)
+        # rounds where a full memory ran beside a filling one, and where every memory was full
+        assert any(max(c) == 3 and min(c) < 3 for c in counts)
+        assert any(min(c) == 3 and len(c) > 1 for c in counts)
+
+    def test_partial_memories_keep_every_bit(self):
+        # the recursion over lanes with 0, 1, 2 and 3 of 3 pairs against each
+        # lane's own recursion; -0.0 entries would turn +0.0 if a lane took
+        # part in a step it has no pair for
+        rng = np.random.default_rng(5)
+        counts, p = [0, 1, 2, 3], 4
+        s, y = rng.standard_normal((4, 3, p)), rng.standard_normal((4, 3, p))
+        q = rng.standard_normal((4, p))
+        q[:, ::2] = -0.0
+        rho, gamma = np.zeros((4, 3)), np.ones(4)
+        for lane, count in enumerate(counts):
+            s[lane, count:] = y[lane, count:] = 0.0
+            rho[lane, :count] = 1.0 / np.vecdot(s[lane, :count], y[lane, :count])
+            if count:
+                gamma[lane] = s[lane, 0] @ y[lane, 0] / (y[lane, 0] @ y[lane, 0])
+        got = quasinewton._two_loop_rows(q, s, y, rho, np.array(counts), gamma)
+        for lane, count in enumerate(counts):
+            # the oracle's memories run oldest first
+            pairs = [deque(m[lane, :count][::-1]) for m in (s, y, rho)]
+            assert got[lane].tobytes() == _oracle_two_loop(q[lane], *pairs).tobytes()
+        assert np.signbit(got[0, ::2]).all()
+
+    def test_lane_falls_back_to_projected_gradient(self):
+        lo, hi = np.full(2, -5.0), np.full(2, 5.0)
+        starts = [np.array([-1.2, 1.0]), np.array([0.5, 2.0])]
+        # detours at the third and fifth accepted points of the lone runs
+        bases = [_graded_points(rosenbrock, starts[0], lo, hi)[3], _graded_points(rosenbrock, starts[1], lo, hi)[5]]
+        detours = [_Detour(base) for base in bases]
+        runs = [(detours[0], starts[0], lo, hi), (rosenbrock, starts[1], lo, hi), (detours[1], starts[1], lo, hi)]
+        got = _lockstep(runs)
+        for detour, res in zip(detours, (got[0], got[2])):
+            # the quasi-Newton search failed, the steepest-descent retry found
+            # a step, and the lane went on
+            assert detour.infs > 0 and detour.state == "after"
+            assert res.n_iter > 6
+        oracle_runs = [(_Detour(bases[0]), starts[0], lo, hi), runs[1], (_Detour(bases[1]), starts[1], lo, hi)]
+        _assert_lanes_match_oracle(oracle_runs, got)
+        assert got[2].history != got[1].history  # the same start without the detour
+
+    def test_lane_stopped_by_max_iter(self):
+        runs = [
+            (rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0)),
+            (quadratic([1.0, -2.0], [1.0, 1.0]), np.array([0.5, 0.5]), np.full(2, -5.0), np.full(2, 5.0)),
+        ]
+        got = _lockstep(runs, max_iter=5)
+        _assert_lanes_match_oracle(runs, got, max_iter=5)
+        assert (got[0].n_iter, got[0].converged) == (5, False)
+        assert got[1].converged and got[1].n_iter < 5
+
+    def test_lane_resting_on_a_bound_face(self):
+        # the second lane's optimum (1, -2) lies below its box's face x1 = 0
+        runs = [
+            (rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0)),
+            (quadratic([1.0, -2.0], [1.0, 1.0]), np.array([0.5, 0.5]), np.array([-5.0, 0.0]), np.full(2, 5.0)),
+            (quadratic([0.5, 3.0], [2.0, 1.0]), np.array([0.0, 0.0]), np.full(2, -1.0), np.full(2, 1.0)),
+        ]
+        got = _lockstep(runs)
+        _assert_lanes_match_oracle(runs, got)
+        assert got[1].x[1] == 0.0 and got[2].x[1] == 1.0
+        assert got[1].converged and got[2].converged
+
+    @pytest.mark.parametrize("case", ["chain5_per_ion", "triangle19_c6"])
+    def test_pin_problem_lanes(self, species, case):
+        objective, lower, upper = _pin_case(case, species)
+        starts = _pin_starts(objective, lower, upper)
+        runs = [(objective, x0, lower, upper) for x0 in starts]
+        _assert_lanes_match_oracle(runs, _lockstep(runs))
