@@ -14,7 +14,7 @@ g^2 hbar k^2 / 2M; the normalized error metric is unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,10 +28,11 @@ from .modes import (
     ModeSpectrum,
     axis_vector,
     euclidean_norm,
+    full_projections,
+    full_spectra,
     lamb_dicke,
     mass_scaled_hessian,
     mode_projections,
-    mode_spectrum,
 )
 
 if TYPE_CHECKING:
@@ -88,13 +89,19 @@ class CouplingMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError("coupling matrix must be square")
-        m = 0.5 * (m + m.T)
-        m.reshape(-1)[:: m.shape[0] + 1] = 0.0
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _symmetric_zero_diagonal(m))
 
     @property
     def n_ions(self) -> int:
         return self.matrix.shape[0]
+
+
+def _symmetric_zero_diagonal(m: np.ndarray) -> np.ndarray:
+    """0.5 (m + m^T) with its diagonal zeroed, of one matrix or a stack."""
+    m = 0.5 * (m + m.swapaxes(-1, -2))
+    diagonal = np.arange(m.shape[-1])
+    m[..., diagonal, diagonal] = 0.0
+    return m
 
 
 def _as_matrix(j: Union[CouplingMatrix, np.ndarray]) -> np.ndarray:
@@ -103,16 +110,23 @@ def _as_matrix(j: Union[CouplingMatrix, np.ndarray]) -> np.ndarray:
 
 
 def check_resonance(spectrum: ModeSpectrum, drive: DriveConfig) -> None:
-    mask = drive.mask_for(spectrum)
+    err = _resonance(drive, spectrum.frequencies, drive.mask_for(spectrum))
+    if err is not None:
+        raise err
+
+
+def _resonance(drive: DriveConfig, frequencies: np.ndarray, mask: np.ndarray) -> Optional[ResonanceError]:
+    """The ResonanceError of a beatnote within the guard of a masked mode, or None."""
     if not np.any(mask):
-        return
-    gap = np.abs(drive.mu - spectrum.frequencies[mask])
+        return None
+    gap = np.abs(drive.mu - frequencies[mask])
     if np.min(gap) <= drive.resonance_guard:
-        worst = spectrum.frequencies[mask][np.argmin(gap)]
-        raise ResonanceError(
+        worst = frequencies[mask][np.argmin(gap)]
+        return ResonanceError(
             f"beatnote {drive.mu:.6e} within guard {drive.resonance_guard:.3e} "
             f"of mode at {worst:.6e} rad/s"
         )
+    return None
 
 
 def coupling_prefactor(drive: DriveConfig, species: SpeciesConstants) -> float:
@@ -130,11 +144,21 @@ def coupling_matrix(
 ) -> CouplingMatrix:
     """Evaluate the detuned mode sum for every ion pair; diagonal zeroed."""
     check_resonance(spectrum, drive)
-    mask = drive.mask_for(spectrum)
-    proj = mode_projections(spectrum, drive.drive_axis)[:, mask]
-    theta = 1.0 / (drive.mu**2 - spectrum.eigenvalues[mask])
-    j = coupling_prefactor(drive, species) * ((proj * theta) @ proj.T)
-    return CouplingMatrix(j)
+    proj = mode_projections(spectrum, drive.drive_axis)
+    mode_sum = _mode_sum(proj, spectrum.eigenvalues, drive.mask_for(spectrum), drive.mu)
+    return CouplingMatrix(coupling_prefactor(drive, species) * mode_sum)
+
+
+def _mode_sum(proj: np.ndarray, eigenvalues: np.ndarray, mask: np.ndarray, mu: float) -> np.ndarray:
+    """sum over the masked modes m of proj[j, m] proj[k, m] / (mu^2 - w_m^2),
+    for one spectrum or a stack sharing the mask.
+
+    `x[..., mask]` lays a stack out mask-outermost, and BLAS then gives
+    each matrix the bits of its lone product; a C-ordered `take` does not.
+    """
+    pm = proj[..., mask]
+    theta = 1.0 / (mu**2 - eigenvalues[..., mask])
+    return (pm * theta[..., None, :]) @ pm.swapaxes(-1, -2)
 
 
 def residual_displacement(
@@ -234,6 +258,62 @@ def coupling_error(
     return eps, CouplingMatrix(jtilde, scale=scale)
 
 
+class Grades(NamedTuple):
+    """What `grade_hessians` found for each matrix of a stack.
+
+    Rows of a lane whose coupling is an exception are not its spectrum.
+    """
+
+    eigenvalues: np.ndarray  # (K, B) rad^2/s^2
+    eigenvectors: np.ndarray  # (K, B, B), deterministic signs
+    frequencies: np.ndarray  # (K, B) rad/s
+    coupled: Optional[np.ndarray]  # (K, B) bool, modes with a drive-axis amplitude
+    couplings: list  # per lane: J (N, N), symmetric, zero diagonal; or the exception
+
+
+def grade_hessians(
+    hessians: np.ndarray,
+    freq_scale: float,
+    mu: float,
+    drive_axis: np.ndarray,
+    resonance_guard: float,
+    species: SpeciesConstants,
+) -> Grades:
+    """The unnormalized couplings of a (K, 3N, 3N) stack of pinned Hessians.
+
+    Each lane gets the J, or the exception, of a lone `realized_coupling`
+    before its `coupling_error`: the spectrum (`modes.full_spectra`), the
+    drive-axis amplitudes and coupled-mode masks, the resonance guard over
+    the coupled modes and J run stacked.  Lanes that share a mask share one
+    stacked product.
+    """
+    lam, vec, couplings = full_spectra(hessians, freq_scale)  # None where the spectrum holds
+    freqs = np.sqrt(np.clip(lam, 0.0, None))
+    try:
+        axis = axis_vector(drive_axis)
+        drive = DriveConfig(mu=mu, drive_axis=drive_axis, resonance_guard=resonance_guard)
+    except InvalidArgumentError as err:  # what each lane with a spectrum raises next
+        return Grades(lam, vec, freqs, None, [j or err for j in couplings])
+    n = lam.shape[1] // 3
+    proj = full_projections(vec, axis, n)
+    coupled = np.any(np.abs(proj) > 1e-10, axis=1)
+    if drive.drive_axis.tobytes() != axis.tobytes():  # J projects on the drive's own unit vector
+        proj = full_projections(vec, drive.drive_axis, n)
+    nearest = np.where(coupled, np.abs(drive.mu - freqs), np.inf).min(axis=1)
+    for k in np.flatnonzero(coupled.any(axis=1) & (nearest <= drive.resonance_guard)):
+        couplings[k] = couplings[k] or _resonance(drive, freqs[k], coupled[k])
+    groups: dict = {}
+    for k, j in enumerate(couplings):
+        if j is None:
+            groups.setdefault(coupled[k].tobytes(), []).append(k)
+    prefactor = coupling_prefactor(drive, species)
+    for lanes in groups.values():
+        mode_sum = _mode_sum(proj[lanes], lam[lanes], coupled[lanes[0]], drive.mu)
+        for k, j in zip(lanes, _symmetric_zero_diagonal(prefactor * mode_sum)):
+            couplings[k] = j
+    return Grades(lam, vec, freqs, coupled, couplings)
+
+
 def realized_coupling(
     positions: np.ndarray,
     trap: TrapConfig,
@@ -249,13 +329,19 @@ def realized_coupling(
     The full Hessian spectrum at the given positions and pinning drives
     the beatnote; modes orthogonal to the drive axis are masked out so the
     resonance guard only applies to modes that enter the coupling.
-    Returns (eps, J rescaled to the target, spectrum, drive).
+    Returns (eps, J rescaled to the target, spectrum, drive).  The
+    one-lane call of `grade_hessians`.
     """
     a = mass_scaled_hessian(positions, trap, species, curvatures)
-    spectrum = mode_spectrum(a, freq_scale=trap.omega_bar)
-    coupled = np.any(np.abs(mode_projections(spectrum, drive_axis)) > 1e-10, axis=0)
+    grades = grade_hessians(a[None], trap.omega_bar, mu, drive_axis, resonance_guard, species)
+    (j,) = grades.couplings
+    if isinstance(j, Exception):
+        raise j
+    b = a.shape[0]
+    lam, vec, freqs = grades.eigenvalues[0], grades.eigenvectors[0], grades.frequencies[0]
+    spectrum = ModeSpectrum(freqs, lam, vec, np.arange(b), b // 3, trap.omega_bar)
     drive = DriveConfig(
-        mu=mu, drive_axis=drive_axis, mode_mask=coupled, resonance_guard=resonance_guard
+        mu=mu, drive_axis=drive_axis, mode_mask=grades.coupled[0], resonance_guard=resonance_guard
     )
-    eps, realized = coupling_error(target, coupling_matrix(spectrum, drive, species))
+    eps, realized = coupling_error(target, j)
     return eps, realized, spectrum, drive

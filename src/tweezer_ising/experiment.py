@@ -16,7 +16,7 @@ import numpy as np
 import scipy.constants as const
 
 from .constants import SpeciesConstants
-from .coupling import realized_coupling
+from .coupling import coupling_error, grade_hessians, realized_coupling
 from .crystal import relax_equilibria, solve_equilibrium
 from .errors import (
     ConvergenceError,
@@ -24,7 +24,7 @@ from .errors import (
     UnstableCrystalError,
     ValidityError,
 )
-from .modes import AXIS_INDEX
+from .modes import AXIS_INDEX, mass_scaled_hessian
 
 #: minimum detuning from any transition, in linewidths
 MIN_DETUNING_LINEWIDTHS = 10.0
@@ -100,7 +100,14 @@ def load_atomic_lines(path: Union[str, Path], hyperfine_splitting: float) -> Ato
             parts = line.split()
             if len(parts) != 3:
                 raise InvalidArgumentError(f"{path}:{lineno}: expected 'label wavelength_nm linewidth_MHz'")
-            label, wl_nm, lw_mhz = parts[0], float(parts[1]), float(parts[2])
+            label = parts[0]
+            try:
+                wl_nm, lw_mhz = float(parts[1]), float(parts[2])
+            except ValueError:
+                raise InvalidArgumentError(
+                    f"{path}:{lineno}: wavelength and linewidth must be numbers, "
+                    f"got {parts[1]!r} {parts[2]!r}"
+                ) from None
             transitions.append(
                 Transition(label, 2.0 * np.pi * const.c / (wl_nm * 1e-9), 2.0 * np.pi * lw_mhz * 1e6)
             )
@@ -242,13 +249,18 @@ def misalignment_scan(
     error are recomputed.  Streams are per-sample seeded, so the output is
     independent of evaluation order.
 
-    Samples run in blocks of `SCAN_BLOCK`, not refilled as lanes finish:
-    one block's Newton descents run as lanes of `lanes.run_lanes`
-    (`relax_equilibria`), then each sample finishes with
-    `solve_equilibrium` from its descended positions (or from the aligned
-    crystal, where its descent did not converge) and is graded with
-    `realized_coupling`, with the bits of one-at-a-time solves.  Samples
-    whose equilibrium solve fails to converge, or whose crystal is
+    Samples run in blocks of `SCAN_BLOCK`, not refilled as lanes finish,
+    and every sample gets the bits of one-at-a-time solves.  Stacked per
+    block: the Newton descents, as lanes of `lanes.run_lanes`
+    (`relax_equilibria`), then the grading of the converged descents, one
+    stacked `mass_scaled_hessian` and one `grade_hessians` (one `eigh`).
+    Per sample, in order: `solve_equilibrium` from the descended positions
+    (or from the aligned crystal, where the descent did not converge);
+    then, if the solve returned the descended positions, the graded J's
+    `coupling_error`, and otherwise (no converged descent, or a kick) a
+    lone `realized_coupling`.  The solve and its `coupling_error` stay per
+    sample because a sample is timed and counted from one to the other.
+    Samples whose equilibrium solve fails to converge, or whose crystal is
     unstable, are excluded and counted in sample order; any other error
     is raised from the first sample that raises it.
 
@@ -273,11 +285,12 @@ def misalignment_scan(
     if len(set(axis_idx)) != len(axis_idx):
         raise InvalidArgumentError(f"misalignment axes must be distinct; got {axes!r}")
     crystal = result.crystal
+    trap, species = crystal.trap, crystal.species
     pattern = result.tweezers
-    grade = (result.mu, result.drive.drive_axis, result.drive.resonance_guard, result.target)
+    drive = (result.mu, result.drive.drive_axis, result.drive.resonance_guard)
 
     aligned_eps = realized_coupling(
-        crystal.positions, crystal.trap, crystal.species, pattern.curvatures, *grade
+        crystal.positions, trap, species, pattern.curvatures, *drive, result.target
     )[0]
 
     records = []
@@ -286,25 +299,36 @@ def misalignment_scan(
         block = range(start, min(start + SCAN_BLOCK, samples))
         offsets = np.stack([_sample_offsets(crystal.n_ions, axis_idx, scales, seed, i) for i in block])
         relaxed = relax_equilibria(
-            crystal.trap,
-            crystal.species,
+            trap,
+            species,
             np.broadcast_to(crystal.positions, offsets.shape),
             pattern.curvatures,
             crystal.positions + offsets,
         )
-        for i, off, guess in zip(block, offsets, relaxed):
+        converged = [k for k, pos in enumerate(relaxed) if pos is not None]
+        graded = {}
+        if converged:
+            stack = np.stack([relaxed[k] for k in converged])
+            hessians = mass_scaled_hessian(stack, trap, species, pattern.curvatures)
+            graded = dict(zip(converged, grade_hessians(hessians, trap.omega_bar, *drive, species).couplings))
+        for k, (i, off, guess) in enumerate(zip(block, offsets, relaxed)):
             try:
                 shifted = solve_equilibrium(
-                    crystal.trap,
-                    crystal.species,
+                    trap,
+                    species,
                     crystal.n_ions,
                     crystal.positions if guess is None else guess,
                     tweezers=pattern.with_offsets(off),
                     tweezer_reference=crystal.positions,
                 )
-                eps = realized_coupling(
-                    shifted.positions, crystal.trap, crystal.species, pattern.curvatures, *grade
-                )[0]
+                if guess is not None and np.array_equal(shifted.positions, guess):
+                    if isinstance(graded[k], Exception):
+                        raise graded[k]
+                    eps = coupling_error(result.target, graded[k])[0]
+                else:
+                    eps = realized_coupling(
+                        shifted.positions, trap, species, pattern.curvatures, *drive, result.target
+                    )[0]
             except (ConvergenceError, UnstableCrystalError) as err:
                 failed.append((i, type(err).__name__))
                 continue

@@ -301,32 +301,95 @@ def mode_spectrum(
     lam, vec = np.linalg.eigh(a)
     floor = TOL_PSD_REL * freq_scale**2
     if lam[0] < -floor:
-        raise UnstableCrystalError(
-            f"lowest eigenvalue {lam[0]:.6e} below stability floor -{floor:.6e} (rad^2/s^2)"
-        )
+        raise _instability(lam[0], floor)
     lam_clipped = np.clip(lam, 0.0, None)
     vec = _deterministic_eigenvectors(lam, vec, TOL_DEGENERACY_REL * freq_scale**2)
     freqs = np.sqrt(lam_clipped)
     return ModeSpectrum(freqs, lam, vec, coords, n_ions, freq_scale)
 
 
+def full_spectra(hessians: np.ndarray, freq_scale: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """`mode_spectrum(a, freq_scale)`'s steps for a (K, 3N, 3N) stack of full
+    Hessians, each matrix with the bits of its lone call.
+
+    The symmetry check, the symmetrization, one `eigh`, the stability
+    floor and the eigenvector signs run stacked; a matrix that fails the
+    quick symmetry test is checked alone, a degenerate one is
+    re-orthogonalized alone, and if the stacked `eigh` raises, each matrix
+    is decomposed alone.  Returns the eigenvalues (K, 3N), the eigenvectors
+    (K, 3N, 3N) and, per matrix, None or the exception `mode_spectrum`
+    raises for it; the rows of a matrix with an exception are not its
+    spectrum.
+    """
+    a = np.asarray(hessians, dtype=float)
+    errors: list = [None] * len(a)
+    scale = np.abs(a).max(axis=(1, 2))
+    scale[scale == 0.0] = 1.0
+    atol = 1e-10 * scale
+    swapped = a.swapaxes(1, 2)
+    quick = (np.abs(a - swapped).max(axis=(1, 2)) <= atol) & (atol < np.inf)
+    for k in np.flatnonzero(~quick):
+        if not symmetric_within(a[k], atol[k]):
+            errors[k] = InvalidArgumentError("Hessian must be symmetric")
+    a = 0.5 * (a + swapped)
+    live = [k for k, err in enumerate(errors) if err is None]
+    lam = np.zeros(a.shape[:2])
+    vec = np.zeros(a.shape)
+    try:
+        if len(live) == 1:  # numpy runs the lone array's fewer dimensions faster
+            lam[live[0]], vec[live[0]] = np.linalg.eigh(a[live[0]])
+        elif live:
+            lam[live], vec[live] = np.linalg.eigh(a[live])
+    except np.linalg.LinAlgError:
+        for k in list(live):
+            try:
+                lam[k], vec[k] = np.linalg.eigh(a[k])
+            except np.linalg.LinAlgError as err:
+                errors[k] = err
+                live.remove(k)
+    floor = TOL_PSD_REL * freq_scale**2
+    for k in np.flatnonzero(lam[:, 0] < -floor):
+        errors[k] = _instability(lam[k, 0], floor)
+        live.remove(k)
+    vec[live] = _deterministic_eigenvectors(lam[live], vec[live], TOL_DEGENERACY_REL * freq_scale**2)
+    return lam, vec, errors
+
+
+def _instability(lam_min: float, floor: float) -> UnstableCrystalError:
+    return UnstableCrystalError(
+        f"lowest eigenvalue {lam_min:.6e} below stability floor -{floor:.6e} (rad^2/s^2)"
+    )
+
+
 def _deterministic_eigenvectors(lam, vec, tol):
-    b = vec.shape[0]
-    if (np.diff(lam) < tol).any():
+    """Eigenvectors (..., B, B), one decomposition or a stack, with each
+    degenerate group re-orthogonalized and each mode's sign fixed."""
+    degenerate = (np.diff(lam) < tol).any(axis=-1)
+    if degenerate.any():
         vec = vec.copy()
-        start = 0
-        while start < b:
-            stop = start + 1
-            while stop < b and lam[stop] - lam[stop - 1] < tol:
-                stop += 1
-            if stop - start > 1:
-                vec[:, start:stop] = _canonical_subspace_basis(vec[:, start:stop])
-            start = stop
+        lams = lam.reshape(-1, lam.shape[-1])
+        vecs = vec.reshape((-1,) + vec.shape[-2:])
+        for k in np.flatnonzero(degenerate):
+            _canonicalize_groups(lams[k], vecs[k], tol)
     # sign convention: the largest-magnitude component of each mode is positive
-    pick = np.argmax(np.abs(vec), axis=0)
-    signs = np.sign(vec[pick, np.arange(b)])
+    pick = np.argmax(np.abs(vec), axis=-2)
+    signs = np.sign(np.take_along_axis(vec, pick[..., None, :], axis=-2))
     signs[signs == 0] = 1.0
     return vec * signs
+
+
+def _canonicalize_groups(lam, vec, tol):
+    """Replace, in place, each group of eigenvectors whose eigenvalues sit
+    closer than tol by its canonical subspace basis."""
+    b = vec.shape[0]
+    start = 0
+    while start < b:
+        stop = start + 1
+        while stop < b and lam[stop] - lam[stop - 1] < tol:
+            stop += 1
+        if stop - start > 1:
+            vec[:, start:stop] = _canonical_subspace_basis(vec[:, start:stop])
+        start = stop
 
 
 def _canonical_subspace_basis(basis):
@@ -379,14 +442,21 @@ def mode_projections(spectrum: ModeSpectrum, drive_axis: Union[str, Sequence[flo
     """Drive-axis amplitude of each mode at each ion, shape (N, B)."""
     v = axis_vector(drive_axis)
     coords = spectrum.coords
-    amplitude = v[coords % 3][:, None] * spectrum.eigenvectors
     n = spectrum.n_ions
     if _all_coords(coords, n):
-        # rows 3i, 3i + 1, 3i + 2 summed from zero in order, as add.at does
-        return amplitude.reshape(n, 3, -1).sum(axis=1)
+        return full_projections(spectrum.eigenvectors, v, n)
+    amplitude = v[coords % 3][:, None] * spectrum.eigenvectors
     proj = np.zeros((n, spectrum.n_modes))
     np.add.at(proj, coords // 3, amplitude)
     return proj
+
+
+def full_projections(eigenvectors: np.ndarray, axis: np.ndarray, n_ions: int) -> np.ndarray:
+    """Amplitude along the unit vector `axis` of each mode at each ion,
+    (..., N, B), for full eigenvector matrices (..., 3N, B): one or a stack."""
+    amplitude = np.tile(axis, n_ions)[:, None] * eigenvectors
+    # rows 3i, 3i + 1, 3i + 2 summed from zero in order, as add.at does
+    return amplitude.reshape(eigenvectors.shape[:-2] + (n_ions, 3, -1)).sum(axis=-2)
 
 
 def _all_coords(coords: np.ndarray, n_ions: int) -> bool:

@@ -1,9 +1,10 @@
-"""The stacked numpy forms the minimizer and the objective rely on give the
-bits of their one-lane forms.
+"""The stacked numpy forms the minimizer, the objective and the scan's
+grader rely on give the bits of their one-lane forms.
 
-`quasinewton.minimize_lockstep` and `PinProblem.epsilon_parts_batch` run
-many lanes with one call each, and every stage-1 design depends on each
-lane getting the bits a lone run would give it.  That holds because, on
+`quasinewton.minimize_lockstep`, `PinProblem.epsilon_parts_batch` and
+`coupling.grade_hessians` run many lanes with one call each, and every
+stage-1 design and misalignment record depends on each lane getting the
+bits a lone run would give it.  That holds because, on
 the pinned numpy 2.4.6 with its OpenBLAS 0.3.31, each stacked form below
 reduces each row with the same kernel and in the same order as the lone
 form.  Nothing in numpy promises it, so these tests assert it: a numpy or
@@ -119,3 +120,89 @@ class TestStackedMatmuls:
                 assert _same(y[i], y_i) and _same(z[i], z_i)
                 assert _same(per_row[i], np.matmul(z_i.T.reshape(b, 1, n), y_i.T.reshape(b, n, 1)))
                 assert _same(dj[i], (w[i] * (-2.0 * float(mu[i]) * theta[i] ** 2)) @ w[i].T)
+
+
+class TestGradingForms:
+    """The scan grader's stacked forms against one lone call per lane, for
+    every block size up to 16 (`experiment.SCAN_BLOCK`), on the full 3N
+    spectra of a 12- and a 19-ion crystal."""
+
+    @staticmethod
+    def _eigenvectors(rng, k, b):
+        return np.linalg.eigh(rng.standard_normal((k, b, b)) + rng.standard_normal((k, b, b)).transpose(0, 2, 1))[1]
+
+    @pytest.mark.parametrize("n", [12, 19])
+    def test_eigh(self, n):
+        rng = np.random.default_rng([SEED, 400 + n])
+        for k in (2, 5, 16):
+            a = rng.standard_normal((k, 3 * n, 3 * n)) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
+            a = 0.5 * (a + a.transpose(0, 2, 1))
+            lam, vec = np.linalg.eigh(a)
+            for i in range(k):
+                lone = np.linalg.eigh(a[i])
+                assert _same(lam[i], lone[0]) and _same(vec[i], lone[1])
+
+    @pytest.mark.parametrize("n", [12, 19])
+    def test_projection_axis_sums(self, n):
+        # each ion's amplitude: rows 3i, 3i + 1, 3i + 2 of the (K, N, 3, B) stack summed
+        rng = np.random.default_rng([SEED, 500 + n])
+        b = 3 * n
+        coords = np.arange(b)
+        for axis in (np.array([0.0, 1.0, 0.0]), rng.standard_normal(3) / 1.7):
+            for k in (1, 2, 5, 16):
+                vec = self._eigenvectors(rng, k, b)
+                got = (np.tile(axis, n)[:, None] * vec).reshape(k, n, 3, b).sum(axis=2)
+                for i in range(k):
+                    assert _same(got[i], (axis[coords % 3][:, None] * vec[i]).reshape(n, 3, -1).sum(axis=1))
+
+    @pytest.mark.parametrize("width", [24, 36])
+    @pytest.mark.parametrize("n", [12, 19])
+    def test_masked_mode_sums(self, n, width):
+        # (pm * theta) @ pm^T over the masked modes, with pm = proj[..., mask]
+        # laid out mask-outermost, as the lone proj[:, mask] is
+        rng = np.random.default_rng([SEED, 600 + n, width])
+        b = 3 * n
+        for k in range(1, 17):
+            proj = rng.standard_normal((k, n, b)) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
+            lam = rng.uniform(0.1, 2.0, (k, b))
+            mask = np.zeros(b, dtype=bool)
+            mask[rng.permutation(b)[:width]] = True
+            mu = 1.05
+            pm = proj[..., mask]
+            theta = 1.0 / (mu**2 - lam[..., mask])
+            got = (pm * theta[..., None, :]) @ pm.swapaxes(-1, -2)
+            for i in range(k):
+                pm_i = proj[i][:, mask]
+                assert _same(got[i], (pm_i * (1.0 / (mu**2 - lam[i][mask]))) @ pm_i.T)
+
+    @pytest.mark.parametrize("n", [12, 19])
+    def test_sign_pick(self, n):
+        # each mode's largest-magnitude component made positive
+        rng = np.random.default_rng([SEED, 700 + n])
+        b = 3 * n
+        for k in (1, 2, 5, 16):
+            vec = self._eigenvectors(rng, k, b)
+            vec[0, :, 0] = 0.0  # a zero column keeps its sign +1
+            pick = np.argmax(np.abs(vec), axis=-2)
+            signs = np.sign(np.take_along_axis(vec, pick[..., None, :], axis=-2))
+            signs[signs == 0] = 1.0
+            got = vec * signs
+            for i in range(k):
+                lone_pick = np.argmax(np.abs(vec[i]), axis=0)
+                lone_signs = np.sign(vec[i][lone_pick, np.arange(b)])
+                lone_signs[lone_signs == 0] = 1.0
+                assert _same(got[i], vec[i] * lone_signs)
+
+    @pytest.mark.parametrize("n", [12, 19])
+    def test_symmetrized_zero_diagonal(self, n):
+        # 0.5 (a + a^T) of each matrix, then its diagonal zeroed
+        rng = np.random.default_rng([SEED, 800 + n])
+        diagonal = np.arange(n)
+        for k in (1, 2, 5, 16):
+            a = rng.standard_normal((k, n, n)) * 10.0 ** rng.uniform(-20, 5, (k, 1, 1))
+            got = 0.5 * (a + a.swapaxes(-1, -2))
+            got[..., diagonal, diagonal] = 0.0
+            for i in range(k):
+                lone = 0.5 * (a[i] + a[i].T)
+                lone.reshape(-1)[:: n + 1] = 0.0
+                assert _same(got[i], lone)

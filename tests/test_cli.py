@@ -249,6 +249,15 @@ class TestSubcommands:
         beams_cols, beams, _ = read_table_csv(out / "homogenized_beams.csv")
         assert len(beams) == 4  # all pinning entries positive in the config
 
+    def test_experiment_bad_lines_file_exits_1(self, config_path, tmp_path, capsys):
+        lines = tmp_path / "lines.txt"
+        lines.write_text("D1 369.5 19.6\nD2 328.9 n/a\n")
+        cfg = tmp_path / "lines.cfg"
+        cfg.write_text(config_path.read_text().replace("wavelength_nm = 1070", f"wavelength_nm = 1070\nlines_file = {lines}"))
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert "invalid-argument" in err and f"{lines}:2" in err
+
     def test_env_override(self, config_path, tmp_path, monkeypatch):
         monkeypatch.setenv("TWEEZER_ISING__RUN__SEED", "9")
         from tweezer_ising.config import parse_config

@@ -18,8 +18,16 @@ from tweezer_ising import (
     residual_displacement,
     solve_equilibrium,
 )
-from tweezer_ising.coupling import max_abs_offdiag
+from tweezer_ising.coupling import (
+    DEFAULT_RESONANCE_GUARD,
+    CouplingMatrix,
+    check_resonance,
+    grade_hessians,
+    max_abs_offdiag,
+    realized_coupling,
+)
 from tweezer_ising.errors import InvalidArgumentError, ResonanceError, UndefinedNormalizationError
+from tweezer_ising.modes import axis_vector, mass_scaled_hessian, mode_projections
 
 from conftest import MHZ
 
@@ -294,3 +302,127 @@ class TestCouplingError:
         eps1, _ = coupling_error(t, j)
         eps2, _ = coupling_error(t, c * j)
         assert eps2 == pytest.approx(eps1, rel=1e-9)
+
+
+class TestStackedGrader:
+    """`grade_hessians` gives each lane of a stack the J, or the exception, of
+    the lone formula that `realized_coupling` ran one matrix at a time."""
+
+    MU = 1.1 * MHZ
+    #: lane kinds, mixed into stacks: each lane's Hessian and what it exercises
+    KINDS = ("degenerate", "pinned", "yz_offsets", "xyz_offsets", "resonant", "unstable", "asymmetric")
+
+    @pytest.fixture(scope="class")
+    def lanes(self, species):
+        """16 pinned Hessians of one 5-ion chain in the ωx = ωy trap of
+        tests/test_invariants.py case (d), cycling through KINDS."""
+        trap = TrapConfig(1.0 * MHZ, 1.0 * MHZ, 0.2 * MHZ, n_ions=5)
+        crystal = solve_equilibrium(trap, species, 5)
+        rng = np.random.default_rng(11)
+        hessians = []
+        for i in range(16):
+            kind = self.KINDS[i % len(self.KINDS)]
+            curv = np.zeros((5, 3, 3))
+            curv[:, 1, 1] = {
+                "degenerate": 0.0,
+                "resonant": self.MU**2 - trap.omega_y**2,  # the y centre-of-mass mode sits at mu
+                "unstable": -2.0 * trap.omega_y**2,
+            }.get(kind, (0.3 * MHZ) ** 2)
+            pos = crystal.positions.copy()
+            if kind.endswith("offsets"):
+                moved = [0, 1, 2] if kind == "xyz_offsets" else [1, 2]
+                pos[:, moved] += rng.uniform(-1e-7, 1e-7, (5, len(moved)))
+            a = mass_scaled_hessian(pos, trap, species, curv)
+            if kind == "asymmetric":
+                a[0, 1] += 1e-6 * np.abs(a).max()
+            hessians.append(a)
+        return trap.omega_bar, np.stack(hessians)
+
+    def _lone(self, a, freq_scale, species, mu=MU):
+        """J of one Hessian as `realized_coupling` computed it before the grader."""
+        spectrum = mode_spectrum(a, freq_scale=freq_scale)
+        coupled = np.any(np.abs(mode_projections(spectrum, "y")) > 1e-10, axis=0)
+        drive = DriveConfig(mu=mu, drive_axis="y", mode_mask=coupled)
+        check_resonance(spectrum, drive)
+        proj = mode_projections(spectrum, drive.drive_axis)[:, coupled]
+        theta = 1.0 / (mu**2 - spectrum.eigenvalues[coupled])
+        return CouplingMatrix((proj * theta) @ proj.T).matrix
+
+    def _assert_lone_bits(self, stack, freq_scale, species, mu=MU):
+        grades = grade_hessians(stack, freq_scale, mu, axis_vector("y"), DEFAULT_RESONANCE_GUARD, species)
+        assert len(grades.couplings) == len(stack)
+        for a, got in zip(stack, grades.couplings):
+            try:
+                want = self._lone(a, freq_scale, species, mu)
+            except Exception as err:
+                assert isinstance(got, type(err)) and str(got) == str(err)
+            else:
+                assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+        return grades
+
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_each_lane_has_its_lone_bits(self, lanes, species, k):
+        freq_scale, hessians = lanes
+        for start in range(0, 16, k):
+            self._assert_lone_bits(hessians[start : start + k], freq_scale, species)
+
+    def test_the_stack_mixes_every_case(self, lanes, species):
+        freq_scale, hessians = lanes
+        grades = self._assert_lone_bits(hessians, freq_scale, species)
+        kinds = [self.KINDS[i % len(self.KINDS)] for i in range(16)]
+        errors = {kind: type(j).__name__ for kind, j in zip(kinds, grades.couplings) if isinstance(j, Exception)}
+        assert errors == {
+            "resonant": "ResonanceError",
+            "unstable": "UnstableCrystalError",
+            "asymmetric": "InvalidArgumentError",
+        }
+        graded = [k for k, j in enumerate(grades.couplings) if not isinstance(j, Exception)]
+        # three masks, widening as offsets couple the y modes to z, then to x
+        assert sorted({int(grades.coupled[k].sum()) for k in graded}) == [5, 9, 13]
+        # the degenerate lane's x and y modes pair up, and go through the canonical basis
+        lam = grades.eigenvalues[kinds.index("degenerate")]
+        assert (np.diff(lam) < 1e-9 * freq_scale**2).sum() == 5
+
+    def test_a_failing_stacked_eigh_falls_back_to_each_matrix(self, lanes, species, monkeypatch):
+        freq_scale, hessians = lanes
+        eigh = np.linalg.eigh
+
+        def no_stacks(a):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", no_stacks)
+        self._assert_lone_bits(hessians, freq_scale, species)
+
+    def test_an_invalid_beatnote_fails_each_lane_after_its_spectrum(self, lanes, species):
+        freq_scale, hessians = lanes
+        grades = self._assert_lone_bits(hessians[:7], freq_scale, species, mu=-1.0)
+        assert [type(j).__name__ for j in grades.couplings] == [
+            "InvalidArgumentError", "InvalidArgumentError", "InvalidArgumentError", "InvalidArgumentError",
+            "InvalidArgumentError", "UnstableCrystalError", "InvalidArgumentError",
+        ]
+
+    @pytest.mark.parametrize("kind", ["degenerate", "pinned", "xyz_offsets"])
+    def test_realized_coupling_is_the_one_lane_call(self, species, kind):
+        trap = TrapConfig(1.0 * MHZ, 1.0 * MHZ, 0.2 * MHZ, n_ions=5)
+        crystal = solve_equilibrium(trap, species, 5)
+        pos = crystal.positions.copy()
+        if kind == "xyz_offsets":
+            pos += np.random.default_rng(3).uniform(-1e-7, 1e-7, pos.shape)
+        curv = np.zeros((5, 3, 3))
+        curv[:, 1, 1] = 0.0 if kind == "degenerate" else (0.3 * MHZ) ** 2
+        target = np.diag(np.ones(4), 1) + np.diag(np.ones(4), -1)
+        eps, realized, spectrum, drive = realized_coupling(
+            pos, trap, species, curv, self.MU, axis_vector("y"), DEFAULT_RESONANCE_GUARD, target
+        )
+        a = mass_scaled_hessian(pos, trap, species, curv)
+        want_spectrum = mode_spectrum(a, freq_scale=trap.omega_bar)
+        want_eps, want_realized = coupling_error(target, self._lone(a, trap.omega_bar, species))
+        assert repr(eps) == repr(want_eps)
+        assert realized.matrix.tobytes() == want_realized.matrix.tobytes() and realized.scale == want_realized.scale
+        for field in ("frequencies", "eigenvalues", "eigenvectors", "coords", "direction_weights"):
+            assert getattr(spectrum, field).tobytes() == getattr(want_spectrum, field).tobytes(), field
+        coupled = np.any(np.abs(mode_projections(want_spectrum, "y")) > 1e-10, axis=0)
+        assert np.array_equal(drive.mode_mask, coupled) and drive.mu == self.MU
+        assert drive.drive_axis.tobytes() == axis_vector("y").tobytes()

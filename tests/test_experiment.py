@@ -17,6 +17,8 @@ from tweezer_ising.errors import InvalidArgumentError, ValidityError
 
 from conftest import MHZ
 
+KHZ = 2 * np.pi * 1e3
+
 REFERENCE_BEAM = TweezerBeam(power=1.0, waist=1e-6, wavelength=1070e-9)
 
 
@@ -124,6 +126,16 @@ class TestAtomicLinesFile:
         rate_file = scattering_rate(REFERENCE_BEAM, lines)
         rate_builtin = scattering_rate(REFERENCE_BEAM, YB_PLUS_LINES)
         assert rate_file == pytest.approx(rate_builtin, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "row", ["D2 328.9nm 25.9", "D2 328.9 fast", "D2 , 25.9"], ids=["wavelength", "linewidth", "comma"]
+    )
+    def test_non_number_names_file_and_line(self, tmp_path, row):
+        # used to end in a bare ValueError from float()
+        path = tmp_path / "lines.txt"
+        path.write_text(f"# label wavelength_nm linewidth_MHz\nD1 369.5 19.6\n{row}\n")
+        with pytest.raises(InvalidArgumentError, match=f"{path}:3: wavelength and linewidth must be numbers"):
+            load_atomic_lines(path, hyperfine_splitting=2 * np.pi * 12.6428e9)
 
 
 @pytest.fixture(scope="module")
@@ -367,3 +379,113 @@ class TestLockstepScan:
         with pytest.raises(NonPlanarError) as got:
             misalignment_scan(planar_triangle, [0.0, 1e-7], 6, 2, axes=("x", "y"))
         assert str(got.value) == str(expected.value)
+
+
+@pytest.fixture(scope="module")
+def marginal_chain():
+    """A 5-ion chain whose radial anti-pinning leaves its zigzag mode barely
+    stable.  Axial offsets that squeeze it stop some descents on the
+    collinear saddle, where the grading is unstable; the solve then kicks,
+    and the kicked sample is graded alone (samples 2, 7, 10, 11 and 17 of
+    MARGINAL) or fails (1 and 16).  The beatnote sits within the guard of a
+    mode of sample 20 alone."""
+    trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=5)
+    curv = np.zeros((5, 3, 3))
+    curv[:, 1, 1] = -0.37 * trap.omega_y**2
+    curv[:, 2, 2] = (0.3 * MHZ) ** 2
+    return _design(trap, None, curv, 0.39795797 * MHZ + 0.4 * KHZ, "y")
+
+
+#: scales, seed and axes of the marginal chain's scans
+MARGINAL = ([3e-7, 1e-6, 3e-6], 5, ("z",))
+
+
+def _count_calls(monkeypatch, module, name, key=lambda *args: True):
+    """Wrap module.name; returns the list of key(*args) of its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(key(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestStackedGrading:
+    """Each block's converged descents are graded in one stacked pass; the
+    records, failures and errors stay those of the per-sample loop."""
+
+    def test_saddle_lanes_defer_their_unstable_grading(self, marginal_chain):
+        from tweezer_ising.coupling import grade_hessians
+        from tweezer_ising.crystal import relax_equilibria
+        from tweezer_ising.errors import UnstableCrystalError
+        from tweezer_ising.experiment import _sample_offsets
+        from tweezer_ising.modes import mass_scaled_hessian
+
+        crystal, curv = marginal_chain.crystal, marginal_chain.tweezers.curvatures
+        scales, seed, _ = MARGINAL
+        offsets = np.stack([_sample_offsets(5, [2], np.array(scales), seed, i) for i in (1, 2, 16)])
+        relaxed = relax_equilibria(
+            crystal.trap, YB171, np.broadcast_to(crystal.positions, offsets.shape), curv, crystal.positions + offsets
+        )
+        hessians = mass_scaled_hessian(np.stack(relaxed), crystal.trap, YB171, curv)
+        drive = marginal_chain.drive
+        grades = grade_hessians(hessians, crystal.trap.omega_bar, drive.mu, drive.drive_axis, drive.resonance_guard, YB171)
+        assert all(isinstance(j, UnstableCrystalError) for j in grades.couplings)
+
+    @pytest.mark.parametrize("block", [16, 3])
+    def test_deferred_errors_keep_sample_order(self, marginal_chain, monkeypatch, block):
+        # samples 1 and 16: the grading would raise and the solve fails;
+        # sample 20: the grading raises and the solve succeeds
+        import tweezer_ising.experiment as experiment_mod
+        from tweezer_ising.errors import ResonanceError
+
+        monkeypatch.setattr(experiment_mod, "SCAN_BLOCK", block)
+        scales, seed, axes = MARGINAL
+        aligned, records, failed = _oracle_scan(marginal_chain, scales, 20, seed, axes)
+        scan = misalignment_scan(marginal_chain, scales, 20, seed, axes=axes)
+        assert failed == [(1, "ConvergenceError"), (16, "ConvergenceError")] and len(records) == 18
+        assert repr(scan.aligned_epsilon) == repr(aligned)
+        assert scan.records == records and scan.failed_samples == failed
+        with pytest.raises(ResonanceError) as expected:
+            _oracle_scan(marginal_chain, scales, 24, seed, axes)
+        with pytest.raises(ResonanceError) as got:
+            misalignment_scan(marginal_chain, scales, 24, seed, axes=axes)
+        assert str(got.value) == str(expected.value)
+
+    def test_one_stacked_eigh_per_block(self, marginal_chain, monkeypatch):
+        # 2-D eigh calls: the aligned grading and the five kicked samples,
+        # each a lone realized_coupling
+        import tweezer_ising.experiment as experiment_mod
+
+        eighs = _count_calls(monkeypatch, np.linalg, "eigh", lambda a: np.ndim(a))
+        alone = _count_calls(monkeypatch, experiment_mod, "realized_coupling")
+        scales, seed, axes = MARGINAL
+        scan = misalignment_scan(marginal_chain, scales, 20, seed, axes=axes)
+        assert len(scan.records) == 18
+        assert eighs.count(3) == 2 and eighs.count(2) == len(alone) == 6
+        assert len(eighs) == 8
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["as_relaxed", "every_other_dropped"])
+    def test_unconverged_descents_are_graded_alone(self, leaky_chain, monkeypatch, drop):
+        # the leaky chain's unconverged descents (samples 2, 5, 8, 11) fail
+        # their solves; descents reported unconverged whose solves succeed
+        # are graded alone
+        import tweezer_ising.experiment as experiment_mod
+
+        relax = experiment_mod.relax_equilibria
+
+        def relax_and_drop(*args):
+            return [None if drop and k % 2 else pos for k, pos in enumerate(relax(*args))]
+
+        monkeypatch.setattr(experiment_mod, "relax_equilibria", relax_and_drop)
+        stacks = _count_calls(monkeypatch, experiment_mod, "grade_hessians", lambda a, *rest: len(a))
+        alone = _count_calls(monkeypatch, experiment_mod, "realized_coupling")
+        args = ([1e-7, 1e-6, 3e-6], 12, 5, ("y", "z"))
+        aligned, records, failed = _oracle_scan(leaky_chain, *args)
+        scan = misalignment_scan(leaky_chain, *args[:3], axes=args[3])
+        assert [i for i, _ in failed] == [2, 5, 8, 11]
+        assert scan.records == records and scan.failed_samples == failed
+        assert (stacks, len(alone)) == (([4], 5) if drop else ([8], 1))
