@@ -29,10 +29,10 @@ from .modes import (
     axis_vector,
     euclidean_norm,
     full_projections,
-    full_spectra,
     lamb_dicke,
     mass_scaled_hessian,
     mode_projections,
+    spectra,
 )
 
 if TYPE_CHECKING:
@@ -282,12 +282,12 @@ def grade_hessians(
     """The unnormalized couplings of a (K, 3N, 3N) stack of pinned Hessians.
 
     Each lane gets the J, or the exception, of a lone `realized_coupling`
-    before its `coupling_error`: the spectrum (`modes.full_spectra`), the
+    before its `coupling_error`: the spectrum (`modes.spectra`), the
     drive-axis amplitudes and coupled-mode masks, the resonance guard over
     the coupled modes and J run stacked.  Lanes that share a mask share one
     stacked product.
     """
-    lam, vec, couplings = full_spectra(hessians, freq_scale)  # None where the spectrum holds
+    lam, vec, couplings = spectra(hessians, freq_scale)  # None where the spectrum holds
     freqs = np.sqrt(np.clip(lam, 0.0, None))
     try:
         axis = axis_vector(drive_axis)

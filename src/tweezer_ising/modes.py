@@ -279,15 +279,11 @@ def mode_spectrum(
     repeated runs give identical eigenvectors.
     """
     if isinstance(hessian, HessianMatrix):
-        a = hessian.matrix
+        a = hessian.matrix  # exactly symmetric, so `spectra` leaves its bits as they are
         freq_scale = freq_scale or hessian.freq_scale
         n_ions = n_ions or hessian.n_ions
     else:
         a = np.asarray(hessian, dtype=float)
-        scale = np.abs(a).max() or 1.0
-        if not symmetric_within(a, 1e-10 * scale):
-            raise InvalidArgumentError("Hessian must be symmetric")
-        a = 0.5 * (a + a.T)
     if coords is None:
         coords = np.arange(a.shape[0])
         if n_ions is None:
@@ -297,27 +293,23 @@ def mode_spectrum(
         raise InvalidArgumentError("n_ions required for block spectra")
     if freq_scale is None:
         freq_scale = float(np.sqrt(np.mean(np.abs(np.diag(a))))) or 1.0
-
-    lam, vec = np.linalg.eigh(a)
-    floor = TOL_PSD_REL * freq_scale**2
-    if lam[0] < -floor:
-        raise _instability(lam[0], floor)
-    lam_clipped = np.clip(lam, 0.0, None)
-    vec = _deterministic_eigenvectors(lam, vec, TOL_DEGENERACY_REL * freq_scale**2)
-    freqs = np.sqrt(lam_clipped)
-    return ModeSpectrum(freqs, lam, vec, coords, n_ions, freq_scale)
+    lam, vec, (err,) = spectra(a[None], freq_scale)
+    if err is not None:
+        raise err
+    return ModeSpectrum(np.sqrt(np.clip(lam[0], 0.0, None)), lam[0], vec[0], coords, n_ions, freq_scale)
 
 
-def full_spectra(hessians: np.ndarray, freq_scale: float) -> tuple[np.ndarray, np.ndarray, list]:
-    """`mode_spectrum(a, freq_scale)`'s steps for a (K, 3N, 3N) stack of full
-    Hessians, each matrix with the bits of its lone call.
+def spectra(hessians: np.ndarray, freq_scale: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """Eigendecompositions of a (K, B, B) stack of Hessians, full or block,
+    each matrix with the bits of its lone decomposition; `mode_spectrum`
+    is the one-matrix call.
 
     The symmetry check, the symmetrization, one `eigh`, the stability
     floor and the eigenvector signs run stacked; a matrix that fails the
     quick symmetry test is checked alone, a degenerate one is
     re-orthogonalized alone, and if the stacked `eigh` raises, each matrix
-    is decomposed alone.  Returns the eigenvalues (K, 3N), the eigenvectors
-    (K, 3N, 3N) and, per matrix, None or the exception `mode_spectrum`
+    is decomposed alone.  Returns the eigenvalues (K, B), the eigenvectors
+    (K, B, B) and, per matrix, None or the exception `mode_spectrum`
     raises for it; the rows of a matrix with an exception are not its
     spectrum.
     """

@@ -29,7 +29,7 @@ from tweezer_ising.coupling import (
 from tweezer_ising.errors import InvalidArgumentError, ResonanceError, UndefinedNormalizationError
 from tweezer_ising.modes import axis_vector, mass_scaled_hessian, mode_projections
 
-from conftest import MHZ
+from conftest import MHZ, lone_spectrum
 
 
 def _chain(species, n, wx=2.0, wy=0.6, wz=0.12):
@@ -340,7 +340,7 @@ class TestStackedGrader:
 
     def _lone(self, a, freq_scale, species, mu=MU):
         """J of one Hessian as `realized_coupling` computed it before the grader."""
-        spectrum = mode_spectrum(a, freq_scale=freq_scale)
+        spectrum = lone_spectrum(a, freq_scale)
         coupled = np.any(np.abs(mode_projections(spectrum, "y")) > 1e-10, axis=0)
         drive = DriveConfig(mu=mu, drive_axis="y", mode_mask=coupled)
         check_resonance(spectrum, drive)
@@ -417,7 +417,7 @@ class TestStackedGrader:
             pos, trap, species, curv, self.MU, axis_vector("y"), DEFAULT_RESONANCE_GUARD, target
         )
         a = mass_scaled_hessian(pos, trap, species, curv)
-        want_spectrum = mode_spectrum(a, freq_scale=trap.omega_bar)
+        want_spectrum = lone_spectrum(a, trap.omega_bar)
         want_eps, want_realized = coupling_error(target, self._lone(a, trap.omega_bar, species))
         assert repr(eps) == repr(want_eps)
         assert realized.matrix.tobytes() == want_realized.matrix.tobytes() and realized.scale == want_realized.scale

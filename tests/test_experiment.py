@@ -13,11 +13,10 @@ from tweezer_ising import (
     stark_homogenize,
     tweezer_trap_frequency,
 )
+from tweezer_ising.constants import KHZ
 from tweezer_ising.errors import InvalidArgumentError, ValidityError
 
 from conftest import MHZ
-
-KHZ = 2 * np.pi * 1e3
 
 REFERENCE_BEAM = TweezerBeam(power=1.0, waist=1e-6, wavelength=1070e-9)
 

@@ -25,7 +25,7 @@ from tweezer_ising.modes import (
     mode_projections,
 )
 
-from conftest import MHZ
+from conftest import MHZ, lone_spectrum
 
 
 def _single_ion(species, wx=1.3, wy=1.1, wz=0.4):
@@ -113,6 +113,43 @@ class TestSpectrum:
         spec = mode_spectrum(a, freq_scale=trap.omega_bar)
         res = a @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues
         assert np.linalg.norm(res) < 1e-9 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("case", ["hessian", "array", "degenerate", "block", "asymmetric", "unstable"])
+    def test_has_the_bits_of_one_lone_eigh(self, species, case):
+        """`mode_spectrum` is the one-matrix call of the stacked `spectra`
+        and keeps every bit, and every error, of one lone decomposition."""
+        wy = 2.0 if case == "degenerate" else 1.7  # wx = wy pairs the x and y modes
+        trap = TrapConfig(2.0 * MHZ, wy * MHZ, 0.25 * MHZ, n_ions=5)
+        crystal = solve_equilibrium(trap, species, 5)
+        curv = np.zeros((5, 3, 3))
+        curv[:, 1, 1] = {"degenerate": 0.0, "unstable": -(2.5 * MHZ) ** 2}.get(case, (0.3 * MHZ) ** 2)
+        hessian = build_hessian(crystal, TweezerPattern(curv))
+        a = hessian.matrix.copy()
+        if case == "asymmetric":
+            a[0, 1] += 1e-6 * np.abs(a).max()
+        args, kwargs = (hessian,), {}
+        want = (a, hessian.freq_scale)
+        if case in ("array", "asymmetric", "unstable"):
+            args = (a,)
+            want = (a, float(np.sqrt(np.mean(np.abs(np.diag(a))))))
+        elif case in ("degenerate", "block"):
+            coords = block_coords(5, ["x", "y"]) if case == "block" else np.arange(15)
+            a = a[np.ix_(coords, coords)]
+            args, kwargs = (a,), dict(freq_scale=trap.omega_bar, coords=coords, n_ions=5)
+            want = (a, trap.omega_bar, coords, 5)
+        try:
+            want = lone_spectrum(*want)
+        except Exception as err:
+            with pytest.raises(type(err)) as got:
+                mode_spectrum(*args, **kwargs)
+            assert str(got.value) == str(err)
+            return
+        got = mode_spectrum(*args, **kwargs)
+        for field in ("frequencies", "eigenvalues", "eigenvectors", "coords", "direction_weights"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert (got.n_ions, got.freq_scale) == (want.n_ions, want.freq_scale)
+        if case == "degenerate":
+            assert (np.diff(got.eigenvalues) < 1e-9 * trap.omega_bar**2).sum() == 5
 
     def test_anticonfinement_instability(self, species):
         trap = TrapConfig(1.0 * MHZ, 1.0 * MHZ, 0.3 * MHZ, n_ions=1)
