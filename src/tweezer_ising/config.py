@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -92,7 +92,6 @@ class RunConfig:
     beam_wavelength: float
     lines_file: Optional[str]
     hyperfine: float
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 def _apply_env(values: dict, env) -> dict:
@@ -265,5 +264,4 @@ def _typed(values: dict, base_dir: Path) -> RunConfig:
         beam_wavelength=_get(values, "experiment", "wavelength_nm", 1070.0, float) * 1e-9,
         lines_file=_opt(values, "experiment", "lines_file", str),
         hyperfine=_get(values, "experiment", "hyperfine_ghz", 12.6428, float) * 2.0 * np.pi * 1e9,
-        raw=values,
     )

@@ -9,6 +9,14 @@ projected resolvent (g^2 hbar k^2 / 2M) * B (mu^2 - A)^-1 B^T with B the
 drive-axis projection of the eigenvectors.  When g or k_eff are not
 supplied the global prefactor is taken as 1 and J is reported in units of
 g^2 hbar k^2 / 2M; the normalized error metric is unaffected.
+
+J and eps come from eigenvectors in five steps, each written once for one
+matrix or a stack: the projection ``modes._placement(...) @ eigenvectors``,
+`_mode_sum`, `_symmetric_zero_diagonal`, `_largest_offdiag` and
+`_rescaled_errors`.  `mode_projections`, `coupling_matrix`, `max_abs_offdiag`
+and `coupling_error` are their one-matrix calls; the scan's grader
+`grade_hessians` and the objective `optimizer.PinProblem.epsilon_parts_batch`
+run them stacked.
 """
 
 from __future__ import annotations
@@ -26,9 +34,9 @@ from .errors import (
 )
 from .modes import (
     ModeSpectrum,
+    _placement,
     axis_vector,
     euclidean_norm,
-    full_projections,
     lamb_dicke,
     mass_scaled_hessian,
     mode_projections,
@@ -98,9 +106,10 @@ class CouplingMatrix:
 
 def _symmetric_zero_diagonal(m: np.ndarray) -> np.ndarray:
     """0.5 (m + m^T) with its diagonal zeroed, of one matrix or a stack."""
-    m = 0.5 * (m + m.swapaxes(-1, -2))
-    diagonal = np.arange(m.shape[-1])
-    m[..., diagonal, diagonal] = 0.0
+    m = np.ascontiguousarray(m + m.swapaxes(-1, -2))  # so the reshape is a view
+    m *= 0.5
+    n = m.shape[-1]
+    m.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] = 0.0
     return m
 
 
@@ -144,21 +153,17 @@ def coupling_matrix(
 ) -> CouplingMatrix:
     """Evaluate the detuned mode sum for every ion pair; diagonal zeroed."""
     check_resonance(spectrum, drive)
-    proj = mode_projections(spectrum, drive.drive_axis)
-    mode_sum = _mode_sum(proj, spectrum.eigenvalues, drive.mask_for(spectrum), drive.mu)
+    mask = drive.mask_for(spectrum)
+    proj = mode_projections(spectrum, drive.drive_axis)[..., mask]
+    mode_sum = _mode_sum(proj, 1.0 / (drive.mu**2 - spectrum.eigenvalues[mask]))
     return CouplingMatrix(coupling_prefactor(drive, species) * mode_sum)
 
 
-def _mode_sum(proj: np.ndarray, eigenvalues: np.ndarray, mask: np.ndarray, mu: float) -> np.ndarray:
-    """sum over the masked modes m of proj[j, m] proj[k, m] / (mu^2 - w_m^2),
-    for one spectrum or a stack sharing the mask.
-
-    `x[..., mask]` lays a stack out mask-outermost, and BLAS then gives
-    each matrix the bits of its lone product; a C-ordered `take` does not.
-    """
-    pm = proj[..., mask]
-    theta = 1.0 / (mu**2 - eigenvalues[..., mask])
-    return (pm * theta[..., None, :]) @ pm.swapaxes(-1, -2)
+def _mode_sum(w: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """(w theta) w^T of (N, B) projections and (B,) factors, or a stack.
+    Masked projections come as `proj[..., mask]`, laid out mask-outermost:
+    BLAS then gives each matrix its lone bits, which a C-ordered `take` breaks."""
+    return (w * theta[..., None, :]) @ w.swapaxes(-1, -2)
 
 
 def residual_displacement(
@@ -226,12 +231,29 @@ def max_abs_offdiag(matrix: np.ndarray) -> tuple[float, tuple[int, int]]:
     (row, col) in row-major order.
 
     A 1x1 matrix has no off-diagonal entry; its magnitude is 0.0 at (0, 0).
-    """
-    a = np.abs(np.asarray(matrix, dtype=float), order="C")
-    n = a.shape[1]
-    a.reshape(-1)[:: n + 1] = -1.0
-    p, q = divmod(int(a.argmax()), n)
-    return max(float(a[p, q]), 0.0), (p, q)
+    The one-matrix call of `_largest_offdiag`."""
+    a = np.asarray(matrix, dtype=float)
+    peak, at = _largest_offdiag(a[None])
+    return float(peak[0]), divmod(int(at[0]), a.shape[1])
+
+
+def _largest_offdiag(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of a (K, N, N) stack's largest |off-diagonal entry|, at
+    least 0.0, and its first flat row-major index; a NaN entry wins."""
+    n = j.shape[-1]
+    mag = np.abs(j, order="C").reshape(len(j), n * n)
+    mag[:, :: n + 1] = -1.0
+    return mag.max(1, initial=0.0), mag.argmax(1)
+
+
+def _rescaled_errors(target: np.ndarray, t_norm: float, max_t: float, j: np.ndarray, peaks: np.ndarray):
+    """(s, r, eps) of a (K, N, N) stack with nonzero largest couplings
+    `peaks`: s = max_t / peak, r = target - s J and eps = sqrt(r·r) / t_norm."""
+    s = max_t / peaks
+    r = s[:, None, None] * j
+    np.subtract(target, r, out=r)  # in place: one (K, N, N) array fewer at a batch's peak
+    flat = r.reshape(len(r), target.size)
+    return s, r, np.sqrt(np.vecdot(flat, flat)) / t_norm
 
 
 def coupling_error(
@@ -241,21 +263,18 @@ def coupling_error(
     """Normalized Frobenius error and the rescaled coupling matrix.
 
     J is rescaled so its largest off-diagonal magnitude matches the
-    target's, then eps = ||J_T - J~||_F / ||J_T||_F.
-    """
+    target's, then eps = ||J_T - J~||_F / ||J_T||_F: the one-matrix call of
+    `_largest_offdiag` and `_rescaled_errors`."""
     jt = _as_matrix(j_target)
     jm = _as_matrix(j)
-    if jt.shape != jm.shape:
-        raise InvalidArgumentError("coupling matrices must have equal shape")
-    max_t, _ = max_abs_offdiag(jt)
-    max_j, _ = max_abs_offdiag(jm)
+    if jt.shape != jm.shape or jt.ndim != 2 or jt.shape[0] != jt.shape[1]:
+        raise InvalidArgumentError("coupling matrices must be square and of equal shape")
+    (max_t, max_j), _ = _largest_offdiag(np.array([jt, jm]))
     if max_j <= 0.0 or max_t <= 0.0:
         raise UndefinedNormalizationError("cannot normalize an identically zero coupling matrix")
-    scale = max_t / max_j
-    jtilde = jm * scale
     # numpy's division: a norm that underflows to 0 gives NaN, not an exception
-    eps = float(np.divide(euclidean_norm(jt - jtilde), euclidean_norm(jt)))
-    return eps, CouplingMatrix(jtilde, scale=scale)
+    (scale,), _, (eps,) = _rescaled_errors(jt, euclidean_norm(jt), max_t, jm[None], max_j[None])
+    return float(eps), CouplingMatrix(jm * scale, scale=float(scale))
 
 
 class Grades(NamedTuple):
@@ -281,24 +300,22 @@ def grade_hessians(
 ) -> Grades:
     """The unnormalized couplings of a (K, 3N, 3N) stack of pinned Hessians.
 
-    Each lane gets the J, or the exception, of a lone `realized_coupling`
-    before its `coupling_error`: the spectrum (`modes.spectra`), the
-    drive-axis amplitudes and coupled-mode masks, the resonance guard over
-    the coupled modes and J run stacked.  Lanes that share a mask share one
-    stacked product.
+    Each lane gets the J, or the exception, of a lone `mode_spectrum` and
+    `coupling_matrix` with the drive masked to the lane's coupled modes:
+    the spectrum (`modes.spectra`), the drive projection and coupled-mode
+    masks, the resonance guard over the coupled modes and J run stacked.
+    Lanes that share a mask share one stacked product.
     """
     lam, vec, couplings = spectra(hessians, freq_scale)  # None where the spectrum holds
     freqs = np.sqrt(np.clip(lam, 0.0, None))
     try:
-        axis = axis_vector(drive_axis)
         drive = DriveConfig(mu=mu, drive_axis=drive_axis, resonance_guard=resonance_guard)
     except InvalidArgumentError as err:  # what each lane with a spectrum raises next
         return Grades(lam, vec, freqs, None, [j or err for j in couplings])
     n = lam.shape[1] // 3
-    proj = full_projections(vec, axis, n)
+    # mode_projections(spectrum, drive.drive_axis), as coupling_matrix projects
+    proj = _placement(np.arange(3 * n), n, drive.drive_axis) @ vec
     coupled = np.any(np.abs(proj) > 1e-10, axis=1)
-    if drive.drive_axis.tobytes() != axis.tobytes():  # J projects on the drive's own unit vector
-        proj = full_projections(vec, drive.drive_axis, n)
     nearest = np.where(coupled, np.abs(drive.mu - freqs), np.inf).min(axis=1)
     for k in np.flatnonzero(coupled.any(axis=1) & (nearest <= drive.resonance_guard)):
         couplings[k] = couplings[k] or _resonance(drive, freqs[k], coupled[k])
@@ -308,7 +325,8 @@ def grade_hessians(
             groups.setdefault(coupled[k].tobytes(), []).append(k)
     prefactor = coupling_prefactor(drive, species)
     for lanes in groups.values():
-        mode_sum = _mode_sum(proj[lanes], lam[lanes], coupled[lanes[0]], drive.mu)
+        mask = coupled[lanes[0]]
+        mode_sum = _mode_sum(proj[lanes][..., mask], 1.0 / (drive.mu**2 - lam[lanes][..., mask]))
         for k, j in zip(lanes, _symmetric_zero_diagonal(prefactor * mode_sum)):
             couplings[k] = j
     return Grades(lam, vec, freqs, coupled, couplings)

@@ -432,23 +432,18 @@ def lamb_dicke(
 
 def mode_projections(spectrum: ModeSpectrum, drive_axis: Union[str, Sequence[float]]) -> np.ndarray:
     """Drive-axis amplitude of each mode at each ion, shape (N, B)."""
+    return _placement(spectrum.coords, spectrum.n_ions, drive_axis) @ spectrum.eigenvectors
+
+
+def _placement(coords: np.ndarray, n_ions: int, drive_axis: Union[str, Sequence[float]]) -> np.ndarray:
+    """The (N, B) matrix whose column r holds the unit drive axis's component
+    `coords[r] % 3` in row `coords[r] // 3`: times full or block eigenvectors,
+    (B, B) or a (K, B, B) stack, it gives each ion's drive-axis amplitude."""
     v = axis_vector(drive_axis)
-    coords = spectrum.coords
-    n = spectrum.n_ions
-    if _all_coords(coords, n):
-        return full_projections(spectrum.eigenvectors, v, n)
-    amplitude = v[coords % 3][:, None] * spectrum.eigenvectors
-    proj = np.zeros((n, spectrum.n_modes))
-    np.add.at(proj, coords // 3, amplitude)
-    return proj
-
-
-def full_projections(eigenvectors: np.ndarray, axis: np.ndarray, n_ions: int) -> np.ndarray:
-    """Amplitude along the unit vector `axis` of each mode at each ion,
-    (..., N, B), for full eigenvector matrices (..., 3N, B): one or a stack."""
-    amplitude = np.tile(axis, n_ions)[:, None] * eigenvectors
-    # rows 3i, 3i + 1, 3i + 2 summed from zero in order, as add.at does
-    return amplitude.reshape(eigenvectors.shape[:-2] + (n_ions, 3, -1)).sum(axis=-2)
+    coords = np.asarray(coords)
+    out = np.zeros((n_ions, coords.size))
+    out[coords // 3, np.arange(coords.size)] = v[coords % 3]
+    return out
 
 
 def _all_coords(coords: np.ndarray, n_ions: int) -> bool:

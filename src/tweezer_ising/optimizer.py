@@ -29,6 +29,10 @@ from .coupling import (
     CouplingMatrix,
     DriveConfig,
     _as_matrix,
+    _largest_offdiag,
+    _mode_sum,
+    _rescaled_errors,
+    _symmetric_zero_diagonal,
     coupling_matrix,
     max_abs_offdiag,
     realized_coupling,
@@ -55,8 +59,10 @@ from .modes import (
     TOL_PSD_REL,
     ModeSpectrum,
     TweezerPattern,
+    _placement,
     axis_vector,
     block_coords,
+    euclidean_norm,
     mass_scaled_hessian,
     mode_spectrum,
 )
@@ -337,10 +343,7 @@ class PinProblem:
         self.a0 = a_full[np.ix_(coords, coords)]
         self.b = coords.size
 
-        ions = coords // 3
-        axes = coords % 3
-        self.proj = np.zeros((n, self.b))
-        self.proj[ions, np.arange(self.b)] = self.axis[axes]
+        self.proj = _placement(coords, n, drive_axis)
 
         # block rows touched by each orbit parameter
         self.param_rows = []
@@ -373,7 +376,7 @@ class PinProblem:
 
         t = _as_matrix(target)
         self.target = t
-        self.t_norm = float(np.linalg.norm(t))
+        self.t_norm = euclidean_norm(t)
         self.max_t, _ = max_abs_offdiag(t)
         if self.max_t <= 0.0:
             raise UndefinedNormalizationError("target has no nonzero off-diagonal coupling")
@@ -427,17 +430,18 @@ class PinProblem:
         holds each lane's ε, +inf where it is undefined.  ``gradient(rows)``
         returns ``(grad_k, grad_mu)`` of the lanes ``rows``, each of which
         has an ε: grad_k is (len(rows), P) and grad_mu (len(rows),), or None
-        unless ``with_mu``.  One stacked eigendecomposition, stacked matrix
-        products, one stacked search for the largest coupling and one
-        stacked norm (a row-wise `np.vecdot`) serve every lane, and one
-        stacked gradient serves the lanes asked for; each lane gets the bits
-        `epsilon_parts` gives it alone.
+        unless ``with_mu``.  One stacked eigendecomposition and the stacked
+        steps of `coupling` (projection, mode sum, symmetrization, largest
+        coupling, ε) serve every lane, and one stacked gradient serves the
+        lanes asked for; each lane gets the bits `epsilon_parts` gives it
+        alone.
         """
         n = self.n_ions
         count = len(beat)
         a = self.a0[None].repeat(count, 0)
         a.reshape(count, -1)[:, self.pin_diag] += k_stack.take(self.pin_param, 1)
         lam, u = np.linalg.eigh(a)
+        del a  # one (K, B, B) array fewer at the batch's peak
         gap = np.abs(beat[:, :1] - np.sqrt(np.maximum(lam, 0.0))).min(1)
         eps = np.full(count, np.inf)
         # unstable (a negative curvature) or resonant (mu in a mode's guard band)
@@ -446,24 +450,12 @@ class PinProblem:
             lam, u = lam[live], u[live]
         theta = 1.0 / (beat[live, 1:] - lam)
         w = self.proj @ u
-        wt = w * theta[:, None, :]
-        j = wt @ w.transpose(0, 2, 1)
-        j = 0.5 * (j + j.transpose(0, 2, 1))
-        flat = j.reshape(live.size, n * n)
-        flat[:, :: n + 1] = 0.0
-        # max_abs_offdiag of every lane at once: |J| with the diagonal at -1
-        # and each lane's first row-major argmax; nothing here rounds
-        mag = np.abs(flat)
-        mag[:, :: n + 1] = -1.0
-        at = mag.argmax(1)
-        max_j = np.maximum(mag[np.arange(live.size), at], 0.0)
+        j = _symmetric_zero_diagonal(_mode_sum(w, theta))
+        max_j, at = _largest_offdiag(j)
         # a lane with J = 0 has no ε; NaN passes on, as in a lone call
         keep = (~(max_j <= 0.0)).nonzero()[0]
-        s = self.max_t / max_j[keep]
-        r = self.target - s[:, None, None] * j[keep]
-        r_flat = r.reshape(keep.size, n * n)
-        # np.linalg.norm(r) without its dispatch: sqrt(r·r) over each flat lane
-        eps_keep = np.sqrt(np.vecdot(r_flat, r_flat)) / self.t_norm
+        kept_j = j if keep.size == len(j) else j[keep]  # no copy where every lane has an ε
+        s, r, eps_keep = _rescaled_errors(self.target, self.t_norm, self.max_t, kept_j, max_j[keep])
         lanes = live[keep]
         eps[lanes] = eps_keep
         # each lane's position among the lanes with an ε
@@ -475,11 +467,11 @@ class PinProblem:
             c, b, ll = kept.size, self.b, keep[kept]
             j_k, at_k, rows = j[ll], at[ll], np.arange(c)
             g_mat = r[kept]
-            correction = (g_mat * j_k).reshape(c, n * n).sum(1) / flat[ll, at_k]
+            correction = (g_mat * j_k).reshape(c, n * n).sum(1) / j_k.reshape(c, n * n)[rows, at_k]
             g_mat.reshape(c, n * n)[rows, at_k] -= correction
             g_mat *= (-s[kept] / (eps_keep[kept] * self.t_norm**2))[:, None, None]
             # dJ/dA_bb is the outer product of resolvent rows
-            y = wt[ll] @ u[ll].transpose(0, 2, 1)  # (c, N, B)
+            y = (w[ll] * theta[ll][:, None, :]) @ u[ll].transpose(0, 2, 1)  # (c, N, B)
             # the two matmuls numpy's einsum("kb,kl,lb->b", y, g_mat, y,
             # optimize=True) lowers to, operand for operand: same bits, no path search
             z = g_mat.transpose(0, 2, 1) @ y
@@ -938,13 +930,9 @@ def untweezed_baseline(
         crystal = solve_equilibrium(trap, species, trap.n_ions)
     target = build_target(target_spec, crystal)
     problem = PinProblem(crystal, target, axis, pin_axes, None, resonance_guard)
-    problem.set_scales((0.0, 0.0), mu_range)
-    zeros = np.zeros(len(problem.orbits))
-    curve = []
-    for mu in np.linspace(mu_range[0], mu_range[1], n_scan):
-        eps = problem.epsilon(zeros, mu)
-        if np.isfinite(eps):
-            curve.append((float(mu), float(eps)))
+    mus = np.linspace(mu_range[0], mu_range[1], n_scan)
+    eps, _ = problem.epsilon_parts_batch(np.zeros((n_scan, len(problem.orbits))), beatnote_columns(mus))
+    curve = [(float(mu), float(e)) for mu, e in zip(mus, eps) if np.isfinite(e)]
     if not curve:
         raise ResonanceError("every scanned beatnote hit the resonance guard")
     best_mu, best_eps = min(curve, key=lambda p: (p[1], p[0]))

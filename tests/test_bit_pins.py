@@ -4,7 +4,9 @@ grader rely on give the bits of their one-lane forms.
 `quasinewton.minimize_lockstep`, `PinProblem.epsilon_parts_batch` and
 `coupling.grade_hessians` run many lanes with one call each, and every
 stage-1 design and misalignment record depends on each lane getting the
-bits a lone run would give it.  That holds because, on
+bits a lone run would give it.  The lone calls `mode_projections`,
+`max_abs_offdiag` and `coupling_error` are one-lane calls of the same
+stacked steps, so they depend on it too.  That holds because, on
 the pinned numpy 2.4.6 with its OpenBLAS 0.3.31, each stacked form below
 reduces each row with the same kernel and in the same order as the lone
 form.  Nothing in numpy promises it, so these tests assert it: a numpy or
@@ -16,6 +18,9 @@ import math
 
 import numpy as np
 import pytest
+
+from tweezer_ising.coupling import _largest_offdiag, max_abs_offdiag
+from tweezer_ising.modes import _placement
 
 SEED = 20261019
 
@@ -59,9 +64,10 @@ class TestRowDots:
 class TestLaneReductions:
     """The objective's per-lane reductions, stacked."""
 
-    @pytest.mark.parametrize("n", [12, 19])
+    @pytest.mark.parametrize("n", range(1, 21))
     def test_flat_residual_norm(self, n):
-        # ε's norm: sqrt(r·r) over each lane's flat N² residual
+        # ε's norm: sqrt(r·r) over each lane's flat N² residual, which the
+        # lone coupling_error takes too, for any N
         rng = np.random.default_rng([SEED, n])
         r = rng.standard_normal((84, n, n)) * 10.0 ** rng.uniform(-3, 3, (84, 1, 1))
         flat = r.reshape(84, n * n)
@@ -77,6 +83,23 @@ class TestLaneReductions:
         a = rng.standard_normal((84, n, n)) * 10.0 ** rng.uniform(-20, 5, (84, 1, 1))
         got = a.reshape(84, -1).sum(1)
         assert all(_same(got[i], a[i].sum()) for i in range(84))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 19])
+    def test_largest_offdiag(self, n):
+        # the objective's and the grader's stacked search against the lone
+        # max_abs_offdiag, with ties, NaN entries and all-zero matrices mixed in
+        rng = np.random.default_rng([SEED, 900 + n])
+        j = rng.standard_normal((40, n, n)) * 10.0 ** rng.uniform(-20, 5, (40, 1, 1))
+        j[1::5] = 0.0
+        j[2::5, -1, 0] = np.nan
+        j[3::5] = np.round(j[3::5])
+        peaks, at = _largest_offdiag(j)
+        for i in range(40):
+            peak, (p, q) = max_abs_offdiag(j[i])
+            assert _same(peaks[i], peak) and int(at[i]) == p * n + q
+        assert (peaks[1::5] == 0.0).all()
+        if n > 1:
+            assert np.isnan(peaks[2::5]).all()
 
     @pytest.mark.parametrize("width", [1, 2, 6, 8, 9, 12, 16])
     def test_orbit_sums(self, width):
@@ -143,17 +166,17 @@ class TestGradingForms:
                 assert _same(lam[i], lone[0]) and _same(vec[i], lone[1])
 
     @pytest.mark.parametrize("n", [12, 19])
-    def test_projection_axis_sums(self, n):
-        # each ion's amplitude: rows 3i, 3i + 1, 3i + 2 of the (K, N, 3, B) stack summed
+    def test_placement_projection(self, n):
+        # the drive projection: one (N, 3N) placement product with a stack
+        # of full eigenvector matrices, against one product per matrix
         rng = np.random.default_rng([SEED, 500 + n])
         b = 3 * n
-        coords = np.arange(b)
-        for axis in (np.array([0.0, 1.0, 0.0]), rng.standard_normal(3) / 1.7):
-            for k in (1, 2, 5, 16):
+        for axis in ("y", "yz", rng.standard_normal(3)):
+            place = _placement(np.arange(b), n, axis)
+            for k in range(1, 17):
                 vec = self._eigenvectors(rng, k, b)
-                got = (np.tile(axis, n)[:, None] * vec).reshape(k, n, 3, b).sum(axis=2)
-                for i in range(k):
-                    assert _same(got[i], (axis[coords % 3][:, None] * vec[i]).reshape(n, 3, -1).sum(axis=1))
+                got = place @ vec
+                assert all(_same(got[i], place @ vec[i]) for i in range(k))
 
     @pytest.mark.parametrize("width", [24, 36])
     @pytest.mark.parametrize("n", [12, 19])
@@ -206,3 +229,37 @@ class TestGradingForms:
                 lone = 0.5 * (a[i] + a[i].T)
                 lone.reshape(-1)[:: n + 1] = 0.0
                 assert _same(got[i], lone)
+
+
+class TestBeatnoteScan:
+    """`optimizer.untweezed_baseline` evaluates its 400 beatnotes as the
+    lanes of one `epsilon_parts_batch` call: its stacked forms at 400 lanes
+    of the 12- and 19-ion blocks, against one lone call per lane."""
+
+    @pytest.mark.parametrize("n", [12, 19])
+    def test_four_hundred_lanes(self, n):
+        rng = np.random.default_rng([SEED, 1000 + n])
+        k = 400
+        a = rng.standard_normal((n, n))
+        a = np.broadcast_to(a + a.T, (k, n, n)) + np.diag(rng.uniform(0.0, 1e-3, n))
+        lam, u = np.linalg.eigh(a)
+        place = _placement(np.arange(n) * 3 + 1, n, "y")
+        theta = 1.0 / (rng.uniform(0.5, 2.0, (k, 1)) - lam)
+        w = place @ u
+        j = (w * theta[:, None, :]) @ w.transpose(0, 2, 1)
+        j = 0.5 * (j + j.swapaxes(-1, -2))
+        j[:, np.arange(n), np.arange(n)] = 0.0
+        peaks, at = _largest_offdiag(j)
+        r = rng.standard_normal((n, n)) - (1.0 / peaks)[:, None, None] * j
+        flat = r.reshape(k, n * n)
+        norms = np.sqrt(np.vecdot(flat, flat))
+        for i in range(k):
+            lam_i, u_i = np.linalg.eigh(a[i])
+            assert _same(lam[i], lam_i) and _same(u[i], u_i)
+            w_i = place @ u_i
+            j_i = (w_i * theta[i]) @ w_i.T
+            j_i = 0.5 * (j_i + j_i.T)
+            j_i.reshape(-1)[:: n + 1] = 0.0
+            assert _same(w[i], w_i) and _same(j[i], j_i)
+            assert _same(peaks[i], max_abs_offdiag(j_i)[0])
+            assert _same(norms[i], math.sqrt(r[i].reshape(-1).dot(r[i].reshape(-1))))

@@ -290,6 +290,12 @@ class TestCouplingError:
         with pytest.raises(UndefinedNormalizationError):
             coupling_error(t, np.ones((3, 3)) - np.eye(3))
 
+    @pytest.mark.parametrize("shapes", [((3, 3), (4, 4)), ((2, 3), (2, 3)), ((3,), (3,))], ids=str)
+    def test_non_square_rejected(self, shapes):
+        # equal non-square shapes used to give an ε from a meaningless search
+        with pytest.raises(InvalidArgumentError, match="square"):
+            coupling_error(np.ones(shapes[0]), np.ones(shapes[1]))
+
     @given(st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=25, deadline=None)
     def test_scale_invariance(self, c):

@@ -251,11 +251,37 @@ class TestMisalignmentScan:
 
 
 # The scan as it ran before lockstep blocks: one `solve_equilibrium` and one
-# `realized_coupling` per sample, in sample order.
+# grading per sample, in sample order; the grading is `realized_coupling`, or
+# the public one-matrix calls with `_lone_epsilon`.
 
 
-def _oracle_scan(result, scales, samples, seed, axes):
+def _realized_epsilon(result, positions):
+    """A sample's ε from `realized_coupling`, as the scan's arguments give it."""
     from tweezer_ising.coupling import realized_coupling
+
+    crystal = result.crystal
+    return realized_coupling(
+        positions, crystal.trap, crystal.species, result.tweezers.curvatures,
+        result.mu, result.drive.drive_axis, result.drive.resonance_guard, result.target,
+    )[0]
+
+
+def _lone_epsilon(result, positions):
+    """A sample's ε from the public one-matrix calls: the full spectrum, the
+    drive masked to the modes its axis reaches, `coupling_matrix` and
+    `coupling_error`."""
+    from tweezer_ising.coupling import DriveConfig, coupling_error, coupling_matrix
+    from tweezer_ising.modes import mass_scaled_hessian, mode_projections, mode_spectrum
+
+    trap, species = result.crystal.trap, result.crystal.species
+    spectrum = mode_spectrum(mass_scaled_hessian(positions, trap, species, result.tweezers.curvatures), trap.omega_bar)
+    drive = dict(mu=result.mu, drive_axis=result.drive.drive_axis, resonance_guard=result.drive.resonance_guard)
+    coupled = np.any(np.abs(mode_projections(spectrum, DriveConfig(**drive).drive_axis)) > 1e-10, axis=0)
+    j = coupling_matrix(spectrum, DriveConfig(**drive, mode_mask=coupled), species)
+    return coupling_error(result.target, j)[0]
+
+
+def _oracle_scan(result, scales, samples, seed, axes, epsilon_at=_realized_epsilon):
     from tweezer_ising.crystal import solve_equilibrium
     from tweezer_ising.errors import ConvergenceError, UnstableCrystalError
     from tweezer_ising.modes import AXIS_INDEX
@@ -263,14 +289,7 @@ def _oracle_scan(result, scales, samples, seed, axes):
     scales = np.atleast_1d(np.asarray(scales, dtype=float))
     axis_idx = [AXIS_INDEX.get(a) if isinstance(a, str) else int(a) for a in axes]
     crystal, pattern, n, dim = result.crystal, result.tweezers, result.crystal.n_ions, len(axis_idx)
-
-    def epsilon_at(positions):
-        return realized_coupling(
-            positions, crystal.trap, crystal.species, pattern.curvatures,
-            result.mu, result.drive.drive_axis, result.drive.resonance_guard, result.target,
-        )[0]
-
-    aligned_eps = epsilon_at(crystal.positions)
+    aligned_eps = epsilon_at(result, crystal.positions)
     records, failed = [], []
     for i in range(samples):
         scale = float(scales[i % scales.size])
@@ -288,7 +307,7 @@ def _oracle_scan(result, scales, samples, seed, axes):
                 crystal.trap, crystal.species, n, crystal.positions,
                 tweezers=pattern.with_offsets(offsets), tweezer_reference=crystal.positions,
             )
-            eps = epsilon_at(shifted.positions)
+            eps = epsilon_at(result, shifted.positions)
         except (ConvergenceError, UnstableCrystalError) as err:
             failed.append((i, type(err).__name__))
             continue
@@ -488,3 +507,45 @@ class TestStackedGrading:
         assert [i for i, _ in failed] == [2, 5, 8, 11]
         assert scan.records == records and scan.failed_samples == failed
         assert (stacks, len(alone)) == (([4], 5) if drop else ([8], 1))
+
+
+class TestMultiAxisDrive:
+    """A drive along more than one axis: the one-lane grading, the lone
+    calls and the stacked scan project on the same unit vector.  Once
+    `realized_coupling` projected a named axis on its unit vector and
+    `coupling_matrix` on that vector normalized again, one ulp apart."""
+
+    @pytest.fixture(scope="class", params=["yz", "xy", (0, 0.3, 1)], ids=["yz", "xy", "0-0.3-1"])
+    def chain(self, request):
+        trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=5)
+        curv = np.zeros((5, 3, 3))
+        curv[:, 1, 1] = (0.3 * MHZ) ** 2
+        return request.param, _design(trap, None, curv, 1.3 * MHZ, request.param)
+
+    def test_realized_coupling_is_the_lone_coupling(self, chain):
+        from tweezer_ising.coupling import coupling_error, coupling_matrix, realized_coupling
+
+        axis, design = chain
+        crystal = design.crystal
+        moved = crystal.positions + np.random.default_rng(3).uniform(-1e-7, 1e-7, crystal.positions.shape)
+        for positions in (crystal.positions, moved):
+            for given in (axis, design.drive.drive_axis):
+                eps, realized, spectrum, drive = realized_coupling(
+                    positions, crystal.trap, YB171, design.tweezers.curvatures,
+                    design.mu, given, design.drive.resonance_guard, design.target,
+                )
+                want_eps, want = coupling_error(design.target, coupling_matrix(spectrum, drive, YB171))
+                assert repr(eps) == repr(want_eps)
+                assert realized.matrix.tobytes() == want.matrix.tobytes() and realized.scale == want.scale
+
+    def test_scan_matches_the_lone_calls(self, chain, monkeypatch):
+        import tweezer_ising.experiment as experiment_mod
+
+        _, design = chain
+        monkeypatch.setattr(experiment_mod, "SCAN_BLOCK", 4)
+        args = ([1e-8, 1e-7, 3e-7], 9, 3, ("y", "z"))
+        aligned, records, failed = _oracle_scan(design, *args, epsilon_at=_lone_epsilon)
+        scan = misalignment_scan(design, *args[:3], axes=args[3])
+        assert len(records) == 9 and not failed
+        assert repr(scan.aligned_epsilon) == repr(aligned)
+        assert scan.records == records and scan.failed_samples == failed

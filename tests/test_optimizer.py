@@ -696,6 +696,29 @@ class TestSearchSpaceValidation:
 
 
 class TestUntweezedBaseline:
+    def test_one_batch_gives_each_beatnote_its_lone_bits(self, monkeypatch):
+        # 400 beatnotes across the y modes of a 12-ion chain, some within the
+        # guard of a mode, as lanes of one batch call, against lone calls
+        trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=12)
+        spec, mu_range = TargetSpec("nearest_neighbor", "chain"), (0.55 * MHZ, 0.85 * MHZ)
+        batches, batch = [], PinProblem.epsilon_parts_batch
+
+        def counted(self, k_stack, *rest):
+            batches.append(len(k_stack))
+            return batch(self, k_stack, *rest)
+
+        monkeypatch.setattr(PinProblem, "epsilon_parts_batch", counted)
+        best_eps, best_mu, curve = optimizer.untweezed_baseline(spec, trap, YB171, mu_range)
+        monkeypatch.undo()
+        assert batches == [400]
+        crystal = solve_equilibrium(trap, YB171, 12)
+        problem = PinProblem(crystal, build_target(spec, crystal), "y", ("y",))
+        lone = [(float(mu), problem.epsilon(np.zeros(12), mu)) for mu in np.linspace(*mu_range, 400)]
+        want = [(mu, float(eps)) for mu, eps in lone if np.isfinite(eps)]
+        assert 300 < len(want) < 400
+        assert repr(curve) == repr(want)
+        assert (best_mu, best_eps) == min(want, key=lambda p: (p[1], p[0]))
+
     @pytest.mark.parametrize("n_scan", [0, -2])
     def test_rejects_empty_scan_before_solving(self, n_scan, monkeypatch):
         # n_scan=0 used to blame the resonance guard; -2 ended in numpy's ValueError
