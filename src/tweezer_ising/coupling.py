@@ -16,7 +16,8 @@ matrix or a stack: the projection ``modes._placement(...) @ eigenvectors``,
 `_rescaled_errors`.  `mode_projections`, `coupling_matrix`, `max_abs_offdiag`
 and `coupling_error` are their one-matrix calls; the scan's grader
 `grade_hessians` and the objective `optimizer.PinProblem.epsilon_parts_batch`
-run them stacked.
+run them stacked.  `_mode_sum` and `_zero_diagonal` are steps of the
+gradient kernel too (see `sensitivity`).
 """
 
 from __future__ import annotations
@@ -106,8 +107,13 @@ class CouplingMatrix:
 
 def _symmetric_zero_diagonal(m: np.ndarray) -> np.ndarray:
     """0.5 (m + m^T) with its diagonal zeroed, of one matrix or a stack."""
-    m = np.ascontiguousarray(m + m.swapaxes(-1, -2))  # so the reshape is a view
+    m = np.ascontiguousarray(m + m.swapaxes(-1, -2))
     m *= 0.5
+    return _zero_diagonal(m)
+
+
+def _zero_diagonal(m: np.ndarray) -> np.ndarray:
+    """A C-contiguous matrix or stack with its diagonal zeroed in place."""
     n = m.shape[-1]
     m.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] = 0.0
     return m
@@ -159,11 +165,12 @@ def coupling_matrix(
     return CouplingMatrix(coupling_prefactor(drive, species) * mode_sum)
 
 
-def _mode_sum(w: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """(w theta) w^T of (N, B) projections and (B,) factors, or a stack.
-    Masked projections come as `proj[..., mask]`, laid out mask-outermost:
-    BLAS then gives each matrix its lone bits, which a C-ordered `take` breaks."""
-    return (w * theta[..., None, :]) @ w.swapaxes(-1, -2)
+def _mode_sum(w: np.ndarray, theta: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
+    """(w theta) v^T of (N, B) projections, (B,) factors and (M, B) rows `v`
+    (default `w`: J), or a stack.  Masked projections come as `proj[..., mask]`,
+    laid out mask-outermost: BLAS then gives each matrix its lone bits, which
+    a C-ordered `take` breaks."""
+    return (w * theta[..., None, :]) @ (w if v is None else v).swapaxes(-1, -2)
 
 
 def residual_displacement(

@@ -16,6 +16,7 @@ its gradient is analytic as well.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ from .coupling import (
     _mode_sum,
     _rescaled_errors,
     _symmetric_zero_diagonal,
+    _zero_diagonal,
     coupling_matrix,
     max_abs_offdiag,
     realized_coupling,
@@ -305,11 +307,11 @@ class PinProblem:
     `pin_diag` holds the flat positions of the pinned diagonal entries of
     the block and `pin_param` the parameter that pins each, and
     `row_groups` holds, per orbit row count w, the parameters with w rows
-    and their (count, w) row indices.  An evaluation costs one
-    eigendecomposition of the block, a few matrix products and one gather
-    per index array, its gradient only when asked for; no Python loop runs
-    over orbits.  A batch of evaluations stacks the eigendecompositions
-    and the products.  Orbits must be disjoint.
+    and their (count, w) row indices, which `orbit_sums` sums over.  An
+    evaluation costs one eigendecomposition of the block, a few matrix
+    products and one gather per index array, its gradient only when asked
+    for; no Python loop runs over orbits.  A batch of evaluations stacks
+    the eigendecompositions and the products.  Orbits must be disjoint.
     """
 
     def __init__(
@@ -346,14 +348,8 @@ class PinProblem:
         self.proj = _placement(coords, n, drive_axis)
 
         # block rows touched by each orbit parameter
-        self.param_rows = []
-        for orbit in self.orbits:
-            rows = [
-                r
-                for r, c in enumerate(coords)
-                if (c // 3) in orbit and (c % 3) in pin_axis_idx
-            ]
-            self.param_rows.append(np.array(rows, dtype=int))
+        pinned_axis = np.isin(coords % 3, list(pin_axis_idx))
+        self.param_rows = [np.flatnonzero(pinned_axis & np.isin(coords // 3, orbit)) for orbit in self.orbits]
         n_params = len(self.orbits)
         row_param = np.full(self.b, n_params)
         by_width: dict[int, list[int]] = {}
@@ -425,8 +421,9 @@ class PinProblem:
     def epsilon_parts_batch(self, k_stack, beat, with_mu=False):
         """`epsilon_parts` for K lanes at once: ``(eps, gradient)``.
 
-        ``k_stack`` holds one pinning vector per lane, shape (K, P), and
-        ``beat`` each lane's beatnote row of `beatnote_columns`.  ``eps``
+        ``k_stack`` holds one pinning vector per lane, shape (K, P), or one
+        row that every lane shares, whose block is decomposed once; ``beat``
+        holds each lane's beatnote row of `beatnote_columns`.  ``eps``
         holds each lane's ε, +inf where it is undefined.  ``gradient(rows)``
         returns ``(grad_k, grad_mu)`` of the lanes ``rows``, each of which
         has an ε: grad_k is (len(rows), P) and grad_mu (len(rows),), or None
@@ -438,10 +435,12 @@ class PinProblem:
         """
         n = self.n_ions
         count = len(beat)
-        a = self.a0[None].repeat(count, 0)
-        a.reshape(count, -1)[:, self.pin_diag] += k_stack.take(self.pin_param, 1)
+        a = self.a0[None].repeat(len(k_stack), 0)
+        a.reshape(len(k_stack), -1)[:, self.pin_diag] += k_stack.take(self.pin_param, 1)
         lam, u = np.linalg.eigh(a)
         del a  # one (K, B, B) array fewer at the batch's peak
+        if len(k_stack) < count:  # one shared pinning: its spectrum serves every lane
+            lam, u = np.broadcast_to(lam, (count, self.b)), np.broadcast_to(u, (count, self.b, self.b))
         gap = np.abs(beat[:, :1] - np.sqrt(np.maximum(lam, 0.0))).min(1)
         eps = np.full(count, np.inf)
         # unstable (a negative curvature) or resonant (mu in a mode's guard band)
@@ -470,25 +469,20 @@ class PinProblem:
             correction = (g_mat * j_k).reshape(c, n * n).sum(1) / j_k.reshape(c, n * n)[rows, at_k]
             g_mat.reshape(c, n * n)[rows, at_k] -= correction
             g_mat *= (-s[kept] / (eps_keep[kept] * self.t_norm**2))[:, None, None]
+            w_k, theta_k = w[ll], theta[ll]
             # dJ/dA_bb is the outer product of resolvent rows
-            y = (w[ll] * theta[ll][:, None, :]) @ u[ll].transpose(0, 2, 1)  # (c, N, B)
+            y = _mode_sum(w_k, theta_k, u[ll])  # (c, N, B)
             # the two matmuls numpy's einsum("kb,kl,lb->b", y, g_mat, y,
             # optimize=True) lowers to, operand for operand: same bits, no path search
             z = g_mat.transpose(0, 2, 1) @ y
             per_row = np.matmul(
                 z.transpose(0, 2, 1).reshape(c, b, 1, n), y.transpose(0, 2, 1).reshape(c, b, n, 1)
             ).reshape(c, b)
-            grad_k = np.empty((c, len(self.orbits)))
-            for params, param_rows in self.row_groups:
-                # take, not per_row[:, param_rows]: that result is laid out
-                # lane-innermost, and numpy then sums each orbit in another order
-                grad_k[:, params] = per_row.take(param_rows, axis=1).sum(axis=2)
+            grad_k = self.orbit_sums(per_row)
             if not with_mu:
                 return grad_k, None
-            w_k = w[ll]
-            dtheta = (-2.0 * beat[lanes[kept], 0])[:, None] * theta[ll] ** 2
-            dj_dmu = (w_k * dtheta[:, None, :]) @ w_k.transpose(0, 2, 1)
-            dj_dmu.reshape(c, n * n)[:, :: n + 1] = 0.0
+            dtheta = (-2.0 * beat[lanes[kept], 0])[:, None] * theta_k**2
+            dj_dmu = _zero_diagonal(_mode_sum(w_k, dtheta))
             return grad_k, (g_mat * dj_dmu).reshape(c, n * n).sum(1)
 
         def gradient(rows):
@@ -507,6 +501,16 @@ class PinProblem:
             return grad_k, grad_mu
 
         return eps, gradient
+
+    def orbit_sums(self, per_row: np.ndarray) -> np.ndarray:
+        """Each parameter's sum of its block rows' terms: the last axis of
+        `per_row` mapped from the B block rows to the P parameters."""
+        out = np.empty(per_row.shape[:-1] + (len(self.orbits),))
+        for params, param_rows in self.row_groups:
+            # take, not per_row[..., param_rows]: that result is laid out
+            # lane-innermost, and numpy then sums each orbit in another order
+            out[..., params] = per_row.take(param_rows, axis=-1).sum(axis=-1)
+        return out
 
     # -- objectives over scaled variables (see quasinewton.Objective) --------
 
@@ -543,7 +547,9 @@ class PinProblem:
         parts = self.epsilon_parts(np.asarray(k_params, dtype=float), mu)
         return np.inf if parts is None else parts[0]
 
+    @functools.cached_property
     def native_spectrum(self) -> ModeSpectrum:
+        """The unpinned block's spectrum, once; an unstable block raises on every access."""
         return mode_spectrum(self.a0, freq_scale=self.wbar, coords=self.coords, n_ions=self.n_ions)
 
 
@@ -698,20 +704,15 @@ def _row_objective(problem: PinProblem, beat: np.ndarray):
 
 def _cell_verdict(problem: PinProblem, omega, mu, axis, species: SpeciesConstants, space: SearchSpace):
     """One grid cell's diagnostics from its feasibility test."""
-    diag = CellDiagnostics(omega, mu, "infeasible")
     try:
         drive = DriveConfig(mu=mu, drive_axis=axis, resonance_guard=space.resonance_guard)
         _, verdict = sign_feasibility(problem, drive, species, space)
     except ResonanceError:
-        diag.verdict = "resonant"
-        return diag
+        return CellDiagnostics(omega, mu, "resonant")
     except UnstableCrystalError:
-        diag.verdict = "unstable"
-        return diag
-    diag.margin = None if np.isinf(verdict.margin) else float(verdict.margin)
-    if verdict.feasible:
-        diag.verdict = "feasible"
-    return diag
+        return CellDiagnostics(omega, mu, "unstable")
+    margin = None if np.isinf(verdict.margin) else float(verdict.margin)
+    return CellDiagnostics(omega, mu, "feasible" if verdict.feasible else "infeasible", margin)
 
 
 def sign_feasibility(
@@ -727,27 +728,16 @@ def sign_feasibility(
     whose native sign disagrees with the target (``rows="sign_mismatch"``;
     the strict "magnitude" rows reject almost every cell of a sparse
     target), and tests them under `space.pinning_sign`.  `problem` has one
-    orbit per ion.
+    orbit per ion: one pinning value acts on every pinned axis of its ion,
+    so each pair's gradient is the orbit sum of its Jacobian row.
     """
-    native = problem.native_spectrum()
-    grads = _per_ion_gradient(coupling_jacobian_diag(native, drive, species), problem)
+    native, n = problem.native_spectrum, problem.n_ions
+    jac = coupling_jacobian_diag(native, drive, species)[np.triu_indices(n, 1)]  # (pairs, B)
+    grads = CouplingGradient(all_pairs(n), np.arange(n), problem.orbit_sums(jac))
     system = build_sign_constraints(
         problem.target, coupling_matrix(native, drive, species), grads, rows="sign_mismatch"
     )
     return system, feasibility_test(system, pinning_sign=space.pinning_sign)
-
-
-def _per_ion_gradient(jac: np.ndarray, problem: PinProblem) -> CouplingGradient:
-    """Collapse the per-coordinate Jacobian to one column per ion.
-
-    One pinning value per ion acts on every configured axis, so the
-    per-ion derivative sums the touched diagonal coordinates, which are
-    the problem's parameter rows for per-ion orbits.
-    """
-    n = problem.n_ions
-    cols = np.stack([jac[:, :, rows].sum(axis=2) for rows in problem.param_rows], axis=2)
-    k, l = np.triu_indices(n, 1)
-    return CouplingGradient(all_pairs(n), np.arange(n), cols[k, l])
 
 
 def _random_start(space: SearchSpace, n_params: int, seed: int, cell: int, restart: int) -> np.ndarray:
@@ -931,7 +921,7 @@ def untweezed_baseline(
     target = build_target(target_spec, crystal)
     problem = PinProblem(crystal, target, axis, pin_axes, None, resonance_guard)
     mus = np.linspace(mu_range[0], mu_range[1], n_scan)
-    eps, _ = problem.epsilon_parts_batch(np.zeros((n_scan, len(problem.orbits))), beatnote_columns(mus))
+    eps, _ = problem.epsilon_parts_batch(np.zeros((1, len(problem.orbits))), beatnote_columns(mus))
     curve = [(float(mu), float(e)) for mu, e in zip(mus, eps) if np.isfinite(e)]
     if not curve:
         raise ResonanceError("every scanned beatnote hit the resonance guard")

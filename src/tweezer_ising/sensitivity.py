@@ -1,11 +1,16 @@
 """Gradients of coupling entries with respect to diagonal Hessian elements.
 
-One analytic kernel computes them: `coupling_jacobian_diag`.  The
-coupling matrix is a projected resolvent, so the first-order
-eigen-perturbation of the detuned mode sum collapses to Theta_m * Theta_n
-over every mode pair, and the Jacobian is an outer product of resolvent
-rows that stays finite for degenerate spectra.  Masked drives use the
-per-mode-pair kernel, which needs a non-degenerate mask boundary.
+J is a projected resolvent, so d J[k, l] / d A[b, b] = y[k, b] y[l, b] with
+y = (w Theta) u^T the resolvent rows, finite for degenerate spectra.  Each
+step of the gradient kernel is written once, for one matrix or a stack:
+`coupling._mode_sum` forms y and dJ/dmu = (w dTheta/dmu) w^T,
+`coupling._zero_diagonal` zeroes dJ/dmu's diagonal, and
+`optimizer.PinProblem.orbit_sums` sums block rows into pinning parameters.
+`coupling_jacobian_diag` forms y and the (N, N, P) Jacobian of one spectrum,
+whose pairs `optimizer.sign_feasibility` orbit-sums; the objective's gradient
+(`PinProblem.epsilon_parts_batch`) runs every step stacked over lanes and
+contracts y with its residual without forming the Jacobian.  Masked drives
+use a per-mode-pair kernel, which needs a non-degenerate mask boundary.
 
 `coupling_gradient_adjoint` is the strict wrapper over that kernel: it
 refuses spectra with eigenvalue pairs inside the degeneracy tolerance and
@@ -21,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .constants import SpeciesConstants
-from .coupling import CouplingMatrix, DriveConfig, _as_matrix, check_resonance, coupling_prefactor
+from .coupling import CouplingMatrix, DriveConfig, _as_matrix, _mode_sum, check_resonance, coupling_prefactor
 from .errors import DegenerateSpectrumError, InvalidArgumentError
 from .modes import TOL_DEGENERACY_REL, ModeSpectrum, mode_projections
 
@@ -72,12 +77,11 @@ def coupling_jacobian_diag(
     mask = drive.mask_for(spectrum)
     theta = np.zeros(spectrum.n_modes)
     theta[mask] = 1.0 / (drive.mu**2 - spectrum.eigenvalues[mask])
-    u = spectrum.eigenvectors
+    ub = spectrum.eigenvectors[rows, :]  # (P, B)
     if np.all(mask):
-        y = (proj * theta) @ u[rows, :].T  # (N, P) resolvent rows at coords
+        y = _mode_sum(proj, theta, ub)  # (N, P) resolvent rows at coords
         return pref * y[:, None, :] * y[None, :, :]
     kernel = _masked_kernel(spectrum, theta, mask)
-    ub = u[rows, :]  # (P, B)
     z = np.einsum("km,bm,mn->bkn", proj, ub, kernel, optimize=True)
     d = np.einsum("bkn,bn,ln->klb", z, ub, proj, optimize=True)
     return pref * d
@@ -154,12 +158,9 @@ def coupling_gradient_fd(
     n = j0.shape[0]
     if pairs is None:
         pairs = all_pairs(n)
+    k, l = np.array(pairs, dtype=int).reshape(-1, 2).T
     values = np.empty((len(pairs), base.size))
-    for i in range(base.size):
-        delta = np.zeros_like(base)
-        delta[i] = step
-        jp = _as_matrix(builder(base + delta))
-        jm = _as_matrix(builder(base - delta))
-        d = (jp - jm) / (2.0 * step)
-        values[:, i] = [d[k, l] for (k, l) in pairs]
+    for i, delta in enumerate(np.eye(base.size) * step):
+        d = (_as_matrix(builder(base + delta)) - _as_matrix(builder(base - delta))) / (2.0 * step)
+        values[:, i] = d[k, l]
     return CouplingGradient(tuple(tuple(pq) for pq in pairs), np.arange(base.size), values)

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from tweezer_ising.coupling import _largest_offdiag, max_abs_offdiag
+from tweezer_ising.coupling import _largest_offdiag, _mode_sum, max_abs_offdiag
 from tweezer_ising.modes import _placement
 
 SEED = 20261019
@@ -229,6 +229,27 @@ class TestGradingForms:
                 lone = 0.5 * (a[i] + a[i].T)
                 lone.reshape(-1)[:: n + 1] = 0.0
                 assert _same(got[i], lone)
+
+
+class TestResolventRows:
+    """The gradient kernel's resolvent rows ``_mode_sum(w, theta, u)`` =
+    (w theta) u^T, stacked as the objective's gradient runs them, against
+    the lone product `sensitivity.coupling_jacobian_diag` forms, at 1–16
+    lanes of the 12- and 19-ion blocks and the ladder's y+z block."""
+
+    @pytest.mark.parametrize("shape", [(12, 12), (19, 19), (12, 24)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_stacked_against_lone(self, shape):
+        n, b = shape
+        rng = np.random.default_rng([SEED, 1100 + n, b])
+        proj = rng.standard_normal((n, b))
+        for k in range(1, 17):
+            u = TestGradingForms._eigenvectors(rng, k, b)
+            w = proj @ u
+            theta = 1.0 / rng.standard_normal((k, b)) * 10.0 ** rng.uniform(-14, -10, (k, 1))
+            got = _mode_sum(w, theta, u)
+            for i in range(k):
+                assert _same(got[i], _mode_sum(w[i], theta[i], u[i]))
+                assert _same(got[i], (w[i] * theta[i]) @ u[i].T)
 
 
 class TestBeatnoteScan:

@@ -1,18 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tweezer_ising import (
     YB171,
+    DriveConfig,
     SearchSpace,
     TargetSpec,
     TrapConfig,
+    coupling_jacobian_diag,
+    coupling_matrix,
+    mode_spectrum,
     run_pipeline,
     solve_equilibrium,
     symmetry_orbits,
 )
 from tweezer_ising.coupling import max_abs_offdiag
 from tweezer_ising.crystal import IonCrystal, make_lattice
-from tweezer_ising.errors import InvalidArgumentError, UndefinedNormalizationError
+from tweezer_ising.errors import InvalidArgumentError, UndefinedNormalizationError, UnstableCrystalError
+from tweezer_ising.feasibility import build_sign_constraints
 from tweezer_ising import optimizer
 from tweezer_ising.optimizer import (
     PinProblem,
@@ -22,6 +29,7 @@ from tweezer_ising.optimizer import (
     stage1_search,
     stage2_refine,
 )
+from tweezer_ising.sensitivity import CouplingGradient, all_pairs
 from tweezer_ising.quasinewton import minimize_box
 from tweezer_ising.targets import build_target
 
@@ -44,8 +52,7 @@ def _space(**kw):
 
 @pytest.fixture(scope="module")
 def chain5(species):
-    trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=5)
-    return solve_equilibrium(trap, species, 5)
+    return _chain5(species)
 
 
 class TestSymmetryOrbits:
@@ -80,6 +87,11 @@ class TestSymmetryOrbits:
             symmetry_orbits(chain5, "C6")
         with pytest.raises(InvalidArgumentError):
             symmetry_orbits(chain5, "dihedral")
+
+
+def _chain5(species):
+    trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=5)
+    return solve_equilibrium(trap, species, 5)
 
 
 def _chain12(species):
@@ -412,6 +424,37 @@ class TestBatchBitIdentity:
                     verdicts["odd_mu value"] += one == "odd_mu" and want is not None
         assert verdicts["none"] >= 15 and verdicts["value"] >= 30 and verdicts["odd_mu value"] >= 10
 
+    @pytest.mark.parametrize("case", ["chain12_per_ion", "triangle19_c6_xy", "ladder12_yz"])
+    def test_one_pinning_row_shared_by_every_lane(self, species, case):
+        # a (1, P) k_stack is the pinning of every beatnote row: each lane,
+        # resonant and J = 0 ones among them, and its gradient keep the bits
+        # of the same row repeated per lane and of a lone call
+        problem = _batch_problem(species, case)
+        w_hi = np.sqrt(np.linalg.eigvalsh(problem.a0)[-1])
+        rng = np.random.default_rng(23)
+        k = rng.uniform(0.0, 1.0, len(problem.orbits)) * (0.2 * w_hi) ** 2
+        grid = np.zeros(problem.b)
+        for rows, kk in zip(problem.param_rows, k):
+            grid[rows] += kk
+        modes = np.sqrt(np.clip(np.linalg.eigvalsh(problem.a0 + np.diag(grid)), 0.0, None))
+        mus = list(rng.uniform(0.3, 1.3, 9) * w_hi) + [float(modes[3]), np.inf]
+        beat = beatnote_columns(mus)
+        eps, gradient = problem.epsilon_parts_batch(k[None], beat, with_mu=True)
+        k_each = np.repeat(k[None], len(mus), 0)
+        each_eps, each_gradient = problem.epsilon_parts_batch(k_each, beat, with_mu=True)
+        assert eps.tobytes() == each_eps.tobytes()
+        graded = np.flatnonzero(eps != np.inf)
+        assert eps[-2] == eps[-1] == np.inf and graded.size >= 6
+        grad_k, grad_mu = gradient(graded)
+        want_k, want_mu = each_gradient(graded)
+        assert grad_k.tobytes() == want_k.tobytes() and grad_mu.tobytes() == want_mu.tobytes()
+        half_k, _ = gradient(graded[1::2])
+        assert half_k.tobytes() == grad_k[1::2].tobytes()
+        row = dict(zip(graded.tolist(), range(graded.size)))
+        for i, mu in enumerate(mus):
+            got = (eps[i], grad_k[row[i]], grad_mu[row[i]]) if i in row else None
+            _assert_same_bits(got, _parts(problem, k, mu, True))
+
     def test_zero_j_lane_is_none(self, chain5):
         t = build_target(TargetSpec("nearest_neighbor", "chain"), chain5)
         problem = PinProblem(chain5, t, "y", ("y",))
@@ -695,6 +738,96 @@ class TestSearchSpaceValidation:
         assert hi == pytest.approx((0.4 * MHZ) ** 2)
 
 
+def _parent_sign_system(problem, drive, species):
+    """`sign_feasibility`'s system built from the per-ion gradient form it
+    had before the orbit sum: one column per ion, its Jacobian's pinned
+    rows summed by fancy indexing, stacked."""
+    native = mode_spectrum(problem.a0, freq_scale=problem.wbar, coords=problem.coords, n_ions=problem.n_ions)
+    jac = coupling_jacobian_diag(native, drive, species)
+    n = problem.n_ions
+    cols = np.stack([jac[:, :, rows].sum(axis=2) for rows in problem.param_rows], axis=2)
+    k, l = np.triu_indices(n, 1)
+    grads = CouplingGradient(all_pairs(n), np.arange(n), cols[k, l])
+    j_native = coupling_matrix(native, drive, species)
+    return build_sign_constraints(problem.target, j_native, grads, rows="sign_mismatch")
+
+
+def _pinned_coupling(problem, drive, species, ion, curvature):
+    """The native block's J with `curvature` added on every pinned row of `ion`."""
+    a = problem.a0.copy()
+    rows = problem.param_rows[ion]
+    a[rows, rows] += curvature
+    spectrum = mode_spectrum(a, freq_scale=problem.wbar, coords=problem.coords, n_ions=problem.n_ions)
+    return coupling_matrix(spectrum, drive, species).matrix
+
+
+class TestSignFeasibility:
+    """`optimizer.sign_feasibility` on a 5-ion chain pinned along y and the
+    12-ion ladder pinned along y and z (two block rows per ion)."""
+
+    CASES = {
+        "chain5_y": (_chain5, ("y",), 0.85),
+        "ladder12_yz": (_ladder12, ("y", "z"), 0.45),
+    }
+
+    def _setup(self, species, case):
+        make, pin_axes, mu_mhz = self.CASES[case]
+        crystal = make(species)
+        n = crystal.n_ions
+        rng = np.random.default_rng(n)
+        signs = np.triu(rng.choice([-1.0, 1.0], (n, n)), 1)
+        problem = PinProblem(crystal, signs + signs.T, default_drive_axis(pin_axes), pin_axes)
+        drive = DriveConfig(mu=mu_mhz * MHZ, drive_axis=default_drive_axis(pin_axes))
+        space = _space(pin_axes=pin_axes)
+        return problem, drive, space
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_are_signed_pinning_derivatives(self, species, case):
+        problem, drive, space = self._setup(species, case)
+        system, _ = optimizer.sign_feasibility(problem, drive, species, space)
+        assert system.n_rows > 0
+        h = 1e-4 * problem.wbar**2
+        fd = []
+        for i in range(problem.n_ions):
+            up, down = (_pinned_coupling(problem, drive, species, i, step) for step in (h, -h))
+            fd.append((up - down) / (2 * h))
+        for row, (k, l, sign) in zip(system.matrix, system.provenance):
+            want = sign * np.array([d[k, l] for d in fd])
+            assert row == pytest.approx(want, rel=1e-5, abs=1e-6 * np.abs(want).max())
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_keep_the_per_ion_gradient_bits(self, species, case):
+        problem, drive, space = self._setup(species, case)
+        system, _ = optimizer.sign_feasibility(problem, drive, species, space)
+        want = _parent_sign_system(problem, drive, species)
+        assert system.provenance == want.provenance and system.excluded == want.excluded
+        assert system.matrix.tobytes() == want.matrix.tobytes()
+
+    def test_native_block_is_decomposed_once(self, species, monkeypatch):
+        problem, drive, space = self._setup(species, "chain5_y")
+        calls, lone = [], optimizer.mode_spectrum
+        monkeypatch.setattr(optimizer, "mode_spectrum", lambda *a, **kw: calls.append(1) or lone(*a, **kw))
+        for mu in (0.85, 0.9, 0.95):
+            optimizer.sign_feasibility(problem, replace(drive, mu=mu * MHZ), species, space)
+        assert len(calls) == 1
+
+    def test_unstable_native_block_fails_every_cell(self, species, monkeypatch):
+        # an equidistant 12-ion chain in a weak transverse trap buckles along y
+        trap = TrapConfig(2.0 * MHZ, 0.1 * MHZ, 0.25 * MHZ, n_ions=12)
+        space = _space()
+        spec = TargetSpec("nearest_neighbor", "chain")
+        crystal = stage1_geometry(spec, trap, species, 0.25 * MHZ, "z")
+        problem = PinProblem(crystal, build_target(spec, crystal), "y", ("y",))
+        calls, lone = [], optimizer.mode_spectrum
+        monkeypatch.setattr(optimizer, "mode_spectrum", lambda *a, **kw: calls.append(1) or lone(*a, **kw))
+        mus = np.linspace(*space.mu, 4)
+        cells = [optimizer._cell_verdict(problem, 0.25 * MHZ, mu, "y", species, space) for mu in mus]
+        assert [cell.verdict for cell in cells] == ["unstable"] * 4
+        assert len(calls) == 4  # the exception is raised again, not cached
+        with pytest.raises(UnstableCrystalError):
+            problem.native_spectrum
+
+
 class TestUntweezedBaseline:
     def test_one_batch_gives_each_beatnote_its_lone_bits(self, monkeypatch):
         # 400 beatnotes across the y modes of a 12-ion chain, some within the
@@ -703,14 +836,15 @@ class TestUntweezedBaseline:
         spec, mu_range = TargetSpec("nearest_neighbor", "chain"), (0.55 * MHZ, 0.85 * MHZ)
         batches, batch = [], PinProblem.epsilon_parts_batch
 
-        def counted(self, k_stack, *rest):
-            batches.append(len(k_stack))
-            return batch(self, k_stack, *rest)
+        def counted(self, k_stack, beat, *rest):
+            batches.append((len(k_stack), len(beat)))
+            return batch(self, k_stack, beat, *rest)
 
         monkeypatch.setattr(PinProblem, "epsilon_parts_batch", counted)
         best_eps, best_mu, curve = optimizer.untweezed_baseline(spec, trap, YB171, mu_range)
         monkeypatch.undo()
-        assert batches == [400]
+        # one unpinned block that the 400 beatnote rows share
+        assert batches == [(1, 400)]
         crystal = solve_equilibrium(trap, YB171, 12)
         problem = PinProblem(crystal, build_target(spec, crystal), "y", ("y",))
         lone = [(float(mu), problem.epsilon(np.zeros(12), mu)) for mu in np.linspace(*mu_range, 400)]
