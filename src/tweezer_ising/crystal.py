@@ -22,7 +22,6 @@ from .errors import (
     NonPlanarError,
     SingularGeometryError,
 )
-from .lanes import run_lanes
 from .modes import TOL_PSD_REL, TweezerPattern, euclidean_norm, mass_scaled_hessian
 
 AXIS_NAMES = ("x", "y", "z")
@@ -311,7 +310,24 @@ def solve_equilibrium(
         centers = (np.asarray(tweezer_reference, dtype=float) + tweezers.offsets)[None]
 
     scales = _Scales.of(trap, species)
-    (pos,) = run_lanes([_lane(guess, scales, max_iter)], partial(_serve, trap, species, curv, centers, scales))
+    pos = guess
+    # descents can stall at saddles (a collinear chain past the zigzag
+    # transition); kick deterministically and re-descend
+    for attempt in range(5):
+        (pos,), (residual,) = _descents(pos[None], trap, species, curv, centers, scales, max_iter)
+        if np.isnan(residual) and n_ions > 1 and _pair_terms(pos)[2].min() <= 0:  # a kick joined two ions
+            raise SingularGeometryError("coincident ions in potential evaluation")
+        lam_min = np.linalg.eigvalsh(mass_scaled_hessian(pos, trap, species, curv))[0]
+        if residual < TOL_EQUILIBRIUM and lam_min >= -scales.psd_floor:
+            break
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1905, spawn_key=(attempt,))))
+        pos = pos + min(1e-3 * 4.0**attempt, 3e-2) * scales.lbar * rng.standard_normal(pos.shape)
+    else:
+        raise ConvergenceError(
+            f"equilibrium solve stalled at scaled residual {residual:.3e}"
+            + (" on an unstable stationary point" if lam_min < -scales.psd_floor else ""),
+            residual=float(residual),
+        )
     dimensionality, extended = _classify_geometry(pos, trap, species)
     if require is not None and dimensionality != require:
         raise NonPlanarError(f"crystal relaxed to {dimensionality!r}, required {require!r}")
@@ -330,11 +346,8 @@ def relax_equilibria(
 
     ``guesses`` and the tweezer ``centers`` are (K, N, 3) stacks of
     distinct-ion positions; the tweezer ``curvatures`` (N, 3, 3), or None
-    for no tweezers, are shared.  Each round of `lanes.run_lanes` makes one
-    stacked potential-and-gradient call and one stacked
-    `mass_scaled_hessian` for the lanes that take a Newton step.  Cholesky
-    solves, norms and line-search decisions stay per lane, so every lane
-    has the bits of its lone descent.
+    for no tweezers, are shared.  The lanes descend together in
+    `_descents`, and every lane has the bits of its lone descent.
 
     Returns, per lane, the positions where its descent converged, or None
     where it stalled, ran out of iterations or started from coincident
@@ -342,16 +355,8 @@ def relax_equilibria(
     converged positions takes no Newton step before its stability check,
     so it gives the bits of the solve from the lane's guess.
     """
-    scales = _Scales.of(trap, species)
-    lanes = [_relax(guess, scales, max_iter) for guess in guesses]
-    return run_lanes(lanes, partial(_serve, trap, species, curvatures, centers, scales))
-
-
-# what a lane asks for: the potential and gradient at the start of a
-# descent or at a line-search trial (which must keep the distance floor),
-# or the mass-scaled Hessian for a Newton step or for the stability check
-# (which also decomposes it)
-_START, _TRIAL, _NEWTON, _CHECK = range(4)
+    pos, residual = _descents(guesses, trap, species, curvatures, centers, _Scales.of(trap, species), max_iter)
+    return [p if r < TOL_EQUILIBRIUM else None for p, r in zip(pos, residual)]
 
 
 @dataclass(frozen=True)
@@ -372,145 +377,96 @@ class _Scales:
         return cls(m, m * wbar**2, lbar, m * wbar**2 * lbar, DIST_FLOOR * lbar, TOL_PSD_REL * wbar**2)
 
 
-def _serve(trap, species, curvatures, centers, scales, pending) -> list:
-    """One round's answers: a stacked potential-and-gradient call and a
-    stacked `mass_scaled_hessian`; ``centers`` is the lanes' (K, N, 3) stack."""
-    evals = [r for r in pending if r[1][0] <= _TRIAL]
-    hessians = [r for r in pending if r[1][0] > _TRIAL]
-    answers = _evaluate(evals, trap, species, curvatures, centers, scales) if evals else {}
-    if hessians:
-        answers.update(_hessians(hessians, trap, species, curvatures))
-    return [answers[k] for k, _ in pending]
+def _descents(pos, trap, species, curvatures, centers, scales, max_iter):
+    """Damped Newton descents from a (K, N, 3) stack of positions, in lockstep.
 
+    Each Newton iteration makes one stacked `mass_scaled_hessian` for the
+    lanes still descending, and each line-search round one stacked
+    `_potentials_and_gradients` call at the lanes' trials; a trial closer
+    than the distance floor gets no evaluation and halves its step.  The
+    Cholesky solves, norms, slopes and acceptance tests stay per lane, so
+    every lane has the bits of its lone descent.  ``centers`` is a
+    (K, N, 3) stack, or None without tweezers; neither it nor ``pos`` is
+    written to.
 
-def _evaluate(requests, trap, species, curvatures, centers, scales) -> dict:
-    """One stacked potential-and-gradient call for the lanes that asked;
-    a trial below the distance floor gets None."""
-    answers = {}
-    pos = requests[0][1][1][None] if len(requests) == 1 else np.stack([p for _, (_, p) in requests])
-    pairs = None
-    keep = range(len(requests))
-    if trap.n_ions > 1:
-        pairs = _pair_terms(pos)
-        nearest = pairs[2].min(axis=1)
-        keep = []
-        for j, (k, (kind, _)) in enumerate(requests):
-            if kind == _TRIAL and nearest[j] < scales.dist_floor:
-                answers[k] = None
-            elif nearest[j] <= 0.0:
-                answers[k] = SingularGeometryError("coincident ions in potential evaluation")
-            else:
-                keep.append(j)
-        if not keep:
-            return answers
-        if len(keep) < len(requests):
-            pos = pos[keep]
-            pairs = tuple(a[keep] for a in pairs)
-    lane_centers = None if curvatures is None else centers[[requests[j][0] for j in keep]]
-    energy_of, grads = _potentials_and_gradients(pos, pairs, trap, species, curvatures, lane_centers)
-    for i, j in enumerate(keep):
-        answers[requests[j][0]] = partial(energy_of, i), grads[i]
-    return answers
-
-
-def _hessians(requests, trap, species, curvatures) -> dict:
-    """One stacked Hessian for the lanes that asked; a stability check
-    gets the lowest eigenvalue of its lane's matrix."""
-    if len(requests) == 1:  # numpy runs the lone array's fewer dimensions faster
-        hess = mass_scaled_hessian(requests[0][1][1], trap, species, curvatures)[None]
-    else:
-        hess = mass_scaled_hessian(np.stack([p for _, (_, p) in requests]), trap, species, curvatures)
-    answers = {}
-    for j, (k, (kind, _)) in enumerate(requests):
-        if kind == _NEWTON:
-            answers[k] = hess[j]
-            continue
-        try:
-            answers[k] = np.linalg.eigvalsh(hess[j])[0]
-        except np.linalg.LinAlgError as err:
-            answers[k] = err
-    return answers
-
-
-def _lane(pos, scales, max_iter):
-    """`solve_equilibrium` as a lane: descend, check stability, and kick
-    and re-descend until a stable stationary point is reached.
-
-    A generator: it yields ``(kind, positions)`` requests and receives the
-    potential (as a function to call for its value) and gradient, None for
-    a trial below the distance floor, a Hessian, or the lowest eigenvalue.
-    It returns the positions, or raises ConvergenceError.
+    Returns the positions (K, N, 3) and the scaled residuals (K,), NaN for
+    a lane that starts on coincident ions and so does not descend.
     """
-    # descents can stall at saddles (a collinear chain past the zigzag
-    # transition); kick deterministically and re-descend
-    for attempt in range(5):
-        pos, residual = yield from _descent(pos, scales, max_iter)
-        lam_min = yield _CHECK, pos
-        if residual < TOL_EQUILIBRIUM and lam_min >= -scales.psd_floor:
-            return pos
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1905, spawn_key=(attempt,))))
-        pos = pos + min(1e-3 * 4.0**attempt, 3e-2) * scales.lbar * rng.standard_normal(pos.shape)
-    raise ConvergenceError(
-        f"equilibrium solve stalled at scaled residual {residual:.3e}"
-        + (" on an unstable stationary point" if lam_min < -scales.psd_floor else ""),
-        residual=float(residual),
-    )
-
-
-def _relax(pos, scales, max_iter):
-    """A lane of `relax_equilibria`: one descent, returning its positions
-    if it converged and None otherwise."""
-    try:
-        pos, residual = yield from _descent(pos, scales, max_iter)
-    except SingularGeometryError:  # coincident ions: the one error served to a descent
-        return None
-    return pos if residual < TOL_EQUILIBRIUM else None
-
-
-def _descent(pos, scales, max_iter):
-    """Damped Newton descent from ``pos``; returns the positions and the
-    scaled residual."""
-    energy, grad = yield _START, pos
-    n = pos.shape[0]
+    pos = np.array(pos, dtype=float)  # a copy: the caller's stack may be a view
+    grad, step = np.empty_like(pos), np.empty_like(pos)
+    norm, slope, alpha = np.full(len(pos), np.nan), np.empty(len(pos)), np.empty(len(pos))
+    energy = [None] * len(pos)  # a float, or a function to call for it
+    evaluate = partial(_evaluate, trap=trap, species=species, curvatures=curvatures, centers=centers)
+    lanes, energy_of, grads = evaluate(pos, np.arange(len(pos)), 0.0)
+    lanes = lanes.tolist()
+    for i, k in enumerate(lanes):
+        grad[k], energy[k], norm[k] = grads[i], partial(energy_of, i), euclidean_norm(grads[i])
     for _ in range(max_iter):
-        grad_norm = euclidean_norm(grad)
-        residual = grad_norm / scales.force_scale
-        if residual < TOL_EQUILIBRIUM:
-            return pos, residual
-        hess = scales.m * (yield _NEWTON, pos)
-        # cho_factor and cho_solve's LAPACK calls, without their wrappers
-        factor, info = dpotrf(hess, lower=1, clean=0)
-        if info == 0:
-            step = dpotrs(factor, -grad.ravel(), lower=1)[0].reshape(n, 3)
-        else:
-            step = -grad / scales.m_wbar2  # indefinite Hessian: gradient descent
-        g_dot_step = float((grad * step).sum())
-        if g_dot_step >= 0:  # not a descent direction; fall back
-            step = -grad / scales.m_wbar2
-            g_dot_step = float((grad * step).sum())
-        alpha = 1.0
-        accepted = False
-        while alpha > 1e-18:
-            trial = pos + alpha * step
-            evaluated = yield _TRIAL, trial
-            if evaluated is None:  # closer than the distance floor
-                alpha *= 0.5
-                continue
-            e_t, g_t = evaluated
-            # near the minimum the energy decrease drowns in rounding; a
-            # shrinking force is the reliable acceptance signal there, and
-            # when it holds, neither energy is needed
-            shrinks = euclidean_norm(g_t) < 0.9 * grad_norm
-            if not shrinks:
-                energy, e_t = energy() if callable(energy) else energy, e_t()
-            if shrinks or e_t <= energy + 1e-4 * alpha * g_dot_step:
-                pos, energy, grad = trial, e_t, g_t
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
+        lanes = [k for k in lanes if not norm[k] / scales.force_scale < TOL_EQUILIBRIUM]
+        if not lanes:
             break
-    return pos, euclidean_norm(grad) / scales.force_scale
+        if len(lanes) == 1:  # numpy runs the lone array's fewer dimensions faster
+            hess = mass_scaled_hessian(pos[lanes[0]], trap, species, curvatures)[None]
+        else:
+            hess = mass_scaled_hessian(pos[lanes], trap, species, curvatures)
+        for j, k in enumerate(lanes):
+            # cho_factor and cho_solve's LAPACK calls, without their wrappers
+            factor, info = dpotrf(scales.m * hess[j], lower=1, clean=0)
+            if info == 0:
+                step[k] = dpotrs(factor, -grad[k].ravel(), lower=1)[0].reshape(-1, 3)
+            else:
+                step[k] = -grad[k] / scales.m_wbar2  # indefinite Hessian: gradient descent
+            slope[k] = float((grad[k] * step[k]).sum())
+            if slope[k] >= 0:  # not a descent direction; fall back
+                step[k] = -grad[k] / scales.m_wbar2
+                slope[k] = float((grad[k] * step[k]).sum())
+        alpha[lanes] = 1.0
+        search = lanes
+        while search:
+            trials = pos[search] + alpha[search, None, None] * step[search]
+            kept, energy_of, grads = evaluate(trials, np.array(search), scales.dist_floor)
+            evaluated = dict(zip(kept.tolist(), range(len(kept))))
+            retry = []
+            for j, k in enumerate(search):
+                i = evaluated.get(j)  # None: closer than the distance floor
+                if i is not None:
+                    # near the minimum the energy decrease drowns in rounding; a
+                    # shrinking force is the reliable acceptance signal there, and
+                    # when it holds, neither energy is needed
+                    g_norm = euclidean_norm(grads[i])
+                    shrinks = g_norm < 0.9 * norm[k]
+                    if not shrinks:
+                        energy[k] = energy[k]() if callable(energy[k]) else energy[k]
+                        e_t = energy_of(i)
+                    if shrinks or e_t <= energy[k] + 1e-4 * alpha[k] * slope[k]:
+                        pos[k], grad[k], norm[k] = trials[j], grads[i], g_norm
+                        energy[k] = partial(energy_of, i) if shrinks else e_t
+                        continue
+                alpha[k] *= 0.5
+                retry.append(k)
+            search = [k for k in retry if alpha[k] > 1e-18]
+        lanes = [k for k in lanes if alpha[k] > 1e-18]  # the others found no step: their descents end
+    return pos, norm / scales.force_scale
+
+
+def _evaluate(trials, lanes, floor, trap, species, curvatures, centers):
+    """One stacked potential-and-gradient call at the (k, N, 3) ``trials``
+    of ``lanes`` whose nearest ions are not closer than ``floor`` and not
+    coincident.  Returns the indices of the evaluated trials, the energies
+    as a function of their position among them, and their gradients."""
+    keep, pairs = np.arange(len(trials)), None
+    if trap.n_ions > 1 and keep.size:
+        pairs = _pair_terms(trials)
+        nearest = pairs[2].min(axis=1)
+        keep = np.flatnonzero(~((nearest < floor) | (nearest <= 0.0)))
+        if 0 < keep.size < len(trials):
+            trials = trials[keep]
+            pairs = tuple(a[keep] for a in pairs)
+    if not keep.size:
+        return keep, None, None
+    lane_centers = None if curvatures is None else centers[lanes[keep]]
+    energy_of, grads = _potentials_and_gradients(trials, pairs, trap, species, curvatures, lane_centers)
+    return keep, energy_of, grads
 
 
 def _classify_geometry(pos, trap, species):

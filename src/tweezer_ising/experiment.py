@@ -251,9 +251,11 @@ def misalignment_scan(
 
     Samples run in blocks of `SCAN_BLOCK`, not refilled as lanes finish,
     and every sample gets the bits of one-at-a-time solves.  Stacked per
-    block: the Newton descents, as lanes of `lanes.run_lanes`
-    (`relax_equilibria`), then the grading of the converged descents, one
-    stacked `mass_scaled_hessian` and one `grade_hessians` (one `eigh`).
+    block: the Newton descents (`relax_equilibria`, whose lockstep loop
+    `crystal._descents` makes one Hessian per iteration and one
+    potential-and-gradient call per line-search round), then the grading
+    of the converged descents, one stacked `mass_scaled_hessian` and one
+    `grade_hessians` (one `eigh`).
     Per sample, in order: `solve_equilibrium` from the descended positions
     (or from the aligned crystal, where the descent did not converge);
     then, if the solve returned the descended positions, the graded J's

@@ -126,7 +126,7 @@ def coupling_gradient_adjoint(
     jac = coupling_jacobian_diag(spectrum, drive, species, coords)
     pairs = tuple(tuple(pq) for pq in pairs)
     k, l = np.array(pairs, dtype=int).reshape(-1, 2).T
-    return CouplingGradient(pairs, _coord_rows(spectrum, coords), jac[k, l])
+    return CouplingGradient(pairs, spectrum.coords[_coord_rows(spectrum, coords)], jac[k, l])
 
 
 def _coord_rows(spectrum: ModeSpectrum, coords) -> np.ndarray:

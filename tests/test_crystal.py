@@ -239,7 +239,7 @@ class TestWithOffsets:
 
 
 # Reference equilibrium solver: `potential_and_gradient`,
-# `mass_scaled_hessian` and `_newton_descent` written with np.linalg.norm,
+# `mass_scaled_hessian` and the Newton descent written with np.linalg.norm,
 # np.triu_indices, boolean masks and scipy's Cholesky wrappers, driven by
 # `solve_equilibrium`'s descend-and-kick loop.  The package solver must
 # give the same position bytes.
@@ -526,3 +526,55 @@ class TestEquilibriumLockstep:
         guess = default_chain_guess(chain_trap, species)
         self._assert_lanes_match(chain_trap, species, guess[None])
         assert relax_equilibria(chain_trap, species, np.zeros((0, 5, 3))) == []
+
+    def test_a_lane_starting_on_coincident_ions_relaxes_to_none(self, species, chain_trap):
+        guess = default_chain_guess(chain_trap, species)
+        coincident = guess.copy()
+        coincident[1] = coincident[0]
+        relaxed = relax_equilibria(chain_trap, species, np.stack([guess, coincident, guess]))
+        assert relaxed[1] is None
+        (alone,) = relax_equilibria(chain_trap, species, guess[None])
+        assert relaxed[0].tobytes() == alone.tobytes() == relaxed[2].tobytes()
+        solved = solve_equilibrium(chain_trap, species, chain_trap.n_ions, guess)
+        assert alone.tobytes() == solved.positions.tobytes()
+
+    def test_a_kick_onto_coincident_ions_raises(self, species, monkeypatch):
+        # no Newton step (max_iter=0) leaves the guess unconverged; the
+        # first kick, 1e-3 length scales along a stubbed draw of -1, moves
+        # ion 1 exactly onto ion 0
+        trap = TrapConfig(2.0 * MHZ, 1.7 * MHZ, 0.2 * MHZ, n_ions=2)
+        kick = 1e-3 * length_scale(trap.omega_bar, species)
+        guess = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, kick]])
+
+        class Draw:
+            def __init__(self, bit_generator):
+                pass
+
+            def standard_normal(self, shape):
+                return np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+
+        monkeypatch.setattr(np.random, "Generator", Draw)
+        with pytest.raises(SingularGeometryError, match="^coincident ions in potential evaluation$"):
+            solve_equilibrium(trap, species, 2, guess, max_iter=0)
+
+    def test_the_callers_arrays_are_not_written(self, species):
+        # the scan passes broadcast views of the aligned crystal as guesses,
+        # and a solve's guess is a view of the caller's positions
+        trap = TrapConfig(2.0 * MHZ, 0.6 * MHZ, 0.07 * MHZ, n_ions=12)
+        aligned = solve_equilibrium(trap, species, 12)
+        rng = np.random.default_rng(5)
+        pattern = TweezerPattern.from_frequencies(rng.uniform(0.05, 0.3, 12) * MHZ, axes="y")
+        offsets = np.zeros((4, 12, 3))
+        offsets[:, :, 1] = rng.uniform(-200e-9, 200e-9, (4, 12))
+        reference = aligned.positions.copy()
+        guess = reference + 1e-3 * length_scale(trap.omega_bar, species)
+        guesses = np.broadcast_to(guess, offsets.shape)
+        centers = reference + offsets
+        before = [a.tobytes() for a in (guess, reference, guesses, centers)]
+        relaxed = relax_equilibria(trap, species, guesses, pattern.curvatures, centers)
+        shifted = solve_equilibrium(
+            trap, species, 12, guess, tweezers=pattern.with_offsets(offsets[0]), tweezer_reference=reference
+        )
+        assert all(pos is not None for pos in relaxed)
+        assert np.abs(shifted.positions - guess).max() > 0
+        assert [a.tobytes() for a in (guess, reference, guesses, centers)] == before

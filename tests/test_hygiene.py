@@ -5,9 +5,10 @@ module top (a function-level import hides a dependency and is re-run on
 every call), and every private definition is used somewhere in the
 package (a copy left behind by a fold reads as live code), and every
 parameter of a package function is read in its body (an argument that is
-accepted and ignored reads as a choice the caller makes), and only
-`lanes.run_lanes` advances generators (a second round loop would drift
-from the first).  No linter runs on this code, so these checks stand in.
+accepted and ignored reads as a choice the caller makes), and no module
+defines a generator or advances one by hand (lanes advance as rows of
+arrays in plain loops, not as coroutines that a round loop drives).  No linter runs on this code, so
+these checks stand in.
 """
 
 import ast
@@ -162,28 +163,30 @@ def test_every_parameter_is_read():
     assert set(unread) >= UNREAD_PARAMETERS, "an exempt parameter is read now; drop its exemption"
 
 
-#: the one module that may advance a generator by hand
-LANE_DRIVER = "lanes.py"
-
-
-def _generator_advances(tree):
-    """Calls that advance a generator by hand: ``.send(``, ``.throw(``, ``next(``."""
+def _generator_steps(tree):
+    """What makes or drives a generator: ``yield`` and ``yield from``, which
+    make their function one, and ``.send(``, ``.throw(`` and ``next(``,
+    which advance one by hand."""
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in ("send", "throw"):
-            yield f".{func.attr}( (line {node.lineno})"
-        elif isinstance(func, ast.Name) and func.id == "next":
-            yield f"next( (line {node.lineno})"
+        if isinstance(node, ast.Yield):
+            yield f"yield (line {node.lineno})"
+        elif isinstance(node, ast.YieldFrom):
+            yield f"yield from (line {node.lineno})"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in ("send", "throw"):
+                yield f".{func.attr}( (line {node.lineno})"
+            elif isinstance(func, ast.Name) and func.id == "next":
+                yield f"next( (line {node.lineno})"
 
 
-def test_only_the_lane_driver_advances_generators():
-    assert any(_generator_advances(_parse(PACKAGE / LANE_DRIVER))), "the check no longer sees the driver"
-    found = [
-        f"{path.name}: {call}"
-        for path in MODULES
-        if path.name != LANE_DRIVER
-        for call in _generator_advances(_parse(path))
-    ]
-    assert not found, f"generators advanced outside lanes.run_lanes: {', '.join(found)}"
+def test_the_generator_check_sees_every_form():
+    source = "def lane():\n    x = yield 1\n    return (yield from [x])\n\ng = lane()\nnext(g)\ng.send(2)\ng.throw(KeyError)\n"
+    assert set(_generator_steps(ast.parse(source))) == {
+        "yield (line 2)", "yield from (line 3)", "next( (line 6)", ".send( (line 7)", ".throw( (line 8)",
+    }
+
+
+def test_no_module_makes_or_drives_a_generator():
+    found = [f"{path.name}: {step}" for path in MODULES for step in _generator_steps(_parse(path))]
+    assert not found, f"generators in the package: {', '.join(found)}"

@@ -15,7 +15,7 @@ from tweezer_ising import (
     solve_equilibrium,
 )
 from tweezer_ising.errors import DegenerateSpectrumError
-from tweezer_ising.modes import TweezerPattern, block_coords, mode_projections
+from tweezer_ising.modes import TweezerPattern, block_coords, mass_scaled_hessian, mode_projections
 from tweezer_ising.sensitivity import all_pairs
 
 from conftest import MHZ
@@ -99,6 +99,21 @@ class TestAdjointGradient:
         # J12(K) = 0.5/(mu^2 - lam_com - K) - 0.5/(mu^2 - lam_rock - K)
         expected = 0.5 / (mu**2 - lam_com) ** 2 - 0.5 / (mu**2 - lam_rock) ** 2
         assert directional == pytest.approx(expected, rel=1e-10)
+
+    def test_coords_are_the_differentiated_coordinates(self, species):
+        # on the y block of a 4-ion chain (coordinates 1, 4, 7, 10) the
+        # field holds coordinates, not the block's row positions
+        crystal, pattern, _ = _pinned_chain(species, 4, pin_mhz=0.25, seed=2)
+        yc = block_coords(4, ["y"])
+        hess = build_hessian(crystal, pattern)
+        block = mass_scaled_hessian(crystal.positions, crystal.trap, species, pattern.curvatures)[np.ix_(yc, yc)]
+        spec = mode_spectrum(block, freq_scale=crystal.trap.omega_bar, coords=yc, n_ions=4)
+        drive = DriveConfig(mu=1.07 * spec.frequencies.max(), drive_axis="y")
+        some = coupling_gradient_adjoint(hess, spec, drive, [(0, 1)], species, coords=[4, 7])
+        every = coupling_gradient_adjoint(hess, spec, drive, [(0, 1)], species)
+        assert some.coords.tolist() == [4, 7]
+        assert every.coords.tolist() == yc.tolist() == [1, 4, 7, 10]
+        assert some.values.tobytes() == every.values[:, 1:3].tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_finite_differences(self, species, n):
