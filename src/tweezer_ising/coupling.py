@@ -23,6 +23,7 @@ gradient kernel too (see `sensitivity`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -98,11 +99,19 @@ class CouplingMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError("coupling matrix must be square")
-        object.__setattr__(self, "matrix", _symmetric_zero_diagonal(m))
+        m = _symmetric_zero_diagonal(m)
+        m.flags.writeable = False  # `_peak_and_norm` caches what is computed from it
+        object.__setattr__(self, "matrix", m)
 
     @property
     def n_ions(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def _peak_and_norm(self) -> tuple[float, float]:
+        """`_target_side` of the matrix: a scan grades every sample
+        against one target."""
+        return _target_side(self.matrix)
 
 
 def _symmetric_zero_diagonal(m: np.ndarray) -> np.ndarray:
@@ -263,6 +272,13 @@ def _rescaled_errors(target: np.ndarray, t_norm: float, max_t: float, j: np.ndar
     return s, r, np.sqrt(np.vecdot(flat, flat)) / t_norm
 
 
+def _target_side(jt: np.ndarray) -> tuple[float, float]:
+    """The target's side of `coupling_error`: its largest |off-diagonal
+    entry| and its Frobenius norm."""
+    (peak,), _ = _largest_offdiag(jt[None])
+    return peak, euclidean_norm(jt)
+
+
 def coupling_error(
     j_target: Union[CouplingMatrix, np.ndarray],
     j: Union[CouplingMatrix, np.ndarray],
@@ -271,16 +287,18 @@ def coupling_error(
 
     J is rescaled so its largest off-diagonal magnitude matches the
     target's, then eps = ||J_T - J~||_F / ||J_T||_F: the one-matrix call of
-    `_largest_offdiag` and `_rescaled_errors`."""
+    `_largest_offdiag` and `_rescaled_errors`.  A CouplingMatrix target's
+    largest coupling and norm are computed once, on its first call."""
     jt = _as_matrix(j_target)
     jm = _as_matrix(j)
     if jt.shape != jm.shape or jt.ndim != 2 or jt.shape[0] != jt.shape[1]:
         raise InvalidArgumentError("coupling matrices must be square and of equal shape")
-    (max_t, max_j), _ = _largest_offdiag(np.array([jt, jm]))
-    if max_j <= 0.0 or max_t <= 0.0:
+    max_t, t_norm = j_target._peak_and_norm if isinstance(j_target, CouplingMatrix) else _target_side(jt)
+    max_j, _ = _largest_offdiag(jm[None])
+    if max_j[0] <= 0.0 or max_t <= 0.0:
         raise UndefinedNormalizationError("cannot normalize an identically zero coupling matrix")
     # numpy's division: a norm that underflows to 0 gives NaN, not an exception
-    (scale,), _, (eps,) = _rescaled_errors(jt, euclidean_norm(jt), max_t, jm[None], max_j[None])
+    (scale,), _, (eps,) = _rescaled_errors(jt, t_norm, max_t, jm[None], max_j)
     return float(eps), CouplingMatrix(jm * scale, scale=float(scale))
 
 

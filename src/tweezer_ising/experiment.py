@@ -28,7 +28,8 @@ from .modes import AXIS_INDEX, mass_scaled_hessian
 
 #: minimum detuning from any transition, in linewidths
 MIN_DETUNING_LINEWIDTHS = 10.0
-#: misalignment samples whose Newton descents run together; bounds the stacked arrays
+#: misalignment samples whose Newton descents run together and whose gradings
+#: share one stacked eigh; bounds the stacked arrays of a block
 SCAN_BLOCK = 16
 
 
@@ -249,19 +250,25 @@ def misalignment_scan(
     error are recomputed.  Streams are per-sample seeded, so the output is
     independent of evaluation order.
 
-    Samples run in blocks of `SCAN_BLOCK`, not refilled as lanes finish,
-    and every sample gets the bits of one-at-a-time solves.  Stacked per
-    block: the Newton descents (`relax_equilibria`, whose lockstep loop
+    The scan makes three passes, and every sample gets the bits of
+    one-at-a-time solves.  (1) Descend: the samples' Newton descents run in
+    blocks of `SCAN_BLOCK` (`relax_equilibria`, whose lockstep loop
     `crystal._descents` makes one Hessian per iteration and one
-    potential-and-gradient call per line-search round), then the grading
-    of the converged descents, one stacked `mass_scaled_hessian` and one
-    `grade_hessians` (one `eigh`).
-    Per sample, in order: `solve_equilibrium` from the descended positions
-    (or from the aligned crystal, where the descent did not converge);
-    then, if the solve returned the descended positions, the graded J's
-    `coupling_error`, and otherwise (no converged descent, or a kick) a
-    lone `realized_coupling`.  The solve and its `coupling_error` stay per
-    sample because a sample is timed and counted from one to the other.
+    potential-and-gradient call per line-search round), not refilled as
+    lanes finish.  (2) Grade: the aligned crystal's `realized_coupling`,
+    then per block one stacked `mass_scaled_hessian` and one
+    `grade_hessians` (one `eigh`) of the converged descents, back to back;
+    only each sample's J, or the exception its grading raises, is kept.
+    `eigh` is the one call of the scan that wakes OpenBLAS's worker
+    threads, so the gradings run back to back: the pool wakes once per
+    scan, not once per block, and sleeps through the descents and solves.
+    (3) Finish, per sample in order: `solve_equilibrium` from the descended
+    positions (or from the aligned crystal, where the descent did not
+    converge); then, if the solve returned the descended positions, the
+    graded J's `coupling_error`, and otherwise (no converged descent, or a
+    kick) a lone `realized_coupling`.  The solve and its `coupling_error`
+    stay per sample because a sample is timed and counted from one to the
+    other.
     Samples whose equilibrium solve fails to converge, or whose crystal is
     unstable, are excluded and counted in sample order; any other error
     is raised from the first sample that raises it.
@@ -291,14 +298,9 @@ def misalignment_scan(
     pattern = result.tweezers
     drive = (result.mu, result.drive.drive_axis, result.drive.resonance_guard)
 
-    aligned_eps = realized_coupling(
-        crystal.positions, trap, species, pattern.curvatures, *drive, result.target
-    )[0]
-
-    records = []
-    failed = []
-    for start in range(0, samples, SCAN_BLOCK):
-        block = range(start, min(start + SCAN_BLOCK, samples))
+    blocks = [range(start, min(start + SCAN_BLOCK, samples)) for start in range(0, samples, SCAN_BLOCK)]
+    descended = []  # per block: the offsets and the relaxed positions (or None)
+    for block in blocks:
         offsets = np.stack([_sample_offsets(crystal.n_ions, axis_idx, scales, seed, i) for i in block])
         relaxed = relax_equilibria(
             trap,
@@ -307,12 +309,24 @@ def misalignment_scan(
             pattern.curvatures,
             crystal.positions + offsets,
         )
+        descended.append((offsets, relaxed))
+
+    aligned_eps = realized_coupling(
+        crystal.positions, trap, species, pattern.curvatures, *drive, result.target
+    )[0]
+    graded = []  # per block: converged lane -> J, or the exception its grading raises
+    for _, relaxed in descended:
         converged = [k for k, pos in enumerate(relaxed) if pos is not None]
-        graded = {}
+        couplings = []
         if converged:
             stack = np.stack([relaxed[k] for k in converged])
             hessians = mass_scaled_hessian(stack, trap, species, pattern.curvatures)
-            graded = dict(zip(converged, grade_hessians(hessians, trap.omega_bar, *drive, species).couplings))
+            couplings = grade_hessians(hessians, trap.omega_bar, *drive, species).couplings
+        graded.append(dict(zip(converged, couplings)))
+
+    records = []
+    failed = []
+    for block, (offsets, relaxed), block_graded in zip(blocks, descended, graded):
         for k, (i, off, guess) in enumerate(zip(block, offsets, relaxed)):
             try:
                 shifted = solve_equilibrium(
@@ -324,9 +338,9 @@ def misalignment_scan(
                     tweezer_reference=crystal.positions,
                 )
                 if guess is not None and np.array_equal(shifted.positions, guess):
-                    if isinstance(graded[k], Exception):
-                        raise graded[k]
-                    eps = coupling_error(result.target, graded[k])[0]
+                    if isinstance(block_graded[k], Exception):
+                        raise block_graded[k]
+                    eps = coupling_error(result.target, block_graded[k])[0]
                 else:
                     eps = realized_coupling(
                         shifted.positions, trap, species, pattern.curvatures, *drive, result.target

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .coupling import CouplingMatrix, _as_matrix, max_abs_offdiag
 from .errors import InvalidArgumentError
@@ -148,6 +147,10 @@ def _one_column(col: np.ndarray, nonnegative: bool) -> tuple[float, np.ndarray]:
 
 
 def _margin_lp(x: np.ndarray, lo: float) -> tuple[float, np.ndarray]:
+    # imported on first use: scipy.optimize adds ~0.2 s to every process
+    # start, and a triangle design or a misalignment scan never solves an LP
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     n_c, n_p = x.shape
     # variables: [w (n_p), t]; minimize -t subject to -X w + t <= 0
     c = np.zeros(n_p + 1)

@@ -34,9 +34,9 @@ from .coupling import (
     _mode_sum,
     _rescaled_errors,
     _symmetric_zero_diagonal,
+    _target_side,
     _zero_diagonal,
     coupling_matrix,
-    max_abs_offdiag,
     realized_coupling,
 )
 from .crystal import (
@@ -64,7 +64,6 @@ from .modes import (
     _placement,
     axis_vector,
     block_coords,
-    euclidean_norm,
     mass_scaled_hessian,
     mode_spectrum,
 )
@@ -372,8 +371,7 @@ class PinProblem:
 
         t = _as_matrix(target)
         self.target = t
-        self.t_norm = euclidean_norm(t)
-        self.max_t, _ = max_abs_offdiag(t)
+        self.max_t, self.t_norm = _target_side(t)
         if self.max_t <= 0.0:
             raise UndefinedNormalizationError("target has no nonzero off-diagonal coupling")
         self.floor = TOL_PSD_REL * self.wbar**2

@@ -508,6 +508,94 @@ class TestStackedGrading:
         assert scan.records == records and scan.failed_samples == failed
         assert (stacks, len(alone)) == (([4], 5) if drop else ([8], 1))
 
+    @pytest.mark.parametrize("block", [16, 3])
+    def test_every_grading_comes_before_the_finishing_solves(self, marginal_chain, monkeypatch, block):
+        # the descents, then the aligned grading and the stacked gradings,
+        # then per sample its solve and, for a kicked one, its lone grading
+        import tweezer_ising.experiment as experiment_mod
+
+        monkeypatch.setattr(experiment_mod, "SCAN_BLOCK", block)
+        events = []
+        for name in ("relax_equilibria", "grade_hessians", "realized_coupling", "solve_equilibrium"):
+            _count_calls(monkeypatch, experiment_mod, name, lambda *args, name=name: events.append(name))
+        scales, seed, axes = MARGINAL
+        scan = misalignment_scan(marginal_chain, scales, 20, seed, axes=axes)
+        assert len(scan.records) == 18
+        first = events.index("solve_equilibrium")
+        blocks, graded = -(-20 // block), events.count("grade_hessians")
+        assert graded >= 1
+        assert events[:first] == ["relax_equilibria"] * blocks + ["realized_coupling"] + ["grade_hessians"] * graded
+        assert events[first:].count("solve_equilibrium") == 20
+        assert set(events[first:]) == {"solve_equilibrium", "realized_coupling"}
+
+    @pytest.mark.parametrize("block", [16, 3])
+    def test_a_later_grading_error_waits_for_the_earlier_samples(self, marginal_chain, monkeypatch, block):
+        # every grading after the first block's gives each lane an error; an
+        # error in sample 2's solve, in the first block, still comes first
+        import tweezer_ising.experiment as experiment_mod
+
+        monkeypatch.setattr(experiment_mod, "SCAN_BLOCK", block)
+        grade, solve = experiment_mod.grade_hessians, experiment_mod.solve_equilibrium
+        gradings, solves = [], []
+
+        def grade_later_blocks_badly(hessians, *args):
+            grades = grade(hessians, *args)
+            gradings.append(len(hessians))
+            if len(gradings) == 1:
+                return grades
+            return grades._replace(couplings=[LookupError("a later block's grading")] * len(hessians))
+
+        def solve_raising_at_sample_2(*args, **kwargs):
+            solves.append(len(solves))
+            if solves[-1] == 2:
+                raise ValueError("sample 2's solve")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(experiment_mod, "grade_hessians", grade_later_blocks_badly)
+        scales, seed, axes = MARGINAL
+        with pytest.raises(LookupError):
+            misalignment_scan(marginal_chain, scales, 20, seed, axes=axes)
+        assert len(gradings) > 1
+        gradings.clear()
+        monkeypatch.setattr(experiment_mod, "solve_equilibrium", solve_raising_at_sample_2)
+        with pytest.raises(ValueError, match="sample 2's solve"):
+            misalignment_scan(marginal_chain, scales, 20, seed, axes=axes)
+        assert len(solves) == 3
+
+    def test_scan_grades_against_one_target_side(self, leaky_chain, monkeypatch):
+        # each sample's coupling_error reads the target's largest coupling
+        # and norm, computed once per CouplingMatrix, and has the bits of
+        # the formula that computed them on every call
+        from types import SimpleNamespace
+
+        import tweezer_ising.coupling as coupling_mod
+        import tweezer_ising.experiment as experiment_mod
+        from tweezer_ising.coupling import CouplingMatrix, _as_matrix, _largest_offdiag, _rescaled_errors
+        from tweezer_ising.modes import euclidean_norm
+
+        def unhoisted_epsilon(target, j):
+            jt, jm = _as_matrix(target), _as_matrix(j)
+            (max_t, max_j), _ = _largest_offdiag(np.array([jt, jm]))
+            return float(_rescaled_errors(jt, euclidean_norm(jt), max_t, jm[None], max_j[None])[2][0])
+
+        error, graded = coupling_mod.coupling_error, []
+
+        def spy(target, j):
+            eps, realized = error(target, j)
+            graded.append((target, j, eps))
+            return eps, realized
+
+        monkeypatch.setattr(coupling_mod, "coupling_error", spy)  # what realized_coupling calls
+        monkeypatch.setattr(experiment_mod, "coupling_error", spy)
+        sides = _count_calls(monkeypatch, coupling_mod, "_target_side")
+        design = SimpleNamespace(**{**vars(leaky_chain), "target": CouplingMatrix(leaky_chain.target)})
+        scan = misalignment_scan(design, [1e-7, 1e-6, 3e-6], 12, 5, axes=("y", "z"))
+        assert len(sides) == 1
+        assert len(graded) == len(scan.records) + 1 == 9
+        assert [eps for _, _, eps in graded] == [scan.aligned_epsilon] + [eps for _, eps in scan.records]
+        for target, j, eps in graded:
+            assert repr(eps) == repr(unhoisted_epsilon(target, j))
+
 
 class TestMultiAxisDrive:
     """A drive along more than one axis: the one-lane grading, the lone

@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import tweezer_ising
 from tweezer_ising import build_sign_constraints, feasibility_test
 from tweezer_ising.errors import InvalidArgumentError
 from tweezer_ising.feasibility import SignConstraintSystem
@@ -164,3 +170,32 @@ class TestBuildSignConstraints:
         system = build_sign_constraints(target, j0, grads)
         assert system.n_rows == len(system.provenance)
         assert system.n_rows + len(system.excluded) == 6
+
+
+def test_the_lp_solver_is_imported_on_first_use():
+    # scipy.optimize is ~0.2 s of a process start: importing the package and
+    # building every scenario leave it out; the first LP brings it in
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import tweezer_ising.cli
+        from tweezer_ising import feasibility_test, scenarios
+        from tweezer_ising.feasibility import SignConstraintSystem
+
+        for fast in (False, True):
+            scenarios.nn_chain_12(fast), scenarios.frustrated_ladder_12(fast), scenarios.triangular_af_19(fast)
+            for exponent in scenarios.power_law_exponents(fast):
+                for even in (False, True):
+                    scenarios.power_law_chain_12(exponent, even, fast)
+            scenarios.misalignment_settings(fast)
+        before = "scipy.optimize" in sys.modules
+        feasibility_test(SignConstraintSystem([[1.0, 0.0], [0.0, 1.0]], ((0, 1, 1.0), (0, 2, 1.0)), ()))
+        print(before, "scipy.optimize" in sys.modules)
+        """
+    )
+    src = str(Path(tweezer_ising.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "True"]
