@@ -65,6 +65,8 @@ SCHEMA = {
 }
 
 SIGN_WORDS = {"af": 1.0, "antiferro": 1.0, "ferro": -1.0, "+1": 1.0, "-1": -1.0, "1": 1.0}
+#: the accepted spellings of a boolean value, in any case
+BOOL_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
 
 @dataclass
@@ -144,9 +146,9 @@ def _get(values, section, key, default=None, cast=str):
         return default
     try:
         if cast is bool:
-            return str(raw).strip().lower() in ("1", "true", "yes", "on")
+            return BOOL_WORDS[str(raw).strip().lower()]
         return cast(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, KeyError):
         raise InvalidArgumentError(f"bad value for [{section}] {key}: {raw!r}") from None
 
 
@@ -154,10 +156,7 @@ def _opt(values, section, key, cast=float):
     raw = values.get(section, {}).get(key)
     if raw is None or str(raw).strip() == "":
         return None
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"bad value for [{section}] {key}: {raw!r}") from None
+    return _get(values, section, key, cast=cast)
 
 
 def _typed(values: dict, base_dir: Path) -> RunConfig:

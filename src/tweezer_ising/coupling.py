@@ -133,10 +133,14 @@ def _as_matrix(j: Union[CouplingMatrix, np.ndarray]) -> np.ndarray:
     return j.matrix if isinstance(j, CouplingMatrix) else np.asarray(j, dtype=float)
 
 
-def check_resonance(spectrum: ModeSpectrum, drive: DriveConfig) -> None:
-    err = _resonance(drive, spectrum.frequencies, drive.mask_for(spectrum))
+def check_resonance(spectrum: ModeSpectrum, drive: DriveConfig) -> np.ndarray:
+    """Raise the ResonanceError of a beatnote within the guard of a masked
+    mode; otherwise return the drive's mode mask for the spectrum."""
+    mask = drive.mask_for(spectrum)
+    err = _resonance(drive, spectrum.frequencies, mask)
     if err is not None:
         raise err
+    return mask
 
 
 def _resonance(drive: DriveConfig, frequencies: np.ndarray, mask: np.ndarray) -> Optional[ResonanceError]:
@@ -167,8 +171,7 @@ def coupling_matrix(
     species: SpeciesConstants,
 ) -> CouplingMatrix:
     """Evaluate the detuned mode sum for every ion pair; diagonal zeroed."""
-    check_resonance(spectrum, drive)
-    mask = drive.mask_for(spectrum)
+    mask = check_resonance(spectrum, drive)
     proj = mode_projections(spectrum, drive.drive_axis)[..., mask]
     mode_sum = _mode_sum(proj, 1.0 / (drive.mu**2 - spectrum.eigenvalues[mask]))
     return CouplingMatrix(coupling_prefactor(drive, species) * mode_sum)
@@ -182,6 +185,16 @@ def _mode_sum(w: np.ndarray, theta: np.ndarray, v: Optional[np.ndarray] = None) 
     return (w * theta[..., None, :]) @ (w if v is None else v).swapaxes(-1, -2)
 
 
+def _drive_terms(spectrum: ModeSpectrum, drive: DriveConfig, species: SpeciesConstants):
+    """The resonance check, then g and k_eff (1 where symbolic), the Lamb-Dicke
+    parameters eta (N, B), the mode mask, the masked frequencies and mu."""
+    mask = check_resonance(spectrum, drive)
+    g = drive.g if drive.g is not None else 1.0
+    k = drive.k_eff if drive.k_eff is not None else 1.0
+    eta = lamb_dicke(spectrum, k, drive.drive_axis, species)
+    return g, eta, mask, spectrum.frequencies[mask], drive.mu
+
+
 def residual_displacement(
     spectrum: ModeSpectrum,
     drive: DriveConfig,
@@ -193,13 +206,7 @@ def residual_displacement(
     Closed form of the first propagator term; exactly zero at t = 0.
     Masked-out modes report zero.
     """
-    check_resonance(spectrum, drive)
-    g = drive.g if drive.g is not None else 1.0
-    k = drive.k_eff if drive.k_eff is not None else 1.0
-    eta = lamb_dicke(spectrum, k, drive.drive_axis, species)
-    mask = drive.mask_for(spectrum)
-    w = spectrum.frequencies[mask]
-    mu = drive.mu
+    g, eta, mask, w, mu = _drive_terms(spectrum, drive, species)
     bracket = mu - np.exp(1j * w * t) * (mu * np.cos(mu * t) - 1j * w * np.sin(mu * t))
     gamma = np.zeros((spectrum.n_ions, spectrum.n_modes), dtype=complex)
     gamma[:, mask] = (-1j * g) * eta[:, mask] * (bracket / (mu**2 - w**2))[None, :]
@@ -223,13 +230,7 @@ def ising_phase(
     window of many beat periods 2 pi / |mu - w_m|.  The closed form is
     exactly zero at t = 0.
     """
-    check_resonance(spectrum, drive)
-    g = drive.g if drive.g is not None else 1.0
-    keff = drive.k_eff if drive.k_eff is not None else 1.0
-    eta = lamb_dicke(spectrum, keff, drive.drive_axis, species)
-    mask = drive.mask_for(spectrum)
-    w = spectrum.frequencies[mask]
-    mu = drive.mu
+    g, eta, mask, w, mu = _drive_terms(spectrum, drive, species)
     tt = np.asarray(t, dtype=float)[..., None]
     terms = (
         mu * np.sin((mu - w) * tt) / (mu - w)

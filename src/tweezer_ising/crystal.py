@@ -22,7 +22,7 @@ from .errors import (
     NonPlanarError,
     SingularGeometryError,
 )
-from .modes import TOL_PSD_REL, TweezerPattern, euclidean_norm, mass_scaled_hessian
+from .modes import TOL_PSD_REL, TweezerPattern, euclidean_norm, mass_scaled_hessian, pair_differences
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -133,11 +133,8 @@ def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_terms(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Differences (..., N, N, 3) and distances (..., N, N) of every ion
-    pair, and the distances of the pairs i < j, for positions (..., N, 3)."""
-    diff = pos[..., :, None, :] - pos[..., None, :, :]
-    # np.linalg.norm(diff, axis=-1), as numpy computes it
-    dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    """`pair_differences` of positions (..., N, 3) and the distances of the pairs i < j."""
+    diff, dist = pair_differences(pos)
     upper = _pair_tables(pos.shape[-2])[0]
     return diff, dist, dist.reshape(dist.shape[:-2] + (-1,)).take(upper, axis=-1)
 
@@ -381,13 +378,13 @@ def _descents(pos, trap, species, curvatures, centers, scales, max_iter):
     """Damped Newton descents from a (K, N, 3) stack of positions, in lockstep.
 
     Each Newton iteration makes one stacked `mass_scaled_hessian` for the
-    lanes still descending, and each line-search round one stacked
-    `_potentials_and_gradients` call at the lanes' trials; a trial closer
-    than the distance floor gets no evaluation and halves its step.  The
-    Cholesky solves, norms, slopes and acceptance tests stay per lane, so
-    every lane has the bits of its lone descent.  ``centers`` is a
-    (K, N, 3) stack, or None without tweezers; neither it nor ``pos`` is
-    written to.
+    lanes still descending (a stack of one for a lone lane), and each
+    line-search round one stacked `_potentials_and_gradients` call at the
+    lanes' trials; a trial closer than the distance floor gets no
+    evaluation and halves its step.  The Cholesky solves, norms, slopes and
+    acceptance tests stay per lane, so every lane has the bits of its lone
+    descent.  ``centers`` is a (K, N, 3) stack, or None without tweezers;
+    neither it nor ``pos`` is written to.
 
     Returns the positions (K, N, 3) and the scaled residuals (K,), NaN for
     a lane that starts on coincident ions and so does not descend.
@@ -405,10 +402,7 @@ def _descents(pos, trap, species, curvatures, centers, scales, max_iter):
         lanes = [k for k in lanes if not norm[k] / scales.force_scale < TOL_EQUILIBRIUM]
         if not lanes:
             break
-        if len(lanes) == 1:  # numpy runs the lone array's fewer dimensions faster
-            hess = mass_scaled_hessian(pos[lanes[0]], trap, species, curvatures)[None]
-        else:
-            hess = mass_scaled_hessian(pos[lanes], trap, species, curvatures)
+        hess = mass_scaled_hessian(pos[lanes], trap, species, curvatures)
         for j, k in enumerate(lanes):
             # cho_factor and cho_solve's LAPACK calls, without their wrappers
             factor, info = dpotrf(scales.m * hess[j], lower=1, clean=0)

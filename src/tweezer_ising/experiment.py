@@ -24,7 +24,8 @@ from .errors import (
     UnstableCrystalError,
     ValidityError,
 )
-from .modes import AXIS_INDEX, mass_scaled_hessian
+from .modes import AXIS_INDEX, mass_scaled_hessian, row_norms
+from .targets import data_lines
 
 #: minimum detuning from any transition, in linewidths
 MIN_DETUNING_LINEWIDTHS = 10.0
@@ -93,25 +94,20 @@ def load_atomic_lines(path: Union[str, Path], hyperfine_splitting: float) -> Ato
     The linewidth column is Gamma / 2pi in MHz.
     """
     transitions = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise InvalidArgumentError(f"{path}:{lineno}: expected 'label wavelength_nm linewidth_MHz'")
-            label = parts[0]
-            try:
-                wl_nm, lw_mhz = float(parts[1]), float(parts[2])
-            except ValueError:
-                raise InvalidArgumentError(
-                    f"{path}:{lineno}: wavelength and linewidth must be numbers, "
-                    f"got {parts[1]!r} {parts[2]!r}"
-                ) from None
-            transitions.append(
-                Transition(label, 2.0 * np.pi * const.c / (wl_nm * 1e-9), 2.0 * np.pi * lw_mhz * 1e6)
-            )
+    for lineno, parts in data_lines(path):
+        if len(parts) != 3:
+            raise InvalidArgumentError(f"{path}:{lineno}: expected 'label wavelength_nm linewidth_MHz'")
+        label = parts[0]
+        try:
+            wl_nm, lw_mhz = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise InvalidArgumentError(
+                f"{path}:{lineno}: wavelength and linewidth must be numbers, "
+                f"got {parts[1]!r} {parts[2]!r}"
+            ) from None
+        transitions.append(
+            Transition(label, 2.0 * np.pi * const.c / (wl_nm * 1e-9), 2.0 * np.pi * lw_mhz * 1e6)
+        )
     return AtomicLines(tuple(transitions), hyperfine_splitting)
 
 
@@ -141,18 +137,18 @@ def scattering_rate(beam: TweezerBeam, lines: AtomicLines) -> float:
     return rate
 
 
+def _line_depth(tr: Transition, beam: TweezerBeam) -> float:
+    """One line's dipole depth at focus (J): minus its share of the potential."""
+    w0, g, w = tr.omega0, tr.gamma, beam.omega
+    return (3.0 * np.pi * const.c**2 / (2.0 * w0**3)) * (g / (w0 - w) + g / (w0 + w)) * beam.peak_intensity
+
+
 def dipole_potential(beam: TweezerBeam, lines: AtomicLines) -> float:
     """Two-line dipole potential at focus (J); negative means attractive."""
     _check_detuning(beam, lines)
-    w = beam.omega
     u = 0.0
     for tr in lines.transitions:
-        w0, g = tr.omega0, tr.gamma
-        u -= (
-            (3.0 * np.pi * const.c**2 / (2.0 * w0**3))
-            * (g / (w0 - w) + g / (w0 + w))
-            * beam.peak_intensity
-        )
+        u -= _line_depth(tr, beam)
     return u
 
 
@@ -176,16 +172,12 @@ def differential_stark_shift(beam: TweezerBeam, lines: AtomicLines) -> float:
     mean of the inverse co-rotating detunings.  Scales as P / w^2.
     """
     _check_detuning(beam, lines)
-    w = beam.omega
     depth_total = 0.0
     inv_detuning = 0.0
     for tr in lines.transitions:
-        w0, g = tr.omega0, tr.gamma
-        depth = (3.0 * np.pi * const.c**2 / (2.0 * w0**3)) * (
-            g / (w0 - w) + g / (w0 + w)
-        ) * beam.peak_intensity
-        depth_total += abs(depth)
-        inv_detuning += abs(depth) / abs(w0 - w)
+        depth = abs(_line_depth(tr, beam))
+        depth_total += depth
+        inv_detuning += depth / abs(tr.omega0 - beam.omega)
     return depth_total / const.hbar * lines.hyperfine_splitting * (inv_detuning / depth_total)
 
 
@@ -348,8 +340,7 @@ def misalignment_scan(
             except (ConvergenceError, UnstableCrystalError) as err:
                 failed.append((i, type(err).__name__))
                 continue
-            # np.linalg.norm(..., axis=1), as numpy computes it
-            avg = float(np.sqrt(np.add.reduce(off * off, axis=1)).mean())
+            avg = float(row_norms(off).mean())
             records.append((avg, eps))
     return MisalignmentScan(records, aligned_eps, len(failed), failed)
 
@@ -363,8 +354,7 @@ def _sample_offsets(n, axis_idx, scales, seed, i):
         dim = len(axis_idx)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
         direction = rng.standard_normal((n, dim))
-        # np.linalg.norm(..., axis=1), as numpy computes it
-        norms = np.sqrt(np.add.reduce(direction * direction, axis=1, keepdims=True))
+        norms = row_norms(direction)[:, None]
         norms[norms == 0] = 1.0
         radius = scale * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / dim)
         offsets[:, axis_idx] = radius * direction / norms

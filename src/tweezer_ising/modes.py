@@ -43,15 +43,16 @@ def euclidean_norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def symmetric_within(a: np.ndarray, atol: float) -> bool:
-    """np.allclose(a, a.T, rtol=0, atol=atol).
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1) of a float array, as numpy computes it."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
-    For finite entries and a finite atol that is |a - a.T| <= atol
-    everywhere, checked in one pass; anything else goes to np.allclose
-    itself, which also decides infinities."""
-    if np.abs(a - a.T).max() <= atol < np.inf:
-        return True
-    return bool(np.allclose(a, a.T, rtol=0, atol=atol))
+
+def pair_differences(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Differences r_i - r_j (..., N, N, 3) and distances (..., N, N) of
+    every ion pair, for positions (..., N, 3)."""
+    diff = pos[..., :, None, :] - pos[..., None, :, :]
+    return diff, row_norms(diff)
 
 
 def axis_vector(axis: Union[str, Sequence[float]]) -> np.ndarray:
@@ -155,7 +156,7 @@ class HessianMatrix:
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=float)
         scale = np.abs(a).max() or 1.0
-        if not symmetric_within(a, 1e-12 * scale):
+        if not np.allclose(a, a.T, rtol=0, atol=1e-12 * scale):
             raise InvalidArgumentError("Hessian must be symmetric")
         object.__setattr__(self, "matrix", 0.5 * (a + a.T))
 
@@ -179,9 +180,7 @@ def mass_scaled_hessian(
     pos = np.asarray(positions, dtype=float)
     lead, n = pos.shape[:-2], pos.shape[-2]
     if n > 1:
-        diff = pos[..., :, None, :] - pos[..., None, :, :]
-        # np.linalg.norm(diff, axis=-1), as numpy computes it
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+        diff, dist = pair_differences(pos)
         dist.reshape(lead + (n * n,))[..., :: n + 1] = 1.0
         unit = diff / dist[..., None]
         ke2_m = species.coulomb_coefficient / species.mass
@@ -227,7 +226,9 @@ class ModeSpectrum:
 
     `coords` maps eigenvector rows to flattened coordinate indices
     (3*ion + axis); a full spectrum has coords = arange(3N), a block
-    spectrum a subset.
+    spectrum a subset.  ``direction_weights[m, a]`` is mode m's squared
+    norm on the rows of axis a, summed over those rows in order, for full
+    and block spectra alike.
     """
 
     frequencies: np.ndarray  # (B,) rad/s, ascending
@@ -240,18 +241,8 @@ class ModeSpectrum:
 
     def __post_init__(self):
         if self.direction_weights is None:
-            coords = np.asarray(self.coords)
-            if _all_coords(coords, self.n_ions):
-                # one sum over the ions gives each axis's weight, row order kept
-                sq = (self.eigenvectors**2).reshape(self.n_ions, 3, -1)
-                w = np.ascontiguousarray(sq.sum(axis=0).T)
-            else:
-                axes = coords % 3
-                w = np.zeros((len(self.frequencies), 3))
-                for a in range(3):
-                    rows = axes == a
-                    if np.any(rows):
-                        w[:, a] = np.sum(self.eigenvectors[rows, :] ** 2, axis=0)
+            axes = np.asarray(self.coords) % 3
+            w = np.stack([np.sum(self.eigenvectors[axes == a] ** 2, axis=0) for a in range(3)], axis=1)
             object.__setattr__(self, "direction_weights", w)
 
     @property
@@ -302,16 +293,16 @@ def mode_spectrum(
 def spectra(hessians: np.ndarray, freq_scale: float) -> tuple[np.ndarray, np.ndarray, list]:
     """Eigendecompositions of a (K, B, B) stack of Hessians, full or block,
     each matrix with the bits of its lone decomposition; `mode_spectrum`
-    is the one-matrix call.
+    is the call for a stack of one.
 
-    The symmetry check, the symmetrization, one `eigh`, the stability
-    floor and the eigenvector signs run stacked; a matrix that fails the
-    quick symmetry test is checked alone, a degenerate one is
-    re-orthogonalized alone, and if the stacked `eigh` raises, each matrix
-    is decomposed alone.  Returns the eigenvalues (K, B), the eigenvectors
-    (K, B, B) and, per matrix, None or the exception `mode_spectrum`
-    raises for it; the rows of a matrix with an exception are not its
-    spectrum.
+    The symmetry check, the symmetrization, one `eigh` (a stack of one
+    included), the stability floor and the eigenvector signs run stacked;
+    a matrix that fails the quick symmetry test is checked alone with
+    `np.allclose`, a degenerate one is re-orthogonalized alone, and if the
+    stacked `eigh` raises, each matrix is decomposed alone.  Returns the
+    eigenvalues (K, B), the eigenvectors (K, B, B) and, per matrix, None or
+    the exception `mode_spectrum` raises for it; the rows of a matrix with
+    an exception are not its spectrum.
     """
     a = np.asarray(hessians, dtype=float)
     errors: list = [None] * len(a)
@@ -321,16 +312,14 @@ def spectra(hessians: np.ndarray, freq_scale: float) -> tuple[np.ndarray, np.nda
     swapped = a.swapaxes(1, 2)
     quick = (np.abs(a - swapped).max(axis=(1, 2)) <= atol) & (atol < np.inf)
     for k in np.flatnonzero(~quick):
-        if not symmetric_within(a[k], atol[k]):
+        if not np.allclose(a[k], a[k].T, rtol=0, atol=atol[k]):
             errors[k] = InvalidArgumentError("Hessian must be symmetric")
     a = 0.5 * (a + swapped)
     live = [k for k, err in enumerate(errors) if err is None]
     lam = np.zeros(a.shape[:2])
     vec = np.zeros(a.shape)
     try:
-        if len(live) == 1:  # numpy runs the lone array's fewer dimensions faster
-            lam[live[0]], vec[live[0]] = np.linalg.eigh(a[live[0]])
-        elif live:
+        if live:
             lam[live], vec[live] = np.linalg.eigh(a[live])
     except np.linalg.LinAlgError:
         for k in list(live):
@@ -341,28 +330,19 @@ def spectra(hessians: np.ndarray, freq_scale: float) -> tuple[np.ndarray, np.nda
                 live.remove(k)
     floor = TOL_PSD_REL * freq_scale**2
     for k in np.flatnonzero(lam[:, 0] < -floor):
-        errors[k] = _instability(lam[k, 0], floor)
+        errors[k] = UnstableCrystalError(
+            f"lowest eigenvalue {lam[k, 0]:.6e} below stability floor -{floor:.6e} (rad^2/s^2)"
+        )
         live.remove(k)
     vec[live] = _deterministic_eigenvectors(lam[live], vec[live], TOL_DEGENERACY_REL * freq_scale**2)
     return lam, vec, errors
 
 
-def _instability(lam_min: float, floor: float) -> UnstableCrystalError:
-    return UnstableCrystalError(
-        f"lowest eigenvalue {lam_min:.6e} below stability floor -{floor:.6e} (rad^2/s^2)"
-    )
-
-
 def _deterministic_eigenvectors(lam, vec, tol):
-    """Eigenvectors (..., B, B), one decomposition or a stack, with each
-    degenerate group re-orthogonalized and each mode's sign fixed."""
-    degenerate = (np.diff(lam) < tol).any(axis=-1)
-    if degenerate.any():
-        vec = vec.copy()
-        lams = lam.reshape(-1, lam.shape[-1])
-        vecs = vec.reshape((-1,) + vec.shape[-2:])
-        for k in np.flatnonzero(degenerate):
-            _canonicalize_groups(lams[k], vecs[k], tol)
+    """A (K, B, B) stack of eigenvectors with each degenerate group
+    re-orthogonalized, in place, and each mode's sign fixed."""
+    for k in np.flatnonzero((np.diff(lam) < tol).any(axis=-1)):
+        _canonicalize_groups(lam[k], vec[k], tol)
     # sign convention: the largest-magnitude component of each mode is positive
     pick = np.argmax(np.abs(vec), axis=-2)
     signs = np.sign(np.take_along_axis(vec, pick[..., None, :], axis=-2))
@@ -444,11 +424,6 @@ def _placement(coords: np.ndarray, n_ions: int, drive_axis: Union[str, Sequence[
     out = np.zeros((n_ions, coords.size))
     out[coords // 3, np.arange(coords.size)] = v[coords % 3]
     return out
-
-
-def _all_coords(coords: np.ndarray, n_ions: int) -> bool:
-    """Whether coords are 0, 1, ..., 3N - 1: every axis of every ion, row 3i + a."""
-    return coords.size == 3 * n_ions and bool((coords == np.arange(3 * n_ions)).all())
 
 
 def block_coords(n_ions: int, axes: Sequence[Union[str, int]]) -> np.ndarray:

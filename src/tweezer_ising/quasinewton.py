@@ -13,7 +13,8 @@ first, with each lane's own pair count, scale γ, iteration count and
 step length.  A round evaluates one line-search trial per running lane
 with one ``evaluate`` call; the Armijo and curvature tests, the projected
 gradient, the two-loop recursion, the descent check and the next trials
-then run stacked over the lanes.  Every reduction is a per-row dot
+then run stacked over the lanes, each step on the rows its lanes' index
+array picks, all of them or some.  Every reduction is a per-row dot
 product (`np.vecdot`), which gives the bits of the 1-D `ndarray.dot` a
 lone run takes on the pinned numpy and BLAS (`tests/test_bit_pins.py`),
 so each lane walks the path it would walk alone.  A lane whose memory is
@@ -164,15 +165,14 @@ def minimize_lockstep(
         accepted = np.isfinite(f_t) & (f_t <= sufficient)
         acc = accepted.nonzero()[0]
         if acc.size:
-            rows = _rows(acc, st)
-            f_new, g_new = f_t[rows], gradient(acc)
-            _remember(st, acc, step[rows], g_new - st.g[rows], memory)
-            df = st.f[rows] - f_new
-            st.x[rows], st.f[rows], st.g[rows] = t[rows], f_new, g_new
-            for lane, value in zip(st.ids[rows].tolist(), f_new.tolist()):
+            f_new, g_new = f_t[acc], gradient(acc)
+            _remember(st, acc, step[acc], g_new - st.g[acc], memory)
+            df = st.f[acc] - f_new
+            st.x[acc], st.f[acc], st.g[acc] = t[acc], f_new, g_new
+            for lane, value in zip(st.ids[acc].tolist(), f_new.tolist()):
                 history[lane].append(value)
             done = df < tol_df
-            ended = done | (st.it[rows] == max_iter)
+            ended = done | (st.it[acc] == max_iter)
             if ended.any():
                 st.stop[acc[ended]] = True
                 st.converged[acc[done]] = True
@@ -202,12 +202,6 @@ class _Lanes:
             setattr(self, name, getattr(self, name)[rows])
 
 
-def _rows(index, st):
-    """``index`` of the running lanes, as a basic slice when it is all of
-    them: a view, not a copy."""
-    return slice(None) if index.size == st.ids.size else index
-
-
 def _project(x, lower, upper):
     """np.clip(x, lower, upper) without its dispatch: the same max, then min."""
     return np.minimum(np.maximum(x, lower), upper)
@@ -218,25 +212,23 @@ def _begin(st, index, tol_grad):
     gradient has converged, give the rest a direction and a unit step."""
     if not index.size:
         return
-    rows = _rows(index, st)
-    x, g = st.x[rows], st.g[rows]
+    x, g = st.x[index], st.g[index]
     pg = g.copy()
-    pg[(x <= st.lower[rows]) & (g > 0)] = 0.0
-    pg[(x >= st.upper[rows]) & (g < 0)] = 0.0
+    pg[(x <= st.lower[index]) & (g > 0)] = 0.0
+    pg[(x >= st.upper[index]) & (g < 0)] = 0.0
     done = np.abs(pg).max(1) < tol_grad
     if done.any():
         st.stop[index[done]] = st.converged[index[done]] = True
         index, pg = index[~done], pg[~done]
         if not index.size:
             return
-        rows = index
-    d = -_two_loop_rows(pg, st.s[rows], st.y[rows], st.rho[rows], st.pairs[rows], st.gamma[rows])
+    d = -_two_loop_rows(pg, st.s[index], st.y[index], st.rho[index], st.pairs[index], st.gamma[index])
     norms = np.sqrt(np.vecdot(d, d)) * np.sqrt(np.vecdot(pg, pg))
     stale = np.vecdot(d, pg) > -1e-12 * (norms + 1e-300)
     if stale.any():
         d[stale] = -pg[stale]  # stale curvature; fall back to steepest descent
-    st.pg[rows], st.d[rows] = pg, d
-    st.alpha[rows], st.halvings[rows], st.retried[rows] = 1.0, 0, False
+    st.pg[index], st.d[index] = pg, d
+    st.alpha[index], st.halvings[index], st.retried[index] = 1.0, 0, False
 
 
 def _two_loop_rows(q, s, y, rho, pairs, gamma):
@@ -267,13 +259,12 @@ def _remember(st, index, s, y, memory):
     newest curvature pair where s·y is safely positive."""
     sy, yy = np.vecdot(s, y), np.vecdot(y, y)
     good = sy > 1e-10 * np.sqrt(np.vecdot(s, s)) * np.sqrt(yy)
-    rows = _rows(index, st)
     if not good.all():
-        rows, s, y, sy, yy = index[good], s[good], y[good], sy[good], yy[good]
-    st.s[rows, 1:], st.y[rows, 1:], st.rho[rows, 1:] = st.s[rows, :-1], st.y[rows, :-1], st.rho[rows, :-1]
-    st.s[rows, 0], st.y[rows, 0], st.rho[rows, 0] = s, y, 1.0 / sy
-    st.pairs[rows] = np.minimum(st.pairs[rows] + 1, memory)
-    st.gamma[rows] = sy / yy
+        index, s, y, sy, yy = index[good], s[good], y[good], sy[good], yy[good]
+    st.s[index, 1:], st.y[index, 1:], st.rho[index, 1:] = st.s[index, :-1], st.y[index, :-1], st.rho[index, :-1]
+    st.s[index, 0], st.y[index, 0], st.rho[index, 0] = s, y, 1.0 / sy
+    st.pairs[index] = np.minimum(st.pairs[index] + 1, memory)
+    st.gamma[index] = sy / yy
 
 
 def _fall_back(st, rows):

@@ -70,11 +70,10 @@ def coupling_jacobian_diag(
     all modes are included; masked drives fall back to the per-mode kernel
     and require the mask boundary to be non-degenerate.
     """
-    check_resonance(spectrum, drive)
+    mask = check_resonance(spectrum, drive)
     rows = _coord_rows(spectrum, coords)
     pref = coupling_prefactor(drive, species)
     proj = mode_projections(spectrum, drive.drive_axis)
-    mask = drive.mask_for(spectrum)
     theta = np.zeros(spectrum.n_modes)
     theta[mask] = 1.0 / (drive.mu**2 - spectrum.eigenvalues[mask])
     ub = spectrum.eigenvectors[rows, :]  # (P, B)

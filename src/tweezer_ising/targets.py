@@ -176,9 +176,32 @@ def _normalized(j: np.ndarray) -> CouplingMatrix:
     return CouplingMatrix(j / peak)
 
 
+def data_lines(path: Union[str, Path]) -> list[tuple[int, list[str]]]:
+    """(line number, whitespace-separated fields) of each line of a text
+    file that holds anything before its '#' comment.  A file that cannot
+    be read raises InvalidArgumentError naming it."""
+    try:
+        with open(path) as fh:
+            text = fh.readlines()
+    except OSError as err:
+        raise InvalidArgumentError(f"cannot read {path}: {err.strerror or err}") from None
+    fields = [(lineno, line.split("#")[0].split()) for lineno, line in enumerate(text, 1)]
+    return [(lineno, parts) for lineno, parts in fields if parts]
+
+
 def load_target_matrix(path: Union[str, Path]) -> np.ndarray:
     """Whitespace-separated matrix rows, one row per line."""
-    m = np.loadtxt(path, ndmin=2)
+    rows = []
+    for lineno, fields in data_lines(path):
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError:
+            raise InvalidArgumentError(
+                f"{path}:{lineno}: matrix entries must be numbers, got {' '.join(fields)!r}"
+            ) from None
+        if len(fields) != len(rows[0]):
+            raise InvalidArgumentError(f"{path}:{lineno}: expected {len(rows[0])} entries, got {len(fields)}")
+    m = np.array(rows, ndmin=2)
     if m.shape[0] != m.shape[1]:
         raise InvalidArgumentError(f"{path}: expected a square matrix, got {m.shape}")
     return m
@@ -187,16 +210,16 @@ def load_target_matrix(path: Union[str, Path]) -> np.ndarray:
 def load_target_edges(path: Union[str, Path], n_ions: int) -> np.ndarray:
     """Edge list 'i j value' per line with 1-based ion indices."""
     j = np.zeros((n_ions, n_ions))
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise InvalidArgumentError(f"{path}:{lineno}: expected 'i j value'")
+    for lineno, parts in data_lines(path):
+        if len(parts) != 3:
+            raise InvalidArgumentError(f"{path}:{lineno}: expected 'i j value'")
+        try:
             a, b, v = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
-            if not (0 <= a < n_ions and 0 <= b < n_ions) or a == b:
-                raise InvalidArgumentError(f"{path}:{lineno}: bad ion pair {parts[0]}, {parts[1]}")
-            j[a, b] = j[b, a] = v
+        except ValueError:
+            raise InvalidArgumentError(
+                f"{path}:{lineno}: expected integer ion indices and a number, got {' '.join(parts)!r}"
+            ) from None
+        if not (0 <= a < n_ions and 0 <= b < n_ions) or a == b:
+            raise InvalidArgumentError(f"{path}:{lineno}: bad ion pair {parts[0]}, {parts[1]}")
+        j[a, b] = j[b, a] = v
     return j

@@ -175,6 +175,43 @@ class TestExitCodes:
         assert "invalid-argument" in capsys.readouterr().err
         assert not (out / "summary.txt").exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "non_number"])
+    def test_bad_matrix_file_is_validation_error(self, tmp_path, capsys, kind):
+        matrix = tmp_path / "target.txt"
+        if kind == "non_number":
+            matrix.write_text("0 1 0 0\n1 0 foo 0\n0 1 0 1\n0 0 1 0\n")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CONFIG.replace("variant = nearest_neighbor", f"variant = explicit\nmatrix_file = {matrix}"))
+        assert main(["feasibility", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-argument: ") and str(matrix) in err
+
+    @pytest.mark.parametrize("word, value", [("TRUE", True), ("yes", True), ("On", True), ("1", True),
+                                             ("false", False), ("No", False), ("OFF", False), ("0", False)])
+    def test_boolean_words(self, tmp_path, word, value):
+        from tweezer_ising.config import parse_config
+
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("restarts = 2", f"restarts = 2\nallow_anticonfinement = {word}"))
+        assert parse_config(cfg, env={}).space.allow_anticonfinement is value
+
+    @pytest.mark.parametrize("source", ["file", "env", "override"])
+    def test_malformed_boolean_rejected(self, config_path, tmp_path, source):
+        from tweezer_ising.config import parse_config
+        from tweezer_ising.errors import InvalidArgumentError
+
+        path, env, overrides = config_path, {}, None
+        if source == "file":
+            path = tmp_path / "b.cfg"
+            path.write_text(SMALL_CONFIG.replace("restarts = 2", "restarts = 2\nallow_anticonfinement = ture"))
+        elif source == "env":
+            env = {"TWEEZER_ISING__SEARCH__ALLOW_ANTICONFINEMENT": "ture"}
+        else:
+            overrides = {"search": {"allow_anticonfinement": "ture"}}
+        with pytest.raises(InvalidArgumentError) as err:
+            parse_config(path, env=env, overrides=overrides)
+        assert str(err.value) == "bad value for [search] allow_anticonfinement: 'ture'"
+
     def test_missing_token_is_validation_error(self, capsys):
         assert main(["reproduce", "nonexistent-token"]) == 1
 

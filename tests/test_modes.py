@@ -180,6 +180,43 @@ class TestSpectrum:
         assert np.allclose(pinned.eigenvalues, base.eigenvalues + omega_p**2, rtol=1e-10)
 
 
+class TestStacksOfOne:
+    """A lone Hessian runs as a stack of one and keeps the bits of the lone
+    call; a full spectrum's direction weights keep the bits of the one sum
+    over the ions.  (`mode_spectrum`, a stack of one, is pinned against a
+    lone 2-D `eigh` by `TestSpectrum.test_has_the_bits_of_one_lone_eigh`.)"""
+
+    @pytest.fixture(scope="class")
+    def crystals(self, species):
+        chain = TrapConfig(2.0 * MHZ, 0.6 * MHZ, 0.07 * MHZ, n_ions=12)
+        pattern = TweezerPattern.from_frequencies(np.linspace(0.05, 0.3, 12) * MHZ, axes="y")
+        planar = TrapConfig(2.2 * MHZ, 0.6 * MHZ, 0.55 * MHZ, n_ions=7)
+        return [
+            (solve_equilibrium(chain, species, 12), pattern.curvatures),
+            (solve_equilibrium(planar, species, 7), None),
+        ]
+
+    def test_hessian_of_a_stack_of_one(self, species, crystals):
+        for crystal, curv in crystals:
+            pos = crystal.positions
+            lone = mass_scaled_hessian(pos, crystal.trap, species, curv)
+            stacked = mass_scaled_hessian(pos[None], crystal.trap, species, curv)
+            assert stacked.shape == (1,) + lone.shape
+            assert stacked[0].tobytes() == lone.tobytes()
+
+    @pytest.mark.parametrize("n_ions", [1, 2, 5, 12, 19])
+    def test_direction_weights_of_a_full_spectrum(self, n_ions):
+        # the per-axis row sums against the one sum over the ions of the
+        # squared eigenvectors reshaped (N, 3, 3N)
+        rng = np.random.default_rng(n_ions)
+        b = 3 * n_ions
+        for _ in range(20):
+            vec = np.linalg.qr(rng.standard_normal((b, b)))[0]
+            spec = ModeSpectrum(np.ones(b), np.ones(b), vec, np.arange(b), n_ions, 1.0)
+            reshaped = np.ascontiguousarray((vec**2).reshape(n_ions, 3, -1).sum(axis=0).T)
+            assert spec.direction_weights.tobytes() == reshaped.tobytes()
+
+
 class TestLambDicke:
     def test_reference_value_single_ion(self, species):
         # sqrt(2) * 2pi / 369 nm at a 400 kHz mode: eta close to 0.2

@@ -149,3 +149,38 @@ class TestTargetFiles:
         path.write_text("1 1 2.0\n")
         with pytest.raises(InvalidArgumentError):
             load_target_edges(path, 3)
+
+    def test_matrix_file_reads_the_bits_numpy_reads(self, tmp_path):
+        rng = np.random.default_rng(0)
+        m = rng.standard_normal((5, 5)) * 10.0 ** rng.integers(-30, 30, (5, 5))
+        path = tmp_path / "target.txt"
+        np.savetxt(path, m, fmt="%.17g", header="five ions")
+        assert load_target_matrix(path).tobytes() == np.loadtxt(path, ndmin=2).tobytes()
+
+    def test_missing_matrix_file_names_it(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        with pytest.raises(InvalidArgumentError, match=f"cannot read {path}"):
+            load_target_matrix(path)
+
+    def test_matrix_non_number_names_file_and_line(self, tmp_path):
+        path = tmp_path / "target.txt"
+        path.write_text("# target\n0 1\n1 foo\n")
+        with pytest.raises(InvalidArgumentError, match=f"{path}:3: matrix entries must be numbers"):
+            load_target_matrix(path)
+
+    def test_ragged_matrix_names_file_and_line(self, tmp_path):
+        path = tmp_path / "target.txt"
+        path.write_text("0 1 2\n\n1 0\n")
+        with pytest.raises(InvalidArgumentError, match=f"{path}:3: expected 3 entries, got 2"):
+            load_target_matrix(path)
+
+    def test_edge_non_number_names_file_and_line(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("1 2 0.5\n1 2 x\n")
+        with pytest.raises(InvalidArgumentError, match=f"{path}:2: expected integer ion indices and a number"):
+            load_target_edges(path, 3)
+
+    def test_missing_edge_file_names_it(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        with pytest.raises(InvalidArgumentError, match=f"cannot read {path}"):
+            load_target_edges(path, 3)
