@@ -1,6 +1,6 @@
 """Tweezer-engineered phonon spectra for programmable trapped-ion Ising couplings."""
 
-from .constants import YB171, FundamentalConstants, SpeciesConstants, species_by_name
+from .constants import YB171, SpeciesConstants, species_by_name
 from .coupling import (
     CouplingMatrix,
     DriveConfig,

@@ -97,7 +97,7 @@ def _outdir(args, default: str) -> Path:
 
 def _crystal_from_config(cfg: RunConfig):
     guess = None
-    if cfg.geometry == "triangular":
+    if cfg.target.geometry == "triangular":
         guess, _ = triangular_start(cfg.trap, cfg.species, min(cfg.trap.omegas))
     return solve_equilibrium(cfg.trap, cfg.species, cfg.trap.n_ions, guess)
 
@@ -116,7 +116,7 @@ def _drive_from_config(cfg: RunConfig) -> DriveConfig:
         drive_axis=cfg.drive_axis,
         g=cfg.g,
         k_eff=cfg.k_eff,
-        resonance_guard=cfg.resonance_guard,
+        resonance_guard=cfg.space.resonance_guard,
     )
 
 
@@ -293,10 +293,8 @@ def _cmd_reproduce(args) -> int:
                 res = run_scenario(power_law_chain_12(xi, even, fast))
                 entry.append(res.epsilon)
             sc = power_law_chain_12(xi, even=False, fast=fast)
-            crystal = solve_equilibrium(sc.trap, YB171, sc.trap.n_ions)
             base_eps, _, _ = untweezed_baseline(
-                sc.target, sc.trap, YB171, sc.space.mu, drive_axis=sc.drive_axis,
-                pin_axes=sc.space.pin_axes, crystal=crystal,
+                sc.target, sc.trap, YB171, sc.space.mu, drive_axis=sc.drive_axis, pin_axes=sc.space.pin_axes
             )
             entry.append(base_eps)
             rows.append(tuple(entry))

@@ -75,13 +75,11 @@ class RunConfig:
     species: SpeciesConstants
     seed: int
     trap: TrapConfig
-    geometry: str
     target: TargetSpec
     drive_axis: object
     mu: Optional[float]
     g: Optional[float]
     k_eff: Optional[float]
-    resonance_guard: float
     space: SearchSpace
     symmetry: str
     final_geometry: str
@@ -202,7 +200,6 @@ def _typed(values: dict, base_dir: Path) -> RunConfig:
     drive_axis = (
         np.array([float(v) for v in axis_raw.split(",")]) if "," in axis_raw else axis_raw
     )
-    guard = _get(values, "drive", "resonance_guard_khz", 1.0, float) * KHZ
 
     space = SearchSpace(
         omega_scan=(
@@ -219,7 +216,7 @@ def _typed(values: dict, base_dir: Path) -> RunConfig:
         ),
         pin_axes=tuple(_get(values, "search", "pin_axes", "y")),
         scan_axis=_get(values, "search", "scan_axis", "z"),
-        resonance_guard=guard,
+        resonance_guard=_get(values, "drive", "resonance_guard_khz", 1.0, float) * KHZ,
         omega_grid=_get(values, "search", "omega_grid", 12, int),
         mu_grid=_get(values, "search", "mu_grid", 24, int),
         restarts=_get(values, "search", "restarts", 8, int),
@@ -244,13 +241,11 @@ def _typed(values: dict, base_dir: Path) -> RunConfig:
         species=species,
         seed=_get(values, "run", "seed", 0, int),
         trap=trap,
-        geometry=geometry,
         target=target,
         drive_axis=drive_axis,
         mu=None if _opt(values, "drive", "mu_mhz") is None else _opt(values, "drive", "mu_mhz") * MHZ,
         g=None if _opt(values, "drive", "g_mhz") is None else _opt(values, "drive", "g_mhz") * MHZ,
         k_eff=_opt(values, "drive", "k_eff_per_m"),
-        resonance_guard=guard,
         space=space,
         symmetry=_get(values, "search", "symmetry", "none"),
         final_geometry=_get(values, "search", "final_geometry", "harmonic"),

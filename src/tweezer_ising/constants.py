@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import scipy.constants as _const
 
@@ -15,33 +15,19 @@ KHZ = 2.0 * math.pi * 1e3
 
 
 @dataclass(frozen=True)
-class FundamentalConstants:
-    """SI values of the constants entering the potential and the drive."""
-
-    hbar: float = _const.hbar
-    epsilon0: float = _const.epsilon_0
-    e: float = _const.e
-    c: float = _const.c
-
-
-@dataclass(frozen=True)
 class SpeciesConstants:
-    """Mass and charge of the trapped ion species."""
+    """Mass of a singly charged ion species; its charge is `scipy.constants.e`."""
 
     mass: float  # kg
-    charge: float = _const.e  # C
-    fundamental: FundamentalConstants = field(default_factory=FundamentalConstants)
 
     def __post_init__(self):
         if not self.mass > 0:
             raise InvalidArgumentError(f"ion mass must be positive, got {self.mass}")
-        if not self.charge > 0:
-            raise InvalidArgumentError(f"ion charge must be positive, got {self.charge}")
 
     @property
     def coulomb_coefficient(self) -> float:
-        """q^2 / (4 pi eps0) in J*m."""
-        return self.charge**2 / (4.0 * 3.141592653589793 * self.fundamental.epsilon0)
+        """e^2 / (4 pi eps0) in J*m."""
+        return _const.e**2 / (4.0 * 3.141592653589793 * _const.epsilon_0)
 
 
 #: 171Yb+ singly charged, the species used for all bundled scenarios.

@@ -55,16 +55,17 @@ def build_sign_constraints(
     j_native: Union[CouplingMatrix, np.ndarray],
     gradients: CouplingGradient,
     selection: Optional[Sequence] = None,
-    tol_dj: Optional[float] = None,
     rows: str = "magnitude",
 ) -> SignConstraintSystem:
     """Assemble X: row c = sign(dJ[k, l]) * grad J0[k, l] over pinning DOF.
 
     The native matrix is rescaled to the target's peak magnitude before
-    differencing, and pairs already within tol_dj are excluded.  With
-    rows="magnitude" every remaining selected pair contributes a row; with
-    rows="sign_mismatch" only pairs whose native sign disagrees with a
-    nonzero target entry do, the pure sign-structure criterion.
+    differencing, and pairs already within TOL_DJ_FRACTION of that peak
+    are excluded.  With rows="magnitude" every remaining selected pair
+    contributes a row; with rows="sign_mismatch" only pairs whose native
+    sign disagrees with a nonzero target entry do, the pure sign-structure
+    criterion.  A pair's gradient is its own row or its reverse's, the
+    first listed if a pair is listed twice.
     """
     if rows not in ("magnitude", "sign_mismatch"):
         raise InvalidArgumentError(f"unknown row policy {rows!r}")
@@ -76,24 +77,26 @@ def build_sign_constraints(
         raise InvalidArgumentError("cannot compare identically zero coupling matrices")
     j0n = j0 * (max_t / max_0)
     delta = jt - j0n
-    if tol_dj is None:
-        tol_dj = TOL_DJ_FRACTION * max_t
+    settled = TOL_DJ_FRACTION * max_t
+    row_of: dict = {}
+    for i, pair in enumerate(gradients.pairs):
+        row_of.setdefault(tuple(pair), i)
 
     pairs = tuple(tuple(p) for p in (selection if selection is not None else gradients.pairs))
     row_list, provenance, excluded = [], [], []
     for k, l in pairs:
-        if (k, l) not in gradients.pairs and (l, k) not in gradients.pairs:
+        row = row_of.get((k, l), row_of.get((l, k)))
+        if row is None:
             raise InvalidArgumentError(f"no gradient supplied for pair ({k}, {l})")
         d = delta[k, l]
-        satisfied = abs(d) < tol_dj
+        satisfied = abs(d) < settled
         if rows == "sign_mismatch":
-            satisfied = abs(jt[k, l]) < tol_dj or np.sign(j0n[k, l]) == np.sign(jt[k, l])
+            satisfied = abs(jt[k, l]) < settled or np.sign(j0n[k, l]) == np.sign(jt[k, l])
         if satisfied:
             excluded.append((k, l))
             continue
         sign = 1.0 if d > 0 else -1.0
-        key = (k, l) if (k, l) in gradients.pairs else (l, k)
-        row_list.append(sign * gradients.row(key))
+        row_list.append(sign * gradients.values[row])
         provenance.append((k, l, sign))
     matrix = np.array(row_list) if row_list else np.zeros((0, gradients.values.shape[1]))
     return SignConstraintSystem(matrix, tuple(provenance), tuple(excluded))
@@ -102,14 +105,14 @@ def build_sign_constraints(
 def feasibility_test(
     system: SignConstraintSystem,
     pinning_sign: str = "free",
-    tol_margin: float = TOL_MARGIN,
 ) -> FeasibilityVerdict:
     """Decide whether some pinning vector w satisfies X w > 0.
 
     Solves max t : X w >= t, |w|_inf <= 1 (w >= 0 when pinning_sign is
     "nonnegative").  An empty system is vacuously feasible with w = 0.
     One-row and one-column systems are decided in closed form, the rest
-    by a HiGHS LP.
+    by a HiGHS LP; the verdict is feasible when the margin t exceeds
+    TOL_MARGIN.
     """
     if pinning_sign not in ("free", "nonnegative"):
         raise InvalidArgumentError(f"unknown pinning_sign {pinning_sign!r}")
@@ -124,7 +127,7 @@ def feasibility_test(
         t_star, w = _one_column(x[:, 0], nonnegative)
     else:
         t_star, w = _margin_lp(x, 0.0 if nonnegative else -1.0)
-    if t_star > tol_margin:
+    if t_star > TOL_MARGIN:
         w = w / np.max(np.abs(w))
         return FeasibilityVerdict(True, t_star, w)
     return FeasibilityVerdict(False, t_star, None)

@@ -17,7 +17,7 @@ from .constants import KHZ, MHZ, species_by_name
 from .coupling import CouplingMatrix, realized_coupling
 from .crystal import IonCrystal, TrapConfig, _classify_geometry
 from .errors import InvalidArgumentError
-from .modes import TweezerPattern
+from .modes import AXIS_INDEX, TweezerPattern
 from .optimizer import CellDiagnostics, OptimizationResult
 
 
@@ -34,8 +34,12 @@ def write_matrix_csv(path: Union[str, Path], matrix: np.ndarray, name: str, unit
 
 def _read_csv(path: Union[str, Path]):
     """A CSV file's `# key = value` header entries and its other non-blank lines."""
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise InvalidArgumentError(f"cannot read {path}: {err.strerror}") from None
     meta, lines = {}, []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if line.startswith("#"):
             key, _, value = line.lstrip("# ").partition("=")
@@ -47,7 +51,10 @@ def _read_csv(path: Union[str, Path]):
 
 def read_matrix_csv(path: Union[str, Path]):
     meta, lines = _read_csv(path)
-    matrix = np.array([[float(v) for v in line.split(",")] for line in lines])
+    try:
+        matrix = np.array([[float(v) for v in line.split(",")] for line in lines])
+    except ValueError as err:
+        raise InvalidArgumentError(f"{path}: not a matrix of numbers: {err}") from None
     if "n" in meta and matrix.shape[0] != int(meta["n"]):
         raise InvalidArgumentError(f"{path}: row count disagrees with header n = {meta['n']}")
     return matrix, meta
@@ -106,8 +113,11 @@ def write_summary(path: Union[str, Path], sections: dict) -> None:
 def read_summary(path: Union[str, Path]) -> dict:
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    if not parser.read(path):
-        raise InvalidArgumentError(f"cannot read summary file {path}")
+    try:
+        if not parser.read(path):
+            raise InvalidArgumentError(f"cannot read summary file {path}")
+    except configparser.Error as err:
+        raise InvalidArgumentError(f"malformed summary file {path}: {err}") from None
     return {section: dict(parser[section]) for section in parser.sections()}
 
 
@@ -175,32 +185,73 @@ def save_result(result, outdir: Union[str, Path], species_name: str = "Yb171") -
     )
 
 
+def _entry(path: Path, summary: dict, section: str, key: str, cast=float):
+    """``summary[section][key]`` read by `cast`; a missing or malformed
+    entry raises InvalidArgumentError naming the file and key."""
+    try:
+        raw = summary[section][key]
+    except KeyError:
+        raise InvalidArgumentError(f"{path}: missing [{section}] {key}") from None
+    try:
+        return cast(raw)
+    except ValueError:
+        raise InvalidArgumentError(f"{path}: bad value for [{section}] {key}: {raw!r}") from None
+
+
 def load_result(outdir: Union[str, Path]):
     """Rebuild an OptimizationResult record from a saved run directory.
 
     The spectrum and realized couplings are recomputed from the stored
     positions, pattern, and drive; the recomputed error must match the
-    stored one, which guards against tampered or mismatched files.
+    stored one, which guards against tampered or mismatched files.  A
+    missing file, section or key, a value that is not a number, and an
+    unknown pinning axis raise InvalidArgumentError naming the file.
     """
     out = Path(outdir)
-    summary = read_summary(out / "summary.txt")
-    species = species_by_name(summary["run"]["species"])
+    summary_file = out / "summary.txt"
+    summary = read_summary(summary_file)
+    species = species_by_name(_entry(summary_file, summary, "run", "species", str))
     trap = TrapConfig(
-        omega_x=float(summary["trap"]["omega_x_mhz"]) * MHZ,
-        omega_y=float(summary["trap"]["omega_y_mhz"]) * MHZ,
-        omega_z=float(summary["trap"]["omega_z_mhz"]) * MHZ,
-        n_ions=int(summary["trap"]["n_ions"]),
+        omega_x=_entry(summary_file, summary, "trap", "omega_x_mhz") * MHZ,
+        omega_y=_entry(summary_file, summary, "trap", "omega_y_mhz") * MHZ,
+        omega_z=_entry(summary_file, summary, "trap", "omega_z_mhz") * MHZ,
+        n_ions=_entry(summary_file, summary, "trap", "n_ions", int),
     )
+    axis = _entry(
+        summary_file, summary, "drive", "axis", lambda text: np.array([float(v) for v in text.split(",")])
+    )
+    guard = _entry(summary_file, summary, "drive", "resonance_guard_khz") * KHZ
+    mu = _entry(summary_file, summary, "result", "mu_mhz") * MHZ
+    stored_eps = _entry(summary_file, summary, "result", "epsilon")
+    omega_scan = _entry(summary_file, summary, "result", "omega_scan_mhz") * MHZ
+    converged = _entry(summary_file, summary, "result", "converged", str) == "True"
+    stage_eps = {
+        key[len("epsilon_"):]: _entry(summary_file, summary, "result", key)
+        for key in summary["result"]
+        if key.startswith("epsilon_")
+    }
     positions, _ = read_matrix_csv(out / "positions.csv")
     positions = positions / 1e6
+    if positions.shape != (trap.n_ions, 3):
+        raise InvalidArgumentError(f"{out / 'positions.csv'}: expected {trap.n_ions} rows of 3 coordinates")
     target, _ = read_matrix_csv(out / "target_matrix.csv")
     realized_stored, _ = read_matrix_csv(out / "realized_matrix.csv")
-    _, pin_rows, pin_meta = read_table_csv(out / "tweezer_pattern.csv")
+    pattern_file = out / "tweezer_pattern.csv"
+    _, pin_rows, pin_meta = read_table_csv(pattern_file)
+    if "axes" not in pin_meta:
+        raise InvalidArgumentError(f"{pattern_file}: missing # axes")
     pin_axes = tuple(pin_meta["axes"])
-    pin_freqs = np.array([row[1] for row in pin_rows]) * MHZ
-    axis = np.array([float(v) for v in summary["drive"]["axis"].split(",")])
-    guard = float(summary["drive"]["resonance_guard_khz"]) * KHZ
-    mu = float(summary["result"]["mu_mhz"]) * MHZ
+    for ax in pin_axes:
+        if ax not in AXIS_INDEX:
+            raise InvalidArgumentError(f"{pattern_file}: unknown axis {ax!r} in # axes")
+    try:
+        pin_freqs = np.array([float(row[1]) for row in pin_rows]) * MHZ
+    except (IndexError, ValueError):
+        raise InvalidArgumentError(f"{pattern_file}: pin_frequency_mhz must be a number in every row") from None
+    if pin_freqs.size != trap.n_ions:
+        raise InvalidArgumentError(
+            f"{pattern_file}: expected {trap.n_ions} pinning frequencies, got {pin_freqs.size}"
+        )
 
     dimensionality, extended = _classify_geometry(positions, trap, species)
     crystal = IonCrystal(trap, species, positions, dimensionality, extended)
@@ -208,33 +259,34 @@ def load_result(outdir: Union[str, Path]):
     eps, realized, spectrum, drive = realized_coupling(
         positions, trap, species, pattern.curvatures, mu, axis, guard, target
     )
-    if abs(eps - float(summary["result"]["epsilon"])) > 1e-9 * max(eps, 1e-12):
+    if not abs(eps - stored_eps) <= 1e-9 * max(eps, 1e-12):  # a stored nan fails too
         raise InvalidArgumentError(
             f"{outdir}: stored epsilon {summary['result']['epsilon']} does not match recomputed {eps}"
         )
-    if not np.allclose(realized.matrix, realized_stored, rtol=1e-9, atol=1e-12):
+    if realized_stored.shape != realized.matrix.shape or not np.allclose(
+        realized.matrix, realized_stored, rtol=1e-9, atol=1e-12
+    ):
         raise InvalidArgumentError(f"{outdir}: stored realized matrix disagrees with recomputation")
 
     cells = []
-    _, cell_rows, _ = read_table_csv(out / "cells.csv")
+    cells_file = out / "cells.csv"
+    _, cell_rows, _ = read_table_csv(cells_file)
     for row in cell_rows:
-        omega_mhz, mu_mhz, verdict, margin, epsilon = row
-        cells.append(
-            CellDiagnostics(
-                float(omega_mhz) * MHZ,
-                float(mu_mhz) * MHZ,
-                verdict,
-                None if margin == "" else float(margin),
-                None if epsilon == "" else float(epsilon),
+        try:
+            omega_mhz, mu_mhz, verdict, margin, epsilon = row
+            cells.append(
+                CellDiagnostics(
+                    float(omega_mhz) * MHZ,
+                    float(mu_mhz) * MHZ,
+                    verdict,
+                    None if margin == "" else float(margin),
+                    None if epsilon == "" else float(epsilon),
+                )
             )
-        )
-    stage_eps = {
-        key[len("epsilon_"):]: float(value)
-        for key, value in summary["result"].items()
-        if key.startswith("epsilon_")
-    }
+        except ValueError:
+            raise InvalidArgumentError(f"{cells_file}: bad stage-1 cell row {row}") from None
     return OptimizationResult(
-        omega_scan=float(summary["result"]["omega_scan_mhz"]) * MHZ,
+        omega_scan=omega_scan,
         mu=mu,
         pin_frequencies=pin_freqs,
         pin_axes=pin_axes,
@@ -249,5 +301,5 @@ def load_result(outdir: Union[str, Path]):
         drive=drive,
         iterations={},
         wall_time_s=0.0,
-        converged=summary["result"]["converged"] == "True",
+        converged=converged,
     )

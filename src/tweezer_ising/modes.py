@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
+import scipy.constants as const
 
 from .constants import SpeciesConstants
 from .errors import (
@@ -135,11 +136,14 @@ class TweezerPattern:
         """Diagonal pattern from per-ion pinning frequencies (rad/s).
 
         Negative frequencies encode anti-confinement through a signed
-        square: curvature = sign(omega) * omega^2 on each listed axis.
+        square: curvature = sign(omega) * omega^2 on each listed axis.  An
+        axis name other than x, y or z raises InvalidArgumentError.
         """
         w = np.asarray(omegas, dtype=float)
         curv = np.zeros((w.size, 3, 3))
         for ax in axes:
+            if isinstance(ax, str) and ax not in AXIS_INDEX:
+                raise InvalidArgumentError(f"unknown pin axis {ax!r}")
             a = AXIS_INDEX[ax] if isinstance(ax, str) else int(ax)
             curv[:, a, a] = np.sign(w) * w**2
         return cls(curv, offsets)
@@ -228,7 +232,8 @@ class ModeSpectrum:
     (3*ion + axis); a full spectrum has coords = arange(3N), a block
     spectrum a subset.  ``direction_weights[m, a]`` is mode m's squared
     norm on the rows of axis a, summed over those rows in order, for full
-    and block spectra alike.
+    and block spectra alike; it is computed from the eigenvectors, never
+    passed in.
     """
 
     frequencies: np.ndarray  # (B,) rad/s, ascending
@@ -237,23 +242,23 @@ class ModeSpectrum:
     coords: np.ndarray  # (B,) int
     n_ions: int
     freq_scale: float
-    direction_weights: np.ndarray = field(default=None)  # (B, 3)
+    direction_weights: np.ndarray = field(init=False)  # (B, 3)
 
     def __post_init__(self):
-        if self.direction_weights is None:
-            axes = np.asarray(self.coords) % 3
-            w = np.stack([np.sum(self.eigenvectors[axes == a] ** 2, axis=0) for a in range(3)], axis=1)
-            object.__setattr__(self, "direction_weights", w)
+        axes = np.asarray(self.coords) % 3
+        w = np.stack([np.sum(self.eigenvectors[axes == a] ** 2, axis=0) for a in range(3)], axis=1)
+        object.__setattr__(self, "direction_weights", w)
 
     @property
     def n_modes(self) -> int:
         return len(self.frequencies)
 
-    def modes_along(self, axis: Union[str, Sequence[float]], purity: float = DIRECTION_PURITY) -> np.ndarray:
-        """Boolean mask of modes with >= purity of their norm on the given axes."""
+    def modes_along(self, axis: Union[str, Sequence[float]]) -> np.ndarray:
+        """Boolean mask of modes with at least DIRECTION_PURITY of their
+        squared norm on the given axes."""
         v = axis_vector(axis)
         on = np.flatnonzero(np.abs(v) > 0)
-        return self.direction_weights[:, on].sum(axis=1) >= purity
+        return self.direction_weights[:, on].sum(axis=1) >= DIRECTION_PURITY
 
 
 def mode_spectrum(
@@ -403,8 +408,7 @@ def lamb_dicke(
         raise ZeroFrequencyModeError("a zero-frequency mode couples to the drive")
     zp = np.zeros_like(spectrum.frequencies)
     ok = spectrum.frequencies > 0
-    hbar = species.fundamental.hbar
-    zp[ok] = np.sqrt(hbar / (2.0 * species.mass * spectrum.frequencies[ok]))
+    zp[ok] = np.sqrt(const.hbar / (2.0 * species.mass * spectrum.frequencies[ok]))
     eta = k_eff * proj * zp[None, :]
     eta[:, ~coupled] = 0.0
     return eta

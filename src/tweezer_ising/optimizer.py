@@ -125,8 +125,6 @@ class SearchSpace:
     start_fraction: float = 0.1
     allow_anticonfinement: bool = False
     max_iter: int = 2000
-    tol_df: float = 1e-10
-    tol_grad: float = 1e-8
 
     def __post_init__(self):
         _check_bounds("omega_scan", self.omega_scan, positive=True)
@@ -144,10 +142,6 @@ class SearchSpace:
             raise InvalidArgumentError("grid sizes and restarts must be at least 1")
         if self.max_iter < 1:
             raise InvalidArgumentError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not (self.tol_df >= 0.0 and self.tol_grad >= 0.0):
-            raise InvalidArgumentError(
-                f"tolerances must be nonnegative (tol_df={self.tol_df}, tol_grad={self.tol_grad})"
-            )
         _check_pin_axes(self.pin_axes)
         if self.scan_axis not in AXIS_INDEX:
             raise InvalidArgumentError(f"unknown scan axis {self.scan_axis!r}")
@@ -615,11 +609,6 @@ def _stage_problem(crystal: IonCrystal, target, axis, space: SearchSpace, orbits
     return problem
 
 
-def _controls(space: SearchSpace) -> dict:
-    """The minimizer controls every stage takes from the search space."""
-    return dict(max_iter=space.max_iter, tol_df=space.tol_df, tol_grad=space.tol_grad)
-
-
 def _candidate(omega, mu, problem: PinProblem, run) -> Candidate:
     """The candidate a pinning-only minimizer run over `problem` reached."""
     pin = problem.expand(run.x * problem.k_scale)
@@ -678,7 +667,7 @@ def stage1_search(
             np.array(starts).reshape(-1, n_params),
             problem.k_bounds[0],
             problem.k_bounds[1],
-            **_controls(space),
+            max_iter=space.max_iter,
         )
         for c, diag in enumerate(feasible):
             # min keeps the first of equal values: the earliest restart
@@ -770,7 +759,7 @@ def stage2_refine(
         k0 / problem.k_scale,
         np.full(k0.size, problem.k_bounds[0]),
         np.full(k0.size, problem.k_bounds[1]),
-        **_controls(space),
+        max_iter=space.max_iter,
     )
     return _candidate(candidate.omega_scan, candidate.mu, problem, res)
 
@@ -784,15 +773,15 @@ def stage3_finalize(
     symmetry: str = "none",
     drive_axis=None,
     final_geometry: str = "harmonic",
-    cells_diagnostics: Optional[list] = None,
-    histories: Optional[dict] = None,
 ) -> OptimizationResult:
     """Re-solve the true equilibrium and re-optimize beatnote and pinning.
 
     final_geometry "harmonic" solves the actual trap equilibrium at the
     candidate's scanned frequency (warm-started from the stage-1
     geometry); "fixed_lattice" keeps the idealized positions, for crystals
-    held equidistant by a segmented trap.
+    held equidistant by a segmented trap.  The result holds no stage-1
+    cells and only stage 3's history; `run_pipeline` adds the earlier
+    stages' cells and histories.
     """
     t0 = time.perf_counter()
     _check_choice("final_geometry", final_geometry, FINAL_GEOMETRIES)
@@ -810,7 +799,7 @@ def stage3_finalize(
     x0 = np.concatenate([[candidate.mu / problem.mu_scale], k0 / problem.k_scale])
     lower = np.concatenate([[problem.mu_bounds[0]], np.full(k0.size, problem.k_bounds[0])])
     upper = np.concatenate([[problem.mu_bounds[1]], np.full(k0.size, problem.k_bounds[1])])
-    res = minimize_box(problem.objective_pin_mu(), x0, lower, upper, **_controls(space))
+    res = minimize_box(problem.objective_pin_mu(), x0, lower, upper, max_iter=space.max_iter)
     mu_final = float(res.x[0] * problem.mu_scale)
     pin_k = problem.expand(res.x[1:] * problem.k_scale)
     pin_w = np.sign(pin_k) * np.sqrt(np.abs(pin_k))
@@ -821,8 +810,6 @@ def stage3_finalize(
         mu_final, axis, space.resonance_guard, target,
     )
 
-    histories = dict(histories or {})
-    histories["stage3"] = list(res.history)
     stage_eps = {"stage2": candidate.epsilon, "stage3": eps}
     return OptimizationResult(
         omega_scan=candidate.omega_scan,
@@ -831,7 +818,7 @@ def stage3_finalize(
         pin_axes=tuple(space.pin_axes),
         epsilon=eps,
         stage_epsilons=stage_eps,
-        cells=list(cells_diagnostics or []),
+        cells=[],
         target=target,
         realized=realized,
         spectrum=spectrum,
@@ -841,7 +828,7 @@ def stage3_finalize(
         iterations={"stage3": res.n_iter, "stage3_evals": res.n_eval},
         wall_time_s=time.perf_counter() - t0,
         converged=res.converged,
-        histories=histories,
+        histories={"stage3": list(res.history)},
     )
 
 
@@ -872,21 +859,12 @@ def run_pipeline(
     best = candidates[0]
     orbits = symmetry_orbits(best.crystal, symmetry)
     refined = stage2_refine(best, orbits, space, target_spec, drive_axis)
-    histories = {"stage1": best.history, "stage2": refined.history}
     result = stage3_finalize(
-        refined,
-        trap_template,
-        species,
-        space,
-        target_spec,
-        symmetry,
-        drive_axis,
-        final_geometry,
-        cells_diagnostics=cell_diags,
-        histories=histories,
+        refined, trap_template, species, space, target_spec, symmetry, drive_axis, final_geometry
     )
+    result.cells = cell_diags
+    result.histories = {"stage1": best.history, "stage2": refined.history, **result.histories}
     result.stage_epsilons["stage1"] = best.epsilon
-    result.stage_epsilons["stage2"] = refined.epsilon
     result.iterations["stage1_cells"] = len(cell_diags)
     result.wall_time_s = time.perf_counter() - t0
     return result
@@ -900,14 +878,15 @@ def untweezed_baseline(
     drive_axis=None,
     pin_axes: tuple[str, ...] = ("y",),
     n_scan: int = 400,
-    resonance_guard: float = DEFAULT_RESONANCE_GUARD,
     crystal: Optional[IonCrystal] = None,
 ):
     """Best error reachable by scanning the beatnote only, no tweezers.
 
     Returns (best_epsilon, best_mu, curve) with curve a list of (mu, eps)
-    over the scanned range, resonant points skipped.  `mu_range` must be
-    finite, positive and ordered, and `n_scan` at least 1.
+    over the scanned range, points within DEFAULT_RESONANCE_GUARD of a
+    coupled mode skipped.  `mu_range` must be finite, positive and
+    ordered, and `n_scan` at least 1.  `crystal` defaults to the unpinned
+    equilibrium of `trap`.
     """
     _check_bounds("mu_range", mu_range, positive=True)
     if n_scan < 1:
@@ -917,7 +896,7 @@ def untweezed_baseline(
     if crystal is None:
         crystal = solve_equilibrium(trap, species, trap.n_ions)
     target = build_target(target_spec, crystal)
-    problem = PinProblem(crystal, target, axis, pin_axes, None, resonance_guard)
+    problem = PinProblem(crystal, target, axis, pin_axes)
     mus = np.linspace(mu_range[0], mu_range[1], n_scan)
     eps, _ = problem.epsilon_parts_batch(np.zeros((1, len(problem.orbits))), beatnote_columns(mus))
     curve = [(float(mu), float(e)) for mu, e in zip(mus, eps) if np.isfinite(e)]

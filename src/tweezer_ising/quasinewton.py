@@ -50,6 +50,10 @@ LaneEvaluator = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[n
 #: the Armijo constant and the most trials one line search evaluates
 C1 = 1e-4
 MAX_HALVINGS = 60
+#: a lane converges when an accepted step lowers f by less than TOL_DF, or
+#: when its projected gradient's largest entry is below TOL_GRAD
+TOL_DF = 1e-10
+TOL_GRAD = 1e-8
 
 
 @dataclass
@@ -70,20 +74,15 @@ def minimize_box(
     upper: np.ndarray,
     memory: int = 8,
     max_iter: int = 2000,
-    tol_df: float = 1e-10,
-    tol_grad: float = 1e-8,
 ) -> MinimizeResult:
     """Minimize objective(x) -> (f, grad) subject to lower <= x <= upper.
 
     ``grad`` is the gradient on demand (see `Objective`).  Raises
     InvalidArgumentError for reversed bounds, ``memory`` or ``max_iter``
-    below 1, a negative tolerance, or a start point where the objective is
-    not finite.
+    below 1, or a start point where the objective is not finite.
     """
     x0 = np.asarray(x0, dtype=float)[None]
-    runs = minimize_lockstep(
-        lambda points, _: _one_lane(*objective(points[0])), x0, lower, upper, memory, max_iter, tol_df, tol_grad
-    )
+    runs = minimize_lockstep(lambda points, _: _one_lane(*objective(points[0])), x0, lower, upper, memory, max_iter)
     return runs[0]
 
 
@@ -99,8 +98,6 @@ def minimize_lockstep(
     upper: np.ndarray,
     memory: int = 8,
     max_iter: int = 2000,
-    tol_df: float = 1e-10,
-    tol_grad: float = 1e-8,
 ) -> list[MinimizeResult]:
     """Minimize K lanes together; one result per lane, in lane order.
 
@@ -108,10 +105,9 @@ def minimize_lockstep(
     bounds, which broadcast to (K, P).  Each round is one
     ``evaluate(points, lanes)`` call (see `LaneEvaluator`), and each lane
     gets the result a lone `minimize_box` run gives it.  Raises
-    InvalidArgumentError before any round for reversed bounds in any lane,
-    ``memory`` or ``max_iter`` below 1 or a negative tolerance, and after
-    the first round if any start point's value is not finite.  No lanes
-    means no round.
+    InvalidArgumentError before any round for reversed bounds in any lane
+    or ``memory`` or ``max_iter`` below 1, and after the first round if
+    any start point's value is not finite.  No lanes means no round.
     """
     x0 = np.asarray(x0, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), x0.shape)
@@ -120,8 +116,6 @@ def minimize_lockstep(
         raise InvalidArgumentError("lower bound exceeds upper bound")
     if memory < 1 or max_iter < 1:
         raise InvalidArgumentError(f"memory ({memory}) and max_iter ({max_iter}) must be at least 1")
-    if not (tol_df >= 0.0 and tol_grad >= 0.0):
-        raise InvalidArgumentError(f"tolerances must be nonnegative (tol_df={tol_df}, tol_grad={tol_grad})")
     count, p = x0.shape
     if count == 0:
         return []
@@ -145,7 +139,7 @@ def minimize_lockstep(
     # each lane's result, written when it stops
     out = _Lanes(x=np.empty_like(x), f=np.empty(count), g=np.empty_like(x), it=np.empty(count, int),
                  n_eval=np.empty(count, int), converged=np.empty(count, bool))
-    _begin(st, everyone, tol_grad)
+    _begin(st, everyone)
     while True:
         t = _trials(st)
         if st.stop.any():
@@ -171,14 +165,14 @@ def minimize_lockstep(
             st.x[acc], st.f[acc], st.g[acc] = t[acc], f_new, g_new
             for lane, value in zip(st.ids[acc].tolist(), f_new.tolist()):
                 history[lane].append(value)
-            done = df < tol_df
+            done = df < TOL_DF
             ended = done | (st.it[acc] == max_iter)
             if ended.any():
                 st.stop[acc[ended]] = True
                 st.converged[acc[done]] = True
                 acc = acc[~ended]
             st.it[acc] += 1
-            _begin(st, acc, tol_grad)
+            _begin(st, acc)
         del gradient
         _fall_back(st, (~accepted & (st.halvings == MAX_HALVINGS)).nonzero()[0])
 
@@ -207,7 +201,7 @@ def _project(x, lower, upper):
     return np.minimum(np.maximum(x, lower), upper)
 
 
-def _begin(st, index, tol_grad):
+def _begin(st, index):
     """Start an iteration in lanes ``index``: stop those whose projected
     gradient has converged, give the rest a direction and a unit step."""
     if not index.size:
@@ -216,7 +210,7 @@ def _begin(st, index, tol_grad):
     pg = g.copy()
     pg[(x <= st.lower[index]) & (g > 0)] = 0.0
     pg[(x >= st.upper[index]) & (g < 0)] = 0.0
-    done = np.abs(pg).max(1) < tol_grad
+    done = np.abs(pg).max(1) < TOL_GRAD
     if done.any():
         st.stop[index[done]] = st.converged[index[done]] = True
         index, pg = index[~done], pg[~done]

@@ -1,8 +1,11 @@
+import shutil
+
 import numpy as np
 import pytest
 
 from tweezer_ising import scenarios
 from tweezer_ising.cli import main
+from tweezer_ising.errors import InvalidArgumentError
 from tweezer_ising.iofmt import (
     load_result,
     read_matrix_csv,
@@ -114,6 +117,105 @@ class TestFileFormats:
             assert loaded.realized.matrix.tobytes() == result.realized.matrix.tobytes()
         else:
             np.testing.assert_allclose(loaded.realized.matrix, result.realized.matrix, rtol=1e-9, atol=1e-12)
+
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    """A config file and the directory of its saved `optimize` run."""
+    root = tmp_path_factory.mktemp("saved")
+    config = root / "run.cfg"
+    config.write_text(SMALL_CONFIG)
+    assert main(["optimize", "--config", str(config), "--out", str(root / "opt")]) == 0
+    return config, root / "opt"
+
+
+def _edit_summary(section, key=None, value=None):
+    """Drop a section of summary.txt, drop one of its keys, or set a key to `value`."""
+    def edit(run):
+        sections = read_summary(run / "summary.txt")
+        if key is None:
+            del sections[section]
+        elif value is None:
+            del sections[section][key]
+        else:
+            sections[section][key] = value
+        write_summary(run / "summary.txt", sections)
+    return edit
+
+
+def _replace_text(name, old, new):
+    def edit(run):
+        text = (run / name).read_text()
+        assert old in text
+        (run / name).write_text(text.replace(old, new, 1))
+    return edit
+
+
+def _drop_last_position(run):
+    positions, _ = read_matrix_csv(run / "positions.csv")
+    write_matrix_csv(run / "positions.csv", positions[:-1], "positions", "um")
+
+
+def _drop_last_realized_row(run):
+    realized, _ = read_matrix_csv(run / "realized_matrix.csv")
+    write_matrix_csv(run / "realized_matrix.csv", realized[:-1], "realized_matrix", "normalized")
+
+
+class TestCorruptSavedRun:
+    """A saved run is input from outside the program: each fault names its file and key."""
+
+    CASES = {
+        "missing_file": (lambda run: (run / "positions.csv").unlink(), r"positions\.csv"),
+        "missing_section": (_edit_summary("drive"), r"summary\.txt: missing \[drive\] axis"),
+        "missing_key": (_edit_summary("result", "mu_mhz"), r"summary\.txt: missing \[result\] mu_mhz"),
+        "non_number_summary": (
+            _replace_text("summary.txt", "omega_x_mhz = 2.0", "omega_x_mhz = two"),
+            r"summary\.txt: bad value for \[trap\] omega_x_mhz",
+        ),
+        "non_number_stage_epsilon": (
+            _replace_text("summary.txt", "epsilon_stage1 = ", "epsilon_stage1 = x"),
+            r"summary\.txt: bad value for \[result\] epsilon_stage1",
+        ),
+        "malformed_summary": (_replace_text("summary.txt", "[run]", "run"), r"malformed summary file"),
+        "nan_epsilon": (_edit_summary("result", "epsilon", "nan"), r"stored epsilon nan does not match"),
+        "realized_shape": (_drop_last_realized_row, r"stored realized matrix disagrees"),
+        "non_number_matrix": (_replace_text("target_matrix.csv", "0.0,", "zero,"), r"target_matrix\.csv"),
+        "unknown_axis": (
+            _replace_text("tweezer_pattern.csv", "# axes = y", "# axes = q"),
+            r"tweezer_pattern\.csv: unknown axis 'q' in # axes",
+        ),
+        "missing_axes": (
+            _replace_text("tweezer_pattern.csv", "# axes = y\n", ""), r"tweezer_pattern\.csv: missing # axes"
+        ),
+        "non_number_pin": (
+            _replace_text("tweezer_pattern.csv", "0.0,0.", "0.0,x"), r"tweezer_pattern\.csv: pin_frequency_mhz"
+        ),
+        "pin_count": (_replace_text("tweezer_pattern.csv", "3.0,", "#3.0,"), r"tweezer_pattern\.csv: expected 4"),
+        "position_rows": (_drop_last_position, r"positions\.csv: expected 4 rows of 3 coordinates"),
+        "non_number_cell": (
+            _replace_text("cells.csv", "0.25,0.6,", "0.25,mu,"), r"cells\.csv: bad stage-1 cell row"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fault_names_file_and_key(self, saved_run, tmp_path, case):
+        edit, message = self.CASES[case]
+        run = tmp_path / "run"
+        shutil.copytree(saved_run[1], run)
+        edit(run)
+        with pytest.raises(InvalidArgumentError, match=message):
+            load_result(run)
+
+    def test_misalign_exits_with_validation_code(self, saved_run, tmp_path, capsys):
+        config, saved = saved_run
+        run = tmp_path / "run"
+        shutil.copytree(saved, run)
+        _replace_text("tweezer_pattern.csv", "# axes = y", "# axes = q")(run)
+        code = main(["misalign", "--config", str(config), "--out", str(tmp_path / "mis"), "--in", str(run)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-argument: ") and "tweezer_pattern.csv" in err
 
 
 class TestExitCodes:

@@ -154,6 +154,18 @@ class TestBuildSignConstraints:
         assert (k, l) == (0, 2) and sign == -1.0
         assert np.allclose(system.matrix[0], -grads.row((0, 2)))
 
+    def test_reversed_and_duplicated_gradient_pairs(self):
+        # a pair's gradient may be listed as (l, k); a pair listed twice
+        # keeps its first row
+        values = np.arange(12.0).reshape(4, 3) + 1.0
+        grads = CouplingGradient(((1, 0), (0, 2), (0, 2), (1, 2)), np.arange(3), values)
+        j0 = np.array([[0.0, 1.0, 0.2], [1.0, 0.0, 0.1], [0.2, 0.1, 0.0]])
+        target = np.array([[0.0, -1.0, -0.9], [-1.0, 0.0, 0.1], [-0.9, 0.1, 0.0]])
+        system = build_sign_constraints(target, j0, grads, selection=[(0, 1), (2, 0), (1, 2)])
+        assert system.provenance == ((0, 1, -1.0), (2, 0, -1.0))
+        assert system.excluded == ((1, 2),)
+        assert system.matrix.tobytes() == (-values[:2]).tobytes()
+
     def test_missing_gradient_rejected(self):
         grads = CouplingGradient(((0, 1),), np.arange(3), np.ones((1, 3)))
         j = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.2], [0.5, 0.2, 0.0]])

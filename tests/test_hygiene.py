@@ -7,8 +7,11 @@ package (a copy left behind by a fold reads as live code), and every
 parameter of a package function is read in its body (an argument that is
 accepted and ignored reads as a choice the caller makes), and no module
 defines a generator or advances one by hand (lanes advance as rows of
-arrays in plain loops, not as coroutines that a round loop drives).  No linter runs on this code, so
-these checks stand in.
+arrays in plain loops, not as coroutines that a round loop drives), and
+every default of a package function, method or dataclass field is
+overridden by some call in the package, its tests or the benchmark (a
+value no call sets reads as a choice nobody makes).  No linter runs on
+this code, so these checks stand in.
 """
 
 import ast
@@ -190,3 +193,119 @@ def test_the_generator_check_sees_every_form():
 def test_no_module_makes_or_drives_a_generator():
     found = [f"{path.name}: {step}" for path in MODULES for step in _generator_steps(_parse(path))]
     assert not found, f"generators in the package: {', '.join(found)}"
+
+
+#: where calls that pass a value may sit: the package, its tests and the benchmark
+CALLERS = [p for d in ("src", "tests", "perfbench") for p in sorted((PACKAGE.parents[1] / d).rglob("*.py"))]
+
+
+def _is_dataclass(node):
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _field_call(value):
+    """The keywords of a ``field(...)`` default, or None for a plain default."""
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id == "field":
+        return {kw.arg: kw.value for kw in value.keywords}
+    return None
+
+
+def _settable_defaults(tree):
+    """(callee, parameter, positional index or None, label) of every
+    defaulted parameter of a function or method, and of every defaulted
+    init field of a dataclass.  A method's index leaves out its receiver,
+    and ``__init__`` is called by its class name."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+            index = 0
+            for item in cls.body:
+                if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+                    continue
+                keywords = _field_call(item.value)
+                if keywords is not None:
+                    init = keywords.get("init")
+                    if isinstance(init, ast.Constant) and init.value is False:
+                        continue
+                    defaulted = "default" in keywords or "default_factory" in keywords
+                else:
+                    defaulted = item.value is not None
+                if defaulted:
+                    yield cls.name, item.target.id, index, f"{cls.name}.{item.target.id}"
+                index += 1
+    methods = {
+        id(item): cls.name
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for item in cls.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = methods.get(id(fn))
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+        callee = owner if fn.name == "__init__" else fn.name
+        label = f"{owner}.{fn.name}" if owner else fn.name
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        skip = 1 if owner and not static else 0
+        for i, arg in enumerate(positional[first:], first):
+            yield callee, arg.arg, i - skip, f"{label}({arg.arg})"
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield callee, arg.arg, None, f"{label}({arg.arg})"
+
+
+def _passed(trees):
+    """callee name -> (keywords passed, most positional arguments) over
+    every call; ``*args`` and ``**kwargs`` pass nothing, and no positional
+    argument counts past the first ``*args``."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            count = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)), len(node.args))
+            keywords, most = passed.get(name, (set(), 0))
+            passed[name] = (keywords | {kw.arg for kw in node.keywords if kw.arg}, max(most, count))
+    return passed
+
+
+def _unset_defaults(definitions, callers):
+    passed = _passed(callers)
+    unset = []
+    for tree in definitions:
+        for callee, param, index, label in _settable_defaults(tree):
+            keywords, most = passed.get(callee, (set(), 0))
+            if param not in keywords and (index is None or most <= index):
+                unset.append(label)
+    return unset
+
+
+def test_the_default_check_sees_every_form():
+    source = (
+        "@dataclass\nclass Box:\n    a: int\n    b: int = 1\n    c: list = field(default_factory=list)\n"
+        "    d: int = field(init=False)\n    e: int = 2\n\n"
+        "class Solver:\n    def __init__(self, x, y=1):\n        pass\n\n"
+        "    def run(self, n=3, *, tol=1e-8, fixed):\n        pass\n\n"
+        "def f(p, q=0, r=0):\n    pass\n\n"
+        "Box(1, 2, e=3)\nSolver(0)\nSolver(0).run(5)\nf(1, *rest)\nf(**options)\n"
+    )
+    tree = ast.parse(source)
+    assert sorted(_unset_defaults([tree], [tree])) == [
+        "Box.c", "Solver.__init__(y)", "Solver.run(tol)", "f(q)", "f(r)",
+    ]
+
+
+def test_every_default_is_set_somewhere():
+    unset = _unset_defaults([_parse(p) for p in MODULES], [_parse(p) for p in CALLERS])
+    assert not unset, f"defaults no call in src/, tests/ or perfbench/ sets: {', '.join(sorted(unset))}"

@@ -60,6 +60,12 @@ class TestHessian:
         with pytest.raises(InvalidArgumentError):
             build_hessian(crystal, pattern)
 
+    @pytest.mark.parametrize("axes", ["q", "yq", ("y", "Y")])
+    def test_unknown_pattern_axis_rejected(self, axes):
+        # an unknown letter used to raise a bare KeyError
+        with pytest.raises(InvalidArgumentError, match="unknown pin axis"):
+            TweezerPattern.from_frequencies(np.ones(2), axes=axes)
+
     def test_chain_block_decoupling(self, species):
         trap = TrapConfig(2.1 * MHZ, 1.6 * MHZ, 0.2 * MHZ, n_ions=5)
         crystal = solve_equilibrium(trap, species, 5)

@@ -538,7 +538,7 @@ def _lone_restarts(problem, space, seed, cell, mu):
     return [
         minimize_box(
             problem.objective_pin(mu), optimizer._random_start(space, p, seed, cell, r) / problem.k_scale,
-            lower, upper, max_iter=space.max_iter, tol_df=space.tol_df, tol_grad=space.tol_grad,
+            lower, upper, max_iter=space.max_iter,
         )
         for r in range(space.restarts)
     ]
@@ -693,8 +693,6 @@ class TestSearchSpaceValidation:
         [
             {"max_iter": 0},
             {"max_iter": -1},
-            {"tol_df": -1e-10},
-            {"tol_grad": -1.0},
         ],
     )
     def test_rejects_bad_search_controls(self, controls):
