@@ -15,7 +15,7 @@ matrix or a stack: the projection ``modes._placement(...) @ eigenvectors``,
 `_mode_sum`, `_symmetric_zero_diagonal`, `_largest_offdiag` and
 `_rescaled_errors`.  `mode_projections`, `coupling_matrix`, `max_abs_offdiag`
 and `coupling_error` are their one-matrix calls; the scan's grader
-`grade_hessians` and the objective `optimizer.PinProblem.epsilon_parts_batch`
+`grade_hessians` and the objective `optimizer.PinProblem.epsilon_parts`
 run them stacked.  `_mode_sum` and `_zero_diagonal` are steps of the
 gradient kernel too (see `sensitivity`).
 """

@@ -56,6 +56,13 @@ def pair_differences(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diff, row_norms(diff)
 
 
+def check_pin_axes(axes) -> None:
+    """Raise InvalidArgumentError for a pinning axis that is not x, y or z."""
+    for ax in axes:
+        if ax not in AXIS_INDEX:
+            raise InvalidArgumentError(f"unknown pin axis {ax!r}")
+
+
 def axis_vector(axis: Union[str, Sequence[float]]) -> np.ndarray:
     """Unit vector from an axis name ('y'), a name list ('yz'), or a 3-vector."""
     if isinstance(axis, str):
@@ -137,14 +144,14 @@ class TweezerPattern:
 
         Negative frequencies encode anti-confinement through a signed
         square: curvature = sign(omega) * omega^2 on each listed axis.  An
-        axis name other than x, y or z raises InvalidArgumentError.
+        axis other than the names x, y and z, an integer index among them,
+        raises InvalidArgumentError.
         """
+        check_pin_axes(axes)
         w = np.asarray(omegas, dtype=float)
         curv = np.zeros((w.size, 3, 3))
         for ax in axes:
-            if isinstance(ax, str) and ax not in AXIS_INDEX:
-                raise InvalidArgumentError(f"unknown pin axis {ax!r}")
-            a = AXIS_INDEX[ax] if isinstance(ax, str) else int(ax)
+            a = AXIS_INDEX[ax]
             curv[:, a, a] = np.sign(w) * w**2
         return cls(curv, offsets)
 

@@ -64,6 +64,7 @@ from .modes import (
     _placement,
     axis_vector,
     block_coords,
+    check_pin_axes,
     mass_scaled_hessian,
     mode_spectrum,
 )
@@ -94,13 +95,6 @@ def _check_bounds(name: str, bounds, positive: bool = False) -> None:
         raise InvalidArgumentError(f"{name} bounds reversed: {lo} > {hi}")
     if positive and lo <= 0:
         raise InvalidArgumentError(f"{name} bounds must be positive, got ({lo}, {hi})")
-
-
-def _check_pin_axes(pin_axes) -> None:
-    """Raise InvalidArgumentError for a pinning axis that is not x, y or z."""
-    for ax in pin_axes:
-        if ax not in AXIS_INDEX:
-            raise InvalidArgumentError(f"unknown pin axis {ax!r}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,7 @@ class SearchSpace:
             raise InvalidArgumentError("grid sizes and restarts must be at least 1")
         if self.max_iter < 1:
             raise InvalidArgumentError(f"max_iter must be at least 1, got {self.max_iter}")
-        _check_pin_axes(self.pin_axes)
+        check_pin_axes(self.pin_axes)
         if self.scan_axis not in AXIS_INDEX:
             raise InvalidArgumentError(f"unknown scan axis {self.scan_axis!r}")
 
@@ -283,8 +277,8 @@ def _match_permutation(pos, mapped, tol, group):
 
 
 def beatnote_columns(mus) -> np.ndarray:
-    """The (K, 2) rows ``(mu, mu**2)`` of `PinProblem.epsilon_parts_batch`,
-    one per beatnote.
+    """The (K, 2) rows ``(mu, mu**2)`` of `PinProblem.epsilon_parts`, one
+    per beatnote.
 
     Each square is the beatnote's own scalar power: an array square
     (x * x) differs from it in the last bit for some beatnotes.
@@ -300,11 +294,13 @@ class PinProblem:
     `pin_diag` holds the flat positions of the pinned diagonal entries of
     the block and `pin_param` the parameter that pins each, and
     `row_groups` holds, per orbit row count w, the parameters with w rows
-    and their (count, w) row indices, which `orbit_sums` sums over.  An
-    evaluation costs one eigendecomposition of the block, a few matrix
-    products and one gather per index array, its gradient only when asked
-    for; no Python loop runs over orbits.  A batch of evaluations stacks
-    the eigendecompositions and the products.  Orbits must be disjoint.
+    and their (count, w) row indices, which `orbit_sums` sums over.  Every
+    evaluation is one `epsilon_parts` call over a stack of lanes, a lone
+    point a stack of one.  It costs one stacked eigendecomposition of the
+    block, a few stacked matrix products and one gather per index array,
+    its gradient only when asked for; no Python loop runs over orbits or
+    lanes.  The stages minimize through its evaluators `pin_evaluator` and
+    `pin_mu_evaluator`.  Orbits must be disjoint.
     """
 
     def __init__(
@@ -316,7 +312,7 @@ class PinProblem:
         orbits: Optional[Sequence[Sequence[int]]] = None,
         resonance_guard: float = DEFAULT_RESONANCE_GUARD,
     ):
-        _check_pin_axes(pin_axes)
+        check_pin_axes(pin_axes)
         self.crystal = crystal
         n = crystal.n_ions
         self.n_ions = n
@@ -388,42 +384,22 @@ class PinProblem:
                 out[i] = k
         return out
 
-    def epsilon_parts(self, k_params, mu, with_mu=False):
-        """ε at (k_params, mu) now and its gradient on demand.
-
-        Returns None where ε is undefined (an unstable or resonant
-        spectrum, or J = 0), else ``(eps, gradient)``: ``gradient()``
-        returns ``(grad_k, grad_mu)`` from this evaluation's spectrum and
-        residual, ``grad_mu`` None unless ``with_mu``.  A line search that
-        rejects the point never pays for it.  The one-lane call of
-        `epsilon_parts_batch`.
-        """
-        eps, gradient = self.epsilon_parts_batch(
-            np.asarray(k_params, dtype=float)[None], beatnote_columns((mu,)), with_mu
-        )
-        if eps[0] == np.inf:
-            return None
-
-        def lone_gradient():
-            grad_k, grad_mu = gradient(np.zeros(1, dtype=int))
-            return grad_k[0], None if grad_mu is None else float(grad_mu[0])
-
-        return float(eps[0]), lone_gradient
-
-    def epsilon_parts_batch(self, k_stack, beat, with_mu=False):
-        """`epsilon_parts` for K lanes at once: ``(eps, gradient)``.
+    def epsilon_parts(self, k_stack, beat, with_mu=False):
+        """ε of K lanes now and their gradients on demand: ``(eps, gradient)``.
 
         ``k_stack`` holds one pinning vector per lane, shape (K, P), or one
         row that every lane shares, whose block is decomposed once; ``beat``
         holds each lane's beatnote row of `beatnote_columns`.  ``eps``
-        holds each lane's ε, +inf where it is undefined.  ``gradient(rows)``
-        returns ``(grad_k, grad_mu)`` of the lanes ``rows``, each of which
-        has an ε: grad_k is (len(rows), P) and grad_mu (len(rows),), or None
-        unless ``with_mu``.  One stacked eigendecomposition and the stacked
-        steps of `coupling` (projection, mode sum, symmetrization, largest
+        holds each lane's ε, +inf where it is undefined (an unstable or
+        resonant spectrum, or J = 0).  ``gradient(rows)`` returns
+        ``(grad_k, grad_mu)`` of the lanes ``rows``, each of which has an
+        ε, from this evaluation's spectra and residuals: grad_k is
+        (len(rows), P) and grad_mu (len(rows),), or None unless
+        ``with_mu``.  One stacked eigendecomposition and the stacked steps
+        of `coupling` (projection, mode sum, symmetrization, largest
         coupling, ε) serve every lane, and one stacked gradient serves the
-        lanes asked for; each lane gets the bits `epsilon_parts` gives it
-        alone.
+        lanes asked for, so a trial the line search rejects never pays for
+        one; each lane gets the bits a stack of one gives it.
         """
         n = self.n_ions
         count = len(beat)
@@ -504,40 +480,39 @@ class PinProblem:
             out[..., params] = per_row.take(param_rows, axis=-1).sum(axis=-1)
         return out
 
-    # -- objectives over scaled variables (see quasinewton.Objective) --------
+    # -- evaluators over scaled variables (see quasinewton.LaneEvaluator) ---
 
-    def objective_pin(self, mu):
-        def fg(x):
-            parts = self.epsilon_parts(x * self.k_scale, mu)
-            if parts is None:
-                return np.inf, lambda: np.zeros_like(x)
-            eps, gradient = parts
-            return eps, lambda: gradient()[0] * self.k_scale
+    def pin_evaluator(self, beat: np.ndarray):
+        """Pinning-only: a point is the P scaled curvatures, and lane i
+        sits at the beatnote row ``beat[i]``."""
 
-        return fg
+        def evaluate(points, lanes):
+            eps, gradient = self.epsilon_parts(points * self.k_scale, beat[lanes])
+            return eps, lambda rows: gradient(rows)[0] * self.k_scale
 
-    def objective_pin_mu(self):
-        def fg(x):
-            mu = x[0] * self.mu_scale
-            parts = self.epsilon_parts(x[1:] * self.k_scale, mu, with_mu=True)
-            if parts is None:
-                return np.inf, lambda: np.zeros_like(x)
-            eps, gradient = parts
+        return evaluate
 
-            def grad():
-                grad_k, grad_mu = gradient()
-                g = np.empty_like(x)
-                g[0] = grad_mu * self.mu_scale
-                g[1:] = grad_k * self.k_scale
-                return g
+    def pin_mu_evaluator(self):
+        """Joint beatnote and pinning: a point is the scaled μ followed by
+        the P scaled curvatures."""
+
+        def evaluate(points):
+            mu = points[:, 0] * self.mu_scale
+            eps, gradient = self.epsilon_parts(points[:, 1:] * self.k_scale, beatnote_columns(mu), with_mu=True)
+
+            def grad(rows):
+                grad_k, grad_mu = gradient(rows)
+                return np.column_stack((grad_mu * self.mu_scale, grad_k * self.k_scale))
 
             return eps, grad
 
-        return fg
+        # each lane's beatnote is in its point, so the lane indices are not read
+        return lambda points, _: evaluate(points)
 
     def epsilon(self, k_params, mu) -> float:
-        parts = self.epsilon_parts(np.asarray(k_params, dtype=float), mu)
-        return np.inf if parts is None else parts[0]
+        """ε at (k_params, mu), +inf where it is undefined: a stack of one."""
+        eps, _ = self.epsilon_parts(np.asarray(k_params, dtype=float)[None], beatnote_columns((mu,)))
+        return float(eps[0])
 
     @functools.cached_property
     def native_spectrum(self) -> ModeSpectrum:
@@ -635,11 +610,11 @@ def stage1_search(
     trap-frequency row shares one `PinProblem`: its cells are tested first,
     then every restart of every feasible cell runs as a lane of one
     `quasinewton.minimize_lockstep` call.  The row's restarts iterate as
-    (lanes, P) arrays, and each round makes one `epsilon_parts_batch` call
-    for their trial points and one stacked gradient call for the trials it
-    accepted; the beatnote rows are built once per row.  Each lane walks
-    the path a lone `minimize_box` run takes, and each cell keeps its
-    lowest-ε restart, the earliest on a tie.
+    (lanes, P) arrays, and each round makes one `PinProblem.epsilon_parts`
+    call for their trial points and one stacked gradient call for the
+    trials it accepted; the beatnote rows are built once per row.  Each
+    lane walks the path a lone `minimize_box` run takes, and each cell
+    keeps its lowest-ε restart, the earliest on a tie.
     """
     axis = _drive_axis(drive_axis, space.pin_axes)
     omegas = _grid(space.omega_scan, space.omega_grid)
@@ -663,7 +638,7 @@ def stage1_search(
                 starts.append(_random_start(space, n_params, seed, cell_index, r) / problem.k_scale)
                 lane_mus.append(mu)
         runs = minimize_lockstep(
-            _row_objective(problem, beatnote_columns(lane_mus)),
+            problem.pin_evaluator(beatnote_columns(lane_mus)),
             np.array(starts).reshape(-1, n_params),
             problem.k_bounds[0],
             problem.k_bounds[1],
@@ -676,17 +651,6 @@ def stage1_search(
             candidates.append(_candidate(omega, diag.mu, problem, best))
     candidates.sort(key=lambda c: (c.epsilon, c.omega_scan, c.mu))
     return candidates, cells
-
-
-def _row_objective(problem: PinProblem, beat: np.ndarray):
-    """`PinProblem.objective_pin` of every restart of a row as a
-    `quasinewton.LaneEvaluator`, lane i at the beatnote row ``beat[i]``."""
-
-    def evaluate(points, lanes):
-        eps, gradient = problem.epsilon_parts_batch(points * problem.k_scale, beat[lanes])
-        return eps, lambda rows: gradient(rows)[0] * problem.k_scale
-
-    return evaluate
 
 
 def _cell_verdict(problem: PinProblem, omega, mu, axis, species: SpeciesConstants, space: SearchSpace):
@@ -755,7 +719,7 @@ def stage2_refine(
     problem = _stage_problem(crystal, build_target(target_spec, crystal), axis, space, cells.orbits)
     k0 = _orbit_means(candidate.pin_curvature, cells.orbits)
     res = minimize_box(
-        problem.objective_pin(candidate.mu),
+        problem.pin_evaluator(beatnote_columns((candidate.mu,))),
         k0 / problem.k_scale,
         np.full(k0.size, problem.k_bounds[0]),
         np.full(k0.size, problem.k_bounds[1]),
@@ -799,7 +763,7 @@ def stage3_finalize(
     x0 = np.concatenate([[candidate.mu / problem.mu_scale], k0 / problem.k_scale])
     lower = np.concatenate([[problem.mu_bounds[0]], np.full(k0.size, problem.k_bounds[0])])
     upper = np.concatenate([[problem.mu_bounds[1]], np.full(k0.size, problem.k_bounds[1])])
-    res = minimize_box(problem.objective_pin_mu(), x0, lower, upper, max_iter=space.max_iter)
+    res = minimize_box(problem.pin_mu_evaluator(), x0, lower, upper, max_iter=space.max_iter)
     mu_final = float(res.x[0] * problem.mu_scale)
     pin_k = problem.expand(res.x[1:] * problem.k_scale)
     pin_w = np.sign(pin_k) * np.sqrt(np.abs(pin_k))
@@ -891,14 +855,14 @@ def untweezed_baseline(
     _check_bounds("mu_range", mu_range, positive=True)
     if n_scan < 1:
         raise InvalidArgumentError(f"n_scan must be at least 1, got {n_scan}")
-    _check_pin_axes(pin_axes)
+    check_pin_axes(pin_axes)
     axis = _drive_axis(drive_axis, pin_axes)
     if crystal is None:
         crystal = solve_equilibrium(trap, species, trap.n_ions)
     target = build_target(target_spec, crystal)
     problem = PinProblem(crystal, target, axis, pin_axes)
     mus = np.linspace(mu_range[0], mu_range[1], n_scan)
-    eps, _ = problem.epsilon_parts_batch(np.zeros((1, len(problem.orbits))), beatnote_columns(mus))
+    eps, _ = problem.epsilon_parts(np.zeros((1, len(problem.orbits))), beatnote_columns(mus))
     curve = [(float(mu), float(e)) for mu, e in zip(mus, eps) if np.isfinite(e)]
     if not curve:
         raise ResonanceError("every scanned beatnote hit the resonance guard")

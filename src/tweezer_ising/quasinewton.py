@@ -1,7 +1,7 @@
 """Box-constrained limited-memory quasi-Newton minimizer over arrays of lanes.
 
 Projected-gradient L-BFGS with a monotone backtracking (Armijo) line
-search.  Objectives may return +inf to mark forbidden regions (resonance
+search.  An evaluator may return +inf to mark forbidden regions (resonance
 guard bands, unstable spectra); the line search treats such points as
 rejected trials and halves the step, so iterates never settle in a
 forbidden region.
@@ -25,8 +25,8 @@ An evaluator gives values now and gradients on demand (`LaneEvaluator`):
 the minimizer asks for the gradients of the start points once, then in
 each round only for the trials the line search accepted, so a rejected
 or +inf trial costs one value and nothing more.  `minimize_box` is the
-one-lane call, for an `Objective`.  ``n_eval`` counts every point a lane
-had evaluated.
+one-lane call, with the same evaluator.  ``n_eval`` counts every point a
+lane had evaluated.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-#: ``objective(x) -> (f, grad)``: the value at x now, and a zero-argument
-#: callable that returns the gradient at x when the minimizer needs it
-Objective = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
 #: ``evaluate(points, lanes) -> (f, gradient)``: the values at the (k, P)
 #: trial points of the running ``lanes`` (their indices, ascending), +inf
 #: where forbidden, and ``gradient(rows)``, the (len(rows), P) gradients at
@@ -68,27 +65,21 @@ class MinimizeResult:
 
 
 def minimize_box(
-    objective: Objective,
+    evaluate: LaneEvaluator,
     x0: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     memory: int = 8,
     max_iter: int = 2000,
 ) -> MinimizeResult:
-    """Minimize objective(x) -> (f, grad) subject to lower <= x <= upper.
+    """Minimize one lane from the (P,) ``x0`` subject to lower <= x <= upper.
 
-    ``grad`` is the gradient on demand (see `Objective`).  Raises
+    The one-lane call of `minimize_lockstep`: ``evaluate`` is a
+    `LaneEvaluator` that sees (1, P) points and the lane index 0.  Raises
     InvalidArgumentError for reversed bounds, ``memory`` or ``max_iter``
-    below 1, or a start point where the objective is not finite.
+    below 1, or a start point where the value is not finite.
     """
-    x0 = np.asarray(x0, dtype=float)[None]
-    runs = minimize_lockstep(lambda points, _: _one_lane(*objective(points[0])), x0, lower, upper, memory, max_iter)
-    return runs[0]
-
-
-def _one_lane(f, grad):
-    """An `Objective`'s ``(f, grad)`` as a one-lane evaluator's answer."""
-    return np.array([f], dtype=float), lambda rows: grad()[None]
+    return minimize_lockstep(evaluate, np.asarray(x0, dtype=float)[None], lower, upper, memory, max_iter)[0]
 
 
 def minimize_lockstep(

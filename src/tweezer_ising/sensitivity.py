@@ -8,7 +8,7 @@ step of the gradient kernel is written once, for one matrix or a stack:
 `optimizer.PinProblem.orbit_sums` sums block rows into pinning parameters.
 `coupling_jacobian_diag` forms y and the (N, N, P) Jacobian of one spectrum,
 whose pairs `optimizer.sign_feasibility` orbit-sums; the objective's gradient
-(`PinProblem.epsilon_parts_batch`) runs every step stacked over lanes and
+(`PinProblem.epsilon_parts`) runs every step stacked over lanes and
 contracts y with its residual without forming the Jacobian.  Masked drives
 use a per-mode-pair kernel, which needs a non-degenerate mask boundary.
 

@@ -1,7 +1,7 @@
 """The stacked numpy forms the minimizer, the objective and the scan's
 grader rely on give the bits of their one-lane forms.
 
-`quasinewton.minimize_lockstep`, `PinProblem.epsilon_parts_batch` and
+`quasinewton.minimize_lockstep`, `PinProblem.epsilon_parts` and
 `coupling.grade_hessians` run many lanes with one call each, and every
 stage-1 design and misalignment record depends on each lane getting the
 bits a lone run would give it.  The lone calls `mode_projections`,
@@ -254,7 +254,7 @@ class TestResolventRows:
 
 class TestBeatnoteScan:
     """`optimizer.untweezed_baseline` evaluates its 400 beatnotes as the
-    lanes of one `epsilon_parts_batch` call: its stacked forms at 400 lanes
+    lanes of one `epsilon_parts` call: its stacked forms at 400 lanes
     of the 12- and 19-ion blocks, against one lone call per lane."""
 
     @pytest.mark.parametrize("n", [12, 19])

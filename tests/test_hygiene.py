@@ -10,12 +10,18 @@ defines a generator or advances one by hand (lanes advance as rows of
 arrays in plain loops, not as coroutines that a round loop drives), and
 every default of a package function, method or dataclass field is
 overridden by some call in the package, its tests or the benchmark (a
-value no call sets reads as a choice nobody makes).  No linter runs on
-this code, so these checks stand in.
+value no call sets reads as a choice nobody makes), and every backticked
+dotted name in a package docstring that starts with a package module or
+class names an attribute that exists (a name left behind by a rename
+sends the reader to code that is gone).  No linter runs on this code, so
+these checks stand in.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -309,3 +315,54 @@ def test_the_default_check_sees_every_form():
 def test_every_default_is_set_somewhere():
     unset = _unset_defaults([_parse(p) for p in MODULES], [_parse(p) for p in CALLERS])
     assert not unset, f"defaults no call in src/, tests/ or perfbench/ sets: {', '.join(sorted(unset))}"
+
+
+#: a backticked dotted name, single or double backticks, possibly called: `a.b`, ``a.b.c``, `a.b(x)`
+_DOTTED = re.compile(r"`{1,2}([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`{1,2}")
+
+
+def _unresolved_references(tree, heads):
+    """The dotted names in the docstrings of ``tree`` (its module, classes
+    and functions) whose first part is a key of ``heads`` and whose other
+    parts are not a chain of attributes of that head's object."""
+    documented = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in [tree] + [n for n in ast.walk(tree) if isinstance(n, documented)]:
+        doc = ast.get_docstring(node, clean=False)
+        for ref in _DOTTED.findall(doc or ""):
+            head, *tail = ref.split(".")
+            obj = heads.get(head)
+            if obj is None:
+                continue
+            for name in tail:
+                if not hasattr(obj, name):
+                    yield f"{ref} (line {node.body[0].lineno})"
+                    break
+                obj = getattr(obj, name)
+
+
+def test_the_reference_check_sees_every_form():
+    source = (
+        '"""`box.Crate.size`, ``box.Crate.gone``, `box.missing(x)` and `box.Crate.lid.weight`."""\n\n'
+        "class Thing:\n"
+        '    """`Crate.open(key)`, ``Crate.lid.color``; `np.gone` and ``self.gone`` are not the package\'s."""\n\n'
+        "    def f(self):\n"
+        '        """Uses `Crate.shut` and `box.Crate`."""\n'
+    )
+    crate = SimpleNamespace(size=1, lid=SimpleNamespace(weight=2), open=len)
+    heads = {"box": SimpleNamespace(Crate=crate), "Crate": crate}
+    assert sorted(_unresolved_references(ast.parse(source), heads)) == [
+        "Crate.lid.color (line 4)", "Crate.shut (line 7)", "box.Crate.gone (line 1)", "box.missing (line 1)",
+    ]
+
+
+def test_every_docstring_reference_resolves():
+    modules = {p.stem: importlib.import_module(f"tweezer_ising.{p.stem}") for p in MODULES if p.stem != "__init__"}
+    classes = {
+        name: value
+        for module in modules.values()
+        for name, value in vars(module).items()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    }
+    heads = {**classes, **modules}
+    broken = [f"{path.name}: {ref}" for path in MODULES for ref in _unresolved_references(_parse(path), heads)]
+    assert not broken, f"docstring names that do not resolve: {', '.join(broken)}"

@@ -60,9 +60,10 @@ class TestHessian:
         with pytest.raises(InvalidArgumentError):
             build_hessian(crystal, pattern)
 
-    @pytest.mark.parametrize("axes", ["q", "yq", ("y", "Y")])
+    @pytest.mark.parametrize("axes", ["q", "yq", ("y", "Y"), [-1], [5], [1]])
     def test_unknown_pattern_axis_rejected(self, axes):
-        # an unknown letter used to raise a bare KeyError
+        # an unknown letter used to raise a bare KeyError; an integer axis
+        # -1 pinned z, 5 raised a bare IndexError and 1 pinned y
         with pytest.raises(InvalidArgumentError, match="unknown pin axis"):
             TweezerPattern.from_frequencies(np.ones(2), axes=axes)
 

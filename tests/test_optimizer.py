@@ -20,7 +20,7 @@ from tweezer_ising.coupling import max_abs_offdiag
 from tweezer_ising.crystal import IonCrystal, make_lattice
 from tweezer_ising.errors import InvalidArgumentError, UndefinedNormalizationError, UnstableCrystalError
 from tweezer_ising.feasibility import build_sign_constraints
-from tweezer_ising import optimizer
+from tweezer_ising import optimizer, quasinewton
 from tweezer_ising.optimizer import (
     PinProblem,
     beatnote_columns,
@@ -31,6 +31,7 @@ from tweezer_ising.optimizer import (
 )
 from tweezer_ising.sensitivity import CouplingGradient, all_pairs
 from tweezer_ising.quasinewton import minimize_box
+from tweezer_ising.scenarios import nn_chain_12, run_scenario
 from tweezer_ising.targets import build_target
 
 from conftest import MHZ
@@ -111,7 +112,7 @@ def _ladder12(species):
 
 def _fd_check(problem, k, mu, h_rel):
     """Analytic grad_k and grad_mu against central differences."""
-    grad_k, grad_mu = problem.epsilon_parts(k, mu, with_mu=True)[1]()
+    _, grad_k, grad_mu = _parts(problem, k, mu, True)
     h = h_rel * problem.k_scale
     for i in range(k.size):
         d = np.zeros(k.size)
@@ -218,12 +219,16 @@ def _reference_parts(problem, k_params, mu, need_grad):
 
 
 def _parts(problem, k_params, mu, need_grad):
-    """`epsilon_parts` in `_reference_parts`' form; the gradient only if asked for."""
-    parts = problem.epsilon_parts(k_params, mu, with_mu=True)
-    if parts is None:
+    """`epsilon_parts` on a stack of one lane, in `_reference_parts`' form;
+    the gradient only if asked for."""
+    k_stack = np.asarray(k_params, dtype=float)[None]
+    eps, gradient = problem.epsilon_parts(k_stack, beatnote_columns((mu,)), with_mu=True)
+    if eps[0] == np.inf:
         return None
-    eps, gradient = parts
-    return (eps, *gradient()) if need_grad else (eps, None, None)
+    if not need_grad:
+        return float(eps[0]), None, None
+    grad_k, grad_mu = gradient(np.zeros(1, dtype=int))
+    return float(eps[0]), grad_k[0], float(grad_mu[0])
 
 
 def _assert_same_bits(got, want):
@@ -298,7 +303,7 @@ class TestKernelBitIdentity:
         for kk, mu in ((unstable, 0.68 * MHZ), (k, mu_res)):
             for need_grad in (True, False):
                 assert _reference_parts(problem, kk, mu, need_grad) is None
-            assert problem.epsilon_parts(kk, mu) is None
+            assert problem.epsilon(kk, mu) == np.inf
         # eps == 0: the target is the kernel's own J at (k, mu)
         j = _reference_coupling(problem, k, 0.68 * MHZ)[-1]
         exact = PinProblem(chain5, j, "y", ("y",))
@@ -351,8 +356,8 @@ def _pow_square_differs(rng, lo, hi, count):
 
 
 class TestBatchBitIdentity:
-    """Each lane of `epsilon_parts_batch` has the bits of a lone `epsilon_parts`
-    and of the kernel's first formula.
+    """Each lane of `epsilon_parts` has the bits of a stack of one lane and
+    of the kernel's first formula.
 
     Stage 1 evaluates the restarts of a trap-frequency row as one stack,
     with one stacked norm and one stacked gradient, so its designs depend
@@ -402,7 +407,7 @@ class TestBatchBitIdentity:
                 lanes = [lane(one) for one in kind]
                 k_stack = np.stack([k for k, _ in lanes])
                 beat = beatnote_columns([mu for _, mu in lanes])
-                eps, gradient = problem.epsilon_parts_batch(k_stack, beat, with_mu=True)
+                eps, gradient = problem.epsilon_parts(k_stack, beat, with_mu=True)
                 assert eps.shape == (count,)
                 graded = np.flatnonzero(eps != np.inf)
                 if graded.size:
@@ -412,7 +417,7 @@ class TestBatchBitIdentity:
                     half_k, half_mu = gradient(graded[::2])
                     assert half_k.tobytes() == grad_k[::2].tobytes()
                     assert half_mu.tobytes() == grad_mu[::2].tobytes()
-                    pin_k, no_mu = problem.epsilon_parts_batch(k_stack, beat)[1](graded)
+                    pin_k, no_mu = problem.epsilon_parts(k_stack, beat)[1](graded)
                     assert no_mu is None and pin_k.tobytes() == grad_k.tobytes()
                 row = dict(zip(graded.tolist(), range(graded.size)))
                 for i, (one, (k, mu)) in enumerate(zip(kind, lanes)):
@@ -439,9 +444,9 @@ class TestBatchBitIdentity:
         modes = np.sqrt(np.clip(np.linalg.eigvalsh(problem.a0 + np.diag(grid)), 0.0, None))
         mus = list(rng.uniform(0.3, 1.3, 9) * w_hi) + [float(modes[3]), np.inf]
         beat = beatnote_columns(mus)
-        eps, gradient = problem.epsilon_parts_batch(k[None], beat, with_mu=True)
+        eps, gradient = problem.epsilon_parts(k[None], beat, with_mu=True)
         k_each = np.repeat(k[None], len(mus), 0)
-        each_eps, each_gradient = problem.epsilon_parts_batch(k_each, beat, with_mu=True)
+        each_eps, each_gradient = problem.epsilon_parts(k_each, beat, with_mu=True)
         assert eps.tobytes() == each_eps.tobytes()
         graded = np.flatnonzero(eps != np.inf)
         assert eps[-2] == eps[-1] == np.inf and graded.size >= 6
@@ -459,8 +464,8 @@ class TestBatchBitIdentity:
         t = build_target(TargetSpec("nearest_neighbor", "chain"), chain5)
         problem = PinProblem(chain5, t, "y", ("y",))
         k = np.full(5, (0.1 * MHZ) ** 2)
-        assert problem.epsilon_parts(k, np.inf) is None
-        eps, _ = problem.epsilon_parts_batch(np.stack([k, k]), beatnote_columns([np.inf, 0.68 * MHZ]))
+        assert problem.epsilon(k, np.inf) == np.inf
+        eps, _ = problem.epsilon_parts(np.stack([k, k]), beatnote_columns([np.inf, 0.68 * MHZ]))
         assert eps[0] == np.inf and np.isfinite(eps[1])
 
 
@@ -537,7 +542,8 @@ def _lone_restarts(problem, space, seed, cell, mu):
     lower, upper = np.full(p, problem.k_bounds[0]), np.full(p, problem.k_bounds[1])
     return [
         minimize_box(
-            problem.objective_pin(mu), optimizer._random_start(space, p, seed, cell, r) / problem.k_scale,
+            problem.pin_evaluator(beatnote_columns((mu,))),
+            optimizer._random_start(space, p, seed, cell, r) / problem.k_scale,
             lower, upper, max_iter=space.max_iter,
         )
         for r in range(space.restarts)
@@ -669,6 +675,30 @@ class TestPipeline:
         for orbit in cells.orbits:
             assert np.ptp(res.pin_frequencies[list(orbit)]) == 0.0
 
+    def test_every_design_evaluation_is_one_epsilon_parts_call(self, monkeypatch):
+        # a tracer of PinProblem.epsilon_parts sees every evaluation of
+        # stages 1-3; stage 1 once evaluated its rounds past it
+        parts_calls, lane_counts = [], []
+        parts, lockstep = PinProblem.epsilon_parts, quasinewton.minimize_lockstep
+
+        def counted_parts(self, *args, **kwargs):
+            parts_calls.append(1)
+            return parts(self, *args, **kwargs)
+
+        def counted_lockstep(evaluate, *args, **kwargs):
+            def counted(points, lanes):
+                lane_counts.append(lanes.size)
+                return evaluate(points, lanes)
+
+            return lockstep(counted, *args, **kwargs)
+
+        monkeypatch.setattr(PinProblem, "epsilon_parts", counted_parts)
+        monkeypatch.setattr(quasinewton, "minimize_lockstep", counted_lockstep)
+        monkeypatch.setattr(optimizer, "minimize_lockstep", counted_lockstep)
+        result = run_scenario(nn_chain_12(fast=True))
+        assert len(parts_calls) == len(lane_counts)
+        # stage 1's rounds of many lanes and stage 3's one-lane rounds among them
+        assert max(lane_counts) > 1 and lane_counts.count(1) >= result.iterations["stage3_evals"]
 
     @pytest.mark.parametrize("choice", [{"symmetry": "C7"}, {"final_geometry": "bogus"}])
     def test_unknown_choice_raises_before_stage1(self, species, monkeypatch, choice):
@@ -832,13 +862,13 @@ class TestUntweezedBaseline:
         # guard of a mode, as lanes of one batch call, against lone calls
         trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=12)
         spec, mu_range = TargetSpec("nearest_neighbor", "chain"), (0.55 * MHZ, 0.85 * MHZ)
-        batches, batch = [], PinProblem.epsilon_parts_batch
+        batches, batch = [], PinProblem.epsilon_parts
 
         def counted(self, k_stack, beat, *rest):
             batches.append((len(k_stack), len(beat)))
             return batch(self, k_stack, beat, *rest)
 
-        monkeypatch.setattr(PinProblem, "epsilon_parts_batch", counted)
+        monkeypatch.setattr(PinProblem, "epsilon_parts", counted)
         best_eps, best_mu, curve = optimizer.untweezed_baseline(spec, trap, YB171, mu_range)
         monkeypatch.undo()
         # one unpinned block that the 400 beatnote rows share

@@ -7,7 +7,7 @@ import pytest
 from tweezer_ising import TargetSpec, TrapConfig, solve_equilibrium, symmetry_orbits
 from tweezer_ising.crystal import IonCrystal, make_lattice
 from tweezer_ising.errors import InvalidArgumentError
-from tweezer_ising.optimizer import PinProblem
+from tweezer_ising.optimizer import PinProblem, beatnote_columns
 from tweezer_ising import quasinewton
 from tweezer_ising.quasinewton import MinimizeResult, minimize_box, minimize_lockstep
 from tweezer_ising.targets import build_target
@@ -45,6 +45,25 @@ def barrier(x):
     return float(d @ d), lambda: 2.0 * d
 
 
+def _per_lane(objectives, log=None):
+    """A `minimize_lockstep` evaluator that calls lane i's own objective;
+    ``log`` collects each round's lanes and values."""
+
+    def evaluate(points, lanes):
+        values = [objectives[i](x) for i, x in zip(lanes.tolist(), points)]
+        f = np.array([v for v, _ in values], dtype=float)
+        if log is not None:
+            log.append((lanes.tolist(), f.tolist()))
+        return f, lambda rows: np.array([values[r][1]() for r in rows.tolist()])
+
+    return evaluate
+
+
+def _one(objective):
+    """A one-point objective ``x -> (f, grad)`` as `minimize_box`'s one-lane evaluator."""
+    return _per_lane((objective,))
+
+
 #: the minimizer's one line search, kept in these tests' ids so that
 #: their names match earlier runs of the suite
 BACKTRACKING = pytest.mark.parametrize("search", ["backtracking"])
@@ -53,7 +72,7 @@ BACKTRACKING = pytest.mark.parametrize("search", ["backtracking"])
 @BACKTRACKING
 def test_unconstrained_quadratic(search):
     res = minimize_box(
-        quadratic([1.0, -2.0, 0.5], [1.0, 10.0, 0.1]),
+        _one(quadratic([1.0, -2.0, 0.5], [1.0, 10.0, 0.1])),
         np.zeros(3),
         np.full(3, -10.0),
         np.full(3, 10.0),
@@ -64,7 +83,7 @@ def test_unconstrained_quadratic(search):
 
 @BACKTRACKING
 def test_rosenbrock_inside_box(search):
-    res = minimize_box(rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0))
+    res = minimize_box(_one(rosenbrock), np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0))
     assert res.fun < 1e-12
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-5)
 
@@ -72,7 +91,7 @@ def test_rosenbrock_inside_box(search):
 def test_active_bound_solution():
     # unconstrained optimum at (1, -2) but the box keeps x1 >= 0
     res = minimize_box(
-        quadratic([1.0, -2.0], [1.0, 1.0]), np.array([0.5, 0.5]), np.array([-5.0, 0.0]), np.full(2, 5.0)
+        _one(quadratic([1.0, -2.0], [1.0, 1.0])), np.array([0.5, 0.5]), np.array([-5.0, 0.0]), np.full(2, 5.0)
     )
     assert res.converged
     assert np.allclose(res.x, [1.0, 0.0], atol=1e-8)
@@ -80,20 +99,20 @@ def test_active_bound_solution():
 
 
 def test_monotone_history():
-    res = minimize_box(rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0))
+    res = minimize_box(_one(rosenbrock), np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0))
     h = np.array(res.history)
     assert np.all(np.diff(h) <= 0.0)
 
 
 def test_deterministic():
-    r1 = minimize_box(rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0))
-    r2 = minimize_box(rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0))
+    r1 = minimize_box(_one(rosenbrock), np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0))
+    r2 = minimize_box(_one(rosenbrock), np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0))
     assert np.array_equal(r1.x, r2.x) and r1.fun == r2.fun
 
 
 def test_barrier_region_avoided():
     # overshooting trials must be rejected and shortened, never accepted
-    res = minimize_box(barrier, np.array([0.0, 1.0]), np.full(2, -2.0), np.full(2, 2.0))
+    res = minimize_box(_one(barrier), np.array([0.0, 1.0]), np.full(2, -2.0), np.full(2, 2.0))
     assert res.x[0] <= 0.6
     assert np.allclose(res.x, [0.55, 0.0], atol=1e-6)
     assert np.all(np.isfinite(res.history))
@@ -101,13 +120,13 @@ def test_barrier_region_avoided():
 
 def test_rejects_bad_inputs():
     with pytest.raises(InvalidArgumentError):
-        minimize_box(rosenbrock, np.zeros(2), np.ones(2), np.zeros(2))
+        minimize_box(_one(rosenbrock), np.zeros(2), np.ones(2), np.zeros(2))
 
     def bad(x):
         return np.inf, lambda: np.zeros_like(x)
 
     with pytest.raises(InvalidArgumentError):
-        minimize_box(bad, np.zeros(2), np.zeros(2), np.ones(2))
+        minimize_box(_one(bad), np.zeros(2), np.zeros(2), np.ones(2))
 
 
 @pytest.mark.parametrize(
@@ -123,7 +142,7 @@ def test_rejects_bad_controls(controls):
     # memory=-1 used to raise a bare ValueError from deque, and max_iter=0
     # returned the start point as an unconverged result
     with pytest.raises(InvalidArgumentError):
-        minimize_box(rosenbrock, np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0), **controls)
+        minimize_box(_one(rosenbrock), np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0), **controls)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +284,21 @@ class _Counted:
         return f, counted
 
 
+def _stack_of_one(evaluate):
+    """A `PinProblem` evaluator as a one-point objective ``x -> (f, grad)``:
+    each call is a stack of one lane."""
+    lane = np.zeros(1, dtype=int)
+
+    def objective(x):
+        f, gradient = evaluate(x[None], lane)
+        return float(f[0]), lambda: gradient(lane)[0]
+
+    return objective
+
+
 def _pin_case(name, species):
-    """(objective, x0 sampler, lower, upper) on a seeded `PinProblem`."""
+    """(evaluator, lower, upper) of a seeded `PinProblem`, the evaluator
+    the stages pass to the minimizer."""
     if name.startswith("chain5"):
         trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=5)
         crystal = solve_equilibrium(trap, species, 5)
@@ -287,8 +319,8 @@ def _pin_case(name, species):
     if name == "chain5_pin_mu":
         mu_lo, mu_hi = problem.mu_bounds
         lower, upper = np.concatenate(([mu_lo], k_lo)), np.concatenate(([mu_hi], k_hi))
-        return problem.objective_pin_mu(), lower, upper
-    return problem.objective_pin(mu), k_lo, k_hi
+        return problem.pin_mu_evaluator(), lower, upper
+    return problem.pin_evaluator(beatnote_columns((mu,))), k_lo, k_hi
 
 
 PIN_CASES = ["chain5_per_ion", "triangle19_c6", "chain5_pin_mu"]
@@ -344,13 +376,16 @@ class TestOraclePath:
     @BACKTRACKING
     @pytest.mark.parametrize("case", PIN_CASES)
     def test_pin_problem_runs(self, species, case, search):
-        objective, lower, upper = _pin_case(case, species)
+        evaluate, lower, upper = _pin_case(case, species)
+        objective = _stack_of_one(evaluate)
         counted = _Counted(objective)
         accepted = 0
         for x0 in _pin_starts(objective, lower, upper):
             want = _oracle_run(objective, x0, lower, upper)
-            got = minimize_box(counted, x0, lower, upper)
+            got = minimize_box(_one(counted), x0, lower, upper)
             _assert_same_run(got, want)
+            # the stages' own call: the evaluator straight to the minimizer
+            _assert_same_run(minimize_box(evaluate, x0, lower, upper), want)
             accepted += len(got.history)
         assert counted.values > accepted  # the runs rejected trials
 
@@ -359,11 +394,11 @@ class TestOraclePath:
         runs = _analytic_runs()
         for objective, x0, lower, upper in runs:
             want = _oracle_run(objective, x0, lower, upper)
-            got = minimize_box(objective, x0, lower, upper)
+            got = minimize_box(_one(objective), x0, lower, upper)
             _assert_same_run(got, want)
         for memory in (1, 3):
             want = _oracle_run(rosenbrock, runs[0][1], *runs[0][2:], memory=memory)
-            got = minimize_box(rosenbrock, runs[0][1], *runs[0][2:], memory=memory)
+            got = minimize_box(_one(rosenbrock), runs[0][1], *runs[0][2:], memory=memory)
             _assert_same_run(got, want)
 
 
@@ -373,46 +408,34 @@ class TestEvaluationCount:
     @BACKTRACKING
     @pytest.mark.parametrize("case", PIN_CASES)
     def test_pin_problem_runs(self, species, case, search):
-        objective, lower, upper = _pin_case(case, species)
+        evaluate, lower, upper = _pin_case(case, species)
+        objective = _stack_of_one(evaluate)
         for x0 in _pin_starts(objective, lower, upper):
             counted = _Counted(objective)
-            res = minimize_box(counted, x0, lower, upper)
+            res = minimize_box(_one(counted), x0, lower, upper)
             assert res.n_eval == counted.values
 
     @BACKTRACKING
     def test_analytic_runs(self, search):
         for objective, x0, lower, upper in _analytic_runs():
             counted = _Counted(objective)
-            res = minimize_box(counted, x0, lower, upper)
+            res = minimize_box(_one(counted), x0, lower, upper)
             assert res.n_eval == counted.values
 
 
 class TestGradientOnDemand:
     @pytest.mark.parametrize("case", ["chain5_per_ion", "chain5_pin_mu"])
     def test_backtracking_grades_only_accepted_points(self, species, case):
-        objective, lower, upper = _pin_case(case, species)
+        evaluate, lower, upper = _pin_case(case, species)
+        objective = _stack_of_one(evaluate)
         x0 = lower + 0.3 * (upper - lower)
         counted = _Counted(objective)
-        res = minimize_box(counted, x0, lower, upper)
+        res = minimize_box(_one(counted), x0, lower, upper)
         # the start point, then each accepted trial, in order: never a
         # rejected or +inf trial
         assert counted.graded == res.history
         assert counted.values == res.n_eval
         assert counted.infs > 0 and counted.values - counted.infs > len(res.history)
-
-
-def _per_lane(objectives, log=None):
-    """A `minimize_lockstep` evaluator that calls lane i's own objective;
-    ``log`` collects each round's lanes and values."""
-
-    def evaluate(points, lanes):
-        values = [objectives[i](x) for i, x in zip(lanes.tolist(), points)]
-        f = np.array([v for v, _ in values], dtype=float)
-        if log is not None:
-            log.append((lanes.tolist(), f.tolist()))
-        return f, lambda rows: np.array([values[r][1]() for r in rows.tolist()])
-
-    return evaluate
 
 
 def _lockstep(runs, log=None, **controls):
@@ -470,7 +493,7 @@ def _graded_points(objective, x0, lower, upper):
 
         return f, graded
 
-    minimize_box(recording, x0, lower, upper)
+    minimize_box(_one(recording), x0, lower, upper)
     return points
 
 
@@ -526,7 +549,7 @@ class TestLockstep:
             _lockstep(runs, log)
         assert [lanes for lanes, _ in log] == [[0, 1, 2, 3]]
         with pytest.raises(InvalidArgumentError, match="not finite at the starting point"):
-            minimize_box(barrier, starts[1], np.full(2, -2.0), np.full(2, 2.0))
+            minimize_box(_one(barrier), starts[1], np.full(2, -2.0), np.full(2, 2.0))
 
     def test_bad_controls_raise_before_any_round(self):
         def evaluate(points, lanes):
@@ -625,7 +648,8 @@ class TestLockstep:
 
     @pytest.mark.parametrize("case", ["chain5_per_ion", "triangle19_c6"])
     def test_pin_problem_lanes(self, species, case):
-        objective, lower, upper = _pin_case(case, species)
+        evaluate, lower, upper = _pin_case(case, species)
+        objective = _stack_of_one(evaluate)
         starts = _pin_starts(objective, lower, upper)
         runs = [(objective, x0, lower, upper) for x0 in starts]
         _assert_lanes_match_oracle(runs, _lockstep(runs))
