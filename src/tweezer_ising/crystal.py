@@ -289,14 +289,18 @@ def solve_equilibrium(
     `require` optionally asserts the resulting dimensionality
     ("chain" or "planar").  Its descents are those of `relax_equilibria`,
     run for one lane.
+
+    A descent that ends below `TOL_EQUILIBRIUM` is kept when its crystal
+    is stable (`_is_stable`: one Cholesky factorization, and `eigvalsh`
+    only for a crystal it does not certify); otherwise it is kicked and
+    repeated, up to five times.  A guess with coincident ions raises
+    InvalidArgumentError from the first descent, which leaves it unmoved.
     """
     if n_ions != trap.n_ions:
         raise InvalidArgumentError("n_ions disagrees with trap.n_ions")
     if initial_guess is None:
         initial_guess = default_chain_guess(trap, species)
     guess = np.asarray(initial_guess, dtype=float).reshape(n_ions, 3)
-    if n_ions > 1 and _pair_terms(guess)[2].min() <= 0:
-        raise InvalidArgumentError("initial guess has coincident ions")
 
     curv = centers = None
     if tweezers is not None:
@@ -312,23 +316,52 @@ def solve_equilibrium(
     # transition); kick deterministically and re-descend
     for attempt in range(5):
         (pos,), (residual,) = _descents(pos[None], trap, species, curv, centers, scales, max_iter)
-        if np.isnan(residual) and n_ions > 1 and _pair_terms(pos)[2].min() <= 0:  # a kick joined two ions
-            raise SingularGeometryError("coincident ions in potential evaluation")
-        lam_min = np.linalg.eigvalsh(mass_scaled_hessian(pos, trap, species, curv))[0]
-        if residual < TOL_EQUILIBRIUM and lam_min >= -scales.psd_floor:
+        # a lane that starts on coincident ions does not descend
+        if np.isnan(residual) and n_ions > 1 and _pair_terms(pos)[2].min() <= 0:
+            if attempt == 0:
+                raise InvalidArgumentError("initial guess has coincident ions")
+            raise SingularGeometryError("coincident ions in potential evaluation")  # a kick joined two ions
+        stable = _is_stable(mass_scaled_hessian(pos, trap, species, curv), scales.psd_floor)
+        if residual < TOL_EQUILIBRIUM and stable:
             break
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1905, spawn_key=(attempt,))))
         pos = pos + min(1e-3 * 4.0**attempt, 3e-2) * scales.lbar * rng.standard_normal(pos.shape)
     else:
         raise ConvergenceError(
             f"equilibrium solve stalled at scaled residual {residual:.3e}"
-            + (" on an unstable stationary point" if lam_min < -scales.psd_floor else ""),
+            + ("" if stable else " on an unstable stationary point"),
             residual=float(residual),
         )
     dimensionality, extended = _classify_geometry(pos, trap, species)
     if require is not None and dimensionality != require:
         raise NonPlanarError(f"crystal relaxed to {dimensionality!r}, required {require!r}")
     return IonCrystal(trap, species, pos, dimensionality, extended)
+
+
+def _is_stable(hess: np.ndarray, psd_floor: float) -> bool:
+    """Whether ``np.linalg.eigvalsh(hess)[0] >= -psd_floor`` for a
+    symmetric (n, n) ``hess``, mostly without the eigenvalues.
+
+    A completed Cholesky factorization gives R R^T = H + E with ||E||_2 <=
+    (n + 1) u ||R||_F^2 to first order, u = eps/2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3); R R^T is positive
+    semidefinite, so lambda_min(H) >= -(n + 1) u ||R||_F^2.  `eigvalsh` is
+    backward stable, within a small multiple of n u ||H||_2 <= n u ||R||_F^2;
+    with that multiple up to n, its lambda_min is at least
+    -n (n + 1) eps ||R||_F^2.  Where that bound is above -psd_floor, the
+    eigenvalue test can only say stable.  For the 12-ion chain (n = 36,
+    ||R||_F^2 ~ trace H ~ 270 wbar^2) the bound is ~8e-11 wbar^2 against a
+    floor of 1e-6 wbar^2; at 100 ions it holds while trace H < ~5e4
+    wbar^2.  A failed factorization (a marginal, unstable or non-finite H:
+    a NaN anywhere in H reaches R) or a missed bound leaves the verdict to
+    `eigvalsh`, which answers, or raises LinAlgError, as before.  So the
+    verdict is the eigenvalue test's, not an approximation of it.
+    """
+    factor, info = dpotrf(hess, lower=1)
+    n = len(hess)
+    if info == 0 and n * (n + 1) * math.ulp(1.0) * (factor * factor).sum() < psd_floor:
+        return True
+    return bool(np.linalg.eigvalsh(hess)[0] >= -psd_floor)
 
 
 def relax_equilibria(

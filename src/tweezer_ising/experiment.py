@@ -252,8 +252,13 @@ def misalignment_scan(
     `grade_hessians` (one `eigh`) of the converged descents, back to back;
     only each sample's J, or the exception its grading raises, is kept.
     `eigh` is the one call of the scan that wakes OpenBLAS's worker
-    threads, so the gradings run back to back: the pool wakes once per
-    scan, not once per block, and sleeps through the descents and solves.
+    threads: the Newton steps and each solve's stability check are
+    Cholesky factorizations (`dpotrf`, which runs on one thread at these
+    sizes), and a solve decomposes its Hessian (`eigvalsh`) only where the
+    factorization does not certify it stable, which no sample of the fig7
+    scan needs.  So the gradings run back to back: the pool wakes once
+    per scan, not once per block, and sleeps through the descents and
+    solves.
     (3) Finish, per sample in order: `solve_equilibrium` from the descended
     positions (or from the aligned crystal, where the descent did not
     converge); then, if the solve returned the descended positions, the

@@ -17,6 +17,7 @@ from tweezer_ising import (
 from tweezer_ising.crystal import (
     DIST_FLOOR,
     TOL_EQUILIBRIUM,
+    _is_stable,
     default_chain_guess,
     hex_shells,
     pairwise_distances,
@@ -170,6 +171,28 @@ class TestEquilibrium:
         trap = TrapConfig(1.0 * MHZ, 1.0 * MHZ, 0.3 * MHZ, n_ions=2)
         with pytest.raises(InvalidArgumentError):
             solve_equilibrium(trap, species, 2, initial_guess=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("tweezed", ["none", "reference_given", "reference_solved"])
+    def test_coincident_guess_rejected_by_the_first_descent(self, species, chain_trap, tweezed, monkeypatch):
+        # no pair terms of the guess are computed before the first descent,
+        # which leaves a guess on coincident ions where it is; with tweezers
+        # and no reference, the inner reference solve raises the same error
+        import tweezer_ising.crystal as crystal_mod
+
+        guess = default_chain_guess(chain_trap, species)
+        guess[3] = guess[2]
+        kwargs = {}
+        if tweezed != "none":
+            kwargs["tweezers"] = TweezerPattern.from_frequencies(np.full(5, 0.1 * MHZ), axes="y")
+        if tweezed == "reference_given":
+            kwargs["tweezer_reference"] = solve_equilibrium(chain_trap, species, 5).positions
+        events = []
+        for name in ("_pair_terms", "_descents"):
+            real = getattr(crystal_mod, name)
+            monkeypatch.setattr(crystal_mod, name, lambda *a, real=real, name=name: events.append(name) or real(*a))
+        with pytest.raises(InvalidArgumentError, match="^initial guess has coincident ions$"):
+            solve_equilibrium(chain_trap, species, 5, guess, **kwargs)
+        assert events[0] == "_descents"
 
     def test_nonconvergence_reports_residual(self, species, monkeypatch):
         import tweezer_ising.crystal as crystal_mod
@@ -410,6 +433,89 @@ class TestEquilibriumOracle:
         expected, kicks = _oracle_equilibrium(trap, species, guess)
         assert kicks >= 1
         assert crystal.positions.tobytes() == expected.tobytes()
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """One entry per `np.linalg.eigvalsh` call the test makes."""
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+    return calls
+
+
+class TestStabilityCheck:
+    """`crystal._is_stable` gives the verdict of the eigenvalue test it
+    replaced, ``eigvalsh(H)[0] >= -floor``, on Hessians of random crystals
+    whose lowest eigenvalue is shifted above, near and below the floor."""
+
+    # lowest eigenvalue, in units of the floor, and whether Cholesky completes
+    CASES = {
+        "well_above": (1e6, True),
+        "just_above_zero": (1e-2, True),
+        "just_below_zero": (-1e-2, False),
+        "mid_band": (-0.5, False),
+        "near_the_floor": (-0.99, False),
+        "just_below_the_floor": (-1.01, False),
+        "far_below": (-1e6, False),
+    }
+
+    @staticmethod
+    def _hessian(trap, species, seed, planar):
+        rng = np.random.default_rng(seed)
+        lbar = length_scale(trap.omega_bar, species)
+        pos = rng.uniform(-3.0, 3.0, (trap.n_ions, 3)) * lbar
+        if planar:
+            pos[:, 0] = 0.0
+        curv = np.zeros((trap.n_ions, 3, 3))
+        curv[:, 1, 1] = rng.uniform(0.0, 0.3 * MHZ, trap.n_ions) ** 2
+        return mass_scaled_hessian(pos, trap, species, curv)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "trap, planar",
+        [
+            (TrapConfig(2.0 * MHZ, 0.6 * MHZ, 0.07 * MHZ, n_ions=12), False),
+            (TrapConfig(2.4 * MHZ, 0.16 * MHZ, 0.16 * MHZ, n_ions=19), True),
+        ],
+        ids=["chain12", "triangle19"],
+    )
+    def test_agrees_with_the_eigenvalue_test(self, species, trap, planar, seed, case, eigvalsh_calls):
+        floor = TOL_PSD_REL * trap.omega_bar**2
+        shift, factors = self.CASES[case]
+        hess = self._hessian(trap, species, seed, planar)
+        hess[np.diag_indices_from(hess)] += shift * floor - np.linalg.eigvalsh(hess)[0]
+        lam_min = np.linalg.eigvalsh(hess)[0]
+        # the case is where it claims to be, at least 1e-3 floors from the floor
+        assert abs(lam_min - shift * floor) < 1e-3 * floor
+        assert (scipy.linalg.lapack.dpotrf(hess, lower=1)[1] == 0) is factors
+        before = len(eigvalsh_calls)
+        assert _is_stable(hess, floor) is bool(lam_min >= -floor) is (shift > -1)
+        assert len(eigvalsh_calls) - before == (0 if factors else 1)
+
+    def test_a_stable_solve_makes_no_eigenvalues(self, species, eigvalsh_calls):
+        # from the guess and from the solved crystal, each stability check
+        # is one Cholesky factorization
+        trap = TrapConfig(2.0 * MHZ, 0.6 * MHZ, 0.07 * MHZ, n_ions=12)
+        solved = solve_equilibrium(trap, species, 12)
+        again = solve_equilibrium(trap, species, 12, solved.positions)
+        assert again.positions.tobytes() == solved.positions.tobytes()
+        assert eigvalsh_calls == []
+
+    def test_the_saddle_is_decided_by_eigvalsh(self, species, eigvalsh_calls):
+        # the collinear descent of `TestEquilibriumOracle.test_kicked_off_a_saddle`
+        # ends on a saddle, whose Cholesky factorization fails
+        trap = TrapConfig(0.6 * MHZ, 0.4 * MHZ, 0.14 * MHZ, n_ions=12)
+        solve_equilibrium(trap, species, 12, default_chain_guess(trap, species))
+        assert len(eigvalsh_calls) >= 1
+
+    def test_non_finite_hessian_goes_to_eigvalsh(self):
+        for bad in (np.nan, np.inf):
+            hess = np.eye(6)
+            hess[4, 1] = hess[1, 4] = bad
+            with pytest.raises(np.linalg.LinAlgError):
+                _is_stable(hess, 1e-6)
 
 
 class TestEquilibriumLockstep:

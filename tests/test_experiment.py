@@ -491,6 +491,18 @@ class TestStackedGrading:
         assert eighs.count(1) == len(alone) == 6
         assert len(eighs) - eighs.count(1) == 2
 
+    def test_fast_fig7_scan_makes_no_eigenvalues(self, monkeypatch):
+        # every finishing solve of the fast fig7 scan is certified stable by
+        # its Cholesky factorization: no sample pays for a lone eigvalsh
+        from tweezer_ising.scenarios import misalignment_settings, nn_chain_12, run_scenario
+
+        design = run_scenario(nn_chain_12(fast=True))
+        calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+        scales, samples, seed = misalignment_settings(True)
+        scan = misalignment_scan(design, scales, samples, seed)
+        assert len(scan.records) == samples
+        assert calls == []
+
     @pytest.mark.parametrize("drop", [False, True], ids=["as_relaxed", "every_other_dropped"])
     def test_unconverged_descents_are_graded_alone(self, leaky_chain, monkeypatch, drop):
         # the leaky chain's unconverged descents (samples 2, 5, 8, 11) fail

@@ -25,6 +25,12 @@ Each sample re-solves the equilibrium with offset tweezers and re-grades
 Hessian, the spectrum or the realized coupling that moves a bit of any
 record changes the hash of the records.  The same numpy/BLAS caveat
 holds.
+
+The pins also depend on scipy's table of physical constants: ε0 and the
+atomic mass come from `scipy.constants`.  They were measured with scipy
+1.17.1, whose table is CODATA 2022 (ε0 = 8.8541878188e-12 F/m, atomic
+mass 1.66053906892e-27 kg).  `pyproject.toml` allows scipy from 1.10, and
+a release whose table is older than CODATA 2022 gives other bits.
 """
 
 import hashlib
