@@ -335,7 +335,16 @@ def solve_equilibrium(
     dimensionality, extended = _classify_geometry(pos, trap, species)
     if require is not None and dimensionality != require:
         raise NonPlanarError(f"crystal relaxed to {dimensionality!r}, required {require!r}")
-    return IonCrystal(trap, species, pos, dimensionality, extended)
+    # IonCrystal's checks cannot fail here: the positions have the trap's
+    # shape, and a descent keeps only positions whose nearest ions are at
+    # least the distance floor apart (or the guess, whose are not coincident)
+    solved = object.__new__(IonCrystal)
+    object.__setattr__(solved, "trap", trap)
+    object.__setattr__(solved, "species", species)
+    object.__setattr__(solved, "positions", pos)
+    object.__setattr__(solved, "dimensionality", dimensionality)
+    object.__setattr__(solved, "extended_axes", extended)
+    return solved
 
 
 def _is_stable(hess: np.ndarray, psd_floor: float) -> bool:

@@ -7,8 +7,10 @@ package accepts them within a factor of two of the reference values.
 
 from __future__ import annotations
 
+import ctypes
 import operator
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -251,14 +253,6 @@ def misalignment_scan(
     then per block one stacked `mass_scaled_hessian` and one
     `grade_hessians` (one `eigh`) of the converged descents, back to back;
     only each sample's J, or the exception its grading raises, is kept.
-    `eigh` is the one call of the scan that wakes OpenBLAS's worker
-    threads: the Newton steps and each solve's stability check are
-    Cholesky factorizations (`dpotrf`, which runs on one thread at these
-    sizes), and a solve decomposes its Hessian (`eigvalsh`) only where the
-    factorization does not certify it stable, which no sample of the fig7
-    scan needs.  So the gradings run back to back: the pool wakes once
-    per scan, not once per block, and sleeps through the descents and
-    solves.
     (3) Finish, per sample in order: `solve_equilibrium` from the descended
     positions (or from the aligned crystal, where the descent did not
     converge); then, if the solve returned the descended positions, the
@@ -269,6 +263,19 @@ def misalignment_scan(
     Samples whose equilibrium solve fails to converge, or whose crystal is
     unstable, are excluded and counted in sample order; any other error
     is raised from the first sample that raises it.
+
+    The passes run with numpy's OpenBLAS held at one thread
+    (`_on_one_blas_thread`), and its previous thread count is back when
+    the scan returns or raises.  `eigh` is the one call of the scan that
+    OpenBLAS would split over its worker threads: the Newton steps and
+    each solve's stability check are Cholesky factorizations (`dpotrf`,
+    which runs on one thread at these sizes), and a solve decomposes its
+    Hessian (`eigvalsh`) only where the factorization does not certify it
+    stable, which no sample of the fig7 scan needs.  On the scan's
+    (16, 36, 36) stacks the split is slower than one thread and keeps a
+    second core busy; the thread count does not reorder `eigh`'s sums, so
+    the bits are those of the pool.  Where numpy has no OpenBLAS thread
+    control, the scan runs on whatever threads BLAS chooses.
 
     Raises InvalidArgumentError, before any solve, when the scales are
     empty, not finite or negative, when `samples` is not a nonnegative
@@ -290,6 +297,11 @@ def misalignment_scan(
         raise InvalidArgumentError(f"misalignment axes must be among x, y, z; got {axes!r}")
     if len(set(axis_idx)) != len(axis_idx):
         raise InvalidArgumentError(f"misalignment axes must be distinct; got {axes!r}")
+    return _on_one_blas_thread(_scan, result, scales, samples, seed, axis_idx)
+
+
+def _scan(result, scales, samples, seed, axis_idx):
+    """The three passes of `misalignment_scan`, on checked inputs."""
     crystal = result.crystal
     trap, species = crystal.trap, crystal.species
     pattern = result.tweezers
@@ -348,6 +360,42 @@ def misalignment_scan(
             avg = float(row_norms(off).mean())
             records.append((avg, eps))
     return MisalignmentScan(records, aligned_eps, len(failed), failed)
+
+
+def _on_one_blas_thread(run, *args):
+    """``run(*args)`` with numpy's OpenBLAS held at one thread; its thread
+    count is restored afterwards, also when ``run`` raises.  A plain call
+    where `_blas_thread_calls` finds no thread control."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        return run(*args)
+    get_threads, set_threads = calls
+    threads = get_threads()
+    set_threads(1)
+    try:
+        return run(*args)
+    finally:
+        set_threads(threads)
+
+
+@cache
+def _blas_thread_calls():
+    """The thread-count getter and setter of the OpenBLAS that numpy's
+    wheel ships (``numpy.libs/libscipy_openblas64_-*.so``), or None where
+    there is no such library or symbol.  Looked up on the first call,
+    which loads nothing new: numpy loaded the library at its import."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
 
 
 def _sample_offsets(n, axis_idx, scales, seed, i):

@@ -149,6 +149,25 @@ class TestEquilibrium:
         z = np.sort(crystal.positions[:, 2])
         assert np.allclose(z, -z[::-1], atol=1e-6 * ell)  # symmetric about origin
 
+    def test_a_solve_from_its_solution_computes_its_pair_terms_once(self, species, monkeypatch):
+        # the descent's one evaluation has the pair terms; the solved
+        # crystal does not recompute them for IonCrystal's coincident-ion check
+        import tweezer_ising.crystal as crystal_mod
+        from tweezer_ising.crystal import IonCrystal
+
+        trap = TrapConfig(2.0 * MHZ, 0.6 * MHZ, 0.07 * MHZ, n_ions=12)
+        solved = solve_equilibrium(trap, species, 12)
+        real, calls = crystal_mod._pair_terms, []
+        monkeypatch.setattr(crystal_mod, "_pair_terms", lambda pos: calls.append(pos.shape) or real(pos))
+        again = solve_equilibrium(trap, species, 12, solved.positions)
+        assert calls == [(1, 12, 3)]
+        checked = IonCrystal(trap, species, solved.positions, "chain", solved.extended_axes)
+        assert again.positions.tobytes() == solved.positions.tobytes() == checked.positions.tobytes()
+        assert again.positions.dtype == checked.positions.dtype
+        assert (again.trap, again.species, again.dimensionality, again.extended_axes) == (
+            checked.trap, checked.species, checked.dimensionality, checked.extended_axes,
+        )
+
     def test_centered_tweezers_leave_equilibrium(self, species):
         trap = TrapConfig(1.5 * MHZ, 1.2 * MHZ, 0.25 * MHZ, n_ions=4)
         bare = solve_equilibrium(trap, species, 4)

@@ -436,6 +436,14 @@ def _count_calls(monkeypatch, module, name, key=lambda *args: True):
     return calls
 
 
+@pytest.fixture(scope="module")
+def fast_fig7():
+    """The fast `nn_chain_12` design and the fast fig7 scan settings."""
+    from tweezer_ising.scenarios import misalignment_settings, nn_chain_12, run_scenario
+
+    return (run_scenario(nn_chain_12(fast=True)), *misalignment_settings(True))
+
+
 class TestStackedGrading:
     """Each block's converged descents are graded in one stacked pass; the
     records, failures and errors stay those of the per-sample loop."""
@@ -491,14 +499,11 @@ class TestStackedGrading:
         assert eighs.count(1) == len(alone) == 6
         assert len(eighs) - eighs.count(1) == 2
 
-    def test_fast_fig7_scan_makes_no_eigenvalues(self, monkeypatch):
+    def test_fast_fig7_scan_makes_no_eigenvalues(self, fast_fig7, monkeypatch):
         # every finishing solve of the fast fig7 scan is certified stable by
         # its Cholesky factorization: no sample pays for a lone eigvalsh
-        from tweezer_ising.scenarios import misalignment_settings, nn_chain_12, run_scenario
-
-        design = run_scenario(nn_chain_12(fast=True))
+        design, scales, samples, seed = fast_fig7
         calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
-        scales, samples, seed = misalignment_settings(True)
         scan = misalignment_scan(design, scales, samples, seed)
         assert len(scan.records) == samples
         assert calls == []
@@ -654,3 +659,73 @@ class TestMultiAxisDrive:
         assert len(records) == 9 and not failed
         assert repr(scan.aligned_epsilon) == repr(aligned)
         assert scan.records == records and scan.failed_samples == failed
+
+
+@pytest.fixture
+def blas_threads(request):
+    """numpy's OpenBLAS thread-count getter and setter, with a pool of at
+    least two threads for the test and the count it found put back after."""
+    from tweezer_ising.experiment import _blas_thread_calls
+
+    calls = _blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy ships no OpenBLAS with a thread-count control here")
+    get_threads, set_threads = calls
+    found = get_threads()
+    request.addfinalizer(lambda: set_threads(found))
+    set_threads(max(found, 2))
+    return get_threads, set_threads
+
+
+class TestOneBlasThread:
+    """The scan holds numpy's OpenBLAS at one thread and gives the pool
+    back afterwards; the thread count moves no bit of `eigh`."""
+
+    def test_every_eigh_of_the_fig7_scan_runs_on_one_thread(self, fast_fig7, blas_threads, monkeypatch):
+        get_threads, _ = blas_threads
+        before = get_threads()
+        seen = _count_calls(monkeypatch, np.linalg, "eigh", lambda a: get_threads())
+        design, scales, samples, seed = fast_fig7
+        scan = misalignment_scan(design, scales, samples, seed)
+        assert len(scan.records) == samples
+        assert len(seen) > 1 and set(seen) == {1}
+        assert before > 1 and get_threads() == before
+
+    def test_the_count_is_restored_when_the_scan_raises(self, fast_fig7, blas_threads, monkeypatch):
+        import tweezer_ising.experiment as experiment_mod
+
+        get_threads, _ = blas_threads
+        before, inside = get_threads(), []
+
+        def grade_and_raise(*args):
+            inside.append(get_threads())
+            raise RuntimeError("grading interrupted")
+
+        monkeypatch.setattr(experiment_mod, "grade_hessians", grade_and_raise)
+        design, scales, samples, seed = fast_fig7
+        with pytest.raises(RuntimeError, match="grading interrupted"):
+            misalignment_scan(design, scales, samples, seed)
+        assert inside == [1] and get_threads() == before
+
+    def test_a_scan_without_thread_control_gives_the_same_records(self, small_result, monkeypatch):
+        import tweezer_ising.experiment as experiment_mod
+
+        args = ([1e-8, 1e-7, 3e-7], 20, 4)
+        capped = misalignment_scan(small_result, *args)
+        monkeypatch.setattr(experiment_mod, "_blas_thread_calls", lambda: None)
+        plain = misalignment_scan(small_result, *args)
+        assert len(capped.records) == 20
+        assert repr(capped.aligned_epsilon) == repr(plain.aligned_epsilon)
+        assert capped.records == plain.records and capped.failed_samples == plain.failed_samples
+
+    @pytest.mark.parametrize("n", [12, 19, 36, 57])
+    def test_stacked_eigh_has_the_same_bits_on_one_thread(self, blas_threads, n):
+        get_threads, set_threads = blas_threads
+        pool = get_threads()
+        a = np.random.default_rng(n).standard_normal((8, n, n))
+        a = a + a.transpose(0, 2, 1)
+        lam, vec = np.linalg.eigh(a)
+        set_threads(1)
+        one_lam, one_vec = np.linalg.eigh(a)
+        set_threads(pool)
+        assert lam.tobytes() == one_lam.tobytes() and vec.tobytes() == one_vec.tobytes()
