@@ -160,6 +160,9 @@ def _opt(values, section, key, cast=float):
 def _typed(values: dict, base_dir: Path) -> RunConfig:
     species_name = _get(values, "run", "species", "Yb171")
     species = species_by_name(species_name)
+    seed = _get(values, "run", "seed", 0, int)
+    if seed < 0:
+        raise InvalidArgumentError(f"[run] seed must be nonnegative, got {seed}")
     trap = TrapConfig(
         omega_x=_get(values, "trap", "omega_x_mhz", cast=float) * MHZ,
         omega_y=_get(values, "trap", "omega_y_mhz", cast=float) * MHZ,
@@ -239,7 +242,7 @@ def _typed(values: dict, base_dir: Path) -> RunConfig:
     return RunConfig(
         species_name=species_name,
         species=species,
-        seed=_get(values, "run", "seed", 0, int),
+        seed=seed,
         trap=trap,
         target=target,
         drive_axis=drive_axis,

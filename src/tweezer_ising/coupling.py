@@ -27,9 +27,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-import scipy.constants as const
 
-from .constants import KHZ, SpeciesConstants
+from .constants import HBAR, KHZ, SpeciesConstants
 from .errors import (
     InvalidArgumentError,
     ResonanceError,
@@ -162,7 +161,7 @@ def coupling_prefactor(drive: DriveConfig, species: SpeciesConstants) -> float:
     """g^2 hbar k^2 / 2M, or 1.0 when drive strength is left symbolic."""
     if drive.g is None or drive.k_eff is None:
         return 1.0
-    return drive.g**2 * const.hbar * drive.k_eff**2 / (2.0 * species.mass)
+    return drive.g**2 * HBAR * drive.k_eff**2 / (2.0 * species.mass)
 
 
 def coupling_matrix(

@@ -7,13 +7,16 @@ rad/s, energies in joules.  Positions are (N, 3) arrays with columns
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .constants import SpeciesConstants
 from .errors import (
@@ -23,6 +26,41 @@ from .errors import (
     SingularGeometryError,
 )
 from .modes import TOL_PSD_REL, TweezerPattern, euclidean_norm, mass_scaled_hessian, pair_differences
+
+
+def _lapack_wrappers():
+    """``dpotrf`` and ``dpotrs`` from scipy's compiled LAPACK wrapper module.
+
+    The module, ``scipy/linalg/_flapack*``, is loaded alone, under the name
+    ``scipy.linalg`` gives it: importing ``scipy.linalg`` itself would load
+    ``numpy.f2py``, scipy's array-API layer and about 40 ``scipy.linalg``
+    submodules, which take longer than the rest of the package import.
+    These are the objects ``scipy.linalg.lapack`` exports once it is
+    imported, so every factor and solve keeps its bits.  Where the file is
+    not found, they come from that public module.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        locations = importlib.util.find_spec("scipy").submodule_search_locations
+        paths = [
+            Path(location, "linalg", "_flapack" + suffix)
+            for location in locations
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        ]
+        found = [path for path in paths if path.is_file()]
+        if not found:
+            from scipy.linalg import lapack
+
+            return lapack.dpotrf, lapack.dpotrs
+        loader = importlib.machinery.ExtensionFileLoader(name, str(found[0]))
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+        sys.modules[name] = module
+    return module.dpotrf, module.dpotrs
+
+
+dpotrf, dpotrs = _lapack_wrappers()
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -60,6 +98,8 @@ class TrapConfig:
         return float(np.cbrt(self.omega_x * self.omega_y * self.omega_z))
 
     def replace_axis(self, axis: str, omega: float) -> "TrapConfig":
+        if axis not in AXIS_NAMES:
+            raise InvalidArgumentError(f"unknown trap axis {axis!r} (use x, y or z)")
         kwargs = {
             "omega_x": self.omega_x,
             "omega_y": self.omega_y,

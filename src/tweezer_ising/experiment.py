@@ -15,9 +15,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.constants as const
 
-from .constants import SpeciesConstants
+from .constants import HBAR, SPEED_OF_LIGHT, SpeciesConstants
 from .coupling import coupling_error, grade_hessians, realized_coupling
 from .crystal import relax_equilibria, solve_equilibrium
 from .errors import (
@@ -50,7 +49,7 @@ class TweezerBeam:
 
     @property
     def omega(self) -> float:
-        return 2.0 * np.pi * const.c / self.wavelength
+        return 2.0 * np.pi * SPEED_OF_LIGHT / self.wavelength
 
     @property
     def peak_intensity(self) -> float:
@@ -83,8 +82,8 @@ class AtomicLines:
 #: 171Yb+ D1/D2 lines (lifetimes 8.12 ns and 6.15 ns) and the 12.6 GHz qubit splitting
 YB_PLUS_LINES = AtomicLines(
     transitions=(
-        Transition("D1", 2.0 * np.pi * const.c / 369.5e-9, 1.0 / 8.12e-9),
-        Transition("D2", 2.0 * np.pi * const.c / 328.9e-9, 1.0 / 6.15e-9),
+        Transition("D1", 2.0 * np.pi * SPEED_OF_LIGHT / 369.5e-9, 1.0 / 8.12e-9),
+        Transition("D2", 2.0 * np.pi * SPEED_OF_LIGHT / 328.9e-9, 1.0 / 6.15e-9),
     ),
     hyperfine_splitting=2.0 * np.pi * 12.6428e9,
 )
@@ -108,7 +107,7 @@ def load_atomic_lines(path: Union[str, Path], hyperfine_splitting: float) -> Ato
                 f"got {parts[1]!r} {parts[2]!r}"
             ) from None
         transitions.append(
-            Transition(label, 2.0 * np.pi * const.c / (wl_nm * 1e-9), 2.0 * np.pi * lw_mhz * 1e6)
+            Transition(label, 2.0 * np.pi * SPEED_OF_LIGHT / (wl_nm * 1e-9), 2.0 * np.pi * lw_mhz * 1e6)
         )
     return AtomicLines(tuple(transitions), hyperfine_splitting)
 
@@ -130,7 +129,7 @@ def scattering_rate(beam: TweezerBeam, lines: AtomicLines) -> float:
     for tr in lines.transitions:
         w0, g = tr.omega0, tr.gamma
         rate += (
-            (3.0 * const.c**2 / (const.hbar * w0**3))
+            (3.0 * SPEED_OF_LIGHT**2 / (HBAR * w0**3))
             * (w / w0) ** 3
             * (g / (w0 - w) + g / (w0 + w)) ** 2
             * beam.power
@@ -142,7 +141,7 @@ def scattering_rate(beam: TweezerBeam, lines: AtomicLines) -> float:
 def _line_depth(tr: Transition, beam: TweezerBeam) -> float:
     """One line's dipole depth at focus (J): minus its share of the potential."""
     w0, g, w = tr.omega0, tr.gamma, beam.omega
-    return (3.0 * np.pi * const.c**2 / (2.0 * w0**3)) * (g / (w0 - w) + g / (w0 + w)) * beam.peak_intensity
+    return (3.0 * np.pi * SPEED_OF_LIGHT**2 / (2.0 * w0**3)) * (g / (w0 - w) + g / (w0 + w)) * beam.peak_intensity
 
 
 def dipole_potential(beam: TweezerBeam, lines: AtomicLines) -> float:
@@ -180,7 +179,7 @@ def differential_stark_shift(beam: TweezerBeam, lines: AtomicLines) -> float:
         depth = abs(_line_depth(tr, beam))
         depth_total += depth
         inv_detuning += depth / abs(tr.omega0 - beam.omega)
-    return depth_total / const.hbar * lines.hyperfine_splitting * (inv_detuning / depth_total)
+    return depth_total / HBAR * lines.hyperfine_splitting * (inv_detuning / depth_total)
 
 
 def stark_homogenize(
@@ -279,8 +278,8 @@ def misalignment_scan(
 
     Raises InvalidArgumentError, before any solve, when the scales are
     empty, not finite or negative, when `samples` is not a nonnegative
-    integer, or when `axes` is empty, names an axis other than x, y, z
-    (or 0, 1, 2), or names one axis twice.
+    integer, when `seed` is negative, or when `axes` is empty, names an axis
+    other than x, y, z (or 0, 1, 2), or names one axis twice.
     """
     scales = np.atleast_1d(np.asarray(displacement_scale, dtype=float))
     if scales.size == 0 or not np.all(np.isfinite(scales)) or np.any(scales < 0):
@@ -291,6 +290,8 @@ def misalignment_scan(
         raise InvalidArgumentError(f"samples must be an integer, got {samples!r}") from None
     if samples < 0:
         raise InvalidArgumentError("samples must be nonnegative")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
     axes = tuple(axes if axes is not None else result.pin_axes)
     axis_idx = [AXIS_INDEX.get(a) if isinstance(a, str) else int(a) for a in axes]
     if not axis_idx or any(a not in (0, 1, 2) for a in axis_idx):

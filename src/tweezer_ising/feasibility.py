@@ -150,8 +150,9 @@ def _one_column(col: np.ndarray, nonnegative: bool) -> tuple[float, np.ndarray]:
 
 
 def _margin_lp(x: np.ndarray, lo: float) -> tuple[float, np.ndarray]:
-    # imported on first use: scipy.optimize adds ~0.2 s to every process
-    # start, and a triangle design or a misalignment scan never solves an LP
+    # imported on first use: scipy.optimize, and with it scipy.linalg and
+    # scipy._lib, which the package import leaves out, take ~0.4 s, and a
+    # triangle design or a misalignment scan never solves an LP
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     n_c, n_p = x.shape

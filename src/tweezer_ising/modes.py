@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
-import scipy.constants as const
 
-from .constants import SpeciesConstants
+from .constants import HBAR, SpeciesConstants
 from .errors import (
     InvalidArgumentError,
     UnstableCrystalError,
@@ -415,7 +414,7 @@ def lamb_dicke(
         raise ZeroFrequencyModeError("a zero-frequency mode couples to the drive")
     zp = np.zeros_like(spectrum.frequencies)
     ok = spectrum.frequencies > 0
-    zp[ok] = np.sqrt(const.hbar / (2.0 * species.mass * spectrum.frequencies[ok]))
+    zp[ok] = np.sqrt(HBAR / (2.0 * species.mass * spectrum.frequencies[ok]))
     eta = k_eff * proj * zp[None, :]
     eta[:, ~coupled] = 0.0
     return eta

@@ -808,12 +808,14 @@ def run_pipeline(
 ) -> OptimizationResult:
     """stage 1 -> stage 2 -> stage 3; deterministic for fixed inputs and seed.
 
-    An unknown `symmetry` or `final_geometry` raises InvalidArgumentError
-    before stage 1 runs.
+    An unknown `symmetry` or `final_geometry`, or a negative `seed`, raises
+    InvalidArgumentError before stage 1 runs.
     """
     t0 = time.perf_counter()
     _check_choice("symmetry group", symmetry, SYMMETRY_GROUPS)
     _check_choice("final_geometry", final_geometry, FINAL_GEOMETRIES)
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
     candidates, cell_diags = stage1_search(target_spec, space, trap_template, species, drive_axis, seed)
     if not candidates:
         summary = {}

@@ -260,6 +260,20 @@ class TestExitCodes:
         assert main(["feasibility", "--config", str(bad)]) == 1
         assert "plotting" in capsys.readouterr().err
 
+    def test_negative_seed_flag_is_validation_error(self, config_path, tmp_path, capsys):
+        # used to end in numpy's "expected non-negative integer" traceback
+        out = tmp_path / "o"
+        assert main(["optimize", "--config", str(config_path), "--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-argument: ") and "[run] seed" in err
+        assert not (out / "summary.txt").exists()
+
+    def test_negative_seed_key_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CONFIG.replace("seed = 5", "seed = -5"))
+        assert main(["feasibility", "--config", str(bad)]) == 1
+        assert "[run] seed must be nonnegative, got -5" in capsys.readouterr().err
+
     def test_zero_max_iter_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(SMALL_CONFIG.replace("restarts = 2", "restarts = 2\nmax_iter = 0"))

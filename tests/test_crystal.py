@@ -34,6 +34,18 @@ from tweezer_ising.modes import TOL_PSD_REL, TweezerPattern, mass_scaled_hessian
 from conftest import MHZ, fd_gradient
 
 
+class TestTrapConfig:
+    def test_replace_axis(self):
+        trap = TrapConfig(2.0 * MHZ, 1.7 * MHZ, 0.2 * MHZ, n_ions=5)
+        assert trap.replace_axis("y", 1.5 * MHZ) == TrapConfig(2.0 * MHZ, 1.5 * MHZ, 0.2 * MHZ, n_ions=5)
+
+    def test_replace_axis_rejects_an_unknown_axis(self):
+        # used to raise TypeError for the keyword omega_w
+        trap = TrapConfig(2.0 * MHZ, 1.7 * MHZ, 0.2 * MHZ, n_ions=5)
+        with pytest.raises(InvalidArgumentError, match="unknown trap axis 'w'"):
+            trap.replace_axis("w", 1.0 * MHZ)
+
+
 class TestEquidistantSpacing:
     def test_frequency_power_law(self, species):
         w = 0.3 * MHZ

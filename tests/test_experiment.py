@@ -223,10 +223,11 @@ class TestMisalignmentScan:
             {"axes": ()},
             {"axes": ("y", "y")},
             {"axes": ("y", 1)},
+            {"seed": -1},
         ],
         ids=["empty", "nan_in_list", "nan", "inf", "negative", "negative_samples",
              "fractional_samples", "string_samples", "unknown_axis", "axis_index", "no_axes",
-             "repeated_axis", "repeated_axis_index"],
+             "repeated_axis", "repeated_axis_index", "negative_seed"],
     )
     def test_rejects_bad_inputs(self, small_result, kwargs):
         args = {"displacement_scale": 10e-9, "samples": 4, "seed": 1, **kwargs}
@@ -248,6 +249,9 @@ class TestMisalignmentScan:
             misalignment_scan(small_result, 10e-9, samples=2.5, seed=1)
         with pytest.raises(InvalidArgumentError):
             misalignment_scan(small_result, 10e-9, samples=4, seed=1, axes=("z", 2))
+        # a negative seed used to reach numpy's SeedSequence after the aligned solve
+        with pytest.raises(InvalidArgumentError, match="seed must be nonnegative"):
+            misalignment_scan(small_result, 10e-9, samples=4, seed=-1)
 
     def test_zero_samples_give_an_empty_scan(self, small_result):
         scan = misalignment_scan(small_result, 10e-9, samples=0, seed=1)

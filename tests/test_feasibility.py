@@ -185,8 +185,9 @@ class TestBuildSignConstraints:
 
 
 def test_the_lp_solver_is_imported_on_first_use():
-    # scipy.optimize is ~0.2 s of a process start: importing the package and
-    # building every scenario leave it out; the first LP brings it in
+    # scipy.optimize, with the scipy.linalg it loads, is ~0.4 s of a process
+    # start: importing the package and building every scenario leave it out;
+    # the first LP brings it in
     script = textwrap.dedent(
         """
         import sys

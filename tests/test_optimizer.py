@@ -712,6 +712,17 @@ class TestPipeline:
         with pytest.raises(InvalidArgumentError, match=f"unknown .*{value!r}"):
             run_pipeline(TargetSpec("nearest_neighbor", "chain"), _space(), trap, species, **choice)
 
+    def test_negative_seed_raises_before_stage1(self, species, monkeypatch):
+        # numpy's SeedSequence used to raise a bare ValueError, after the
+        # stage-1 feasibility tests had run
+        def no_stage1(*args, **kwargs):
+            raise AssertionError("ran stage 1 for a negative seed")
+
+        monkeypatch.setattr(optimizer, "stage1_search", no_stage1)
+        trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=4)
+        with pytest.raises(InvalidArgumentError, match="seed must be nonnegative, got -1"):
+            run_pipeline(TargetSpec("nearest_neighbor", "chain"), _space(), trap, species, seed=-1)
+
 
 class TestSearchSpaceValidation:
     def test_rejects_reversed_bounds(self):

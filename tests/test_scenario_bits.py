@@ -26,11 +26,11 @@ Hessian, the spectrum or the realized coupling that moves a bit of any
 record changes the hash of the records.  The same numpy/BLAS caveat
 holds.
 
-The pins also depend on scipy's table of physical constants: ε0 and the
-atomic mass come from `scipy.constants`.  They were measured with scipy
-1.17.1, whose table is CODATA 2022 (ε0 = 8.8541878188e-12 F/m, atomic
-mass 1.66053906892e-27 kg).  `pyproject.toml` allows scipy from 1.10, and
-a release whose table is older than CODATA 2022 gives other bits.
+The pins also depend on the physical constants, which are the CODATA 2022
+literals of `tweezer_ising.constants` (ε0 = 8.8541878188e-12 F/m, atomic
+mass 1.66053906892e-27 kg), not scipy's table: they were measured with
+scipy 1.17.1, whose table gives the same values, and a scipy release with
+an older table no longer moves them.
 """
 
 import hashlib
