@@ -7,17 +7,14 @@ rad/s, energies in joules.  Positions are (N, 3) arrays with columns
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .compiled import scipy_extension
 from .constants import SpeciesConstants
 from .errors import (
     ConvergenceError,
@@ -28,39 +25,10 @@ from .errors import (
 from .modes import TOL_PSD_REL, TweezerPattern, euclidean_norm, mass_scaled_hessian, pair_differences
 
 
-def _lapack_wrappers():
-    """``dpotrf`` and ``dpotrs`` from scipy's compiled LAPACK wrapper module.
-
-    The module, ``scipy/linalg/_flapack*``, is loaded alone, under the name
-    ``scipy.linalg`` gives it: importing ``scipy.linalg`` itself would load
-    ``numpy.f2py``, scipy's array-API layer and about 40 ``scipy.linalg``
-    submodules, which take longer than the rest of the package import.
-    These are the objects ``scipy.linalg.lapack`` exports once it is
-    imported, so every factor and solve keeps its bits.  Where the file is
-    not found, they come from that public module.
-    """
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
-    if module is None:
-        locations = importlib.util.find_spec("scipy").submodule_search_locations
-        paths = [
-            Path(location, "linalg", "_flapack" + suffix)
-            for location in locations
-            for suffix in importlib.machinery.EXTENSION_SUFFIXES
-        ]
-        found = [path for path in paths if path.is_file()]
-        if not found:
-            from scipy.linalg import lapack
-
-            return lapack.dpotrf, lapack.dpotrs
-        loader = importlib.machinery.ExtensionFileLoader(name, str(found[0]))
-        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-        loader.exec_module(module)
-        sys.modules[name] = module
-    return module.dpotrf, module.dpotrs
-
-
-dpotrf, dpotrs = _lapack_wrappers()
+# the LAPACK wrappers alone: these are the objects `scipy.linalg.lapack`
+# exports once it is imported, so every factor and solve keeps its bits
+_flapack = scipy_extension("scipy.linalg._flapack")
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 AXIS_NAMES = ("x", "y", "z")
 

@@ -4,7 +4,8 @@ For a fixed geometry and beatnote, each coupling that must change sign or
 magnitude contributes one signed gradient row; the target is reachable to
 first order iff some pinning vector makes all rows strictly positive.
 The strict system X w > 0 is decided by maximizing the margin t subject
-to X w >= t and |w|_inf <= 1.
+to X w >= t and |w|_inf <= 1, an LP solved on HiGHS's compiled core (the
+model `scipy.optimize.milp` builds, without importing `scipy.optimize`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .compiled import scipy_extension
 from .coupling import CouplingMatrix, _as_matrix, max_abs_offdiag
 from .errors import InvalidArgumentError
 from .sensitivity import CouplingGradient
@@ -111,8 +113,8 @@ def feasibility_test(
     Solves max t : X w >= t, |w|_inf <= 1 (w >= 0 when pinning_sign is
     "nonnegative").  An empty system is vacuously feasible with w = 0.
     One-row and one-column systems are decided in closed form, the rest
-    by a HiGHS LP; the verdict is feasible when the margin t exceeds
-    TOL_MARGIN.
+    by a HiGHS LP, bit for bit the margin and witness of `milp`; the
+    verdict is feasible when the margin t exceeds TOL_MARGIN.
     """
     if pinning_sign not in ("free", "nonnegative"):
         raise InvalidArgumentError(f"unknown pinning_sign {pinning_sign!r}")
@@ -150,19 +152,37 @@ def _one_column(col: np.ndarray, nonnegative: bool) -> tuple[float, np.ndarray]:
 
 
 def _margin_lp(x: np.ndarray, lo: float) -> tuple[float, np.ndarray]:
-    # imported on first use: scipy.optimize, and with it scipy.linalg and
-    # scipy._lib, which the package import leaves out, take ~0.4 s, and a
-    # triangle design or a misalignment scan never solves an LP
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
+    # the model `scipy.optimize.milp` builds for this LP, solved on HiGHS's
+    # compiled core alone: `scipy.optimize` would load ~320 scipy modules
+    # (~0.4 s of a process), and `milp`'s wrapper doubles a call's ~0.6 ms
+    highs = scipy_extension("scipy.optimize._highspy._core")
     n_c, n_p = x.shape
     # variables: [w (n_p), t]; minimize -t subject to -X w + t <= 0
-    c = np.zeros(n_p + 1)
-    c[-1] = -1.0
     a_ub = np.hstack([-x, np.ones((n_c, 1))])
-    lower = np.append(np.full(n_p, lo), -np.inf)
-    upper = np.append(np.ones(n_p), np.inf)
-    res = milp(c, constraints=LinearConstraint(a_ub, -np.inf, 0.0), bounds=Bounds(lower, upper))
-    if not res.success:  # pragma: no cover - the region always contains w=0
-        raise RuntimeError(f"feasibility LP failed: {res.message}")
-    return -res.fun, res.x[:-1]
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_p + 1
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_c
+    lp.col_cost_ = np.append(np.zeros(n_p), -1.0)
+    lp.col_lower_ = np.append(np.full(n_p, lo), -np.inf)
+    lp.col_upper_ = np.append(np.ones(n_p), np.inf)
+    lp.row_lower_ = np.full(n_c, -np.inf)
+    lp.row_upper_ = np.zeros(n_c)
+    # column-wise, without the exact zeros, as `csc_array` stores it
+    cols, rows = np.nonzero(a_ub.T)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.append(0, np.cumsum(np.count_nonzero(a_ub, axis=0))).astype(np.int32)
+    lp.a_matrix_.index_ = rows.astype(np.int32)
+    lp.a_matrix_.value_ = a_ub[rows, cols]
+    lp.integrality_ = [highs.HighsVarType.kContinuous] * (n_p + 1)
+    solver = highs._Highs()
+    options = highs.HighsOptions()
+    options.log_to_console = False
+    error = highs.HighsStatus.kError
+    if (
+        solver.passOptions(options) == error
+        or solver.passModel(lp) == error
+        or solver.run() == error
+        or solver.getModelStatus() != highs.HighsModelStatus.kOptimal
+    ):  # pragma: no cover - the region always contains w=0
+        raise RuntimeError(f"feasibility LP failed: {solver.modelStatusToString(solver.getModelStatus())}")
+    return -solver.getInfo().objective_function_value, np.array(solver.getSolution().col_value)[:-1]

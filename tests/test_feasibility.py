@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 import tweezer_ising
-from tweezer_ising import build_sign_constraints, feasibility_test
+from tweezer_ising import build_sign_constraints, feasibility_test, optimizer, scenarios
 from tweezer_ising.errors import InvalidArgumentError
-from tweezer_ising.feasibility import SignConstraintSystem
+from tweezer_ising.feasibility import SignConstraintSystem, _margin_lp
 from tweezer_ising.sensitivity import CouplingGradient
 
 
@@ -184,10 +185,63 @@ class TestBuildSignConstraints:
         assert system.n_rows + len(system.excluded) == 6
 
 
-def test_the_lp_solver_is_imported_on_first_use():
-    # scipy.optimize, with the scipy.linalg it loads, is ~0.4 s of a process
-    # start: importing the package and building every scenario leave it out;
-    # the first LP brings it in
+def _milp_margin(x, lo):
+    """The margin LP as `scipy.optimize.milp` solved it: its margin and witness."""
+    n_c, n_p = x.shape
+    c = np.zeros(n_p + 1)
+    c[-1] = -1.0
+    a_ub = np.hstack([-x, np.ones((n_c, 1))])
+    lower = np.append(np.full(n_p, lo), -np.inf)
+    upper = np.append(np.ones(n_p), np.inf)
+    res = milp(c, constraints=LinearConstraint(a_ub, -np.inf, 0.0), bounds=Bounds(lower, upper))
+    assert res.success
+    return -res.fun, res.x[:-1]
+
+
+def _bits(margin, witness):
+    return np.float64(margin).tobytes() + np.asarray(witness, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("lo", [0.0, -1.0])
+def test_the_margin_lp_is_milps_bit_for_bit(lo):
+    # the model milp builds, solved on HiGHS's core: rows from 1e-25 to 1e2,
+    # about half with exact zeros (and -0.0 from the sign flip), one-row,
+    # one-column, tall and wide systems
+    rng = np.random.default_rng(11)
+    for k in range(150):
+        n_c, n_p = [(1, rng.integers(1, 8)), (rng.integers(2, 8), 1), tuple(rng.integers(2, 14, size=2))][k % 3]
+        x = rng.standard_normal((n_c, n_p)) * 10.0 ** rng.uniform(-25, 2, size=(n_c, 1))
+        if k % 3 == 0 or k % 5 == 0:
+            x[rng.random((n_c, n_p)) < 0.3] = 0.0
+        assert _bits(*_margin_lp(x, lo)) == _bits(*_milp_margin(x, lo)), x
+
+
+@pytest.fixture(scope="module")
+def chain_systems():
+    """The sign-constraint matrices a fast `nn_chain_12` design solves."""
+    systems, solve = [], optimizer.feasibility_test
+
+    def spy(system, pinning_sign):
+        systems.append(system.matrix)
+        return solve(system, pinning_sign=pinning_sign)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "feasibility_test", spy)
+        scenarios.run_scenario(scenarios.nn_chain_12(fast=True))
+    return [x for x in systems if x.shape[0] > 1]
+
+
+@pytest.mark.parametrize("lo", [0.0, -1.0])
+def test_the_margin_lp_is_milps_on_a_chain_designs_systems(chain_systems, lo):
+    assert len(chain_systems) >= 5
+    for x in chain_systems:
+        assert _bits(*_margin_lp(x, lo)) == _bits(*_milp_margin(x, lo))
+
+
+def test_the_first_lp_leaves_scipy_optimize_out():
+    # scipy.optimize, with the scipy.linalg, scipy.sparse and scipy.special it
+    # loads, is ~0.4 s of a process start: importing the package, building
+    # every scenario and solving an LP on HiGHS's core all leave it out
     script = textwrap.dedent(
         """
         import sys
@@ -203,12 +257,12 @@ def test_the_lp_solver_is_imported_on_first_use():
                     scenarios.power_law_chain_12(exponent, even, fast)
             scenarios.misalignment_settings(fast)
         before = "scipy.optimize" in sys.modules
-        feasibility_test(SignConstraintSystem([[1.0, 0.0], [0.0, 1.0]], ((0, 1, 1.0), (0, 2, 1.0)), ()))
-        print(before, "scipy.optimize" in sys.modules)
+        verdict = feasibility_test(SignConstraintSystem([[1.0, 0.0], [0.0, 1.0]], ((0, 1, 1.0), (0, 2, 1.0)), ()))
+        print(before, "scipy.optimize" in sys.modules, verdict.feasible)
         """
     )
     src = str(Path(tweezer_ising.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False", "True"]

@@ -13,8 +13,11 @@ overridden by some call in the package, its tests or the benchmark (a
 value no call sets reads as a choice nobody makes), and every backticked
 dotted name in a package docstring that starts with a package module or
 class names an attribute that exists (a name left behind by a rename
-sends the reader to code that is gone).  No linter runs on this code, so
-these checks stand in.
+sends the reader to code that is gone), and no module imports scipy by an
+``import`` statement (scipy's packages load hundreds of modules; the
+package reaches the two compiled ones it calls through
+`compiled.scipy_extension`).  No linter runs on this code, so these checks
+stand in.
 """
 
 import ast
@@ -366,3 +369,34 @@ def test_every_docstring_reference_resolves():
     heads = {**classes, **modules}
     broken = [f"{path.name}: {ref}" for path in MODULES for ref in _unresolved_references(_parse(path), heads)]
     assert not broken, f"docstring names that do not resolve: {', '.join(broken)}"
+
+
+def _scipy_imports(tree):
+    """The ``import scipy...`` and ``from scipy... import`` statements of a
+    module, at module level or inside a function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name == "scipy" or name.startswith("scipy."):
+                yield f"{name} (line {node.lineno})"
+
+
+def test_the_scipy_import_check_sees_every_form():
+    source = (
+        "import scipy\nimport numpy, scipy.linalg as la\nfrom scipy.optimize import milp\n"
+        "from . import scipy_extension\nimport scipyx\n\n"
+        "def f():\n    from scipy import sparse\n"
+    )
+    assert sorted(_scipy_imports(ast.parse(source))) == [
+        "scipy (line 1)", "scipy (line 8)", "scipy.linalg (line 2)", "scipy.optimize (line 3)",
+    ]
+
+
+def test_no_module_imports_scipy():
+    found = [f"{path.name}: {imp}" for path in MODULES for imp in _scipy_imports(_parse(path))]
+    assert not found, f"scipy imports outside compiled.scipy_extension: {', '.join(found)}"
