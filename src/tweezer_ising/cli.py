@@ -1,7 +1,12 @@
 """Command-line front end.
 
-Subcommands: modes, couplings, feasibility, optimize, misalign,
-experiment, and reproduce <fig3|fig4|fig5|fig6|fig7|table1|table2>.
+Subcommands: modes, couplings, feasibility, optimize, misalign and
+experiment take --config FILE (required), --out DIR, and --seed N,
+--pin-axes AXES and --allow-anticonfinement, which override the config
+keys [run] seed, [search] pin_axes and [search] allow_anticonfinement;
+misalign also takes --in DIR, a saved optimize run to reuse.  reproduce
+<fig3|fig4|fig5|fig6|fig7|table1|table2> takes --out DIR and --fast
+(reduced grids and samples) and reads no config.
 Exit codes: 0 success, 1 validation error, 2 convergence failure; errors
 are printed to stderr as `error: <code>: <message>`.
 """
@@ -54,27 +59,19 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tweezer-ising", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("modes", True),
-        ("couplings", True),
-        ("feasibility", True),
-        ("optimize", True),
-        ("misalign", True),
-        ("experiment", True),
-        ("reproduce", False),
-    ):
+    for name in ("modes", "couplings", "feasibility", "optimize", "misalign", "experiment"):
         p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("--config", required=True, help="run configuration file")
+        p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--allow-anticonfinement", action="store_true")
         p.add_argument("--pin-axes", default=None, metavar="x|y|z|yz|...")
         if name == "misalign":
             p.add_argument("--in", dest="in_dir", default=None, help="reuse a saved optimize run")
-        if name == "reproduce":
-            p.add_argument("token", choices=SCENARIO_TOKENS)
-            p.add_argument("--fast", action="store_true", help="reduced grids and samples")
+    p = sub.add_parser("reproduce")
+    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("token", choices=SCENARIO_TOKENS)
+    p.add_argument("--fast", action="store_true", help="reduced grids and samples")
     return parser
 
 
@@ -201,7 +198,7 @@ def _cmd_optimize(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args, "runs/optimize")
     result = _design_from_config(cfg)
-    save_result(result, out, cfg.species_name)
+    save_result(result, out)
     print(
         f"epsilon = {result.epsilon:.6f} at mu/2pi = {result.mu / MHZ:.4f} MHz, "
         f"max pin = {np.abs(result.pin_frequencies).max() / MHZ:.4f} MHz; files in {out}"
@@ -216,7 +213,7 @@ def _cmd_misalign(args) -> int:
         result = load_result(args.in_dir)
     else:
         result = _design_from_config(cfg)
-        save_result(result, out / "aligned", cfg.species_name)
+        save_result(result, out / "aligned")
     scan = misalignment_scan(
         result, cfg.misalign_scales, cfg.misalign_samples, cfg.seed, axes=cfg.misalign_axes
     )

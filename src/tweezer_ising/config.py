@@ -71,7 +71,6 @@ BOOL_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0
 
 @dataclass
 class RunConfig:
-    species_name: str
     species: SpeciesConstants
     seed: int
     trap: TrapConfig
@@ -158,8 +157,7 @@ def _opt(values, section, key, cast=float):
 
 
 def _typed(values: dict, base_dir: Path) -> RunConfig:
-    species_name = _get(values, "run", "species", "Yb171")
-    species = species_by_name(species_name)
+    species = species_by_name(_get(values, "run", "species", "Yb171"))
     seed = _get(values, "run", "seed", 0, int)
     if seed < 0:
         raise InvalidArgumentError(f"[run] seed must be nonnegative, got {seed}")
@@ -240,7 +238,6 @@ def _typed(values: dict, base_dir: Path) -> RunConfig:
     axes_raw = _opt(values, "misalign", "axes", str)
 
     return RunConfig(
-        species_name=species_name,
         species=species,
         seed=seed,
         trap=trap,

@@ -52,3 +52,11 @@ def species_by_name(name: str) -> SpeciesConstants:
     except KeyError:
         known = ", ".join(sorted(_SPECIES_TABLE))
         raise InvalidArgumentError(f"unknown species {name!r} (known: {known})") from None
+
+
+def species_name(species: SpeciesConstants) -> str:
+    """The table name of `species`, the inverse of `species_by_name`."""
+    for name, known in _SPECIES_TABLE.items():
+        if known == species:
+            return name
+    raise InvalidArgumentError(f"species {species} is not in the species table")

@@ -8,7 +8,7 @@ rad/s, energies in joules.  Positions are (N, 3) arrays with columns
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Optional
 
@@ -68,14 +68,7 @@ class TrapConfig:
     def replace_axis(self, axis: str, omega: float) -> "TrapConfig":
         if axis not in AXIS_NAMES:
             raise InvalidArgumentError(f"unknown trap axis {axis!r} (use x, y or z)")
-        kwargs = {
-            "omega_x": self.omega_x,
-            "omega_y": self.omega_y,
-            "omega_z": self.omega_z,
-            "n_ions": self.n_ions,
-        }
-        kwargs["omega_" + axis] = omega
-        return TrapConfig(**kwargs)
+        return replace(self, **{"omega_" + axis: omega})
 
 
 @dataclass(frozen=True)

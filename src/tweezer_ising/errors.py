@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer check."""
+
+import operator
 
 
 class TweezerIsingError(Exception):
@@ -72,3 +74,13 @@ class ValidityError(TweezerIsingError):
     """An estimator was evaluated outside its regime of validity."""
 
     code = "validity"
+
+
+def as_integer(name: str, value) -> int:
+    """``operator.index(value)``: a Python or numpy integer as an int;
+    anything else (a float, a string, None) raises InvalidArgumentError
+    naming `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None

@@ -8,7 +8,6 @@ package accepts them within a factor of two of the reference values.
 from __future__ import annotations
 
 import ctypes
-import operator
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -24,6 +23,7 @@ from .errors import (
     InvalidArgumentError,
     UnstableCrystalError,
     ValidityError,
+    as_integer,
 )
 from .modes import AXIS_INDEX, mass_scaled_hessian, row_norms
 from .targets import data_lines
@@ -40,7 +40,6 @@ class TweezerBeam:
     power: float  # W
     waist: float  # m
     wavelength: float  # m
-    polarization: str = "linear"
 
     def __post_init__(self):
         for name in ("power", "waist", "wavelength"):
@@ -209,7 +208,6 @@ def stark_homogenize(
                 power=reference.power * ratio**2,
                 waist=reference.waist * ratio,
                 wavelength=reference.wavelength,
-                polarization=reference.polarization,
             )
         )
     return beams
@@ -223,8 +221,11 @@ def stark_homogenize(
 class MisalignmentScan:
     records: list  # (average misalignment (m), epsilon)
     aligned_epsilon: float
-    n_failed: int
-    failed_samples: list
+    failed_samples: list  # (sample index, error class name)
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failed_samples)
 
 
 def misalignment_scan(
@@ -278,22 +279,21 @@ def misalignment_scan(
 
     Raises InvalidArgumentError, before any solve, when the scales are
     empty, not finite or negative, when `samples` is not a nonnegative
-    integer, when `seed` is negative, or when `axes` is empty, names an axis
-    other than x, y, z (or 0, 1, 2), or names one axis twice.
+    integer, when `seed` is not a nonnegative integer, or when `axes` is
+    empty, names an axis other than x, y, z (or the integers 0, 1, 2), or
+    names one axis twice.
     """
     scales = np.atleast_1d(np.asarray(displacement_scale, dtype=float))
     if scales.size == 0 or not np.all(np.isfinite(scales)) or np.any(scales < 0):
         raise InvalidArgumentError("displacement scales must be a nonempty set of finite, nonnegative lengths")
-    try:
-        samples = operator.index(samples)
-    except TypeError:
-        raise InvalidArgumentError(f"samples must be an integer, got {samples!r}") from None
+    samples = as_integer("samples", samples)
     if samples < 0:
         raise InvalidArgumentError("samples must be nonnegative")
+    seed = as_integer("seed", seed)
     if seed < 0:
         raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
     axes = tuple(axes if axes is not None else result.pin_axes)
-    axis_idx = [AXIS_INDEX.get(a) if isinstance(a, str) else int(a) for a in axes]
+    axis_idx = [AXIS_INDEX.get(a) if isinstance(a, str) else as_integer("misalignment axis", a) for a in axes]
     if not axis_idx or any(a not in (0, 1, 2) for a in axis_idx):
         raise InvalidArgumentError(f"misalignment axes must be among x, y, z; got {axes!r}")
     if len(set(axis_idx)) != len(axis_idx):
@@ -360,7 +360,7 @@ def _scan(result, scales, samples, seed, axis_idx):
                 continue
             avg = float(row_norms(off).mean())
             records.append((avg, eps))
-    return MisalignmentScan(records, aligned_eps, len(failed), failed)
+    return MisalignmentScan(records, aligned_eps, failed)
 
 
 def _on_one_blas_thread(run, *args):

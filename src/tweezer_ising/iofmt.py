@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .constants import KHZ, MHZ, species_by_name
+from .constants import KHZ, MHZ, species_by_name, species_name
 from .coupling import CouplingMatrix, realized_coupling
 from .crystal import IonCrystal, TrapConfig, _classify_geometry
 from .errors import InvalidArgumentError
@@ -125,13 +125,16 @@ def read_summary(path: Union[str, Path]) -> dict:
 # optimization result persistence
 
 
-def save_result(result, outdir: Union[str, Path], species_name: str = "Yb171") -> None:
+def save_result(result, outdir: Union[str, Path]) -> None:
     """Write an optimization result as a directory of plain-text files.
 
     Everything needed to reconstruct the result is stored at full
     precision; wall times go to a separate timings file so the numeric
-    files are byte-identical across reruns.
+    files are byte-identical across reruns.  The species is stored by its
+    table name (`constants.species_name`); a species not in the table
+    raises InvalidArgumentError before anything is written.
     """
+    species = species_name(result.crystal.species)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out / "target_matrix.csv", result.target.matrix, "target_matrix", "normalized")
@@ -156,7 +159,7 @@ def save_result(result, outdir: Union[str, Path], species_name: str = "Yb171") -
     )
     trap = result.crystal.trap
     sections = {
-        "run": {"species": species_name},
+        "run": {"species": species},
         "trap": {
             "omega_x_mhz": trap.omega_x / MHZ,
             "omega_y_mhz": trap.omega_y / MHZ,
@@ -287,7 +290,6 @@ def load_result(outdir: Union[str, Path]):
             raise InvalidArgumentError(f"{cells_file}: bad stage-1 cell row {row}") from None
     return OptimizationResult(
         omega_scan=omega_scan,
-        mu=mu,
         pin_frequencies=pin_freqs,
         pin_axes=pin_axes,
         epsilon=eps,
@@ -299,7 +301,7 @@ def load_result(outdir: Union[str, Path]):
         crystal=crystal,
         tweezers=pattern,
         drive=drive,
-        iterations={},
+        stage3_counts={},
         wall_time_s=0.0,
         converged=converged,
     )

@@ -54,6 +54,7 @@ from .errors import (
     ResonanceError,
     UndefinedNormalizationError,
     UnstableCrystalError,
+    as_integer,
 )
 from .feasibility import FeasibilityVerdict, SignConstraintSystem, build_sign_constraints, feasibility_test
 from .modes import (
@@ -104,7 +105,8 @@ class SearchSpace:
     Every bound of `omega_scan`, `mu` and `pin` is finite, each pair is
     ordered, the frequency lower bounds are positive, and a negative pin
     bound needs `allow_anticonfinement`.  `resonance_guard` and
-    `start_fraction` are finite and nonnegative.
+    `start_fraction` are finite and nonnegative; the grid sizes, `restarts`
+    and `max_iter` are integers (Python or numpy) of at least 1.
     """
 
     omega_scan: tuple[float, float]  # rad/s, bounds of the scanned trap axis
@@ -132,6 +134,8 @@ class SearchSpace:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise InvalidArgumentError(f"{name} must be finite and nonnegative, got {value}")
+        for name in ("omega_grid", "mu_grid", "restarts", "max_iter"):
+            as_integer(name, getattr(self, name))
         if self.restarts < 1 or self.omega_grid < 1 or self.mu_grid < 1:
             raise InvalidArgumentError("grid sizes and restarts must be at least 1")
         if self.max_iter < 1:
@@ -155,7 +159,6 @@ class SymmetryCells:
     """Partition of ion indices into orbits of a declared symmetry group."""
 
     orbits: tuple  # ((i, j, ...), ...)
-    group: str
 
     @property
     def n_orbits(self) -> int:
@@ -189,7 +192,6 @@ class Candidate:
 @dataclass
 class OptimizationResult:
     omega_scan: float
-    mu: float
     pin_frequencies: np.ndarray  # per-ion signed pinning frequency, rad/s
     pin_axes: tuple
     epsilon: float
@@ -201,10 +203,18 @@ class OptimizationResult:
     crystal: IonCrystal
     tweezers: TweezerPattern
     drive: DriveConfig
-    iterations: dict
+    stage3_counts: dict  # stage 3's iterations ("stage3") and objective calls ("stage3_evals")
     wall_time_s: float
     converged: bool
     histories: dict = field(default_factory=dict)
+
+    @property
+    def mu(self) -> float:  # the final beatnote, rad/s
+        return self.drive.mu
+
+    @property
+    def iterations(self) -> dict:  # stage 3's counts and the stage-1 cell count
+        return {**self.stage3_counts, "stage1_cells": len(self.cells)}
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +232,7 @@ def symmetry_orbits(crystal: IonCrystal, group: str) -> SymmetryCells:
     _check_choice("symmetry group", group, SYMMETRY_GROUPS)
     n = crystal.n_ions
     if group == "none":
-        return SymmetryCells(tuple((i,) for i in range(n)), group)
+        return SymmetryCells(tuple((i,) for i in range(n)))
     pos = crystal.positions
     tol = TOL_ORBIT * crystal.length_scale
     if group == "reflection_z":
@@ -253,7 +263,7 @@ def symmetry_orbits(crystal: IonCrystal, group: str) -> SymmetryCells:
             cycle.append(perm[cycle[-1]])
         if min(cycle) == i:
             orbits.append(tuple(sorted(cycle)))
-    return SymmetryCells(tuple(orbits), group)
+    return SymmetryCells(tuple(orbits))
 
 
 def _match_permutation(pos, mapped, tol, group):
@@ -777,7 +787,6 @@ def stage3_finalize(
     stage_eps = {"stage2": candidate.epsilon, "stage3": eps}
     return OptimizationResult(
         omega_scan=candidate.omega_scan,
-        mu=mu_final,
         pin_frequencies=pin_w,
         pin_axes=tuple(space.pin_axes),
         epsilon=eps,
@@ -789,7 +798,7 @@ def stage3_finalize(
         crystal=crystal,
         tweezers=pattern,
         drive=drive,
-        iterations={"stage3": res.n_iter, "stage3_evals": res.n_eval},
+        stage3_counts={"stage3": res.n_iter, "stage3_evals": res.n_eval},
         wall_time_s=time.perf_counter() - t0,
         converged=res.converged,
         histories={"stage3": list(res.history)},
@@ -808,12 +817,13 @@ def run_pipeline(
 ) -> OptimizationResult:
     """stage 1 -> stage 2 -> stage 3; deterministic for fixed inputs and seed.
 
-    An unknown `symmetry` or `final_geometry`, or a negative `seed`, raises
-    InvalidArgumentError before stage 1 runs.
+    An unknown `symmetry` or `final_geometry`, or a `seed` that is not a
+    nonnegative integer, raises InvalidArgumentError before stage 1 runs.
     """
     t0 = time.perf_counter()
     _check_choice("symmetry group", symmetry, SYMMETRY_GROUPS)
     _check_choice("final_geometry", final_geometry, FINAL_GEOMETRIES)
+    seed = as_integer("seed", seed)
     if seed < 0:
         raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
     candidates, cell_diags = stage1_search(target_spec, space, trap_template, species, drive_axis, seed)
@@ -831,7 +841,6 @@ def run_pipeline(
     result.cells = cell_diags
     result.histories = {"stage1": best.history, "stage2": refined.history, **result.histories}
     result.stage_epsilons["stage1"] = best.epsilon
-    result.iterations["stage1_cells"] = len(cell_diags)
     result.wall_time_s = time.perf_counter() - t0
     return result
 

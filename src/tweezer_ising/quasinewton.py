@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, as_integer
 
 #: ``evaluate(points, lanes) -> (f, gradient)``: the values at the (k, P)
 #: trial points of the running ``lanes`` (their indices, ascending), +inf
@@ -77,7 +77,8 @@ def minimize_box(
     The one-lane call of `minimize_lockstep`: ``evaluate`` is a
     `LaneEvaluator` that sees (1, P) points and the lane index 0.  Raises
     InvalidArgumentError for reversed bounds, ``memory`` or ``max_iter``
-    below 1, or a start point where the value is not finite.
+    not an integer of at least 1, or a start point where the value is not
+    finite.
     """
     return minimize_lockstep(evaluate, np.asarray(x0, dtype=float)[None], lower, upper, memory, max_iter)[0]
 
@@ -97,14 +98,16 @@ def minimize_lockstep(
     ``evaluate(points, lanes)`` call (see `LaneEvaluator`), and each lane
     gets the result a lone `minimize_box` run gives it.  Raises
     InvalidArgumentError before any round for reversed bounds in any lane
-    or ``memory`` or ``max_iter`` below 1, and after the first round if
-    any start point's value is not finite.  No lanes means no round.
+    or ``memory`` or ``max_iter`` not an integer of at least 1, and after
+    the first round if any start point's value is not finite.  No lanes
+    means no round.
     """
     x0 = np.asarray(x0, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), x0.shape)
     upper = np.broadcast_to(np.asarray(upper, dtype=float), x0.shape)
     if np.any(lower > upper):
         raise InvalidArgumentError("lower bound exceeds upper bound")
+    memory, max_iter = as_integer("memory", memory), as_integer("max_iter", max_iter)
     if memory < 1 or max_iter < 1:
         raise InvalidArgumentError(f"memory ({memory}) and max_iter ({max_iter}) must be at least 1")
     count, p = x0.shape

@@ -107,7 +107,6 @@ def _masked_kernel(spectrum, theta, mask):
 
 
 def coupling_gradient_adjoint(
-    hessian,
     spectrum: ModeSpectrum,
     drive: DriveConfig,
     pairs: Sequence,
@@ -116,10 +115,10 @@ def coupling_gradient_adjoint(
 ) -> CouplingGradient:
     """Gradient of the requested pairs' couplings over diagonal coordinates.
 
-    Refuses spectra with eigenvalue pairs inside the degeneracy tolerance;
-    callers may perturb the pinning slightly and retry, or use
-    coupling_jacobian_diag for unmasked drives.  `hessian` is not read;
-    the spectrum carries everything the gradient needs.
+    The spectrum carries everything the gradient needs.  Refuses spectra
+    with eigenvalue pairs inside the degeneracy tolerance; callers may
+    perturb the pinning slightly and retry, or use coupling_jacobian_diag
+    for unmasked drives.
     """
     assert_nondegenerate(spectrum)
     jac = coupling_jacobian_diag(spectrum, drive, species, coords)

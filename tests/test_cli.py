@@ -1,10 +1,13 @@
+import argparse
+import dataclasses
 import shutil
 
 import numpy as np
 import pytest
 
 from tweezer_ising import scenarios
-from tweezer_ising.cli import main
+from tweezer_ising.cli import _build_parser, main
+from tweezer_ising.constants import SpeciesConstants
 from tweezer_ising.errors import InvalidArgumentError
 from tweezer_ising.iofmt import (
     load_result,
@@ -207,6 +210,17 @@ class TestCorruptSavedRun:
         with pytest.raises(InvalidArgumentError, match=message):
             load_result(run)
 
+    def test_species_is_saved_by_its_table_name(self, saved_run):
+        assert read_summary(saved_run[1] / "summary.txt")["run"]["species"] == "Yb171"
+
+    def test_species_outside_the_table_is_not_saved(self, saved_run, tmp_path):
+        result = load_result(saved_run[1])
+        crystal = dataclasses.replace(result.crystal, species=SpeciesConstants(mass=2 * result.crystal.species.mass))
+        out = tmp_path / "run"
+        with pytest.raises(InvalidArgumentError, match="not in the species table"):
+            save_result(dataclasses.replace(result, crystal=crystal), out)
+        assert not out.exists()
+
     def test_misalign_exits_with_validation_code(self, saved_run, tmp_path, capsys):
         config, saved = saved_run
         run = tmp_path / "run"
@@ -247,6 +261,13 @@ class TestExitCodes:
     def test_retired_threads_flag_is_usage_error(self, config_path, capsys):
         assert main(["feasibility", "--config", str(config_path), "--threads", "2"]) == 1
         assert "--threads" in capsys.readouterr().err
+
+    # the config-key overrides: reproduce reads no config, so it takes none of them
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--allow-anticonfinement"], ["--pin-axes", "yz"]])
+    def test_override_flag_on_reproduce_is_usage_error(self, flag, capsys):
+        assert main(["reproduce", "fig3", *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-argument: unrecognized arguments") and flag[0] in err
 
     def test_duplicate_section_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "dup.cfg"
@@ -345,6 +366,28 @@ class TestExitCodes:
         code = main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "convergence-failure" in capsys.readouterr().err
+
+
+CONFIG_OPTIONS = ["--allow-anticonfinement", "--config", "--help", "--out", "--pin-axes", "--seed"]
+#: every subcommand's options, and a positional by its name
+OPTIONS = {
+    "modes": CONFIG_OPTIONS,
+    "couplings": CONFIG_OPTIONS,
+    "feasibility": CONFIG_OPTIONS,
+    "optimize": CONFIG_OPTIONS,
+    "misalign": sorted(CONFIG_OPTIONS + ["--in"]),
+    "experiment": CONFIG_OPTIONS,
+    "reproduce": ["--fast", "--help", "--out", "token"],
+}
+
+
+def test_each_subcommand_takes_its_options():
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: sorted(action.option_strings[-1] if action.option_strings else action.dest for action in sub._actions)
+        for name, sub in commands.choices.items()
+    }
+    assert found == OPTIONS
 
 
 class TestSubcommands:

@@ -224,10 +224,16 @@ class TestMisalignmentScan:
             {"axes": ("y", "y")},
             {"axes": ("y", 1)},
             {"seed": -1},
+            {"seed": 1.5},
+            {"seed": 1.5, "displacement_scale": 0.0},
+            {"axes": (1.7,)},
         ],
         ids=["empty", "nan_in_list", "nan", "inf", "negative", "negative_samples",
              "fractional_samples", "string_samples", "unknown_axis", "axis_index", "no_axes",
-             "repeated_axis", "repeated_axis_index", "negative_seed"],
+             "repeated_axis", "repeated_axis_index", "negative_seed",
+             # the seed used to raise a bare TypeError, or pass unused where
+             # every scale is 0, and an axis of 1.7 ran as axis 1
+             "fractional_seed", "fractional_seed_zero_scales", "fractional_axis"],
     )
     def test_rejects_bad_inputs(self, small_result, kwargs):
         args = {"displacement_scale": 10e-9, "samples": 4, "seed": 1, **kwargs}
@@ -252,6 +258,10 @@ class TestMisalignmentScan:
         # a negative seed used to reach numpy's SeedSequence after the aligned solve
         with pytest.raises(InvalidArgumentError, match="seed must be nonnegative"):
             misalignment_scan(small_result, 10e-9, samples=4, seed=-1)
+
+    def test_numpy_integers_are_integers(self, small_result):
+        scan = misalignment_scan(small_result, 10e-9, samples=np.int64(2), seed=np.int64(1), axes=(np.int64(1),))
+        assert scan.records == misalignment_scan(small_result, 10e-9, samples=2, seed=1, axes=("y",)).records
 
     def test_zero_samples_give_an_empty_scan(self, small_result):
         scan = misalignment_scan(small_result, 10e-9, samples=0, seed=1)

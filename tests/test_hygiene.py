@@ -10,14 +10,16 @@ defines a generator or advances one by hand (lanes advance as rows of
 arrays in plain loops, not as coroutines that a round loop drives), and
 every default of a package function, method or dataclass field is
 overridden by some call in the package, its tests or the benchmark (a
-value no call sets reads as a choice nobody makes), and every backticked
-dotted name in a package docstring that starts with a package module or
-class names an attribute that exists (a name left behind by a rename
-sends the reader to code that is gone), and no module imports scipy by an
-``import`` statement (scipy's packages load hundreds of modules; the
-package reaches the two compiled ones it calls through
-`compiled.scipy_extension`).  No linter runs on this code, so these checks
-stand in.
+value no call sets reads as a choice nobody makes), and every field of a
+package dataclass or NamedTuple is read somewhere in those (a field that
+is only set, or only copied into a new record of its class, is a value
+carried for nobody), and every backticked dotted name in a package
+docstring that starts with a package module or class names an attribute
+that exists (a name left behind by a rename sends the reader to code that
+is gone), and no module imports scipy by an ``import`` statement (scipy's
+packages load hundreds of modules; the package reaches the two compiled
+ones it calls through `compiled.scipy_extension`).  No linter runs on
+this code, so these checks stand in.
 """
 
 import ast
@@ -141,11 +143,6 @@ def test_every_private_definition_is_used():
     assert not unused, f"private definitions nothing in the package uses: {', '.join(unused)}"
 
 
-#: parameters kept although their function never reads them: public, and
-#: documented as unread
-UNREAD_PARAMETERS = {"sensitivity.py: coupling_gradient_adjoint(hessian)"}
-
-
 def _unread_parameters(tree):
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -170,9 +167,7 @@ def test_every_parameter_is_read():
         for path in MODULES
         for name in _unread_parameters(_parse(path))
     ]
-    unexpected = sorted(set(unread) - UNREAD_PARAMETERS)
-    assert not unexpected, f"parameters their function never reads: {', '.join(unexpected)}"
-    assert set(unread) >= UNREAD_PARAMETERS, "an exempt parameter is read now; drop its exemption"
+    assert not unread, f"parameters their function never reads: {', '.join(unread)}"
 
 
 def _generator_steps(tree):
@@ -318,6 +313,57 @@ def test_the_default_check_sees_every_form():
 def test_every_default_is_set_somewhere():
     unset = _unset_defaults([_parse(p) for p in MODULES], [_parse(p) for p in CALLERS])
     assert not unset, f"defaults no call in src/, tests/ or perfbench/ sets: {', '.join(sorted(unset))}"
+
+
+def _record_fields(tree):
+    """(class, field) of every annotated field of a dataclass or NamedTuple."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if _is_dataclass(cls) or any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in cls.bases):
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield cls.name, item.target.id
+
+
+def _unread_fields(definitions, callers):
+    """The fields of `definitions` that no ``x.field`` in `callers` reads.
+    A field copied into the same-named keyword of its own class, as in
+    ``Box(size=other.size)``, is not read by that copy."""
+    fields = [(cls, name) for tree in definitions for cls, name in _record_fields(tree)]
+    owned = set(fields)
+    read = set()
+    for tree in callers:
+        copies = {
+            id(kw.value)
+            for call in ast.walk(tree) if isinstance(call, ast.Call)
+            for kw in call.keywords
+            if isinstance(kw.value, ast.Attribute) and kw.value.attr == kw.arg
+            and (getattr(call.func, "id", None) or getattr(call.func, "attr", None), kw.arg) in owned
+        }
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in copies
+        }
+    return [f"{cls}.{name}" for cls, name in fields if name not in read]
+
+
+def test_the_field_check_sees_every_form():
+    source = (
+        "@dataclass(frozen=True)\nclass Box:\n    size: int\n    color: str = 'red'\n    lid: bool = True\n"
+        "    label: str = ''\n    tag: str = ''\n\n"
+        "class Pair(NamedTuple):\n    left: int\n    right: int\n\n"
+        "def grow(box, pair):\n    box.lid = False\n    print(pair.left, box.label)\n"
+        "    send(color=box.color)\n    return Box(size=box.size + 1, label=box.label, tag=box.tag)\n"
+    )
+    tree = ast.parse(source)
+    assert sorted(_unread_fields([tree], [tree])) == ["Box.lid", "Box.tag", "Pair.right"]
+
+
+def test_every_field_is_read():
+    unread = _unread_fields([_parse(p) for p in MODULES], [_parse(p) for p in CALLERS])
+    assert not unread, f"fields nothing in src/, tests/ or perfbench/ reads: {', '.join(unread)}"
 
 
 #: a backticked dotted name, single or double backticks, possibly called: `a.b`, ``a.b.c``, `a.b(x)`

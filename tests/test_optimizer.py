@@ -723,6 +723,17 @@ class TestPipeline:
         with pytest.raises(InvalidArgumentError, match="seed must be nonnegative, got -1"):
             run_pipeline(TargetSpec("nearest_neighbor", "chain"), _space(), trap, species, seed=-1)
 
+    def test_fractional_seed_raises_before_stage1(self, species, monkeypatch):
+        # used to raise a bare TypeError from numpy's SeedSequence, after
+        # stage 1 had built its geometry and tested its first cell
+        def no_stage1(*args, **kwargs):
+            raise AssertionError("ran stage 1 for a fractional seed")
+
+        monkeypatch.setattr(optimizer, "stage1_search", no_stage1)
+        trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=4)
+        with pytest.raises(InvalidArgumentError, match="seed must be an integer, got 1.5"):
+            run_pipeline(TargetSpec("nearest_neighbor", "chain"), _space(), trap, species, seed=1.5)
+
 
 class TestSearchSpaceValidation:
     def test_rejects_reversed_bounds(self):
@@ -734,13 +745,23 @@ class TestSearchSpaceValidation:
         [
             {"max_iter": 0},
             {"max_iter": -1},
+            {"max_iter": 2.5},
+            {"restarts": 2.5},
+            {"mu_grid": 2.5},
+            {"omega_grid": 2.5},
         ],
     )
     def test_rejects_bad_search_controls(self, controls):
         # max_iter=0 used to return the start point of every search as the
-        # design
+        # design; max_iter=2.5 was accepted though no iteration count equals
+        # it, and fractional grid sizes and restarts raised a bare TypeError
+        # in stage 1
         with pytest.raises(InvalidArgumentError):
             _space(**controls)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        space = _space(max_iter=np.int64(3), restarts=np.int64(2), mu_grid=np.int64(4), omega_grid=np.int64(1))
+        assert (space.max_iter, space.restarts, space.mu_grid, space.omega_grid) == (3, 2, 4, 1)
 
     @pytest.mark.parametrize(
         "bounds",

@@ -136,13 +136,22 @@ def test_rejects_bad_inputs():
         {"memory": -1},
         {"max_iter": 0},
         {"max_iter": -5},
+        {"memory": 2.5},
+        {"max_iter": 2.5},
     ],
 )
 def test_rejects_bad_controls(controls):
-    # memory=-1 used to raise a bare ValueError from deque, and max_iter=0
-    # returned the start point as an unconverged result
+    # memory=-1 used to raise a bare ValueError from deque, max_iter=0
+    # returned the start point as an unconverged result, and max_iter=2.5
+    # ran on past its cap, which no iteration count equals
     with pytest.raises(InvalidArgumentError):
         minimize_box(_one(rosenbrock), np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0), **controls)
+
+
+def test_numpy_integer_controls_are_integers():
+    args = (_one(rosenbrock), np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0))
+    res = minimize_box(*args, memory=np.int64(4), max_iter=np.int64(3))
+    assert res.n_iter == 3 and res.x.tobytes() == minimize_box(*args, memory=4, max_iter=3).x.tobytes()
 
 
 # ---------------------------------------------------------------------------
