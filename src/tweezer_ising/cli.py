@@ -59,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tweezer-ising", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("modes", "couplings", "feasibility", "optimize", "misalign", "experiment"):
+    for name in _CONFIG_COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory")
@@ -99,10 +99,11 @@ def _crystal_from_config(cfg: RunConfig):
     return solve_equilibrium(cfg.trap, cfg.species, cfg.trap.n_ions, guess)
 
 
-def _pattern_from_config(cfg: RunConfig):
-    if cfg.pinning is None:
-        return None
-    return TweezerPattern.from_frequencies(cfg.pinning, axes=cfg.space.pin_axes)
+def _spectrum_from_config(cfg: RunConfig):
+    """The config's crystal and its mode spectrum under the config's pinning, if any."""
+    crystal = _crystal_from_config(cfg)
+    pattern = None if cfg.pinning is None else TweezerPattern.from_frequencies(cfg.pinning, axes=cfg.space.pin_axes)
+    return crystal, mode_spectrum(build_hessian(crystal, pattern))
 
 
 def _drive_from_config(cfg: RunConfig) -> DriveConfig:
@@ -130,22 +131,16 @@ def _design_from_config(cfg: RunConfig):
     )
 
 
-def _cmd_modes(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, "runs/modes")
-    crystal = _crystal_from_config(cfg)
-    spectrum = mode_spectrum(build_hessian(crystal, _pattern_from_config(cfg)))
+def _cmd_modes(cfg: RunConfig, out: Path) -> int:
+    crystal, spectrum = _spectrum_from_config(cfg)
     _write_modes(out, crystal.positions, spectrum)
     write_matrix_csv(out / "eigenvectors.csv", spectrum.eigenvectors, "eigenvectors", "columns_are_modes")
     print(f"wrote spectrum of {crystal.n_ions} ions to {out}")
     return 0
 
 
-def _cmd_couplings(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, "runs/couplings")
-    crystal = _crystal_from_config(cfg)
-    spectrum = mode_spectrum(build_hessian(crystal, _pattern_from_config(cfg)))
+def _cmd_couplings(cfg: RunConfig, out: Path) -> int:
+    crystal, spectrum = _spectrum_from_config(cfg)
     drive = _drive_from_config(cfg)
     j = coupling_matrix(spectrum, drive, cfg.species)
     units = "rad/s" if (cfg.g is not None and cfg.k_eff is not None) else "g^2*hbar*k^2/2M = 1"
@@ -159,9 +154,7 @@ def _cmd_couplings(args) -> int:
     return 0
 
 
-def _cmd_feasibility(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, "runs/feasibility")
+def _cmd_feasibility(cfg: RunConfig, out: Path) -> int:
     crystal = _crystal_from_config(cfg)
     drive = _drive_from_config(cfg)
     target = build_target(cfg.target, crystal)
@@ -194,9 +187,7 @@ def _cmd_feasibility(args) -> int:
     return 0
 
 
-def _cmd_optimize(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, "runs/optimize")
+def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
     result = _design_from_config(cfg)
     save_result(result, out)
     print(
@@ -206,11 +197,9 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _cmd_misalign(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, "runs/misalign")
-    if args.in_dir:
-        result = load_result(args.in_dir)
+def _cmd_misalign(cfg: RunConfig, out: Path, in_dir) -> int:
+    if in_dir:
+        result = load_result(in_dir)
     else:
         result = _design_from_config(cfg)
         save_result(result, out / "aligned")
@@ -225,9 +214,7 @@ def _cmd_misalign(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, "runs/experiment")
+def _cmd_experiment(cfg: RunConfig, out: Path) -> int:
     beam = TweezerBeam(cfg.beam_power, cfg.beam_waist, cfg.beam_wavelength)
     lines: AtomicLines = (
         load_atomic_lines(cfg.lines_file, cfg.hyperfine) if cfg.lines_file else YB_PLUS_LINES
@@ -332,14 +319,14 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-_COMMANDS = {
+#: the subcommands that read a config file; each writes to --out, runs/<name> by default
+_CONFIG_COMMANDS = {
     "modes": _cmd_modes,
     "couplings": _cmd_couplings,
     "feasibility": _cmd_feasibility,
     "optimize": _cmd_optimize,
     "misalign": _cmd_misalign,
     "experiment": _cmd_experiment,
-    "reproduce": _cmd_reproduce,
 }
 
 
@@ -347,7 +334,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        if args.command == "reproduce":
+            return _cmd_reproduce(args)
+        cfg, out = _load_config(args), _outdir(args, f"runs/{args.command}")
+        if args.command == "misalign":
+            return _cmd_misalign(cfg, out, args.in_dir)
+        return _CONFIG_COMMANDS[args.command](cfg, out)
     except ConvergenceError as err:
         print(f"error: {err.code}: {err}", file=sys.stderr)
         return 2

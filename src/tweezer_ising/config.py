@@ -1,15 +1,18 @@
 """Run configuration: INI files with strict keys and environment overrides.
 
 Frequencies in config files are w / 2pi in MHz, lengths in micrometers,
-misalignments in nanometers; the conversion to SI angular frequencies
-happens here exactly once.  Unknown sections or keys are rejected by
-name.  Any value can be overridden through the environment as
+misalignments in nanometers; each value is converted to SI units (angular
+frequencies in rad/s) exactly once.  The file is opened and its entries
+typed by `iofmt.read_summary` and `iofmt.read_entry`, the readers of a
+saved run's summary.txt, and ``[run]`` and ``[trap]`` are converted by
+`iofmt.read_species_and_trap`, as a saved run's are; `_typed` converts
+the other sections.  Unknown sections or keys are rejected by name.  Any
+value can be overridden through the environment as
 TWEEZER_ISING__<SECTION>__<KEY>=value.
 """
 
 from __future__ import annotations
 
-import configparser
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,9 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import KHZ, MHZ, SpeciesConstants, species_by_name
+from .constants import KHZ, MHZ, SpeciesConstants
 from .crystal import TrapConfig
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, as_seed
+from .iofmt import read_entry, read_species_and_trap, read_summary
 from .optimizer import SearchSpace
 from .targets import TargetSpec, load_target_edges, load_target_matrix
 
@@ -111,18 +115,11 @@ def _apply_env(values: dict, env) -> dict:
 
 def parse_config(path, env=None, overrides: Optional[dict] = None) -> RunConfig:
     """Load, validate, and type a run configuration."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.optionxform = str.lower
-    try:
-        if not parser.read(path):
-            raise InvalidArgumentError(f"cannot read config file {path}")
-    except configparser.Error as err:
-        raise InvalidArgumentError(f"malformed config file {path}: {err}") from None
     values: dict = {}
-    for section in parser.sections():
+    for section, entries in read_summary(path, kind="config").items():
         if section.lower() not in SCHEMA:
             raise InvalidArgumentError(f"unknown config section [{section}]")
-        for key, value in parser[section].items():
+        for key, value in entries.items():
             if key not in SCHEMA[section.lower()]:
                 raise InvalidArgumentError(f"unknown config key [{section}] {key}")
             values.setdefault(section.lower(), {})[key] = value
@@ -135,44 +132,22 @@ def parse_config(path, env=None, overrides: Optional[dict] = None) -> RunConfig:
     return _typed(values, Path(path).parent)
 
 
-def _get(values, section, key, default=None, cast=str):
-    raw = values.get(section, {}).get(key)
-    if raw is None:
-        if default is None:
-            raise InvalidArgumentError(f"missing config key [{section}] {key}")
-        return default
-    try:
-        if cast is bool:
-            return BOOL_WORDS[str(raw).strip().lower()]
-        return cast(raw)
-    except (TypeError, ValueError, KeyError):
-        raise InvalidArgumentError(f"bad value for [{section}] {key}: {raw!r}") from None
-
-
 def _opt(values, section, key, cast=float):
     raw = values.get(section, {}).get(key)
     if raw is None or str(raw).strip() == "":
         return None
-    return _get(values, section, key, cast=cast)
+    return read_entry(values, section, key, cast=cast)
 
 
 def _typed(values: dict, base_dir: Path) -> RunConfig:
-    species = species_by_name(_get(values, "run", "species", "Yb171"))
-    seed = _get(values, "run", "seed", 0, int)
-    if seed < 0:
-        raise InvalidArgumentError(f"[run] seed must be nonnegative, got {seed}")
-    trap = TrapConfig(
-        omega_x=_get(values, "trap", "omega_x_mhz", cast=float) * MHZ,
-        omega_y=_get(values, "trap", "omega_y_mhz", cast=float) * MHZ,
-        omega_z=_get(values, "trap", "omega_z_mhz", cast=float) * MHZ,
-        n_ions=_get(values, "trap", "n_ions", cast=int),
-    )
-    geometry = _get(values, "trap", "geometry", "chain")
+    species, trap = read_species_and_trap(values, default_species="Yb171")
+    seed = as_seed("[run] seed", read_entry(values, "run", "seed", 0, int))
+    geometry = read_entry(values, "trap", "geometry", "chain")
     if geometry not in ("chain", "ladder", "triangular"):
         raise InvalidArgumentError(f"unknown geometry {geometry!r} in [trap] geometry")
 
-    kind = _get(values, "target", "variant", "nearest_neighbor")
-    sign_raw = _get(values, "target", "sign", "af").lower()
+    kind = read_entry(values, "target", "variant", "nearest_neighbor")
+    sign_raw = read_entry(values, "target", "sign", "af").lower()
     if sign_raw not in SIGN_WORDS:
         raise InvalidArgumentError(f"bad [target] sign {sign_raw!r}; use af or ferro")
     matrix = None
@@ -189,41 +164,43 @@ def _typed(values: dict, base_dir: Path) -> RunConfig:
         variant=kind,
         geometry=geometry,
         sign=SIGN_WORDS[sign_raw],
-        exponent=_get(values, "target", "exponent", 3.0, float),
-        rung_sign=_get(values, "target", "rung_sign", -1.0, float),
-        leg_sign=_get(values, "target", "leg_sign", 1.0, float),
+        exponent=read_entry(values, "target", "exponent", 3.0, float),
+        rung_sign=read_entry(values, "target", "rung_sign", -1.0, float),
+        leg_sign=read_entry(values, "target", "leg_sign", 1.0, float),
         matrix=matrix,
-        neighbor_factor=_get(values, "target", "neighbor_factor", 1.3, float),
-        distance_mode=_get(values, "target", "distance_mode", "actual"),
+        neighbor_factor=read_entry(values, "target", "neighbor_factor", 1.3, float),
+        distance_mode=read_entry(values, "target", "distance_mode", "actual"),
     )
 
-    axis_raw = _get(values, "drive", "axis", "y")
+    axis_raw = read_entry(values, "drive", "axis", "y")
     drive_axis = (
         np.array([float(v) for v in axis_raw.split(",")]) if "," in axis_raw else axis_raw
     )
 
     space = SearchSpace(
         omega_scan=(
-            _get(values, "search", "omega_min_mhz", cast=float) * MHZ,
-            _get(values, "search", "omega_max_mhz", cast=float) * MHZ,
+            read_entry(values, "search", "omega_min_mhz", cast=float) * MHZ,
+            read_entry(values, "search", "omega_max_mhz", cast=float) * MHZ,
         ),
         mu=(
-            _get(values, "search", "mu_min_mhz", cast=float) * MHZ,
-            _get(values, "search", "mu_max_mhz", cast=float) * MHZ,
+            read_entry(values, "search", "mu_min_mhz", cast=float) * MHZ,
+            read_entry(values, "search", "mu_max_mhz", cast=float) * MHZ,
         ),
         pin=(
-            _get(values, "search", "pin_min_mhz", 0.0, float) * MHZ,
-            _get(values, "search", "pin_max_mhz", cast=float) * MHZ,
+            read_entry(values, "search", "pin_min_mhz", 0.0, float) * MHZ,
+            read_entry(values, "search", "pin_max_mhz", cast=float) * MHZ,
         ),
-        pin_axes=tuple(_get(values, "search", "pin_axes", "y")),
-        scan_axis=_get(values, "search", "scan_axis", "z"),
-        resonance_guard=_get(values, "drive", "resonance_guard_khz", 1.0, float) * KHZ,
-        omega_grid=_get(values, "search", "omega_grid", 12, int),
-        mu_grid=_get(values, "search", "mu_grid", 24, int),
-        restarts=_get(values, "search", "restarts", 8, int),
-        start_fraction=_get(values, "search", "start_fraction", 0.1, float),
-        allow_anticonfinement=_get(values, "search", "allow_anticonfinement", False, bool),
-        max_iter=_get(values, "search", "max_iter", 2000, int),
+        pin_axes=tuple(read_entry(values, "search", "pin_axes", "y")),
+        scan_axis=read_entry(values, "search", "scan_axis", "z"),
+        resonance_guard=read_entry(values, "drive", "resonance_guard_khz", 1.0, float) * KHZ,
+        omega_grid=read_entry(values, "search", "omega_grid", 12, int),
+        mu_grid=read_entry(values, "search", "mu_grid", 24, int),
+        restarts=read_entry(values, "search", "restarts", 8, int),
+        start_fraction=read_entry(values, "search", "start_fraction", 0.1, float),
+        allow_anticonfinement=read_entry(
+            values, "search", "allow_anticonfinement", False, lambda raw: BOOL_WORDS[str(raw).strip().lower()]
+        ),
+        max_iter=read_entry(values, "search", "max_iter", 2000, int),
     )
 
     pinning = None
@@ -233,7 +210,7 @@ def _typed(values: dict, base_dir: Path) -> RunConfig:
         if pinning.size != trap.n_ions:
             raise InvalidArgumentError("[pinning] omega_mhz must list one value per ion")
 
-    scales_raw = _get(values, "misalign", "scales_nm", "1,3,10,30,100,300")
+    scales_raw = read_entry(values, "misalign", "scales_nm", "1,3,10,30,100,300")
     scales = np.array([float(v) for v in scales_raw.split(",")]) * 1e-9
     axes_raw = _opt(values, "misalign", "axes", str)
 
@@ -247,15 +224,15 @@ def _typed(values: dict, base_dir: Path) -> RunConfig:
         g=None if _opt(values, "drive", "g_mhz") is None else _opt(values, "drive", "g_mhz") * MHZ,
         k_eff=_opt(values, "drive", "k_eff_per_m"),
         space=space,
-        symmetry=_get(values, "search", "symmetry", "none"),
-        final_geometry=_get(values, "search", "final_geometry", "harmonic"),
+        symmetry=read_entry(values, "search", "symmetry", "none"),
+        final_geometry=read_entry(values, "search", "final_geometry", "harmonic"),
         pinning=pinning,
         misalign_scales=scales,
-        misalign_samples=_get(values, "misalign", "samples", 1000, int),
+        misalign_samples=read_entry(values, "misalign", "samples", 1000, int),
         misalign_axes=tuple(axes_raw) if axes_raw else None,
-        beam_power=_get(values, "experiment", "power_w", 1.0, float),
-        beam_waist=_get(values, "experiment", "waist_um", 1.0, float) * 1e-6,
-        beam_wavelength=_get(values, "experiment", "wavelength_nm", 1070.0, float) * 1e-9,
+        beam_power=read_entry(values, "experiment", "power_w", 1.0, float),
+        beam_waist=read_entry(values, "experiment", "waist_um", 1.0, float) * 1e-6,
+        beam_wavelength=read_entry(values, "experiment", "wavelength_nm", 1070.0, float) * 1e-9,
         lines_file=_opt(values, "experiment", "lines_file", str),
-        hyperfine=_get(values, "experiment", "hyperfine_ghz", 12.6428, float) * 2.0 * np.pi * 1e9,
+        hyperfine=read_entry(values, "experiment", "hyperfine_ghz", 12.6428, float) * 2.0 * np.pi * 1e9,
     )

@@ -22,15 +22,13 @@ from .errors import (
     NonPlanarError,
     SingularGeometryError,
 )
-from .modes import TOL_PSD_REL, TweezerPattern, euclidean_norm, mass_scaled_hessian, pair_differences
+from .modes import AXIS_INDEX, TOL_PSD_REL, TweezerPattern, euclidean_norm, mass_scaled_hessian, pair_differences
 
 
 # the LAPACK wrappers alone: these are the objects `scipy.linalg.lapack`
 # exports once it is imported, so every factor and solve keeps its bits
 _flapack = scipy_extension("scipy.linalg._flapack")
 dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
-
-AXIS_NAMES = ("x", "y", "z")
 
 #: converged equilibrium: |grad V| / (M wbar^2 lbar) below this
 TOL_EQUILIBRIUM = 1e-10
@@ -66,7 +64,7 @@ class TrapConfig:
         return float(np.cbrt(self.omega_x * self.omega_y * self.omega_z))
 
     def replace_axis(self, axis: str, omega: float) -> "TrapConfig":
-        if axis not in AXIS_NAMES:
+        if axis not in AXIS_INDEX:
             raise InvalidArgumentError(f"unknown trap axis {axis!r} (use x, y or z)")
         return replace(self, **{"omega_" + axis: omega})
 

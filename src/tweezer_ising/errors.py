@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its integer check."""
+"""Exception types shared across the package, and its integer and seed checks."""
 
 import operator
 
@@ -84,3 +84,12 @@ def as_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_seed(name: str, value) -> int:
+    """`as_integer`, and nonnegative, as numpy's ``SeedSequence`` needs:
+    a negative seed raises InvalidArgumentError naming `name`."""
+    seed = as_integer(name, value)
+    if seed < 0:
+        raise InvalidArgumentError(f"{name} must be nonnegative, got {seed}")
+    return seed

@@ -24,6 +24,7 @@ from .errors import (
     UnstableCrystalError,
     ValidityError,
     as_integer,
+    as_seed,
 )
 from .modes import AXIS_INDEX, mass_scaled_hessian, row_norms
 from .targets import data_lines
@@ -289,9 +290,7 @@ def misalignment_scan(
     samples = as_integer("samples", samples)
     if samples < 0:
         raise InvalidArgumentError("samples must be nonnegative")
-    seed = as_integer("seed", seed)
-    if seed < 0:
-        raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
+    seed = as_seed("seed", seed)
     axes = tuple(axes if axes is not None else result.pin_axes)
     axis_idx = [AXIS_INDEX.get(a) if isinstance(a, str) else as_integer("misalignment axis", a) for a in axes]
     if not axis_idx or any(a not in (0, 1, 2) for a in axis_idx):

@@ -1,8 +1,15 @@
-"""Plain-text result files: matrices and tables as CSV, summaries as INI.
+"""Plain-text run files: matrices and tables as CSV, summaries as INI.
 
 Floats are written with repr(), the shortest round-trip form, so a rerun
 with identical inputs produces byte-identical files and every file
 reloads to the exact in-memory values.
+
+Both INI run files are read here, by the same functions: a config file
+(through `config.parse_config`) and a saved run's summary.txt (through
+`load_result`).  `read_summary` opens either, `read_entry` types each
+entry, and `read_species_and_trap` reads ``[run]`` and ``[trap]`` and
+converts the trap frequencies from MHz to rad/s; `config` converts the
+rest of a config file, and `load_result` the rest of a saved run.
 """
 
 from __future__ import annotations
@@ -110,15 +117,49 @@ def write_summary(path: Union[str, Path], sections: dict) -> None:
         parser.write(fh)
 
 
-def read_summary(path: Union[str, Path]) -> dict:
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
+def read_summary(path: Union[str, Path], kind: str = "summary") -> dict:
+    """The sections of an INI run file, a saved run's summary.txt or a
+    config file (`kind`), as ``{section: {key: text}}``.  Keys are read in
+    lower case and `` #`` starts an inline comment; neither changes a file
+    `write_summary` writes.  A file that cannot be read or parsed raises
+    InvalidArgumentError naming its kind and path."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.optionxform = str.lower
     try:
         if not parser.read(path):
-            raise InvalidArgumentError(f"cannot read summary file {path}")
+            raise InvalidArgumentError(f"cannot read {kind} file {path}")
     except configparser.Error as err:
-        raise InvalidArgumentError(f"malformed summary file {path}: {err}") from None
+        raise InvalidArgumentError(f"malformed {kind} file {path}: {err}") from None
     return {section: dict(parser[section]) for section in parser.sections()}
+
+
+def read_entry(sections: dict, section: str, key: str, default=None, cast=str, path=None):
+    """``sections[section][key]`` read by `cast`, or `default` when the
+    entry is missing and a default is given.  A missing or malformed entry
+    raises InvalidArgumentError naming the section and key, and the file
+    when `path` is given (a saved run); a config file's messages name the
+    key alone."""
+    raw = sections.get(section, {}).get(key)
+    if raw is None:
+        if default is not None:
+            return default
+        missing = f"{path}: missing" if path else "missing config key"
+        raise InvalidArgumentError(f"{missing} [{section}] {key}")
+    try:
+        return cast(raw)
+    except (TypeError, ValueError, KeyError):
+        where = f"{path}: " if path else ""
+        raise InvalidArgumentError(f"{where}bad value for [{section}] {key}: {raw!r}") from None
+
+
+def read_species_and_trap(sections: dict, default_species=None, path=None):
+    """The species named by ``[run] species`` (`default_species` when the
+    entry is missing, if given) and the `crystal.TrapConfig` of ``[trap]``,
+    its frequencies converted from MHz to rad/s, each entry read by
+    `read_entry`."""
+    found = species_by_name(read_entry(sections, "run", "species", default=default_species, path=path))
+    omegas = [read_entry(sections, "trap", f"omega_{axis}_mhz", cast=float, path=path) * MHZ for axis in "xyz"]
+    return found, TrapConfig(*omegas, n_ions=read_entry(sections, "trap", "n_ions", cast=int, path=path))
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +229,6 @@ def save_result(result, outdir: Union[str, Path]) -> None:
     )
 
 
-def _entry(path: Path, summary: dict, section: str, key: str, cast=float):
-    """``summary[section][key]`` read by `cast`; a missing or malformed
-    entry raises InvalidArgumentError naming the file and key."""
-    try:
-        raw = summary[section][key]
-    except KeyError:
-        raise InvalidArgumentError(f"{path}: missing [{section}] {key}") from None
-    try:
-        return cast(raw)
-    except ValueError:
-        raise InvalidArgumentError(f"{path}: bad value for [{section}] {key}: {raw!r}") from None
-
-
 def load_result(outdir: Union[str, Path]):
     """Rebuild an OptimizationResult record from a saved run directory.
 
@@ -213,26 +241,18 @@ def load_result(outdir: Union[str, Path]):
     out = Path(outdir)
     summary_file = out / "summary.txt"
     summary = read_summary(summary_file)
-    species = species_by_name(_entry(summary_file, summary, "run", "species", str))
-    trap = TrapConfig(
-        omega_x=_entry(summary_file, summary, "trap", "omega_x_mhz") * MHZ,
-        omega_y=_entry(summary_file, summary, "trap", "omega_y_mhz") * MHZ,
-        omega_z=_entry(summary_file, summary, "trap", "omega_z_mhz") * MHZ,
-        n_ions=_entry(summary_file, summary, "trap", "n_ions", int),
-    )
-    axis = _entry(
-        summary_file, summary, "drive", "axis", lambda text: np.array([float(v) for v in text.split(",")])
-    )
-    guard = _entry(summary_file, summary, "drive", "resonance_guard_khz") * KHZ
-    mu = _entry(summary_file, summary, "result", "mu_mhz") * MHZ
-    stored_eps = _entry(summary_file, summary, "result", "epsilon")
-    omega_scan = _entry(summary_file, summary, "result", "omega_scan_mhz") * MHZ
-    converged = _entry(summary_file, summary, "result", "converged", str) == "True"
-    stage_eps = {
-        key[len("epsilon_"):]: _entry(summary_file, summary, "result", key)
-        for key in summary["result"]
-        if key.startswith("epsilon_")
-    }
+
+    def entry(section, key, cast=float):
+        return read_entry(summary, section, key, cast=cast, path=summary_file)
+
+    species, trap = read_species_and_trap(summary, path=summary_file)
+    axis = entry("drive", "axis", lambda text: np.array([float(v) for v in text.split(",")]))
+    guard = entry("drive", "resonance_guard_khz") * KHZ
+    mu = entry("result", "mu_mhz") * MHZ
+    stored_eps = entry("result", "epsilon")
+    omega_scan = entry("result", "omega_scan_mhz") * MHZ
+    converged = entry("result", "converged", str) == "True"
+    stage_eps = {key[len("epsilon_"):]: entry("result", key) for key in summary["result"] if key.startswith("epsilon_")}
     positions, _ = read_matrix_csv(out / "positions.csv")
     positions = positions / 1e6
     if positions.shape != (trap.n_ions, 3):

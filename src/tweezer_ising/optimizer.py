@@ -55,6 +55,7 @@ from .errors import (
     UndefinedNormalizationError,
     UnstableCrystalError,
     as_integer,
+    as_seed,
 )
 from .feasibility import FeasibilityVerdict, SignConstraintSystem, build_sign_constraints, feasibility_test
 from .modes import (
@@ -624,8 +625,11 @@ def stage1_search(
     call for their trial points and one stacked gradient call for the
     trials it accepted; the beatnote rows are built once per row.  Each
     lane walks the path a lone `minimize_box` run takes, and each cell
-    keeps its lowest-ε restart, the earliest on a tie.
+    keeps its lowest-ε restart, the earliest on a tie.  A `seed` that is
+    not a nonnegative integer raises InvalidArgumentError before any
+    geometry is built.
     """
+    seed = as_seed("seed", seed)
     axis = _drive_axis(drive_axis, space.pin_axes)
     omegas = _grid(space.omega_scan, space.omega_grid)
     mus = _grid(space.mu, space.mu_grid)
@@ -731,8 +735,8 @@ def stage2_refine(
     res = minimize_box(
         problem.pin_evaluator(beatnote_columns((candidate.mu,))),
         k0 / problem.k_scale,
-        np.full(k0.size, problem.k_bounds[0]),
-        np.full(k0.size, problem.k_bounds[1]),
+        problem.k_bounds[0],
+        problem.k_bounds[1],
         max_iter=space.max_iter,
     )
     return _candidate(candidate.omega_scan, candidate.mu, problem, res)
@@ -823,9 +827,7 @@ def run_pipeline(
     t0 = time.perf_counter()
     _check_choice("symmetry group", symmetry, SYMMETRY_GROUPS)
     _check_choice("final_geometry", final_geometry, FINAL_GEOMETRIES)
-    seed = as_integer("seed", seed)
-    if seed < 0:
-        raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
+    seed = as_seed("seed", seed)
     candidates, cell_diags = stage1_search(target_spec, space, trap_template, species, drive_axis, seed)
     if not candidates:
         summary = {}

@@ -165,6 +165,41 @@ def _drop_last_realized_row(run):
     write_matrix_csv(run / "realized_matrix.csv", realized[:-1], "realized_matrix", "normalized")
 
 
+def _written_entries(path):
+    """The sections, keys and values of an INI file as its lines spell them."""
+    sections = {}
+    for line in path.read_text().splitlines():
+        if line.startswith("["):
+            entries = sections.setdefault(line[1:-1], {})
+        elif line:
+            key, _, value = line.partition(" = ")
+            entries[key] = value
+    return sections
+
+
+@pytest.fixture(scope="module")
+def written_ini(saved_run, tmp_path_factory):
+    """Every INI file the package writes: a saved run's summary.txt and the
+    comparison, feasibility and estimator files of their subcommands."""
+    config, run = saved_run
+    root = tmp_path_factory.mktemp("ini")
+    files = [run / "summary.txt"]
+    for command, name in (("couplings", "comparison.txt"), ("feasibility", "feasibility.txt"),
+                          ("experiment", "estimators.txt")):
+        assert main([command, "--config", str(config), "--out", str(root / command)]) == 0
+        files.append(root / command / name)
+    return files
+
+
+def test_each_written_ini_file_reads_back_key_for_key(written_ini):
+    # the reader lower-cases keys and cuts inline ` #` comments for config
+    # files; neither may change a file the package writes
+    for path in written_ini:
+        written = _written_entries(path)
+        assert written and all(written.values()), path
+        assert read_summary(path) == written, path
+
+
 class TestCorruptSavedRun:
     """A saved run is input from outside the program: each fault names its file and key."""
 
@@ -172,6 +207,7 @@ class TestCorruptSavedRun:
         "missing_file": (lambda run: (run / "positions.csv").unlink(), r"positions\.csv"),
         "missing_section": (_edit_summary("drive"), r"summary\.txt: missing \[drive\] axis"),
         "missing_key": (_edit_summary("result", "mu_mhz"), r"summary\.txt: missing \[result\] mu_mhz"),
+        "missing_trap_key": (_edit_summary("trap", "n_ions"), r"summary\.txt: missing \[trap\] n_ions"),
         "non_number_summary": (
             _replace_text("summary.txt", "omega_x_mhz = 2.0", "omega_x_mhz = two"),
             r"summary\.txt: bad value for \[trap\] omega_x_mhz",
@@ -348,6 +384,25 @@ class TestExitCodes:
         with pytest.raises(InvalidArgumentError) as err:
             parse_config(path, env=env, overrides=overrides)
         assert str(err.value) == "bad value for [search] allow_anticonfinement: 'ture'"
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("n_ions = 4\n", "", "missing config key [trap] n_ions"),
+            ("omega_x_mhz = 2.0", "omega_x_mhz = two", "bad value for [trap] omega_x_mhz: 'two'"),
+        ],
+        ids=["missing", "malformed"],
+    )
+    def test_bad_trap_entry_names_section_and_key(self, tmp_path, old, new, message):
+        # the saved-run side of the same reader: TestCorruptSavedRun's
+        # missing_trap_key and non_number_summary
+        from tweezer_ising.config import parse_config
+
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG.replace(old, new))
+        with pytest.raises(InvalidArgumentError) as err:
+            parse_config(path, env={})
+        assert str(err.value) == message
 
     def test_missing_token_is_validation_error(self, capsys):
         assert main(["reproduce", "nonexistent-token"]) == 1

@@ -712,27 +712,31 @@ class TestPipeline:
         with pytest.raises(InvalidArgumentError, match=f"unknown .*{value!r}"):
             run_pipeline(TargetSpec("nearest_neighbor", "chain"), _space(), trap, species, **choice)
 
-    def test_negative_seed_raises_before_stage1(self, species, monkeypatch):
-        # numpy's SeedSequence used to raise a bare ValueError, after the
-        # stage-1 feasibility tests had run
+    #: each entry point that takes a seed, and the stage-1 step it must not reach with a bad one
+    SEEDED = {"run_pipeline": (run_pipeline, "stage1_search"), "stage1_search": (stage1_search, "stage1_geometry")}
+
+    def _raises_before_stage1(self, species, monkeypatch, entry, seed, message):
+        call, step = self.SEEDED[entry]
+
         def no_stage1(*args, **kwargs):
-            raise AssertionError("ran stage 1 for a negative seed")
+            raise AssertionError(f"ran {step} for seed {seed!r}")
 
-        monkeypatch.setattr(optimizer, "stage1_search", no_stage1)
+        monkeypatch.setattr(optimizer, step, no_stage1)
         trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=4)
-        with pytest.raises(InvalidArgumentError, match="seed must be nonnegative, got -1"):
-            run_pipeline(TargetSpec("nearest_neighbor", "chain"), _space(), trap, species, seed=-1)
+        with pytest.raises(InvalidArgumentError, match=message):
+            call(TargetSpec("nearest_neighbor", "chain"), _space(), trap, species, seed=seed)
 
-    def test_fractional_seed_raises_before_stage1(self, species, monkeypatch):
+    @pytest.mark.parametrize("entry", sorted(SEEDED))
+    def test_negative_seed_raises_before_stage1(self, species, monkeypatch, entry):
+        # numpy's SeedSequence used to raise a bare ValueError, after the
+        # stage-1 geometry was built and its feasibility tests had run
+        self._raises_before_stage1(species, monkeypatch, entry, -1, "seed must be nonnegative, got -1")
+
+    @pytest.mark.parametrize("entry", sorted(SEEDED))
+    def test_fractional_seed_raises_before_stage1(self, species, monkeypatch, entry):
         # used to raise a bare TypeError from numpy's SeedSequence, after
         # stage 1 had built its geometry and tested its first cell
-        def no_stage1(*args, **kwargs):
-            raise AssertionError("ran stage 1 for a fractional seed")
-
-        monkeypatch.setattr(optimizer, "stage1_search", no_stage1)
-        trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=4)
-        with pytest.raises(InvalidArgumentError, match="seed must be an integer, got 1.5"):
-            run_pipeline(TargetSpec("nearest_neighbor", "chain"), _space(), trap, species, seed=1.5)
+        self._raises_before_stage1(species, monkeypatch, entry, 1.5, "seed must be an integer, got 1.5")
 
 
 class TestSearchSpaceValidation:
