@@ -172,11 +172,6 @@ def _typed(values: dict, base_dir: Path) -> RunConfig:
         distance_mode=read_entry(values, "target", "distance_mode", "actual"),
     )
 
-    axis_raw = read_entry(values, "drive", "axis", "y")
-    drive_axis = (
-        np.array([float(v) for v in axis_raw.split(",")]) if "," in axis_raw else axis_raw
-    )
-
     space = SearchSpace(
         omega_scan=(
             read_entry(values, "search", "omega_min_mhz", cast=float) * MHZ,
@@ -201,6 +196,13 @@ def _typed(values: dict, base_dir: Path) -> RunConfig:
             values, "search", "allow_anticonfinement", False, lambda raw: BOOL_WORDS[str(raw).strip().lower()]
         ),
         max_iter=read_entry(values, "search", "max_iter", 2000, int),
+    )
+
+    # without an axis line, the pipeline's default drive: `default_drive_axis`
+    # is the axis vector of the pinning axes' names
+    axis_raw = read_entry(values, "drive", "axis", "".join(space.pin_axes))
+    drive_axis = (
+        np.array([float(v) for v in axis_raw.split(",")]) if "," in axis_raw else axis_raw
     )
 
     pinning = None

@@ -279,6 +279,7 @@ def solve_equilibrium(
     tweezer_reference: Optional[np.ndarray] = None,
     max_iter: int = 200,
     require: Optional[str] = None,
+    first_descent: Optional[tuple] = None,
 ) -> IonCrystal:
     """Damped Newton solve of grad V = 0.
 
@@ -294,6 +295,15 @@ def solve_equilibrium(
     only for a crystal it does not certify); otherwise it is kicked and
     repeated, up to five times.  A guess with coincident ions raises
     InvalidArgumentError from the first descent, which leaves it unmoved.
+
+    ``first_descent`` hands the solve the outcome of its own first
+    descent, run elsewhere: ``(positions, residual, hessian)``, the lane
+    of `relax_equilibria` that descended from ``initial_guess`` with these
+    tweezers and `max_iter`, and the `mass_scaled_hessian` at those
+    positions with the pattern's curvatures, or None to have the solve
+    build it.  The solve then skips that descent and runs its checks, and
+    any kicks, from there, so it gives the bits of the solve without the
+    hand-off.  Nothing checks that the hand-off is that outcome.
     """
     if n_ions != trap.n_ions:
         raise InvalidArgumentError("n_ions disagrees with trap.n_ions")
@@ -314,13 +324,20 @@ def solve_equilibrium(
     # descents can stall at saddles (a collinear chain past the zigzag
     # transition); kick deterministically and re-descend
     for attempt in range(5):
-        (pos,), (residual,) = _descents(pos[None], trap, species, curv, centers, scales, max_iter)
+        if attempt or first_descent is None:
+            (pos,), (residual,) = _descents(pos[None], trap, species, curv, centers, scales, max_iter)
+            hess = None
+        else:
+            pos, residual, hess = first_descent
+            pos = np.array(pos, dtype=float).reshape(n_ions, 3)  # the solved crystal's own positions
         # a lane that starts on coincident ions does not descend
         if np.isnan(residual) and n_ions > 1 and _pair_terms(pos)[2].min() <= 0:
             if attempt == 0:
                 raise InvalidArgumentError("initial guess has coincident ions")
             raise SingularGeometryError("coincident ions in potential evaluation")  # a kick joined two ions
-        stable = _is_stable(mass_scaled_hessian(pos, trap, species, curv), scales.psd_floor)
+        if hess is None:
+            hess = mass_scaled_hessian(pos, trap, species, curv)
+        stable = _is_stable(hess, scales.psd_floor)
         if residual < TOL_EQUILIBRIUM and stable:
             break
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1905, spawn_key=(attempt,))))
@@ -379,7 +396,7 @@ def relax_equilibria(
     curvatures: Optional[np.ndarray] = None,
     centers: Optional[np.ndarray] = None,
     max_iter: int = 200,
-) -> list:
+) -> tuple[np.ndarray, np.ndarray]:
     """The first Newton descent of `solve_equilibrium` for K lanes in lockstep.
 
     ``guesses`` and the tweezer ``centers`` are (K, N, 3) stacks of
@@ -387,14 +404,14 @@ def relax_equilibria(
     for no tweezers, are shared.  The lanes descend together in
     `_descents`, and every lane has the bits of its lone descent.
 
-    Returns, per lane, the positions where its descent converged, or None
-    where it stalled, ran out of iterations or started from coincident
-    ions.  A `solve_equilibrium` with the same tweezers and `max_iter` from
-    converged positions takes no Newton step before its stability check,
-    so it gives the bits of the solve from the lane's guess.
+    Returns the positions (K, N, 3) where the descents ended and their
+    scaled residuals (K,); a lane converged where its residual is below
+    `TOL_EQUILIBRIUM`, and it is NaN for a lane that started on coincident
+    ions.  Lane k, with the Hessian at its positions if it converged, is
+    the ``first_descent`` of a `solve_equilibrium` from guess k with the
+    same tweezers and `max_iter`.
     """
-    pos, residual = _descents(guesses, trap, species, curvatures, centers, _Scales.of(trap, species), max_iter)
-    return [p if r < TOL_EQUILIBRIUM else None for p, r in zip(pos, residual)]
+    return _descents(guesses, trap, species, curvatures, centers, _Scales.of(trap, species), max_iter)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import HBAR, SPEED_OF_LIGHT, SpeciesConstants
 from .coupling import coupling_error, grade_hessians, realized_coupling
-from .crystal import relax_equilibria, solve_equilibrium
+from .crystal import TOL_EQUILIBRIUM, relax_equilibria, solve_equilibrium
 from .errors import (
     ConvergenceError,
     InvalidArgumentError,
@@ -32,7 +32,8 @@ from .targets import data_lines
 #: minimum detuning from any transition, in linewidths
 MIN_DETUNING_LINEWIDTHS = 10.0
 #: misalignment samples whose Newton descents run together and whose gradings
-#: share one stacked eigh; bounds the stacked arrays of a block
+#: share one stacked eigh; bounds the stacked arrays of a block, the one
+#: block of the scan alive at a time
 SCAN_BLOCK = 16
 
 
@@ -245,27 +246,29 @@ def misalignment_scan(
     error are recomputed.  Streams are per-sample seeded, so the output is
     independent of evaluation order.
 
-    The scan makes three passes, and every sample gets the bits of
-    one-at-a-time solves.  (1) Descend: the samples' Newton descents run in
-    blocks of `SCAN_BLOCK` (`relax_equilibria`, whose lockstep loop
-    `crystal._descents` makes one Hessian per iteration and one
-    potential-and-gradient call per line-search round), not refilled as
-    lanes finish.  (2) Grade: the aligned crystal's `realized_coupling`,
-    then per block one stacked `mass_scaled_hessian` and one
-    `grade_hessians` (one `eigh`) of the converged descents, back to back;
-    only each sample's J, or the exception its grading raises, is kept.
-    (3) Finish, per sample in order: `solve_equilibrium` from the descended
-    positions (or from the aligned crystal, where the descent did not
-    converge); then, if the solve returned the descended positions, the
-    graded J's `coupling_error`, and otherwise (no converged descent, or a
-    kick) a lone `realized_coupling`.  The solve and its `coupling_error`
-    stay per sample because a sample is timed and counted from one to the
-    other.
+    After the aligned crystal's `realized_coupling`, the scan runs one
+    loop per block of `SCAN_BLOCK` samples, and every sample gets the bits
+    of one-at-a-time solves.  (1) Descend: the block's Newton descents run
+    together (`relax_equilibria`, whose lockstep loop `crystal._descents`
+    makes one Hessian per iteration and one potential-and-gradient call per
+    line-search round), not refilled as lanes finish.  (2) Grade: one
+    stacked `mass_scaled_hessian` and one `grade_hessians` (one `eigh`) of
+    the converged descents; each sample's J, or the exception its grading
+    raises, is kept with its Hessian until the block is finished.
+    (3) Finish, per sample in order: `solve_equilibrium` from the aligned
+    crystal, handed its lane's descent as ``first_descent`` (with its
+    Hessian, where it converged), so the solve repeats no descent and
+    builds no Hessian for a converged lane it keeps; then, if the solve
+    returned the descended positions, the graded J's `coupling_error`, and
+    otherwise (no converged descent, or a kick) a lone
+    `realized_coupling`.  The solve and its `coupling_error` stay per
+    sample because a sample is timed and counted from one to the other.
+    One block's Hessians and gradings are alive at a time.
     Samples whose equilibrium solve fails to converge, or whose crystal is
     unstable, are excluded and counted in sample order; any other error
     is raised from the first sample that raises it.
 
-    The passes run with numpy's OpenBLAS held at one thread
+    The blocks run with numpy's OpenBLAS held at one thread
     (`_on_one_blas_thread`), and its previous thread count is back when
     the scan returns or raises.  `eigh` is the one call of the scan that
     OpenBLAS would split over its worker threads: the Newton steps and
@@ -275,8 +278,10 @@ def misalignment_scan(
     stable, which no sample of the fig7 scan needs.  On the scan's
     (16, 36, 36) stacks the split is slower than one thread and keeps a
     second core busy; the thread count does not reorder `eigh`'s sums, so
-    the bits are those of the pool.  Where numpy has no OpenBLAS thread
-    control, the scan runs on whatever threads BLAS chooses.
+    the bits are those of the pool.  Held at one thread, the pool never
+    wakes, so the blocks need not grade back to back.  Where numpy has no
+    OpenBLAS thread control, the scan runs on whatever threads BLAS
+    chooses, and the pool may wake once per block, for its `eigh`.
 
     Raises InvalidArgumentError, before any solve, when the scales are
     empty, not finite or negative, when `samples` is not a nonnegative
@@ -301,65 +306,65 @@ def misalignment_scan(
 
 
 def _scan(result, scales, samples, seed, axis_idx):
-    """The three passes of `misalignment_scan`, on checked inputs."""
+    """The block loop of `misalignment_scan`, on checked inputs."""
     crystal = result.crystal
-    trap, species = crystal.trap, crystal.species
-    pattern = result.tweezers
     drive = (result.mu, result.drive.drive_axis, result.drive.resonance_guard)
-
-    blocks = [range(start, min(start + SCAN_BLOCK, samples)) for start in range(0, samples, SCAN_BLOCK)]
-    descended = []  # per block: the offsets and the relaxed positions (or None)
-    for block in blocks:
-        offsets = np.stack([_sample_offsets(crystal.n_ions, axis_idx, scales, seed, i) for i in block])
-        relaxed = relax_equilibria(
-            trap,
-            species,
-            np.broadcast_to(crystal.positions, offsets.shape),
-            pattern.curvatures,
-            crystal.positions + offsets,
-        )
-        descended.append((offsets, relaxed))
-
     aligned_eps = realized_coupling(
-        crystal.positions, trap, species, pattern.curvatures, *drive, result.target
+        crystal.positions, crystal.trap, crystal.species, result.tweezers.curvatures, *drive, result.target
     )[0]
-    graded = []  # per block: converged lane -> J, or the exception its grading raises
-    for _, relaxed in descended:
-        converged = [k for k, pos in enumerate(relaxed) if pos is not None]
-        couplings = []
-        if converged:
-            stack = np.stack([relaxed[k] for k in converged])
-            hessians = mass_scaled_hessian(stack, trap, species, pattern.curvatures)
-            couplings = grade_hessians(hessians, trap.omega_bar, *drive, species).couplings
-        graded.append(dict(zip(converged, couplings)))
-
     records = []
     failed = []
-    for block, (offsets, relaxed), block_graded in zip(blocks, descended, graded):
-        for k, (i, off, guess) in enumerate(zip(block, offsets, relaxed)):
-            try:
-                shifted = solve_equilibrium(
-                    trap,
-                    species,
-                    crystal.n_ions,
-                    crystal.positions if guess is None else guess,
-                    tweezers=pattern.with_offsets(off),
-                    tweezer_reference=crystal.positions,
-                )
-                if guess is not None and np.array_equal(shifted.positions, guess):
-                    if isinstance(block_graded[k], Exception):
-                        raise block_graded[k]
-                    eps = coupling_error(result.target, block_graded[k])[0]
-                else:
-                    eps = realized_coupling(
-                        shifted.positions, trap, species, pattern.curvatures, *drive, result.target
-                    )[0]
-            except (ConvergenceError, UnstableCrystalError) as err:
-                failed.append((i, type(err).__name__))
-                continue
-            avg = float(row_norms(off).mean())
-            records.append((avg, eps))
+    for start in range(0, samples, SCAN_BLOCK):
+        block = range(start, min(start + SCAN_BLOCK, samples))
+        offsets = np.stack([_sample_offsets(crystal.n_ions, axis_idx, scales, seed, i) for i in block])
+        _scan_block(result, drive, block, offsets, records, failed)
     return MisalignmentScan(records, aligned_eps, failed)
+
+
+def _scan_block(result, drive, block, offsets, records, failed):
+    """Relax, grade and finish the samples ``block`` of `_scan`, whose
+    tweezer offsets are ``offsets`` (K, N, 3), appending each sample's
+    record or failure; the block's Hessians and gradings are freed on
+    return, so one block's are alive at a time."""
+    crystal, pattern = result.crystal, result.tweezers
+    trap, species = crystal.trap, crystal.species
+    relaxed, residuals = relax_equilibria(
+        trap,
+        species,
+        np.broadcast_to(crystal.positions, offsets.shape),
+        pattern.curvatures,
+        crystal.positions + offsets,
+    )
+    converged = np.flatnonzero(residuals < TOL_EQUILIBRIUM).tolist()
+    hessians, graded = {}, {}  # converged lane -> its Hessian; its J, or the exception its grading raises
+    if converged:
+        stack = mass_scaled_hessian(relaxed[converged], trap, species, pattern.curvatures)
+        hessians = dict(zip(converged, stack))
+        graded = dict(zip(converged, grade_hessians(stack, trap.omega_bar, *drive, species).couplings))
+    for k, (i, off) in enumerate(zip(block, offsets)):
+        try:
+            shifted = solve_equilibrium(
+                trap,
+                species,
+                crystal.n_ions,
+                crystal.positions,
+                tweezers=pattern.with_offsets(off),
+                tweezer_reference=crystal.positions,
+                first_descent=(relaxed[k], residuals[k], hessians.get(k)),
+            )
+            if k in graded and np.array_equal(shifted.positions, relaxed[k]):
+                if isinstance(graded[k], Exception):
+                    raise graded[k]
+                eps = coupling_error(result.target, graded[k])[0]
+            else:
+                eps = realized_coupling(
+                    shifted.positions, trap, species, pattern.curvatures, *drive, result.target
+                )[0]
+        except (ConvergenceError, UnstableCrystalError) as err:
+            failed.append((i, type(err).__name__))
+            continue
+        avg = float(row_norms(off).mean())
+        records.append((avg, eps))
 
 
 def _on_one_blas_thread(run, *args):

@@ -404,6 +404,29 @@ class TestExitCodes:
             parse_config(path, env={})
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("pin_axes, unit", [("x", [1.0, 0.0, 0.0]), ("y", [0.0, 1.0, 0.0]), ("yz", None)])
+    def test_drive_axis_defaults_to_the_pinning_axes(self, tmp_path, pin_axes, unit):
+        # without a [drive] axis line the config drives as run_pipeline
+        # does with no drive axis: along the sum of the pinning axes
+        from tweezer_ising.config import parse_config
+        from tweezer_ising.coupling import DriveConfig
+        from tweezer_ising.modes import axis_vector
+        from tweezer_ising.optimizer import _drive_axis
+
+        path = tmp_path / "axis.cfg"
+        path.write_text(SMALL_CONFIG.replace("axis = y\n", "").replace("pin_axes = y", f"pin_axes = {pin_axes}"))
+        cfg = parse_config(path, env={})
+        assert cfg.space.pin_axes == tuple(pin_axes)
+        pipeline = _drive_axis(None, cfg.space.pin_axes)
+        for resolved in (axis_vector(cfg.drive_axis), _drive_axis(cfg.drive_axis, cfg.space.pin_axes),
+                         DriveConfig(mu=cfg.mu, drive_axis=cfg.drive_axis).drive_axis):
+            assert resolved.tobytes() == pipeline.tobytes()
+        if unit is not None:
+            assert pipeline.tolist() == unit
+        given = tmp_path / "given.cfg"
+        given.write_text(SMALL_CONFIG.replace("pin_axes = y", f"pin_axes = {pin_axes}").replace("axis = y", "axis = z"))
+        assert parse_config(given, env={}).drive_axis == "z"
+
     def test_missing_token_is_validation_error(self, capsys):
         assert main(["reproduce", "nonexistent-token"]) == 1
 

@@ -551,40 +551,44 @@ class TestStabilityCheck:
 
 class TestEquilibriumLockstep:
     """Each lane of `relax_equilibria` has the bits of its lone first
-    descent, and a `solve_equilibrium` from its positions has the bits of
-    the solve from its guess."""
+    descent, and a `solve_equilibrium` handed that lane as its first
+    descent has the bits of the solve that descends itself."""
 
     @staticmethod
     def _assert_lanes_match(trap, species, guesses, pattern=None, reference=None, offsets=None, max_iter=200):
         curv = centers = None
         if pattern is not None:
             curv, centers = pattern.curvatures, reference + offsets
-        relaxed = relax_equilibria(trap, species, guesses, curv, centers, max_iter)
-        assert len(relaxed) == len(guesses)
-        for k, pos in enumerate(relaxed):
+        relaxed, residuals = relax_equilibria(trap, species, guesses, curv, centers, max_iter)
+        assert relaxed.shape == np.shape(guesses) and residuals.shape == (len(guesses),)
+        converged = np.flatnonzero(residuals < TOL_EQUILIBRIUM)
+        # the Hessians as the scan hands them over: one stack of the converged lanes
+        stacked = dict(zip(converged.tolist(), mass_scaled_hessian(relaxed[converged], trap, species, curv)))
+        for k in range(len(guesses)):
             kwargs = {} if pattern is None else {
                 "tweezers": pattern.with_offsets(offsets[k]), "tweezer_reference": reference,
             }
             expected, residual = _oracle_newton_descent(
                 guesses[k], trap, species, kwargs.get("tweezers"), None if centers is None else centers[k], max_iter
             )
-            if residual < TOL_EQUILIBRIUM:
-                assert pos.tobytes() == expected.tobytes()
-            else:
-                assert pos is None
+            assert relaxed[k].tobytes() == expected.tobytes()
+            assert (residuals[k] < TOL_EQUILIBRIUM) == (residual < TOL_EQUILIBRIUM)
             try:
                 lone = solve_equilibrium(trap, species, trap.n_ions, guesses[k], max_iter=max_iter, **kwargs)
             except Exception as err:
                 lone = err
-            start = guesses[k] if pos is None else pos
-            try:
-                finished = solve_equilibrium(trap, species, trap.n_ions, start, max_iter=max_iter, **kwargs)
-            except Exception as err:
-                assert type(lone) is type(err) and str(lone) == str(err)
-                continue
-            assert finished.positions.tobytes() == lone.positions.tobytes()
-            assert finished.dimensionality == lone.dimensionality
-        return relaxed
+            for hessian in [stacked[k], None] if k in stacked else [None]:
+                try:
+                    finished = solve_equilibrium(
+                        trap, species, trap.n_ions, guesses[k], max_iter=max_iter,
+                        first_descent=(relaxed[k], residuals[k], hessian), **kwargs,
+                    )
+                except Exception as err:
+                    assert type(lone) is type(err) and str(lone) == str(err)
+                    continue
+                assert finished.positions.tobytes() == lone.positions.tobytes()
+                assert (finished.dimensionality, finished.extended_axes) == (lone.dimensionality, lone.extended_axes)
+        return relaxed, residuals
 
     def test_lanes_converge_in_different_rounds(self, species, monkeypatch):
         import tweezer_ising.crystal as crystal_mod
@@ -627,9 +631,9 @@ class TestEquilibriumLockstep:
         _, kicks = _oracle_equilibrium(trap, species, saddle)
         assert kicks >= 1
         guesses = np.stack([zigzag, collinear, zigzag + nudge, saddle])
-        relaxed = self._assert_lanes_match(trap, species, guesses)
+        relaxed, residuals = self._assert_lanes_match(trap, species, guesses)
+        assert (residuals < TOL_EQUILIBRIUM).tolist() == [True, False, True, True]  # the collinear descent stalls
         assert relaxed[0].tobytes() == zigzag.tobytes()
-        assert relaxed[1] is None  # the collinear descent stalls
         assert relaxed[3].tobytes() == saddle.tobytes()
 
     def test_lane_at_the_distance_floor(self, species, monkeypatch):
@@ -651,29 +655,47 @@ class TestEquilibriumLockstep:
         with pytest.raises(ConvergenceError):
             solve_equilibrium(trap, species, 2, guesses[1], tweezers=pattern, tweezer_reference=reference)
 
-    def test_unconverged_lanes_restart_from_their_guesses(self, species):
+    def test_unconverged_lanes_are_kicked_from_where_they_stopped(self, species, monkeypatch):
+        # one Newton step leaves the chain guesses unconverged; a solve
+        # handed such a lane takes no step before its first kick
+        import tweezer_ising.crystal as crystal_mod
+
         trap = TrapConfig(1.2 * MHZ, 1.0 * MHZ, 0.2 * MHZ, n_ions=6)
         solved = solve_equilibrium(trap, species, 6).positions
-        guesses = np.stack([default_chain_guess(trap, species), solved, default_chain_guess(trap, species)])
-        relaxed = self._assert_lanes_match(trap, species, guesses, max_iter=1)
-        assert relaxed[0] is None and relaxed[2] is None
+        guess = default_chain_guess(trap, species)
+        guesses = np.stack([guess, solved, guess])
+        relaxed, residuals = self._assert_lanes_match(trap, species, guesses, max_iter=1)
+        assert (residuals < TOL_EQUILIBRIUM).tolist() == [False, True, False]
+        assert relaxed[0].tobytes() == relaxed[2].tobytes() != guess.tobytes()
         assert relaxed[1].tobytes() == solved.tobytes()
+        starts = []
+        real = crystal_mod._descents
+        monkeypatch.setattr(crystal_mod, "_descents", lambda pos, *a: starts.append(pos[0].copy()) or real(pos, *a))
+        with pytest.raises(ConvergenceError):
+            solve_equilibrium(trap, species, 6, guess, max_iter=1, first_descent=(relaxed[0], residuals[0], None))
+        kick = 1e-3 * length_scale(trap.omega_bar, species)
+        assert len(starts) == 4 and 0 < np.abs(starts[0] - relaxed[0]).max() < 10 * kick
 
     def test_one_lane_and_no_lanes(self, species, chain_trap):
         guess = default_chain_guess(chain_trap, species)
         self._assert_lanes_match(chain_trap, species, guess[None])
-        assert relax_equilibria(chain_trap, species, np.zeros((0, 5, 3))) == []
+        relaxed, residuals = relax_equilibria(chain_trap, species, np.zeros((0, 5, 3)))
+        assert relaxed.shape == (0, 5, 3) and residuals.shape == (0,)
 
-    def test_a_lane_starting_on_coincident_ions_relaxes_to_none(self, species, chain_trap):
+    def test_a_lane_starting_on_coincident_ions_does_not_descend(self, species, chain_trap):
         guess = default_chain_guess(chain_trap, species)
         coincident = guess.copy()
         coincident[1] = coincident[0]
-        relaxed = relax_equilibria(chain_trap, species, np.stack([guess, coincident, guess]))
-        assert relaxed[1] is None
-        (alone,) = relax_equilibria(chain_trap, species, guess[None])
+        relaxed, residuals = relax_equilibria(chain_trap, species, np.stack([guess, coincident, guess]))
+        assert np.isnan(residuals[1]) and relaxed[1].tobytes() == coincident.tobytes()
+        (alone,), (residual,) = relax_equilibria(chain_trap, species, guess[None])
         assert relaxed[0].tobytes() == alone.tobytes() == relaxed[2].tobytes()
+        assert residuals[0] == residual == residuals[2] < TOL_EQUILIBRIUM
         solved = solve_equilibrium(chain_trap, species, chain_trap.n_ions, guess)
         assert alone.tobytes() == solved.positions.tobytes()
+        # handed the lane, the solve raises what the solve from its guess raises
+        with pytest.raises(InvalidArgumentError, match="^initial guess has coincident ions$"):
+            solve_equilibrium(chain_trap, species, 5, coincident, first_descent=(relaxed[1], residuals[1], None))
 
     def test_a_kick_onto_coincident_ions_raises(self, species, monkeypatch):
         # no Newton step (max_iter=0) leaves the guess unconverged; the
@@ -708,10 +730,20 @@ class TestEquilibriumLockstep:
         guesses = np.broadcast_to(guess, offsets.shape)
         centers = reference + offsets
         before = [a.tobytes() for a in (guess, reference, guesses, centers)]
-        relaxed = relax_equilibria(trap, species, guesses, pattern.curvatures, centers)
+        relaxed, residuals = relax_equilibria(trap, species, guesses, pattern.curvatures, centers)
         shifted = solve_equilibrium(
             trap, species, 12, guess, tweezers=pattern.with_offsets(offsets[0]), tweezer_reference=reference
         )
-        assert all(pos is not None for pos in relaxed)
+        assert (residuals < TOL_EQUILIBRIUM).all()
         assert np.abs(shifted.positions - guess).max() > 0
         assert [a.tobytes() for a in (guess, reference, guesses, centers)] == before
+        # nor are the hand-off's arrays, and the solved crystal owns its positions
+        hessians = mass_scaled_hessian(relaxed, trap, species, pattern.curvatures)
+        handed = [a.tobytes() for a in (relaxed, residuals, hessians)]
+        finished = solve_equilibrium(
+            trap, species, 12, guess, tweezers=pattern.with_offsets(offsets[0]), tweezer_reference=reference,
+            first_descent=(relaxed[0], residuals[0], hessians[0]),
+        )
+        assert finished.positions.tobytes() == shifted.positions.tobytes()
+        assert not np.shares_memory(finished.positions, relaxed)
+        assert [a.tobytes() for a in (relaxed, residuals, hessians)] == handed

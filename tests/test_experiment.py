@@ -464,7 +464,7 @@ class TestStackedGrading:
 
     def test_saddle_lanes_defer_their_unstable_grading(self, marginal_chain):
         from tweezer_ising.coupling import grade_hessians
-        from tweezer_ising.crystal import relax_equilibria
+        from tweezer_ising.crystal import TOL_EQUILIBRIUM, relax_equilibria
         from tweezer_ising.errors import UnstableCrystalError
         from tweezer_ising.experiment import _sample_offsets
         from tweezer_ising.modes import mass_scaled_hessian
@@ -472,10 +472,11 @@ class TestStackedGrading:
         crystal, curv = marginal_chain.crystal, marginal_chain.tweezers.curvatures
         scales, seed, _ = MARGINAL
         offsets = np.stack([_sample_offsets(5, [2], np.array(scales), seed, i) for i in (1, 2, 16)])
-        relaxed = relax_equilibria(
+        relaxed, residuals = relax_equilibria(
             crystal.trap, YB171, np.broadcast_to(crystal.positions, offsets.shape), curv, crystal.positions + offsets
         )
-        hessians = mass_scaled_hessian(np.stack(relaxed), crystal.trap, YB171, curv)
+        assert (residuals < TOL_EQUILIBRIUM).all()
+        hessians = mass_scaled_hessian(relaxed, crystal.trap, YB171, curv)
         drive = marginal_chain.drive
         grades = grade_hessians(hessians, crystal.trap.omega_bar, drive.mu, drive.drive_axis, drive.resonance_guard, YB171)
         assert all(isinstance(j, UnstableCrystalError) for j in grades.couplings)
@@ -522,19 +523,21 @@ class TestStackedGrading:
         assert len(scan.records) == samples
         assert calls == []
 
-    @pytest.mark.parametrize("drop", [False, True], ids=["as_relaxed", "every_other_dropped"])
-    def test_unconverged_descents_are_graded_alone(self, leaky_chain, monkeypatch, drop):
+    @pytest.mark.parametrize("max_iter", [200, 3], ids=["as_relaxed", "short_descents"])
+    def test_unconverged_descents_are_graded_alone(self, leaky_chain, monkeypatch, max_iter):
         # the leaky chain's unconverged descents (samples 2, 5, 8, 11) fail
-        # their solves; descents reported unconverged whose solves succeed
-        # are graded alone
+        # their solves; cut to three Newton steps, in the scan's descents
+        # and solves and in the oracle's solves, four more descents end
+        # unconverged, and their solves, kicked from where they stopped,
+        # succeed and are graded alone
+        from functools import partial
+
+        import tweezer_ising.crystal as crystal_mod
         import tweezer_ising.experiment as experiment_mod
 
-        relax = experiment_mod.relax_equilibria
-
-        def relax_and_drop(*args):
-            return [None if drop and k % 2 else pos for k, pos in enumerate(relax(*args))]
-
-        monkeypatch.setattr(experiment_mod, "relax_equilibria", relax_and_drop)
+        for module, name in [(experiment_mod, "relax_equilibria"), (experiment_mod, "solve_equilibrium"),
+                             (crystal_mod, "solve_equilibrium")]:
+            monkeypatch.setattr(module, name, partial(getattr(module, name), max_iter=max_iter))
         stacks = _count_calls(monkeypatch, experiment_mod, "grade_hessians", lambda a, *rest: len(a))
         alone = _count_calls(monkeypatch, experiment_mod, "realized_coupling")
         args = ([1e-7, 1e-6, 3e-6], 12, 5, ("y", "z"))
@@ -542,27 +545,41 @@ class TestStackedGrading:
         scan = misalignment_scan(leaky_chain, *args[:3], axes=args[3])
         assert [i for i, _ in failed] == [2, 5, 8, 11]
         assert scan.records == records and scan.failed_samples == failed
-        assert (stacks, len(alone)) == (([4], 5) if drop else ([8], 1))
+        assert (stacks, len(alone)) == (([8], 1) if max_iter == 200 else ([4], 5))
 
     @pytest.mark.parametrize("block", [16, 3])
-    def test_every_grading_comes_before_the_finishing_solves(self, marginal_chain, monkeypatch, block):
-        # the descents, then the aligned grading and the stacked gradings,
-        # then per sample its solve and, for a kicked one, its lone grading
+    def test_each_block_is_graded_before_its_solves(self, marginal_chain, monkeypatch, block):
+        # the aligned grading, then per block its descents, its stacked
+        # grading where a lane converged, and per sample its solve and its
+        # coupling_error, or for a kicked sample its lone grading
         import tweezer_ising.experiment as experiment_mod
+        from tweezer_ising.crystal import TOL_EQUILIBRIUM
 
         monkeypatch.setattr(experiment_mod, "SCAN_BLOCK", block)
-        events = []
-        for name in ("relax_equilibria", "grade_hessians", "realized_coupling", "solve_equilibrium"):
+        events, converged = [], []
+        for name in ("relax_equilibria", "grade_hessians", "realized_coupling", "solve_equilibrium", "coupling_error"):
             _count_calls(monkeypatch, experiment_mod, name, lambda *args, name=name: events.append(name))
+        relax = experiment_mod.relax_equilibria
+
+        def relax_and_record(*args):
+            relaxed, residuals = relax(*args)
+            converged.append(bool((residuals < TOL_EQUILIBRIUM).any()))
+            return relaxed, residuals
+
+        monkeypatch.setattr(experiment_mod, "relax_equilibria", relax_and_record)
         scales, seed, axes = MARGINAL
         scan = misalignment_scan(marginal_chain, scales, 20, seed, axes=axes)
-        assert len(scan.records) == 18
-        first = events.index("solve_equilibrium")
-        blocks, graded = -(-20 // block), events.count("grade_hessians")
-        assert graded >= 1
-        assert events[:first] == ["relax_equilibria"] * blocks + ["realized_coupling"] + ["grade_hessians"] * graded
-        assert events[first:].count("solve_equilibrium") == 20
-        assert set(events[first:]) == {"solve_equilibrium", "realized_coupling"}
+        failed, kicked = {1, 16}, {2, 7, 10, 11, 17}
+        assert [i for i, _ in scan.failed_samples] == sorted(failed) and len(scan.records) == 18
+        assert len(converged) == -(-20 // block) and any(converged)
+        expected = ["realized_coupling"]
+        for start, graded in zip(range(0, 20, block), converged):
+            expected += ["relax_equilibria"] + ["grade_hessians"] * graded
+            for i in range(start, min(start + block, 20)):
+                expected += ["solve_equilibrium"]
+                if i not in failed:
+                    expected += ["realized_coupling" if i in kicked else "coupling_error"]
+        assert events == expected
 
     @pytest.mark.parametrize("block", [16, 3])
     def test_a_later_grading_error_waits_for_the_earlier_samples(self, marginal_chain, monkeypatch, block):
@@ -631,6 +648,142 @@ class TestStackedGrading:
         assert [eps for _, _, eps in graded] == [scan.aligned_epsilon] + [eps for _, eps in scan.records]
         for target, j, eps in graded:
             assert repr(eps) == repr(unhoisted_epsilon(target, j))
+
+
+def _hand_off_case(request, kind):
+    """A design, its scan settings and sample lanes whose first descents
+    are of one kind: converged on a stable crystal (the fast fig7 scan),
+    converged on a saddle and kicked (the marginal chain; samples 1 and 16
+    then fail), or unconverged (the leaky chain; all four fail)."""
+    if kind == "converged":
+        design, scales, _, seed = request.getfixturevalue("fast_fig7")
+        return design, scales, seed, design.pin_axes, range(16)
+    if kind == "unstable":
+        scales, seed, axes = MARGINAL
+        return request.getfixturevalue("marginal_chain"), scales, seed, axes, (1, 2, 7, 16)
+    return request.getfixturevalue("leaky_chain"), [1e-7, 1e-6, 3e-6], 5, ("y", "z"), (2, 5, 8, 11)
+
+
+class TestFirstDescentHandOff:
+    """The scan hands each finishing solve its lane of the block's
+    descents, and the Hessian of a converged lane; the solve gives the
+    bits of the solve that descends itself, and repeats no descent."""
+
+    @pytest.mark.parametrize("kind", ["converged", "unstable", "unconverged"])
+    def test_the_hand_off_is_bit_for_bit(self, request, kind):
+        from tweezer_ising.crystal import TOL_EQUILIBRIUM, _is_stable, relax_equilibria, solve_equilibrium
+        from tweezer_ising.errors import ConvergenceError
+        from tweezer_ising.experiment import _sample_offsets
+        from tweezer_ising.modes import AXIS_INDEX, TOL_PSD_REL, mass_scaled_hessian
+
+        design, scales, seed, axes, lanes = _hand_off_case(request, kind)
+        crystal, pattern = design.crystal, design.tweezers
+        trap, n = crystal.trap, crystal.n_ions
+        scales = np.atleast_1d(np.asarray(scales, dtype=float))
+        offsets = np.stack([_sample_offsets(n, [AXIS_INDEX[a] for a in axes], scales, seed, i) for i in lanes])
+        relaxed, residuals = relax_equilibria(
+            trap, YB171, np.broadcast_to(crystal.positions, offsets.shape), pattern.curvatures, crystal.positions + offsets
+        )
+        hessians = mass_scaled_hessian(relaxed, trap, YB171, pattern.curvatures)
+        converged = (residuals < TOL_EQUILIBRIUM).tolist()
+        stable = [_is_stable(h, TOL_PSD_REL * trap.omega_bar**2) for h in hessians]
+        assert converged == [kind != "unconverged"] * len(lanes)
+        if kind != "unconverged":
+            assert stable == [kind == "converged"] * len(lanes)
+        outcomes = []
+        for k, off in enumerate(offsets):
+            kwargs = dict(tweezers=pattern.with_offsets(off), tweezer_reference=crystal.positions)
+            lane = []
+            for hand_off in (None, (relaxed[k], residuals[k], None), (relaxed[k], residuals[k], hessians[k])):
+                try:
+                    solved = solve_equilibrium(trap, YB171, n, crystal.positions, first_descent=hand_off, **kwargs)
+                except Exception as err:
+                    lane.append((type(err), str(err)))
+                else:
+                    lane.append((solved.positions.tobytes(), solved.dimensionality, solved.extended_axes))
+            assert lane[1] == lane[0] == lane[2]
+            # the error class, or whether the solve kept the descended positions
+            first = lane[0][0]
+            outcomes.append(first if isinstance(first, type) else first == relaxed[k].tobytes())
+        assert outcomes == {
+            "converged": [True] * 16,  # the descended positions
+            "unstable": [ConvergenceError, False, False, ConvergenceError],  # kicked
+            "unconverged": [ConvergenceError] * 4,
+        }[kind]
+
+    def test_converged_solves_build_no_hessian_or_gradient(self, fast_fig7, monkeypatch):
+        # every descent of the fast fig7 scan converges on a stable crystal:
+        # its finishing solve checks the handed-over residual and Hessian
+        import tweezer_ising.crystal as crystal_mod
+        import tweezer_ising.experiment as experiment_mod
+
+        design, scales, samples, seed = fast_fig7
+        solving, solves, calls = [], [], []
+        solve = experiment_mod.solve_equilibrium
+
+        def traced_solve(*args, **kwargs):
+            solving.append(True)
+            solves.append(kwargs["first_descent"][2] is not None)  # handed a Hessian
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                solving.pop()
+
+        monkeypatch.setattr(experiment_mod, "solve_equilibrium", traced_solve)
+        for name in ("mass_scaled_hessian", "_potentials_and_gradients"):
+            real = getattr(crystal_mod, name)
+            monkeypatch.setattr(
+                crystal_mod, name, lambda *a, real=real, name=name: calls.append((name, bool(solving))) or real(*a)
+            )
+        scan = misalignment_scan(design, scales, samples, seed)
+        assert len(scan.records) == samples and solves == [True] * samples
+        assert {name for name, _ in calls} == {"mass_scaled_hessian", "_potentials_and_gradients"}
+        assert [name for name, in_solve in calls if in_solve] == []
+
+    def test_each_first_descent_runs_once(self, leaky_chain, monkeypatch):
+        # a descent that does not converge is not run again by its finishing
+        # solve: the scan makes the Newton steps of the per-sample loop
+        import tweezer_ising.crystal as crystal_mod
+
+        steps = []
+        real = crystal_mod.dpotrf
+
+        def counted(*args, **kwargs):
+            steps.append("clean" in kwargs)  # a Newton step's factorization; the stability check passes no clean
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(crystal_mod, "dpotrf", counted)
+        args = ([1e-7, 1e-6, 3e-6], 40, 5, ("y", "z"))
+        aligned, records, failed = _oracle_scan(leaky_chain, *args)
+        oracle_steps = steps.count(True)
+        steps.clear()
+        scan = misalignment_scan(leaky_chain, *args[:3], axes=args[3])
+        assert len(failed) == 10
+        assert repr(scan.aligned_epsilon) == repr(aligned)
+        assert scan.records == records and scan.failed_samples == failed
+        assert steps.count(True) == oracle_steps > 10 * 5 * 200
+
+    def test_one_block_of_hessians_is_alive_at_a_time(self, fast_fig7):
+        # a scan of ten blocks peaks, above what it returns, where a scan of
+        # one block does: far below one more block's stacked Hessians
+        import tracemalloc
+
+        from tweezer_ising.experiment import SCAN_BLOCK
+
+        design, scales, _, seed = fast_fig7
+        misalignment_scan(design, scales, 1, seed)  # first-call caches
+        above = []
+        for samples in (SCAN_BLOCK, 10 * SCAN_BLOCK):
+            tracemalloc.start()
+            try:
+                scan = misalignment_scan(design, scales, samples, seed)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(scan.records) == samples
+            above.append(peak - kept)
+        stack = SCAN_BLOCK * (3 * design.crystal.n_ions) ** 2 * 8  # one block's Hessians, bytes
+        assert above[1] - above[0] < stack / 4
 
 
 class TestMultiAxisDrive:
