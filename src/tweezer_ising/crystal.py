@@ -21,6 +21,7 @@ from .errors import (
     InvalidArgumentError,
     NonPlanarError,
     SingularGeometryError,
+    as_integer,
 )
 from .modes import AXIS_INDEX, TOL_PSD_REL, TweezerPattern, euclidean_norm, mass_scaled_hessian, pair_differences
 
@@ -36,11 +37,15 @@ TOL_EQUILIBRIUM = 1e-10
 DIST_FLOOR = 1e-3
 #: max out-of-structure coordinate of a converged 1D/2D crystal, in lbar
 TOL_EXTENT = 1e-6
+#: Newton steps per descent, the cap of `solve_equilibrium` and
+#: `relax_equilibria` alike, so a relaxed lane is a solve's first descent
+NEWTON_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
 class TrapConfig:
-    """Harmonic trap frequencies (rad/s) and the number of ions."""
+    """Harmonic trap frequencies (rad/s) and the number of ions, an
+    integer (Python or numpy) of at least 1."""
 
     omega_x: float
     omega_y: float
@@ -51,7 +56,7 @@ class TrapConfig:
         for name in ("omega_x", "omega_y", "omega_z"):
             if not getattr(self, name) > 0:
                 raise InvalidArgumentError(f"{name} must be positive")
-        if self.n_ions < 1:
+        if as_integer("n_ions", self.n_ions) < 1:
             raise InvalidArgumentError("n_ions must be at least 1")
 
     @property
@@ -277,7 +282,7 @@ def solve_equilibrium(
     initial_guess: Optional[np.ndarray] = None,
     tweezers: Optional["TweezerPattern"] = None,
     tweezer_reference: Optional[np.ndarray] = None,
-    max_iter: int = 200,
+    max_iter: int = NEWTON_MAX_ITER,
     require: Optional[str] = None,
     first_descent: Optional[tuple] = None,
 ) -> IonCrystal:
@@ -395,7 +400,7 @@ def relax_equilibria(
     guesses: np.ndarray,
     curvatures: Optional[np.ndarray] = None,
     centers: Optional[np.ndarray] = None,
-    max_iter: int = 200,
+    max_iter: int = NEWTON_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The first Newton descent of `solve_equilibrium` for K lanes in lockstep.
 

@@ -138,7 +138,8 @@ def read_entry(sections: dict, section: str, key: str, default=None, cast=str, p
     entry is missing and a default is given.  A missing or malformed entry
     raises InvalidArgumentError naming the section and key, and the file
     when `path` is given (a saved run); a config file's messages name the
-    key alone."""
+    key alone.  An InvalidArgumentError that `cast` raises keeps its own
+    message."""
     raw = sections.get(section, {}).get(key)
     if raw is None:
         if default is not None:
@@ -147,6 +148,8 @@ def read_entry(sections: dict, section: str, key: str, default=None, cast=str, p
         raise InvalidArgumentError(f"{missing} [{section}] {key}")
     try:
         return cast(raw)
+    except InvalidArgumentError:
+        raise
     except (TypeError, ValueError, KeyError):
         where = f"{path}: " if path else ""
         raise InvalidArgumentError(f"{where}bad value for [{section}] {key}: {raw!r}") from None

@@ -862,11 +862,11 @@ def untweezed_baseline(
     Returns (best_epsilon, best_mu, curve) with curve a list of (mu, eps)
     over the scanned range, points within DEFAULT_RESONANCE_GUARD of a
     coupled mode skipped.  `mu_range` must be finite, positive and
-    ordered, and `n_scan` at least 1.  `crystal` defaults to the unpinned
-    equilibrium of `trap`.
+    ordered, and `n_scan` an integer of at least 1.  `crystal` defaults
+    to the unpinned equilibrium of `trap`.
     """
     _check_bounds("mu_range", mu_range, positive=True)
-    if n_scan < 1:
+    if as_integer("n_scan", n_scan) < 1:
         raise InvalidArgumentError(f"n_scan must be at least 1, got {n_scan}")
     check_pin_axes(pin_axes)
     axis = _drive_axis(drive_axis, pin_axes)

@@ -1,14 +1,17 @@
 import argparse
 import dataclasses
+import inspect
 import shutil
 
 import numpy as np
 import pytest
 
-from tweezer_ising import scenarios
+from tweezer_ising import config, scenarios
 from tweezer_ising.cli import _build_parser, main
-from tweezer_ising.constants import SpeciesConstants
+from tweezer_ising.config import parse_config
+from tweezer_ising.constants import KHZ, MHZ, YB171, SpeciesConstants
 from tweezer_ising.errors import InvalidArgumentError
+from tweezer_ising.experiment import YB_PLUS_LINES
 from tweezer_ising.iofmt import (
     load_result,
     read_matrix_csv,
@@ -19,6 +22,8 @@ from tweezer_ising.iofmt import (
     write_summary,
     write_table_csv,
 )
+from tweezer_ising.optimizer import SearchSpace, run_pipeline
+from tweezer_ising.targets import TargetSpec
 
 SMALL_CONFIG = """
 [run]
@@ -553,3 +558,254 @@ class TestSubcommands:
             ["modes", "--config", str(config_path), "--out", str(out), "--pin-axes", "yz"]
         )
         assert code == 0
+
+    def test_misalign_without_saved_run_designs_and_saves_it(self, saved_run, tmp_path):
+        # the design misalign saves to aligned/ is the one optimize writes
+        config, opt = saved_run
+        out = tmp_path / "mis"
+        assert main(["misalign", "--config", str(config), "--out", str(out)]) == 0
+        aligned = out / "aligned"
+        assert sorted(p.name for p in aligned.iterdir()) == sorted(p.name for p in opt.iterdir())
+        for path in opt.iterdir():
+            if path.name != "timings.txt":
+                assert (aligned / path.name).read_bytes() == path.read_bytes(), path.name
+        _, rows, meta = read_table_csv(out / "misalignment.csv")
+        assert len(rows) == 6 and meta["failed"] == "0"
+        assert float(meta["aligned_epsilon"]) == load_result(aligned).epsilon
+
+    def test_modes_of_a_triangular_crystal(self, tmp_path):
+        # a 7-ion triangular config starts its solve from `triangular_start`
+        # and relaxes to a centred hexagon in the y-z plane
+        text = (SMALL_CONFIG.replace("omega_x_mhz = 2.0", "omega_x_mhz = 3.0")
+                .replace("omega_y_mhz = 0.8", "omega_y_mhz = 0.3").replace("omega_z_mhz = 0.25", "omega_z_mhz = 0.3")
+                .replace("n_ions = 4", "n_ions = 7").replace("geometry = chain", "geometry = triangular")
+                .replace("variant = nearest_neighbor", "variant = triangular_af")
+                .replace("omega_mhz = 0.1,0.2,0.2,0.1", "omega_mhz = 0.1,0.2,0.2,0.1,0.1,0.1,0.1"))
+        config = tmp_path / "tri.cfg"
+        config.write_text(text)
+        out = tmp_path / "m"
+        assert main(["modes", "--config", str(config), "--out", str(out)]) == 0
+        positions, _ = read_matrix_csv(out / "positions.csv")
+        assert positions.shape == (7, 3) and np.all(positions[:, 0] == 0.0)
+        radii = np.sort(np.linalg.norm(positions, axis=1))
+        assert radii[0] < 1e-12 * radii[-1]
+        np.testing.assert_allclose(radii[1:], radii[-1], rtol=1e-12)
+        _, spectrum, _ = read_table_csv(out / "spectrum.csv")
+        assert len(spectrum) == 21
+
+
+#: the files each fast reproduce token writes: its tables, and the saved
+#: run of each scenario it designs
+REPRODUCED = {
+    "fig3": (["summary_table.csv"], ["nn_chain_12"]),
+    "fig4": (["power_law_errors.csv"], []),
+    "fig5": (["summary_table.csv"], ["spin_ladder_12"]),
+    "fig6": (["summary_table.csv"], ["triangular_af_19"]),
+    "fig7": (["misalignment.csv"], ["nn_chain_12"]),
+    "table1": (
+        ["summary_table.csv"],
+        ["nn_chain_12", "power_law_even_xi1.5", "power_law_even_xi3.5", "power_law_uneven_xi1.5", "power_law_uneven_xi3.5"],
+    ),
+    "table2": (["summary_table.csv"], ["spin_ladder_12", "triangular_af_19"]),
+}
+SAVED_FILES = ["cells.csv", "positions.csv", "realized_matrix.csv", "spectrum.csv", "summary.txt",
+               "target_matrix.csv", "timings.txt", "tweezer_pattern.csv"]
+
+
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    """The directory of each fast reproduce token's files."""
+    root = tmp_path_factory.mktemp("reproduce")
+    for token in scenarios.SCENARIO_TOKENS:
+        assert main(["reproduce", token, "--fast", "--out", str(root / token)]) == 0
+    return root
+
+
+class TestReproduce:
+    def test_every_token_is_covered(self):
+        assert sorted(REPRODUCED) == sorted(scenarios.SCENARIO_TOKENS)
+
+    @pytest.mark.parametrize("token", sorted(REPRODUCED))
+    def test_each_token_writes_its_files(self, reproduced, token):
+        tables, runs = REPRODUCED[token]
+        out = reproduced / token
+        assert sorted(p.name for p in out.iterdir()) == sorted(tables + runs)
+        for run in runs:
+            assert sorted(p.name for p in (out / run).iterdir()) == SAVED_FILES
+
+    @pytest.mark.parametrize("token", sorted(t for t, (tables, _) in REPRODUCED.items() if "summary_table.csv" in tables))
+    def test_summary_table_lists_each_saved_run(self, reproduced, token):
+        cols, rows, meta = read_table_csv(reproduced / token / "summary_table.csv")
+        assert cols == ["scenario", "omega_scan_mhz", "mu_mhz", "max_pin_mhz", "epsilon"] and meta["name"] == token
+        assert sorted(row[0] for row in rows) == REPRODUCED[token][1]
+        for name, *_, epsilon in rows:
+            assert float(read_summary(reproduced / token / name / "summary.txt")["result"]["epsilon"]) == epsilon
+
+    def test_summary_epsilon_is_the_scenarios(self, reproduced):
+        _, rows, _ = read_table_csv(reproduced / "fig5" / "summary_table.csv")
+        assert rows[0][-1] == scenarios.run_scenario(scenarios.frustrated_ladder_12(fast=True)).epsilon
+
+    def test_one_scenario_saves_the_same_run_in_every_token(self, reproduced):
+        for name, tokens in (("nn_chain_12", ("fig3", "fig7", "table1")), ("spin_ladder_12", ("fig5", "table2")),
+                             ("triangular_af_19", ("fig6", "table2"))):
+            first = reproduced / tokens[0] / name
+            for token in tokens[1:]:
+                for file in (f for f in SAVED_FILES if f != "timings.txt"):
+                    assert (reproduced / token / name / file).read_bytes() == (first / file).read_bytes(), (token, file)
+
+    def test_power_law_sweep(self, reproduced):
+        cols, rows, _ = read_table_csv(reproduced / "fig4" / "power_law_errors.csv")
+        assert cols == ["exponent", "epsilon_even", "epsilon_uneven", "epsilon_unpinned"]
+        assert [row[0] for row in rows] == list(scenarios.power_law_exponents(fast=True))
+        # the xi = 1.5 designs are table1's
+        _, table, _ = read_table_csv(reproduced / "table1" / "summary_table.csv")
+        epsilon = {row[0]: row[-1] for row in table}
+        assert rows[0][1:3] == [epsilon["power_law_even_xi1.5"], epsilon["power_law_uneven_xi1.5"]]
+        assert all(0 < row[3] for row in rows)
+
+    def test_misalignment_scan(self, reproduced):
+        _, rows, meta = read_table_csv(reproduced / "fig7" / "misalignment.csv")
+        _, samples, _ = scenarios.misalignment_settings(fast=True)
+        assert len(rows) == samples and meta["samples"] == str(samples) and meta["failed"] == "0"
+        saved = read_summary(reproduced / "fig7" / "nn_chain_12" / "summary.txt")
+        assert meta["aligned_epsilon"] == saved["result"]["epsilon"]
+
+    def test_rerun_is_byte_identical_apart_from_timings(self, reproduced, tmp_path):
+        assert main(["reproduce", "fig3", "--fast", "--out", str(tmp_path)]) == 0
+        first = reproduced / "fig3"
+        written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+        assert written == sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+        for path in written:
+            if path.name != "timings.txt":
+                assert (tmp_path / path).read_bytes() == (first / path).read_bytes(), path
+
+
+REQUIRED_ONLY = """
+[trap]
+omega_x_mhz = 2.0
+omega_y_mhz = 0.8
+omega_z_mhz = 0.25
+n_ions = 4
+
+[search]
+omega_min_mhz = 0.25
+omega_max_mhz = 0.25
+mu_min_mhz = 0.60
+mu_max_mhz = 0.75
+pin_max_mhz = 0.4
+"""
+
+
+class TestConfigFormat:
+    def test_required_keys_alone_take_the_owners_defaults(self, tmp_path):
+        # each default is its owner's: the records', run_pipeline's, the
+        # misalignment settings' and the atomic lines'
+        path = tmp_path / "required.cfg"
+        path.write_text(REQUIRED_ONLY)
+        cfg = parse_config(path, env={})
+        assert cfg.space == SearchSpace(omega_scan=(0.25 * MHZ, 0.25 * MHZ), mu=(0.6 * MHZ, 0.75 * MHZ), pin=(0.0, 0.4 * MHZ))
+        assert cfg.target == TargetSpec("nearest_neighbor")
+        pipeline = inspect.signature(run_pipeline).parameters
+        assert (cfg.symmetry, cfg.final_geometry, cfg.seed) == tuple(
+            pipeline[name].default for name in ("symmetry", "final_geometry", "seed")
+        )
+        scales, samples, _ = scenarios.misalignment_settings(False)
+        assert cfg.misalign_scales.tobytes() == scales.tobytes() and cfg.misalign_samples == samples
+        assert cfg.hyperfine == YB_PLUS_LINES.hyperfine_splitting
+        assert (cfg.species, cfg.drive_axis, cfg.mu, cfg.g, cfg.k_eff, cfg.pinning, cfg.misalign_axes, cfg.lines_file) == (
+            YB171, "y", None, None, None, None, None, None
+        )
+        assert (cfg.beam_power, cfg.beam_waist, cfg.beam_wavelength) == (1.0, 1e-6, 1070.0 * 1e-9)
+
+    def test_the_table_is_the_format(self, config_path):
+        # 46 keys in eight sections, no key name in two sections, and
+        # SMALL_CONFIG's keys among them
+        assert set(config.KEYS) == {"run", "trap", "target", "drive", "search", "pinning", "misalign", "experiment"}
+        names = [key for keys in config.KEYS.values() for key in keys]
+        assert len(names) == len(set(names)) == 46
+        for section, entries in read_summary(config_path, kind="config").items():
+            assert set(entries) <= set(config.KEYS[section]), section
+
+    # one fault per file, and the message it gets
+    FAULTS = {
+        "unknown_section": (("\n[run]\n", "\n[Plotting]\ncolor = red\n[run]\n"), "unknown config section [Plotting]"),
+        "unknown_key_section_spelling": (("[trap]", "[Trap]\nbogus = 1"), "unknown config key [Trap] bogus"),
+        "missing": (("pin_max_mhz = 0.4\n", ""), "missing config key [search] pin_max_mhz"),
+        "bad_value": (("mu_grid = 5", "mu_grid = five"), "bad value for [search] mu_grid: 'five'"),
+        "bad_optional_value": (("mu_mhz = 0.68", "mu_mhz = fast"), "bad value for [drive] mu_mhz: 'fast'"),
+        "bad_sign": (("sign = af", "sign = Up"), "bad [target] sign 'up'; use af or ferro"),
+        "bad_geometry": (("geometry = chain", "geometry = ring"), "unknown geometry 'ring' in [trap] geometry"),
+        "explicit_target": (
+            ("variant = nearest_neighbor", "variant = explicit"), "explicit target needs matrix_file or edge_file"
+        ),
+        "pinning_length": (("omega_mhz = 0.1,0.2,0.2,0.1", "omega_mhz = 0.1,0.2"),
+                           "[pinning] omega_mhz must list one value per ion"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FAULTS))
+    def test_one_fault_one_message(self, tmp_path, case):
+        (old, new), message = self.FAULTS[case]
+        assert old in SMALL_CONFIG
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG.replace(old, new, 1))
+        with pytest.raises(InvalidArgumentError) as err:
+            parse_config(path, env={})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "env, overrides, message",
+        [
+            ({"TWEEZER_ISING__TRAP__BOGUS": "1"}, None, "override TWEEZER_ISING__TRAP__BOGUS names unknown key [trap] bogus"),
+            ({"TWEEZER_ISING__PLOTTING__COLOR": "red"}, None,
+             "override TWEEZER_ISING__PLOTTING__COLOR names unknown key [plotting] color"),
+            ({"TWEEZER_ISING__SEED": "1"}, None, "malformed override variable TWEEZER_ISING__SEED"),
+            ({}, {"search": {"bogus": "1"}}, "override names unknown key [search] bogus"),
+            ({}, {"plotting": {"color": "red"}}, "override names unknown key [plotting] color"),
+        ],
+        ids=["env_key", "env_section", "env_malformed", "override_key", "override_section"],
+    )
+    def test_unknown_override_is_named(self, config_path, env, overrides, message):
+        with pytest.raises(InvalidArgumentError) as err:
+            parse_config(config_path, env=env, overrides=overrides)
+        assert str(err.value) == message
+
+    def test_override_order(self, config_path):
+        # the environment overrides the file, and the overrides the environment
+        env = {"TWEEZER_ISING__RUN__SEED": "7", "TWEEZER_ISING__SEARCH__MU_GRID": "3", "OTHER__RUN__SEED": "x"}
+        cfg = parse_config(config_path, env=env, overrides={"run": {"seed": "9"}})
+        assert (cfg.seed, cfg.space.mu_grid, cfg.space.restarts) == (9, 3, 2)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("scales_nm = 5,20", "scales_nm = 5,x", "bad value for [misalign] scales_nm: '5,x'"),
+            ("omega_mhz = 0.1,0.2,0.2,0.1", "omega_mhz = 0.1,0.2,y,0.1",
+             "bad value for [pinning] omega_mhz: '0.1,0.2,y,0.1'"),
+            ("axis = y", "axis = 0,1,z", "bad value for [drive] axis: '0,1,z'"),
+        ],
+        ids=["scales", "pinning", "drive_axis"],
+    )
+    def test_bad_number_in_a_list_names_its_key(self, tmp_path, old, new, message):
+        # used to end in a bare ValueError from float()
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG.replace(old, new))
+        with pytest.raises(InvalidArgumentError) as err:
+            parse_config(path, env={})
+        assert str(err.value) == message
+
+    def test_blank_optional_entries_read_as_unset(self, tmp_path):
+        path = tmp_path / "blank.cfg"
+        path.write_text(SMALL_CONFIG.replace("mu_mhz = 0.68", "mu_mhz =\nk_eff_per_m =")
+                        .replace("omega_mhz = 0.1,0.2,0.2,0.1", "omega_mhz =").replace("samples = 6", "samples = 6\naxes ="))
+        cfg = parse_config(path, env={})
+        assert (cfg.mu, cfg.k_eff, cfg.pinning, cfg.misalign_axes) == (None, None, None, None)
+
+    def test_units_are_converted_once(self, config_path):
+        cfg = parse_config(config_path, env={"TWEEZER_ISING__DRIVE__RESONANCE_GUARD_KHZ": "2.5",
+                                              "TWEEZER_ISING__EXPERIMENT__HYPERFINE_GHZ": "12.6428"})
+        assert cfg.space.mu == (float("0.60") * MHZ, float("0.75") * MHZ) and cfg.mu == 0.68 * MHZ
+        assert cfg.space.resonance_guard == 2.5 * KHZ
+        assert cfg.pinning.tobytes() == (np.array([0.1, 0.2, 0.2, 0.1]) * MHZ).tobytes()
+        assert cfg.misalign_scales.tobytes() == (np.array([5.0, 20.0]) * 1e-9).tobytes()
+        assert (cfg.beam_waist, cfg.beam_wavelength) == (1.0 * 1e-6, 1070.0 * 1e-9)
+        assert cfg.hyperfine == 12.6428 * 2.0 * np.pi * 1e9

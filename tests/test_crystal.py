@@ -39,6 +39,18 @@ class TestTrapConfig:
         trap = TrapConfig(2.0 * MHZ, 1.7 * MHZ, 0.2 * MHZ, n_ions=5)
         assert trap.replace_axis("y", 1.5 * MHZ) == TrapConfig(2.0 * MHZ, 1.5 * MHZ, 0.2 * MHZ, n_ions=5)
 
+    @pytest.mark.parametrize("n_ions", [5.0, 5.5, "5", None])
+    def test_rejects_a_non_integer_ion_count(self, n_ions):
+        # 5.0 and 5.5 were accepted, and solve_equilibrium then died with a
+        # bare TypeError ("'float' object cannot be interpreted as an integer")
+        with pytest.raises(InvalidArgumentError, match=f"n_ions must be an integer, got {n_ions!r}"):
+            TrapConfig(2.0 * MHZ, 1.7 * MHZ, 0.2 * MHZ, n_ions=n_ions)
+
+    def test_accepts_a_numpy_integer_ion_count(self):
+        assert TrapConfig(2.0 * MHZ, 1.7 * MHZ, 0.2 * MHZ, n_ions=np.int64(5)) == TrapConfig(
+            2.0 * MHZ, 1.7 * MHZ, 0.2 * MHZ, n_ions=5
+        )
+
     def test_replace_axis_rejects_an_unknown_axis(self):
         # used to raise TypeError for the keyword omega_w
         trap = TrapConfig(2.0 * MHZ, 1.7 * MHZ, 0.2 * MHZ, n_ions=5)

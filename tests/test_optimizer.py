@@ -930,6 +930,19 @@ class TestUntweezedBaseline:
                 TargetSpec("nearest_neighbor", "chain"), trap, YB171, (0.6 * MHZ, 0.75 * MHZ), n_scan=n_scan
             )
 
+    @pytest.mark.parametrize("n_scan", [2.5, 20.0])
+    def test_rejects_non_integer_scan_before_solving(self, n_scan, monkeypatch):
+        # used to solve the crystal and end in numpy's bare TypeError from linspace
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved an equilibrium for a non-integer scan")
+
+        monkeypatch.setattr(optimizer, "solve_equilibrium", no_solve)
+        trap = TrapConfig(2.0 * MHZ, 0.8 * MHZ, 0.25 * MHZ, n_ions=5)
+        with pytest.raises(InvalidArgumentError, match=f"n_scan must be an integer, got {n_scan}"):
+            optimizer.untweezed_baseline(
+                TargetSpec("nearest_neighbor", "chain"), trap, YB171, (0.6 * MHZ, 0.75 * MHZ), n_scan=n_scan
+            )
+
     @pytest.mark.parametrize(
         "mu_range",
         [(-1.0, 0.7 * MHZ), (np.nan, 0.75 * MHZ), (0.6 * MHZ, np.inf), (0.75 * MHZ, 0.6 * MHZ)],

@@ -2,8 +2,7 @@
 
 A workflow file that does not parse runs no step at all, and CI cannot
 report that about itself, so the check runs here.  It needs PyYAML, which
-CI's pinned install leaves out: there the test is skipped, and it runs
-wherever PyYAML is installed.
+CI's pinned install includes; where PyYAML is not installed it is skipped.
 """
 
 from pathlib import Path
