@@ -23,7 +23,7 @@ from .errors import (
     SingularGeometryError,
     as_integer,
 )
-from .modes import AXIS_INDEX, TOL_PSD_REL, TweezerPattern, euclidean_norm, mass_scaled_hessian, pair_differences
+from .modes import AXIS_INDEX, TOL_PSD_REL, TweezerPattern, euclidean_norm, mass_scaled_hessian, pair_planes
 
 
 # the LAPACK wrappers alone: these are the objects `scipy.linalg.lapack`
@@ -137,8 +137,8 @@ def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_terms(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`pair_differences` of positions (..., N, 3) and the distances of the pairs i < j."""
-    diff, dist = pair_differences(pos)
+    """`pair_planes` of positions (..., N, 3) and the distances of the pairs i < j."""
+    diff, dist = pair_planes(pos)
     upper = _pair_tables(pos.shape[-2])[0]
     return diff, dist, dist.reshape(dist.shape[:-2] + (-1,)).take(upper, axis=-1)
 
@@ -180,6 +180,9 @@ def _potentials_and_gradients(pos, pairs, trap, species, curv, centers):
     those it reads.  Every lane has the bits of its lone evaluation: the
     gradient is stacked and each energy is summed on its own, because
     numpy's row sums of a stack do not add in the order of a lone sum.
+    The Coulomb force on ion i sums (r_i - r_j) / r^3 over its partners j
+    in order, over axis -2 of the component-major `pair_planes`, and the
+    energy sums 1 / r over the pairs i < j.
     """
     m = species.mass
     w2 = trap.omegas**2
@@ -194,7 +197,7 @@ def _potentials_and_gradients(pos, pairs, trap, species, curv, centers):
         inv3 = np.zeros(dist.shape)
         flat = inv3.reshape(len(pos), -1)
         flat[:, off] = dist.reshape(len(pos), -1)[:, off] ** -3
-        grad += -ke2 * (diff * inv3[..., None]).sum(axis=2)
+        grad += -ke2 * np.moveaxis((diff * inv3).sum(axis=-2), 0, -1)
     if curv is not None:
         u = pos - centers
         grad += m * np.einsum("iab,kib->kia", curv, u)
@@ -298,20 +301,23 @@ def solve_equilibrium(
     A descent that ends below `TOL_EQUILIBRIUM` is kept when its crystal
     is stable (`_is_stable`: one Cholesky factorization, and `eigvalsh`
     only for a crystal it does not certify); otherwise it is kicked and
-    repeated, up to five times.  A guess with coincident ions raises
-    InvalidArgumentError from the first descent, which leaves it unmoved.
+    repeated, up to five times.  The stability check reads the Hessian the
+    descent built with its last point, so the check builds none.  A guess
+    with coincident ions raises InvalidArgumentError from the first
+    descent, which leaves it unmoved.  `max_iter`, the Newton steps per
+    descent, is a nonnegative integer (InvalidArgumentError otherwise); 0
+    checks the guess as it is.
 
     ``first_descent`` hands the solve the outcome of its own first
-    descent, run elsewhere: ``(positions, residual, hessian)``, the lane
-    of `relax_equilibria` that descended from ``initial_guess`` with these
-    tweezers and `max_iter`, and the `mass_scaled_hessian` at those
-    positions with the pattern's curvatures, or None to have the solve
-    build it.  The solve then skips that descent and runs its checks, and
+    descent, run elsewhere: ``(positions, residual, hessian)``, lane k of
+    `relax_equilibria` run from ``initial_guess`` with these tweezers and
+    `max_iter`.  The solve then skips that descent and runs its checks, and
     any kicks, from there, so it gives the bits of the solve without the
     hand-off.  Nothing checks that the hand-off is that outcome.
     """
     if n_ions != trap.n_ions:
         raise InvalidArgumentError("n_ions disagrees with trap.n_ions")
+    max_iter = _newton_cap(max_iter)
     if initial_guess is None:
         initial_guess = default_chain_guess(trap, species)
     guess = np.asarray(initial_guess, dtype=float).reshape(n_ions, 3)
@@ -330,8 +336,7 @@ def solve_equilibrium(
     # transition); kick deterministically and re-descend
     for attempt in range(5):
         if attempt or first_descent is None:
-            (pos,), (residual,) = _descents(pos[None], trap, species, curv, centers, scales, max_iter)
-            hess = None
+            (pos,), (residual,), (hess,) = _descents(pos[None], trap, species, curv, centers, scales, max_iter)
         else:
             pos, residual, hess = first_descent
             pos = np.array(pos, dtype=float).reshape(n_ions, 3)  # the solved crystal's own positions
@@ -340,8 +345,6 @@ def solve_equilibrium(
             if attempt == 0:
                 raise InvalidArgumentError("initial guess has coincident ions")
             raise SingularGeometryError("coincident ions in potential evaluation")  # a kick joined two ions
-        if hess is None:
-            hess = mass_scaled_hessian(pos, trap, species, curv)
         stable = _is_stable(hess, scales.psd_floor)
         if residual < TOL_EQUILIBRIUM and stable:
             break
@@ -401,22 +404,42 @@ def relax_equilibria(
     curvatures: Optional[np.ndarray] = None,
     centers: Optional[np.ndarray] = None,
     max_iter: int = NEWTON_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first Newton descent of `solve_equilibrium` for K lanes in lockstep.
 
     ``guesses`` and the tweezer ``centers`` are (K, N, 3) stacks of
-    distinct-ion positions; the tweezer ``curvatures`` (N, 3, 3), or None
-    for no tweezers, are shared.  The lanes descend together in
-    `_descents`, and every lane has the bits of its lone descent.
+    distinct-ion positions, N the trap's ion count; the tweezer
+    ``curvatures`` (N, 3, 3), or None for no tweezers, are shared.  The
+    lanes descend together in `_descents`, and every lane has the bits of
+    its lone descent.  Guesses of another shape, tweezer centers that are
+    not of the guesses' shape, or a `max_iter` that is not a nonnegative
+    integer, raise InvalidArgumentError.
 
-    Returns the positions (K, N, 3) where the descents ended and their
-    scaled residuals (K,); a lane converged where its residual is below
-    `TOL_EQUILIBRIUM`, and it is NaN for a lane that started on coincident
-    ions.  Lane k, with the Hessian at its positions if it converged, is
-    the ``first_descent`` of a `solve_equilibrium` from guess k with the
-    same tweezers and `max_iter`.
+    Returns the positions (K, N, 3) where the descents ended, their scaled
+    residuals (K,) and the `mass_scaled_hessian`s (K, 3N, 3N) at those
+    positions with the curvatures, each built from the pair terms of the
+    lane's force evaluation there; a lane converged where its residual is
+    below `TOL_EQUILIBRIUM`.  A lane that started on coincident ions is not
+    evaluated: its residual and its Hessian are NaN.  Lane k is the
+    ``first_descent`` of a `solve_equilibrium` from guess k with the same
+    tweezers and `max_iter`.
     """
+    shape = np.shape(guesses)
+    if len(shape) != 3 or shape[1:] != (trap.n_ions, 3):
+        raise InvalidArgumentError(f"guesses must have shape (K, {trap.n_ions}, 3), got {shape}")
+    if curvatures is not None and np.shape(centers) != shape:
+        raise InvalidArgumentError(f"tweezer centers must have the guesses' shape {shape}, got {np.shape(centers)}")
+    max_iter = _newton_cap(max_iter)
     return _descents(guesses, trap, species, curvatures, centers, _Scales.of(trap, species), max_iter)
+
+
+def _newton_cap(max_iter) -> int:
+    """`max_iter` as an int; a value that is not a nonnegative integer
+    raises InvalidArgumentError."""
+    max_iter = as_integer("max_iter", max_iter)
+    if max_iter < 0:
+        raise InvalidArgumentError(f"max_iter must be nonnegative, got {max_iter}")
+    return max_iter
 
 
 @dataclass(frozen=True)
@@ -440,35 +463,38 @@ class _Scales:
 def _descents(pos, trap, species, curvatures, centers, scales, max_iter):
     """Damped Newton descents from a (K, N, 3) stack of positions, in lockstep.
 
-    Each Newton iteration makes one stacked `mass_scaled_hessian` for the
-    lanes still descending (a stack of one for a lone lane), and each
-    line-search round one stacked `_potentials_and_gradients` call at the
-    lanes' trials; a trial closer than the distance floor gets no
-    evaluation and halves its step.  The Cholesky solves, norms, slopes and
+    Each line-search round makes one `_evaluate` call at the lanes'
+    trials, the start points first: one computation of their pair terms,
+    from which come the energies, the gradients and the
+    `mass_scaled_hessian`s of all of them; a trial closer than the
+    distance floor gets no evaluation and halves its step.  Each lane keeps
+    the Hessian of the point it accepted, which gives its next Newton step
+    and is returned with the point.  The Cholesky solves, norms, slopes and
     acceptance tests stay per lane, so every lane has the bits of its lone
     descent.  ``centers`` is a (K, N, 3) stack, or None without tweezers;
     neither it nor ``pos`` is written to.
 
-    Returns the positions (K, N, 3) and the scaled residuals (K,), NaN for
-    a lane that starts on coincident ions and so does not descend.
+    Returns the positions (K, N, 3), the scaled residuals (K,) and the
+    Hessians (K, 3N, 3N) there; the residual and the Hessian are NaN for a
+    lane that starts on coincident ions and so does not descend.
     """
     pos = np.array(pos, dtype=float)  # a copy: the caller's stack may be a view
     grad, step = np.empty_like(pos), np.empty_like(pos)
+    hess = np.full((len(pos), 3 * pos.shape[1], 3 * pos.shape[1]), np.nan)
     norm, slope, alpha = np.full(len(pos), np.nan), np.empty(len(pos)), np.empty(len(pos))
     energy = [None] * len(pos)  # a float, or a function to call for it
     evaluate = partial(_evaluate, trap=trap, species=species, curvatures=curvatures, centers=centers)
-    lanes, energy_of, grads = evaluate(pos, np.arange(len(pos)), 0.0)
+    lanes, energy_of, grads, hessians = evaluate(pos, np.arange(len(pos)), 0.0)
     lanes = lanes.tolist()
     for i, k in enumerate(lanes):
-        grad[k], energy[k], norm[k] = grads[i], partial(energy_of, i), euclidean_norm(grads[i])
+        grad[k], hess[k], energy[k], norm[k] = grads[i], hessians[i], partial(energy_of, i), euclidean_norm(grads[i])
     for _ in range(max_iter):
         lanes = [k for k in lanes if not norm[k] / scales.force_scale < TOL_EQUILIBRIUM]
         if not lanes:
             break
-        hess = mass_scaled_hessian(pos[lanes], trap, species, curvatures)
-        for j, k in enumerate(lanes):
+        for k in lanes:
             # cho_factor and cho_solve's LAPACK calls, without their wrappers
-            factor, info = dpotrf(scales.m * hess[j], lower=1, clean=0)
+            factor, info = dpotrf(scales.m * hess[k], lower=1, clean=0)
             if info == 0:
                 step[k] = dpotrs(factor, -grad[k].ravel(), lower=1)[0].reshape(-1, 3)
             else:
@@ -481,7 +507,7 @@ def _descents(pos, trap, species, curvatures, centers, scales, max_iter):
         search = lanes
         while search:
             trials = pos[search] + alpha[search, None, None] * step[search]
-            kept, energy_of, grads = evaluate(trials, np.array(search), scales.dist_floor)
+            kept, energy_of, grads, hessians = evaluate(trials, np.array(search), scales.dist_floor)
             evaluated = dict(zip(kept.tolist(), range(len(kept))))
             retry = []
             for j, k in enumerate(search):
@@ -496,21 +522,24 @@ def _descents(pos, trap, species, curvatures, centers, scales, max_iter):
                         energy[k] = energy[k]() if callable(energy[k]) else energy[k]
                         e_t = energy_of(i)
                     if shrinks or e_t <= energy[k] + 1e-4 * alpha[k] * slope[k]:
-                        pos[k], grad[k], norm[k] = trials[j], grads[i], g_norm
+                        pos[k], grad[k], hess[k], norm[k] = trials[j], grads[i], hessians[i], g_norm
                         energy[k] = partial(energy_of, i) if shrinks else e_t
                         continue
                 alpha[k] *= 0.5
                 retry.append(k)
             search = [k for k in retry if alpha[k] > 1e-18]
         lanes = [k for k in lanes if alpha[k] > 1e-18]  # the others found no step: their descents end
-    return pos, norm / scales.force_scale
+    return pos, norm / scales.force_scale, hess
 
 
 def _evaluate(trials, lanes, floor, trap, species, curvatures, centers):
-    """One stacked potential-and-gradient call at the (k, N, 3) ``trials``
-    of ``lanes`` whose nearest ions are not closer than ``floor`` and not
-    coincident.  Returns the indices of the evaluated trials, the energies
-    as a function of their position among them, and their gradients."""
+    """The energies, gradients and Hessians at the (k, N, 3) ``trials`` of
+    ``lanes`` whose nearest ions are not closer than ``floor`` and not
+    coincident, from one computation of their pair terms: one stacked
+    `_potentials_and_gradients` call and one stacked `mass_scaled_hessian`
+    (with the tweezer curvatures) handed its planes.  Returns the indices
+    of the evaluated trials, the energies as a function of their position
+    among them, their gradients and their Hessians."""
     keep, pairs = np.arange(len(trials)), None
     if trap.n_ions > 1 and keep.size:
         pairs = _pair_terms(trials)
@@ -518,12 +547,14 @@ def _evaluate(trials, lanes, floor, trap, species, curvatures, centers):
         keep = np.flatnonzero(~((nearest < floor) | (nearest <= 0.0)))
         if 0 < keep.size < len(trials):
             trials = trials[keep]
-            pairs = tuple(a[keep] for a in pairs)
+            diff, dist, upper = pairs
+            pairs = diff[:, keep], dist[keep], upper[keep]
     if not keep.size:
-        return keep, None, None
+        return keep, None, None, None
     lane_centers = None if curvatures is None else centers[lanes[keep]]
     energy_of, grads = _potentials_and_gradients(trials, pairs, trap, species, curvatures, lane_centers)
-    return keep, energy_of, grads
+    hessians = mass_scaled_hessian(trials, trap, species, curvatures, None if pairs is None else pairs[:2])
+    return keep, energy_of, grads, hessians
 
 
 def _classify_geometry(pos, trap, species):

@@ -26,7 +26,7 @@ from .errors import (
     as_integer,
     as_seed,
 )
-from .modes import AXIS_INDEX, mass_scaled_hessian, row_norms
+from .modes import AXIS_INDEX, row_norms
 from .targets import data_lines
 
 #: minimum detuning from any transition, in linewidths
@@ -248,20 +248,22 @@ def misalignment_scan(
 
     After the aligned crystal's `realized_coupling`, the scan runs one
     loop per block of `SCAN_BLOCK` samples, and every sample gets the bits
-    of one-at-a-time solves.  (1) Descend: the block's Newton descents run
+    of one-at-a-time solves.  (0) Draw: each sample draws its offsets from
+    its own stream, and the block's draws are shaped into offsets together
+    (`_block_offsets`).  (1) Descend: the block's Newton descents run
     together (`relax_equilibria`, whose lockstep loop `crystal._descents`
-    makes one Hessian per iteration and one potential-and-gradient call per
-    line-search round), not refilled as lanes finish.  (2) Grade: one
-    stacked `mass_scaled_hessian` and one `grade_hessians` (one `eigh`) of
-    the converged descents; each sample's J, or the exception its grading
-    raises, is kept with its Hessian until the block is finished.
-    (3) Finish, per sample in order: `solve_equilibrium` from the aligned
-    crystal, handed its lane's descent as ``first_descent`` (with its
-    Hessian, where it converged), so the solve repeats no descent and
-    builds no Hessian for a converged lane it keeps; then, if the solve
-    returned the descended positions, the graded J's `coupling_error`, and
-    otherwise (no converged descent, or a kick) a lone
-    `realized_coupling`.  The solve and its `coupling_error` stay per
+    makes one stacked evaluation per line-search round: one pass over the
+    trials' ion pairs gives their energies, forces and Hessians), not
+    refilled as lanes finish; each lane returns with the Hessian of the
+    point it ended on.  (2) Grade: one `grade_hessians` (one `eigh`) of the
+    converged descents' Hessians; each sample's J, or the exception its
+    grading raises, is kept until the block is finished.  (3) Finish, per
+    sample in order: `solve_equilibrium` from the aligned crystal, handed
+    its lane's descent and Hessian as ``first_descent``, so the solve
+    repeats no descent and builds no Hessian for a lane it keeps; then, if
+    the solve returned the descended positions, the graded J's
+    `coupling_error`, and otherwise (no converged descent, or a kick) a
+    lone `realized_coupling`.  The solve and its `coupling_error` stay per
     sample because a sample is timed and counted from one to the other.
     One block's Hessians and gradings are alive at a time.
     Samples whose equilibrium solve fails to converge, or whose crystal is
@@ -316,7 +318,7 @@ def _scan(result, scales, samples, seed, axis_idx):
     failed = []
     for start in range(0, samples, SCAN_BLOCK):
         block = range(start, min(start + SCAN_BLOCK, samples))
-        offsets = np.stack([_sample_offsets(crystal.n_ions, axis_idx, scales, seed, i) for i in block])
+        offsets = _block_offsets(crystal.n_ions, axis_idx, scales, seed, block)
         _scan_block(result, drive, block, offsets, records, failed)
     return MisalignmentScan(records, aligned_eps, failed)
 
@@ -328,7 +330,7 @@ def _scan_block(result, drive, block, offsets, records, failed):
     return, so one block's are alive at a time."""
     crystal, pattern = result.crystal, result.tweezers
     trap, species = crystal.trap, crystal.species
-    relaxed, residuals = relax_equilibria(
+    relaxed, residuals, hessians = relax_equilibria(
         trap,
         species,
         np.broadcast_to(crystal.positions, offsets.shape),
@@ -336,11 +338,9 @@ def _scan_block(result, drive, block, offsets, records, failed):
         crystal.positions + offsets,
     )
     converged = np.flatnonzero(residuals < TOL_EQUILIBRIUM).tolist()
-    hessians, graded = {}, {}  # converged lane -> its Hessian; its J, or the exception its grading raises
+    graded = {}  # converged lane -> its J, or the exception its grading raises
     if converged:
-        stack = mass_scaled_hessian(relaxed[converged], trap, species, pattern.curvatures)
-        hessians = dict(zip(converged, stack))
-        graded = dict(zip(converged, grade_hessians(stack, trap.omega_bar, *drive, species).couplings))
+        graded = dict(zip(converged, grade_hessians(hessians[converged], trap.omega_bar, *drive, species).couplings))
     for k, (i, off) in enumerate(zip(block, offsets)):
         try:
             shifted = solve_equilibrium(
@@ -350,7 +350,7 @@ def _scan_block(result, drive, block, offsets, records, failed):
                 crystal.positions,
                 tweezers=pattern.with_offsets(off),
                 tweezer_reference=crystal.positions,
-                first_descent=(relaxed[k], residuals[k], hessians.get(k)),
+                first_descent=(relaxed[k], residuals[k], hessians[k]),
             )
             if k in graded and np.array_equal(shifted.positions, relaxed[k]):
                 if isinstance(graded[k], Exception):
@@ -403,17 +403,24 @@ def _blas_thread_calls():
     return None
 
 
-def _sample_offsets(n, axis_idx, scales, seed, i):
-    """Sample i's tweezer offsets (n, 3): per ion, uniform in a ball of the
-    sample's radius on the given axes, from the sample's own stream."""
-    scale = float(scales[i % scales.size])
-    offsets = np.zeros((n, 3))
-    if scale > 0:
-        dim = len(axis_idx)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
-        direction = rng.standard_normal((n, dim))
-        norms = row_norms(direction)[:, None]
-        norms[norms == 0] = 1.0
-        radius = scale * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / dim)
-        offsets[:, axis_idx] = radius * direction / norms
+def _block_offsets(n, axis_idx, scales, seed, block):
+    """The tweezer offsets (K, n, 3) of the K samples whose indices are
+    ``block``: per ion, uniform in a ball of the sample's radius on
+    the given axes.  Sample i draws its normals, then its uniforms, from
+    its own stream, and a sample of radius zero draws nothing and is not
+    offset; the norms, the radii and the scaling then run once on the
+    block's stacked draws, each element as its sample alone would give it."""
+    dim = len(axis_idx)
+    radii = scales[np.asarray(block, dtype=int) % scales.size]
+    direction = np.zeros((len(block), n, dim))
+    spread = np.zeros((len(block), n, 1))
+    for k, i in enumerate(block):
+        if radii[k] > 0:
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+            direction[k] = rng.standard_normal((n, dim))
+            spread[k] = rng.uniform(0.0, 1.0, size=(n, 1))
+    norms = row_norms(direction)[..., None]
+    norms[norms == 0] = 1.0
+    offsets = np.zeros((len(block), n, 3))
+    offsets[..., axis_idx] = radii[:, None, None] * spread ** (1.0 / dim) * direction / norms
     return offsets

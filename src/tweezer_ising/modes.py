@@ -33,8 +33,6 @@ TOL_DEGENERACY_REL = 1e-9
 #: fraction of squared norm on one axis set for direction classification
 DIRECTION_PURITY = 0.99
 
-_EYE3 = np.eye(3)
-
 
 def euclidean_norm(x: np.ndarray) -> float:
     """np.linalg.norm(x) of a float array without its dispatch: the square
@@ -48,15 +46,27 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def pair_differences(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Differences r_i - r_j (..., N, N, 3) and distances (..., N, N) of
-    every ion pair, for positions (..., N, 3)."""
-    diff = pos[..., :, None, :] - pos[..., None, :, :]
-    return diff, row_norms(diff)
+def pair_planes(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component-major pair terms of positions (..., N, 3): the differences
+    (3, ..., N, N) whose [a, ..., j, i] entry is r_i,a - r_j,a, ion i's
+    displacement from its partner j along axis a, and the distances
+    (..., N, N), sqrt((d_x^2 + d_y^2) + d_z^2) as `row_norms` adds them.
+
+    The partner axis comes first so that a sum over partners runs over axis
+    -2, in order j = 0..N-1, as numpy reduces an axis that is not the last
+    one; over the contiguous last axis numpy would switch to pairwise
+    summation.  Each plane is C-contiguous.
+    """
+    p = np.ascontiguousarray(np.moveaxis(pos, -1, 0))
+    diff = p[..., None, :] - p[..., :, None]
+    return diff, np.sqrt((diff[0] * diff[0] + diff[1] * diff[1]) + diff[2] * diff[2])
 
 
 def check_pin_axes(axes) -> None:
-    """Raise InvalidArgumentError for a pinning axis that is not x, y or z."""
+    """Raise InvalidArgumentError for an empty set of pinning axes, whose
+    pins would act on nothing, or for an axis that is not x, y or z."""
+    if len(axes) == 0:
+        raise InvalidArgumentError("pin axes must name at least one of x, y, z")
     for ax in axes:
         if ax not in AXIS_INDEX:
             raise InvalidArgumentError(f"unknown pin axis {ax!r}")
@@ -176,6 +186,7 @@ def mass_scaled_hessian(
     trap: "TrapConfig",
     species: SpeciesConstants,
     curvatures: Optional[np.ndarray] = None,
+    planes: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """(1/M) * grad^2 V at the given positions, shape (3N, 3N).
 
@@ -186,29 +197,48 @@ def mass_scaled_hessian(
     A stack of configurations, positions of shape (K, N, 3), gives a
     (K, 3N, 3N) stack whose every matrix has the bits of its lone call;
     the curvatures, (N, 3, 3) or (K, N, 3, 3), are shared or per matrix.
+    ``planes`` are the positions' `pair_planes`, when the caller has them
+    (the equilibrium descents compute them for the force); they are read,
+    not written, and give the bits of the call that computes them.
+
+    The pair blocks are built component-major, one (..., N, N) plane per
+    entry (a, b) of ion pair (i, j): t = ((3 u_a) u_b - delta_ab) times
+    k / r^3, with u the unit difference and k the Coulomb coefficient over
+    the mass; the off-diagonal block is 0.0 - t.  The diagonal block of
+    ion i sums t over its partners j in order j = 0..N-1, and the trap and
+    the tweezer curvatures are added to that sum in turn.  The pair terms
+    are mirror images bit for bit (u_ji = -u_ij exactly, and a product of
+    two of them keeps its bits when both change sign), so t_ij = t_ji, and
+    that sum is the one over the first ion axis, axis -2, which numpy adds
+    in order; over the contiguous last axis it would sum pairwise.
     """
     pos = np.asarray(positions, dtype=float)
     lead, n = pos.shape[:-2], pos.shape[-2]
+    out = np.empty(lead + (n, 3, n, 3))
     if n > 1:
-        diff, dist = pair_differences(pos)
+        diff, dist = pair_planes(pos) if planes is None else planes
+        dist = dist.copy()
         dist.reshape(lead + (n * n,))[..., :: n + 1] = 1.0
-        unit = diff / dist[..., None]
+        unit = diff / dist
         ke2_m = species.coulomb_coefficient / species.mass
-        t = 3.0 * unit[..., :, None] * unit[..., None, :] - _EYE3
-        t *= (ke2_m / dist**3)[..., None, None]
-        # the (i, i) blocks, as a strided view of the flat ion pairs
-        t.reshape(lead + (n * n, 3, 3))[..., :: n + 1, :, :] = 0.0
-        a = 0.0 - t
-        a.reshape(lead + (n * n, 3, 3))[..., :: n + 1, :, :] = t.sum(axis=-3)
+        t = (3.0 * unit)[:, None] * unit[None, :]
+        for ax in range(3):
+            t[ax, ax] -= 1.0
+        t *= ke2_m / dist**3
+        # the (i, i) entries, as a strided view of the flat ion pairs
+        t.reshape((3, 3) + lead + (n * n,))[..., :: n + 1] = 0.0
+        np.subtract(0.0, t, out=np.moveaxis(out, (-3, -1), (0, 1)))
+        blocks = np.moveaxis(t.sum(axis=-2), (0, 1), (-2, -1))
     else:
-        a = np.zeros(lead + (n, n, 3, 3))
-    blocks = a.reshape(lead + (n * n, 3, 3))[..., :: n + 1, :, :]
+        blocks = np.zeros(lead + (1, 3, 3))
     omegas = trap.omegas
     for ax in range(3):
         blocks[..., ax, ax] += omegas[ax] ** 2
     if curvatures is not None:
         blocks += curvatures
-    return a.swapaxes(-3, -2).reshape(lead + (3 * n, 3 * n))
+    ions = np.arange(n)
+    out[..., ions, :, ions, :] = np.moveaxis(blocks, -3, 0)
+    return out.reshape(lead + (3 * n, 3 * n))
 
 
 def build_hessian(crystal: "IonCrystal", tweezers: Optional[TweezerPattern] = None) -> HessianMatrix:

@@ -310,6 +310,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid-argument: unrecognized arguments") and flag[0] in err
 
+    def test_blank_pin_axes_is_validation_error(self, tmp_path, capsys):
+        # a blank pin_axes used to design pins that act on no axis, exit 0
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CONFIG.replace("pin_axes = y", "pin_axes ="))
+        assert main(["optimize", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: invalid-argument: pin axes must name at least one of x, y, z\n"
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_section_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "dup.cfg"
         bad.write_text(SMALL_CONFIG + "\n[trap]\nn_ions = 4\n")

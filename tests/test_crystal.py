@@ -29,7 +29,7 @@ from tweezer_ising.errors import (
     InvalidArgumentError,
     SingularGeometryError,
 )
-from tweezer_ising.modes import TOL_PSD_REL, TweezerPattern, mass_scaled_hessian
+from tweezer_ising.modes import TOL_PSD_REL, TweezerPattern, mass_scaled_hessian, pair_planes
 
 from conftest import MHZ, fd_gradient
 
@@ -478,6 +478,72 @@ class TestEquilibriumOracle:
         assert crystal.positions.tobytes() == expected.tobytes()
 
 
+class TestHessianFromPairPlanes:
+    """`mass_scaled_hessian` handed the `pair_planes` of its positions has
+    the bits of the call that computes them, and both have the oracle's
+    bits, for lone positions and for stacks of them."""
+
+    @staticmethod
+    def _crystal(species, kind):
+        """Positions (N, 3), trap and tweezer curvatures of a solved crystal."""
+        rng = np.random.default_rng(17)
+        if kind == "chain12_offset":
+            trap = TrapConfig(2.0 * MHZ, 0.6 * MHZ, 0.07 * MHZ, n_ions=12)
+            aligned = solve_equilibrium(trap, species, 12)
+            offsets = np.zeros((12, 3))
+            offsets[:, 1] = rng.uniform(-200e-9, 200e-9, 12)
+            pattern = TweezerPattern.from_frequencies(rng.uniform(0.05, 0.3, 12) * MHZ, axes="y", offsets=offsets)
+            solved = solve_equilibrium(
+                trap, species, 12, aligned.positions, tweezers=pattern, tweezer_reference=aligned.positions
+            )
+        elif kind == "triangle19":
+            trap = TrapConfig(2.4 * MHZ, 0.16 * MHZ, 0.16 * MHZ, n_ions=19)
+            pattern = TweezerPattern.from_frequencies(rng.uniform(0.05, 0.3, 19) * MHZ, axes="x")
+            solved = solve_equilibrium(trap, species, 19, triangular_start(trap, species, 0.16 * MHZ)[0], pattern)
+        else:
+            trap = TrapConfig(2.0 * MHZ, 1.7 * MHZ, 0.2 * MHZ, n_ions=2)
+            pattern = TweezerPattern.from_frequencies(np.array([0.1, 0.2]) * MHZ, axes="yz")
+            solved = solve_equilibrium(trap, species, 2, tweezers=pattern)
+        return solved.positions, trap, pattern.curvatures
+
+    @pytest.mark.parametrize("k", [None, 1, 2, 5, 16], ids=["lone", "k1", "k2", "k5", "k16"])
+    @pytest.mark.parametrize("kind", ["chain12_offset", "triangle19", "ions2"])
+    def test_planes_give_the_bits_of_the_oracle(self, species, kind, k):
+        positions, trap, curv = self._crystal(species, kind)
+        if k is not None:
+            # the crystal and k - 1 nudges of it
+            nudges = np.random.default_rng(k).standard_normal((k, trap.n_ions, 3))
+            nudges[0] = 0.0
+            positions = positions + 1e-2 * length_scale(trap.omega_bar, species) * nudges
+        for c in (None, curv):
+            computed = mass_scaled_hessian(positions, trap, species, c)
+            handed = mass_scaled_hessian(positions, trap, species, c, pair_planes(positions))
+            assert computed.shape == positions.shape[:-2] + (3 * trap.n_ions, 3 * trap.n_ions)
+            assert handed.tobytes() == computed.tobytes()
+            lanes = computed.reshape(-1, 3 * trap.n_ions, 3 * trap.n_ions)
+            for lane, pos in zip(lanes, positions.reshape(-1, trap.n_ions, 3)):
+                assert lane.tobytes() == _oracle_mass_scaled_hessian(pos, trap, species, c).tobytes()
+
+    def test_planes_are_read_not_written(self, species):
+        positions, trap, curv = self._crystal(species, "chain12_offset")
+        planes = pair_planes(positions)
+        before = [a.tobytes() for a in planes]
+        mass_scaled_hessian(positions, trap, species, curv, planes)
+        assert [a.tobytes() for a in planes] == before
+
+    def test_pair_planes_layout(self, species):
+        # entry [a, ..., j, i] is r_i,a - r_j,a, and the distances are the oracle's
+        positions, _, _ = self._crystal(species, "triangle19")
+        stack = np.stack([positions, 2.0 * positions])
+        diff, dist = pair_planes(stack)
+        assert diff.shape == (3, 2, 19, 19) and dist.shape == (2, 19, 19)
+        assert diff.flags.c_contiguous and dist.flags.c_contiguous
+        for k, pos in enumerate(stack):
+            expected = pos[:, None, :] - pos[None, :, :]  # [i, j, a] = r_i,a - r_j,a
+            assert diff[:, k].tobytes() == np.ascontiguousarray(expected.transpose(2, 1, 0)).tobytes()
+            assert dist[k].tobytes() == _oracle_pairwise_distances(pos).tobytes()
+
+
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
     """One entry per `np.linalg.eigvalsh` call the test makes."""
@@ -563,20 +629,22 @@ class TestStabilityCheck:
 
 class TestEquilibriumLockstep:
     """Each lane of `relax_equilibria` has the bits of its lone first
-    descent, and a `solve_equilibrium` handed that lane as its first
-    descent has the bits of the solve that descends itself."""
+    descent, with the Hessian at its positions, and a `solve_equilibrium`
+    handed that lane as its first descent has the bits of the solve that
+    descends itself."""
 
     @staticmethod
     def _assert_lanes_match(trap, species, guesses, pattern=None, reference=None, offsets=None, max_iter=200):
         curv = centers = None
         if pattern is not None:
             curv, centers = pattern.curvatures, reference + offsets
-        relaxed, residuals = relax_equilibria(trap, species, guesses, curv, centers, max_iter)
+        relaxed, residuals, hessians = relax_equilibria(trap, species, guesses, curv, centers, max_iter)
         assert relaxed.shape == np.shape(guesses) and residuals.shape == (len(guesses),)
-        converged = np.flatnonzero(residuals < TOL_EQUILIBRIUM)
-        # the Hessians as the scan hands them over: one stack of the converged lanes
-        stacked = dict(zip(converged.tolist(), mass_scaled_hessian(relaxed[converged], trap, species, curv)))
+        assert hessians.shape == (len(guesses), 3 * trap.n_ions, 3 * trap.n_ions)
         for k in range(len(guesses)):
+            # every lane that was evaluated returns the Hessian at its positions
+            assert not np.isnan(residuals[k])
+            assert hessians[k].tobytes() == mass_scaled_hessian(relaxed[k], trap, species, curv).tobytes()
             kwargs = {} if pattern is None else {
                 "tweezers": pattern.with_offsets(offsets[k]), "tweezer_reference": reference,
             }
@@ -589,18 +657,17 @@ class TestEquilibriumLockstep:
                 lone = solve_equilibrium(trap, species, trap.n_ions, guesses[k], max_iter=max_iter, **kwargs)
             except Exception as err:
                 lone = err
-            for hessian in [stacked[k], None] if k in stacked else [None]:
-                try:
-                    finished = solve_equilibrium(
-                        trap, species, trap.n_ions, guesses[k], max_iter=max_iter,
-                        first_descent=(relaxed[k], residuals[k], hessian), **kwargs,
-                    )
-                except Exception as err:
-                    assert type(lone) is type(err) and str(lone) == str(err)
-                    continue
-                assert finished.positions.tobytes() == lone.positions.tobytes()
-                assert (finished.dimensionality, finished.extended_axes) == (lone.dimensionality, lone.extended_axes)
-        return relaxed, residuals
+            try:
+                finished = solve_equilibrium(
+                    trap, species, trap.n_ions, guesses[k], max_iter=max_iter,
+                    first_descent=(relaxed[k], residuals[k], hessians[k]), **kwargs,
+                )
+            except Exception as err:
+                assert type(lone) is type(err) and str(lone) == str(err)
+                continue
+            assert finished.positions.tobytes() == lone.positions.tobytes()
+            assert (finished.dimensionality, finished.extended_axes) == (lone.dimensionality, lone.extended_axes)
+        return relaxed, residuals, hessians
 
     def test_lanes_converge_in_different_rounds(self, species, monkeypatch):
         import tweezer_ising.crystal as crystal_mod
@@ -643,7 +710,7 @@ class TestEquilibriumLockstep:
         _, kicks = _oracle_equilibrium(trap, species, saddle)
         assert kicks >= 1
         guesses = np.stack([zigzag, collinear, zigzag + nudge, saddle])
-        relaxed, residuals = self._assert_lanes_match(trap, species, guesses)
+        relaxed, residuals, _ = self._assert_lanes_match(trap, species, guesses)
         assert (residuals < TOL_EQUILIBRIUM).tolist() == [True, False, True, True]  # the collinear descent stalls
         assert relaxed[0].tobytes() == zigzag.tobytes()
         assert relaxed[3].tobytes() == saddle.tobytes()
@@ -676,7 +743,7 @@ class TestEquilibriumLockstep:
         solved = solve_equilibrium(trap, species, 6).positions
         guess = default_chain_guess(trap, species)
         guesses = np.stack([guess, solved, guess])
-        relaxed, residuals = self._assert_lanes_match(trap, species, guesses, max_iter=1)
+        relaxed, residuals, hessians = self._assert_lanes_match(trap, species, guesses, max_iter=1)
         assert (residuals < TOL_EQUILIBRIUM).tolist() == [False, True, False]
         assert relaxed[0].tobytes() == relaxed[2].tobytes() != guess.tobytes()
         assert relaxed[1].tobytes() == solved.tobytes()
@@ -684,30 +751,67 @@ class TestEquilibriumLockstep:
         real = crystal_mod._descents
         monkeypatch.setattr(crystal_mod, "_descents", lambda pos, *a: starts.append(pos[0].copy()) or real(pos, *a))
         with pytest.raises(ConvergenceError):
-            solve_equilibrium(trap, species, 6, guess, max_iter=1, first_descent=(relaxed[0], residuals[0], None))
+            solve_equilibrium(
+                trap, species, 6, guess, max_iter=1, first_descent=(relaxed[0], residuals[0], hessians[0])
+            )
         kick = 1e-3 * length_scale(trap.omega_bar, species)
         assert len(starts) == 4 and 0 < np.abs(starts[0] - relaxed[0]).max() < 10 * kick
 
     def test_one_lane_and_no_lanes(self, species, chain_trap):
         guess = default_chain_guess(chain_trap, species)
         self._assert_lanes_match(chain_trap, species, guess[None])
-        relaxed, residuals = relax_equilibria(chain_trap, species, np.zeros((0, 5, 3)))
-        assert relaxed.shape == (0, 5, 3) and residuals.shape == (0,)
+        relaxed, residuals, hessians = relax_equilibria(chain_trap, species, np.zeros((0, 5, 3)))
+        assert relaxed.shape == (0, 5, 3) and residuals.shape == (0,) and hessians.shape == (0, 15, 15)
 
     def test_a_lane_starting_on_coincident_ions_does_not_descend(self, species, chain_trap):
         guess = default_chain_guess(chain_trap, species)
         coincident = guess.copy()
         coincident[1] = coincident[0]
-        relaxed, residuals = relax_equilibria(chain_trap, species, np.stack([guess, coincident, guess]))
+        relaxed, residuals, hessians = relax_equilibria(chain_trap, species, np.stack([guess, coincident, guess]))
         assert np.isnan(residuals[1]) and relaxed[1].tobytes() == coincident.tobytes()
-        (alone,), (residual,) = relax_equilibria(chain_trap, species, guess[None])
+        assert np.isnan(hessians[1]).all()
+        (alone,), (residual,), (hessian,) = relax_equilibria(chain_trap, species, guess[None])
         assert relaxed[0].tobytes() == alone.tobytes() == relaxed[2].tobytes()
         assert residuals[0] == residual == residuals[2] < TOL_EQUILIBRIUM
+        assert hessians[0].tobytes() == hessian.tobytes() == hessians[2].tobytes()
+        assert hessian.tobytes() == mass_scaled_hessian(alone, chain_trap, species).tobytes()
         solved = solve_equilibrium(chain_trap, species, chain_trap.n_ions, guess)
         assert alone.tobytes() == solved.positions.tobytes()
         # handed the lane, the solve raises what the solve from its guess raises
         with pytest.raises(InvalidArgumentError, match="^initial guess has coincident ions$"):
-            solve_equilibrium(chain_trap, species, 5, coincident, first_descent=(relaxed[1], residuals[1], None))
+            solve_equilibrium(chain_trap, species, 5, coincident, first_descent=(relaxed[1], residuals[1], hessians[1]))
+
+    @pytest.mark.parametrize("max_iter", [2.5, -1, "3", None])
+    def test_rejects_a_bad_newton_cap(self, species, chain_trap, max_iter):
+        # 2.5 used to raise a bare TypeError from range(), and -1 ran no
+        # step and reported a stalled descent
+        guess = default_chain_guess(chain_trap, species)
+        with pytest.raises(InvalidArgumentError, match="^max_iter must be"):
+            solve_equilibrium(chain_trap, species, 5, guess, max_iter=max_iter)
+        with pytest.raises(InvalidArgumentError, match="^max_iter must be"):
+            relax_equilibria(chain_trap, species, guess[None], max_iter=max_iter)
+
+    def test_a_numpy_integer_newton_cap_is_accepted(self, species, chain_trap):
+        guess = default_chain_guess(chain_trap, species)
+        solved = solve_equilibrium(chain_trap, species, 5, guess, max_iter=np.int64(200))
+        (relaxed,), _, _ = relax_equilibria(chain_trap, species, guess[None], max_iter=np.int64(200))
+        assert relaxed.tobytes() == solved.positions.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3), (2, 5, 2), (1, 2, 5, 3)])
+    def test_rejects_guesses_that_are_not_a_stack_of_the_trap_s_ions(self, species, chain_trap, shape):
+        # a lone (5, 3) guess used to raise numpy's AxisError
+        with pytest.raises(InvalidArgumentError, match=r"^guesses must have shape \(K, 5, 3\)"):
+            relax_equilibria(chain_trap, species, np.ones(shape))
+
+    @pytest.mark.parametrize("centers", [None, "one crystal", "two lanes"])
+    def test_rejects_tweezer_centers_that_are_not_the_guesses_shape(self, species, chain_trap, centers):
+        # None used to raise a bare TypeError, and one crystal's (5, 3)
+        # centers were read as one center per lane, with no error
+        guess = default_chain_guess(chain_trap, species)
+        centers = {None: None, "one crystal": guess, "two lanes": np.stack([guess, guess])}[centers]
+        curv = TweezerPattern.from_frequencies(np.full(5, 0.1 * MHZ), axes="y").curvatures
+        with pytest.raises(InvalidArgumentError, match=r"^tweezer centers must have the guesses' shape \(1, 5, 3\)"):
+            relax_equilibria(chain_trap, species, guess[None], curv, centers)
 
     def test_a_kick_onto_coincident_ions_raises(self, species, monkeypatch):
         # no Newton step (max_iter=0) leaves the guess unconverged; the
@@ -742,7 +846,7 @@ class TestEquilibriumLockstep:
         guesses = np.broadcast_to(guess, offsets.shape)
         centers = reference + offsets
         before = [a.tobytes() for a in (guess, reference, guesses, centers)]
-        relaxed, residuals = relax_equilibria(trap, species, guesses, pattern.curvatures, centers)
+        relaxed, residuals, hessians = relax_equilibria(trap, species, guesses, pattern.curvatures, centers)
         shifted = solve_equilibrium(
             trap, species, 12, guess, tweezers=pattern.with_offsets(offsets[0]), tweezer_reference=reference
         )
@@ -750,7 +854,7 @@ class TestEquilibriumLockstep:
         assert np.abs(shifted.positions - guess).max() > 0
         assert [a.tobytes() for a in (guess, reference, guesses, centers)] == before
         # nor are the hand-off's arrays, and the solved crystal owns its positions
-        hessians = mass_scaled_hessian(relaxed, trap, species, pattern.curvatures)
+        assert hessians.tobytes() == mass_scaled_hessian(relaxed, trap, species, pattern.curvatures).tobytes()
         handed = [a.tobytes() for a in (relaxed, residuals, hessians)]
         finished = solve_equilibrium(
             trap, species, 12, guess, tweezers=pattern.with_offsets(offsets[0]), tweezer_reference=reference,

@@ -466,17 +466,17 @@ class TestStackedGrading:
         from tweezer_ising.coupling import grade_hessians
         from tweezer_ising.crystal import TOL_EQUILIBRIUM, relax_equilibria
         from tweezer_ising.errors import UnstableCrystalError
-        from tweezer_ising.experiment import _sample_offsets
+        from tweezer_ising.experiment import _block_offsets
         from tweezer_ising.modes import mass_scaled_hessian
 
         crystal, curv = marginal_chain.crystal, marginal_chain.tweezers.curvatures
         scales, seed, _ = MARGINAL
-        offsets = np.stack([_sample_offsets(5, [2], np.array(scales), seed, i) for i in (1, 2, 16)])
-        relaxed, residuals = relax_equilibria(
+        offsets = _block_offsets(5, [2], np.array(scales), seed, (1, 2, 16))
+        relaxed, residuals, hessians = relax_equilibria(
             crystal.trap, YB171, np.broadcast_to(crystal.positions, offsets.shape), curv, crystal.positions + offsets
         )
         assert (residuals < TOL_EQUILIBRIUM).all()
-        hessians = mass_scaled_hessian(relaxed, crystal.trap, YB171, curv)
+        assert hessians.tobytes() == mass_scaled_hessian(relaxed, crystal.trap, YB171, curv).tobytes()
         drive = marginal_chain.drive
         grades = grade_hessians(hessians, crystal.trap.omega_bar, drive.mu, drive.drive_axis, drive.resonance_guard, YB171)
         assert all(isinstance(j, UnstableCrystalError) for j in grades.couplings)
@@ -562,9 +562,9 @@ class TestStackedGrading:
         relax = experiment_mod.relax_equilibria
 
         def relax_and_record(*args):
-            relaxed, residuals = relax(*args)
+            relaxed, residuals, hessians = relax(*args)
             converged.append(bool((residuals < TOL_EQUILIBRIUM).any()))
-            return relaxed, residuals
+            return relaxed, residuals, hessians
 
         monkeypatch.setattr(experiment_mod, "relax_equilibria", relax_and_record)
         scales, seed, axes = MARGINAL
@@ -666,25 +666,25 @@ def _hand_off_case(request, kind):
 
 class TestFirstDescentHandOff:
     """The scan hands each finishing solve its lane of the block's
-    descents, and the Hessian of a converged lane; the solve gives the
-    bits of the solve that descends itself, and repeats no descent."""
+    descents, with the lane's Hessian; the solve gives the bits of the
+    solve that descends itself, and repeats no descent."""
 
     @pytest.mark.parametrize("kind", ["converged", "unstable", "unconverged"])
     def test_the_hand_off_is_bit_for_bit(self, request, kind):
         from tweezer_ising.crystal import TOL_EQUILIBRIUM, _is_stable, relax_equilibria, solve_equilibrium
         from tweezer_ising.errors import ConvergenceError
-        from tweezer_ising.experiment import _sample_offsets
+        from tweezer_ising.experiment import _block_offsets
         from tweezer_ising.modes import AXIS_INDEX, TOL_PSD_REL, mass_scaled_hessian
 
         design, scales, seed, axes, lanes = _hand_off_case(request, kind)
         crystal, pattern = design.crystal, design.tweezers
         trap, n = crystal.trap, crystal.n_ions
         scales = np.atleast_1d(np.asarray(scales, dtype=float))
-        offsets = np.stack([_sample_offsets(n, [AXIS_INDEX[a] for a in axes], scales, seed, i) for i in lanes])
-        relaxed, residuals = relax_equilibria(
+        offsets = _block_offsets(n, [AXIS_INDEX[a] for a in axes], scales, seed, lanes)
+        relaxed, residuals, hessians = relax_equilibria(
             trap, YB171, np.broadcast_to(crystal.positions, offsets.shape), pattern.curvatures, crystal.positions + offsets
         )
-        hessians = mass_scaled_hessian(relaxed, trap, YB171, pattern.curvatures)
+        assert hessians.tobytes() == mass_scaled_hessian(relaxed, trap, YB171, pattern.curvatures).tobytes()
         converged = (residuals < TOL_EQUILIBRIUM).tolist()
         stable = [_is_stable(h, TOL_PSD_REL * trap.omega_bar**2) for h in hessians]
         assert converged == [kind != "unconverged"] * len(lanes)
@@ -694,14 +694,14 @@ class TestFirstDescentHandOff:
         for k, off in enumerate(offsets):
             kwargs = dict(tweezers=pattern.with_offsets(off), tweezer_reference=crystal.positions)
             lane = []
-            for hand_off in (None, (relaxed[k], residuals[k], None), (relaxed[k], residuals[k], hessians[k])):
+            for hand_off in (None, (relaxed[k], residuals[k], hessians[k])):
                 try:
                     solved = solve_equilibrium(trap, YB171, n, crystal.positions, first_descent=hand_off, **kwargs)
                 except Exception as err:
                     lane.append((type(err), str(err)))
                 else:
                     lane.append((solved.positions.tobytes(), solved.dimensionality, solved.extended_axes))
-            assert lane[1] == lane[0] == lane[2]
+            assert lane[1] == lane[0]
             # the error class, or whether the solve kept the descended positions
             first = lane[0][0]
             outcomes.append(first if isinstance(first, type) else first == relaxed[k].tobytes())
@@ -739,6 +739,39 @@ class TestFirstDescentHandOff:
         assert len(scan.records) == samples and solves == [True] * samples
         assert {name for name, _ in calls} == {"mass_scaled_hessian", "_potentials_and_gradients"}
         assert [name for name, in_solve in calls if in_solve] == []
+
+    def test_hessians_are_built_only_by_the_descents(self, fast_fig7, monkeypatch):
+        # the block's descents return each lane's Hessian, which grades it
+        # and checks its stability: no Hessian is built in the block loop or
+        # in a finishing solve, only the aligned crystal's, by its grading
+        import tweezer_ising.coupling as coupling_mod
+        import tweezer_ising.crystal as crystal_mod
+        import tweezer_ising.experiment as experiment_mod
+
+        assert not hasattr(experiment_mod, "mass_scaled_hessian")
+        design, scales, samples, seed = fast_fig7
+        inside, builds = [], []
+        for name in ("relax_equilibria", "solve_equilibrium"):
+            real = getattr(experiment_mod, name)
+
+            def traced(*args, real=real, name=name, **kwargs):
+                inside.append(name)
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(experiment_mod, name, traced)
+        for module in (crystal_mod, coupling_mod):
+            real = module.mass_scaled_hessian
+            monkeypatch.setattr(
+                module, "mass_scaled_hessian",
+                lambda *a, real=real, module=module: builds.append((module.__name__, tuple(inside))) or real(*a),
+            )
+        scan = misalignment_scan(design, scales, samples, seed)
+        assert len(scan.records) == samples
+        assert builds[0] == ("tweezer_ising.coupling", ())
+        assert set(builds[1:]) == {("tweezer_ising.crystal", ("relax_equilibria",))}
 
     def test_each_first_descent_runs_once(self, leaky_chain, monkeypatch):
         # a descent that does not converge is not run again by its finishing
@@ -784,6 +817,37 @@ class TestFirstDescentHandOff:
             above.append(peak - kept)
         stack = SCAN_BLOCK * (3 * design.crystal.n_ions) ** 2 * 8  # one block's Hessians, bytes
         assert above[1] - above[0] < stack / 4
+
+
+class TestBlockOffsets:
+    """A block's offsets are each sample's draws from its own stream, shaped
+    as one sample alone would shape them."""
+
+    @staticmethod
+    def _sample_offsets(n, axis_idx, scales, seed, i):
+        scale = float(scales[i % scales.size])
+        offsets = np.zeros((n, 3))
+        if scale > 0:
+            dim = len(axis_idx)
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+            direction = rng.standard_normal((n, dim))
+            norms = np.linalg.norm(direction, axis=1)[:, None]
+            norms[norms == 0] = 1.0
+            radius = scale * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / dim)
+            offsets[:, axis_idx] = radius * direction / norms
+        return offsets
+
+    @pytest.mark.parametrize("axis_idx", [[1], [2, 0], [0, 1, 2]])
+    @pytest.mark.parametrize("block", [range(0, 16), range(32, 37), (3, 1, 7), ()])
+    def test_each_sample_keeps_its_bits(self, axis_idx, block):
+        from tweezer_ising.experiment import _block_offsets
+
+        scales = np.array([0.0, 2e-8, 1e-7, 0.0, 3e-6])  # zero-scale samples draw nothing
+        offsets = _block_offsets(12, axis_idx, scales, 11, block)
+        assert offsets.shape == (len(block), 12, 3)
+        for k, i in enumerate(block):
+            assert offsets[k].tobytes() == self._sample_offsets(12, axis_idx, scales, 11, i).tobytes()
+            assert (offsets[k] == 0).all() == (scales[i % 5] == 0)
 
 
 class TestMultiAxisDrive:

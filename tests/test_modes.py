@@ -67,6 +67,12 @@ class TestHessian:
         with pytest.raises(InvalidArgumentError, match="unknown pin axis"):
             TweezerPattern.from_frequencies(np.ones(2), axes=axes)
 
+    @pytest.mark.parametrize("axes", ["", (), []])
+    def test_empty_pattern_axes_rejected(self, axes):
+        # an empty axis set used to give a pattern of all-zero curvatures
+        with pytest.raises(InvalidArgumentError, match="^pin axes must name at least one of x, y, z$"):
+            TweezerPattern.from_frequencies(np.ones(2), axes=axes)
+
     def test_chain_block_decoupling(self, species):
         trap = TrapConfig(2.1 * MHZ, 1.6 * MHZ, 0.2 * MHZ, n_ions=5)
         crystal = solve_equilibrium(trap, species, 5)

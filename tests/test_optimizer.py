@@ -763,6 +763,12 @@ class TestSearchSpaceValidation:
         with pytest.raises(InvalidArgumentError):
             _space(**controls)
 
+    @pytest.mark.parametrize("axes", [(), ""])
+    def test_rejects_empty_pin_axes(self, axes):
+        # an empty set used to be a valid search whose pins act on no axis
+        with pytest.raises(InvalidArgumentError, match="^pin axes must name at least one of x, y, z$"):
+            _space(pin_axes=axes)
+
     def test_numpy_integer_counts_are_accepted(self):
         space = _space(max_iter=np.int64(3), restarts=np.int64(2), mu_grid=np.int64(4), omega_grid=np.int64(1))
         assert (space.max_iter, space.restarts, space.mu_grid, space.omega_grid) == (3, 2, 4, 1)
