@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -160,21 +160,20 @@ def potential_and_gradient(
     pairs = _pair_terms(pos) if trap.n_ions > 1 else None
     if pairs is not None and pairs[2].min() <= 0.0:
         raise SingularGeometryError("coincident ions in potential evaluation")
-    curv = centers = None
+    if tweezers is not None and tweezer_centers is None:
+        raise InvalidArgumentError("tweezer_centers required when tweezers are present")
+    energy_of, grads = _potentials_and_gradients(pos, pairs, trap, species)
     if tweezers is not None:
-        if tweezer_centers is None:
-            raise InvalidArgumentError("tweezer_centers required when tweezers are present")
-        curv = tweezers.curvatures
         centers = np.asarray(tweezer_centers, dtype=float)
-    energy_of, grads = _potentials_and_gradients(pos, pairs, trap, species, curv, centers)
+        energy_of, grads = _with_tweezers(energy_of, grads, pos, species.mass, tweezers.curvatures, centers)
     return energy_of(0), grads[0]
 
 
-def _potentials_and_gradients(pos, pairs, trap, species, curv, centers):
-    """Energies and gradients (K, N, 3) at a (K, N, 3) stack of
-    distinct-ion positions whose `_pair_terms` are ``pairs`` (None for one
-    ion), with tweezer curvatures (N, 3, 3) around centers broadcasting to
-    the positions, or without tweezers when ``curv`` is None.
+def _potentials_and_gradients(pos, pairs, trap, species):
+    """Tweezer-free energies and gradients (K, N, 3) at a (K, N, 3) stack
+    of distinct-ion positions whose `_pair_terms` are ``pairs`` (None for
+    one ion): the trap's and the Coulomb terms; `_with_tweezers` adds the
+    tweezers'.
 
     The energies come as a function of the lane, so a caller pays only for
     those it reads.  Every lane has the bits of its lone evaluation: the
@@ -198,19 +197,30 @@ def _potentials_and_gradients(pos, pairs, trap, species, curv, centers):
         flat = inv3.reshape(len(pos), -1)
         flat[:, off] = dist.reshape(len(pos), -1)[:, off] ** -3
         grad += -ke2 * np.moveaxis((diff * inv3).sum(axis=-2), 0, -1)
-    if curv is not None:
-        u = pos - centers
-        grad += m * np.einsum("iab,kib->kia", curv, u)
 
     def energy_of(k):
         energy = 0.5 * m * harmonic[k].sum()
         if pairs is not None:
             energy += ke2 * inverse[k].sum()
-        if curv is not None:
-            energy += 0.5 * m * np.einsum("ia,iab,ib->", u[k], curv, u[k])
         return energy
 
     return energy_of, grad
+
+
+def _with_tweezers(energy_of, grad, pos, m, curv, centers):
+    """The tweezer-free ``energy_of`` and ``grad`` (K, N, 3) of
+    `_potentials_and_gradients` at positions ``pos`` (K, N, 3), with the
+    term of tweezers of curvatures (N, 3, 3) around centers broadcasting to
+    the positions added: lane k's gradient gains m curv (x - c) and its
+    energy (m / 2) (x - c) curv (x - c), each after the tweezer-free sum,
+    as a lone evaluation adds them.  Neither input is written to."""
+    u = pos - centers
+    grad = grad + m * np.einsum("iab,kib->kia", curv, u)
+
+    def energy_with_tweezers(k):
+        return energy_of(k) + 0.5 * m * np.einsum("ia,iab,ib->", u[k], curv, u[k])
+
+    return energy_with_tweezers, grad
 
 
 def make_lattice(kind: str, n_ions: int, spacing: float, plane: tuple[int, int] = (1, 2)) -> np.ndarray:
@@ -411,9 +421,12 @@ def relax_equilibria(
     distinct-ion positions, N the trap's ion count; the tweezer
     ``curvatures`` (N, 3, 3), or None for no tweezers, are shared.  The
     lanes descend together in `_descents`, and every lane has the bits of
-    its lone descent.  Guesses of another shape, tweezer centers that are
-    not of the guesses' shape, or a `max_iter` that is not a nonnegative
-    integer, raise InvalidArgumentError.
+    its lone descent.  Guesses that are all one point, as the misalignment
+    scan's broadcast of the aligned crystal, are evaluated once there, and
+    the lanes' first Newton steps share one Cholesky factor.  Guesses of
+    another shape, curvatures of another shape than (N, 3, 3), tweezer
+    centers that are not of the guesses' shape, or a `max_iter` that is not
+    a nonnegative integer, raise InvalidArgumentError before any descent.
 
     Returns the positions (K, N, 3) where the descents ended, their scaled
     residuals (K,) and the `mass_scaled_hessian`s (K, 3N, 3N) at those
@@ -427,6 +440,10 @@ def relax_equilibria(
     shape = np.shape(guesses)
     if len(shape) != 3 or shape[1:] != (trap.n_ions, 3):
         raise InvalidArgumentError(f"guesses must have shape (K, {trap.n_ions}, 3), got {shape}")
+    if curvatures is not None and np.shape(curvatures) != (trap.n_ions, 3, 3):
+        raise InvalidArgumentError(
+            f"tweezer curvatures must have shape ({trap.n_ions}, 3, 3), got {np.shape(curvatures)}"
+        )
     if curvatures is not None and np.shape(centers) != shape:
         raise InvalidArgumentError(f"tweezer centers must have the guesses' shape {shape}, got {np.shape(centers)}")
     max_iter = _newton_cap(max_iter)
@@ -467,12 +484,17 @@ def _descents(pos, trap, species, curvatures, centers, scales, max_iter):
     trials, the start points first: one computation of their pair terms,
     from which come the energies, the gradients and the
     `mass_scaled_hessian`s of all of them; a trial closer than the
-    distance floor gets no evaluation and halves its step.  Each lane keeps
-    the Hessian of the point it accepted, which gives its next Newton step
-    and is returned with the point.  The Cholesky solves, norms, slopes and
-    acceptance tests stay per lane, so every lane has the bits of its lone
-    descent.  ``centers`` is a (K, N, 3) stack, or None without tweezers;
-    neither it nor ``pos`` is written to.
+    distance floor gets no evaluation and halves its step.  When every
+    lane starts at one point (the same bits, so 0.0 and -0.0 differ), that
+    point is evaluated once: one pair-term pass, one tweezer-free energy
+    and force and one Hessian for it, to which each lane adds its own
+    tweezer force and energy; the lanes' first Newton steps then share the
+    Cholesky factor of that Hessian, and each solves with it on its own.
+    Each lane keeps the Hessian of the point it accepted, which gives its
+    next Newton step and is returned with the point.  The Cholesky solves,
+    norms, slopes and acceptance tests stay per lane, so every lane has the
+    bits of its lone descent.  ``centers`` is a (K, N, 3) stack, or None
+    without tweezers; neither it nor ``pos`` is written to.
 
     Returns the positions (K, N, 3), the scaled residuals (K,) and the
     Hessians (K, 3N, 3N) there; the residual and the Hessian are NaN for a
@@ -484,17 +506,20 @@ def _descents(pos, trap, species, curvatures, centers, scales, max_iter):
     norm, slope, alpha = np.full(len(pos), np.nan), np.empty(len(pos)), np.empty(len(pos))
     energy = [None] * len(pos)  # a float, or a function to call for it
     evaluate = partial(_evaluate, trap=trap, species=species, curvatures=curvatures, centers=centers)
-    lanes, energy_of, grads, hessians = evaluate(pos, np.arange(len(pos)), 0.0)
+    shared = len(pos) > 1 and bool((pos.view(np.uint64) == pos[:1].view(np.uint64)).all())
+    lanes, energy_of, grads, hessians = evaluate(pos[:1] if shared else pos, np.arange(len(pos)), 0.0)
     lanes = lanes.tolist()
     for i, k in enumerate(lanes):
         grad[k], hess[k], energy[k], norm[k] = grads[i], hessians[i], partial(energy_of, i), euclidean_norm(grads[i])
-    for _ in range(max_iter):
+    for newton_step in range(max_iter):
         lanes = [k for k in lanes if not norm[k] / scales.force_scale < TOL_EQUILIBRIUM]
         if not lanes:
             break
+        # cho_factor and cho_solve's LAPACK calls, without their wrappers;
+        # lanes that share their start share its Hessian's factor
+        start = dpotrf(scales.m * hess[lanes[0]], lower=1, clean=0) if shared and not newton_step else None
         for k in lanes:
-            # cho_factor and cho_solve's LAPACK calls, without their wrappers
-            factor, info = dpotrf(scales.m * hess[k], lower=1, clean=0)
+            factor, info = start if start is not None else dpotrf(scales.m * hess[k], lower=1, clean=0)
             if info == 0:
                 step[k] = dpotrs(factor, -grad[k].ravel(), lower=1)[0].reshape(-1, 3)
             else:
@@ -533,13 +558,19 @@ def _descents(pos, trap, species, curvatures, centers, scales, max_iter):
 
 
 def _evaluate(trials, lanes, floor, trap, species, curvatures, centers):
-    """The energies, gradients and Hessians at the (k, N, 3) ``trials`` of
-    ``lanes`` whose nearest ions are not closer than ``floor`` and not
+    """The energies, gradients and Hessians of ``lanes`` at their (k, N, 3)
+    ``trials`` whose nearest ions are not closer than ``floor`` and not
     coincident, from one computation of their pair terms: one stacked
-    `_potentials_and_gradients` call and one stacked `mass_scaled_hessian`
-    (with the tweezer curvatures) handed its planes.  Returns the indices
-    of the evaluated trials, the energies as a function of their position
-    among them, their gradients and their Hessians."""
+    `_potentials_and_gradients` call, one `_with_tweezers` with each lane's
+    tweezer centers, and one stacked `mass_scaled_hessian` (with the
+    tweezer curvatures) handed its planes.  One trial for several lanes is
+    their shared start: its pair terms, tweezer-free energy and gradient
+    and Hessian are computed once, for a one-lane stack, and every lane
+    gets them with its own tweezer term added, the bits of its own
+    evaluation.  Returns the indices of the evaluated lanes among
+    ``lanes``, the energies as a function of their position among them,
+    their gradients and their Hessians."""
+    shared = len(trials) < len(lanes)
     keep, pairs = np.arange(len(trials)), None
     if trap.n_ions > 1 and keep.size:
         pairs = _pair_terms(trials)
@@ -551,9 +582,15 @@ def _evaluate(trials, lanes, floor, trap, species, curvatures, centers):
             pairs = diff[:, keep], dist[keep], upper[keep]
     if not keep.size:
         return keep, None, None, None
-    lane_centers = None if curvatures is None else centers[lanes[keep]]
-    energy_of, grads = _potentials_and_gradients(trials, pairs, trap, species, curvatures, lane_centers)
+    energy_of, grads = _potentials_and_gradients(trials, pairs, trap, species)
     hessians = mass_scaled_hessian(trials, trap, species, curvatures, None if pairs is None else pairs[:2])
+    if shared:
+        keep = np.arange(len(lanes))
+        trials, grads, hessians = (np.broadcast_to(a, (len(lanes),) + a.shape[1:]) for a in (trials, grads, hessians))
+        start_energy = cache(partial(energy_of, 0))  # summed once, when a lane first reads it
+        energy_of = lambda k: start_energy()  # every lane's tweezer-free energy is the start's
+    if curvatures is not None:
+        energy_of, grads = _with_tweezers(energy_of, grads, trials, species.mass, curvatures, centers[lanes[keep]])
     return keep, energy_of, grads, hessians
 
 

@@ -78,12 +78,15 @@ class ValidityError(TweezerIsingError):
 
 def as_integer(name: str, value) -> int:
     """``operator.index(value)``: a Python or numpy integer as an int;
-    anything else (a float, a string, None) raises InvalidArgumentError
-    naming `name`."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+    anything else (a float, a string, None, a Python or numpy bool) raises
+    InvalidArgumentError naming `name`.  ``operator.index`` reads a Python
+    bool as 0 or 1 and refuses numpy's, so bools are refused before it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 def as_seed(name: str, value) -> int:

@@ -255,16 +255,22 @@ def misalignment_scan(
     makes one stacked evaluation per line-search round: one pass over the
     trials' ion pairs gives their energies, forces and Hessians), not
     refilled as lanes finish; each lane returns with the Hessian of the
-    point it ended on.  (2) Grade: one `grade_hessians` (one `eigh`) of the
-    converged descents' Hessians; each sample's J, or the exception its
+    point it ended on.  Every lane starts at the aligned crystal, so the
+    start is evaluated once for the block (one Coulomb pass, force and
+    Hessian, to which each lane adds its own tweezer force), and the
+    lanes' first Newton steps share that Hessian's Cholesky factor.
+    (2) Grade: one `grade_hessians` (one `eigh`) of the converged
+    descents' Hessians; each sample's J, or the exception its
     grading raises, is kept until the block is finished.  (3) Finish, per
     sample in order: `solve_equilibrium` from the aligned crystal, handed
     its lane's descent and Hessian as ``first_descent``, so the solve
     repeats no descent and builds no Hessian for a lane it keeps; then, if
     the solve returned the descended positions, the graded J's
     `coupling_error`, and otherwise (no converged descent, or a kick) a
-    lone `realized_coupling`.  The solve and its `coupling_error` stay per
-    sample because a sample is timed and counted from one to the other.
+    lone `realized_coupling`; its record's average offset norm is read from
+    the block's, computed once on its stacked offsets with each sample's
+    bits.  The solve and its `coupling_error` stay per sample because a
+    sample is timed and counted from one to the other.
     One block's Hessians and gradings are alive at a time.
     Samples whose equilibrium solve fails to converge, or whose crystal is
     unstable, are excluded and counted in sample order; any other error
@@ -337,6 +343,7 @@ def _scan_block(result, drive, block, offsets, records, failed):
         pattern.curvatures,
         crystal.positions + offsets,
     )
+    averages = row_norms(offsets).mean(axis=1)  # each sample's average offset norm
     converged = np.flatnonzero(residuals < TOL_EQUILIBRIUM).tolist()
     graded = {}  # converged lane -> its J, or the exception its grading raises
     if converged:
@@ -363,8 +370,7 @@ def _scan_block(result, drive, block, offsets, records, failed):
         except (ConvergenceError, UnstableCrystalError) as err:
             failed.append((i, type(err).__name__))
             continue
-        avg = float(row_norms(off).mean())
-        records.append((avg, eps))
+        records.append((float(averages[k]), eps))
 
 
 def _on_one_blas_thread(run, *args):

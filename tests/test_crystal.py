@@ -39,10 +39,11 @@ class TestTrapConfig:
         trap = TrapConfig(2.0 * MHZ, 1.7 * MHZ, 0.2 * MHZ, n_ions=5)
         assert trap.replace_axis("y", 1.5 * MHZ) == TrapConfig(2.0 * MHZ, 1.5 * MHZ, 0.2 * MHZ, n_ions=5)
 
-    @pytest.mark.parametrize("n_ions", [5.0, 5.5, "5", None])
+    @pytest.mark.parametrize("n_ions", [5.0, 5.5, "5", None, True])
     def test_rejects_a_non_integer_ion_count(self, n_ions):
         # 5.0 and 5.5 were accepted, and solve_equilibrium then died with a
-        # bare TypeError ("'float' object cannot be interpreted as an integer")
+        # bare TypeError ("'float' object cannot be interpreted as an integer");
+        # True was read as one ion
         with pytest.raises(InvalidArgumentError, match=f"n_ions must be an integer, got {n_ions!r}"):
             TrapConfig(2.0 * MHZ, 1.7 * MHZ, 0.2 * MHZ, n_ions=n_ions)
 
@@ -695,6 +696,84 @@ class TestEquilibriumLockstep:
             steps.append(len(calls))
         assert len(set(steps)) >= 3
 
+    @staticmethod
+    def _count_evaluations(monkeypatch):
+        """Wrap the descents' Hessian builds and LAPACK calls; returns the
+        lanes of each `mass_scaled_hessian` call and the counts of the
+        Newton factorizations and solves."""
+        import tweezer_ising.crystal as crystal_mod
+
+        lanes, counts = [], {"dpotrf": 0, "dpotrs": 0}
+        real_hessian, real_factor, real_solve = (
+            crystal_mod.mass_scaled_hessian, crystal_mod.dpotrf, crystal_mod.dpotrs,
+        )
+
+        def hessian(pos, *args):
+            lanes.append(len(pos))
+            return real_hessian(pos, *args)
+
+        def factor(*args, **kwargs):
+            counts["dpotrf"] += 1
+            return real_factor(*args, **kwargs)
+
+        def solve(*args, **kwargs):
+            counts["dpotrs"] += 1
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(crystal_mod, "mass_scaled_hessian", hessian)
+        monkeypatch.setattr(crystal_mod, "dpotrf", factor)
+        monkeypatch.setattr(crystal_mod, "dpotrs", solve)
+        return lanes, counts
+
+    def test_a_shared_start_is_evaluated_once(self, species, monkeypatch):
+        # every lane starts at the aligned crystal, as in the misalignment
+        # scan; lane 0's tweezers are not offset, so it is converged there
+        trap = TrapConfig(2.0 * MHZ, 0.6 * MHZ, 0.07 * MHZ, n_ions=12)
+        aligned = solve_equilibrium(trap, species, 12)
+        rng = np.random.default_rng(11)
+        pattern = TweezerPattern.from_frequencies(rng.uniform(0.05, 0.3, 12) * MHZ, axes="yz")
+        offsets = np.zeros((5, 12, 3))
+        for k, scale in enumerate([0.0, 1e-9, 3e-8, 1e-7, 3e-7]):
+            offsets[k, :, 1:] = scale * rng.standard_normal((12, 2))
+        guesses = np.broadcast_to(aligned.positions, offsets.shape)
+        centers = aligned.positions + offsets
+        lanes, counts = self._count_evaluations(monkeypatch)
+        relax_equilibria(trap, species, guesses, pattern.curvatures, centers)
+        # the start is one lane's Hessian, and the four lanes that step
+        # from it share one factorization
+        assert lanes[0] == 1 and max(lanes[1:]) <= 4
+        assert counts["dpotrf"] == counts["dpotrs"] - 3
+        monkeypatch.undo()
+        relaxed, residuals, _ = self._assert_lanes_match(trap, species, guesses, pattern, aligned.positions, offsets)
+        assert residuals[0] < TOL_EQUILIBRIUM and relaxed[0].tobytes() == aligned.positions.tobytes()
+        assert (residuals < TOL_EQUILIBRIUM).all()
+        assert len({r.tobytes() for r in relaxed}) == 5
+
+    @pytest.mark.parametrize("case", ["two_of_three", "signed_zeros"])
+    def test_lanes_that_do_not_all_share_a_start_are_evaluated_apart(self, species, monkeypatch, case):
+        # the first two lanes share a start and the third does not; or the
+        # lanes' starts are equal values whose zeros differ in sign, which
+        # the lone descents carry into different position bits
+        trap = TrapConfig(2.0 * MHZ, 1.7 * MHZ, 0.2 * MHZ, n_ions=5)
+        guess = default_chain_guess(trap, species)
+        pattern = TweezerPattern.from_frequencies(np.full(5, 0.1 * MHZ), axes="y")
+        if case == "two_of_three":
+            nudge = 1e-2 * length_scale(trap.omega_bar, species) * np.random.default_rng(1).standard_normal((5, 3))
+            guesses = np.stack([guess, guess, guess + nudge])
+        else:
+            signed = guess.copy()
+            signed[:, :2] = -0.0
+            guesses = np.stack([guess, signed])
+            assert (guesses[1] == guesses[0]).all() and guesses[1].tobytes() != guesses[0].tobytes()
+        offsets = np.zeros(guesses.shape)
+        lanes, counts = self._count_evaluations(monkeypatch)
+        relax_equilibria(trap, species, guesses, pattern.curvatures, guess + offsets)
+        assert lanes[0] == len(guesses) and counts["dpotrf"] == counts["dpotrs"] > 0
+        monkeypatch.undo()
+        relaxed, _, _ = self._assert_lanes_match(trap, species, guesses, pattern, guess, offsets)
+        if case == "signed_zeros":
+            assert relaxed[0].tobytes() != relaxed[1].tobytes()
+
     def test_kicked_lane_beside_direct_ones(self, species):
         # below the zigzag transition the collinear guess needs a kick;
         # the solved crystal and a nudge of it do not
@@ -777,14 +856,18 @@ class TestEquilibriumLockstep:
         assert hessian.tobytes() == mass_scaled_hessian(alone, chain_trap, species).tobytes()
         solved = solve_equilibrium(chain_trap, species, chain_trap.n_ions, guess)
         assert alone.tobytes() == solved.positions.tobytes()
+        # lanes that all start on the coincident ions share that start
+        relaxed, residuals, hessians = relax_equilibria(chain_trap, species, np.broadcast_to(coincident, (3, 5, 3)))
+        assert np.isnan(residuals).all() and np.isnan(hessians).all()
+        assert relaxed.tobytes() == np.stack([coincident] * 3).tobytes()
         # handed the lane, the solve raises what the solve from its guess raises
         with pytest.raises(InvalidArgumentError, match="^initial guess has coincident ions$"):
             solve_equilibrium(chain_trap, species, 5, coincident, first_descent=(relaxed[1], residuals[1], hessians[1]))
 
-    @pytest.mark.parametrize("max_iter", [2.5, -1, "3", None])
+    @pytest.mark.parametrize("max_iter", [2.5, -1, "3", None, True])
     def test_rejects_a_bad_newton_cap(self, species, chain_trap, max_iter):
-        # 2.5 used to raise a bare TypeError from range(), and -1 ran no
-        # step and reported a stalled descent
+        # 2.5 used to raise a bare TypeError from range(), -1 ran no step
+        # and reported a stalled descent, and True ran one step
         guess = default_chain_guess(chain_trap, species)
         with pytest.raises(InvalidArgumentError, match="^max_iter must be"):
             solve_equilibrium(chain_trap, species, 5, guess, max_iter=max_iter)
@@ -812,6 +895,17 @@ class TestEquilibriumLockstep:
         curv = TweezerPattern.from_frequencies(np.full(5, 0.1 * MHZ), axes="y").curvatures
         with pytest.raises(InvalidArgumentError, match=r"^tweezer centers must have the guesses' shape \(1, 5, 3\)"):
             relax_equilibria(chain_trap, species, guess[None], curv, centers)
+
+    def test_rejects_per_lane_curvatures(self, species, chain_trap, monkeypatch):
+        # a (K, N, 3, 3) stack of curvatures used to reach the tweezer
+        # force's einsum and raise a bare numpy ValueError there
+        import tweezer_ising.crystal as crystal_mod
+
+        guess = default_chain_guess(chain_trap, species)
+        curv = TweezerPattern.from_frequencies(np.full(5, 0.1 * MHZ), axes="y").curvatures
+        monkeypatch.setattr(crystal_mod, "_descents", None)  # no descent runs
+        with pytest.raises(InvalidArgumentError, match=r"^tweezer curvatures must have shape \(5, 3, 3\), got \(1, 5, 3, 3\)$"):
+            relax_equilibria(chain_trap, species, guess[None], curv[None], guess[None])
 
     def test_a_kick_onto_coincident_ions_raises(self, species, monkeypatch):
         # no Newton step (max_iter=0) leaves the guess unconverged; the

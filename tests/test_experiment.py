@@ -227,13 +227,20 @@ class TestMisalignmentScan:
             {"seed": 1.5},
             {"seed": 1.5, "displacement_scale": 0.0},
             {"axes": (1.7,)},
+            {"samples": True},
+            {"samples": np.True_},
+            {"seed": True},
+            {"axes": (True,)},
+            {"axes": (np.True_,)},
         ],
         ids=["empty", "nan_in_list", "nan", "inf", "negative", "negative_samples",
              "fractional_samples", "string_samples", "unknown_axis", "axis_index", "no_axes",
              "repeated_axis", "repeated_axis_index", "negative_seed",
              # the seed used to raise a bare TypeError, or pass unused where
              # every scale is 0, and an axis of 1.7 ran as axis 1
-             "fractional_seed", "fractional_seed_zero_scales", "fractional_axis"],
+             "fractional_seed", "fractional_seed_zero_scales", "fractional_axis",
+             # samples=True ran one sample, and an axis True was read as y
+             "bool_samples", "numpy_bool_samples", "bool_seed", "bool_axis", "numpy_bool_axis"],
     )
     def test_rejects_bad_inputs(self, small_result, kwargs):
         args = {"displacement_scale": 10e-9, "samples": 4, "seed": 1, **kwargs}
@@ -775,26 +782,57 @@ class TestFirstDescentHandOff:
 
     def test_each_first_descent_runs_once(self, leaky_chain, monkeypatch):
         # a descent that does not converge is not run again by its finishing
-        # solve: the scan makes the Newton steps of the per-sample loop
+        # solve: the scan makes the Newton solves of the per-sample loop, and
+        # one factorization per Newton step but the first steps of a block,
+        # whose lanes all start at the aligned crystal and share one factor
         import tweezer_ising.crystal as crystal_mod
+        from tweezer_ising.experiment import SCAN_BLOCK
 
-        steps = []
-        real = crystal_mod.dpotrf
+        factors, solves = [], []
+        real_factor, real_solve = crystal_mod.dpotrf, crystal_mod.dpotrs
 
-        def counted(*args, **kwargs):
-            steps.append("clean" in kwargs)  # a Newton step's factorization; the stability check passes no clean
-            return real(*args, **kwargs)
+        def factor(*args, **kwargs):
+            factors.append("clean" in kwargs)  # a Newton step's factorization; the stability check passes no clean
+            return real_factor(*args, **kwargs)
 
-        monkeypatch.setattr(crystal_mod, "dpotrf", counted)
+        monkeypatch.setattr(crystal_mod, "dpotrf", factor)
+        monkeypatch.setattr(crystal_mod, "dpotrs", lambda *a, **k: solves.append(1) or real_solve(*a, **k))
         args = ([1e-7, 1e-6, 3e-6], 40, 5, ("y", "z"))
         aligned, records, failed = _oracle_scan(leaky_chain, *args)
-        oracle_steps = steps.count(True)
-        steps.clear()
+        oracle_factors, oracle_solves = factors.count(True), len(solves)
+        factors.clear()
+        solves.clear()
         scan = misalignment_scan(leaky_chain, *args[:3], axes=args[3])
         assert len(failed) == 10
         assert repr(scan.aligned_epsilon) == repr(aligned)
         assert scan.records == records and scan.failed_samples == failed
-        assert steps.count(True) == oracle_steps > 10 * 5 * 200
+        assert len(solves) == oracle_solves > 0 and oracle_factors > 10 * 5 * 200
+        # no offset leaves the aligned crystal converged, so every lane takes a first step
+        shared = sum(min(SCAN_BLOCK, args[1] - start) - 1 for start in range(0, args[1], SCAN_BLOCK))
+        assert shared == 15 + 15 + 7
+        assert factors.count(True) == oracle_factors - shared
+
+    def test_each_block_start_is_one_lane(self, fast_fig7, monkeypatch):
+        # every lane of a block starts at the aligned crystal, whose Hessian
+        # is built once for the block: the first build of each block's
+        # descents is one lane's
+        import tweezer_ising.crystal as crystal_mod
+        import tweezer_ising.experiment as experiment_mod
+
+        design, scales, samples, seed = fast_fig7
+        blocks = []
+        relax, hessian = experiment_mod.relax_equilibria, crystal_mod.mass_scaled_hessian
+
+        def traced_relax(trap, species, guesses, *args):
+            blocks.append([len(guesses)])
+            return relax(trap, species, guesses, *args)
+
+        monkeypatch.setattr(experiment_mod, "relax_equilibria", traced_relax)
+        monkeypatch.setattr(crystal_mod, "mass_scaled_hessian", lambda pos, *a: blocks[-1].append(len(pos)) or hessian(pos, *a))
+        scan = misalignment_scan(design, scales, samples, seed)
+        assert len(scan.records) == samples == 60
+        assert [block[:2] for block in blocks] == [[16, 1], [16, 1], [16, 1], [12, 1]]
+        assert all(max(block[2:]) <= block[0] for block in blocks)
 
     def test_one_block_of_hessians_is_alive_at_a_time(self, fast_fig7):
         # a scan of ten blocks peaks, above what it returns, where a scan of

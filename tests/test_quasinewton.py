@@ -138,12 +138,16 @@ def test_rejects_bad_inputs():
         {"max_iter": -5},
         {"memory": 2.5},
         {"max_iter": 2.5},
+        {"memory": True, "max_iter": True},
+        {"max_iter": True},
+        {"memory": np.True_},
     ],
 )
 def test_rejects_bad_controls(controls):
     # memory=-1 used to raise a bare ValueError from deque, max_iter=0
-    # returned the start point as an unconverged result, and max_iter=2.5
-    # ran on past its cap, which no iteration count equals
+    # returned the start point as an unconverged result, max_iter=2.5
+    # ran on past its cap, which no iteration count equals, and
+    # memory=True, max_iter=True ran one iteration
     with pytest.raises(InvalidArgumentError):
         minimize_box(_one(rosenbrock), np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0), **controls)
 
