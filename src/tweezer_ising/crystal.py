@@ -176,9 +176,11 @@ def _potentials_and_gradients(pos, pairs, trap, species):
     tweezers'.
 
     The energies come as a function of the lane, so a caller pays only for
-    those it reads.  Every lane has the bits of its lone evaluation: the
-    gradient is stacked and each energy is summed on its own, because
-    numpy's row sums of a stack do not add in the order of a lone sum.
+    those it reads; the function holds the lanes' harmonic terms and
+    inverse pair distances, not their pair terms.  Every lane has the bits
+    of its lone evaluation: the gradient is stacked and each energy is
+    summed on its own, because numpy's row sums of a stack do not add in
+    the order of a lone sum.
     The Coulomb force on ion i sums (r_i - r_j) / r^3 over its partners j
     in order, over axis -2 of the component-major `pair_planes`, and the
     energy sums 1 / r over the pairs i < j.
@@ -188,7 +190,8 @@ def _potentials_and_gradients(pos, pairs, trap, species):
 
     harmonic = w2 * pos**2
     grad = m * w2 * pos
-    if pairs is not None:
+    coulomb = pairs is not None
+    if coulomb:
         diff, dist, upper = pairs
         ke2 = species.coulomb_coefficient
         inverse = 1.0 / upper
@@ -200,7 +203,7 @@ def _potentials_and_gradients(pos, pairs, trap, species):
 
     def energy_of(k):
         energy = 0.5 * m * harmonic[k].sum()
-        if pairs is not None:
+        if coulomb:
             energy += ke2 * inverse[k].sum()
         return energy
 
@@ -314,9 +317,10 @@ def solve_equilibrium(
     repeated, up to five times.  The stability check reads the Hessian the
     descent built with its last point, so the check builds none.  A guess
     with coincident ions raises InvalidArgumentError from the first
-    descent, which leaves it unmoved.  `max_iter`, the Newton steps per
-    descent, is a nonnegative integer (InvalidArgumentError otherwise); 0
-    checks the guess as it is.
+    descent, which leaves it unmoved; a guess or tweezer centers with a NaN
+    or infinite coordinate raise it before any descent.  `max_iter`, the
+    Newton steps per descent, is a nonnegative integer
+    (InvalidArgumentError otherwise); 0 checks the guess as it is.
 
     ``first_descent`` hands the solve the outcome of its own first
     descent, run elsewhere: ``(positions, residual, hessian)``, lane k of
@@ -331,6 +335,7 @@ def solve_equilibrium(
     if initial_guess is None:
         initial_guess = default_chain_guess(trap, species)
     guess = np.asarray(initial_guess, dtype=float).reshape(n_ions, 3)
+    _check_finite("initial guess", guess)
 
     curv = centers = None
     if tweezers is not None:
@@ -339,6 +344,7 @@ def solve_equilibrium(
             tweezer_reference = ref.positions
         curv = tweezers.curvatures
         centers = (np.asarray(tweezer_reference, dtype=float) + tweezers.offsets)[None]
+        _check_finite("tweezer centers", centers)
 
     scales = _Scales.of(trap, species)
     pos = guess
@@ -425,8 +431,9 @@ def relax_equilibria(
     scan's broadcast of the aligned crystal, are evaluated once there, and
     the lanes' first Newton steps share one Cholesky factor.  Guesses of
     another shape, curvatures of another shape than (N, 3, 3), tweezer
-    centers that are not of the guesses' shape, or a `max_iter` that is not
-    a nonnegative integer, raise InvalidArgumentError before any descent.
+    centers that are not of the guesses' shape, guesses or centers with a
+    NaN or infinite coordinate, or a `max_iter` that is not a nonnegative
+    integer, raise InvalidArgumentError before any descent.
 
     Returns the positions (K, N, 3) where the descents ended, their scaled
     residuals (K,) and the `mass_scaled_hessian`s (K, 3N, 3N) at those
@@ -446,8 +453,19 @@ def relax_equilibria(
         )
     if curvatures is not None and np.shape(centers) != shape:
         raise InvalidArgumentError(f"tweezer centers must have the guesses' shape {shape}, got {np.shape(centers)}")
+    _check_finite("guesses", guesses)
+    if curvatures is not None:
+        _check_finite("tweezer centers", centers)
     max_iter = _newton_cap(max_iter)
     return _descents(guesses, trap, species, curvatures, centers, _Scales.of(trap, species), max_iter)
+
+
+def _check_finite(name, positions) -> None:
+    """Raise InvalidArgumentError for positions with a NaN or infinite
+    coordinate: a descent from them would evaluate them, since a NaN
+    distance passes the distance floor, and end in NaN."""
+    if not np.isfinite(positions).all():
+        raise InvalidArgumentError(f"{name} must have finite coordinates")
 
 
 def _newton_cap(max_iter) -> int:
@@ -491,7 +509,9 @@ def _descents(pos, trap, species, curvatures, centers, scales, max_iter):
     tweezer force and energy; the lanes' first Newton steps then share the
     Cholesky factor of that Hessian, and each solves with it on its own.
     Each lane keeps the Hessian of the point it accepted, which gives its
-    next Newton step and is returned with the point.  The Cholesky solves,
+    next Newton step and is returned with the point; a round's stack of
+    Hessians is freed before the next round builds its own, so the lanes'
+    kept Hessians and one round's are alive at a time.  The Cholesky solves,
     norms, slopes and acceptance tests stay per lane, so every lane has the
     bits of its lone descent.  ``centers`` is a (K, N, 3) stack, or None
     without tweezers; neither it nor ``pos`` is written to.
@@ -531,6 +551,7 @@ def _descents(pos, trap, species, curvatures, centers, scales, max_iter):
         alpha[lanes] = 1.0
         search = lanes
         while search:
+            hessians = None  # the last round's stack, freed before this round's is built
             trials = pos[search] + alpha[search, None, None] * step[search]
             kept, energy_of, grads, hessians = evaluate(trials, np.array(search), scales.dist_floor)
             evaluated = dict(zip(kept.tolist(), range(len(kept))))
@@ -561,15 +582,17 @@ def _evaluate(trials, lanes, floor, trap, species, curvatures, centers):
     """The energies, gradients and Hessians of ``lanes`` at their (k, N, 3)
     ``trials`` whose nearest ions are not closer than ``floor`` and not
     coincident, from one computation of their pair terms: one stacked
-    `_potentials_and_gradients` call, one `_with_tweezers` with each lane's
-    tweezer centers, and one stacked `mass_scaled_hessian` (with the
-    tweezer curvatures) handed its planes.  One trial for several lanes is
-    their shared start: its pair terms, tweezer-free energy and gradient
-    and Hessian are computed once, for a one-lane stack, and every lane
-    gets them with its own tweezer term added, the bits of its own
-    evaluation.  Returns the indices of the evaluated lanes among
-    ``lanes``, the energies as a function of their position among them,
-    their gradients and their Hessians."""
+    `mass_scaled_hessian` (with the tweezer curvatures) handed its planes,
+    then one stacked `_potentials_and_gradients` call and one
+    `_with_tweezers` with each lane's tweezer centers; the Hessians come
+    first, so the energies' arrays are not yet alive beside the builder's
+    temporaries.  One trial for several lanes is their shared start: its
+    pair terms, tweezer-free energy and gradient and Hessian are computed
+    once, for a one-lane stack, and every lane gets them with its own
+    tweezer term added, the bits of its own evaluation.  Returns the
+    indices of the evaluated lanes among ``lanes``, the energies as a
+    function of their position among them, their gradients and their
+    Hessians."""
     shared = len(trials) < len(lanes)
     keep, pairs = np.arange(len(trials)), None
     if trap.n_ions > 1 and keep.size:
@@ -582,8 +605,8 @@ def _evaluate(trials, lanes, floor, trap, species, curvatures, centers):
             pairs = diff[:, keep], dist[keep], upper[keep]
     if not keep.size:
         return keep, None, None, None
-    energy_of, grads = _potentials_and_gradients(trials, pairs, trap, species)
     hessians = mass_scaled_hessian(trials, trap, species, curvatures, None if pairs is None else pairs[:2])
+    energy_of, grads = _potentials_and_gradients(trials, pairs, trap, species)
     if shared:
         keep = np.arange(len(lanes))
         trials, grads, hessians = (np.broadcast_to(a, (len(lanes),) + a.shape[1:]) for a in (trials, grads, hessians))

@@ -33,8 +33,15 @@ from .targets import data_lines
 MIN_DETUNING_LINEWIDTHS = 10.0
 #: misalignment samples whose Newton descents run together and whose gradings
 #: share one stacked eigh; bounds the stacked arrays of a block, the one
-#: block of the scan alive at a time
-SCAN_BLOCK = 16
+#: block of the scan alive at a time.  A block's working set is under 4
+#: stacks of (SCAN_BLOCK, 3N, 3N) float64 (3.6 at 64 lanes of the fast fig7
+#: scan, by tracemalloc): the lanes' kept Hessians, one Newton round's (or,
+#: grading, the eigenvectors) and the pair terms and plane temporaries.  It
+#: was about 7.1 stacks while the descents held two rounds' Hessians, the
+#: Hessian builder all nine pair planes and the grading its copies; so 64
+#: lanes fit in about the memory 16 took then, with a quarter of the
+#: stacked Newton rounds and gradings, whose cost hardly grows with lanes
+SCAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -260,8 +267,9 @@ def misalignment_scan(
     Hessian, to which each lane adds its own tweezer force), and the
     lanes' first Newton steps share that Hessian's Cholesky factor.
     (2) Grade: one `grade_hessians` (one `eigh`) of the converged
-    descents' Hessians; each sample's J, or the exception its
-    grading raises, is kept until the block is finished.  (3) Finish, per
+    descents' Hessians, the block's own stack, uncopied, when every lane
+    converged; each sample's J, or the exception its grading raises, is
+    kept until the block is finished.  (3) Finish, per
     sample in order: `solve_equilibrium` from the aligned crystal, handed
     its lane's descent and Hessian as ``first_descent``, so the solve
     repeats no descent and builds no Hessian for a lane it keeps; then, if
@@ -284,9 +292,9 @@ def misalignment_scan(
     which runs on one thread at these sizes), and a solve decomposes its
     Hessian (`eigvalsh`) only where the factorization does not certify it
     stable, which no sample of the fig7 scan needs.  On the scan's
-    (16, 36, 36) stacks the split is slower than one thread and keeps a
-    second core busy; the thread count does not reorder `eigh`'s sums, so
-    the bits are those of the pool.  Held at one thread, the pool never
+    (64, 36, 36) stacks the split saves no wall time (8.3 ms on one thread
+    or two, 2 cores) and keeps a second core busy; the thread count does
+    not reorder `eigh`'s sums, so the bits are those of the pool.  Held at one thread, the pool never
     wakes, so the blocks need not grade back to back.  Where numpy has no
     OpenBLAS thread control, the scan runs on whatever threads BLAS
     chooses, and the pool may wake once per block, for its `eigh`.
@@ -347,7 +355,9 @@ def _scan_block(result, drive, block, offsets, records, failed):
     converged = np.flatnonzero(residuals < TOL_EQUILIBRIUM).tolist()
     graded = {}  # converged lane -> its J, or the exception its grading raises
     if converged:
-        graded = dict(zip(converged, grade_hessians(hessians[converged], trap.omega_bar, *drive, species).couplings))
+        # the block's own stack, uncopied, when every lane converged
+        stack = hessians if len(converged) == len(hessians) else hessians[converged]
+        graded = dict(zip(converged, grade_hessians(stack, trap.omega_bar, *drive, species).couplings))
     for k, (i, off) in enumerate(zip(block, offsets)):
         try:
             shifted = solve_equilibrium(

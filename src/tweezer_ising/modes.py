@@ -202,15 +202,18 @@ def mass_scaled_hessian(
     not written, and give the bits of the call that computes them.
 
     The pair blocks are built component-major, one (..., N, N) plane per
-    entry (a, b) of ion pair (i, j): t = ((3 u_a) u_b - delta_ab) times
-    k / r^3, with u the unit difference and k the Coulomb coefficient over
-    the mass; the off-diagonal block is 0.0 - t.  The diagonal block of
-    ion i sums t over its partners j in order j = 0..N-1, and the trap and
-    the tweezer curvatures are added to that sum in turn.  The pair terms
-    are mirror images bit for bit (u_ji = -u_ij exactly, and a product of
-    two of them keeps its bits when both change sign), so t_ij = t_ji, and
-    that sum is the one over the first ion axis, axis -2, which numpy adds
-    in order; over the contiguous last axis it would sum pairwise.
+    entry (a, b) of ion pair (i, j), written into the output before the
+    next is made: t = ((3 u_a) u_b - delta_ab) times k / r^3, with u the
+    unit difference and k the Coulomb coefficient over the mass; the
+    off-diagonal block is 0.0 - t.  So a stack's working set is one plane
+    and the unit differences, not the nine planes at once.  The diagonal
+    block of ion i sums t over its partners j in order j = 0..N-1, and the
+    trap and the tweezer curvatures are added to that sum in turn.  The
+    pair terms are mirror images bit for bit (u_ji = -u_ij exactly, and a
+    product of two of them keeps its bits when both change sign), so t_ij
+    = t_ji, and that sum is the one over the first ion axis, axis -2,
+    which numpy adds in order; over the contiguous last axis it would sum
+    pairwise.
     """
     pos = np.asarray(positions, dtype=float)
     lead, n = pos.shape[:-2], pos.shape[-2]
@@ -221,14 +224,21 @@ def mass_scaled_hessian(
         dist.reshape(lead + (n * n,))[..., :: n + 1] = 1.0
         unit = diff / dist
         ke2_m = species.coulomb_coefficient / species.mass
-        t = (3.0 * unit)[:, None] * unit[None, :]
-        for ax in range(3):
-            t[ax, ax] -= 1.0
-        t *= ke2_m / dist**3
-        # the (i, i) entries, as a strided view of the flat ion pairs
-        t.reshape((3, 3) + lead + (n * n,))[..., :: n + 1] = 0.0
-        np.subtract(0.0, t, out=np.moveaxis(out, (-3, -1), (0, 1)))
-        blocks = np.moveaxis(t.sum(axis=-2), (0, 1), (-2, -1))
+        scale = ke2_m / dist**3
+        del dist
+        blocks = np.empty(lead + (n, 3, 3))
+        t = np.empty_like(scale)  # the plane being built
+        self_pairs = t.reshape(lead + (n * n,))[..., :: n + 1]  # its (i, i) entries, a strided view
+        for a in range(3):
+            for b in range(3):
+                np.multiply(3.0, unit[a], out=t)
+                t *= unit[b]
+                if a == b:
+                    t -= 1.0
+                t *= scale
+                self_pairs[...] = 0.0
+                np.subtract(0.0, t, out=out[..., :, a, :, b])
+                blocks[..., a, b] = t.sum(axis=-2)
     else:
         blocks = np.zeros(lead + (1, 3, 3))
     omegas = trap.omegas
@@ -344,6 +354,11 @@ def spectra(hessians: np.ndarray, freq_scale: float) -> tuple[np.ndarray, np.nda
     eigenvalues (K, B), the eigenvectors (K, B, B) and, per matrix, None or
     the exception `mode_spectrum` raises for it; the rows of a matrix with
     an exception are not its spectrum.
+
+    ``hessians`` is read, not written.  The symmetrized stack is one fresh
+    array, and when every matrix passes the symmetry check, `eigh` runs on
+    it whole and its eigenvectors get their signs in place: besides the
+    input, two stacks at most are alive at a time.
     """
     a = np.asarray(hessians, dtype=float)
     errors: list = [None] * len(a)
@@ -355,40 +370,51 @@ def spectra(hessians: np.ndarray, freq_scale: float) -> tuple[np.ndarray, np.nda
     for k in np.flatnonzero(~quick):
         if not np.allclose(a[k], a[k].T, rtol=0, atol=atol[k]):
             errors[k] = InvalidArgumentError("Hessian must be symmetric")
-    a = 0.5 * (a + swapped)
+    a = a + swapped
+    a *= 0.5
     live = [k for k, err in enumerate(errors) if err is None]
-    lam = np.zeros(a.shape[:2])
-    vec = np.zeros(a.shape)
     try:
-        if live:
-            lam[live], vec[live] = np.linalg.eigh(a[live])
+        if len(live) == len(a):
+            lam, vec = np.linalg.eigh(a)
+        else:
+            lam, vec = np.zeros(a.shape[:2]), np.zeros(a.shape)
+            if live:
+                lam[live], vec[live] = np.linalg.eigh(a[live])
     except np.linalg.LinAlgError:
+        lam, vec = np.zeros(a.shape[:2]), np.zeros(a.shape)
         for k in list(live):
             try:
                 lam[k], vec[k] = np.linalg.eigh(a[k])
             except np.linalg.LinAlgError as err:
                 errors[k] = err
                 live.remove(k)
+    del a  # the symmetrized stack, freed before the signs are fixed
     floor = TOL_PSD_REL * freq_scale**2
     for k in np.flatnonzero(lam[:, 0] < -floor):
         errors[k] = UnstableCrystalError(
             f"lowest eigenvalue {lam[k, 0]:.6e} below stability floor -{floor:.6e} (rad^2/s^2)"
         )
         live.remove(k)
-    vec[live] = _deterministic_eigenvectors(lam[live], vec[live], TOL_DEGENERACY_REL * freq_scale**2)
+    tol = TOL_DEGENERACY_REL * freq_scale**2
+    if len(live) == len(vec):
+        _deterministic_eigenvectors(lam, vec, tol)
+    else:
+        vec[live] = _deterministic_eigenvectors(lam[live], vec[live], tol)
     return lam, vec, errors
 
 
 def _deterministic_eigenvectors(lam, vec, tol):
     """A (K, B, B) stack of eigenvectors with each degenerate group
-    re-orthogonalized, in place, and each mode's sign fixed."""
+    re-orthogonalized and each mode's sign fixed, in place; returns it."""
     for k in np.flatnonzero((np.diff(lam) < tol).any(axis=-1)):
         _canonicalize_groups(lam[k], vec[k], tol)
-    # sign convention: the largest-magnitude component of each mode is positive
-    pick = np.argmax(np.abs(vec), axis=-2)
+    # sign convention: the largest-magnitude component of each mode is positive;
+    # the magnitudes are laid out mode-major, so argmax runs on them uncopied
+    pick = np.abs(vec.swapaxes(-1, -2), order="C").argmax(axis=-1)
     signs = np.sign(np.take_along_axis(vec, pick[..., None, :], axis=-2))
     signs[signs == 0] = 1.0
-    return vec * signs
+    vec *= signs
+    return vec
 
 
 def _canonicalize_groups(lam, vec, tol):

@@ -20,9 +20,15 @@ import numpy as np
 import pytest
 
 from tweezer_ising.coupling import _largest_offdiag, _mode_sum, max_abs_offdiag
+from tweezer_ising.experiment import SCAN_BLOCK
 from tweezer_ising.modes import _placement
 
 SEED = 20261019
+#: lane counts of the scan grader's stacks: a few small ones, a full scan
+#: block and the last, partial block of a 1000-sample scan
+GRADING_STACKS = sorted({1, 2, 5, SCAN_BLOCK, 1000 % SCAN_BLOCK} - {0})
+#: every lane count a block's converged lanes can have
+BLOCK_LANES = range(1, SCAN_BLOCK + 1)
 
 
 def _rows(rng, count, p):
@@ -146,9 +152,10 @@ class TestStackedMatmuls:
 
 
 class TestGradingForms:
-    """The scan grader's stacked forms against one lone call per lane, for
-    every block size up to 16 (`experiment.SCAN_BLOCK`), on the full 3N
-    spectra of a 12- and a 19-ion crystal."""
+    """The scan grader's stacked forms against one lone call per lane, at
+    the lane counts of `GRADING_STACKS` (a block of `experiment.SCAN_BLOCK`
+    samples among them) or, for the products, at every lane count up to
+    `SCAN_BLOCK`, on the full 3N spectra of a 12- and a 19-ion crystal."""
 
     @staticmethod
     def _eigenvectors(rng, k, b):
@@ -157,7 +164,7 @@ class TestGradingForms:
     @pytest.mark.parametrize("n", [12, 19])
     def test_eigh(self, n):
         rng = np.random.default_rng([SEED, 400 + n])
-        for k in (2, 5, 16):
+        for k in GRADING_STACKS:
             a = rng.standard_normal((k, 3 * n, 3 * n)) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
             a = 0.5 * (a + a.transpose(0, 2, 1))
             lam, vec = np.linalg.eigh(a)
@@ -171,10 +178,10 @@ class TestGradingForms:
         # of full eigenvector matrices, against one product per matrix
         rng = np.random.default_rng([SEED, 500 + n])
         b = 3 * n
-        for axis in ("y", "yz", rng.standard_normal(3)):
-            place = _placement(np.arange(b), n, axis)
-            for k in range(1, 17):
-                vec = self._eigenvectors(rng, k, b)
+        places = [_placement(np.arange(b), n, axis) for axis in ("y", "yz", rng.standard_normal(3))]
+        for k in BLOCK_LANES:
+            vec = self._eigenvectors(rng, k, b)
+            for place in places:
                 got = place @ vec
                 assert all(_same(got[i], place @ vec[i]) for i in range(k))
 
@@ -185,7 +192,7 @@ class TestGradingForms:
         # laid out mask-outermost, as the lone proj[:, mask] is
         rng = np.random.default_rng([SEED, 600 + n, width])
         b = 3 * n
-        for k in range(1, 17):
+        for k in BLOCK_LANES:
             proj = rng.standard_normal((k, n, b)) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
             lam = rng.uniform(0.1, 2.0, (k, b))
             mask = np.zeros(b, dtype=bool)
@@ -200,16 +207,18 @@ class TestGradingForms:
 
     @pytest.mark.parametrize("n", [12, 19])
     def test_sign_pick(self, n):
-        # each mode's largest-magnitude component made positive
+        # each mode's largest-magnitude component made positive: the
+        # magnitudes laid out mode-major, the signs multiplied in place
         rng = np.random.default_rng([SEED, 700 + n])
         b = 3 * n
-        for k in (1, 2, 5, 16):
+        for k in GRADING_STACKS:
             vec = self._eigenvectors(rng, k, b)
             vec[0, :, 0] = 0.0  # a zero column keeps its sign +1
-            pick = np.argmax(np.abs(vec), axis=-2)
+            pick = np.abs(vec.swapaxes(-1, -2), order="C").argmax(axis=-1)
             signs = np.sign(np.take_along_axis(vec, pick[..., None, :], axis=-2))
             signs[signs == 0] = 1.0
-            got = vec * signs
+            got = vec.copy()
+            got *= signs
             for i in range(k):
                 lone_pick = np.argmax(np.abs(vec[i]), axis=0)
                 lone_signs = np.sign(vec[i][lone_pick, np.arange(b)])
@@ -221,7 +230,7 @@ class TestGradingForms:
         # 0.5 (a + a^T) of each matrix, then its diagonal zeroed
         rng = np.random.default_rng([SEED, 800 + n])
         diagonal = np.arange(n)
-        for k in (1, 2, 5, 16):
+        for k in GRADING_STACKS:
             a = rng.standard_normal((k, n, n)) * 10.0 ** rng.uniform(-20, 5, (k, 1, 1))
             got = 0.5 * (a + a.swapaxes(-1, -2))
             got[..., diagonal, diagonal] = 0.0

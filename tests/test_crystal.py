@@ -507,7 +507,7 @@ class TestHessianFromPairPlanes:
             solved = solve_equilibrium(trap, species, 2, tweezers=pattern)
         return solved.positions, trap, pattern.curvatures
 
-    @pytest.mark.parametrize("k", [None, 1, 2, 5, 16], ids=["lone", "k1", "k2", "k5", "k16"])
+    @pytest.mark.parametrize("k", [None, 1, 2, 5, 16, 64], ids=["lone", "k1", "k2", "k5", "k16", "k64"])
     @pytest.mark.parametrize("kind", ["chain12_offset", "triangle19", "ions2"])
     def test_planes_give_the_bits_of_the_oracle(self, species, kind, k):
         positions, trap, curv = self._crystal(species, kind)
@@ -906,6 +906,37 @@ class TestEquilibriumLockstep:
         monkeypatch.setattr(crystal_mod, "_descents", None)  # no descent runs
         with pytest.raises(InvalidArgumentError, match=r"^tweezer curvatures must have shape \(5, 3, 3\), got \(1, 5, 3, 3\)$"):
             relax_equilibria(chain_trap, species, guess[None], curv[None], guess[None])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_a_non_finite_guess(self, species, chain_trap, bad, monkeypatch):
+        # a NaN guess used to descend: a NaN nearest distance passes the
+        # distance floor, so relax_equilibria returned a NaN residual and
+        # Hessian, and solve_equilibrium ended in numpy's LinAlgError
+        import tweezer_ising.crystal as crystal_mod
+
+        guess = default_chain_guess(chain_trap, species)
+        guess[2, 0] = bad
+        monkeypatch.setattr(crystal_mod, "_descents", None)  # no descent runs
+        with pytest.raises(InvalidArgumentError, match="^guesses must have finite coordinates$"):
+            relax_equilibria(chain_trap, species, np.stack([default_chain_guess(chain_trap, species), guess]))
+        with pytest.raises(InvalidArgumentError, match="^initial guess must have finite coordinates$"):
+            solve_equilibrium(chain_trap, species, 5, guess)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_tweezer_centers(self, species, chain_trap, bad, monkeypatch):
+        # the tweezer pattern checks its offsets; the reference they are
+        # added to, and the centers handed to relax_equilibria, are checked here
+        import tweezer_ising.crystal as crystal_mod
+
+        guess = default_chain_guess(chain_trap, species)
+        pattern = TweezerPattern.from_frequencies(np.full(5, 0.1 * MHZ), axes="y")
+        centers = guess.copy()
+        centers[4, 2] = bad
+        monkeypatch.setattr(crystal_mod, "_descents", None)  # no descent runs
+        with pytest.raises(InvalidArgumentError, match="^tweezer centers must have finite coordinates$"):
+            relax_equilibria(chain_trap, species, guess[None], pattern.curvatures, centers[None])
+        with pytest.raises(InvalidArgumentError, match="^tweezer centers must have finite coordinates$"):
+            solve_equilibrium(chain_trap, species, 5, guess, tweezers=pattern, tweezer_reference=centers)
 
     def test_a_kick_onto_coincident_ions_raises(self, species, monkeypatch):
         # no Newton step (max_iter=0) leaves the guess unconverged; the

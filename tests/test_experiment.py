@@ -508,9 +508,11 @@ class TestStackedGrading:
             misalignment_scan(marginal_chain, scales, 24, seed, axes=axes)
         assert str(got.value) == str(expected.value)
 
-    def test_one_stacked_eigh_per_block(self, marginal_chain, monkeypatch):
-        # eigh calls on a stack of one: the aligned grading and the five
-        # kicked samples, each a lone realized_coupling
+    @staticmethod
+    def _eigh_stacks(marginal_chain, monkeypatch):
+        """The lane counts of the eigh calls of the marginal chain's 20-sample
+        scan; eigh calls on a stack of one are the aligned grading and the
+        five kicked samples, each a lone realized_coupling."""
         import tweezer_ising.experiment as experiment_mod
 
         eighs = _count_calls(monkeypatch, np.linalg, "eigh", lambda a: len(a))
@@ -519,7 +521,20 @@ class TestStackedGrading:
         scan = misalignment_scan(marginal_chain, scales, 20, seed, axes=axes)
         assert len(scan.records) == 18
         assert eighs.count(1) == len(alone) == 6
+        return eighs
+
+    def test_one_stacked_eigh_per_block(self, marginal_chain, monkeypatch):
+        import tweezer_ising.experiment as experiment_mod
+
+        monkeypatch.setattr(experiment_mod, "SCAN_BLOCK", 16)
+        eighs = self._eigh_stacks(marginal_chain, monkeypatch)
         assert len(eighs) - eighs.count(1) == 2
+
+    def test_one_stacked_eigh_per_block_at_the_default_size(self, marginal_chain, monkeypatch):
+        from tweezer_ising.experiment import SCAN_BLOCK
+
+        eighs = self._eigh_stacks(marginal_chain, monkeypatch)
+        assert len(eighs) - eighs.count(1) == -(-20 // SCAN_BLOCK)
 
     def test_fast_fig7_scan_makes_no_eigenvalues(self, fast_fig7, monkeypatch):
         # every finishing solve of the fast fig7 scan is certified stable by
@@ -780,14 +795,19 @@ class TestFirstDescentHandOff:
         assert builds[0] == ("tweezer_ising.coupling", ())
         assert set(builds[1:]) == {("tweezer_ising.crystal", ("relax_equilibria",))}
 
-    def test_each_first_descent_runs_once(self, leaky_chain, monkeypatch):
-        # a descent that does not converge is not run again by its finishing
-        # solve: the scan makes the Newton solves of the per-sample loop, and
-        # one factorization per Newton step but the first steps of a block,
-        # whose lanes all start at the aligned crystal and share one factor
-        import tweezer_ising.crystal as crystal_mod
-        from tweezer_ising.experiment import SCAN_BLOCK
+    @staticmethod
+    def _shared_first_factors(leaky_chain, monkeypatch):
+        """The Newton factorizations that the leaky chain's 40-sample scan
+        shares, at the current `SCAN_BLOCK`, against a per-sample loop.
 
+        A descent that does not converge is not run again by its finishing
+        solve: the scan makes the Newton solves of the per-sample loop, and
+        one factorization per Newton step but the first steps of a block,
+        whose lanes all start at the aligned crystal and share one factor."""
+        import tweezer_ising.crystal as crystal_mod
+        import tweezer_ising.experiment as experiment_mod
+
+        block = experiment_mod.SCAN_BLOCK
         factors, solves = [], []
         real_factor, real_solve = crystal_mod.dpotrf, crystal_mod.dpotrs
 
@@ -808,14 +828,30 @@ class TestFirstDescentHandOff:
         assert scan.records == records and scan.failed_samples == failed
         assert len(solves) == oracle_solves > 0 and oracle_factors > 10 * 5 * 200
         # no offset leaves the aligned crystal converged, so every lane takes a first step
-        shared = sum(min(SCAN_BLOCK, args[1] - start) - 1 for start in range(0, args[1], SCAN_BLOCK))
-        assert shared == 15 + 15 + 7
+        shared = sum(min(block, args[1] - start) - 1 for start in range(0, args[1], block))
         assert factors.count(True) == oracle_factors - shared
+        return shared
 
-    def test_each_block_start_is_one_lane(self, fast_fig7, monkeypatch):
-        # every lane of a block starts at the aligned crystal, whose Hessian
-        # is built once for the block: the first build of each block's
-        # descents is one lane's
+    def test_each_first_descent_runs_once(self, leaky_chain, monkeypatch):
+        import tweezer_ising.experiment as experiment_mod
+
+        monkeypatch.setattr(experiment_mod, "SCAN_BLOCK", 16)
+        assert self._shared_first_factors(leaky_chain, monkeypatch) == 15 + 15 + 7
+
+    def test_each_first_descent_runs_once_at_the_default_size(self, leaky_chain, monkeypatch):
+        from tweezer_ising.experiment import SCAN_BLOCK
+
+        blocks = -(-40 // SCAN_BLOCK)
+        assert self._shared_first_factors(leaky_chain, monkeypatch) == 40 - blocks
+
+    @staticmethod
+    def _block_builds(fast_fig7, monkeypatch):
+        """Per block of the fast fig7 scan, its lane count and the lane
+        counts of its descents' Hessian builds.
+
+        Every lane of a block starts at the aligned crystal, whose Hessian
+        is built once for the block: the first build of each block's
+        descents is one lane's."""
         import tweezer_ising.crystal as crystal_mod
         import tweezer_ising.experiment as experiment_mod
 
@@ -831,8 +867,20 @@ class TestFirstDescentHandOff:
         monkeypatch.setattr(crystal_mod, "mass_scaled_hessian", lambda pos, *a: blocks[-1].append(len(pos)) or hessian(pos, *a))
         scan = misalignment_scan(design, scales, samples, seed)
         assert len(scan.records) == samples == 60
-        assert [block[:2] for block in blocks] == [[16, 1], [16, 1], [16, 1], [12, 1]]
         assert all(max(block[2:]) <= block[0] for block in blocks)
+        return [block[:2] for block in blocks]
+
+    def test_each_block_start_is_one_lane(self, fast_fig7, monkeypatch):
+        import tweezer_ising.experiment as experiment_mod
+
+        monkeypatch.setattr(experiment_mod, "SCAN_BLOCK", 16)
+        assert self._block_builds(fast_fig7, monkeypatch) == [[16, 1], [16, 1], [16, 1], [12, 1]]
+
+    def test_each_block_start_is_one_lane_at_the_default_size(self, fast_fig7, monkeypatch):
+        from tweezer_ising.experiment import SCAN_BLOCK
+
+        expected = [[min(SCAN_BLOCK, 60 - start), 1] for start in range(0, 60, SCAN_BLOCK)]
+        assert self._block_builds(fast_fig7, monkeypatch) == expected
 
     def test_one_block_of_hessians_is_alive_at_a_time(self, fast_fig7):
         # a scan of ten blocks peaks, above what it returns, where a scan of
@@ -855,6 +903,26 @@ class TestFirstDescentHandOff:
             above.append(peak - kept)
         stack = SCAN_BLOCK * (3 * design.crystal.n_ions) ** 2 * 8  # one block's Hessians, bytes
         assert above[1] - above[0] < stack / 4
+
+    def test_a_block_works_in_four_hessian_stacks(self, fast_fig7):
+        # a block's working set: the lanes' kept Hessians, one round's stack
+        # (or, grading, the eigenvectors), the round's pair terms and the
+        # Hessian builder's plane temporaries, each about a stack or less
+        import tracemalloc
+
+        from tweezer_ising.experiment import SCAN_BLOCK
+
+        design, scales, _, seed = fast_fig7
+        misalignment_scan(design, scales, 1, seed)  # first-call caches
+        tracemalloc.start()
+        try:
+            scan = misalignment_scan(design, scales, SCAN_BLOCK, seed)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scan.records) == SCAN_BLOCK
+        stack = SCAN_BLOCK * (3 * design.crystal.n_ions) ** 2 * 8  # one block's Hessians, bytes
+        assert peak - kept <= 4 * stack
 
 
 class TestBlockOffsets:
