@@ -346,6 +346,9 @@ class PinProblem:
         self.b = coords.size
 
         self.proj = _placement(coords, n, drive_axis)
+        # drive axis = pin axis = block axis: the eigenvectors are their own
+        # projection, the bits of the identity product (tests/test_bit_pins.py)
+        self.identity_placement = np.array_equal(self.proj, np.eye(self.b))
 
         # block rows touched by each orbit parameter
         pinned_axis = np.isin(coords % 3, list(pin_axis_idx))
@@ -427,7 +430,7 @@ class PinProblem:
         if live.size < count:
             lam, u = lam[live], u[live]
         theta = 1.0 / (beat[live, 1:] - lam)
-        w = self.proj @ u
+        w = u if self.identity_placement else self.proj @ u
         j = _symmetric_zero_diagonal(_mode_sum(w, theta))
         max_j, at = _largest_offdiag(j)
         # a lane with J = 0 has no ε; NaN passes on, as in a lone call

@@ -76,9 +76,9 @@ def minimize_box(
 
     The one-lane call of `minimize_lockstep`: ``evaluate`` is a
     `LaneEvaluator` that sees (1, P) points and the lane index 0.  Raises
-    InvalidArgumentError for reversed bounds, ``memory`` or ``max_iter``
-    not an integer of at least 1, or a start point where the value is not
-    finite.
+    InvalidArgumentError for a NaN bound or start, reversed bounds,
+    ``memory`` or ``max_iter`` not an integer of at least 1, or a start
+    point where the value is not finite.
     """
     return minimize_lockstep(evaluate, np.asarray(x0, dtype=float)[None], lower, upper, memory, max_iter)[0]
 
@@ -97,16 +97,22 @@ def minimize_lockstep(
     bounds, which broadcast to (K, P).  Each round is one
     ``evaluate(points, lanes)`` call (see `LaneEvaluator`), and each lane
     gets the result a lone `minimize_box` run gives it.  Raises
-    InvalidArgumentError before any round for reversed bounds in any lane
-    or ``memory`` or ``max_iter`` not an integer of at least 1, and after
+    InvalidArgumentError before any round for a NaN bound or start or
+    reversed bounds in any lane (infinite bounds are valid), or ``memory``
+    or ``max_iter`` not an integer of at least 1, and after
     the first round if any start point's value is not finite.  No lanes
     means no round.
     """
     x0 = np.asarray(x0, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), x0.shape)
     upper = np.broadcast_to(np.asarray(upper, dtype=float), x0.shape)
+    # NaN compares False, so it would pass the order test and make the start NaN
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise InvalidArgumentError("a bound is NaN")
     if np.any(lower > upper):
         raise InvalidArgumentError("lower bound exceeds upper bound")
+    if np.isnan(x0).any():
+        raise InvalidArgumentError("a start point is NaN")
     memory, max_iter = as_integer("memory", memory), as_integer("max_iter", max_iter)
     if memory < 1 or max_iter < 1:
         raise InvalidArgumentError(f"memory ({memory}) and max_iter ({max_iter}) must be at least 1")

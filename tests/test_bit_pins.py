@@ -19,9 +19,13 @@ import math
 import numpy as np
 import pytest
 
+from tweezer_ising import YB171
 from tweezer_ising.coupling import _largest_offdiag, _mode_sum, max_abs_offdiag
 from tweezer_ising.experiment import SCAN_BLOCK
 from tweezer_ising.modes import _placement
+from tweezer_ising.optimizer import PinProblem, stage1_geometry
+from tweezer_ising.scenarios import nn_chain_12, triangular_af_19
+from tweezer_ising.targets import build_target
 
 SEED = 20261019
 #: lane counts of the scan grader's stacks: a few small ones, a full scan
@@ -293,3 +297,42 @@ class TestBeatnoteScan:
             assert _same(w[i], w_i) and _same(j[i], j_i)
             assert _same(peaks[i], max_abs_offdiag(j_i)[0])
             assert _same(norms[i], math.sqrt(r[i].reshape(-1).dot(r[i].reshape(-1))))
+
+
+class TestIdentityPlacement:
+    """Where the drive axis, the pinning axis and the block axis are one (the
+    chain, the triangle and the power-law chains), `PinProblem.epsilon_parts`
+    takes the block's eigenvectors as their own drive projection instead of
+    the product with the identity placement.  The product gives their bits:
+    for the pinned stacks of stage 1 and for the one broadcast spectrum of
+    `untweezed_baseline`, whose J is then formed on the broadcast itself."""
+
+    @staticmethod
+    def _problem(preset):
+        scenario = preset()
+        crystal = stage1_geometry(
+            scenario.target, scenario.trap, YB171, scenario.space.omega_scan[0], scenario.space.scan_axis
+        )
+        target = build_target(scenario.target, crystal)
+        return PinProblem(crystal, target, scenario.drive_axis, scenario.space.pin_axes)
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    @pytest.mark.parametrize("preset", [nn_chain_12, triangular_af_19], ids=["12", "19"])
+    def test_identity_product(self, preset):
+        problem = self._problem(preset)
+        b = problem.b
+        assert problem.identity_placement and b == problem.n_ions
+        rng = np.random.default_rng([SEED, 1200 + b])
+        scale = problem.wbar**2
+        for k in (1, 2, 5, SCAN_BLOCK, 128, 400):
+            a = problem.a0[None].repeat(k, 0)
+            a[:, np.arange(b), np.arange(b)] += rng.uniform(0.0, 0.5, (k, b)) * scale
+            u = np.linalg.eigh(a)[1]
+            assert (self._bits(problem.proj @ u) == self._bits(u)).all()
+        u = np.broadcast_to(np.linalg.eigh(problem.a0)[1], (400, b, b))
+        theta = 1.0 / (rng.uniform(0.5, 2.0, (400, 1)) - rng.uniform(0.0, 1.0, (400, b))) / scale
+        assert (self._bits(problem.proj @ u) == self._bits(u)).all()
+        assert (self._bits(_mode_sum(problem.proj @ u, theta)) == self._bits(_mode_sum(u, theta))).all()

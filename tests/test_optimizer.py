@@ -675,6 +675,13 @@ class TestPipeline:
         for orbit in cells.orbits:
             assert np.ptp(res.pin_frequencies[list(orbit)]) == 0.0
 
+    def test_chain_epsilon_does_not_depend_on_the_seed(self):
+        # the full nn_chain_12 preset at five pipeline seeds: on its 8-point
+        # beatnote grid every seed ends at the one optimum (seeds 1-5 span
+        # 0.0285430-0.0285552); on 24 points seeds 3-5 ended 1.3-3.5x worse
+        epsilons = [run_scenario(nn_chain_12(), seed=seed).epsilon for seed in range(1, 6)]
+        assert max(epsilons) <= 1.001 * min(epsilons), epsilons
+
     def test_every_design_evaluation_is_one_epsilon_parts_call(self, monkeypatch):
         # a tracer of PinProblem.epsilon_parts sees every evaluation of
         # stages 1-3; stage 1 once evaluated its rounds past it

@@ -572,6 +572,21 @@ class TestLockstep:
         for controls in ({"memory": 0}, {"max_iter": 0}):
             with pytest.raises(InvalidArgumentError):
                 minimize_lockstep(evaluate, np.zeros((2, 2)), lower, upper, **controls)
+        start = np.zeros((2, 2))
+        start[1, 0] = np.nan  # NaN compares False: no order test catches it
+        with pytest.raises(InvalidArgumentError, match="a start point is NaN"):
+            minimize_lockstep(evaluate, start, lower, upper)
+        with pytest.raises(InvalidArgumentError, match="a start point is NaN"):
+            minimize_box(evaluate, start[1], lower[1], upper[1])
+        nan_bound = lower.copy()
+        nan_bound[1, 1] = np.nan
+        for bounds in ((nan_bound, upper), (lower, nan_bound)):
+            with pytest.raises(InvalidArgumentError, match="a bound is NaN"):
+                minimize_lockstep(evaluate, np.zeros((2, 2)), *bounds)
+        with pytest.raises(InvalidArgumentError, match="a bound is NaN"):
+            minimize_box(evaluate, np.zeros(2), np.nan, 1.0)
+        # infinite bounds are valid: the lane runs
+        assert minimize_box(_one(quadratic([1.0, -2.0], [1.0, 3.0])), np.zeros(2), -np.inf, np.inf).converged
         lower[1], upper[1] = 1.0, 0.0  # lane 1's bounds are reversed
         with pytest.raises(InvalidArgumentError, match="lower bound exceeds upper bound"):
             minimize_lockstep(evaluate, np.zeros((2, 2)), lower, upper)
